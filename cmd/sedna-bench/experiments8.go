@@ -123,6 +123,11 @@ func runE22(s *session) error {
 		return err
 	}
 	defer db.Close()
+	// A stopped clock makes builds take no time, so the cache's admission
+	// gate admits the rebuild right after the update's commit — otherwise
+	// the reads below would be served paged and compare paged with paged.
+	epoch := time.Now()
+	db.Internal().ResidentCache().SetClockForTesting(func() time.Time { return epoch })
 	if _, err := db.Query(e22Suite[0]); err != nil { // warm the cache
 		return err
 	}
@@ -130,9 +135,13 @@ func runE22(s *session) error {
 		return err
 	}
 	for _, src := range e22Suite {
+		builds := s.reg.Counter("resident.builds").Value()
 		res, err := db.Query(src)
 		if err != nil {
 			return err
+		}
+		if s.reg.Counter("resident.builds").Value() != builds+1 {
+			return fmt.Errorf("E22: post-update %s was not served from a rebuilt resident copy", src)
 		}
 		db.Internal().SetResident(false)
 		want, err := db.Query(src)

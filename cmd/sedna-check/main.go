@@ -112,7 +112,7 @@ func printMetricsSummary(db *core.Database) {
 		row("prefetch", "buffer.prefetch_issued", "buffer.prefetch_hits", "buffer.prefetch_wasted", "buffer.prefetch_dropped")
 	}
 	if s.Counters["resident.builds"] > 0 || s.Counters["resident.hits"] > 0 {
-		row("resident", "resident.builds", "resident.hits", "resident.fallbacks", "resident.invalidations", "resident.evictions", "resident.bytes")
+		row("resident", "resident.builds", "resident.hits", "resident.deferred", "resident.fallbacks", "resident.invalidations", "resident.evictions", "resident.bytes")
 	}
 	if s.Counters["opt.plans_costed"] > 0 {
 		row("opt", "opt.plans_costed", "opt.index_chosen", "opt.index_probes", "opt.est_error_pct")

@@ -579,22 +579,24 @@ func (db *Database) advisorHot(name string) bool {
 // ResidentFor returns the resident representation of doc for this
 // transaction's snapshot, or nil when the document must be served paged:
 // update transaction, unversioned document, build failure, budget overflow,
-// or a replication barrier. Residency triggers either globally (the
-// -resident switch) or per document via the advisor: analyzed, not stale,
-// and hot enough (≥ residentHotAccesses statement accesses). The cache
-// builds at most once per committed version and validates shared
+// a replication barrier — or, with deferred=true, a build the cache put off
+// because the document is being written faster than it can be built (or
+// another reader is building it right now). Residency triggers either
+// globally (the -resident switch) or per document via the advisor: analyzed,
+// not stale, and hot enough (≥ residentHotAccesses statement accesses). The
+// cache builds at most once per committed version and validates shared
 // representations by commit timestamp.
-func (t *Tx) ResidentFor(doc *storage.Doc) *resident.Rep {
+func (t *Tx) ResidentFor(doc *storage.Doc) (rep *resident.Rep, deferred bool) {
 	if !t.ReadOnly() {
-		return nil
+		return nil, false
 	}
 	if !t.db.Resident() && !t.db.advisorHot(doc.Name) {
-		return nil
+		return nil, false
 	}
 	snap := t.SnapshotTS()
 	_, vts, ok := t.db.docVers.versionAt(doc.Name, snap)
 	if !ok {
-		return nil
+		return nil, false
 	}
 	return t.db.resCache.Acquire(doc.Name, vts, snap, func() (*resident.Rep, error) {
 		return resident.Build(t.Tx, doc, vts, snap)

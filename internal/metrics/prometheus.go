@@ -43,6 +43,8 @@ var metricHelp = map[string]string{
 	"server.kills":           "Statements terminated by KILL.",
 	"sedna.build_info":       "Build metadata; the value is always 1.",
 	"repl.replica_lag_lsn":   "Replication lag in log bytes.",
+	"resident.deferred":      "Reads served paged because the document's resident build was put off (written faster than it builds, or a build in flight).",
+	"resident.fallbacks":     "Reads served paged because no resident copy can serve them (build failed, over budget, snapshot before a replication barrier).",
 }
 
 // promName maps an internal dotted metric name to its exported Prometheus

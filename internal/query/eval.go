@@ -213,26 +213,31 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 	}
 }
 
-// evalDoc resolves doc("name"): it locks the document in shared mode for
-// update transactions (read-only transactions read their snapshot without
-// locking, §6.3) and returns the document node.
+// lockDocForRead takes the document lock a statement's reads need: none in a
+// read-only transaction (it reads its snapshot, §6.3), shared in an update
+// transaction — and exclusive from the start for an update statement, whose
+// target selection would otherwise hold a shared lock that its later upgrade
+// deadlocks on against a concurrent updater.
+func (ctx *ExecCtx) lockDocForRead(name string) error {
+	if ctx.Tx.ReadOnly() {
+		return nil
+	}
+	mode := lock.Shared
+	if ctx.updateStmt {
+		mode = lock.Exclusive
+	}
+	return ctx.Tx.LockDocument(name, mode)
+}
+
+// evalDoc resolves doc("name"): it locks the document (lockDocForRead) and
+// returns the document node.
 func evalDoc(e *env, name string) ([]Item, error) {
-	tx := e.ctx.Tx
-	doc, err := tx.Document(name)
+	doc, err := e.ctx.Tx.Document(name)
 	if err != nil {
 		return nil, err
 	}
-	if !tx.ReadOnly() {
-		mode := lock.Shared
-		if e.ctx.updateStmt {
-			// Update statements lock their documents exclusively from the
-			// start: the target selection would otherwise take a shared
-			// lock whose later upgrade deadlocks with a concurrent updater.
-			mode = lock.Exclusive
-		}
-		if err := tx.LockDocument(name, mode); err != nil {
-			return nil, err
-		}
+	if err := e.ctx.lockDocForRead(name); err != nil {
+		return nil, err
 	}
 	root, err := e.storeFor(doc).root(e, doc)
 	if err != nil {
@@ -276,9 +281,7 @@ func evalStep(s *Step, e *env, f *focus) ([]Item, error) {
 			recordEstimate(e.ctx, s.Plan.EstRows, len(out))
 		}
 	}
-	if k := e.ctx.storageKind(out); k != "" {
-		sp.SetStr("storage", k)
-	}
+	e.ctx.annotateStorage(sp, out)
 	e.ctx.popSpan(sp)
 	return out, err
 }

@@ -402,12 +402,17 @@ func (ctx *ExecCtx) resolvePrefetchDepth() int {
 }
 
 func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
+	// A statement killed before it started must not run at all.
+	if err := ctx.checkKilled(); err != nil {
+		return nil, err
+	}
 	if st.Explain != nil {
 		if st.Explain.Profile {
 			return execProfile(ctx, st.Explain.Stmt)
 		}
 		return execExplain(ctx, st.Explain.Stmt)
 	}
+	ctx.updateStmt = st.Update != nil
 	optStart := time.Now()
 	asp := ctx.pushSpan("analyze")
 	if err := Analyze(st); err != nil {
@@ -424,8 +429,11 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 		clearPlans(st)
 	} else {
 		osp := ctx.pushSpan("optimize")
-		optimizeStatement(ctx, st)
+		err := optimizeStatement(ctx, st)
 		ctx.popSpan(osp)
+		if err != nil {
+			return nil, err
+		}
 	}
 	ctx.Profile.OptimizeNs = time.Since(optStart).Nanoseconds()
 	execStart := time.Now()
@@ -458,7 +466,6 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 		}
 		return &Result{Items: items, ctx: ctx}, nil
 	case st.Update != nil:
-		ctx.updateStmt = true
 		n, err := execUpdate(st.Update, e)
 		if err != nil {
 			return nil, err
@@ -486,8 +493,8 @@ func execExplain(ctx *ExecCtx, inner *Statement) (*Result, error) {
 	}
 	if ctx.NoOpt || ctx.NoRewrite {
 		clearPlans(inner)
-	} else {
-		optimizeStatement(ctx, inner)
+	} else if err := optimizeStatement(ctx, inner); err != nil {
+		return nil, err
 	}
 	if ctx.NoVirtualCtors {
 		clearVirtualFlags(inner)
@@ -575,10 +582,7 @@ func (r *Result) Serialize(w io.Writer) error {
 			}
 			prevAtomic = true
 		case *NodeItem:
-			// Serialize over the backend that produced the node: resident
-			// descriptors carry no paged navigation fields.
-			st := e.storeFor(x.Doc)
-			if err := core.SerializeNodeVia(storeAccess{e: e, doc: x.Doc, st: st}, x.Doc, x.D, w); err != nil {
+			if err := serializeStored(e, x, w); err != nil {
 				return err
 			}
 			prevAtomic = false

@@ -145,6 +145,7 @@ func ExplainTextStorage(st *Statement, storageHint string) string {
 			sb.WriteString("  source:\n")
 			p.writePlan(&sb, st.Update.Source, 2)
 		}
+		p.writeCosts(&sb)
 	case st.DDL != nil:
 		fmt.Fprintf(&sb, "  ddl kind=%d name=%q\n", int(st.DDL.Kind), st.DDL.Name)
 		if st.DDL.OnPath != nil {

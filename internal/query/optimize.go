@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"sedna/internal/index"
-	"sedna/internal/lock"
 	"sedna/internal/nid"
 	"sedna/internal/opt"
 	"sedna/internal/sas"
@@ -34,14 +33,19 @@ const (
 	optPrefetchDepth     = 4
 )
 
-// optimizeStatement plans every eligible step of a query statement. It is a
-// no-op for updates and DDL: their target selections keep the executor's
-// heuristics (an update's index would also see the statement's own
-// uncommitted changes mid-flight).
-func optimizeStatement(ctx *ExecCtx, st *Statement) {
+// optimizeStatement plans every eligible step of a query statement and the
+// target selection of an update statement; it is a no-op for DDL. The only
+// error is a document lock an update could not get.
+func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	clearPlans(st)
-	if ctx.Tx == nil || ctx.Tx.DB() == nil || st.Query == nil {
-		return
+	if ctx.Tx == nil || ctx.Tx.DB() == nil {
+		return nil
+	}
+	if st.Update != nil {
+		return planUpdateTarget(ctx, st.Update)
+	}
+	if st.Query == nil {
+		return nil
 	}
 	planned := 0
 	probes := 0
@@ -70,7 +74,7 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) {
 	}
 	walkExpr(st.Query, visit)
 	if planned == 0 {
-		return
+		return nil
 	}
 	sh := ctx.shared()
 	if maxWorkers >= 2 {
@@ -89,6 +93,52 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) {
 			reg.Counter("opt.index_chosen").Add(uint64(probes))
 		}
 	}
+	return nil
+}
+
+// planUpdateTarget costs the steps of an update's target selection (§5.2:
+// select the targets, then modify them by node handle) and keeps the plans
+// that chose a value-index probe. Scan plans are dropped: fan-out, prefetch
+// and residency stay off for update statements. The probe is safe inside the
+// writing transaction: it rechecks every predicate, the targets are fully
+// evaluated before the first modification, and indexes are maintained
+// synchronously in-transaction, so the statement reads its transaction's
+// own earlier writes. An update transaction resolves the live document, so
+// the document is locked (as execution would lock it anyway) before its
+// schema and counters are read.
+func planUpdateTarget(ctx *ExecCtx, u *Update) error {
+	var planned, probes uint64
+	var lockErr error
+	walkExpr(u.Target, func(x Expr) {
+		s, ok := x.(*Step)
+		if !ok || len(s.Preds) == 0 || lockErr != nil {
+			return
+		}
+		docCall, _ := strippedStructuralChain(s)
+		if docCall == nil {
+			return
+		}
+		if lockErr = ctx.lockDocForRead(docCall.Name); lockErr != nil {
+			return
+		}
+		if p := planStep(ctx, s); p != nil {
+			planned++
+			if p.Probe != nil {
+				s.Plan = p
+				probes++
+			}
+		}
+	})
+	if lockErr != nil {
+		return lockErr
+	}
+	if reg := ctx.registry(); reg != nil && planned > 0 {
+		reg.Counter("opt.plans_costed").Add(planned)
+		if probes > 0 {
+			reg.Counter("opt.index_chosen").Add(probes)
+		}
+	}
+	return nil
 }
 
 // chosenBlocks reports the chain blocks the chosen alternative will read
@@ -401,7 +451,7 @@ func colForPath(targets []*schema.Node, stats *opt.DocStats, steps []*Step) *opt
 // path against a literal of the index's key type. Equality probes are
 // preferred over range probes.
 func findProbe(ctx *ExecCtx, s *Step, doc *storage.Doc, targets []*schema.Node, stats *opt.DocStats) (*IndexProbe, float64) {
-	if ctx.updateStmt || !predsPositionFree(s.Preds) {
+	if !predsPositionFree(s.Preds) {
 		return nil, 0
 	}
 	cat := ctx.Tx.DB().Catalog()
@@ -501,10 +551,8 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 	if err != nil {
 		return nil, false, nil
 	}
-	if !ctx.Tx.ReadOnly() {
-		if err := ctx.Tx.LockDocument(doc.Name, lock.Shared); err != nil {
-			return nil, true, err
-		}
+	if err := ctx.lockDocForRead(doc.Name); err != nil {
+		return nil, true, err
 	}
 	sp := ctx.pushSpan("index-probe " + probe.Index)
 	defer ctx.popSpan(sp)

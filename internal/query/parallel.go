@@ -144,6 +144,9 @@ func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, err
 			ctx.noteFallback()
 		}
 		for i := 0; i < n; i++ {
+			if err := ctx.checkKilled(); err != nil {
+				return 1, err
+			}
 			if err := fn(i, ctx); err != nil {
 				return 1, err
 			}
@@ -184,7 +187,11 @@ func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, err
 			if i >= n {
 				break
 			}
-			if err := fn(i, wctx); err != nil {
+			err := wctx.checkKilled()
+			if err == nil {
+				err = fn(i, wctx)
+			}
+			if err != nil {
 				errMu.Lock()
 				if first == nil {
 					first = err

@@ -106,6 +106,12 @@ var parallelPropertyQueries = []string{
 	`count(doc("deep")//n0)`,
 	`count(doc("deep")//n2)`,
 	`data(doc("deep")/root/n0/n0/n1)`,
+	// Element constructors over stored nodes: copied text nodes, copied
+	// elements (virtual references, serialized from storage) and a
+	// navigated constructor (deep copy).
+	`for $p in doc("site")//person return <r>{$p/name/text()}</r>`,
+	`for $p in doc("biglib")/library/paper return <r>{$p/title}</r>`,
+	`(for $b in doc("biglib")/library/book return <r>{$b/title}</r>)/title/text()`,
 }
 
 // lowerScanGate drops the scan fan-out threshold so the small test corpora

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sedna/internal/core"
 )
@@ -56,6 +57,19 @@ func TestResidentMatchesPaged(t *testing.T) {
 	}
 }
 
+// stopGateClock stops the resident cache's clock: builds then take no time,
+// so the admission gate admits the rebuild right after a commit instead of
+// serving the read paged (which would turn a resident-vs-paged comparison
+// into paged-vs-paged).
+func stopGateClock(db *core.Database) {
+	epoch := time.Now()
+	db.ResidentCache().SetClockForTesting(func() time.Time { return epoch })
+}
+
+func residentBuilds(db *core.Database) uint64 {
+	return db.Metrics().Snapshot().Counters["resident.builds"]
+}
+
 // TestResidentUpdateInvalidation pins the lifecycle: an update drops the
 // cached representation, and the rebuilt one is byte-identical to paged
 // access of the new content.
@@ -63,6 +77,7 @@ func TestResidentUpdateInvalidation(t *testing.T) {
 	db := testDB(t)
 	db.SetResident(true)
 	defer db.SetResident(false)
+	stopGateClock(db)
 	checks := []string{
 		`doc("lib")/library/book/title`,
 		`count(doc("lib")//author)`,
@@ -83,8 +98,13 @@ func TestResidentUpdateInvalidation(t *testing.T) {
 		t.Fatalf("invalidations counter did not move: %d -> %d", before, after)
 	}
 	// Results after the rebuild must match paged access byte for byte.
+	// Switching the mode off flushes the cache, so every check rebuilds.
 	for _, src := range append(checks, `count(doc("lib")//author[text() = "Stonebraker"])`) {
+		builds := residentBuilds(db)
 		got := q(t, db, src)
+		if residentBuilds(db) != builds+1 {
+			t.Fatalf("%s was not served from a rebuilt resident copy", src)
+		}
 		db.SetResident(false)
 		want := q(t, db, src)
 		db.SetResident(true)
@@ -95,8 +115,12 @@ func TestResidentUpdateInvalidation(t *testing.T) {
 	// A node replacement must also invalidate.
 	q(t, db, `string(doc("lib")//publisher)`)
 	upd(t, db, `UPDATE replace $p in doc("lib")//publisher with <publisher>MIT Press</publisher>`)
+	builds := residentBuilds(db)
 	if got := q(t, db, `string(doc("lib")//publisher)`); got != "MIT Press" {
 		t.Fatalf("replace served stale resident copy: %q", got)
+	}
+	if residentBuilds(db) != builds+1 {
+		t.Fatal("read after the replace was not served from a rebuilt resident copy")
 	}
 }
 
@@ -284,5 +308,48 @@ func TestResidentEvictionChurn(t *testing.T) {
 	}
 	if ev := db.Metrics().Snapshot().Counters["resident.evictions"]; ev == 0 {
 		t.Error("no evictions under a one-document budget")
+	}
+}
+
+// TestResidentDeferredAnnotation: a read whose resident build the cache put
+// off is served paged, says so in PROFILE, and counts in resident.deferred
+// (not in resident.fallbacks) on every metrics surface.
+func TestResidentDeferredAnnotation(t *testing.T) {
+	db := testDB(t)
+	db.SetResident(true)
+	defer db.SetResident(false)
+	// The warm-up build "takes" a minute on a clock that ticks a minute per
+	// reading; then the clock stops, so the update lands less than a build
+	// time before the next read and the gate is closed for it.
+	now := time.Now()
+	db.ResidentCache().SetClockForTesting(func() time.Time {
+		now = now.Add(time.Minute)
+		return now
+	})
+	q(t, db, `count(doc("lib")//author)`)
+	stopGateClock(db)
+	upd(t, db, `UPDATE insert <author>Gray</author> into doc("lib")/library/paper`)
+
+	out := q(t, db, `PROFILE doc("lib")//author`)
+	if !strings.Contains(out, "storage=paged") || !strings.Contains(out, "resident=deferred") {
+		t.Errorf("PROFILE of a deferred read lacks storage=paged resident=deferred:\n%s", out)
+	}
+	snap := db.Metrics().Snapshot()
+	if snap.Counters["resident.deferred"] == 0 || snap.Counters["resident.fallbacks"] != 0 {
+		t.Fatalf("deferred=%d fallbacks=%d, want >0 / 0", snap.Counters["resident.deferred"], snap.Counters["resident.fallbacks"])
+	}
+	var prom strings.Builder
+	if err := snap.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sedna_resident_deferred ", "sedna_resident_fallbacks "} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("Prometheus exposition lacks %q", want)
+		}
+	}
+	// An un-deferred paged read carries no resident annotation.
+	db.SetResident(false)
+	if out := q(t, db, `PROFILE doc("lib")//author`); strings.Contains(out, "resident=") {
+		t.Errorf("PROFILE with resident mode off mentions resident=:\n%s", out)
 	}
 }

@@ -9,12 +9,18 @@ import (
 	"sedna/internal/schema"
 )
 
+// serializeStored writes a stored node as XML over the backend that produced
+// it: resident-origin descriptors carry no paged navigation fields.
+func serializeStored(e *env, n *NodeItem, w io.Writer) error {
+	return core.SerializeNodeVia(storeAccess{e: e, doc: n.Doc, st: e.storeFor(n.Doc)}, n.Doc, n.D, w)
+}
+
 // serializeTemp writes a constructed node as XML. Virtual references
 // serialize straight from storage — the whole point of the optimisation:
 // the deep copy never happens when the result is only serialized (§5.2.1).
 func serializeTemp(e *env, n *TempNode, w io.Writer) error {
 	if n.Ref != nil {
-		return core.SerializeNode(e.r, n.Ref.Doc, n.Ref.D, w)
+		return serializeStored(e, n.Ref, w)
 	}
 	switch n.Kind {
 	case schema.KindElement:

@@ -14,6 +14,7 @@ import (
 	"sedna/internal/resident"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
+	"sedna/internal/trace"
 )
 
 // Storage-backend names, used for the per-step EXPLAIN/PROFILE annotation.
@@ -115,15 +116,18 @@ func (e *env) resolveStore(doc *storage.Doc) docStore {
 	if ctx.Tx == nil || ctx.updateStmt || !ctx.Tx.ReadOnly() {
 		return pagedStore{}
 	}
-	if rep := ctx.Tx.ResidentFor(doc); rep != nil {
+	rep, deferred := ctx.Tx.ResidentFor(doc)
+	if rep != nil {
 		return &residentStore{rep: rep}
 	}
-	return pagedStore{}
+	return pagedStore{deferred: deferred}
 }
 
-// storageKind reports which backend served the step that produced items: the
-// store of the first stored node's document, else "" (no stored nodes).
-func (ctx *ExecCtx) storageKind(items []Item) string {
+// annotateStorage records on a step span which backend served the step that
+// produced items: the store of the first stored node's document (nothing
+// when there are no stored nodes). A paged step whose document would have
+// been resident but for a deferred build says so.
+func (ctx *ExecCtx) annotateStorage(sp *trace.Span, items []Item) {
 	for _, it := range items {
 		ni, ok := it.(*NodeItem)
 		if !ok {
@@ -134,11 +138,14 @@ func (ctx *ExecCtx) storageKind(items []Item) string {
 		st := sh.stores[ni.Doc.ID]
 		sh.storeMu.Unlock()
 		if st == nil {
-			return ""
+			return
 		}
-		return st.kind()
+		sp.SetStr("storage", st.kind())
+		if ps, ok := st.(pagedStore); ok && ps.deferred {
+			sp.SetStr("resident", "deferred")
+		}
+		return
 	}
-	return ""
 }
 
 // storeAccess adapts a docStore to core.NodeAccess so result serialization
@@ -162,7 +169,11 @@ func (a storeAccess) Text(d *storage.Desc) ([]byte, error) {
 // Paged implementation: block-chain iteration, exactly the pre-interface
 // code paths.
 
-type pagedStore struct{}
+type pagedStore struct {
+	// deferred marks a document the resident cache would serve but whose
+	// build it put off (PROFILE shows resident=deferred).
+	deferred bool
+}
 
 func (pagedStore) kind() string { return storagePaged }
 

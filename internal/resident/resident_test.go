@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"sedna/internal/core"
 	"sedna/internal/lock"
@@ -46,7 +47,7 @@ func buildRep(t *testing.T) (*resident.Rep, *schema.Schema) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ro.ResidentFor(doc)
+	rep, _ := ro.ResidentFor(doc)
 	if rep == nil {
 		t.Fatal("ResidentFor returned nil with resident mode on")
 	}
@@ -184,12 +185,16 @@ func TestUpdateTextInvalidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := ro.ResidentFor(doc)
+		rep, deferred := ro.ResidentFor(doc)
 		if rep == nil {
-			t.Fatal("ResidentFor returned nil")
+			t.Fatalf("ResidentFor returned nil (deferred=%v)", deferred)
 		}
 		return rep
 	}
+	// A stopped clock makes builds take no time, so the admission gate
+	// admits the rebuild right after the commit below.
+	epoch := time.Now()
+	db.ResidentCache().SetClockForTesting(func() time.Time { return epoch })
 	rep1 := acquire()
 	// Find the first text node ("one") in the array.
 	idx := int32(-1)
@@ -224,7 +229,11 @@ func TestUpdateTextInvalidates(t *testing.T) {
 	if db.ResidentCache().Contains("d") {
 		t.Fatal("text update did not invalidate the resident copy")
 	}
+	builds := db.Metrics().Snapshot().Counters["resident.builds"]
 	rep2 := acquire()
+	if got := db.Metrics().Snapshot().Counters["resident.builds"]; got != builds+1 {
+		t.Fatalf("resident.builds %d -> %d, want one rebuild", builds, got)
+	}
 	if rep2.CommitTS <= rep1.CommitTS {
 		t.Fatalf("rebuilt rep not newer: %d <= %d", rep2.CommitTS, rep1.CommitTS)
 	}

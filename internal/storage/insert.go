@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"sedna/internal/nid"
 	"sedna/internal/sas"
@@ -270,6 +271,13 @@ func widenDesc(w Writer, doc *Doc, sn *schema.Node, d Desc, width int) error {
 	return moveRun(w, doc, sn, block, uint16(d.Ptr.PageOffset()), width)
 }
 
+// noListBlockSkip makes findListPosition walk every descriptor of the blocks
+// it would skip — the pre-skip cost, which E25 measures against.
+var noListBlockSkip atomic.Bool
+
+// SetListBlockSkipForTesting switches findListPosition's block skipping.
+func SetListBlockSkipForTesting(on bool) { noListBlockSkip.Store(!on) }
+
 // findListPosition locates the in-list neighbours (as handles) of a new
 // node of sn with the given label. left/right are its tree siblings when
 // they exist, enabling the constant-time fast paths that cover bulk loading
@@ -298,30 +306,44 @@ func findListPosition(r Reader, sn *schema.Node, label nid.Label, left, right *D
 	if nid.Compare(last.Label, label) < 0 {
 		return last.Handle, sas.NilPtr, nil
 	}
-	// General case: scan the list for the first descriptor after label.
-	var pred *Desc
-	d, ok, err := FirstOfSchema(r, sn)
-	for {
+	// General case: the label falls inside the list. Descriptors are
+	// ordered across blocks (§4.1), so a block whose last descriptor
+	// precedes the label is skipped on its header and that one descriptor;
+	// only the block holding the first descriptor after the label is
+	// scanned. The list position is the same one a walk over every
+	// descriptor finds.
+	var pred Desc
+	var h nodeBlockHeader
+	for block := sn.FirstBlock; !block.IsNil(); block = h.Next {
+		if h, err = readNodeHeader(r, block); err != nil {
+			return sas.NilPtr, sas.NilPtr, err
+		}
+		if h.LastDesc == 0 {
+			continue // emptied block
+		}
+		blockLast, err := ReadDesc(r, block.Add(uint32(h.LastDesc)))
 		if err != nil {
 			return sas.NilPtr, sas.NilPtr, err
 		}
-		if !ok {
-			break
+		if nid.Compare(blockLast.Label, label) < 0 && !noListBlockSkip.Load() {
+			pred = blockLast
+			continue
 		}
-		if nid.Compare(label, d.Label) < 0 {
-			if pred != nil {
+		for ptr := block.Add(uint32(h.FirstDesc)); !ptr.IsNil(); ptr = pred.NextInBlock {
+			d, err := ReadDesc(r, ptr)
+			if err != nil {
+				return sas.NilPtr, sas.NilPtr, err
+			}
+			if nid.Compare(label, d.Label) < 0 {
+				if pred.Handle.IsNil() {
+					return sas.NilPtr, d.Handle, nil
+				}
 				return pred.Handle, sas.NilPtr, nil
 			}
-			return sas.NilPtr, d.Handle, nil
+			pred = d
 		}
-		cp := d
-		pred = &cp
-		d, ok, err = NextInList(r, &cp)
 	}
-	if pred != nil {
-		return pred.Handle, sas.NilPtr, nil
-	}
-	return sas.NilPtr, sas.NilPtr, nil
+	return pred.Handle, sas.NilPtr, nil
 }
 
 // makeRoom guarantees a free descriptor slot at the list position described

@@ -31,6 +31,10 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
 echo "== bench smoke (compile + one iteration of every benchmark) =="
 go test -bench=. -benchtime=1x -run '^$' .
 
+echo "== repository benchmark module (benchmark/: vet + smoke-scale tests) =="
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 echo "== replication smoke (E20: seed, stream, storm, converge) =="
 go run ./cmd/sedna-bench -run E20
 
@@ -45,5 +49,8 @@ go run ./cmd/sedna-bench -run E23
 
 echo "== bulk-load smoke (E24: streaming loader vs node-at-a-time, byte-identity, >=3x speedup, crash leg) =="
 go run ./cmd/sedna-bench -run E24
+
+echo "== hot-document smoke (E25: writer + reader, gate/probe/skip on vs off, reader p50 < 5ms, <=2 builds, >=5x stmts/s) =="
+go run ./cmd/sedna-bench -run E25
 
 echo "check.sh: all green"
