@@ -560,6 +560,13 @@ func (t *Tx) DropDocument(name string) error {
 // the residency advisor promotes it without the global resident switch.
 const residentHotAccesses = 32
 
+// residentBuildPages is the page-copy budget of one resident build (4 MiB).
+// The build walks every schema node's block list forwards, so it revisits
+// about one block per schema node plus the text and indirection blocks under
+// its hand; the budget covers documents with a couple of hundred schema
+// nodes, and beyond it a page is simply copied from the buffer pool again.
+const residentBuildPages = 256
+
 // advisorHot reports whether the residency advisor wants doc resident even
 // with the global switch off: the document has fresh ANALYZE statistics (so
 // we know its shape and that it is not churning) and enough accesses to
@@ -599,7 +606,12 @@ func (t *Tx) ResidentFor(doc *storage.Doc) (rep *resident.Rep, deferred bool) {
 		return nil, false
 	}
 	return t.db.resCache.Acquire(doc.Name, vts, snap, func() (*resident.Rep, error) {
-		return resident.Build(t.Tx, doc, vts, snap)
+		r, err := t.Tx.ScanReader(residentBuildPages)
+		if err != nil {
+			return nil, err
+		}
+		defer r.Close()
+		return resident.Build(r, doc, vts, snap)
 	})
 }
 

@@ -32,7 +32,11 @@ func (m *memWriter) page(id sas.PageID) []byte {
 func (m *memWriter) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
 	return fn(m.page(sas.PageIDOf(p)))
 }
-func (m *memWriter) TxnID() uint64 { return 1 }
+func (m *memWriter) ViewPage(p sas.XPtr) ([]byte, any, error) {
+	return m.page(sas.PageIDOf(p)), nil, nil
+}
+func (m *memWriter) ReleasePage(any) {}
+func (m *memWriter) TxnID() uint64   { return 1 }
 func (m *memWriter) WriteAt(p sas.XPtr, data []byte) error {
 	copy(m.page(sas.PageIDOf(p))[p.PageOffset():], data)
 	return nil

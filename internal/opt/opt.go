@@ -81,7 +81,13 @@ func (s *DocStats) Stale(updates uint64) bool {
 	if s == nil {
 		return true
 	}
-	d := updates - s.UpdateBase
+	// Activity counters are not persisted: after a restart Updates counts
+	// from zero again, below the base of a snapshot taken before it, and
+	// then is itself the number of updates since.
+	d := updates
+	if updates >= s.UpdateBase {
+		d = updates - s.UpdateBase
+	}
 	return d*stalenessFactor > s.AnalyzedNodes+stalenessFloor
 }
 

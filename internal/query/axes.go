@@ -12,8 +12,9 @@ import (
 // descriptive-schema clustering exactly as §4.1/§5 describe: a named child
 // step touches only the blocks of the one matching schema node, and a
 // descendant step resolves the matching schema nodes in main memory first
-// and then scans only their block lists, range-restricted by the context
-// node's numbering-scheme label.
+// and then scans only their block lists: each scan starts at the context
+// node's first instance, found through the node's own child pointers, and
+// ends where the context's numbering-scheme label stops being an ancestor.
 
 // matchesSchema reports whether a schema node satisfies the node test.
 func matchesSchema(sn *schema.Node, test NodeTest) bool {
@@ -212,9 +213,8 @@ func childAxis(env *env, st docStore, n *NodeItem, test NodeTest, attrs bool, ou
 
 // descendantAxis evaluates descendant(-or-self) with the schema-driven
 // strategy: matching schema nodes are found in main memory, then only their
-// per-schema streams are scanned (block lists range-restricted by the
-// context label, or resident index-list slices) and merged by document
-// order.
+// per-schema streams are scanned (the context's range of each block list,
+// or resident index-list slices) and merged by document order.
 func descendantAxis(env *env, st docStore, n *NodeItem, test NodeTest, orSelf bool, out []Item) ([]Item, error) {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
 	if sn == nil {
@@ -255,20 +255,24 @@ type rangeScan struct {
 	ok  bool
 }
 
-// newRangeScan positions a scan at the first descriptor of sn that is a
-// descendant of anc; nil when none exists. Blocks whose last descriptor
-// precedes the range are skipped via their headers (the partial order makes
-// this sound).
-func newRangeScan(env *env, doc *storage.Doc, sn *schema.Node, anc nid.Label) (*rangeScan, error) {
+// newRangeScan positions a scan at the first descriptor of sn inside anc's
+// subtree; nil when none exists. The start comes from anc's own child
+// pointers (storage.FirstInRange), so opening a scan costs the same for the
+// first context node of a document as for the last.
+func newRangeScan(env *env, doc *storage.Doc, sn *schema.Node, anc *storage.Desc) (*rangeScan, error) {
 	env.ctx.stats().AddSchemaScans(1)
-	d, ok, err := storage.FirstInRange(env.r, sn, anc)
+	ancSN := doc.Schema.ByID(anc.SchemaID)
+	if ancSN == nil {
+		return nil, fmt.Errorf("query: unknown schema node %d", anc.SchemaID)
+	}
+	d, ok, err := storage.FirstInRange(env.r, anc, ancSN, sn)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, nil
 	}
-	return &rangeScan{anc: anc, cur: d, ok: true}, nil
+	return &rangeScan{anc: anc.Label, cur: d, ok: true}, nil
 }
 
 func (rs *rangeScan) advance(env *env) error {

@@ -12,8 +12,8 @@ import (
 
 // parallelDB opens a database preloaded with the xmlgen corpora the
 // parallel-vs-serial property tests query against: the multi-schema-node
-// Sections catalog (the fan-out shape), a scaled library, an auction site
-// and a deep narrow tree.
+// Sections catalog (the fan-out shape), a scaled library, an auction site,
+// a deep narrow tree and a mixed-content document.
 func parallelDB(t *testing.T) *core.Database {
 	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 1024})
@@ -30,6 +30,7 @@ func parallelDB(t *testing.T) *core.Database {
 		"biglib": xmlgen.LibraryString(120, 2),
 		"site":   xmlgen.AuctionString(30, 20, 3, 3),
 		"deep":   xmlgen.DeepString(6, 4),
+		"mixed":  mixedContentDoc(60),
 	}
 	for name, content := range docs {
 		if _, err := tx.LoadXML(name, strings.NewReader(content)); err != nil {
@@ -41,6 +42,26 @@ func parallelDB(t *testing.T) *core.Database {
 	}
 	return db
 }
+
+// mixedContentDoc generates n paragraphs whose string values are spread over
+// nested and interleaved text nodes: text before, between and after child
+// elements, the same element names at several depths, empty elements, and a
+// comment and a processing instruction that the string value must skip. The
+// string value of paragraph i is mixedContentValue(i).
+func mixedContentDoc(n int) string {
+	var sb strings.Builder
+	sb.WriteString("<m>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<p n="%d">a%d<b>b<i>c<b>d</b></i>e</b><!--x-->f<b/><?pi y?>g<i>h</i></p>`, i, i)
+		if i%7 == 0 {
+			sb.WriteString("<p/>")
+		}
+	}
+	sb.WriteString("<q><p>only<p>nested</p></p></q></m>")
+	return sb.String()
+}
+
+func mixedContentValue(i int) string { return fmt.Sprintf("a%dbcdefgh", i) }
 
 // qw executes a query with an explicit intra-query worker budget and
 // serializes the result.
@@ -112,6 +133,16 @@ var parallelPropertyQueries = []string{
 	`for $p in doc("site")//person return <r>{$p/name/text()}</r>`,
 	`for $p in doc("biglib")/library/paper return <r>{$p/title}</r>`,
 	`(for $b in doc("biglib")/library/book return <r>{$b/title}</r>)/title/text()`,
+	// String values of stored elements assembled from nested and interleaved
+	// text nodes: atomization opens one range scan per context element.
+	`data(doc("mixed")//p)`,
+	`for $p in doc("mixed")/m/p return string($p)`,
+	`doc("mixed")/m/p[. = "a7bcdefgh"]/@n`,
+	`count(doc("mixed")//p[contains(., "efg")])`,
+	`data(doc("mixed")//b)`,
+	`for $p in doc("mixed")/m/p where $p/b > "b" return string($p/b/i)`,
+	`string(doc("mixed")/m/q)`,
+	`count(doc("mixed")//p[. = ""])`,
 }
 
 // lowerScanGate drops the scan fan-out threshold so the small test corpora

@@ -57,6 +57,39 @@ func TestResidentMatchesPaged(t *testing.T) {
 	}
 }
 
+// TestStringValueInterleaved pins the string value of stored elements whose
+// text is nested and interleaved with child elements, comments and
+// processing instructions, against the value the generator defines — on the
+// paged backend (one range scan per context element) and the resident one.
+func TestStringValueInterleaved(t *testing.T) {
+	db := parallelDB(t)
+	check := func(backend string) {
+		t.Helper()
+		got := strings.Split(q(t, db, `for $p in doc("mixed")/m/p[@n] return concat(string($p), "|")`), "|")
+		if len(got) != 61 {
+			t.Fatalf("%s: %d paragraphs, want 60", backend, len(got)-1)
+		}
+		for i := 0; i < 60; i++ {
+			if strings.TrimSpace(got[i]) != mixedContentValue(i) {
+				t.Fatalf("%s: string value of paragraph %d = %q, want %q", backend, i, got[i], mixedContentValue(i))
+			}
+		}
+		if got := q(t, db, `string(doc("mixed")/m/q)`); got != "onlynested" {
+			t.Fatalf("%s: nested same-name elements: %q", backend, got)
+		}
+		if got := q(t, db, `count(doc("mixed")/m/p[. = ""])`); got != "9" {
+			t.Fatalf("%s: empty paragraphs: %s, want 9", backend, got)
+		}
+	}
+	check("paged")
+	db.SetResident(true)
+	defer db.SetResident(false)
+	check("resident")
+	if !db.ResidentCache().Contains("mixed") {
+		t.Fatal("mixed did not go resident")
+	}
+}
+
 // stopGateClock stops the resident cache's clock: builds then take no time,
 // so the admission gate admits the rebuild right after a commit instead of
 // serving the read paged (which would turn a resident-vs-paged comparison

@@ -166,8 +166,7 @@ func (a storeAccess) Text(d *storage.Desc) ([]byte, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Paged implementation: block-chain iteration, exactly the pre-interface
-// code paths.
+// Paged implementation: block-chain iteration.
 
 type pagedStore struct {
 	// deferred marks a document the resident cache would serve but whose
@@ -232,8 +231,7 @@ func (pagedStore) childrenOfSchema(e *env, doc *storage.Doc, d *storage.Desc, pa
 	// One schema child: follow its slot and the in-list chain while the
 	// parent stays the same (children of one parent are contiguous in the
 	// schema node's list).
-	slot := parent.ChildIndex(child)
-	first := d.ChildAtSlot(slot)
+	first := d.ChildAtSlot(parent.ChildIndex(child))
 	if first.IsNil() {
 		return nil, nil
 	}
@@ -241,23 +239,20 @@ func (pagedStore) childrenOfSchema(e *env, doc *storage.Doc, d *storage.Desc, pa
 	if err != nil {
 		return nil, err
 	}
-	var out []storage.Desc
+	out := make([]storage.Desc, 0, 1)
 	for {
 		if err := e.ctx.checkKilled(); err != nil {
 			return nil, err
 		}
-		if cd.Parent != d.Handle {
-			return out, nil
-		}
 		out = append(out, cd)
-		nd, ok, err := storage.NextInList(e.r, &cd)
+		next, ok, err := storage.NextSameParent(e.r, &cd)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		cd = nd
+		cd = next
 	}
 }
 
@@ -266,7 +261,7 @@ func (pagedStore) text(e *env, doc *storage.Doc, d *storage.Desc) ([]byte, error
 }
 
 func (pagedStore) descendantScan(e *env, doc *storage.Doc, sn *schema.Node, anc *storage.Desc) (descStream, error) {
-	rs, err := newRangeScan(e, doc, sn, anc.Label)
+	rs, err := newRangeScan(e, doc, sn, anc)
 	if err != nil {
 		return nil, err
 	}
@@ -283,10 +278,11 @@ func (pagedStore) schemaScan(e *env, doc *storage.Doc, sn *schema.Node, fn func(
 
 // ---------------------------------------------------------------------------
 // Resident implementation: structural-array iteration. Context descriptors
-// resolve into the array by node handle; a paged-origin descriptor that is
-// not in the array (impossible for the document's own nodes, but cheap to
-// guard) falls back to paged navigation per operation — paged reads stay
-// valid under the same snapshot.
+// resolve into the array by the index they carry, or by node handle when
+// they came from a block (an index probe's result); a paged-origin
+// descriptor that is not in the array (impossible for the document's own
+// nodes, but cheap to guard) falls back to paged navigation per operation —
+// paged reads stay valid under the same snapshot.
 
 type residentStore struct {
 	rep *resident.Rep

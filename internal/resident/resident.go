@@ -70,7 +70,7 @@ type Rep struct {
 	// order — the resident counterpart of the per-schema block lists.
 	BySchema map[uint32][]int32
 	// ByHandle bridges paged-origin descriptors (index probes, stored
-	// handles) into the array.
+	// handles) into the array; see Index.
 	ByHandle map[sas.XPtr]int32
 
 	// Bytes is the approximate memory footprint, used for the cache budget.
@@ -90,7 +90,7 @@ func (rep *Rep) Label(i int32) nid.Label {
 // Desc materializes node i as a storage descriptor for the executor. The
 // paged navigation fields (Ptr, sibling/text pointers, child slots) stay
 // nil: a resident descriptor is only ever navigated through the resident
-// store, keyed by Handle.
+// store, which finds the node again by the index the descriptor carries.
 func (rep *Rep) Desc(i int32) storage.Desc {
 	n := &rep.Nodes[i]
 	d := storage.Desc{
@@ -99,6 +99,7 @@ func (rep *Rep) Desc(i int32) storage.Desc {
 		Handle:   n.Handle,
 		Label:    rep.Label(i),
 		TextLen:  n.TextLen,
+		Resident: i + 1,
 	}
 	if n.Parent >= 0 {
 		d.Parent = rep.Nodes[n.Parent].Handle
@@ -115,9 +116,14 @@ func (rep *Rep) NodeText(i int32) []byte {
 	return rep.Text[n.TextOff : n.TextOff+n.TextLen]
 }
 
-// Index resolves a descriptor (paged- or resident-origin) to its array
-// index via the node handle.
+// Index resolves a descriptor to its array index. A descriptor this Rep
+// materialized carries the index (checked against the handle, so one from
+// another version of the document cannot alias); a paged-origin descriptor
+// — an index probe's result, a stored handle — goes through ByHandle.
 func (rep *Rep) Index(d *storage.Desc) (int32, bool) {
+	if i := d.Resident - 1; i >= 0 && int(i) < len(rep.Nodes) && rep.Nodes[i].Handle == d.Handle {
+		return i, true
+	}
 	i, ok := rep.ByHandle[d.Handle]
 	return i, ok
 }

@@ -284,6 +284,16 @@ func (f *flakyReader) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
 	return f.inner.ReadPage(p, fn)
 }
 
+func (f *flakyReader) ViewPage(p sas.XPtr) ([]byte, any, error) {
+	if f.reads >= f.n {
+		return nil, nil, errors.New("injected read failure")
+	}
+	f.reads++
+	return f.inner.ViewPage(p)
+}
+
+func (f *flakyReader) ReleasePage(pin any) { f.inner.ReleasePage(pin) }
+
 // TestBuildReadFailure pins that a page-read error at any point during
 // Build surfaces as an error rather than a silently truncated Rep
 // (regression: a ReadDesc failure in the sibling walk used to end the loop

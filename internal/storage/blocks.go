@@ -329,12 +329,8 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 			if p, ok := trans[d.RightSib]; ok {
 				d.RightSib = p
 			}
-			// Grow the child-slot array to the new width.
-			if len(d.Children) < newChildSlots {
-				grown := make([]sas.XPtr, newChildSlots)
-				copy(grown, d.Children)
-				d.Children = grown
-			}
+			// encodeDesc zero-fills the wider descriptor, so the slots
+			// beyond the old width start out nil.
 			var next, prev uint16
 			if i+1 < n {
 				next = pl.offs[i+1]

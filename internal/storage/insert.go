@@ -192,12 +192,11 @@ func InsertNode(w Writer, doc *Doc, parentH, leftH, rightH sas.XPtr, kind schema
 		return sas.NilPtr, err
 	}
 	d := Desc{
-		Label:    label,
-		Handle:   handle,
-		Parent:   parentH,
-		Text:     textPtr,
-		TextLen:  uint32(len(text)),
-		Children: make([]sas.XPtr, blockH.ChildSlots),
+		Label:   label,
+		Handle:  handle,
+		Parent:  parentH,
+		Text:    textPtr,
+		TextLen: uint32(len(text)),
 	}
 	if left != nil {
 		d.LeftSib = left.Ptr

@@ -20,6 +20,15 @@ type Reader interface {
 	// ReadPage invokes fn with the content of the page containing p. The
 	// slice is only valid during the call.
 	ReadPage(p sas.XPtr, fn func(page []byte) error) error
+
+	// ViewPage is ReadPage without the callback, for the per-descriptor
+	// decoders: a closure handed to an interface method escapes together
+	// with every variable it captures, which cost several heap allocations
+	// per descriptor read. The slice is valid only until ReleasePage is
+	// called with the returned pin, which the caller does exactly once per
+	// successful ViewPage; whatever outlives that must be copied out.
+	ViewPage(p sas.XPtr) (page []byte, pin any, err error)
+	ReleasePage(pin any)
 }
 
 // Writer extends Reader with mutation. Every byte written through WriteAt is

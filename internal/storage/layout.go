@@ -172,13 +172,33 @@ type Desc struct {
 	Text    sas.XPtr
 	TextLen uint32
 
-	Children []sas.XPtr // one first-child pointer per schema-child slot
+	// Resident is set only on descriptors materialized from a document's
+	// in-memory resident representation: the node's index there plus one,
+	// so a step from the node needs no lookup by handle. 0 on every
+	// descriptor read from a block.
+	Resident int32
+
+	Children ChildPtrs // one first-child pointer per schema-child slot
 }
+
+// ChildPtrs holds a descriptor's first-child pointers in their on-page form,
+// eight little-endian bytes per schema-child slot. Keeping the bytes as read
+// lets a decoded descriptor take its child pointers and its inline label from
+// one allocation, and a reader decodes only the slot it follows.
+type ChildPtrs []byte
+
+// Len returns the number of child slots.
+func (c ChildPtrs) Len() int { return len(c) / 8 }
+
+// At returns the first-child pointer in slot i.
+func (c ChildPtrs) At(i int) sas.XPtr { return getPtr(c, 8*i) }
 
 // decodeDescAt decodes the descriptor at byte offset off of the node block
 // page whose base pointer is base. Overflowed labels are left with a nil
 // prefix and reported via the second result (their length in the third), to
-// be resolved by the caller with a text-storage read.
+// be resolved by the caller with a text-storage read. Nothing in the result
+// aliases page: the child pointers and an inline label are copied into one
+// allocation.
 func decodeDescAt(page []byte, base sas.XPtr, off uint16, h nodeBlockHeader) (Desc, sas.XPtr, int) {
 	b := page[off:]
 	d := Desc{
@@ -199,18 +219,21 @@ func decodeDescAt(page []byte, base sas.XPtr, off uint16, h nodeBlockHeader) (De
 	if p := getU16(b, dPrevIn); p != 0 {
 		d.PrevInBlock = base.Add(uint32(p))
 	}
-	d.Children = make([]sas.XPtr, h.ChildSlots)
-	for i := 0; i < h.ChildSlots; i++ {
-		d.Children[i] = getPtr(b, dChildren+8*i)
-	}
 	nidLen := int(getU16(b, dNidLen))
 	d.Label.Delim = b[dNidDelim]
 	var overflow sas.XPtr
+	inline := nidLen
 	if b[dFlags]&flagNidOverflow != 0 {
 		overflow = getPtr(b, dNid)
-		d.Label.Prefix = nil // resolved by the caller
-	} else {
-		d.Label.Prefix = append([]byte(nil), b[dNid:dNid+nidLen]...)
+		inline = 0
+	}
+	kids := 8 * h.ChildSlots
+	buf := make([]byte, kids+inline)
+	copy(buf, b[dChildren:dChildren+kids])
+	copy(buf[kids:], b[dNid:dNid+inline])
+	d.Children = buf[:kids:kids]
+	if inline > 0 {
+		d.Label.Prefix = buf[kids:]
 	}
 	return d, overflow, nidLen
 }
@@ -240,11 +263,7 @@ func encodeDesc(buf []byte, d *Desc, overflowPtr sas.XPtr, ovLen int, nextIn, pr
 	putU16(buf, dPrevIn, prevIn)
 	putPtr(buf, dText, d.Text)
 	putU32(buf, dTextLen, d.TextLen)
-	for i, c := range d.Children {
-		if dChildren+8*i+8 <= len(buf) {
-			putPtr(buf, dChildren+8*i, c)
-		}
-	}
+	copy(buf[dChildren:], d.Children)
 }
 
 // Indirection-block header layout (32 bytes):

@@ -38,6 +38,15 @@ func (m *memWriter) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
 	return fn(m.page(sas.PageIDOf(p)))
 }
 
+func (m *memWriter) ViewPage(p sas.XPtr) ([]byte, any, error) {
+	if p.IsNil() {
+		return nil, nil, fmt.Errorf("memWriter: read of nil pointer")
+	}
+	return m.page(sas.PageIDOf(p)), nil, nil
+}
+
+func (m *memWriter) ReleasePage(any) {}
+
 func (m *memWriter) TxnID() uint64 { return 1 }
 
 func (m *memWriter) WriteAt(p sas.XPtr, data []byte) error {

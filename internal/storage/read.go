@@ -11,28 +11,38 @@ import (
 // ReadDesc reads and fully decodes the node descriptor at ptr, resolving an
 // overflowed numbering-scheme label from text storage when necessary.
 func ReadDesc(r Reader, ptr sas.XPtr) (Desc, error) {
-	var d Desc
-	var overflow sas.XPtr
-	var nidLen int
-	err := r.ReadPage(ptr, func(page []byte) error {
-		h, err := decodeNodeHeader(page)
-		if err != nil {
-			return err
-		}
-		d, overflow, nidLen = decodeDescAt(page, ptr.PageBase(), uint16(ptr.PageOffset()), h)
-		return nil
-	})
+	d, _, err := readDescIf(r, ptr, sas.NilPtr)
+	return d, err
+}
+
+// readDescIf is ReadDesc restricted to children of one parent: with a non-nil
+// parent handle it compares the descriptor's parent field first and reports
+// ok=false, decoding nothing else, when the node belongs to another parent.
+func readDescIf(r Reader, ptr, parent sas.XPtr) (Desc, bool, error) {
+	page, pin, err := r.ViewPage(ptr)
 	if err != nil {
-		return Desc{}, err
+		return Desc{}, false, err
 	}
+	off := uint16(ptr.PageOffset())
+	if !parent.IsNil() && getPtr(page[off:], dParent) != parent {
+		r.ReleasePage(pin)
+		return Desc{}, false, nil
+	}
+	h, err := decodeNodeHeader(page)
+	if err != nil {
+		r.ReleasePage(pin)
+		return Desc{}, false, err
+	}
+	d, overflow, nidLen := decodeDescAt(page, ptr.PageBase(), off, h)
+	r.ReleasePage(pin)
 	if !overflow.IsNil() {
 		prefix, err := ReadText(r, overflow, uint32(nidLen))
 		if err != nil {
-			return Desc{}, fmt.Errorf("storage: overflowed label of %v: %w", ptr, err)
+			return Desc{}, false, fmt.Errorf("storage: overflowed label of %v: %w", ptr, err)
 		}
 		d.Label.Prefix = prefix
 	}
-	return d, nil
+	return d, true, nil
 }
 
 // DescOf resolves a node handle and reads its descriptor.
@@ -70,7 +80,8 @@ func ParentOf(r Reader, d *Desc) (Desc, bool, error) {
 func FirstChild(r Reader, d *Desc) (Desc, bool, error) {
 	var best Desc
 	found := false
-	for _, c := range d.Children {
+	for i := 0; i < d.Children.Len(); i++ {
+		c := d.Children.At(i)
 		if c.IsNil() {
 			continue
 		}
@@ -92,7 +103,8 @@ func LastChild(r Reader, d *Desc) (Desc, bool, error) {
 	// right-sibling pointers to the end.
 	var cur Desc
 	found := false
-	for _, c := range d.Children {
+	for i := 0; i < d.Children.Len(); i++ {
+		c := d.Children.At(i)
 		if c.IsNil() {
 			continue
 		}
@@ -122,31 +134,54 @@ func LastChild(r Reader, d *Desc) (Desc, bool, error) {
 // slot. Descriptors in narrow blocks (delayed widening) report nil for
 // slots beyond their width.
 func (d *Desc) ChildAtSlot(slot int) sas.XPtr {
-	if slot < 0 || slot >= len(d.Children) {
+	if slot < 0 || slot >= d.Children.Len() {
 		return sas.NilPtr
 	}
-	return d.Children[slot]
+	return d.Children.At(slot)
 }
 
 // NextInList returns the next descriptor of the same schema node in
 // document order, crossing block boundaries. ok=false at the end of the
 // list.
 func NextInList(r Reader, d *Desc) (Desc, bool, error) {
+	next, err := nextInListPtr(r, d)
+	if err != nil || next.IsNil() {
+		return Desc{}, false, err
+	}
+	n, err := ReadDesc(r, next)
+	if err != nil {
+		return Desc{}, false, err
+	}
+	return n, true, nil
+}
+
+// NextSameParent returns the descriptor after d in its schema node's list if
+// it has the same parent as d; ok=false when the list ends or the next node
+// is another parent's child. Children of one parent are contiguous in a
+// schema node's list, so this steps through them — and the step that finds
+// the run's end reads the neighbour's parent handle and nothing more.
+func NextSameParent(r Reader, d *Desc) (Desc, bool, error) {
+	next, err := nextInListPtr(r, d)
+	if err != nil || next.IsNil() || d.Parent.IsNil() {
+		return Desc{}, false, err
+	}
+	return readDescIf(r, next, d.Parent)
+}
+
+// nextInListPtr locates the descriptor after d in its schema node's list,
+// skipping blocks a run of deletes left empty; nil at the end of the list.
+func nextInListPtr(r Reader, d *Desc) (sas.XPtr, error) {
 	if !d.NextInBlock.IsNil() {
-		n, err := ReadDesc(r, d.NextInBlock)
-		if err != nil {
-			return Desc{}, false, err
-		}
-		return n, true, nil
+		return d.NextInBlock, nil
 	}
 	block := d.Ptr.PageBase()
 	for {
 		h, err := readNodeHeader(r, block)
 		if err != nil {
-			return Desc{}, false, err
+			return sas.NilPtr, err
 		}
 		if h.Next.IsNil() {
-			return Desc{}, false, nil
+			return sas.NilPtr, nil
 		}
 		block = h.Next
 		// Crossing a block boundary: hint the chain ahead so the pages the
@@ -154,14 +189,10 @@ func NextInList(r Reader, d *Desc) (Desc, bool, error) {
 		hintChain(r, block)
 		nh, err := readNodeHeader(r, block)
 		if err != nil {
-			return Desc{}, false, err
+			return sas.NilPtr, err
 		}
 		if nh.FirstDesc != 0 {
-			n, err := ReadDesc(r, block.Add(uint32(nh.FirstDesc)))
-			if err != nil {
-				return Desc{}, false, err
-			}
-			return n, true, nil
+			return block.Add(uint32(nh.FirstDesc)), nil
 		}
 	}
 }
@@ -231,49 +262,74 @@ func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error
 	}
 }
 
-// FirstInRange returns the first descriptor of sn in document order whose
-// label lies in the descendant range of anc. Blocks entirely before the
-// range are skipped by comparing their last descriptor's label — the
-// partial order of descriptors across blocks (§4.1) makes the skip sound.
-// This is the primitive behind schema-driven descendant-axis evaluation.
-func FirstInRange(r Reader, sn *schema.Node, anc nid.Label) (Desc, bool, error) {
-	hintChain(r, sn.FirstBlock)
-	for block := sn.FirstBlock; !block.IsNil(); {
-		h, err := readNodeHeader(r, block)
+// FirstInRange returns the first descriptor of sn, in document order, inside
+// the subtree of ctx, an instance of sn's schema ancestor ctxSN; ok=false when
+// the subtree holds none. This is the primitive behind schema-driven
+// descendant-axis evaluation, and its cost is bounded by ctx's own subtree,
+// never by the length of sn's block list.
+//
+// The start is found by structural descent along the schema path ctxSN → … →
+// sn. The first level is ctx's own first-child pointer for that schema child
+// (§4.1: one per schema child). At each deeper level the previous level's
+// nodes inside ctx's subtree are walked in list order until one has a child
+// of the next schema node: nodes of one schema node never nest, so document
+// order of a level carries over to their children, and the first child found
+// is the first in document order.
+//
+// When ctxSN has at most one instance (document node, root element,
+// singletons) every instance of sn lies under it, and the range starts at the
+// head of sn's list. NodeCount need not describe the state r reads, so the
+// head is used only if it does lie under ctx.
+func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (Desc, bool, error) {
+	if ctxSN.NodeCount <= 1 {
+		d, ok, err := FirstOfSchema(r, sn)
 		if err != nil {
 			return Desc{}, false, err
 		}
-		if h.LastDesc != 0 {
-			last, err := ReadDesc(r, block.Add(uint32(h.LastDesc)))
+		if ok && nid.IsAncestor(ctx.Label, d.Label) {
+			return d, true, nil
+		}
+	}
+	var buf [16]*schema.Node
+	path := buf[:0] // sn first, ctxSN's child last
+	for n := sn; n != ctxSN; n = n.Parent {
+		if n == nil {
+			return Desc{}, false, fmt.Errorf("storage: schema node %d is not below %d", sn.ID, ctxSN.ID)
+		}
+		path = append(path, n)
+	}
+	if len(path) == 0 {
+		return Desc{}, false, nil
+	}
+	level := len(path) - 1
+	first := ctx.ChildAtSlot(ctxSN.ChildIndex(path[level]))
+	if first.IsNil() {
+		return Desc{}, false, nil
+	}
+	d, err := ReadDesc(r, first)
+	if err != nil {
+		return Desc{}, false, err
+	}
+	for ; level > 0; level-- {
+		slot := path[level].ChildIndex(path[level-1])
+		for {
+			if c := d.ChildAtSlot(slot); !c.IsNil() {
+				if d, err = ReadDesc(r, c); err != nil {
+					return Desc{}, false, err
+				}
+				break
+			}
+			n, ok, err := NextInList(r, &d)
 			if err != nil {
 				return Desc{}, false, err
 			}
-			if nid.Compare(last.Label, anc) > 0 {
-				// The range, if populated, starts in this block.
-				for off := h.FirstDesc; off != 0; {
-					d, err := ReadDesc(r, block.Add(uint32(off)))
-					if err != nil {
-						return Desc{}, false, err
-					}
-					if nid.Compare(d.Label, anc) > 0 {
-						if nid.IsAncestor(anc, d.Label) {
-							return d, true, nil
-						}
-						return Desc{}, false, nil // past the range: no descendants
-					}
-					if d.NextInBlock.IsNil() {
-						off = 0
-					} else {
-						off = uint16(d.NextInBlock.PageOffset())
-					}
-				}
+			if !ok || !nid.IsAncestor(ctx.Label, n.Label) {
 				return Desc{}, false, nil
 			}
+			d = n
 		}
-		block = h.Next
-		hintChain(r, block)
 	}
-	return Desc{}, false, nil
+	return d, true, nil
 }
 
 // BlockCountNext decodes the live-descriptor count and next pointer from a

@@ -11,36 +11,38 @@ import (
 // Reads copy out of the pinned page; writes go through WriteAt so that they
 // are WAL-logged and versioned by the transaction layer.
 
-func readBytes(r Reader, p sas.XPtr, n int) ([]byte, error) {
-	out := make([]byte, n)
-	err := r.ReadPage(p, func(page []byte) error {
-		off := int(p.PageOffset())
-		if off+n > len(page) {
-			return fmt.Errorf("storage: read of %d bytes at %v crosses page end", n, p)
-		}
-		copy(out, page[off:off+n])
-		return nil
-	})
+// viewAt returns the n bytes at p inside its page; the caller releases pin.
+func viewAt(r Reader, p sas.XPtr, n int) (b []byte, pin any, err error) {
+	page, pin, err := r.ViewPage(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	off := int(p.PageOffset())
+	if off+n > len(page) {
+		r.ReleasePage(pin)
+		return nil, nil, fmt.Errorf("storage: read of %d bytes at %v crosses page end", n, p)
+	}
+	return page[off : off+n], pin, nil
 }
 
 func readU16At(r Reader, p sas.XPtr) (uint16, error) {
-	b, err := readBytes(r, p, 2)
+	b, pin, err := viewAt(r, p, 2)
 	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(b), nil
+	v := binary.LittleEndian.Uint16(b)
+	r.ReleasePage(pin)
+	return v, nil
 }
 
 func readPtrAt(r Reader, p sas.XPtr) (sas.XPtr, error) {
-	b, err := readBytes(r, p, 8)
+	b, pin, err := viewAt(r, p, 8)
 	if err != nil {
 		return 0, err
 	}
-	return sas.XPtr(binary.LittleEndian.Uint64(b)), nil
+	v := sas.XPtr(binary.LittleEndian.Uint64(b))
+	r.ReleasePage(pin)
+	return v, nil
 }
 
 func writeU16At(w Writer, p sas.XPtr, v uint16) error {
@@ -63,11 +65,11 @@ func writePtrAt(w Writer, p sas.XPtr, v sas.XPtr) error {
 
 // readNodeHeader decodes the node-block header of the block containing p.
 func readNodeHeader(r Reader, block sas.XPtr) (nodeBlockHeader, error) {
-	var h nodeBlockHeader
-	err := r.ReadPage(block, func(page []byte) error {
-		var err error
-		h, err = decodeNodeHeader(page)
-		return err
-	})
+	page, pin, err := r.ViewPage(block)
+	if err != nil {
+		return nodeBlockHeader{}, err
+	}
+	h, err := decodeNodeHeader(page)
+	r.ReleasePage(pin)
 	return h, err
 }

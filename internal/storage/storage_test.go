@@ -510,6 +510,29 @@ func TestDelayedWidening(t *testing.T) {
 	}
 }
 
+// TestReadDescAllocations: decoding a descriptor whose label fits inline
+// costs one heap allocation (child pointers and label share it), with or
+// without child slots.
+func TestReadDescAllocations(t *testing.T) {
+	w := newMemWriter()
+	_, hs := buildLibraryDoc(t, w)
+	for _, key := range []string{"book1", "book1/title/text"} {
+		ptr, err := DerefHandle(w, hs[key])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Reader = w
+		var d Desc
+		allocs := testing.AllocsPerRun(200, func() { d, err = ReadDesc(r, ptr) })
+		if err != nil || d.Handle != hs[key] {
+			t.Fatalf("%s: read %v, %v", key, d.Handle, err)
+		}
+		if allocs > 1 {
+			t.Fatalf("%s: ReadDesc made %.0f allocations, want ≤ 1", key, allocs)
+		}
+	}
+}
+
 func TestDeepDocumentLabelOverflow(t *testing.T) {
 	w := newMemWriter()
 	doc, err := CreateDoc(w, 1, "deep")

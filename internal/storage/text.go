@@ -56,20 +56,18 @@ func FreeText(w Writer, doc *Doc, ptr sas.XPtr) error {
 func ReadText(r Reader, ptr sas.XPtr, totalLen uint32) ([]byte, error) {
 	out := make([]byte, 0, totalLen)
 	for !ptr.IsNil() {
-		var next sas.XPtr
-		err := r.ReadPage(ptr, func(page []byte) error {
-			off, length, err := slotAt(page, ptr.PageOffset())
-			if err != nil {
-				return err
-			}
-			next = sas.XPtr(binary.LittleEndian.Uint64(page[off:]))
-			out = append(out, page[off+textChunkHeader:off+length]...)
-			return nil
-		})
+		page, pin, err := r.ViewPage(ptr)
 		if err != nil {
 			return nil, err
 		}
-		ptr = next
+		off, length, err := slotAt(page, ptr.PageOffset())
+		if err != nil {
+			r.ReleasePage(pin)
+			return nil, err
+		}
+		ptr = sas.XPtr(binary.LittleEndian.Uint64(page[off:]))
+		out = append(out, page[off+textChunkHeader:off+length]...)
+		r.ReleasePage(pin)
 	}
 	if uint32(len(out)) != totalLen {
 		return nil, fmt.Errorf("storage: text length mismatch: chain has %d bytes, descriptor says %d", len(out), totalLen)

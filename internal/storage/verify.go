@@ -103,7 +103,8 @@ func VerifyDoc(r Reader, doc *Doc) error {
 			}
 		}
 		// Child-slot pointers.
-		for i, slot := range d.Children {
+		for i := 0; i < d.Children.Len(); i++ {
+			slot := d.Children.At(i)
 			if i >= len(sn.Children) {
 				if !slot.IsNil() {
 					return fmt.Errorf("node %v: slot %d beyond schema width is set", d.Ptr, i)

@@ -177,7 +177,7 @@ type Tx struct {
 	// sync.Map sweet spot; a racing duplicate resolve is benign — both
 	// copies hold identical snapshot content.
 	snapTS uint64
-	cache  sync.Map // sas.PageID → []byte
+	cache  sync.Map // sas.PageID → *snapPage
 
 	// Updater state.
 	undo   []func()
@@ -313,47 +313,101 @@ func (tx *Tx) Lock(res string, mode lock.Mode) error {
 
 // ReadPage implements storage.Reader for both transaction kinds.
 func (tx *Tx) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
+	page, pin, err := tx.ViewPage(p)
+	if err != nil {
+		return err
+	}
+	defer tx.ReleasePage(pin)
+	return fn(page)
+}
+
+// snapPage is one resolved snapshot page in a read-only transaction's cache.
+// Stored by pointer so that neither the cache nor the pool boxes a slice.
+type snapPage [sas.PageSize]byte
+
+// snapPages recycles the page copies of finished read-only transactions:
+// every auto-commit statement resolves tens of pages, and allocating (and
+// zeroing) 16 KiB for each was a fifth of all bytes allocated. A recycled
+// buffer needs no clearing — every snapshot read overwrites the whole page.
+var snapPages = sync.Pool{New: func() any { return new(snapPage) }}
+
+// ViewPage implements storage.Reader for both transaction kinds. A snapshot
+// page stays valid until the transaction ends (pin nil); a live page is a
+// pinned buffer frame.
+func (tx *Tx) ViewPage(p sas.XPtr) ([]byte, any, error) {
 	if tx.done {
-		return ErrDone
+		return nil, nil, ErrDone
 	}
 	if p.IsNil() {
-		return errors.New("txn: read of nil pointer")
+		return nil, nil, errors.New("txn: read of nil pointer")
 	}
 	tx.pagesTouched.Add(1)
 	if tx.readonly {
 		id := sas.PageIDOf(p)
 		if v, ok := tx.cache.Load(id); ok {
-			return fn(v.([]byte))
+			return v.(*snapPage)[:], nil, nil
 		}
-		tx.span.AddInt("snapshot_reads", 1)
-		page := make([]byte, sas.PageSize)
-		var err error
-		if d := tx.prefetchDepth.Load(); d > 0 {
-			// With readahead on, a cold miss reads a sequential window of up
-			// to depth adjacent pages in one pread and leaves a residency
-			// footprint (depth 0 keeps the footprint-free single-pread path,
-			// byte-identical to the engine without readahead).
-			err = tx.m.buf.ReadSnapshotInstall(id, tx.snapTS, page, int(d))
-		} else {
-			err = tx.m.buf.ReadSnapshot(id, tx.snapTS, page)
-		}
-		if err != nil {
-			return err
+		page := snapPages.Get().(*snapPage)
+		if err := tx.resolveSnapshotPage(id, page); err != nil {
+			snapPages.Put(page)
+			return nil, nil, err
 		}
 		if v, loaded := tx.cache.LoadOrStore(id, page); loaded {
-			page = v.([]byte)
+			// A parallel worker resolved the page first; both copies hold
+			// the same snapshot content.
+			snapPages.Put(page)
+			page = v.(*snapPage)
 		}
-		return fn(page)
+		return page[:], nil, nil
 	}
 	f, faulted, err := tx.m.buf.DerefTrack(p)
 	if faulted {
 		tx.span.AddInt("faults", 1)
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	defer tx.m.buf.Unpin(f)
-	return fn(f.Data())
+	return f.Data(), f, nil
+}
+
+// resolveSnapshotPage fills page with the content of id as of the
+// transaction's snapshot.
+func (tx *Tx) resolveSnapshotPage(id sas.PageID, page *snapPage) error {
+	tx.span.AddInt("snapshot_reads", 1)
+	if d := tx.prefetchDepth.Load(); d > 0 {
+		// With readahead on, a cold miss reads a sequential window of up
+		// to depth adjacent pages in one pread and leaves a residency
+		// footprint (depth 0 keeps the footprint-free single-pread path,
+		// byte-identical to the engine without readahead).
+		return tx.m.buf.ReadSnapshotInstall(id, tx.snapTS, page[:], int(d))
+	}
+	return tx.m.buf.ReadSnapshot(id, tx.snapTS, page[:])
+}
+
+// ReleasePage implements storage.Reader: it unpins a live page's frame.
+func (tx *Tx) ReleasePage(pin any) {
+	if f, ok := pin.(*buffer.Frame); ok {
+		tx.m.buf.Unpin(f)
+	}
+}
+
+// maxRecycledPages bounds what one finished transaction hands to the pool
+// (1 MiB): a statement's working set is tens of pages, while an ANALYZE or a
+// scan of a whole document reads megabytes once, and pooling those would keep
+// them alive for pages nobody is about to ask for.
+const maxRecycledPages = 64
+
+// recycleSnapshotPages hands a finished read-only transaction's page copies
+// back to the pool. The transaction is done, so no read reaches the cache
+// again (ViewPage fails first), and storage.Reader's contract forbids holding
+// a page slice past the read that produced it.
+func (tx *Tx) recycleSnapshotPages() {
+	n := 0
+	tx.cache.Range(func(_, v any) bool {
+		snapPages.Put(v)
+		n++
+		return n < maxRecycledPages
+	})
 }
 
 // SetPrefetchDepth sets the chain-readahead depth for scans on this
@@ -512,6 +566,7 @@ func (tx *Tx) Commit() error {
 	m := tx.m
 	if tx.readonly {
 		m.releaseSnapshot(tx.snapTS)
+		tx.recycleSnapshotPages()
 		return nil
 	}
 	m.mu.Lock()
@@ -547,6 +602,7 @@ func (tx *Tx) Rollback() error {
 	m := tx.m
 	if tx.readonly {
 		m.releaseSnapshot(tx.snapTS)
+		tx.recycleSnapshotPages()
 		return nil
 	}
 	if err := m.buf.RollbackTxn(tx.id); err != nil {

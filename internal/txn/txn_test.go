@@ -1,7 +1,10 @@
 package txn
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"sedna/internal/buffer"
@@ -324,4 +327,255 @@ func TestUseAfterFinish(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatalf("rollback after commit should be a no-op, got %v", err)
 	}
+}
+
+// TestConcurrentSnapshotReadersRecycleBuffers runs snapshot readers that end
+// (and hand their page copies to the pool) while others start (and take them
+// back out), against a writer rewriting every page in one transaction per
+// version. A reader must find each page filled edge to edge with one version
+// — a recycled buffer shows nothing of its previous content — and the same
+// version on every page of its snapshot; what it copied out of a page view
+// must survive the end of the transaction. Two goroutines share each
+// snapshot, as the parallel executor's workers do. Run under -race.
+func TestConcurrentSnapshotReadersRecycleBuffers(t *testing.T) {
+	e := newEnv(t)
+	const pages = 24
+	fill := func(tx *Tx, ids []sas.PageID, version byte) {
+		buf := make([]byte, sas.PageSize)
+		for i, id := range ids {
+			for j := range buf {
+				buf[j] = version
+			}
+			buf[0] = byte(i)
+			if err := tx.WriteAt(id.Ptr(), buf); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	setup := e.m.Begin()
+	ids := make([]sas.PageID, pages)
+	for i := range ids {
+		id, err := setup.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	fill(setup, ids, 1)
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The engine never lets a snapshot begin in the middle of a commit
+	// (core's publication mutex); neither does the test.
+	var publish sync.Mutex
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for v := byte(2); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v == 0 {
+				v = 1
+			}
+			w := e.m.Begin()
+			fill(w, ids, v)
+			publish.Lock()
+			err := w.Commit()
+			publish.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	// readHalf checks the pages at one parity through one access path and
+	// returns the version they carry.
+	readHalf := func(r *Tx, parity int, kept [][]byte) (byte, error) {
+		var version byte
+		for i := parity; i < pages; i += 2 {
+			check := func(page []byte) error {
+				v := page[1]
+				if page[0] != byte(i) {
+					return fmt.Errorf("page %d carries index %d", i, page[0])
+				}
+				for j := 1; j < len(page); j++ {
+					if page[j] != v {
+						return fmt.Errorf("page %d: byte %d is %d inside version %d", i, j, page[j], v)
+					}
+				}
+				if version != 0 && v != version {
+					return fmt.Errorf("page %d at version %d, earlier pages at %d", i, v, version)
+				}
+				version = v
+				kept[i] = append(kept[i][:0], page[:64]...)
+				return nil
+			}
+			var err error
+			if parity == 0 {
+				err = r.ReadPage(ids[i].Ptr(), check)
+			} else {
+				var page []byte
+				var pin any
+				if page, pin, err = r.ViewPage(ids[i].Ptr()); err == nil {
+					err = check(page)
+					r.ReleasePage(pin)
+				}
+			}
+			if err != nil {
+				return 0, err
+			}
+		}
+		return version, nil
+	}
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			kept := make([][]byte, pages)
+			for round := 0; round < 150; round++ {
+				publish.Lock()
+				r := e.m.BeginReadOnly()
+				publish.Unlock()
+				var versions [2]byte
+				var errs [2]error
+				var halves sync.WaitGroup
+				for parity := 0; parity < 2; parity++ {
+					halves.Add(1)
+					go func(parity int) {
+						defer halves.Done()
+						versions[parity], errs[parity] = readHalf(r, parity, kept)
+					}(parity)
+				}
+				halves.Wait()
+				if err := r.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+				if errs[0] != nil || errs[1] != nil || versions[0] != versions[1] {
+					t.Errorf("round %d: versions %v, errors %v", round, versions, errs)
+					return
+				}
+				for i, b := range kept {
+					if b[0] != byte(i) || b[1] != versions[0] || b[63] != versions[0] {
+						t.Errorf("round %d: bytes copied out of page %d changed after the transaction ended", round, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+}
+
+// TestScanReaderBoundedSnapshot: a ScanReader shows exactly the transaction's
+// snapshot while holding a fixed number of page copies, never overwrites a
+// page that is still pinned, and grows past its budget only while everything
+// in it is pinned.
+func TestScanReaderBoundedSnapshot(t *testing.T) {
+	e := newEnv(t)
+	const pages, budget = 40, 4
+	write := func(version byte) []sas.PageID {
+		tx := e.m.Begin()
+		ids := make([]sas.PageID, pages)
+		buf := make([]byte, sas.PageSize)
+		for i := range ids {
+			id, err := tx.AllocPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = id
+			for j := range buf {
+				buf[j] = version
+			}
+			buf[0] = byte(i)
+			if err := tx.WriteAt(id.Ptr(), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	ids := write(1)
+	r := e.m.BeginReadOnly()
+	defer r.Rollback()
+	// A later commit rewrites every page; the snapshot must not see it.
+	w := e.m.Begin()
+	for _, id := range ids {
+		if err := w.WriteAt(id.Ptr().Add(1), []byte{2, 2, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	upd := e.m.Begin()
+	if _, err := upd.ScanReader(budget); err == nil {
+		t.Fatal("ScanReader on an update transaction")
+	}
+	upd.Rollback()
+	s, err := r.ScanReader(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(i int, page []byte) {
+		t.Helper()
+		if page[0] != byte(i) || page[1] != 1 || page[3] != 1 || page[sas.PageSize-1] != 1 {
+			t.Fatalf("page %d reads %v … %d, want index %d at version 1", i, page[:4], page[sas.PageSize-1], i)
+		}
+	}
+	held, pin, err := s.ViewPage(ids[0].Ptr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 500; n++ {
+		i := rng.Intn(pages)
+		if n%2 == 0 {
+			err = s.ReadPage(ids[i].Ptr(), func(page []byte) error { check(i, page); return nil })
+		} else {
+			var page []byte
+			var p any
+			if page, p, err = s.ViewPage(ids[i].Ptr()); err == nil {
+				check(i, page)
+				s.ReleasePage(p)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(0, held) // pinned throughout: never a victim
+	}
+	if len(s.entries) != budget {
+		t.Fatalf("%d page copies held, budget %d", len(s.entries), budget)
+	}
+	// With every copy pinned the reader has to grow rather than fail.
+	pins := []any{pin}
+	for i := 1; i <= budget; i++ {
+		page, p, err := s.ViewPage(ids[i].Ptr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(i, page)
+		pins = append(pins, p)
+	}
+	if len(s.entries) != budget+1 {
+		t.Fatalf("%d page copies with %d pinned", len(s.entries), budget+1)
+	}
+	for _, p := range pins {
+		s.ReleasePage(p)
+	}
+	s.Close()
 }

@@ -41,7 +41,7 @@ go run ./cmd/sedna-bench -run E20
 echo "== introspection smoke (E21: sessions, KILL of a long query, Prometheus round-trip) =="
 go run ./cmd/sedna-bench -run E21
 
-echo "== resident-mode smoke (E22: resident vs paged, byte-identity, >=5x warm speedup) =="
+echo "== resident-mode smoke (E22: resident vs paged, byte-identity incl. update-invalidate-rebuild, >=1.5x warm speedup on the total) =="
 go run ./cmd/sedna-bench -run E22
 
 echo "== optimizer smoke (E23: costed plans vs hand-forced, <=1.1x regression, >=2x selective speedup) =="
@@ -52,5 +52,8 @@ go run ./cmd/sedna-bench -run E24
 
 echo "== hot-document smoke (E25: writer + reader, gate/probe/skip on vs off, reader p50 < 5ms, <=2 builds, >=5x stmts/s) =="
 go run ./cmd/sedna-bench -run E25
+
+echo "== paged-step smoke (E26: value predicates on 500/2000/8000-person documents, time and pages per context node grow <1.5x, <=10 pages per node, answers equal resident) =="
+go run ./cmd/sedna-bench -run E26
 
 echo "check.sh: all green"
