@@ -833,13 +833,11 @@ func BenchmarkE18SerialFallback(b *testing.B) {
 
 // ---------------------------------------------------------------- E19 ----
 // Chain-following scan readahead (§2.3, §4.1): a block-list scan over a
-// cold buffer pool pays one synchronous pread per chain block at depth 0;
-// with readahead a cold snapshot miss reads a sequential window of adjacent
-// pages in one pread, so the scan finds its next blocks already resident.
-// The timed region is open + scan: the open-time block recount is itself
-// the engine's biggest chain walk and benefits the same way. Depth 0 is
-// byte-identical to the pre-readahead engine; results are identical at
-// every depth.
+// cold buffer pool pays one synchronous pread per chain block it faults in;
+// with readahead the asynchronous workers follow the chain ahead of the
+// scan, so it finds the blocks they reached first already resident. The
+// timed region is open + scan: the open-time block recount is itself the
+// engine's biggest chain walk. Results are identical at every depth.
 
 func benchmarkE19ColdScan(b *testing.B, depth int) {
 	dir := b.TempDir()

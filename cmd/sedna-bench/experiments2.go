@@ -164,6 +164,43 @@ func runE10(s *session) error {
 			{"S2PL shared-lock reader", dur(s2pl)},
 		})
 	fmt.Println("expected shape: snapshot readers unaffected by the updater; S2PL readers queue behind its lock")
+
+	// The same claim without a clock: an updater that has written and not
+	// committed holds the exclusive document lock for as long as we like;
+	// every snapshot statement must complete meanwhile, see none of its
+	// writes and wait for nothing.
+	before, err := db.Query(q)
+	if err != nil {
+		return err
+	}
+	upd, err := db.Internal().Begin()
+	if err != nil {
+		return err
+	}
+	if _, err := query.Execute(query.NewExecCtx(upd), `UPDATE insert <book><title>uncommitted</title></book> into doc("lib")/library`); err != nil {
+		upd.Rollback()
+		return err
+	}
+	lockWaits := s.reg.Counter("lock.waits")
+	waits0 := lockWaits.Value()
+	for i := 0; i < 100; i++ {
+		res, err := db.Query(q)
+		if err == nil && res.Data != before.Data {
+			err = fmt.Errorf("E10: snapshot reader counts %s books beside an uncommitted insert, %s before it", res.Data, before.Data)
+		}
+		if err != nil {
+			upd.Rollback()
+			return err
+		}
+	}
+	waits := lockWaits.Value() - waits0
+	if err := upd.Commit(); err != nil {
+		return err
+	}
+	fmt.Printf("100 snapshot statements completed under a held exclusive lock, lock.waits=%d\n", waits)
+	if waits != 0 {
+		return fmt.Errorf("E10: snapshot readers waited for a lock %d times under a held exclusive lock", waits)
+	}
 	return nil
 }
 
@@ -193,19 +230,35 @@ func runE12(s *session) error {
 			return err
 		})
 		st := db.BufferStats()
+		buf := db.Internal().Buffer()
+		held, gauge := buf.VersionCount(), s.reg.Gauge("buffer.versions_live").Value()
 		for _, p := range pins {
 			p.Rollback()
 		}
+		after := buf.VersionCount()
 		cleanup()
 		if err != nil {
 			return err
 		}
 		rows = append(rows, []string{
 			fmt.Sprint(pinned), dur(t), fmt.Sprint(st.VersionsMade - st0.VersionsMade), fmt.Sprint(st.VersionsFreed - st0.VersionsFreed),
+			fmt.Sprint(held), fmt.Sprint(after),
 		})
+		// The gates are what the run counts, not what it times: a version
+		// lives exactly as long as a snapshot can read it.
+		switch {
+		case int64(held) != gauge:
+			return fmt.Errorf("E12: buffer.versions_live = %d, the chains hold %d versions", gauge, held)
+		case pinned == 0 && held != 0:
+			return fmt.Errorf("E12: %d versions alive after 300 commits with no snapshot open", held)
+		case pinned > 0 && held == 0:
+			return fmt.Errorf("E12: no version kept for %d open snapshots behind 300 commits", pinned)
+		case after != 0:
+			return fmt.Errorf("E12: %d versions alive after the last snapshot ended", after)
+		}
 	}
-	s.out.table([]string{"active snapshots", "update latency", "versions made", "versions purged"}, rows)
-	fmt.Println("expected shape: purge piggybacks on version creation; snapshots add retention, not stalls")
+	s.out.table([]string{"active snapshots", "update latency", "versions made", "versions purged", "alive after 300 commits", "alive after snapshots end"}, rows)
+	fmt.Println("expected shape: a commit frees the versions no snapshot can read, so none outlive it without readers; open snapshots add retention, not stalls, and their versions go when they do")
 	return nil
 }
 

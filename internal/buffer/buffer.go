@@ -7,11 +7,13 @@
 //     buffer-manager "memory fault" on mismatch — no pointer swizzling;
 //
 //   - page-level multiversioning of §6.1: the first update to a page inside
-//     a transaction pushes a copy-on-write pre-image onto the page's version
-//     chain, commit stamps the page with a commit timestamp, and snapshot
-//     (read-only) transactions resolve the newest version not newer than
-//     their snapshot timestamp. Old versions are purged when no active
-//     snapshot can reach them, piggybacked on new-version creation.
+//     a transaction moves the committed bytes onto the page's version chain
+//     and gives the writer a copy, commit stamps the page with a commit
+//     timestamp, and snapshot (read-only) transactions view the newest
+//     version not newer than their snapshot timestamp — the live frame when
+//     that is it, a chain entry otherwise. A version no active snapshot can
+//     reach is freed when the transaction that superseded it commits, or
+//     when the last snapshot that needed it ends.
 //
 // The buffer manager also enforces the interaction with recovery: before a
 // page that existed in the persistent snapshot is overwritten in the data
@@ -25,9 +27,18 @@
 // owned by exactly one stripe. Each stripe holds its own frame map, a
 // clock-sweep (second-chance) replacement ring, its share of the slot table
 // and the versioning maps for its pages. A hot Deref is a stripe read-lock,
-// one slot comparison and two atomics (ref bit + pin count); snapshot reads
-// also run entirely under the stripe read-lock, so readers on distinct
-// stripes never serialize and readers on the same stripe share it.
+// one slot comparison and two atomics (ref bit + pin count); a hot
+// ViewSnapshot is the same with three map lookups in place of the slot
+// comparison, so readers on distinct stripes never serialize and readers on
+// the same stripe share it.
+//
+// Committed bytes are immutable. A buffer that holds committed content — a
+// frame's data while no transaction owns the page, and every version-chain
+// entry — is never written again and never reused: PinWrite re-points the
+// frame at a fresh copy for the writer instead, so a snapshot reader that
+// took the slice a moment earlier keeps reading what it saw, and nobody
+// waits. Frame.data is therefore read and re-pointed only under the stripe
+// mutex; both view entry points return the slice they read there.
 //
 // Lock order: at most one stripe mutex is held at a time. While holding a
 // stripe mutex the manager may acquire, in this order only: the WAL mutex
@@ -115,10 +126,15 @@ type Frame struct {
 // ID returns the identity of the page held by the frame.
 func (f *Frame) ID() sas.PageID { return f.id }
 
-// Data returns the page bytes. The caller must hold the frame pinned while
-// reading or writing, and must hold the owning document's lock (or be the
-// sole writer) while writing.
+// Data returns the page bytes of a pinned frame to the transaction that owns
+// the page (after PinWrite or PinNew) or to a caller no writer can run beside.
+// Everyone else takes the slice DerefTrack or ViewSnapshot returns: a first
+// touch re-points the frame at the writer's copy.
 func (f *Frame) Data() []byte { return f.data }
+
+// zeroPage is what a snapshot older than a page's first commit reads. Views
+// are read-only, so one page serves every such read.
+var zeroPage = make([]byte, sas.PageSize)
 
 // pageVersion is one committed pre-image on a page's version chain.
 type pageVersion struct {
@@ -143,7 +159,7 @@ type Stats struct {
 	SnapSaves     uint64 // persistent-snapshot copies taken before overwrite
 	VersionsMade  uint64 // pre-images pushed
 	VersionsFreed uint64 // pre-images purged
-	SnapshotReads uint64 // page reads resolved for snapshot transactions
+	SnapshotReads uint64 // snapshot views served from a version chain
 }
 
 // bufMetrics binds the buffer-manager counters in a metrics registry.
@@ -384,16 +400,18 @@ func (m *Manager) withPinRetry(attempt func() (*Frame, error)) (*Frame, error) {
 // emulated memory fault handled by loading the page. The frame is returned
 // pinned; the caller must Unpin it.
 func (m *Manager) Deref(p sas.XPtr) (*Frame, error) {
-	f, _, err := m.DerefTrack(p)
+	_, f, _, err := m.DerefTrack(p)
 	return f, err
 }
 
-// DerefTrack is Deref additionally reporting whether the dereference
-// faulted (layer mismatch → page load), so callers can attribute faults to
-// the active trace span.
-func (m *Manager) DerefTrack(p sas.XPtr) (*Frame, bool, error) {
+// DerefTrack is Deref additionally returning the page bytes, read under the
+// stripe lock that pinned the frame, and whether the page was read from disk
+// for this call, so callers can attribute loads to the active trace span.
+// buffer.faults counts what the paper calls a memory fault — the slot did not
+// map the pointer's layer — whether or not the page was resident elsewhere.
+func (m *Manager) DerefTrack(p sas.XPtr) (data []byte, f *Frame, loaded bool, err error) {
 	if p.IsNil() {
-		return nil, false, errors.New("buffer: dereference of nil XPtr")
+		return nil, nil, false, errors.New("buffer: dereference of nil XPtr")
 	}
 	page := p.PageIndex()
 	s := m.stripeFor(page)
@@ -407,16 +425,17 @@ func (m *Manager) DerefTrack(p sas.XPtr) (*Frame, bool, error) {
 		f := e.frame
 		f.ref.Store(true)
 		f.pin.Add(1)
+		data = f.data
 		s.mu.RUnlock()
 		m.met.hits.Inc()
 		m.notePrefetchTouch(f)
-		return f, false, nil
+		return data, f, false, nil
 	}
 	s.mu.RUnlock()
 
 	// Memory fault: load the page and remap the slot.
 	m.met.faults.Inc()
-	f, err := m.withPinRetry(func() (*Frame, error) {
+	f, err = m.withPinRetry(func() (*Frame, error) {
 		s.lock(m)
 		defer s.mu.Unlock()
 		if e := &s.slots[slot]; e.frame != nil && e.layer == layer {
@@ -424,20 +443,116 @@ func (m *Manager) DerefTrack(p sas.XPtr) (*Frame, bool, error) {
 			f := e.frame
 			f.ref.Store(true)
 			f.pin.Add(1)
+			data = f.data
 			return f, nil
 		}
-		f, err := s.load(m, sas.PageIDOf(p))
+		f, read, err := s.load(m, sas.PageIDOf(p))
 		if err != nil {
 			return nil, err
 		}
 		s.slots[slot] = slotEntry{layer: layer, frame: f}
 		f.pin.Add(1)
+		data, loaded = f.data, read
 		return f, nil
 	})
-	if err != nil {
-		return nil, true, err
+	return data, f, loaded, err
+}
+
+// ViewSnapshot returns the content of the page as of snapshot timestamp
+// snapTS: the read path of read-only transactions. When the live version is
+// the visible one its frame is pinned (loading the page if need be) and its
+// bytes returned, at the cost of a Deref; the caller must Unpin it. loaded
+// reports that this call read the page from disk. Otherwise the visible
+// version-chain entry is returned, or a page of zeros when the page did not
+// exist at the snapshot, and pin is nil: nothing can recycle those bytes
+// under a reader. The hot path runs entirely under the stripe read lock and
+// no path waits for a writer — the paper's "read-only transactions are never
+// blocked" (§6.3). The live test is safe without further synchronisation: a
+// writer sets dirtyBy under the write lock before its first mutation, and by
+// then the frame holds the writer's own copy.
+func (m *Manager) ViewSnapshot(id sas.PageID, snapTS uint64) (page []byte, pin *Frame, loaded bool, err error) {
+	s := m.stripeFor(id.Page)
+	s.rlock(m)
+	if !s.liveVisible(id, snapTS) {
+		page = s.versionAt(id, snapTS)
+		s.mu.RUnlock()
+		m.met.snapshotReads.Inc()
+		return page, nil, false, nil
 	}
-	return f, true, nil
+	if f := s.frames[id]; f != nil {
+		f.ref.Store(true)
+		f.pin.Add(1)
+		page = f.data
+		s.mu.RUnlock()
+		m.met.hits.Inc()
+		m.notePrefetchTouch(f)
+		return page, f, false, nil
+	}
+	s.mu.RUnlock()
+
+	pin, err = m.withPinRetry(func() (*Frame, error) {
+		s.lock(m)
+		defer s.mu.Unlock()
+		if !s.liveVisible(id, snapTS) {
+			// A writer took the page between our locks.
+			page = s.versionAt(id, snapTS)
+			return nil, nil
+		}
+		f, read, err := s.load(m, id)
+		if err != nil {
+			return nil, err
+		}
+		if read {
+			// Map the slot as a Deref fault does: an updater's first
+			// dereference of a page a reader loaded is a hit.
+			s.slots[int(id.Page)>>m.stripeShift] = slotEntry{layer: id.Layer, frame: f}
+		}
+		f.pin.Add(1)
+		page, loaded = f.data, read
+		return f, nil
+	})
+	switch {
+	case err != nil:
+	case pin == nil:
+		m.met.snapshotReads.Inc()
+	case loaded:
+		m.met.faults.Inc()
+	default:
+		// Another reader loaded it between our locks.
+		m.met.hits.Inc()
+	}
+	return page, pin, loaded, err
+}
+
+// liveVisible reports whether the live content of the page is what a
+// snapshot at snapTS reads. The caller holds the stripe mutex.
+func (s *stripe) liveVisible(id sas.PageID, snapTS uint64) bool {
+	return s.dirtyBy[id] == 0 && s.pageTS[id] <= snapTS
+}
+
+// versionAt returns the newest chain entry of the page not newer than
+// snapTS, or the zero page when the page did not exist then. The caller
+// holds the stripe mutex.
+func (s *stripe) versionAt(id sas.PageID, snapTS uint64) []byte {
+	for _, v := range s.chains[id] {
+		if v.ts <= snapTS {
+			return v.data
+		}
+	}
+	return zeroPage
+}
+
+// Discard drops the page's frame if it is resident, unpinned and clean: a
+// reader passing over a whole document once hands back what it loaded,
+// so the pass leaves the pool as it found it.
+func (m *Manager) Discard(id sas.PageID) {
+	s := m.stripeFor(id.Page)
+	s.lock(m)
+	if f := s.frames[id]; f != nil && f.pin.Load() == 0 && !s.dirty[id] {
+		s.drop(m, f)
+		m.met.evictions.Inc()
+	}
+	s.mu.Unlock()
 }
 
 // Pin loads (if necessary) and pins the page. Unlike Deref it does not go
@@ -456,7 +571,7 @@ func (m *Manager) Pin(id sas.PageID) (*Frame, error) {
 	return m.withPinRetry(func() (*Frame, error) {
 		s.lock(m)
 		defer s.mu.Unlock()
-		f, err := s.load(m, id)
+		f, _, err := s.load(m, id)
 		if err != nil {
 			return nil, err
 		}
@@ -473,9 +588,11 @@ func (m *Manager) Unpin(f *Frame) {
 	}
 }
 
-// PinWrite prepares the page for modification by txn: on the first touch it
-// pushes the committed pre-image onto the version chain and registers the
-// page in the transaction's dirty set. The frame is returned pinned.
+// PinWrite prepares the page for modification by txn: on the first touch the
+// frame's committed bytes become the top of the version chain (the pre-image
+// for rollback and for snapshot readers, who may be reading them right now),
+// the frame gets a copy for the writer, and the page joins the transaction's
+// dirty set. The frame is returned pinned.
 func (m *Manager) PinWrite(id sas.PageID, txn uint64) (*Frame, error) {
 	if txn == 0 {
 		panic("buffer: PinWrite with zero txn id")
@@ -487,18 +604,18 @@ func (m *Manager) PinWrite(id sas.PageID, txn uint64) (*Frame, error) {
 		if owner := s.dirtyBy[id]; owner != 0 && owner != txn {
 			return nil, fmt.Errorf("%w: page %v owned by txn %d", ErrWriteConflict, id, owner)
 		}
-		f, err := s.load(m, id)
+		f, _, err := s.load(m, id)
 		if err != nil {
 			return nil, err
 		}
 		if s.dirtyBy[id] != txn {
-			pre := make([]byte, sas.PageSize)
-			copy(pre, f.data)
+			pre := f.data
+			f.data = make([]byte, sas.PageSize)
+			copy(f.data, pre)
 			s.chains[id] = append([]pageVersion{{ts: s.pageTS[id], data: pre}}, s.chains[id]...)
 			m.met.versionsMade.Inc()
 			m.met.versionsLive.Inc()
 			s.dirtyBy[id] = txn
-			s.purgeChain(m, id)
 		}
 		s.dirty[id] = true
 		f.pin.Add(1)
@@ -533,30 +650,30 @@ func (m *Manager) PinNew(id sas.PageID, txn uint64) (*Frame, error) {
 	return f, nil
 }
 
-// load returns the frame for id, reading it from disk if absent. The caller
-// holds the stripe write lock.
-func (s *stripe) load(m *Manager, id sas.PageID) (*Frame, error) {
+// load returns the frame for id and whether it had to read the page from
+// disk to get it. The caller holds the stripe write lock.
+func (s *stripe) load(m *Manager, id sas.PageID) (f *Frame, read bool, err error) {
 	if f := s.frames[id]; f != nil {
 		f.ref.Store(true)
 		m.notePrefetchTouch(f)
-		return f, nil
+		return f, false, nil
 	}
 	for len(s.frames) >= s.capacity {
 		if err := s.evictOne(m); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	f := &Frame{id: id, data: make([]byte, sas.PageSize)}
+	f = &Frame{id: id, data: make([]byte, sas.PageSize)}
 	f.clockIdx = len(s.clock)
 	s.clock = append(s.clock, f)
 	s.frames[id] = f
 	if err := m.pf.ReadPage(id, f.data); err != nil {
 		s.drop(m, f)
-		return nil, err
+		return nil, false, err
 	}
 	m.met.diskReads.Inc()
 	f.ref.Store(true)
-	return f, nil
+	return f, true, nil
 }
 
 // drop removes the frame from the stripe's clock ring, frame map and slot
@@ -640,19 +757,36 @@ func (s *stripe) flushFrame(m *Manager, f *Frame) error {
 	return nil
 }
 
-// CommitTxn makes txn's pages committed at commit timestamp cts.
+// CommitTxn makes txn's pages committed at commit timestamp cts and frees
+// every version of them that no active snapshot can read — with no reader
+// around, the pre-images the transaction itself pushed.
 func (m *Manager) CommitTxn(txn, cts uint64) {
 	m.txnMu.Lock()
 	pages := m.txnPages[txn]
 	delete(m.txnPages, txn)
 	m.txnMu.Unlock()
+	// One list serves every page: the transaction manager lets no snapshot
+	// begin while a commit stamps its pages, the next one reads at cts, and
+	// every version purged here ends before cts. A snapshot that ends while
+	// the loop runs is still in the list; what it alone could read is kept
+	// until the next read-only transaction ends (PurgeAllVersions).
+	snaps := m.snapshots()
 	for id := range pages {
 		s := m.stripeFor(id.Page)
 		s.lock(m)
 		delete(s.dirtyBy, id)
 		s.pageTS[id] = cts
+		s.purgeChain(m, id, snaps)
 		s.mu.Unlock()
 	}
+}
+
+// snapshots returns the timestamps of the active snapshots.
+func (m *Manager) snapshots() []uint64 {
+	if m.activeSnaps == nil {
+		return nil
+	}
+	return m.activeSnaps()
 }
 
 // RollbackTxn restores the pre-images of every page txn dirtied and discards
@@ -680,8 +814,10 @@ func (s *stripe) rollbackPage(m *Manager, id sas.PageID) error {
 	chain := s.chains[id]
 	if len(chain) > 0 && chain[0].ts == s.pageTS[id] {
 		// The chain top is the pre-image pushed by this transaction's
-		// first touch: copy it back and pop it.
-		f, err := s.load(m, id)
+		// first touch: copy it back into the writer's buffer and pop it.
+		// The entry itself is never made the live buffer again — readers
+		// may still hold it.
+		f, _, err := s.load(m, id)
 		if err != nil {
 			return err
 		}
@@ -695,8 +831,9 @@ func (s *stripe) rollbackPage(m *Manager, id sas.PageID) error {
 		m.met.versionsLive.Dec()
 		s.dirty[id] = true // disk may hold the discarded bytes
 	} else {
-		// Freshly allocated page (PinNew): no pre-image to restore. The
-		// content is unreachable garbage; zero it defensively.
+		// No pre-image on the chain. Every first touch pushes one (PinNew
+		// included), so this is a transaction that outlived DropVersions;
+		// there is nothing to restore and no snapshot left to read the page.
 		if f := s.frames[id]; f != nil {
 			for i := range f.data {
 				f.data[i] = 0
@@ -706,84 +843,6 @@ func (s *stripe) rollbackPage(m *Manager, id sas.PageID) error {
 	}
 	delete(s.dirtyBy, id)
 	return nil
-}
-
-// ReadSnapshot copies the content of the page as of snapshot timestamp
-// snapTS into buf. A page that did not exist at the snapshot reads as
-// zeros. It runs entirely under the stripe read lock, so snapshot readers
-// never block each other — the paper's "read-only transactions are never
-// blocked" (§6.3). Copying the live frame under the read lock is safe:
-// a writer first sets dirtyBy under the write lock (making the live
-// content invisible here) and the commit that clears dirtyBy again takes
-// the write lock after the writer's last mutation.
-func (m *Manager) ReadSnapshot(id sas.PageID, snapTS uint64, buf []byte) error {
-	_, err := m.readSnapshot(id, snapTS, buf, false)
-	return err
-}
-
-// ReadSnapshotInstall is ReadSnapshot for scans running with chain readahead
-// enabled. A miss on the live-visible path reads a sequential window of up
-// to `window` file-adjacent pages in one batched pread: the demanded page is
-// returned and installed as a regular unpinned frame, and the over-read
-// pages are installed as prefetched frames (budget-capped, first eviction
-// victims). Scans proceed in rough allocation order, so the over-read pages
-// are overwhelmingly the scan's next reads — this is the read-around that
-// pays even single-threaded, by replacing per-page preads with one
-// sequential pread per window. Plain snapshot reads leave no residency
-// footprint; the installs also give the async chain workers a frontier to
-// peek past instead of restarting windows at the scan's position.
-func (m *Manager) ReadSnapshotInstall(id sas.PageID, snapTS uint64, buf []byte, window int) error {
-	coldLive, err := m.readSnapshot(id, snapTS, buf, true)
-	if err != nil || !coldLive {
-		return err
-	}
-	if window < 1 {
-		window = 1
-	}
-	if window > prefetchBatchMax {
-		window = prefetchBatchMax
-	}
-	g0 := id.GlobalIndex()
-	ids := make([]sas.PageID, window)
-	bufs := make([][]byte, window)
-	for i := range ids {
-		ids[i] = sas.PageIDFromGlobal(g0 + uint64(i))
-		bufs[i] = make([]byte, sas.PageSize)
-	}
-	elig, ts0 := m.prefetchEligibility(ids[1:])
-	gen := m.pref.gen.Load()
-	if err := m.pf.ReadPages(ids, bufs); err != nil {
-		return err
-	}
-	m.met.diskReads.Inc()
-	// Re-validate the demanded bytes: the pread ran without the stripe lock,
-	// so any writer activity since the miss (PinWrite sets dirtyBy, a commit
-	// bumps pageTS, a competing install makes it resident) sends us back
-	// through the locked path instead of trusting a possibly stale read.
-	if !m.snapColdStillValid(id, snapTS) {
-		_, err := m.readSnapshot(id, snapTS, buf, false)
-		return err
-	}
-	copy(buf, bufs[0])
-	m.installSnapshotRead(id, snapTS, bufs[0])
-	for i := 1; i < window; i++ {
-		if !elig[i-1] {
-			continue
-		}
-		if m.installPrefetched(ids[i], bufs[i], gen, ts0[i-1]) {
-			m.met.prefetchIssued.Inc()
-		}
-	}
-	return nil
-}
-
-// snapColdStillValid re-checks, under the stripe read lock, that the
-// live-visible cold-miss conditions for a snapshot read still hold.
-func (m *Manager) snapColdStillValid(id sas.PageID, snapTS uint64) bool {
-	s := m.stripeFor(id.Page)
-	s.rlock(m)
-	defer s.mu.RUnlock()
-	return s.frames[id] == nil && s.dirtyBy[id] == 0 && s.pageTS[id] <= snapTS
 }
 
 // prefetchEligibility captures, per page, whether a disk read made now may
@@ -805,108 +864,23 @@ func (m *Manager) prefetchEligibility(ids []sas.PageID) ([]bool, []uint64) {
 	return elig, ts0
 }
 
-// readSnapshot implements ReadSnapshot; coldLive reports the live-visible
-// cold-miss case. With deferDisk the disk read is left to the caller (buf is
-// untouched when coldLive is true); otherwise it happens here, under the
-// stripe read lock so it cannot race a flush of the same page.
-func (m *Manager) readSnapshot(id sas.PageID, snapTS uint64, buf []byte, deferDisk bool) (coldLive bool, err error) {
-	if len(buf) != sas.PageSize {
-		return false, fmt.Errorf("buffer: ReadSnapshot buffer is %d bytes", len(buf))
-	}
-	s := m.stripeFor(id.Page)
-	s.rlock(m)
-	defer s.mu.RUnlock()
-	m.met.snapshotReads.Inc()
-	if s.dirtyBy[id] == 0 && s.pageTS[id] <= snapTS {
-		// The live content is visible.
-		if f := s.frames[id]; f != nil {
-			f.ref.Store(true)
-			m.notePrefetchTouch(f)
-			copy(buf, f.data)
-			return false, nil
-		}
-		if deferDisk {
-			return true, nil
-		}
-		if err := m.pf.ReadPage(id, buf); err != nil {
-			return false, err
-		}
-		m.met.diskReads.Inc()
-		return true, nil
-	}
-	for _, v := range s.chains[id] {
-		if v.ts <= snapTS {
-			copy(buf, v.data)
-			return false, nil
-		}
-	}
-	// No version old enough: the page did not exist at the snapshot.
-	for i := range buf {
-		buf[i] = 0
-	}
-	return false, nil
-}
-
-// installSnapshotRead publishes bytes a snapshot scan just read from disk as
-// a regular unpinned frame, taking ownership of data. Correctness of the
-// install is re-established under the write lock: dirtyBy == 0 and pageTS
-// <= snapTS there mean no commit has touched the page since the snapshot
-// began (any later commit timestamp is necessarily above snapTS), so data
-// still equals the live content. Room is made with the clean-only sweep —
-// like a prefetch install, a snapshot read never flushes a dirty frame to
-// get a slot.
-func (m *Manager) installSnapshotRead(id sas.PageID, snapTS uint64, data []byte) {
-	s := m.stripeFor(id.Page)
-	s.lock(m)
-	defer s.mu.Unlock()
-	if s.frames[id] != nil || s.dirtyBy[id] != 0 || s.pageTS[id] > snapTS {
-		return
-	}
-	for len(s.frames) >= s.capacity {
-		if !s.prefetchEvictOne(m) {
-			return
-		}
-	}
-	f := &Frame{id: id, data: data}
-	f.ref.Store(true)
-	f.clockIdx = len(s.clock)
-	s.clock = append(s.clock, f)
-	s.frames[id] = f
-	if e := &s.slots[int(id.Page)>>m.stripeShift]; e.frame == nil {
-		*e = slotEntry{layer: id.Layer, frame: f}
-	}
-}
-
-// purgeChain drops versions of the page that no active snapshot can read.
-// A version with timestamp v.ts is the visible one for snapshot s iff
-// v.ts <= s and s is below the timestamp of the next newer content. The
-// caller holds the stripe write lock.
-func (s *stripe) purgeChain(m *Manager, id sas.PageID) {
+// purgeChain drops the versions of a committed page that none of the
+// snapshots in snaps can read. A version with timestamp v.ts is the visible
+// one for snapshot sn iff v.ts <= sn and sn is below the timestamp of the
+// next newer content. The caller holds the stripe write lock.
+func (s *stripe) purgeChain(m *Manager, id sas.PageID, snaps []uint64) {
 	chain := s.chains[id]
 	if len(chain) == 0 {
 		return
 	}
-	var snaps []uint64
-	if m.activeSnaps != nil {
-		snaps = m.activeSnaps()
-	}
 	nextTS := s.pageTS[id] // timestamp of the next newer content (live)
-	dirty := s.dirtyBy[id] != 0
 	kept := chain[:0]
-	for i, v := range chain {
+	for _, v := range chain {
 		needed := false
-		if dirty && i == 0 {
-			// The live content is uncommitted and invisible: the chain top
-			// is the visible version for every snapshot at or above its
-			// timestamp, and it is also the rollback pre-image. Always keep
-			// it.
-			needed = true
-		} else {
-			for _, sn := range snaps {
-				if v.ts <= sn && sn < nextTS {
-					needed = true
-					break
-				}
+		for _, sn := range snaps {
+			if v.ts <= sn && sn < nextTS {
+				needed = true
+				break
 			}
 		}
 		if needed {
@@ -925,18 +899,29 @@ func (s *stripe) purgeChain(m *Manager, id sas.PageID) {
 }
 
 // PurgeAllVersions runs the purge rule over every chain; the transaction
-// manager calls it when snapshots advance. Stripes are processed one at a
-// time, so concurrent readers on other stripes are unaffected.
+// manager calls it when a snapshot ends. With no version alive — the common
+// case, since commit frees what nobody can read — it takes no lock at all.
+// Stripes are processed one at a time, so concurrent readers on other
+// stripes are unaffected.
 func (m *Manager) PurgeAllVersions() {
+	if m.met.versionsLive.Value() == 0 {
+		return
+	}
 	for _, s := range m.stripes {
 		s.lock(m)
-		for id := range s.chains {
-			if s.dirtyBy[id] != 0 {
-				// The chain top is an uncommitted pre-image; leave the chain
-				// to rollback/commit handling.
-				continue
+		if len(s.chains) > 0 {
+			// Fetched under the stripe lock: a snapshot that begins after
+			// this reads every committed page of the stripe live, one that
+			// began before is in the list. A list fetched earlier would miss
+			// a reader whose version a commit has pushed since.
+			snaps := m.snapshots()
+			for id := range s.chains {
+				// An uncommitted pre-image on top: the owner's commit or
+				// rollback deals with the chain.
+				if s.dirtyBy[id] == 0 {
+					s.purgeChain(m, id, snaps)
+				}
 			}
-			s.purgeChain(m, id)
 		}
 		s.mu.Unlock()
 	}
@@ -969,7 +954,7 @@ func (m *Manager) FlushCommitted() error {
 			}
 		}
 		for _, id := range ids {
-			f, err := s.load(m, id)
+			f, _, err := s.load(m, id)
 			if err != nil {
 				s.mu.Unlock()
 				return err
@@ -1030,6 +1015,17 @@ func (m *Manager) InvalidateAll() {
 	m.txnMu.Unlock()
 	m.met.versionsLive.Set(0)
 	m.pref.resident.Store(0)
+}
+
+// FrameCount returns the number of pages resident in the pool.
+func (m *Manager) FrameCount() int {
+	n := 0
+	for _, s := range m.stripes {
+		s.rlock(m)
+		n += len(s.frames)
+		s.mu.RUnlock()
+	}
+	return n
 }
 
 // DirtyCount returns the number of pages whose live content differs from

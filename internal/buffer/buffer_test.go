@@ -25,6 +25,20 @@ func newTestManager(t *testing.T, capacity int) (*Manager, *pagefile.File, *page
 	return m, pf, snap
 }
 
+// snapByte returns the first byte of the page as a snapshot at ts views it.
+func snapByte(t *testing.T, m *Manager, id sas.PageID, ts uint64) byte {
+	t.Helper()
+	page, pin, _, err := m.ViewSnapshot(id, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := page[0]
+	if pin != nil {
+		m.Unpin(pin)
+	}
+	return b
+}
+
 func TestDerefFastPathAfterFault(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
 	id := pf.Alloc()
@@ -156,6 +170,9 @@ func TestWriteConflictDetected(t *testing.T) {
 
 func TestSnapshotReadSeesOldVersion(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
+	// The snapshot the test reads at is an active one: commit frees what no
+	// active snapshot can read.
+	m.SetActiveSnapshots(func() []uint64 { return []uint64{10} })
 	id := pf.Alloc()
 
 	// Txn 1 commits version A at ts 10.
@@ -175,27 +192,20 @@ func TestSnapshotReadSeesOldVersion(t *testing.T) {
 	f.Data()[0] = 'B'
 	m.Unpin(f)
 
-	buf := make([]byte, sas.PageSize)
-	if err := m.ReadSnapshot(id, 10, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 'A' {
-		t.Fatalf("snapshot at 10 sees %q, want A (uncommitted B invisible)", buf[0])
+	if b := snapByte(t, m, id, 10); b != 'A' {
+		t.Fatalf("snapshot at 10 sees %q, want A (uncommitted B invisible)", b)
 	}
 
 	// After commit at 20, snapshot 10 still sees A, snapshot 20 sees B.
 	m.CommitTxn(2, 20)
-	if err := m.ReadSnapshot(id, 10, buf); err != nil {
-		t.Fatal(err)
+	if b := snapByte(t, m, id, 10); b != 'A' {
+		t.Fatalf("snapshot at 10 sees %q after commit, want A", b)
 	}
-	if buf[0] != 'A' {
-		t.Fatalf("snapshot at 10 sees %q after commit, want A", buf[0])
+	if b := snapByte(t, m, id, 20); b != 'B' {
+		t.Fatalf("snapshot at 20 sees %q, want B", b)
 	}
-	if err := m.ReadSnapshot(id, 20, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 'B' {
-		t.Fatalf("snapshot at 20 sees %q, want B", buf[0])
+	if n := m.VersionCount(); n != 1 {
+		t.Fatalf("%d versions kept for one snapshot of one page", n)
 	}
 }
 
@@ -210,16 +220,11 @@ func TestSnapshotReadOfNonexistentPageIsZero(t *testing.T) {
 	m.Unpin(f)
 	m.CommitTxn(1, 50)
 
-	// A snapshot older than the page's first commit sees zeros.
-	buf := make([]byte, sas.PageSize)
-	buf[0] = 0xFF
-	if err := m.ReadSnapshot(id, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	// pageTS is 50 > 1 and the only chain version has ts 0 (pre-image of
-	// the unallocated page), which IS <= 1, so it reads as zeros.
-	if buf[0] != 0 {
-		t.Fatalf("pre-creation snapshot sees %#x, want zero page", buf[0])
+	// A snapshot older than the page's first commit sees zeros: pageTS is
+	// 50 > 1, and the pre-image of the unallocated page (ts 0) was zeros too
+	// while the chain still held it.
+	if b := snapByte(t, m, id, 1); b != 0 {
+		t.Fatalf("pre-creation snapshot sees %#x, want zero page", b)
 	}
 }
 
@@ -318,15 +323,14 @@ func TestVersionPurge(t *testing.T) {
 	write(1, 10, 'A')
 	write(2, 20, 'B')
 	write(3, 30, 'C')
-	m.PurgeAllVersions()
-	// Snapshot 10 pins the content as of ts 10 ('A'); newer pre-images are
-	// purgeable once superseded.
-	buf := make([]byte, sas.PageSize)
-	if err := m.ReadSnapshot(id, 10, buf); err != nil {
-		t.Fatal(err)
+	// Snapshot 10 pins the content as of ts 10 ('A'); the newer pre-image
+	// ('B') and the older one (zeros) died at the commits that superseded
+	// them.
+	if n := m.VersionCount(); n != 1 {
+		t.Fatalf("versions after three commits = %d, want 1", n)
 	}
-	if buf[0] != 'A' {
-		t.Fatalf("snapshot 10 sees %q", buf[0])
+	if b := snapByte(t, m, id, 10); b != 'A' {
+		t.Fatalf("snapshot 10 sees %q", b)
 	}
 
 	// Release the snapshot: everything purges.
@@ -363,12 +367,8 @@ func TestPinNewZeroesRecycledPage(t *testing.T) {
 	m.Unpin(f)
 
 	// An old snapshot must still see the pre-recycling content.
-	buf := make([]byte, sas.PageSize)
-	if err := m.ReadSnapshot(id, 10, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 'Z' {
-		t.Fatalf("snapshot sees %q, want Z", buf[0])
+	if b := snapByte(t, m, id, 10); b != 'Z' {
+		t.Fatalf("snapshot sees %q, want Z", b)
 	}
 }
 

@@ -92,7 +92,7 @@ func (p *prefetcher) forget(id sas.PageID) {
 
 // notePrefetchTouch records a real access to a frame: if the frame was
 // installed by the prefetcher and not yet used, this is the prefetch paying
-// off. Lock-free; called from the Deref/Pin/load/ReadSnapshot hot paths.
+// off. Lock-free; called from the Deref/Pin/load/ViewSnapshot hot paths.
 func (m *Manager) notePrefetchTouch(f *Frame) {
 	if f.prefetched.CompareAndSwap(true, false) {
 		m.met.prefetchHits.Inc()
@@ -343,7 +343,7 @@ func (m *Manager) prefetchChainWindow(r prefetchReq) (sas.PageID, int, bool) {
 // chainPeekResident reports whether r.id is already resident, and if the
 // hint wants to go deeper, decodes the successor from a copy of the frame.
 // The copy is taken under the stripe read lock with dirtyBy == 0, the same
-// visibility argument as ReadSnapshot: any past writer's mutations
+// visibility argument as ViewSnapshot: any past writer's mutations
 // happened-before the commit that cleared dirtyBy. A page under active
 // update is not followed — its chain is unstable.
 func (m *Manager) chainPeekResident(r prefetchReq, scratch []byte) (resident bool, nid sas.PageID, follow bool) {

@@ -318,79 +318,106 @@ type errZero sas.PageID
 
 func (e errZero) Error() string { return "scanned page read as zeros" }
 
-// TestReadSnapshotInstallWindow covers the scan-side sequential read-around:
-// a cold snapshot miss with a window reads the demanded page plus its
-// file-adjacent successors in one batched pread, installs the extras as
-// prefetched frames, and the scan's subsequent reads over them are served
-// resident — no further disk reads — and counted as prefetch hits. A plain
-// ReadSnapshot (the depth-0 path) must leave no residency footprint at all.
-func TestReadSnapshotInstallWindow(t *testing.T) {
+// TestViewSnapshotLoadsThroughThePool covers the cold half of the one
+// snapshot read path: a miss loads the page into the pool like any other
+// fault (one fault, one disk read) and maps its slot, the next view of it and
+// an updater's dereference are hits with no disk read, and frames the
+// readahead workers installed serve snapshot views resident — not reported as
+// loaded by the viewer — and are counted as prefetch hits.
+func TestViewSnapshotLoadsThroughThePool(t *testing.T) {
 	m, pf, _ := newTestManager(t, 256)
 	ids := writeChain(t, pf, 8)
-	buf := make([]byte, sas.PageSize)
-
-	// Depth-0 path first: footprint-free.
-	if err := m.ReadSnapshot(ids[0], 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if m.PrefetchResident() != 0 || m.met.prefetchIssued.Value() != 0 {
-		t.Fatalf("plain ReadSnapshot left a footprint: resident=%d issued=%d",
-			m.PrefetchResident(), m.met.prefetchIssued.Value())
-	}
-
-	if err := m.ReadSnapshotInstall(ids[0], 1, buf, len(ids)); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 1 {
-		t.Fatalf("demanded page payload = %#x, want 1", buf[0])
-	}
-	if got := int(m.met.prefetchIssued.Value()); got != len(ids)-1 {
-		t.Fatalf("prefetch_issued = %d, want %d extras", got, len(ids)-1)
-	}
-	reads := m.met.diskReads.Value()
-	for i, id := range ids[1:] {
-		if err := m.ReadSnapshot(id, 1, buf); err != nil {
+	view := func(i int) (loaded bool) {
+		t.Helper()
+		page, pin, loaded, err := m.ViewSnapshot(ids[i], 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if buf[0] != byte(i+2) {
-			t.Fatalf("page %d payload = %#x", i+1, buf[0])
+		if pin == nil || pin.ID() != ids[i] {
+			t.Fatalf("page %d: live-visible view came back without its frame", i)
+		}
+		if page[0] != byte(i+1) || page[sas.PageSize-1] != byte(i+1) {
+			t.Fatalf("page %d payload = %#x", i, page[0])
+		}
+		m.Unpin(pin)
+		return loaded
+	}
+
+	if !view(0) {
+		t.Fatal("cold view did not report a load")
+	}
+	if view(0) {
+		t.Fatal("warm view reported a load")
+	}
+	f, err := m.Deref(ids[0].Ptr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Unpin(f)
+	if st := m.Stats(); st.Faults != 1 || st.DiskReads != 1 || st.Hits != 2 || st.SnapshotReads != 0 {
+		t.Fatalf("one cold view, one warm view and one dereference counted as %+v", st)
+	}
+
+	m.PrefetchChain(ids[1], len(ids)-1, chainDecode)
+	waitFor(t, "chain resident", func() bool { return m.PrefetchResident() >= len(ids)-1 })
+	reads := m.met.diskReads.Value()
+	for i := 1; i < len(ids); i++ {
+		if view(i) {
+			t.Fatalf("page %d: view of a prefetched frame reported a load", i)
 		}
 	}
 	if got := m.met.diskReads.Value(); got != reads {
-		t.Fatalf("scan over installed window did %d disk reads, want 0", got-reads)
+		t.Fatalf("views over prefetched frames did %d disk reads, want 0", got-reads)
 	}
 	if got := int(m.met.prefetchHits.Value()); got != len(ids)-1 {
 		t.Fatalf("prefetch_hits = %d, want %d", got, len(ids)-1)
 	}
 }
 
-// TestReadSnapshotInstallRefusesStaleExtras pins the install-safety predicate:
-// an adjacent page that a transaction commits between the eligibility capture
-// and the install must not be published from the read-around bytes. Here the
-// adjacent page is already dirty (uncommitted) at read time, so it is
-// ineligible from the start and the window must skip it.
-func TestReadSnapshotInstallRefusesStaleExtras(t *testing.T) {
+// TestViewSnapshotBesideUncommittedWriter: a page under an uncommitted writer
+// is served from its version chain — the committed bytes, no pin, counted as
+// a snapshot read — whether or not the snapshot reader had the frame first,
+// and neither side's bytes reach the other.
+func TestViewSnapshotBesideUncommittedWriter(t *testing.T) {
 	m, pf, _ := newTestManager(t, 256)
 	ids := writeChain(t, pf, 2)
 
-	// Make ids[1] dirty under an uncommitted writer.
+	// The reader views the committed frame, then the writer arrives.
+	held, pin, _, err := m.ViewSnapshot(ids[1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := m.PinWrite(ids[1], 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Data()[0] = 0xEE
 	m.Unpin(f)
-	buf := make([]byte, sas.PageSize)
-	if err := m.ReadSnapshotInstall(ids[0], 1, buf, 2); err != nil {
+	if held[0] != 2 {
+		t.Fatalf("held view reads %#x after the writer's first touch, want 2", held[0])
+	}
+	m.Unpin(pin)
+
+	page, pin, loaded, err := m.ViewSnapshot(ids[1], 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The dirty page keeps its in-pool content; nothing was installed over it.
+	if pin != nil || loaded || page[0] != 2 {
+		t.Fatalf("view beside the writer: pin=%v loaded=%v byte=%#x, want the unpinned pre-image", pin, loaded, page[0])
+	}
+	if got := m.Stats().SnapshotReads; got != 1 {
+		t.Fatalf("snapshot_reads = %d, want 1", got)
+	}
+	// The neighbour is untouched by any of it.
+	if b := snapByte(t, m, ids[0], 1); b != 1 {
+		t.Fatalf("neighbour reads %#x", b)
+	}
 	g, err := m.Deref(ids[1].Ptr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Unpin(g)
 	if g.Data()[0] != 0xEE {
-		t.Fatalf("dirty page content = %#x, want 0xEE (read-around must not overwrite)", g.Data()[0])
+		t.Fatalf("writer's page content = %#x, want 0xEE", g.Data()[0])
 	}
 }

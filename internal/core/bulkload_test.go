@@ -114,15 +114,7 @@ func runQuery(t *testing.T, db *core.Database, src string) string {
 		t.Fatal(err)
 	}
 	defer tx.Rollback()
-	res, err := query.Execute(query.NewExecCtx(tx), src)
-	if err != nil {
-		t.Fatalf("query %s: %v", src, err)
-	}
-	s, err := res.String()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return queryIn(t, tx, src)
 }
 
 // TestBulkLoadEquivalence is the property test: every corpus document loaded

@@ -268,9 +268,8 @@ func (db *Database) QueryWorkers() int {
 }
 
 // SetPrefetchDepth sets the default chain-readahead depth at runtime: how
-// many pages ahead of a block-list scan the buffer manager may load —
-// synchronously via sequential read-around on cold snapshot misses, and
-// asynchronously by following nextBlock chains. n ≤ 0 disables readahead
+// many pages ahead of a block-list scan the buffer manager's workers may
+// load by following nextBlock chains. n ≤ 0 disables readahead
 // (scans behave exactly as without the prefetcher). New transactions start
 // at this depth; an execution context's explicit PrefetchDepth overrides it
 // per statement.
@@ -560,12 +559,14 @@ func (t *Tx) DropDocument(name string) error {
 // the residency advisor promotes it without the global resident switch.
 const residentHotAccesses = 32
 
-// residentBuildPages is the page-copy budget of one resident build (4 MiB).
+// scanRingPages is how many of the pages it loads a whole-document pass (the
+// resident build, the open-time recount) keeps in the buffer pool at a time
+// (4 MiB); it leaves none behind.
 // The build walks every schema node's block list forwards, so it revisits
 // about one block per schema node plus the text and indirection blocks under
-// its hand; the budget covers documents with a couple of hundred schema
-// nodes, and beyond it a page is simply copied from the buffer pool again.
-const residentBuildPages = 256
+// its hand; the ring covers documents with a couple of hundred schema nodes,
+// and beyond it a page is simply read again.
+const scanRingPages = 256
 
 // advisorHot reports whether the residency advisor wants doc resident even
 // with the global switch off: the document has fresh ANALYZE statistics (so
@@ -606,10 +607,7 @@ func (t *Tx) ResidentFor(doc *storage.Doc) (rep *resident.Rep, deferred bool) {
 		return nil, false
 	}
 	return t.db.resCache.Acquire(doc.Name, vts, snap, func() (*resident.Rep, error) {
-		r, err := t.Tx.ScanReader(residentBuildPages)
-		if err != nil {
-			return nil, err
-		}
+		r := t.Tx.ScanReader(scanRingPages)
 		defer r.Close()
 		return resident.Build(r, doc, vts, snap)
 	})

@@ -232,6 +232,8 @@ func (rs *redoState) flush() error {
 func (db *Database) recountDoc(doc *storage.Doc) error {
 	tx := db.txm.BeginReadOnly()
 	defer tx.Rollback()
+	r := tx.ScanReader(scanRingPages)
+	defer r.Close()
 	var outer error
 	doc.Schema.Root.Walk(func(sn *schema.Node) {
 		if outer != nil {
@@ -242,7 +244,7 @@ func (db *Database) recountDoc(doc *storage.Doc) error {
 		for b := sn.FirstBlock; !b.IsNil(); {
 			var count int
 			var next sas.XPtr
-			err := tx.ReadPage(b, func(page []byte) error {
+			err := r.ReadPage(b, func(page []byte) error {
 				count, next = storage.BlockCountNext(page)
 				return nil
 			})

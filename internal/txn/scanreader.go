@@ -1,108 +1,54 @@
 package txn
 
 import (
-	"errors"
-
 	"sedna/internal/sas"
 	"sedna/internal/storage"
 )
 
-// ScanReader reads a read-only transaction's snapshot for one goroutine that
-// passes over a whole document once — the resident build. The transaction's
-// own page cache keeps a private copy of every page it ever resolved until
-// the transaction ends, which for such a pass is a second copy of the
-// document held for as long as the structure being built from it; a
-// ScanReader sees the same pages through a clock cache of a fixed number of
-// copies instead. A depth-first pass over block lists needs few: it advances
-// along every schema node's list monotonically, so its working set is about
-// one block per schema node.
+// ScanReader reads a transaction's pages for one goroutine that passes over a
+// whole document once — the resident build, the open-time recount. Through
+// the transaction itself such a pass parks the document in the buffer pool
+// and pushes out what statements are using. A ScanReader remembers the last
+// pages it read from disk and hands the oldest back as it goes, and the rest when
+// it is closed: a scan ring inside the pool. Pages that were resident before
+// the pass are left alone.
 //
-// Not safe for concurrent use. A page view stays valid until its
-// ReleasePage, as storage.Reader requires, and no longer.
+// Not safe for concurrent use.
 type ScanReader struct {
-	tx      *Tx
-	max     int
-	entries []*scanPage
-	byID    map[sas.PageID]*scanPage
-	hand    int
+	tx   *Tx
+	ring []sas.PageID // pages this reader loaded; the oldest is at next
+	next int
 }
 
-type scanPage struct {
-	id   sas.PageID
-	page *snapPage
-	pins int
-	ref  bool // touched since the clock hand last passed
-}
-
-// ScanReader returns a reader over the transaction's snapshot that keeps at
-// most maxPages page copies at a time (more only while that many are pinned).
-// Close it when the pass is done.
-func (tx *Tx) ScanReader(maxPages int) (*ScanReader, error) {
-	if !tx.readonly {
-		return nil, errors.New("txn: ScanReader needs a read-only transaction")
-	}
-	return &ScanReader{tx: tx, max: maxPages, byID: make(map[sas.PageID]*scanPage, maxPages)}, nil
+// ScanReader returns a reader over the transaction that keeps at most
+// ringPages of the pages it loads in the buffer pool, and none once closed.
+func (tx *Tx) ScanReader(ringPages int) *ScanReader {
+	return &ScanReader{tx: tx, ring: make([]sas.PageID, 0, ringPages)}
 }
 
 var _ storage.Reader = (*ScanReader)(nil)
 
 // ViewPage implements storage.Reader.
 func (s *ScanReader) ViewPage(p sas.XPtr) ([]byte, any, error) {
-	tx := s.tx
-	if tx.done {
-		return nil, nil, ErrDone
+	page, f, loaded, err := s.tx.view(p)
+	if f == nil {
+		return page, nil, err
 	}
-	if p.IsNil() {
-		return nil, nil, errors.New("txn: read of nil pointer")
-	}
-	tx.pagesTouched.Add(1)
-	id := sas.PageIDOf(p)
-	e := s.byID[id]
-	if e == nil {
-		e = s.victim()
-		if err := tx.resolveSnapshotPage(id, e.page); err != nil {
-			// The entry keeps its buffer but names no page.
-			e.id = sas.PageID{}
-			return nil, nil, err
-		}
-		e.id = id
-		s.byID[id] = e
-	}
-	e.pins++
-	e.ref = true
-	return e.page[:], e, nil
-}
-
-// victim returns an entry whose buffer may be overwritten: a new one while
-// the cache is below its size, otherwise the first unpinned entry the clock
-// hand finds that was not touched since its last pass.
-func (s *ScanReader) victim() *scanPage {
-	if len(s.entries) >= s.max {
-		for sweep := 0; sweep < 2*len(s.entries); sweep++ {
-			e := s.entries[s.hand]
-			s.hand = (s.hand + 1) % len(s.entries)
-			if e.pins > 0 {
-				continue
-			}
-			if e.ref {
-				e.ref = false
-				continue
-			}
-			delete(s.byID, e.id)
-			return e
+	if loaded {
+		if id := sas.PageIDOf(p); len(s.ring) < cap(s.ring) {
+			s.ring = append(s.ring, id)
+		} else {
+			// A page still pinned by this pass stays; it is one of few.
+			s.tx.m.buf.Discard(s.ring[s.next])
+			s.ring[s.next] = id
+			s.next = (s.next + 1) % len(s.ring)
 		}
 	}
-	e := &scanPage{page: snapPages.Get().(*snapPage)}
-	s.entries = append(s.entries, e)
-	return e
+	return page, f, nil
 }
 
 // ReleasePage implements storage.Reader.
-func (s *ScanReader) ReleasePage(pin any) {
-	if e, ok := pin.(*scanPage); ok {
-		e.pins--
-	}
-}
+func (s *ScanReader) ReleasePage(pin any) { s.tx.ReleasePage(pin) }
 
 // ReadPage implements storage.Reader.
 func (s *ScanReader) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
@@ -117,11 +63,10 @@ func (s *ScanReader) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
 // PrefetchFrom implements storage.Prefetcher through the transaction.
 func (s *ScanReader) PrefetchFrom(block sas.XPtr) { s.tx.PrefetchFrom(block) }
 
-// Close hands the page copies back for reuse; the reader must not be used
-// afterwards.
+// Close hands the pages still in the ring back to the pool.
 func (s *ScanReader) Close() {
-	for _, e := range s.entries {
-		snapPages.Put(e.page)
+	for _, id := range s.ring {
+		s.tx.m.buf.Discard(id)
 	}
-	s.entries, s.byID = nil, nil
+	s.ring = s.ring[:0]
 }

@@ -36,21 +36,34 @@ var ErrDone = errors.New("txn: transaction already finished")
 
 // Manager coordinates transactions, snapshots and commit timestamps.
 type Manager struct {
+	// mu guards nextTxn and commitTS. A commit holds it while it stamps its
+	// pages and advances commitTS, so a snapshot begins before all of a
+	// commit or after all of it.
 	mu sync.Mutex
+
+	// commitMu is held by one commit from taking its timestamp to stamping
+	// its pages: timestamps become visible in order, and a snapshot at ts
+	// sees every commit up to ts. Readers never take it — the commit-forcing
+	// fsync sits under it, not under mu.
+	commitMu sync.Mutex
 
 	buf   *buffer.Manager
 	log   *wal.Log
 	pf    *pagefile.File
 	locks *lock.Manager
 
-	nextTxn  uint64
+	nextTxn uint64
+	// commitTS is the timestamp of the latest commit whose pages are
+	// stamped: what a new snapshot reads at.
 	commitTS uint64
 
 	// snapshots maps snapshot timestamp → reference count of read-only
 	// transactions using it. The newest snapshot is advanced lazily: each
 	// BeginReadOnly takes a snapshot of the latest committed state if
 	// commits happened since the last one (§6.3 "snapshots are periodically
-	// advanced").
+	// advanced"). snapMu guards it; the buffer manager asks for the list
+	// from inside a commit's stamping (under mu) and under its stripe locks.
+	snapMu    sync.Mutex
 	snapshots map[uint64]int
 
 	// LockTimeout bounds lock waits; 0 disables. Deadlocks are detected
@@ -58,8 +71,8 @@ type Manager struct {
 	LockTimeout time.Duration
 
 	// defaultPrefetchDepth seeds every new transaction's chain-readahead
-	// depth, so scans that never pass through the query executor — the
-	// open-time block-chain recount above all — still get readahead.
+	// depth, so block-list scans that never pass through the query executor
+	// (the resident build, index builds) still get readahead.
 	defaultPrefetchDepth atomic.Int64
 
 	met txnMetrics
@@ -127,8 +140,8 @@ func (m *Manager) CommitTS() uint64 {
 }
 
 func (m *Manager) activeSnapshots() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
 	out := make([]uint64, 0, len(m.snapshots))
 	for ts := range m.snapshots {
 		out = append(out, ts)
@@ -138,8 +151,8 @@ func (m *Manager) activeSnapshots() []uint64 {
 
 // SnapshotCount returns the number of distinct active snapshots.
 func (m *Manager) SnapshotCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
 	return len(m.snapshots)
 }
 
@@ -149,6 +162,8 @@ func (m *Manager) SnapshotCount() int {
 func (m *Manager) MinActiveSnapshot() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
 	min := m.commitTS
 	for ts := range m.snapshots {
 		if ts < min {
@@ -169,15 +184,8 @@ type Tx struct {
 	readonly bool
 	done     bool
 
-	// Snapshot state (read-only transactions). The cache keeps resolved
-	// page copies for the lifetime of the transaction; it is a sync.Map
-	// because the intra-query parallel executor reads one snapshot
-	// transaction from several worker goroutines. The map is read-mostly
-	// (a page resolves once, then serves every node on it), which is the
-	// sync.Map sweet spot; a racing duplicate resolve is benign — both
-	// copies hold identical snapshot content.
+	// snapTS is the snapshot a read-only transaction reads at.
 	snapTS uint64
-	cache  sync.Map // sas.PageID → *snapPage
 
 	// Updater state.
 	undo   []func()
@@ -272,12 +280,14 @@ func (m *Manager) BeginReadOnly() *Tx {
 	m.nextTxn++
 	m.met.beginsRO.Inc()
 	ts := m.commitTS
+	m.snapMu.Lock()
 	if m.snapshots[ts] == 0 {
 		// First reader at this timestamp: the system's snapshot advanced.
 		m.met.snapAdvances.Inc()
 	}
 	m.snapshots[ts]++
 	m.met.activeSnaps.Set(int64(len(m.snapshots)))
+	m.snapMu.Unlock()
 	tx := &Tx{m: m, id: m.nextTxn, readonly: true, snapTS: ts}
 	tx.prefetchDepth.Store(m.defaultPrefetchDepth.Load())
 	return tx
@@ -321,93 +331,44 @@ func (tx *Tx) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
 	return fn(page)
 }
 
-// snapPage is one resolved snapshot page in a read-only transaction's cache.
-// Stored by pointer so that neither the cache nor the pool boxes a slice.
-type snapPage [sas.PageSize]byte
-
-// snapPages recycles the page copies of finished read-only transactions:
-// every auto-commit statement resolves tens of pages, and allocating (and
-// zeroing) 16 KiB for each was a fifth of all bytes allocated. A recycled
-// buffer needs no clearing — every snapshot read overwrites the whole page.
-var snapPages = sync.Pool{New: func() any { return new(snapPage) }}
-
-// ViewPage implements storage.Reader for both transaction kinds. A snapshot
-// page stays valid until the transaction ends (pin nil); a live page is a
-// pinned buffer frame.
+// ViewPage implements storage.Reader for both transaction kinds: the page
+// bytes and the pin that keeps them in the pool, to be handed to ReleasePage.
+// A snapshot view served from a version chain needs no pin.
 func (tx *Tx) ViewPage(p sas.XPtr) ([]byte, any, error) {
+	page, f, _, err := tx.view(p)
+	if f == nil {
+		return page, nil, err
+	}
+	return page, f, nil
+}
+
+// view resolves p through the buffer pool: a snapshot view for a read-only
+// transaction, a layer-mapped dereference of the live page for an updater.
+// loaded reports that the page was read from disk for this view.
+func (tx *Tx) view(p sas.XPtr) (page []byte, f *buffer.Frame, loaded bool, err error) {
 	if tx.done {
-		return nil, nil, ErrDone
+		return nil, nil, false, ErrDone
 	}
 	if p.IsNil() {
-		return nil, nil, errors.New("txn: read of nil pointer")
+		return nil, nil, false, errors.New("txn: read of nil pointer")
 	}
 	tx.pagesTouched.Add(1)
 	if tx.readonly {
-		id := sas.PageIDOf(p)
-		if v, ok := tx.cache.Load(id); ok {
-			return v.(*snapPage)[:], nil, nil
-		}
-		page := snapPages.Get().(*snapPage)
-		if err := tx.resolveSnapshotPage(id, page); err != nil {
-			snapPages.Put(page)
-			return nil, nil, err
-		}
-		if v, loaded := tx.cache.LoadOrStore(id, page); loaded {
-			// A parallel worker resolved the page first; both copies hold
-			// the same snapshot content.
-			snapPages.Put(page)
-			page = v.(*snapPage)
-		}
-		return page[:], nil, nil
+		page, f, loaded, err = tx.m.buf.ViewSnapshot(sas.PageIDOf(p), tx.snapTS)
+	} else {
+		page, f, loaded, err = tx.m.buf.DerefTrack(p)
 	}
-	f, faulted, err := tx.m.buf.DerefTrack(p)
-	if faulted {
+	if loaded {
 		tx.span.AddInt("faults", 1)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.Data(), f, nil
+	return page, f, loaded, err
 }
 
-// resolveSnapshotPage fills page with the content of id as of the
-// transaction's snapshot.
-func (tx *Tx) resolveSnapshotPage(id sas.PageID, page *snapPage) error {
-	tx.span.AddInt("snapshot_reads", 1)
-	if d := tx.prefetchDepth.Load(); d > 0 {
-		// With readahead on, a cold miss reads a sequential window of up
-		// to depth adjacent pages in one pread and leaves a residency
-		// footprint (depth 0 keeps the footprint-free single-pread path,
-		// byte-identical to the engine without readahead).
-		return tx.m.buf.ReadSnapshotInstall(id, tx.snapTS, page[:], int(d))
-	}
-	return tx.m.buf.ReadSnapshot(id, tx.snapTS, page[:])
-}
-
-// ReleasePage implements storage.Reader: it unpins a live page's frame.
+// ReleasePage implements storage.Reader: it unpins a viewed frame.
 func (tx *Tx) ReleasePage(pin any) {
 	if f, ok := pin.(*buffer.Frame); ok {
 		tx.m.buf.Unpin(f)
 	}
-}
-
-// maxRecycledPages bounds what one finished transaction hands to the pool
-// (1 MiB): a statement's working set is tens of pages, while an ANALYZE or a
-// scan of a whole document reads megabytes once, and pooling those would keep
-// them alive for pages nobody is about to ask for.
-const maxRecycledPages = 64
-
-// recycleSnapshotPages hands a finished read-only transaction's page copies
-// back to the pool. The transaction is done, so no read reaches the cache
-// again (ViewPage fails first), and storage.Reader's contract forbids holding
-// a page slice past the read that produced it.
-func (tx *Tx) recycleSnapshotPages() {
-	n := 0
-	tx.cache.Range(func(_, v any) bool {
-		snapPages.Put(v)
-		n++
-		return n < maxRecycledPages
-	})
 }
 
 // SetPrefetchDepth sets the chain-readahead depth for scans on this
@@ -425,8 +386,7 @@ func (tx *Tx) PrefetchHints() uint64 { return tx.prefetchHints.Load() }
 // it when a scan crosses a block boundary, and the buffer manager's workers
 // follow the nextBlock chain up to the configured depth. Fire-and-forget —
 // never blocks, never errors. Prefetched frames serve updaters through
-// Deref and snapshot readers through ReadSnapshot's resident-frame path
-// alike.
+// Deref and snapshot readers through ViewSnapshot alike.
 func (tx *Tx) PrefetchFrom(block sas.XPtr) {
 	d := int(tx.prefetchDepth.Load())
 	if d <= 0 || tx.done {
@@ -566,23 +526,33 @@ func (tx *Tx) Commit() error {
 	m := tx.m
 	if tx.readonly {
 		m.releaseSnapshot(tx.snapTS)
-		tx.recycleSnapshotPages()
 		return nil
 	}
-	m.mu.Lock()
-	m.commitTS++
-	cts := m.commitTS
-	m.mu.Unlock()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	cts := m.CommitTS() + 1
 	tx.cts = cts
-	if _, err := m.log.Append(&wal.Record{Type: wal.RecCommit, Txn: tx.id, CommitTS: cts}); err != nil {
+	_, err := m.log.Append(&wal.Record{Type: wal.RecCommit, Txn: tx.id, CommitTS: cts})
+	if err == nil {
+		// The commit-forcing fsync is attributed to the statement's trace
+		// when one is still open (the session finishes its trace after
+		// commit).
+		err = m.log.FlushSpan(tx.span)
+	}
+	// Stamping and the new timestamp are one step for BeginReadOnly: a
+	// snapshot that read a page's pre-image never finds the page stamped at
+	// or below its own timestamp later, and every snapshot below cts is in
+	// the list CommitTxn purges against. A failed commit spends its
+	// timestamp — a commit record carrying it may be in the log.
+	m.mu.Lock()
+	if err == nil {
+		m.buf.CommitTxn(tx.id, cts)
+	}
+	m.commitTS = cts
+	m.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	// The commit-forcing fsync is attributed to the statement's trace when
-	// one is still open (the session finishes its trace after commit).
-	if err := m.log.FlushSpan(tx.span); err != nil {
-		return err
-	}
-	m.buf.CommitTxn(tx.id, cts)
 	for _, id := range tx.frees {
 		m.pf.Free(id)
 	}
@@ -602,7 +572,6 @@ func (tx *Tx) Rollback() error {
 	m := tx.m
 	if tx.readonly {
 		m.releaseSnapshot(tx.snapTS)
-		tx.recycleSnapshotPages()
 		return nil
 	}
 	if err := m.buf.RollbackTxn(tx.id); err != nil {
@@ -621,15 +590,15 @@ func (tx *Tx) Rollback() error {
 }
 
 func (m *Manager) releaseSnapshot(ts uint64) {
-	m.mu.Lock()
+	m.snapMu.Lock()
 	m.snapshots[ts]--
 	if m.snapshots[ts] <= 0 {
 		delete(m.snapshots, ts)
 	}
 	m.met.activeSnaps.Set(int64(len(m.snapshots)))
-	m.mu.Unlock()
-	// Purging old versions is piggybacked on snapshot release; the check is
-	// cheap (§6.1).
+	m.snapMu.Unlock()
+	// Versions only this snapshot could read die with it; when no version is
+	// alive — commit frees what no snapshot needs — this is one atomic load.
 	m.buf.PurgeAllVersions()
 }
 

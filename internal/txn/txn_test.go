@@ -2,7 +2,6 @@ package txn
 
 import (
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -329,15 +328,15 @@ func TestUseAfterFinish(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshotReadersRecycleBuffers runs snapshot readers that end
-// (and hand their page copies to the pool) while others start (and take them
-// back out), against a writer rewriting every page in one transaction per
-// version. A reader must find each page filled edge to edge with one version
-// — a recycled buffer shows nothing of its previous content — and the same
-// version on every page of its snapshot; what it copied out of a page view
-// must survive the end of the transaction. Two goroutines share each
-// snapshot, as the parallel executor's workers do. Run under -race.
-func TestConcurrentSnapshotReadersRecycleBuffers(t *testing.T) {
+// TestConcurrentSnapshotReadersShareFrames runs snapshot readers that view
+// the pool's frames and version-chain entries directly, against a writer
+// rewriting every page in one transaction per version. A reader must find
+// each page filled edge to edge with one version — no byte of a writer's
+// buffer shows through — and the same version on every page of its
+// snapshot; what it copied out of a page view must survive the end of the
+// transaction. Two goroutines share each snapshot, as the parallel
+// executor's workers do. Run under -race.
+func TestConcurrentSnapshotReadersShareFrames(t *testing.T) {
 	e := newEnv(t)
 	const pages = 24
 	fill := func(tx *Tx, ids []sas.PageID, version byte) {
@@ -366,9 +365,8 @@ func TestConcurrentSnapshotReadersRecycleBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The engine never lets a snapshot begin in the middle of a commit
-	// (core's publication mutex); neither does the test.
-	var publish sync.Mutex
+	// Snapshots begin whenever they like, in the middle of a commit too: the
+	// manager makes a commit's pages visible in one step.
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)
@@ -385,10 +383,7 @@ func TestConcurrentSnapshotReadersRecycleBuffers(t *testing.T) {
 			}
 			w := e.m.Begin()
 			fill(w, ids, v)
-			publish.Lock()
-			err := w.Commit()
-			publish.Unlock()
-			if err != nil {
+			if err := w.Commit(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -441,9 +436,7 @@ func TestConcurrentSnapshotReadersRecycleBuffers(t *testing.T) {
 			defer readers.Done()
 			kept := make([][]byte, pages)
 			for round := 0; round < 150; round++ {
-				publish.Lock()
 				r := e.m.BeginReadOnly()
-				publish.Unlock()
 				var versions [2]byte
 				var errs [2]error
 				var halves sync.WaitGroup
@@ -477,42 +470,40 @@ func TestConcurrentSnapshotReadersRecycleBuffers(t *testing.T) {
 	writer.Wait()
 }
 
-// TestScanReaderBoundedSnapshot: a ScanReader shows exactly the transaction's
-// snapshot while holding a fixed number of page copies, never overwrites a
-// page that is still pinned, and grows past its budget only while everything
-// in it is pinned.
-func TestScanReaderBoundedSnapshot(t *testing.T) {
+// TestScanReaderHandsPagesBack: a ScanReader shows exactly the transaction's
+// snapshot — pages committed before it from their frames, pages rewritten
+// after it from their version chains — and a pass over cold pages keeps no
+// more of them in the pool than its ring holds, and none after Close; a page
+// the pass still views is never taken from under it, and pages that were
+// resident before the pass stay.
+func TestScanReaderHandsPagesBack(t *testing.T) {
 	e := newEnv(t)
-	const pages, budget = 40, 4
-	write := func(version byte) []sas.PageID {
-		tx := e.m.Begin()
-		ids := make([]sas.PageID, pages)
-		buf := make([]byte, sas.PageSize)
-		for i := range ids {
-			id, err := tx.AllocPage()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids[i] = id
-			for j := range buf {
-				buf[j] = version
-			}
-			buf[0] = byte(i)
-			if err := tx.WriteAt(id.Ptr(), buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
+	const pages, ring, rewritten = 40, 4, 5
+	setup := e.m.Begin()
+	ids := make([]sas.PageID, pages)
+	buf := make([]byte, sas.PageSize)
+	for i := range ids {
+		id, err := setup.AllocPage()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return ids
+		ids[i] = id
+		for j := range buf {
+			buf[j] = 1
+		}
+		buf[0] = byte(i)
+		if err := setup.WriteAt(id.Ptr(), buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ids := write(1)
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	r := e.m.BeginReadOnly()
 	defer r.Rollback()
-	// A later commit rewrites every page; the snapshot must not see it.
+	// A later commit rewrites the first pages; the snapshot must not see it.
 	w := e.m.Begin()
-	for _, id := range ids {
+	for _, id := range ids[:rewritten] {
 		if err := w.WriteAt(id.Ptr().Add(1), []byte{2, 2, 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -520,30 +511,35 @@ func TestScanReaderBoundedSnapshot(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-
-	upd := e.m.Begin()
-	if _, err := upd.ScanReader(budget); err == nil {
-		t.Fatal("ScanReader on an update transaction")
-	}
-	upd.Rollback()
-	s, err := r.ScanReader(budget)
-	if err != nil {
+	// Cold pool, except for two pages some statement is using.
+	if err := e.buf.FlushCommitted(); err != nil {
 		t.Fatal(err)
 	}
+	for _, id := range ids {
+		e.buf.Discard(id)
+	}
+	if n := e.buf.FrameCount(); n != 0 {
+		t.Fatalf("%d frames left after discarding every page", n)
+	}
+	for _, id := range ids[pages-2:] {
+		if err := r.ReadPage(id.Ptr(), func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := r.ScanReader(ring)
 	check := func(i int, page []byte) {
 		t.Helper()
 		if page[0] != byte(i) || page[1] != 1 || page[3] != 1 || page[sas.PageSize-1] != 1 {
 			t.Fatalf("page %d reads %v … %d, want index %d at version 1", i, page[:4], page[sas.PageSize-1], i)
 		}
 	}
-	held, pin, err := s.ViewPage(ids[0].Ptr())
+	held, pin, err := s.ViewPage(ids[rewritten].Ptr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	for n := 0; n < 500; n++ {
-		i := rng.Intn(pages)
-		if n%2 == 0 {
+	for i := range ids {
+		if i%2 == 0 {
 			err = s.ReadPage(ids[i].Ptr(), func(page []byte) error { check(i, page); return nil })
 		} else {
 			var page []byte
@@ -556,26 +552,78 @@ func TestScanReaderBoundedSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(0, held) // pinned throughout: never a victim
+		check(rewritten, held) // viewed throughout: never handed back
 	}
-	if len(s.entries) != budget {
-		t.Fatalf("%d page copies held, budget %d", len(s.entries), budget)
-	}
-	// With every copy pinned the reader has to grow rather than fail.
-	pins := []any{pin}
-	for i := 1; i <= budget; i++ {
-		page, p, err := s.ViewPage(ids[i].Ptr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(i, page)
-		pins = append(pins, p)
-	}
-	if len(s.entries) != budget+1 {
-		t.Fatalf("%d page copies with %d pinned", len(s.entries), budget+1)
-	}
-	for _, p := range pins {
-		s.ReleasePage(p)
+	s.ReleasePage(pin)
+	// The rewritten pages were served from their chains and loaded nothing,
+	// so what is resident is the two warm pages, the held page and at most a
+	// ring of the rest.
+	if n := e.buf.FrameCount(); n > 2+1+ring {
+		t.Fatalf("%d frames resident after a pass over %d cold pages with a ring of %d", n, pages, ring)
 	}
 	s.Close()
+	if n := e.buf.FrameCount(); n > 2+1 {
+		t.Fatalf("%d frames resident after Close: the ring was not handed back", n)
+	}
+	for _, id := range ids[pages-2:] {
+		before := e.buf.Stats().Hits
+		if err := r.ReadPage(id.Ptr(), func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if e.buf.Stats().Hits != before+1 {
+			t.Fatalf("page %v was resident before the pass and is gone after it", id)
+		}
+	}
+}
+
+// TestViewPageAllocations: a warm page view — a frame of the pool for either
+// transaction kind, a version-chain entry for a snapshot behind a commit —
+// and its release allocate nothing.
+func TestViewPageAllocations(t *testing.T) {
+	e := newEnv(t)
+	w := e.m.Begin()
+	id, err := w.AllocPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteAt(id.Ptr(), []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	old := e.m.BeginReadOnly()
+	defer old.Rollback()
+	w = e.m.Begin()
+	if err := w.WriteAt(id.Ptr(), []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cur := e.m.BeginReadOnly()
+	defer cur.Rollback()
+	upd := e.m.Begin()
+	defer upd.Rollback()
+	for _, c := range []struct {
+		name string
+		r    storage.Reader
+		want byte
+	}{{"snapshot on the frame", cur, 2}, {"snapshot on the chain", old, 1}, {"updater", upd, 2}} {
+		var got byte
+		allocs := testing.AllocsPerRun(200, func() {
+			page, pin, err := c.r.ViewPage(id.Ptr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = page[0]
+			c.r.ReleasePage(pin)
+		})
+		if got != c.want {
+			t.Fatalf("%s reads %d, want %d", c.name, got, c.want)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: a warm ViewPage/ReleasePage pair made %.0f allocations", c.name, allocs)
+		}
+	}
 }

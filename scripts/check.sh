@@ -41,7 +41,13 @@ go run ./cmd/sedna-bench -run E20
 echo "== introspection smoke (E21: sessions, KILL of a long query, Prometheus round-trip) =="
 go run ./cmd/sedna-bench -run E21
 
-echo "== resident-mode smoke (E22: resident vs paged, byte-identity incl. update-invalidate-rebuild, >=1.5x warm speedup on the total) =="
+echo "== snapshot-reader smoke (E10: every snapshot statement completes under a held exclusive document lock, readers' lock.waits = 0) =="
+go run ./cmd/sedna-bench -run E10
+
+echo "== version-retention smoke (E12: versions_live 0 after 300 commits with no snapshot, > 0 under three pinned snapshots, 0 again when they end) =="
+go run ./cmd/sedna-bench -run E12
+
+echo "== resident-mode smoke (E22: resident vs paged on the scan suite and the point-read mix, byte-identity incl. update-invalidate-rebuild, one build per open, 0 fallbacks; ratios printed, not gated) =="
 go run ./cmd/sedna-bench -run E22
 
 echo "== optimizer smoke (E23: costed plans vs hand-forced, <=1.1x regression, >=2x selective speedup) =="
