@@ -132,20 +132,40 @@ func xmlName(n xml.Name) string {
 	return n.Local
 }
 
-// NodeAccess abstracts the two node reads serialization needs — children in
-// document order and text values — so the same serializer runs over paged
-// storage and over a resident representation, keeping output byte-identical
-// by construction.
-type NodeAccess interface {
-	Children(d *storage.Desc) ([]storage.Desc, error)
-	Text(d *storage.Desc) ([]byte, error)
+// NodeAccess abstracts the node reads serialization needs over a node type N
+// — a paged descriptor here, a slab entry of either backend in the executor —
+// so the one serializer below runs over paged storage and over a resident
+// representation, keeping output byte-identical by construction.
+type NodeAccess[N any] interface {
+	// SchemaID returns the id of n's schema node.
+	SchemaID(n N) uint32
+	// Children passes n's children, in document order, to v.SerializeChildren;
+	// the slice is only valid during that call.
+	Children(n N, v ChildVisitor[N]) error
+	// Text returns n's text value.
+	Text(n N) ([]byte, error)
+}
+
+// ChildVisitor is the serializer's side of NodeAccess.Children.
+type ChildVisitor[N any] interface {
+	SerializeChildren(parent N, kids []N) error
 }
 
 // pagedAccess is the block-chain NodeAccess.
 type pagedAccess struct{ r storage.Reader }
 
-func (a pagedAccess) Children(d *storage.Desc) ([]storage.Desc, error) {
-	return collectChildren(a.r, d)
+func (a pagedAccess) SchemaID(d *storage.Desc) uint32 { return d.SchemaID }
+
+func (a pagedAccess) Children(d *storage.Desc, v ChildVisitor[*storage.Desc]) error {
+	kids, err := collectChildren(a.r, d)
+	if err != nil {
+		return err
+	}
+	ptrs := make([]*storage.Desc, len(kids))
+	for i := range kids {
+		ptrs[i] = &kids[i]
+	}
+	return v.SerializeChildren(d, ptrs)
 }
 
 func (a pagedAccess) Text(d *storage.Desc) ([]byte, error) {
@@ -155,103 +175,132 @@ func (a pagedAccess) Text(d *storage.Desc) ([]byte, error) {
 // SerializeNode writes the XML serialization of the subtree rooted at the
 // node (given by descriptor) to w. Reader may be any transaction kind.
 func SerializeNode(r storage.Reader, doc *storage.Doc, d storage.Desc, w io.Writer) error {
-	return SerializeNodeVia(pagedAccess{r}, doc, d, w)
+	return SerializeNodeVia[*storage.Desc](pagedAccess{r}, doc, &d, w)
+}
+
+// serializer is one SerializeNodeVia call's state.
+type serializer[N any] struct {
+	acc NodeAccess[N]
+	doc *storage.Doc
+	w   io.Writer
 }
 
 // SerializeNodeVia is SerializeNode over any NodeAccess backend.
-func SerializeNodeVia(acc NodeAccess, doc *storage.Doc, d storage.Desc, w io.Writer) error {
-	sn := doc.Schema.ByID(d.SchemaID)
+func SerializeNodeVia[N any](acc NodeAccess[N], doc *storage.Doc, n N, w io.Writer) error {
+	return (&serializer[N]{acc: acc, doc: doc, w: w}).node(n)
+}
+
+func (s *serializer[N]) node(n N) error {
+	sn := s.doc.Schema.ByID(s.acc.SchemaID(n))
 	if sn == nil {
-		return fmt.Errorf("core: serialize: unknown schema node %d", d.SchemaID)
+		return fmt.Errorf("core: serialize: unknown schema node %d", s.acc.SchemaID(n))
 	}
 	switch sn.Kind {
-	case schema.KindDocument:
-		return serializeChildren(acc, doc, d, w)
-	case schema.KindElement:
-		if _, err := io.WriteString(w, "<"+sn.Name); err != nil {
-			return err
-		}
-		// Attributes first, then content.
-		content, err := acc.Children(&d)
-		if err != nil {
-			return err
-		}
-		hasContent := false
-		for _, c := range content {
-			csn := doc.Schema.ByID(c.SchemaID)
-			if csn.Kind == schema.KindAttribute {
-				val, err := acc.Text(&c)
-				if err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, " %s=%q", csn.Name, string(val)); err != nil {
-					return err
-				}
-			} else {
-				hasContent = true
-			}
-		}
-		if !hasContent {
-			_, err := io.WriteString(w, "/>")
-			return err
-		}
-		if _, err := io.WriteString(w, ">"); err != nil {
-			return err
-		}
-		for _, c := range content {
-			if doc.Schema.ByID(c.SchemaID).Kind == schema.KindAttribute {
-				continue
-			}
-			if err := SerializeNodeVia(acc, doc, c, w); err != nil {
-				return err
-			}
-		}
-		_, err = io.WriteString(w, "</"+sn.Name+">")
+	case schema.KindDocument, schema.KindElement:
+		return s.acc.Children(n, s)
+	}
+	val, err := s.acc.Text(n)
+	if err != nil {
 		return err
+	}
+	switch sn.Kind {
 	case schema.KindText:
-		val, err := acc.Text(&d)
-		if err != nil {
-			return err
-		}
-		return xml.EscapeText(w, val)
+		return xml.EscapeText(s.w, val)
 	case schema.KindAttribute:
 		// A bare attribute serializes as its string value.
-		val, err := acc.Text(&d)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(val)
+		_, err = s.w.Write(val)
 		return err
 	case schema.KindComment:
-		val, err := acc.Text(&d)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "<!--%s-->", val)
-		return err
+		return writeAll(s.w, "<!--", string(val), "-->")
 	case schema.KindPI:
-		val, err := acc.Text(&d)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "<?%s %s?>", sn.Name, val)
-		return err
+		return writeAll(s.w, "<?", sn.Name, " ", string(val), "?>")
 	default:
 		return fmt.Errorf("core: serialize: unsupported kind %v", sn.Kind)
 	}
 }
 
-func serializeChildren(acc NodeAccess, doc *storage.Doc, d storage.Desc, w io.Writer) error {
-	kids, err := acc.Children(&d)
-	if err != nil {
-		return err
+// SerializeChildren writes a document node's children, or an element with
+// its attributes first and then its content.
+func (s *serializer[N]) SerializeChildren(parent N, kids []N) error {
+	sn := s.doc.Schema.ByID(s.acc.SchemaID(parent))
+	if sn.Kind == schema.KindElement {
+		if err := writeAll(s.w, "<", sn.Name); err != nil {
+			return err
+		}
+		content := 0
+		for _, c := range kids {
+			csn := s.doc.Schema.ByID(s.acc.SchemaID(c))
+			if csn.Kind != schema.KindAttribute {
+				content++
+				continue
+			}
+			val, err := s.acc.Text(c)
+			if err != nil {
+				return err
+			}
+			if err := WriteAttr(s.w, csn.Name, val); err != nil {
+				return err
+			}
+		}
+		if content == 0 {
+			return writeAll(s.w, "/>")
+		}
+		if err := writeAll(s.w, ">"); err != nil {
+			return err
+		}
 	}
 	for _, c := range kids {
-		if err := SerializeNodeVia(acc, doc, c, w); err != nil {
+		if s.doc.Schema.ByID(s.acc.SchemaID(c)).Kind == schema.KindAttribute {
+			continue
+		}
+		if err := s.node(c); err != nil {
+			return err
+		}
+	}
+	if sn.Kind == schema.KindElement {
+		return writeAll(s.w, "</", sn.Name, ">")
+	}
+	return nil
+}
+
+func writeAll(w io.Writer, parts ...string) error {
+	for _, p := range parts {
+		if _, err := io.WriteString(w, p); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// attrEscapes maps the characters an attribute value cannot hold literally
+// (XML 1.0 §2.3 AttValue, §3.3.3 for the white space a parser would
+// normalize away) to their references.
+var attrEscapes = [256]string{'&': "&amp;", '<': "&lt;", '"': "&quot;", '\t': "&#x9;", '\n': "&#xA;", '\r': "&#xD;"}
+
+// WriteAttr writes ` name="val"` with val escaped as XML requires.
+func WriteAttr(w io.Writer, name string, val []byte) error {
+	if err := writeAll(w, " ", name, `="`); err != nil {
+		return err
+	}
+	from := 0
+	for i, c := range val {
+		esc := attrEscapes[c]
+		if esc == "" {
+			continue
+		}
+		if _, err := w.Write(val[from:i]); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, esc); err != nil {
+			return err
+		}
+		from = i + 1
+	}
+	if _, err := w.Write(val[from:]); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, `"`)
+	return err
 }
 
 // collectChildren returns the children of d in document order.

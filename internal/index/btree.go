@@ -375,49 +375,44 @@ func (t *Tree) Lookup(r storage.Reader, k Key) ([]sas.XPtr, error) {
 
 // Range visits entries with lo <= key <= hi in key order.
 func (t *Tree) Range(r storage.Reader, lo, hi Key, visit func(k Key, h sas.XPtr) bool) error {
-	// Descend to the first leaf that may contain lo.
-	p := t.Root
-	for {
-		page, err := readPage(r, p)
+	// Descend to the first leaf that may contain lo, then follow the leaf
+	// chain. Every page is viewed in place: a lookup copies nothing.
+	for p := t.Root; !p.IsNil(); {
+		page, pin, err := r.ViewPage(p)
 		if err != nil {
 			return err
 		}
-		if page[0] == kindLeaf {
-			break
-		}
-		if page[0] != kindInternal {
-			return fmt.Errorf("index: page %v is not an index page", p)
-		}
-		n := count(page)
-		child := leftmost(page)
-		for i := 0; i < n; i++ {
-			ek, eh, ch := innerKey(page, i)
-			if keyLess(lo, 0, ek, eh) {
-				break
+		next := sas.NilPtr
+		switch page[0] {
+		case kindInternal:
+			next = leftmost(page)
+			for i, n := 0, count(page); i < n; i++ {
+				ek, eh, ch := innerKey(page, i)
+				if keyLess(lo, 0, ek, eh) {
+					break
+				}
+				next = ch
 			}
-			child = ch
+		case kindLeaf:
+			next = nextLeaf(page)
+			for i, n := 0, count(page); i < n; i++ {
+				ek, eh := leafKey(page, i)
+				if bytes.Compare(ek[:], lo[:]) < 0 {
+					continue
+				}
+				if bytes.Compare(ek[:], hi[:]) > 0 || !visit(ek, eh) {
+					next = sas.NilPtr
+					break
+				}
+			}
+		default:
+			err = fmt.Errorf("index: page %v is not an index page", p)
 		}
-		p = child
-	}
-	for !p.IsNil() {
-		page, err := readPage(r, p)
+		r.ReleasePage(pin)
 		if err != nil {
 			return err
 		}
-		n := count(page)
-		for i := 0; i < n; i++ {
-			ek, eh := leafKey(page, i)
-			if bytes.Compare(ek[:], lo[:]) < 0 {
-				continue
-			}
-			if bytes.Compare(ek[:], hi[:]) > 0 {
-				return nil
-			}
-			if !visit(ek, eh) {
-				return nil
-			}
-		}
-		p = nextLeaf(page)
+		p = next
 	}
 	return nil
 }

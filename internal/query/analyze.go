@@ -103,6 +103,7 @@ func analyzeExpr(x Expr, scope map[string]bool, pr *Prolog) error {
 				return err
 			}
 		}
+		n.wholeContext = len(n.Preds) > streamPreds || usesLast(n.Preds)
 		return nil
 	case *Filter:
 		if err := analyzeExpr(n.Input, scope, pr); err != nil {

@@ -82,12 +82,17 @@ type NodeTest struct {
 	Name string // "" or "*" = any name
 }
 
-// Literal is a string or numeric literal.
+// Literal is a string or numeric literal. val is its (shared, immutable)
+// value as a sequence, so evaluating it allocates nothing.
 type Literal struct {
 	String   string
 	Number   float64
 	IsString bool
+	val      []Item
 }
+
+func strLit(s string) *Literal  { return &Literal{String: s, IsString: true, val: []Item{str(s)}} }
+func numLit(f float64) *Literal { return &Literal{Number: f, val: []Item{num(f)}} }
 
 // VarRef references a variable $Name.
 type VarRef struct{ Name string }
@@ -123,6 +128,11 @@ type Step struct {
 	// Plan is the cost-based optimizer's physical decision for this step
 	// (nil when the optimizer did not run or had nothing to decide).
 	Plan *StepPlan
+
+	// wholeContext is set by Analyze when a predicate may ask for last():
+	// the step's candidates are then collected per context node before any
+	// predicate runs, instead of being filtered batch by batch.
+	wholeContext bool
 }
 
 // StepPlan is one step's costed physical plan: the estimated output

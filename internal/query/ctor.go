@@ -7,9 +7,6 @@ import (
 	"sedna/internal/schema"
 )
 
-func kindText() schema.NodeKind    { return schema.KindText }
-func kindComment() schema.NodeKind { return schema.KindComment }
-
 // evalElementCtor constructs an element. Default semantics deep-copy node
 // content; a constructor the rewriter marked Virtual stores references
 // instead (§5.2.1) — semantically equivalent because the analysis proved the
@@ -102,59 +99,41 @@ func axisTemp(e *env, n *TempNode, axis Axis, test NodeTest, out []Item) ([]Item
 	if err := n.expand(e); err != nil {
 		return nil, err
 	}
-	matches := func(t *TempNode) bool {
-		return matchesTempNode(t, test)
-	}
+	var cands []*TempNode // in document order; the node test applies below
 	switch axis {
 	case AxisChild, AxisAttribute:
 		wantAttr := axis == AxisAttribute
-		tt := test
 		if wantAttr {
-			tt = attributeTest(test)
+			test = attributeTest(test)
 		}
 		for _, c := range n.Children {
 			if c.Ref != nil {
 				// A referenced stored subtree: match against the stored
 				// node.
 				sn := c.Ref.Doc.Schema.ByID(c.Ref.D.SchemaID)
-				isAttr := sn.Kind == schema.KindAttribute
-				if isAttr == wantAttr && matchesSchema(sn, tt) {
+				if (sn.Kind == schema.KindAttribute) == wantAttr && matchesSchema(sn, test) {
 					out = append(out, c.Ref)
 				}
-				continue
-			}
-			isAttr := c.Kind == schema.KindAttribute
-			if isAttr == wantAttr && matchesTempNode(c, tt) {
+			} else if (c.Kind == schema.KindAttribute) == wantAttr && matchesTempNode(c, test) {
 				out = append(out, &TempItem{N: c})
 			}
 		}
 		return out, nil
 	case AxisSelf:
-		if matches(n) {
-			out = append(out, &TempItem{N: n})
-		}
-		return out, nil
+		cands = []*TempNode{n}
 	case AxisParent:
-		if n.Parent != nil && matchesTempNode(n.Parent, test) {
-			out = append(out, &TempItem{N: n.Parent})
+		if n.Parent != nil {
+			cands = []*TempNode{n.Parent}
 		}
-		return out, nil
 	case AxisAncestor, AxisAncestorOrSelf:
-		var chain []Item
-		if axis == AxisAncestorOrSelf && matches(n) {
-			chain = append(chain, &TempItem{N: n})
-		}
 		for p := n.Parent; p != nil; p = p.Parent {
-			if matchesTempNode(p, test) {
-				chain = append(chain, &TempItem{N: p})
-			}
+			cands = append([]*TempNode{p}, cands...)
 		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			out = append(out, chain[i])
+		if axis == AxisAncestorOrSelf {
+			cands = append(cands, n)
 		}
-		return out, nil
 	case AxisDescendant, AxisDescendantOrSelf:
-		if axis == AxisDescendantOrSelf && matches(n) {
+		if axis == AxisDescendantOrSelf && matchesTempNode(n, test) {
 			out = append(out, &TempItem{N: n})
 		}
 		var rec func(t *TempNode) error
@@ -164,11 +143,11 @@ func axisTemp(e *env, n *TempNode, axis Axis, test NodeTest, out []Item) ([]Item
 			}
 			for _, c := range t.Children {
 				if c.Ref != nil {
-					var err error
-					out, err = axisStored(e, c.Ref, AxisDescendantOrSelf, test, out)
-					if err != nil {
+					k := collector{e: e, out: out}
+					if err := axisStored(e, c.Ref, AxisDescendantOrSelf, test, &k); err != nil {
 						return err
 					}
+					out = k.out
 					continue
 				}
 				if c.Kind == schema.KindAttribute {
@@ -188,71 +167,24 @@ func axisTemp(e *env, n *TempNode, axis Axis, test NodeTest, out []Item) ([]Item
 		if n.Parent == nil {
 			return out, nil
 		}
-		sibs := n.Parent.Children
-		idx := -1
-		for i, s := range sibs {
-			if s == n {
-				idx = i
-				break
+		for i, s := range n.Parent.Children {
+			if s == n && axis == AxisFollowingSibling {
+				cands = n.Parent.Children[i+1:]
+			} else if s == n {
+				cands = n.Parent.Children[:i]
 			}
 		}
-		if idx < 0 {
-			return out, nil
-		}
-		if axis == AxisFollowingSibling {
-			for _, s := range sibs[idx+1:] {
-				if matchesTempNode(s, test) {
-					out = append(out, &TempItem{N: s})
-				}
-			}
-		} else {
-			for _, s := range sibs[:idx] {
-				if matchesTempNode(s, test) {
-					out = append(out, &TempItem{N: s})
-				}
-			}
-		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("query: unsupported axis %v over constructed nodes", axis)
 	}
+	for _, c := range cands {
+		if matchesTempNode(c, test) {
+			out = append(out, &TempItem{N: c})
+		}
+	}
+	return out, nil
 }
 
 func matchesTempNode(t *TempNode, test NodeTest) bool {
-	switch test.Kind {
-	case TestName:
-		return t.Kind == schema.KindElement && (test.Name == "*" || t.Name == test.Name)
-	case TestNode:
-		return true
-	case TestText:
-		return t.Kind == schema.KindText
-	case TestComment:
-		return t.Kind == schema.KindComment
-	case TestPI:
-		return t.Kind == schema.KindPI && (test.Name == "" || test.Name == "*" || t.Name == test.Name)
-	case TestElement:
-		return t.Kind == schema.KindElement && (test.Name == "" || test.Name == "*" || t.Name == test.Name)
-	case TestAttrTest:
-		return t.Kind == schema.KindAttribute && (test.Name == "" || test.Name == "*" || t.Name == test.Name)
-	default:
-		return false
-	}
-}
-
-// forEachDescendantText streams the text content of a stored element's
-// subtree in document order using the schema-driven descendant scan.
-func forEachDescendantText(e *env, n *NodeItem, fn func(text []byte)) error {
-	items, err := axisStored(e, n, AxisDescendant, NodeTest{Kind: TestText}, nil)
-	if err != nil {
-		return err
-	}
-	for _, it := range items {
-		ni := it.(*NodeItem)
-		b, err := e.storeFor(ni.Doc).text(e, ni.Doc, &ni.D)
-		if err != nil {
-			return err
-		}
-		fn(b)
-	}
-	return nil
+	return matchesKind(t.Kind, t.Name, test)
 }

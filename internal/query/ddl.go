@@ -93,6 +93,7 @@ func createIndex(e *env, d *DDL) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	src := e.source(doc)
 	count := 0
 	var outerErr error
 	doc.Schema.Root.Walk(func(sn *schema.Node) {
@@ -100,8 +101,9 @@ func createIndex(e *env, d *DDL) (string, error) {
 			return
 		}
 		outerErr = storage.ScanSchema(e.r, sn, func(desc storage.Desc) (bool, error) {
-			node := &NodeItem{Doc: doc, D: desc}
-			keys, err := indexKeysOf(e, node, bySteps, meta.KeyType)
+			m := e.ctx.nodes.mark()
+			defer e.ctx.nodes.release(m)
+			keys, err := indexKeysOf(e, e.node(src, desc), bySteps, meta.KeyType)
 			if err != nil {
 				return false, err
 			}
@@ -358,24 +360,9 @@ func parseRelPath(s string) (Expr, error) {
 // path yields several values is indexed under each of them, matching the
 // existential semantics of general comparisons.
 func indexKeysOf(e *env, node *NodeItem, bySteps []*Step, keyType string) ([]index.Key, error) {
-	items := []Item{node}
-	for _, st := range bySteps {
-		var next []Item
-		for _, it := range items {
-			n, ok := it.(*NodeItem)
-			if !ok {
-				continue
-			}
-			var err error
-			next, err = axisStored(e, n, st.Axis, st.Test, next)
-			if err != nil {
-				return nil, err
-			}
-		}
-		items = next
-		if len(items) == 0 {
-			return nil, nil
-		}
+	items, err := byPathNodes(e, node, bySteps)
+	if err != nil || len(items) == 0 {
+		return nil, err
 	}
 	keys := make([]index.Key, 0, len(items))
 	seen := make(map[index.Key]struct{}, len(items))
@@ -425,6 +412,7 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 		return nil, err
 	}
 	sp.SetInt("candidates", int64(len(handles)))
+	src := e.source(doc)
 	var out []Item
 	seen := make(map[sas.XPtr]struct{}, len(handles))
 	for _, h := range handles {
@@ -432,11 +420,10 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 			continue
 		}
 		seen[h] = struct{}{}
-		d, err := storage.DescOf(e.r, h)
+		node, err := src.st.byHandle(e, h)
 		if err != nil {
 			return nil, err
 		}
-		node := &NodeItem{Doc: doc, D: d}
 		match, err := byPathMatchesEq(e, node, bySteps, meta.KeyType, key, value)
 		if err != nil {
 			return nil, err
@@ -449,29 +436,29 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 	return out, nil
 }
 
+// byPathNodes evaluates an index's BY path relative to node.
+func byPathNodes(e *env, node *NodeItem, bySteps []*Step) ([]Item, error) {
+	items := []Item{node}
+	for _, st := range bySteps {
+		k := collector{e: e}
+		for _, it := range items {
+			if err := axisStored(e, it.(*NodeItem), st.Axis, st.Test, &k); err != nil {
+				return nil, err
+			}
+		}
+		items = k.out
+	}
+	return items, nil
+}
+
 // byPathMatchesEq rechecks one index candidate against the probe value: the
 // BY path may yield several values (existential semantics), and the
 // fixed-size key prefix is imprecise for long strings, so string keys verify
 // the full value.
 func byPathMatchesEq(e *env, node *NodeItem, bySteps []*Step, keyType string, key index.Key, value *Atomic) (bool, error) {
-	items := []Item{node}
-	for _, st := range bySteps {
-		var next []Item
-		for _, it := range items {
-			n, ok := it.(*NodeItem)
-			if !ok {
-				continue
-			}
-			var err error
-			next, err = axisStored(e, n, st.Axis, st.Test, next)
-			if err != nil {
-				return false, err
-			}
-		}
-		items = next
-		if len(items) == 0 {
-			return false, nil
-		}
+	items, err := byPathNodes(e, node, bySteps)
+	if err != nil {
+		return false, err
 	}
 	for _, it := range items {
 		a, err := atomize(e, it)

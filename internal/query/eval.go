@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"sedna/internal/lock"
 	"sedna/internal/metrics"
+	"sedna/internal/schema"
 	"sedna/internal/storage"
+	"sedna/internal/trace"
 )
 
 // ExecStats counts executor events; the E5/E8/E9 experiments read them. It
@@ -52,17 +55,19 @@ type focus struct {
 	size int
 }
 
-// eval evaluates an expression to a materialized item sequence. The
-// executor materializes at expression granularity; the open-next-close
-// pipeline of physical steps lives inside path evaluation, where Sedna's
-// design concentrates it.
+// eval evaluates an expression to an item sequence. Sequences are
+// materialized between expressions; inside a path expression stored nodes
+// flow in batches (slab.go): a step's producers — docStore cursors over page
+// runs or the resident array — fill fixed-capacity batches of slab entries,
+// the step's collector filters each batch in place, and only the survivors
+// stay allocated, as entries of the statement's slab, never as heap objects.
+// Consumers that need no sequence — count(), exists(), an effective boolean
+// value, atomization — run the same producers through a collector that
+// counts or reads text and keeps nothing.
 func eval(x Expr, e *env, f *focus) ([]Item, error) {
 	switch n := x.(type) {
 	case *Literal:
-		if n.IsString {
-			return []Item{str(n.String)}, nil
-		}
-		return []Item{num(n.Number)}, nil
+		return n.val, nil
 
 	case *VarRef:
 		v, ok := e.lookup(n.Name)
@@ -85,11 +90,11 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 		if !ok {
 			return nil, fmt.Errorf("query: '/' requires a stored context node")
 		}
-		root, err := e.storeFor(ni.Doc).root(e, ni.Doc)
+		root, err := ni.st.byHandle(e, ni.Doc.RootHandle)
 		if err != nil {
 			return nil, err
 		}
-		return []Item{&NodeItem{Doc: ni.Doc, D: root}}, nil
+		return []Item{root}, nil
 
 	case *DocCall:
 		return evalDoc(e, n.Name)
@@ -133,11 +138,7 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 		return []Item{num(-a.NumberValue())}, nil
 
 	case *IfExpr:
-		c, err := eval(n.Cond, e, f)
-		if err != nil {
-			return nil, err
-		}
-		b, err := ebv(c)
+		b, err := evalEBV(n.Cond, e, f)
 		if err != nil {
 			return nil, err
 		}
@@ -160,14 +161,11 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n.Every && !b {
-				return []Item{boolean(false)}, nil
-			}
-			if !n.Every && b {
-				return []Item{boolean(true)}, nil
+			if n.Every != b {
+				return boolSeq(b), nil
 			}
 		}
-		return []Item{boolean(n.Every)}, nil
+		return boolSeq(n.Every), nil
 
 	case *FLWOR:
 		return evalFLWOR(n, e, f)
@@ -183,34 +181,29 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 		return []Item{&TempItem{N: t}}, nil
 
 	case *TextCtor:
-		v, err := eval(n.Content, e, f)
-		if err != nil {
-			return nil, err
-		}
-		s, err := atomizedString(e, v, " ")
-		if err != nil {
-			return nil, err
-		}
-		t := e.ctx.newTempNode(kindText(), "")
-		t.Text = s
-		return []Item{&TempItem{N: t}}, nil
+		return evalTextCtor(schema.KindText, n.Content, e, f)
 
 	case *CommentCtor:
-		v, err := eval(n.Content, e, f)
-		if err != nil {
-			return nil, err
-		}
-		s, err := atomizedString(e, v, " ")
-		if err != nil {
-			return nil, err
-		}
-		t := e.ctx.newTempNode(kindComment(), "")
-		t.Text = s
-		return []Item{&TempItem{N: t}}, nil
+		return evalTextCtor(schema.KindComment, n.Content, e, f)
 
 	default:
 		return nil, fmt.Errorf("query: cannot evaluate %T", x)
 	}
+}
+
+// evalTextCtor constructs a text or comment node from the atomized content.
+func evalTextCtor(kind schema.NodeKind, content Expr, e *env, f *focus) ([]Item, error) {
+	v, err := eval(content, e, f)
+	if err != nil {
+		return nil, err
+	}
+	s, err := atomizedString(e, v, " ")
+	if err != nil {
+		return nil, err
+	}
+	t := e.ctx.newTempNode(kind, "")
+	t.Text = s
+	return []Item{&TempItem{N: t}}, nil
 }
 
 // lockDocForRead takes the document lock a statement's reads need: none in a
@@ -239,34 +232,73 @@ func evalDoc(e *env, name string) ([]Item, error) {
 	if err := e.ctx.lockDocForRead(name); err != nil {
 		return nil, err
 	}
-	root, err := e.storeFor(doc).root(e, doc)
+	root, err := e.source(doc).st.byHandle(e, doc.RootHandle)
 	if err != nil {
 		return nil, err
 	}
-	return []Item{&NodeItem{Doc: doc, D: root}}, nil
+	return []Item{root}, nil
 }
 
-// evalStep evaluates a location step: for every context node the axis
-// produces matches in document order, predicates filter per context, and a
-// final DDO pass runs only when the rewriter could not prove it redundant.
-// evalStep is the physical location-step operator. When a trace is open it
-// wraps the evaluation in a span reporting nodes yielded and pages touched
-// (including nested input steps); the disabled path costs one nil check.
+// evalStep evaluates a location step to its node sequence.
 func evalStep(s *Step, e *env, f *focus) ([]Item, error) {
-	if e.ctx.span == nil {
-		out, err := evalStepInner(s, e, f)
-		if err == nil && s.Plan != nil {
-			recordEstimate(e.ctx, s.Plan.EstRows, len(out))
-		}
-		return out, err
+	k := collector{e: e}
+	err := evalStepTo(s, e, f, &k)
+	return k.out, err
+}
+
+// stepCount evaluates x, when it is a step whose result needs no
+// document-order pass, only for how many nodes it yields (up to limit; 0: all
+// of them) — nothing is collected. ok=false: x is not such a step.
+func stepCount(x Expr, e *env, f *focus, limit int) (n int, ok bool, err error) {
+	s, isStep := x.(*Step)
+	if !isStep || s.NeedDDO {
+		return 0, false, nil
 	}
-	sp := e.ctx.pushSpan("step " + stepText(s))
+	k := collector{e: e, discard: true, limit: limit}
+	err = evalStepTo(s, e, f, &k)
+	return k.n, true, err
+}
+
+// evalEBV evaluates x to its effective boolean value; a path is only probed
+// for its first node.
+func evalEBV(x Expr, e *env, f *focus) (bool, error) {
+	m := e.ctx.nodes.mark()
+	defer e.ctx.nodes.release(m)
+	if n, ok, err := stepCount(x, e, f, 1); ok {
+		return n > 0, err
+	}
+	v, err := eval(x, e, f)
+	if err != nil {
+		return false, err
+	}
+	return ebv(v)
+}
+
+// evalStepTo is the physical location-step operator: for every context node
+// the axis produces matches in document order, predicates filter per context,
+// and a final DDO pass runs only when the rewriter could not prove it
+// redundant. What passes goes to k. When a trace is open it wraps the
+// evaluation in a span reporting nodes yielded and pages touched (including
+// nested input steps); the disabled path costs one nil check.
+func evalStepTo(s *Step, e *env, f *focus, k *collector) error {
+	var sp *trace.Span
 	var pages0 uint64
-	if e.ctx.Tx != nil {
-		pages0 = e.ctx.Tx.PagesTouched()
+	if e.ctx.span != nil {
+		sp = e.ctx.pushSpan("step " + stepText(s))
+		if e.ctx.Tx != nil {
+			pages0 = e.ctx.Tx.PagesTouched()
+		}
 	}
-	out, err := evalStepInner(s, e, f)
-	sp.SetInt("nodes", int64(len(out)))
+	err := evalStepInner(s, e, f, k)
+	if err == nil && s.Plan != nil {
+		// Estimated vs actual rows: the misestimate is visible per step in
+		// PROFILE and aggregated in the opt.est_error_pct histogram.
+		recordEstimate(e.ctx, s.Plan.EstRows, k.n)
+	}
+	if sp == nil {
+		return err
+	}
+	sp.SetInt("nodes", int64(k.n))
 	if e.ctx.Tx != nil {
 		sp.SetInt("pages", int64(e.ctx.Tx.PagesTouched()-pages0))
 	}
@@ -274,107 +306,140 @@ func evalStep(s *Step, e *env, f *focus) ([]Item, error) {
 		sp.SetStr("mode", "structural")
 	}
 	if s.Plan != nil {
-		// Estimated vs actual rows: the misestimate is visible per step in
-		// PROFILE and aggregated in the opt.est_error_pct histogram.
 		sp.SetInt("est_rows", int64(s.Plan.EstRows+0.5))
-		if err == nil {
-			recordEstimate(e.ctx, s.Plan.EstRows, len(out))
-		}
 	}
-	e.ctx.annotateStorage(sp, out)
+	e.ctx.annotateStorage(sp, k.out)
 	e.ctx.popSpan(sp)
-	return out, err
+	return err
 }
 
-func evalStepInner(s *Step, e *env, f *focus) ([]Item, error) {
+func evalStepInner(s *Step, e *env, f *focus, k *collector) error {
 	if s.Plan != nil && s.Plan.Probe != nil {
-		out, handled, err := evalIndexProbe(s, e)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			return out, nil
+		if out, handled, err := evalIndexProbe(s, e); err != nil || handled {
+			k.items(out)
+			return err
 		}
 		// Index or document vanished since planning: fall through to the
 		// ordinary evaluation paths.
 	}
 	if s.Structural {
-		return evalStructural(s, e, f)
+		if err := evalStructural(s, e, k); err != errStop {
+			return err
+		}
+		return nil
 	}
-	var input []Item
-	var err error
+	var one [1]Item
+	input := one[:]
 	if s.Input == nil {
 		if f == nil || f.item == nil {
-			return nil, fmt.Errorf("query: step without context")
+			return fmt.Errorf("query: step without context")
 		}
-		input = []Item{f.item}
+		one[0] = f.item
 	} else {
-		input, err = eval(s.Input, e, f)
-		if err != nil {
-			return nil, err
+		var err error
+		if input, err = eval(s.Input, e, f); err != nil {
+			return err
 		}
 	}
-	var out []Item
+	// Predicates run on each batch as it is produced, with running
+	// positions; one that asks for last() needs the whole context first.
+	if !s.wholeContext {
+		k.preds = s.Preds
+	}
 	for _, it := range input {
 		// Axis-step boundary: one killed check per context node.
 		if err := e.ctx.checkKilled(); err != nil {
-			return nil, err
+			return err
 		}
-		var local []Item
+		var local []Item // candidates that had to be materialized
+		var err error
 		switch n := it.(type) {
 		case *NodeItem:
-			local, err = axisStored(e, n, s.Axis, s.Test, nil)
-			if err != nil {
-				return nil, err
+			if s.wholeContext {
+				all := collector{e: e}
+				err = axisStored(e, n, s.Axis, s.Test, &all)
+				local = all.out
+			} else {
+				k.pos = [streamPreds]int{} // positions restart with the context node
+				err = axisStored(e, n, s.Axis, s.Test, k)
 			}
 		case *TempItem:
 			local, err = axisTemp(e, n.N, s.Axis, s.Test, nil)
-			if err != nil {
-				return nil, err
-			}
 		default:
-			return nil, fmt.Errorf("query: path step over an atomic value")
+			return fmt.Errorf("query: path step over an atomic value")
 		}
-		local, err = applyPredicates(local, s.Preds, e)
-		if err != nil {
-			return nil, err
+		if err == nil && len(local) > 0 {
+			local, err = applyPredicates(local, s.Preds, e)
+			k.items(local)
 		}
-		out = append(out, local...)
+		if err != nil && err != errStop {
+			return err
+		}
+		if k.full() {
+			break
+		}
 	}
-	if s.NeedDDO && len(out) > 1 {
+	k.preds = nil
+	if s.NeedDDO && len(k.out) > 1 {
 		e.ctx.stats().AddDDOOps(1)
-		return ddo(out)
+		var err error
+		k.out, err = ddo(k.out)
+		k.n = len(k.out)
+		return err
 	}
-	return out, nil
+	return nil
 }
 
-// applyPredicates filters items with XPath predicate semantics: a numeric
-// predicate value selects by position, anything else by effective boolean
-// value, with position() and last() available through the focus.
+// usesLast reports whether a predicate may call last(), which only the whole
+// context's size can answer.
+func usesLast(preds []Expr) bool {
+	found := false
+	for _, p := range preds {
+		walkExpr(p, func(x Expr) {
+			if fc, ok := x.(*FuncCall); ok && strings.TrimPrefix(fc.Name, "fn:") == "last" {
+				found = true
+			}
+		})
+	}
+	return found
+}
+
+// predHolds evaluates predicate p for one candidate with XPath predicate
+// semantics: a numeric value selects by position, anything else by effective
+// boolean value, with position() and last() available through the focus. A
+// numeric literal is not evaluated at all. The nodes the predicate reads are
+// returned to the slab before the next candidate.
+func predHolds(p Expr, e *env, it Item, pos, size int) (bool, error) {
+	if lit, ok := p.(*Literal); ok && !lit.IsString {
+		return float64(pos) == lit.Number, nil
+	}
+	if err := e.ctx.checkKilled(); err != nil {
+		return false, err
+	}
+	pf := focus{item: it, pos: pos, size: size}
+	if _, isStep := p.(*Step); isStep {
+		return evalEBV(p, e, &pf)
+	}
+	m := e.ctx.nodes.mark()
+	defer e.ctx.nodes.release(m)
+	v, err := eval(p, e, &pf)
+	if err != nil {
+		return false, err
+	}
+	if len(v) == 1 {
+		if a, ok := v[0].(*Atomic); ok && a.Kind == AtomNumber {
+			return float64(pos) == a.F, nil
+		}
+	}
+	return ebv(v)
+}
+
+// applyPredicates filters a materialized sequence through the predicates.
 func applyPredicates(items []Item, preds []Expr, e *env) ([]Item, error) {
 	for _, p := range preds {
 		var kept []Item
-		n := len(items)
 		for i, it := range items {
-			if err := e.ctx.checkKilled(); err != nil {
-				return nil, err
-			}
-			pf := &focus{item: it, pos: i + 1, size: n}
-			v, err := eval(p, e, pf)
-			if err != nil {
-				return nil, err
-			}
-			keep := false
-			if len(v) == 1 {
-				if a, ok := v[0].(*Atomic); ok && a.Kind == AtomNumber {
-					keep = float64(i+1) == a.F
-					if keep {
-						kept = append(kept, it)
-					}
-					continue
-				}
-			}
-			keep, err = ebv(v)
+			keep, err := predHolds(p, e, it, i+1, len(items))
 			if err != nil {
 				return nil, err
 			}
@@ -401,23 +466,23 @@ type flworTuple struct {
 // the statement's worker pool (parallelFLWOR) with an order-preserving
 // gather; the nested loop below remains the serial path and the semantic
 // reference.
-func evalFLWOR(fl *FLWOR, e *env, f *focus) ([]Item, error) {
+func evalFLWOR(fl *FLWOR, e *env, outer *focus) ([]Item, error) {
 	var results []flworTuple
+	// The closure below may run on worker goroutines: it gets a copy of the
+	// focus, so that a caller's focus can stay on its stack.
+	var f *focus
+	if outer != nil {
+		c := *outer
+		f = &c
+	}
 
 	var run func(i int, e *env, sink *[]flworTuple) error
+	var iter func(i int, e *env, it Item, pos int, sink *[]flworTuple) error
 	run = func(i int, e *env, sink *[]flworTuple) error {
 		if i == len(fl.Clauses) {
 			if fl.Where != nil {
-				v, err := eval(fl.Where, e, f)
-				if err != nil {
+				if b, err := evalEBV(fl.Where, e, f); err != nil || !b {
 					return err
-				}
-				b, err := ebv(v)
-				if err != nil {
-					return err
-				}
-				if !b {
-					return nil
 				}
 			}
 			var keys []*Atomic
@@ -456,17 +521,21 @@ func evalFLWOR(fl *FLWOR, e *env, f *focus) ([]Item, error) {
 			if err := e.ctx.checkKilled(); err != nil {
 				return err
 			}
-			ne := e.bind(cl.Var, []Item{it})
-			if cl.PosVar != "" {
-				ne = ne.bind(cl.PosVar, []Item{num(float64(pos + 1))})
-			}
-			if err := run(i+1, ne, sink); err != nil {
+			if err := iter(i, e, it, pos, sink); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	handled, err := parallelFLWOR(fl, e, f, run, &results)
+	// iter binds one item of clause i's sequence and runs what follows.
+	iter = func(i int, e *env, it Item, pos int, sink *[]flworTuple) error {
+		ne := e.bind(fl.Clauses[i].Var, []Item{it})
+		if pv := fl.Clauses[i].PosVar; pv != "" {
+			ne = ne.bind(pv, []Item{num(float64(pos + 1))})
+		}
+		return run(i+1, ne, sink)
+	}
+	handled, err := parallelFLWOR(fl, e, f, iter, &results)
 	if err != nil {
 		return nil, err
 	}
@@ -555,32 +624,17 @@ func compareKeys(a, b *Atomic) int {
 func evalBinary(n *Binary, e *env, f *focus) ([]Item, error) {
 	switch n.Op {
 	case OpOr, OpAnd:
-		l, err := eval(n.Left, e, f)
-		if err != nil {
-			return nil, err
+		b, err := evalEBV(n.Left, e, f)
+		if err == nil && b == (n.Op == OpAnd) {
+			b, err = evalEBV(n.Right, e, f)
 		}
-		lb, err := ebv(l)
-		if err != nil {
-			return nil, err
-		}
-		if n.Op == OpOr && lb {
-			return []Item{boolean(true)}, nil
-		}
-		if n.Op == OpAnd && !lb {
-			return []Item{boolean(false)}, nil
-		}
-		r, err := eval(n.Right, e, f)
-		if err != nil {
-			return nil, err
-		}
-		rb, err := ebv(r)
-		if err != nil {
-			return nil, err
-		}
-		return []Item{boolean(rb)}, nil
+		return boolSeq(b), err
 
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		// General comparison: existential over atomized operands.
+		// General comparison: existential over atomized operands. The
+		// operands' nodes are only read for their values.
+		m := e.ctx.nodes.mark()
+		defer e.ctx.nodes.release(m)
 		l, err := eval(n.Left, e, f)
 		if err != nil {
 			return nil, err
@@ -589,26 +643,25 @@ func evalBinary(n *Binary, e *env, f *focus) ([]Item, error) {
 		if err != nil {
 			return nil, err
 		}
+		var la, ra Atomic
 		for _, li := range l {
-			la, err := atomize(e, li)
-			if err != nil {
+			if err := atomizeTo(e, li, &la); err != nil {
 				return nil, err
 			}
 			for _, ri := range r {
-				ra, err := atomize(e, ri)
-				if err != nil {
+				if err := atomizeTo(e, ri, &ra); err != nil {
 					return nil, err
 				}
-				ok, err := compareAtomic(n.Op, la, ra)
+				ok, err := compareAtomic(n.Op, &la, &ra)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					return []Item{boolean(true)}, nil
+					return trueSeq, nil
 				}
 			}
 		}
-		return []Item{boolean(false)}, nil
+		return falseSeq, nil
 
 	case OpVEq, OpVNe, OpVLt, OpVLe, OpVGt, OpVGe:
 		l, err := evalSingleAtomic(n.Left, e, f)
@@ -623,10 +676,7 @@ func evalBinary(n *Binary, e *env, f *focus) ([]Item, error) {
 			return nil, nil // empty sequence propagates
 		}
 		ok, err := compareAtomic(n.Op, l, r)
-		if err != nil {
-			return nil, err
-		}
-		return []Item{boolean(ok)}, nil
+		return boolSeq(ok), err
 
 	case OpIs, OpBefore, OpAfter:
 		l, err := eval(n.Left, e, f)
@@ -645,11 +695,11 @@ func evalBinary(n *Binary, e *env, f *focus) ([]Item, error) {
 		}
 		switch n.Op {
 		case OpIs:
-			return []Item{boolean(sameNode(l[0], r[0]))}, nil
+			return boolSeq(sameNode(l[0], r[0])), nil
 		case OpBefore:
-			return []Item{boolean(docOrderLess(l[0], r[0]))}, nil
+			return boolSeq(docOrderLess(l[0], r[0])), nil
 		default:
-			return []Item{boolean(docOrderLess(r[0], l[0]))}, nil
+			return boolSeq(docOrderLess(r[0], l[0])), nil
 		}
 
 	case OpAdd, OpSub, OpMul, OpDiv, OpIDiv, OpMod:
@@ -727,41 +777,24 @@ func evalBinary(n *Binary, e *env, f *focus) ([]Item, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch n.Op {
-		case OpUnion:
-			e.ctx.stats().AddDDOOps(1)
+		e.ctx.stats().AddDDOOps(1)
+		if n.Op == OpUnion {
 			return ddo(append(append([]Item{}, l...), r...))
-		case OpIntersect:
-			keys := make(map[any]bool)
-			for _, it := range r {
-				if k, ok := identityKey(it); ok {
-					keys[k] = true
-				}
-			}
-			var out []Item
-			for _, it := range l {
-				if k, ok := identityKey(it); ok && keys[k] {
-					out = append(out, it)
-				}
-			}
-			e.ctx.stats().AddDDOOps(1)
-			return ddo(out)
-		default:
-			keys := make(map[any]bool)
-			for _, it := range r {
-				if k, ok := identityKey(it); ok {
-					keys[k] = true
-				}
-			}
-			var out []Item
-			for _, it := range l {
-				if k, ok := identityKey(it); !ok || !keys[k] {
-					out = append(out, it)
-				}
-			}
-			e.ctx.stats().AddDDOOps(1)
-			return ddo(out)
 		}
+		// intersect keeps the left nodes found on the right, except the rest.
+		keys := make(map[any]bool)
+		for _, it := range r {
+			if k, ok := identityKey(it); ok {
+				keys[k] = true
+			}
+		}
+		var out []Item
+		for _, it := range l {
+			if k, ok := identityKey(it); ok && keys[k] == (n.Op == OpIntersect) || !ok && n.Op == OpExcept {
+				out = append(out, it)
+			}
+		}
+		return ddo(out)
 	default:
 		return nil, fmt.Errorf("query: unknown operator %d", n.Op)
 	}

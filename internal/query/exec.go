@@ -65,6 +65,13 @@ type ExecCtx struct {
 	// event span — that stays with the coordinator.
 	forked bool
 
+	// nodes holds the stored nodes this context (the statement's coordinator,
+	// or one worker fork — never shared) produces; scratch holds the merge
+	// streams' buffers, freed when their merge ends; textBuf is the reused
+	// buffer string values are assembled in. See slab.go.
+	nodes, scratch slab
+	textBuf        []byte
+
 	// Tracing state: the database's tracer, the open trace (nil when not
 	// tracing — the disabled path's single check) and the innermost open
 	// span, which storage-layer events attach to via the transaction.
@@ -95,7 +102,7 @@ type execShared struct {
 	// backend tallies; prefetchDepth is the statement's resolved readahead
 	// depth, restored when a paged document joins a resident-only statement.
 	storeMu       sync.Mutex
-	stores        map[uint32]docStore
+	stores        map[uint32]*docSource
 	residentDocs  int
 	pagedDocs     int
 	prefetchDepth int
@@ -170,7 +177,10 @@ func (ctx *ExecCtx) lazyLookup(id int) ([]Item, bool) {
 // lazyStore records a lazy clause's materialized binding sequence. Racing
 // workers may store the same id; either value is correct (both evaluated
 // the same expression over the same snapshot), so last-write-wins is fine.
+// The sequence outlives whatever bracket it was evaluated in, so the slab
+// that holds its nodes is pinned.
 func (ctx *ExecCtx) lazyStore(id int, v []Item) {
+	ctx.nodes.pin()
 	sh := ctx.shared()
 	sh.lazyMu.Lock()
 	sh.lazy[id] = v
@@ -353,18 +363,10 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	ctx.Profile.ExecNs = 0
 	ctx.Profile.PagesTouched = 0
 	ctx.Profile.NodesYielded = 0
-	depth := ctx.resolvePrefetchDepth()
-	ctx.Tx.SetPrefetchDepth(depth)
-	ctx.shared().prefetchDepth = depth
-	hintsBefore := ctx.Tx.PrefetchHints()
 	pagesBefore := ctx.Tx.PagesTouched()
 	start := time.Now()
-	res, err := executeStatement(ctx, st)
+	res, err := executeWithPrefetch(ctx, st)
 	ctx.Profile.PagesTouched = ctx.Tx.PagesTouched() - pagesBefore
-	if depth > 0 && ctx.span != nil {
-		ctx.span.SetInt("prefetch_depth", int64(depth))
-		ctx.span.SetInt("prefetch_hints", int64(ctx.Tx.PrefetchHints()-hintsBefore))
-	}
 	if res != nil {
 		if len(res.Items) > 0 {
 			ctx.Profile.NodesYielded = len(res.Items)
@@ -383,6 +385,24 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	}
 	if owned {
 		ctx.FinishTrace()
+	}
+	return res, err
+}
+
+// executeWithPrefetch runs the statement at its resolved readahead depth and
+// annotates the current span with the depth and the hints the scans emitted.
+func executeWithPrefetch(ctx *ExecCtx, st *Statement) (*Result, error) {
+	depth := ctx.resolvePrefetchDepth()
+	ctx.shared().prefetchDepth = depth
+	var hintsBefore uint64
+	if ctx.Tx != nil {
+		ctx.Tx.SetPrefetchDepth(depth)
+		hintsBefore = ctx.Tx.PrefetchHints()
+	}
+	res, err := executeStatement(ctx, st)
+	if depth > 0 && ctx.span != nil && ctx.Tx != nil {
+		ctx.span.SetInt("prefetch_depth", int64(depth))
+		ctx.span.SetInt("prefetch_hints", int64(ctx.Tx.PrefetchHints()-hintsBefore))
 	}
 	return res, err
 }
@@ -414,26 +434,8 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	}
 	ctx.updateStmt = st.Update != nil
 	optStart := time.Now()
-	asp := ctx.pushSpan("analyze")
-	if err := Analyze(st); err != nil {
-		ctx.popSpan(asp)
+	if err := prepare(ctx, st); err != nil {
 		return nil, err
-	}
-	ctx.popSpan(asp)
-	if !ctx.NoRewrite {
-		rsp := ctx.pushSpan("rewrite")
-		Rewrite(st)
-		ctx.popSpan(rsp)
-	}
-	if ctx.NoOpt || ctx.NoRewrite {
-		clearPlans(st)
-	} else {
-		osp := ctx.pushSpan("optimize")
-		err := optimizeStatement(ctx, st)
-		ctx.popSpan(osp)
-		if err != nil {
-			return nil, err
-		}
 	}
 	ctx.Profile.OptimizeNs = time.Since(optStart).Nanoseconds()
 	execStart := time.Now()
@@ -442,9 +444,6 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 		ctx.Profile.ExecNs = time.Since(execStart).Nanoseconds()
 		ctx.popSpan(esp)
 	}()
-	if ctx.NoVirtualCtors {
-		clearVirtualFlags(st)
-	}
 	ctx.funcs = st.Prolog.Funcs
 	ctx.shared() // materialize shared executor state before any fan-out
 	e := &env{ctx: ctx, r: ctx.Tx.Tx}
@@ -482,22 +481,38 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	}
 }
 
+// prepare runs the phases before execution: static analysis, the optimizing
+// rewriter and the cost-based optimizer, minus what the context switches off.
+func prepare(ctx *ExecCtx, st *Statement) error {
+	asp := ctx.pushSpan("analyze")
+	err := Analyze(st)
+	ctx.popSpan(asp)
+	if err != nil {
+		return err
+	}
+	if !ctx.NoRewrite {
+		rsp := ctx.pushSpan("rewrite")
+		Rewrite(st)
+		ctx.popSpan(rsp)
+	}
+	if ctx.NoOpt || ctx.NoRewrite {
+		clearPlans(st)
+	} else {
+		osp := ctx.pushSpan("optimize")
+		err = optimizeStatement(ctx, st)
+		ctx.popSpan(osp)
+	}
+	if ctx.NoVirtualCtors {
+		clearVirtualFlags(st)
+	}
+	return err
+}
+
 // execExplain analyzes and rewrites the inner statement without executing
 // it and yields the annotated operation tree as a single string item.
 func execExplain(ctx *ExecCtx, inner *Statement) (*Result, error) {
-	if err := Analyze(inner); err != nil {
+	if err := prepare(ctx, inner); err != nil {
 		return nil, err
-	}
-	if !ctx.NoRewrite {
-		Rewrite(inner)
-	}
-	if ctx.NoOpt || ctx.NoRewrite {
-		clearPlans(inner)
-	} else if err := optimizeStatement(ctx, inner); err != nil {
-		return nil, err
-	}
-	if ctx.NoVirtualCtors {
-		clearVirtualFlags(inner)
 	}
 	hint := ""
 	if ctx.Tx != nil && ctx.Tx.DB() != nil && ctx.Tx.DB().Resident() {
@@ -529,18 +544,7 @@ func execProfile(ctx *ExecCtx, inner *Statement) (*Result, error) {
 	ctx.adoptTrace(tr)
 	// PROFILE runs the statement directly, so it applies (and annotates) the
 	// readahead depth itself, as ExecuteStatement does for plain statements.
-	depth := ctx.resolvePrefetchDepth()
-	ctx.shared().prefetchDepth = depth
-	var hintsBefore uint64
-	if ctx.Tx != nil {
-		ctx.Tx.SetPrefetchDepth(depth)
-		hintsBefore = ctx.Tx.PrefetchHints()
-	}
-	res, err := executeStatement(ctx, inner)
-	if depth > 0 && ctx.span != nil && ctx.Tx != nil {
-		ctx.span.SetInt("prefetch_depth", int64(depth))
-		ctx.span.SetInt("prefetch_hints", int64(ctx.Tx.PrefetchHints()-hintsBefore))
-	}
+	res, err := executeWithPrefetch(ctx, inner)
 	// Close out the forced trace and restore the ambient one (if any).
 	if ctx.Tx != nil {
 		ctx.Tx.SetTraceSpan(prevSpan)

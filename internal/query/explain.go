@@ -99,11 +99,9 @@ func binOpText(op BinOp) string {
 	}
 }
 
-// ExplainText renders the statement's optimized operation tree; call after
-// Analyze and Rewrite so the rewriter flags and notes are populated.
-func ExplainText(st *Statement) string { return ExplainTextStorage(st, "") }
-
-// ExplainTextStorage is ExplainText with a storage-backend hint: when
+// ExplainTextStorage renders the statement's optimized operation tree; call
+// after Analyze and Rewrite so the rewriter flags and notes are populated.
+// With a storage-backend hint: when
 // non-empty ("resident" or "paged"), every location step is annotated
 // storage=<hint> — the backend the executor will serve the statement's
 // documents from (EXPLAIN is static, so the hint reflects the mode switch

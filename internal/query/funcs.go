@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"sedna/internal/schema"
 )
 
 // evalFuncCall dispatches user-declared functions and the built-in library.
@@ -30,7 +28,17 @@ func evalFuncCall(fc *FuncCall, e *env, f *focus) ([]Item, error) {
 		return eval(fd.Body, fe, nil)
 	}
 	name := strings.TrimPrefix(fc.Name, "fn:")
+	// Only root() and index-scan() return nodes: whatever else a built-in
+	// reads goes back to the slab once its value is computed.
+	m := e.ctx.nodes.mark()
+	out, err := evalBuiltin(name, fc, e, f)
+	if name != "root" && name != "index-scan" {
+		e.ctx.nodes.release(m)
+	}
+	return out, err
+}
 
+func evalBuiltin(name string, fc *FuncCall, e *env, f *focus) ([]Item, error) {
 	// Focus-dependent zero-argument functions.
 	switch name {
 	case "position":
@@ -44,9 +52,26 @@ func evalFuncCall(fc *FuncCall, e *env, f *focus) ([]Item, error) {
 		}
 		return []Item{num(float64(f.size))}, nil
 	case "true":
-		return []Item{boolean(true)}, nil
+		return boolSeq(true), nil
 	case "false":
-		return []Item{boolean(false)}, nil
+		return boolSeq(false), nil
+	}
+	// Functions of a sequence's size or effective boolean value run a path
+	// argument without collecting its nodes.
+	if len(fc.Args) == 1 {
+		switch name {
+		case "count":
+			if n, ok, err := stepCount(fc.Args[0], e, f, 0); ok {
+				return []Item{num(float64(n))}, err
+			}
+		case "exists", "empty":
+			if n, ok, err := stepCount(fc.Args[0], e, f, 1); ok {
+				return boolSeq((n > 0) == (name == "exists")), err
+			}
+		case "not", "boolean":
+			b, err := evalEBV(fc.Args[0], e, f)
+			return boolSeq(b == (name == "boolean")), err
+		}
 	}
 
 	// Evaluate arguments. Functions with an optional first argument default
@@ -76,29 +101,14 @@ func evalFuncCall(fc *FuncCall, e *env, f *focus) ([]Item, error) {
 		}
 		return []Item{num(float64(len(args[0])))}, nil
 
-	case "empty":
-		return []Item{boolean(len(args[0]) == 0)}, nil
+	case "exists", "empty":
+		return boolSeq((len(args[0]) > 0) == (name == "exists")), nil
 
-	case "exists":
-		return []Item{boolean(len(args[0]) != 0)}, nil
-
-	case "not":
-		b, err := ebv(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return []Item{boolean(!b)}, nil
-
-	case "boolean":
-		b, err := ebv(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return []Item{boolean(b)}, nil
-
-	case "string":
+	case "string", "text":
+		// text() is a convenience alias used by some Sedna queries; it keeps
+		// an empty sequence empty.
 		v, err := argOrContext()
-		if err != nil {
+		if err != nil || len(v) == 0 && name == "text" {
 			return nil, err
 		}
 		if len(v) == 0 {
@@ -231,7 +241,7 @@ func evalFuncCall(fc *FuncCall, e *env, f *focus) ([]Item, error) {
 		default:
 			b = strings.HasSuffix(s1, s2)
 		}
-		return []Item{boolean(b)}, nil
+		return boolSeq(b), nil
 
 	case "substring":
 		s, err := atomizedString(e, args[0], "")
@@ -336,22 +346,6 @@ func evalFuncCall(fc *FuncCall, e *env, f *focus) ([]Item, error) {
 		}
 		return nil, fmt.Errorf("query: root() over an atomic value")
 
-	case "text":
-		// Convenience alias used by some Sedna queries: text content of the
-		// context element.
-		v, err := argOrContext()
-		if err != nil {
-			return nil, err
-		}
-		if len(v) == 0 {
-			return nil, nil
-		}
-		s, err := itemStringValue(e, v[0])
-		if err != nil {
-			return nil, err
-		}
-		return []Item{str(s)}, nil
-
 	case "index-scan":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("query: index-scan(name, value) takes two arguments")
@@ -397,50 +391,35 @@ func evalAggregate(name string, items []Item, e *env) ([]Item, error) {
 		}
 		return nil, nil
 	}
-	// Numeric aggregation unless min/max over strings.
-	allStrings := true
-	for _, it := range items {
-		a, err := atomize(e, it)
-		if err != nil {
+	// Numeric aggregation unless min/max over values none of which is a
+	// number.
+	vals := make([]Atomic, len(items))
+	allStrings := name == "min" || name == "max"
+	for i, it := range items {
+		if err := atomizeTo(e, it, &vals[i]); err != nil {
 			return nil, err
 		}
-		if a.Kind == AtomNumber {
+		if allStrings && vals[i].Kind != AtomNumber {
+			_, err := fmt.Sscanf(vals[i].StringValue(), "%f", new(float64))
+			allStrings = err != nil
+		} else {
 			allStrings = false
-			break
-		}
-		if _, errConv := fmt.Sscanf(a.StringValue(), "%f", new(float64)); errConv == nil {
-			allStrings = false
-			break
 		}
 	}
-	if (name == "min" || name == "max") && allStrings {
-		best := ""
-		for i, it := range items {
-			a, err := atomize(e, it)
-			if err != nil {
-				return nil, err
-			}
-			s := a.StringValue()
-			if i == 0 || (name == "min" && s < best) || (name == "max" && s > best) {
+	if allStrings {
+		best := vals[0].StringValue()
+		for i := range vals {
+			if s := vals[i].StringValue(); name == "min" && s < best || name == "max" && s > best {
 				best = s
 			}
 		}
 		return []Item{str(best)}, nil
 	}
-	var sum float64
-	best := math.NaN()
-	for i, it := range items {
-		a, err := atomize(e, it)
-		if err != nil {
-			return nil, err
-		}
-		v := a.NumberValue()
+	sum, best := 0.0, vals[0].NumberValue()
+	for i := range vals {
+		v := vals[i].NumberValue()
 		sum += v
-		if i == 0 {
-			best = v
-		} else if name == "min" && v < best {
-			best = v
-		} else if name == "max" && v > best {
+		if name == "min" && v < best || name == "max" && v > best {
 			best = v
 		}
 	}
@@ -451,18 +430,5 @@ func evalAggregate(name string, items []Item, e *env) ([]Item, error) {
 		return []Item{num(sum / float64(len(items)))}, nil
 	default:
 		return []Item{num(best)}, nil
-	}
-}
-
-// kindOf returns the node kind of an item (schema.KindDocument==0 means not
-// a node); helper for tests and serialization.
-func kindOf(it Item, _ *env) schema.NodeKind {
-	switch x := it.(type) {
-	case *NodeItem:
-		return x.Doc.Schema.ByID(x.D.SchemaID).Kind
-	case *TempItem:
-		return x.N.Kind
-	default:
-		return 0
 	}
 }

@@ -581,19 +581,19 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 	}
 	sp.SetInt("candidates", int64(len(handles)))
 
+	src := e.source(doc)
 	nodes := make([]Item, 0, len(handles))
 	for _, h := range handles {
 		if err := ctx.checkKilled(); err != nil {
 			return nil, true, err
 		}
-		d, err := storage.DescOf(e.r, h)
+		n, err := src.st.byHandle(e, h)
 		if err != nil {
 			return nil, true, err
 		}
-		if !targetSet[d.SchemaID] {
-			continue
+		if targetSet[n.D.SchemaID] {
+			nodes = append(nodes, n)
 		}
-		nodes = append(nodes, &NodeItem{Doc: doc, D: d})
 	}
 	// Document order: candidates come back in key order, the result must be
 	// in NID order (which also satisfies any pending DDO requirement).

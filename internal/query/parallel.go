@@ -27,9 +27,7 @@ import (
 	"time"
 
 	"sedna/internal/metrics"
-	"sedna/internal/nid"
 	"sedna/internal/schema"
-	"sedna/internal/storage"
 	"sedna/internal/trace"
 )
 
@@ -219,84 +217,50 @@ func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, err
 	return workers, first
 }
 
-// parallelStreams evaluates one range scan per matched schema node on the
-// worker pool, each draining fully into a per-stream buffer, then k-way
-// merges the label-ordered buffers into document order — the same order the
-// serial incremental mergeStreams produces, so parallel output is
-// byte-identical to serial. handled=false means the section did not qualify
-// (fewer than two targets, too little work, update statement, parallelism
-// off) and the caller should run its serial path.
-func parallelStreams(e *env, doc *storage.Doc, targets []*schema.Node, st docStore, anc *storage.Desc, out []Item) ([]Item, bool, error) {
+// parallelStreams evaluates one range scan per target schema node on the
+// worker pool, each worker draining its cursor fully into batches of its own
+// slab, then merges the label-ordered results into k exactly as the serial
+// mergeStreams merges live cursors — so parallel output is byte-identical to
+// serial. handled=false means the section did not qualify (fewer than two
+// targets, too little work, update statement, parallelism off) and the
+// caller should run its serial path.
+func parallelStreams(e *env, targets []*schema.Node, anc *NodeItem, ancSN *schema.Node, k *collector) (bool, error) {
 	ctx := e.ctx
 	if len(targets) < 2 || ctx.updateStmt {
-		return out, false, nil
+		return false, nil
 	}
 	var total uint64
 	for _, sn := range targets {
 		total += sn.NodeCount
 	}
 	if total < parallelScanMinNodes {
-		return out, false, nil
+		return false, nil
 	}
 	if ctx.pool().size < 2 {
 		ctx.noteFallback()
-		return out, false, nil
+		return false, nil
 	}
-	parts := make([][]Item, len(targets))
-	if _, err := ctx.fanOut(len(targets), func(i int, wctx *ExecCtx) error {
+	streams := make([]nodeStream, len(targets))
+	ts := append([]*schema.Node(nil), targets...) // the caller's stay on its stack
+	if _, err := ctx.fanOut(len(ts), func(i int, wctx *ExecCtx) error {
 		we := *e
 		we.ctx = wctx
-		s, err := st.descendantScan(&we, doc, targets[i], anc)
-		if err != nil {
-			return err
-		}
-		var buf []Item
-		for s != nil && s.valid() {
-			if err := wctx.checkKilled(); err != nil {
-				return err
+		c, err := anc.st.descendantScan(&we, ts[i], anc, ancSN)
+		for err == nil && !c.done() {
+			if err = wctx.checkKilled(); err != nil {
+				break
 			}
-			buf = append(buf, &NodeItem{Doc: doc, D: *s.desc()})
-			if err := s.advance(&we); err != nil {
-				return err
+			b, n := wctx.nodes.batch(), 0
+			if n, c, err = c.src.st.fill(&we, c, b); err == nil {
+				wctx.nodes.top += n
+				streams[i].chunks = append(streams[i].chunks, b[:n])
 			}
 		}
-		parts[i] = buf
-		return nil
+		return err
 	}); err != nil {
-		return nil, true, err
+		return true, err
 	}
-	return mergeSortedParts(parts, out), true, nil
-}
-
-// mergeSortedParts k-way merges label-ordered NodeItem buffers into
-// document order.
-func mergeSortedParts(parts [][]Item, out []Item) []Item {
-	idx := make([]int, len(parts))
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if out == nil && total > 0 {
-		out = make([]Item, 0, total)
-	}
-	for {
-		best := -1
-		var bestLabel nid.Label
-		for i, p := range parts {
-			if idx[i] >= len(p) {
-				continue
-			}
-			l := p[idx[i]].(*NodeItem).D.Label
-			if best < 0 || nid.Compare(l, bestLabel) < 0 {
-				best, bestLabel = i, l
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-	}
+	return true, mergeStreams(e, streams, k)
 }
 
 // parallelFLWOR fans the first for-clause's bindings out across the worker
@@ -304,63 +268,44 @@ func mergeSortedParts(parts [][]Item, out []Item) []Item {
 // binding's tuples gather into a per-binding sink; sinks concatenate in
 // binding order, reproducing the serial nested-loop order exactly.
 // handled=false → the caller runs the serial nested loop.
-func parallelFLWOR(fl *FLWOR, e *env, f *focus, run func(i int, e *env, sink *[]flworTuple) error, results *[]flworTuple) (bool, error) {
+func parallelFLWOR(fl *FLWOR, e *env, f *focus, iter func(i int, e *env, it Item, pos int, sink *[]flworTuple) error, results *[]flworTuple) (bool, error) {
 	ctx := e.ctx
 	if len(fl.Clauses) == 0 || fl.Clauses[0].Let {
 		return false, nil
 	}
-	if ctx.updateStmt {
+	if ctx.updateStmt || !parallelSafeFLWOR(fl, ctx) || ctx.pool().size < 2 {
 		ctx.noteFallback()
 		return false, nil
 	}
-	if !parallelSafeFLWOR(fl, ctx) {
-		ctx.noteFallback()
-		return false, nil
-	}
-	if ctx.pool().size < 2 {
-		ctx.noteFallback()
-		return false, nil
-	}
-	cl := fl.Clauses[0]
-	seq, err := evalClauseSeq(cl, e, f)
+	seq, err := evalClauseSeq(fl.Clauses[0], e, f)
 	if err != nil {
 		return true, err
 	}
-	bindSerial := func() (bool, error) {
+	// Too small to fan out is not a fallback — there is nothing to
+	// parallelize; a constructed node in scope is: expansion of virtual
+	// references mutates shared temp nodes. Either way the clause sequence is
+	// already evaluated (re-entering the serial loop would evaluate it
+	// twice), so bind over it here.
+	unsafe := len(seq) >= parallelForMinBindings && (anyTemp(seq) || envHasTemp(e, f))
+	if unsafe {
+		ctx.noteFallback()
+	}
+	if unsafe || len(seq) < parallelForMinBindings {
 		for pos, it := range seq {
 			if err := ctx.checkKilled(); err != nil {
 				return true, err
 			}
-			ne := e.bind(cl.Var, []Item{it})
-			if cl.PosVar != "" {
-				ne = ne.bind(cl.PosVar, []Item{num(float64(pos + 1))})
-			}
-			if err := run(1, ne, results); err != nil {
+			if err := iter(0, e, it, pos, results); err != nil {
 				return true, err
 			}
 		}
 		return true, nil
 	}
-	if len(seq) < parallelForMinBindings {
-		// Too small to fan out; the clause sequence is already evaluated
-		// (re-entering the serial loop would evaluate it twice), so bind
-		// over it here. Not a fallback — there is nothing to parallelize.
-		return bindSerial()
-	}
-	if anyTemp(seq) || envHasTemp(e, f) {
-		// A constructed node in scope: expansion of virtual references
-		// mutates shared temp nodes.
-		ctx.noteFallback()
-		return bindSerial()
-	}
 	sinks := make([][]flworTuple, len(seq))
 	if _, err := ctx.fanOut(len(seq), func(i int, wctx *ExecCtx) error {
-		ne := e.bind(cl.Var, []Item{seq[i]})
-		ne.ctx = wctx
-		if cl.PosVar != "" {
-			ne = ne.bind(cl.PosVar, []Item{num(float64(i + 1))})
-		}
-		return run(1, ne, &sinks[i])
+		we := *e
+		we.ctx = wctx
+		return iter(0, &we, seq[i], i, &sinks[i])
 	}); err != nil {
 		return true, err
 	}
@@ -371,78 +316,35 @@ func parallelFLWOR(fl *FLWOR, e *env, f *focus, run func(i int, e *env, sink *[]
 }
 
 // parallelSafeFLWOR reports whether everything evaluated under the first
-// for-clause is safe and deterministic to run concurrently.
+// for-clause is safe and deterministic to run concurrently: no node
+// construction (temp ordinals — the document order of constructed nodes —
+// must stay deterministic, and virtual references expand by mutation), no
+// user-defined function calls (bodies are not analyzed), and a conservative
+// default of unsafe for any expression form the walk does not know.
 func parallelSafeFLWOR(fl *FLWOR, ctx *ExecCtx) bool {
-	for _, cl := range fl.Clauses[1:] {
-		if !parallelSafeExpr(cl.Seq, ctx) {
-			return false
-		}
-	}
-	if fl.Where != nil && !parallelSafeExpr(fl.Where, ctx) {
-		return false
-	}
-	for _, spec := range fl.OrderBy {
-		if !parallelSafeExpr(spec.Key, ctx) {
-			return false
-		}
-	}
-	return parallelSafeExpr(fl.Return, ctx)
-}
-
-// parallelSafeExpr walks an expression deciding whether workers may
-// evaluate it concurrently: no node construction (temp ordinals — the
-// document order of constructed nodes — must stay deterministic, and
-// virtual references expand by mutation), no user-defined function calls
-// (bodies are not analyzed), and a conservative default of unsafe for any
-// expression form the walker does not know.
-func parallelSafeExpr(x Expr, ctx *ExecCtx) bool {
-	switch n := x.(type) {
-	case nil:
-		return true
-	case *Literal, *VarRef, *ContextItem, *Root, *DocCall:
-		return true
-	case *Step:
-		if n.Input != nil && !parallelSafeExpr(n.Input, ctx) {
-			return false
-		}
-		return parallelSafeExprs(n.Preds, ctx)
-	case *Filter:
-		return parallelSafeExpr(n.Input, ctx) && parallelSafeExprs(n.Preds, ctx)
-	case *Sequence:
-		return parallelSafeExprs(n.Items, ctx)
-	case *Binary:
-		return parallelSafeExpr(n.Left, ctx) && parallelSafeExpr(n.Right, ctx)
-	case *Unary:
-		return parallelSafeExpr(n.X, ctx)
-	case *IfExpr:
-		return parallelSafeExpr(n.Cond, ctx) && parallelSafeExpr(n.Then, ctx) && parallelSafeExpr(n.Else, ctx)
-	case *Quantified:
-		return parallelSafeExpr(n.Seq, ctx) && parallelSafeExpr(n.Pred, ctx)
-	case *FLWOR:
-		for _, cl := range n.Clauses {
-			if !parallelSafeExpr(cl.Seq, ctx) {
-				return false
+	safe := true
+	visit := func(x Expr) {
+		switch n := x.(type) {
+		case *Literal, *VarRef, *ContextItem, *Root, *DocCall, *Step, *Filter, *Sequence,
+			*Binary, *Unary, *IfExpr, *Quantified, *FLWOR:
+		case *FuncCall:
+			if _, userDefined := ctx.funcs[n.Name]; userDefined {
+				safe = false
 			}
-		}
-		return parallelSafeFLWOR(n, ctx)
-	case *FuncCall:
-		if _, userDefined := ctx.funcs[n.Name]; userDefined {
-			return false
-		}
-		return parallelSafeExprs(n.Args, ctx)
-	default:
-		// ElementCtor, TextCtor, CommentCtor and anything added later.
-		return false
-	}
-}
-
-func parallelSafeExprs(xs []Expr, ctx *ExecCtx) bool {
-	for _, x := range xs {
-		if !parallelSafeExpr(x, ctx) {
-			return false
+		default:
+			// ElementCtor, TextCtor, CommentCtor and anything added later.
+			safe = false
 		}
 	}
-	return true
+	for _, cl := range fl.Clauses[1:] {
+		walkExpr(cl.Seq, visit)
+	}
+	walkExpr(fl.Where, visit)
+	for _, spec := range fl.OrderBy {
+		walkExpr(spec.Key, visit)
+	}
+	walkExpr(fl.Return, visit)
+	return safe
 }
 
 // anyTemp reports whether the sequence holds a constructed node.

@@ -143,6 +143,24 @@ var parallelPropertyQueries = []string{
 	`for $p in doc("mixed")/m/p where $p/b > "b" return string($p/b/i)`,
 	`string(doc("mixed")/m/q)`,
 	`count(doc("mixed")//p[. = ""])`,
+	// Positions, reverse and sibling axes, and paths that are only counted
+	// or probed: what the batch collectors decide node by node.
+	`doc("cat")/catalog/sec3/item[last()]/name/text()`,
+	`doc("cat")//item[position() = 3]/name`,
+	`doc("cat")//item[value > 5000][2]/name`,
+	`doc("cat")/catalog/*/item[39]/following-sibling::item/name`,
+	`data(doc("cat")/catalog/sec5/item[4]/preceding-sibling::item/@id)`,
+	`data(doc("cat")//item[value > 9800]/parent::*/item[1]/@id)`,
+	`count(doc("cat")//value/ancestor::*)`,
+	`doc("mixed")/m/p[4]/preceding-sibling::node()[2]`,
+	`doc("mixed")/m/p[2]/following-sibling::node()[3]`,
+	`count(doc("site")//person[profile])`,
+	`doc("site")//person[not(profile/age)]/name`,
+	`data(doc("site")//open_auction[bidder[2]]/@id)`,
+	`doc("site")//open_auction[2]/bidder[last()]/increase`,
+	`exists(doc("site")//bidder), empty(doc("site")//nosuch), boolean(doc("site")//person[7])`,
+	`for $a in doc("site")//open_auction where $a/bidder return count($a/bidder/increase)`,
+	`doc("deep")//n1[1]/n0[1]/ancestor-or-self::*[2]`,
 }
 
 // lowerScanGate drops the scan fan-out threshold so the small test corpora
@@ -263,14 +281,15 @@ func TestFanOutOrderAndErrors(t *testing.T) {
 	}
 }
 
-// TestMergeSortedParts checks the k-way merge degenerate cases the scan
-// fan-out relies on: empty parts, single part, interleaved labels.
-func TestMergeSortedParts(t *testing.T) {
-	if got := mergeSortedParts(nil, nil); got != nil {
-		t.Fatalf("merge of nothing: %v", got)
-	}
-	if got := mergeSortedParts([][]Item{nil, nil}, nil); got != nil {
-		t.Fatalf("merge of empties: %v", got)
+// TestMergeReplayStreams checks the k-way merge degenerate cases the scan
+// fan-out relies on: no streams, and streams whose workers found nothing.
+func TestMergeReplayStreams(t *testing.T) {
+	e := &env{ctx: NewExecCtx(nil)}
+	for _, streams := range [][]nodeStream{nil, make([]nodeStream, 2)} {
+		k := collector{e: e}
+		if err := mergeStreams(e, streams, &k); err != nil || k.n != 0 {
+			t.Fatalf("merge of %d empty streams: %d nodes, %v", len(streams), k.n, err)
+		}
 	}
 }
 

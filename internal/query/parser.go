@@ -998,10 +998,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.kind == tokString:
 		p.l.next()
-		return &Literal{String: t.text, IsString: true}, nil
+		return strLit(t.text), nil
 	case t.kind == tokNumber:
 		p.l.next()
-		return &Literal{Number: t.num}, nil
+		return numLit(t.num), nil
 	case t.kind == tokVar:
 		p.l.next()
 		return &VarRef{Name: t.text}, nil

@@ -124,7 +124,7 @@ func (p *parser) parseElementCtorRaw() (Expr, error) {
 		if strings.TrimSpace(s) == "" {
 			return // boundary whitespace is stripped
 		}
-		ctor.Content = append(ctor.Content, &TextCtor{Content: &Literal{String: decodeEntities(s), IsString: true}})
+		ctor.Content = append(ctor.Content, &TextCtor{Content: strLit(decodeEntities(s))})
 	}
 	for {
 		c, ok := p.l.rawByte()
@@ -162,7 +162,7 @@ func (p *parser) parseElementCtorRaw() (Expr, error) {
 				}
 				flushText()
 				ctor.Content = append(ctor.Content, &CommentCtor{
-					Content: &Literal{String: p.l.src[p.l.pos : p.l.pos+idx], IsString: true},
+					Content: strLit(p.l.src[p.l.pos : p.l.pos+idx]),
 				})
 				p.l.pos += idx + 3
 				continue
@@ -234,7 +234,7 @@ func (p *parser) parseEmbedded(s string) ([]Expr, error) {
 	var text strings.Builder
 	flush := func() {
 		if text.Len() > 0 {
-			parts = append(parts, &Literal{String: decodeEntities(text.String()), IsString: true})
+			parts = append(parts, strLit(decodeEntities(text.String())))
 			text.Reset()
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"sedna/internal/core"
-	"sedna/internal/schema"
-	"sedna/internal/storage"
 	"sedna/internal/xmlgen"
 )
 
@@ -61,39 +59,5 @@ func TestValuePredicateScalesLinearly(t *testing.T) {
 	t.Logf("pages touched: %d items → %d, %d items → %d (%.2fx)", 400, small, 1600, large, float64(large)/float64(small))
 	if float64(large) > 4.5*float64(small) {
 		t.Fatalf("4x the items touched %.2fx the pages (%d → %d), want ≤ 4.5x", float64(large)/float64(small), small, large)
-	}
-}
-
-// TestChildStepAllocations bounds what one child step over a single child
-// costs on the paged backend: the child's descriptor and the result slice,
-// one allocation each. The run ends on a peek at the list neighbour's parent
-// handle; decoding the neighbour to find that out would show as a third.
-func TestChildStepAllocations(t *testing.T) {
-	db := testDB(t)
-	tx, err := db.BeginReadOnly()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Rollback()
-	doc, err := tx.Document("lib")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bookSN := doc.Schema.Root.Child(schema.KindElement, "library").Child(schema.KindElement, "book")
-	titleSN := bookSN.Child(schema.KindElement, "title")
-	book, ok, err := storage.FirstOfSchema(tx.Tx, bookSN)
-	if err != nil || !ok {
-		t.Fatalf("no book: %v", err)
-	}
-	e := &env{ctx: NewExecCtx(tx), r: tx.Tx}
-	var kids []storage.Desc
-	allocs := testing.AllocsPerRun(200, func() {
-		kids, err = pagedStore{}.childrenOfSchema(e, doc, &book, bookSN, titleSN)
-	})
-	if err != nil || len(kids) != 1 {
-		t.Fatalf("book/title: %d children, %v", len(kids), err)
-	}
-	if allocs > 2 {
-		t.Fatalf("one child step over a single child made %.0f allocations, want ≤ 2", allocs)
 	}
 }

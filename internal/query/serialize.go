@@ -10,9 +10,9 @@ import (
 )
 
 // serializeStored writes a stored node as XML over the backend that produced
-// it: resident-origin descriptors carry no paged navigation fields.
+// it.
 func serializeStored(e *env, n *NodeItem, w io.Writer) error {
-	return core.SerializeNodeVia(storeAccess{e: e, doc: n.Doc, st: e.storeFor(n.Doc)}, n.Doc, n.D, w)
+	return core.SerializeNodeVia[Item](storeAccess{e}, n.Doc, n, w)
 }
 
 // serializeTemp writes a constructed node as XML. Virtual references
@@ -30,7 +30,7 @@ func serializeTemp(e *env, n *TempNode, w io.Writer) error {
 		hasContent := false
 		for _, c := range n.Children {
 			if c.Kind == schema.KindAttribute {
-				if _, err := fmt.Fprintf(w, " %s=%q", c.Name, c.Text); err != nil {
+				if err := core.WriteAttr(w, c.Name, []byte(c.Text)); err != nil {
 					return err
 				}
 			} else {

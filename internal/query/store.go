@@ -2,16 +2,19 @@ package query
 
 // The executor's document-storage interface. Every axis step, text read and
 // serialization walk goes through a docStore, of which there are two
-// implementations: pagedStore iterates the block chains exactly as before,
-// and residentStore iterates the compressed in-memory resident
-// representation (a per-document structural array built under a snapshot and
-// cached with commit-timestamp validation). Which one serves a document is
-// decided once per statement and document in storeFor; both produce the same
-// descriptors in the same order, so query output is byte-identical across
+// implementations: pagedStore decodes runs of descriptors out of the block
+// chains (one page view per run, storage.ReadRun), and residentStore reads
+// the compressed in-memory resident representation (a per-document structural
+// array built under a snapshot and cached with commit-timestamp validation).
+// Which one serves a document is decided once per statement and document in
+// env.source, and every node carries its source from then on; both produce
+// the same nodes in the same order, so query output is byte-identical across
 // backends.
 
 import (
+	"sedna/internal/core"
 	"sedna/internal/resident"
+	"sedna/internal/sas"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
 	"sedna/internal/trace"
@@ -23,392 +26,298 @@ const (
 	storageResident = "resident"
 )
 
-// docStore is the small storage interface the executor runs against.
-// Descriptors returned by a resident store carry no paged navigation fields
-// (block pointers, child slots), so callers must navigate them only through
-// the store that produced them.
-type docStore interface {
-	kind() string
-	// root returns the document node's descriptor.
-	root(e *env, doc *storage.Doc) (storage.Desc, error)
-	// parent returns d's parent (ok=false for the document node).
-	parent(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error)
-	// nextSibling / prevSibling step the sibling chain (ok=false at an end).
-	nextSibling(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error)
-	prevSibling(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error)
-	// children returns d's children in document order.
-	children(e *env, doc *storage.Doc, d *storage.Desc) ([]storage.Desc, error)
-	// childrenOfSchema returns d's children clustered under one schema
-	// child, in document order — the single-schema-child fast path of the
-	// child axis.
-	childrenOfSchema(e *env, doc *storage.Doc, d *storage.Desc, parent, child *schema.Node) ([]storage.Desc, error)
-	// text returns d's text value (nil for nodes without text).
-	text(e *env, doc *storage.Doc, d *storage.Desc) ([]byte, error)
-	// descendantScan opens a document-order stream over sn's instances
-	// inside anc's subtree (nil when empty). Counts one schema scan.
-	descendantScan(e *env, doc *storage.Doc, sn *schema.Node, anc *storage.Desc) (descStream, error)
-	// schemaScan visits every instance of sn in document order (the
-	// whole-document structural-path fast path). Counts one schema scan.
-	schemaScan(e *env, doc *storage.Doc, sn *schema.Node, fn func(storage.Desc) (bool, error)) error
-}
-
-// descStream is one per-schema-node document-order stream of a descendant
-// scan; mergeStreams k-way merges streams by NID label.
-type descStream interface {
-	valid() bool
-	desc() *storage.Desc
-	advance(e *env) error
-}
-
-// storeFor resolves (and memoizes per statement) the store serving doc. The
-// first resolution per document may build the resident representation, so it
-// runs outside the registry lock; registration also reconciles the
-// transaction's readahead depth — prefetch is suppressed while every
-// document touched so far is resident (the executor never dereferences
-// their chain pages), and restored as soon as any paged document joins.
-func (e *env) storeFor(doc *storage.Doc) docStore {
-	sh := e.ctx.shared()
-	sh.storeMu.Lock()
-	if st, ok := sh.stores[doc.ID]; ok {
-		sh.storeMu.Unlock()
-		return st
-	}
-	sh.storeMu.Unlock()
-
-	st := e.resolveStore(doc)
-
-	sh.storeMu.Lock()
-	if prev, ok := sh.stores[doc.ID]; ok {
-		// A concurrent worker registered first; use its store.
-		st = prev
-	} else {
-		if sh.stores == nil {
-			sh.stores = make(map[uint32]docStore)
-		}
-		sh.stores[doc.ID] = st
-		if e.ctx.Tx != nil && e.ctx.Tx.DB() != nil {
-			// One access per statement and document: the residency advisor's
-			// hotness signal.
-			e.ctx.Tx.DB().Catalog().NoteAccess(doc.Name)
-		}
-		if st.kind() == storageResident {
-			sh.residentDocs++
-		} else {
-			sh.pagedDocs++
-		}
-		if e.ctx.Tx != nil {
-			if sh.residentDocs > 0 && sh.pagedDocs == 0 {
-				e.ctx.Tx.SetPrefetchDepth(0)
-			} else {
-				e.ctx.Tx.SetPrefetchDepth(sh.prefetchDepth)
-			}
-		}
-	}
-	sh.storeMu.Unlock()
-	return st
-}
-
-// resolveStore picks the backend for doc: resident only for read-only
-// statements when the mode is on and the cache yields a representation for
-// this snapshot's version of the document.
-func (e *env) resolveStore(doc *storage.Doc) docStore {
-	ctx := e.ctx
-	if ctx.Tx == nil || ctx.updateStmt || !ctx.Tx.ReadOnly() {
-		return pagedStore{}
-	}
-	rep, deferred := ctx.Tx.ResidentFor(doc)
-	if rep != nil {
-		return &residentStore{rep: rep}
-	}
-	return pagedStore{deferred: deferred}
-}
-
-// annotateStorage records on a step span which backend served the step that
-// produced items: the store of the first stored node's document (nothing
-// when there are no stored nodes). A paged step whose document would have
-// been resident but for a deferred build says so.
-func (ctx *ExecCtx) annotateStorage(sp *trace.Span, items []Item) {
-	for _, it := range items {
-		ni, ok := it.(*NodeItem)
-		if !ok {
-			continue
-		}
-		sh := ctx.shared()
-		sh.storeMu.Lock()
-		st := sh.stores[ni.Doc.ID]
-		sh.storeMu.Unlock()
-		if st == nil {
-			return
-		}
-		sp.SetStr("storage", st.kind())
-		if ps, ok := st.(pagedStore); ok && ps.deferred {
-			sp.SetStr("resident", "deferred")
-		}
-		return
-	}
-}
-
-// storeAccess adapts a docStore to core.NodeAccess so result serialization
-// runs over the same backend that produced the nodes (resident-origin
-// descriptors carry no paged navigation fields).
-type storeAccess struct {
-	e   *env
-	doc *storage.Doc
+// docSource is a document as one statement reads it: the document and the
+// store that serves it. Every NodeItem points at one.
+type docSource struct {
+	Doc *storage.Doc
 	st  docStore
 }
 
-func (a storeAccess) Children(d *storage.Desc) ([]storage.Desc, error) {
-	return a.st.children(a.e, a.doc, d)
+// docStore is the small storage interface the executor runs against. The
+// producers return cursors; fill decodes a cursor's next nodes into a batch.
+type docStore interface {
+	kind() string
+	// byHandle returns the node with the given handle (the document node:
+	// Doc.RootHandle; an index probe's result).
+	byHandle(e *env, h sas.XPtr) (*NodeItem, error)
+	// parent returns n's parent (nil for the document node).
+	parent(e *env, n *NodeItem) (*NodeItem, error)
+	// text appends n's text value to dst.
+	text(e *env, n *NodeItem, dst []byte) ([]byte, error)
+	// children opens n's children, following opens n's right siblings, in
+	// document order.
+	children(e *env, n *NodeItem) (cursor, error)
+	following(n *NodeItem) cursor
+	// childrenOfSchema opens n's children clustered under one schema child —
+	// the single-schema-child fast path of the child axis.
+	childrenOfSchema(n *NodeItem, parent, child *schema.Node) cursor
+	// descendantScan opens sn's instances inside the subtree of anc, an
+	// instance of ancSN. Counts one schema scan.
+	descendantScan(e *env, sn *schema.Node, anc *NodeItem, ancSN *schema.Node) (cursor, error)
+	// schemaScan opens every instance of sn (the whole-document
+	// structural-path fast path). Counts one schema scan.
+	schemaScan(e *env, sn *schema.Node) cursor
+	// fill decodes the cursor's next nodes into dst — at least one unless the
+	// cursor is done — and returns the cursor advanced past them.
+	fill(e *env, c cursor, dst []NodeItem) (int, cursor, error)
 }
 
-func (a storeAccess) Text(d *storage.Desc) ([]byte, error) {
-	return a.st.text(a.e, a.doc, d)
+// source resolves (and memoizes per statement) how doc is read. The first
+// resolution per document may build the resident representation, so it runs
+// outside the registry lock; registration also reconciles the transaction's
+// readahead depth — prefetch is suppressed while every document touched so
+// far is resident (the executor never dereferences their chain pages), and
+// restored as soon as any paged document joins.
+func (e *env) source(doc *storage.Doc) *docSource {
+	sh := e.ctx.shared()
+	sh.storeMu.Lock()
+	if src, ok := sh.stores[doc.ID]; ok {
+		sh.storeMu.Unlock()
+		return src
+	}
+	sh.storeMu.Unlock()
+
+	src := e.resolveSource(doc)
+
+	sh.storeMu.Lock()
+	defer sh.storeMu.Unlock()
+	if prev, ok := sh.stores[doc.ID]; ok {
+		// A concurrent worker registered first; use its source.
+		return prev
+	}
+	if sh.stores == nil {
+		sh.stores = make(map[uint32]*docSource)
+	}
+	sh.stores[doc.ID] = src
+	if e.ctx.Tx != nil && e.ctx.Tx.DB() != nil {
+		// One access per statement and document: the residency advisor's
+		// hotness signal.
+		e.ctx.Tx.DB().Catalog().NoteAccess(doc.Name)
+	}
+	if src.st.kind() == storageResident {
+		sh.residentDocs++
+	} else {
+		sh.pagedDocs++
+	}
+	if e.ctx.Tx != nil {
+		if sh.residentDocs > 0 && sh.pagedDocs == 0 {
+			e.ctx.Tx.SetPrefetchDepth(0)
+		} else {
+			e.ctx.Tx.SetPrefetchDepth(sh.prefetchDepth)
+		}
+	}
+	return src
+}
+
+// resolveSource picks the backend for doc: resident only for read-only
+// statements when the mode is on and the cache yields a representation for
+// this snapshot's version of the document.
+func (e *env) resolveSource(doc *storage.Doc) *docSource {
+	ctx := e.ctx
+	paged := &docSource{Doc: doc}
+	ps := &pagedStore{src: paged}
+	paged.st = ps
+	if ctx.Tx == nil || ctx.updateStmt || !ctx.Tx.ReadOnly() {
+		return paged
+	}
+	rep, deferred := ctx.Tx.ResidentFor(doc)
+	if rep == nil {
+		ps.deferred = deferred
+		return paged
+	}
+	src := &docSource{Doc: doc}
+	src.st = &residentStore{src: src, rep: rep, paged: ps}
+	return src
+}
+
+// annotateStorage records on a step span which backend served the step: the
+// store of its first stored node (nothing when there are none). A paged step
+// whose document would have been resident but for a deferred build says so.
+func (ctx *ExecCtx) annotateStorage(sp *trace.Span, items []Item) {
+	for _, it := range items {
+		if ni, ok := it.(*NodeItem); ok {
+			sp.SetStr("storage", ni.st.kind())
+			if ps, ok := ni.st.(*pagedStore); ok && ps.deferred {
+				sp.SetStr("resident", "deferred")
+			}
+			return
+		}
+	}
+}
+
+// storeAccess adapts the stores to core.NodeAccess so result serialization
+// runs over the backend that produced the nodes. A node's children stay in
+// the slab for as long as the serializer works on them.
+type storeAccess struct{ e *env }
+
+func (a storeAccess) SchemaID(n Item) uint32 { return n.(*NodeItem).D.SchemaID }
+
+func (a storeAccess) Children(n Item, v core.ChildVisitor[Item]) error {
+	m := a.e.ctx.nodes.mark()
+	defer a.e.ctx.nodes.release(m)
+	kids, err := storedChildren(a.e, n.(*NodeItem))
+	if err != nil {
+		return err
+	}
+	return v.SerializeChildren(n, kids)
+}
+
+// Text reuses one buffer: the serializer writes a value out before it asks
+// for the next.
+func (a storeAccess) Text(n Item) ([]byte, error) {
+	b, err := n.(*NodeItem).st.text(a.e, n.(*NodeItem), a.e.ctx.textBuf[:0])
+	a.e.ctx.textBuf = b
+	return b, err
 }
 
 // ---------------------------------------------------------------------------
-// Paged implementation: block-chain iteration.
+// Paged implementation: page runs over the block chains.
 
 type pagedStore struct {
+	src *docSource
 	// deferred marks a document the resident cache would serve but whose
 	// build it put off (PROFILE shows resident=deferred).
 	deferred bool
 }
 
-func (pagedStore) kind() string { return storagePaged }
+func (*pagedStore) kind() string { return storagePaged }
 
-func (pagedStore) root(e *env, doc *storage.Doc) (storage.Desc, error) {
-	return storage.DescOf(e.r, doc.RootHandle)
-}
-
-func (pagedStore) parent(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error) {
-	return storage.ParentOf(e.r, d)
-}
-
-func (pagedStore) nextSibling(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error) {
-	if d.RightSib.IsNil() {
-		return storage.Desc{}, false, nil
-	}
-	nd, err := storage.ReadDesc(e.r, d.RightSib)
-	if err != nil {
-		return storage.Desc{}, false, err
-	}
-	return nd, true, nil
-}
-
-func (pagedStore) prevSibling(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error) {
-	if d.LeftSib.IsNil() {
-		return storage.Desc{}, false, nil
-	}
-	nd, err := storage.ReadDesc(e.r, d.LeftSib)
-	if err != nil {
-		return storage.Desc{}, false, err
-	}
-	return nd, true, nil
-}
-
-func (pagedStore) children(e *env, doc *storage.Doc, d *storage.Desc) ([]storage.Desc, error) {
-	var out []storage.Desc
-	c, ok, err := storage.FirstChild(e.r, d)
-	for {
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		if err := e.ctx.checkKilled(); err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-		if c.RightSib.IsNil() {
-			return out, nil
-		}
-		c, err = storage.ReadDesc(e.r, c.RightSib)
-	}
-}
-
-func (pagedStore) childrenOfSchema(e *env, doc *storage.Doc, d *storage.Desc, parent, child *schema.Node) ([]storage.Desc, error) {
-	// One schema child: follow its slot and the in-list chain while the
-	// parent stays the same (children of one parent are contiguous in the
-	// schema node's list).
-	first := d.ChildAtSlot(parent.ChildIndex(child))
-	if first.IsNil() {
-		return nil, nil
-	}
-	cd, err := storage.ReadDesc(e.r, first)
+func (ps *pagedStore) byHandle(e *env, h sas.XPtr) (*NodeItem, error) {
+	d, err := storage.DescOf(e.r, h)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]storage.Desc, 0, 1)
-	for {
-		if err := e.ctx.checkKilled(); err != nil {
-			return nil, err
-		}
-		out = append(out, cd)
-		next, ok, err := storage.NextSameParent(e.r, &cd)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		cd = next
-	}
+	return e.node(ps.src, d), nil
 }
 
-func (pagedStore) text(e *env, doc *storage.Doc, d *storage.Desc) ([]byte, error) {
-	return storage.Text(e.r, d)
-}
-
-func (pagedStore) descendantScan(e *env, doc *storage.Doc, sn *schema.Node, anc *storage.Desc) (descStream, error) {
-	rs, err := newRangeScan(e, doc, sn, anc)
-	if err != nil {
-		return nil, err
-	}
-	if rs == nil {
+func (ps *pagedStore) parent(e *env, n *NodeItem) (*NodeItem, error) {
+	if n.D.Parent.IsNil() {
 		return nil, nil
 	}
-	return rs, nil
+	return ps.byHandle(e, n.D.Parent)
 }
 
-func (pagedStore) schemaScan(e *env, doc *storage.Doc, sn *schema.Node, fn func(storage.Desc) (bool, error)) error {
+func (*pagedStore) text(e *env, n *NodeItem, dst []byte) ([]byte, error) {
+	return storage.AppendText(e.r, n.D.Text, n.D.TextLen, dst)
+}
+
+func (ps *pagedStore) children(e *env, n *NodeItem) (cursor, error) {
+	first, err := storage.FirstChildPtr(e.r, &n.D)
+	return cursor{src: ps.src, at: first, link: storage.SiblingLink}, err
+}
+
+func (ps *pagedStore) following(n *NodeItem) cursor {
+	return cursor{src: ps.src, at: n.D.RightSib, link: storage.SiblingLink}
+}
+
+func (ps *pagedStore) childrenOfSchema(n *NodeItem, parent, child *schema.Node) cursor {
+	// One schema child: its slot, then the in-list chain while the parent
+	// stays the same (children of one parent are contiguous in the schema
+	// node's list).
+	return cursor{src: ps.src, at: n.D.ChildAtSlot(parent.ChildIndex(child)), link: storage.ListLink, parent: n.D.Handle}
+}
+
+// descendantScan starts at anc's first instance of sn, found through anc's
+// own child pointers (storage.FirstInRange), so opening a scan costs the same
+// for the first context node of a document as for the last; the runs end
+// where anc's numbering-scheme label stops being an ancestor.
+func (ps *pagedStore) descendantScan(e *env, sn *schema.Node, anc *NodeItem, ancSN *schema.Node) (cursor, error) {
 	e.ctx.stats().AddSchemaScans(1)
-	return storage.ScanSchema(e.r, sn, fn)
+	first, err := storage.FirstInRange(e.r, &anc.D, ancSN, sn)
+	return cursor{src: ps.src, at: first, link: storage.ListLink, under: &anc.D.Label}, err
+}
+
+func (ps *pagedStore) schemaScan(e *env, sn *schema.Node) cursor {
+	e.ctx.stats().AddSchemaScans(1)
+	return cursor{src: ps.src, at: sn.FirstBlock, link: storage.ListLink}
+}
+
+func (ps *pagedStore) fill(e *env, c cursor, dst []NodeItem) (int, cursor, error) {
+	s := &e.ctx.nodes
+	s.dst, s.n, s.src = dst, 0, c.src
+	var err error
+	c.at, err = storage.ReadRun(e.r, c.at, c.link, c.parent, c.under, s)
+	s.dst = nil
+	return s.n, c, err
 }
 
 // ---------------------------------------------------------------------------
-// Resident implementation: structural-array iteration. Context descriptors
-// resolve into the array by the index they carry, or by node handle when
-// they came from a block (an index probe's result); a paged-origin
-// descriptor that is not in the array (impossible for the document's own
-// nodes, but cheap to guard) falls back to paged navigation per operation —
-// paged reads stay valid under the same snapshot.
+// Resident implementation: structural-array iteration. An entry carries its
+// index in the array (D.Resident), so a step from it needs no lookup.
 
 type residentStore struct {
+	src *docSource
 	rep *resident.Rep
+	// paged serves a handle the array does not hold (impossible for the
+	// document's own nodes, but cheap to guard): paged reads stay valid under
+	// the same snapshot.
+	paged *pagedStore
 }
 
-func (rs *residentStore) kind() string { return storageResident }
+func (*residentStore) kind() string { return storageResident }
 
-func (rs *residentStore) root(e *env, doc *storage.Doc) (storage.Desc, error) {
-	return rs.rep.Desc(0), nil
+// set writes node i into a slab entry.
+func (rs *residentStore) set(it *NodeItem, i int32) *NodeItem {
+	nd := &rs.rep.Nodes[i]
+	*it = NodeItem{docSource: rs.src, D: storage.Desc{
+		SchemaID: nd.SchemaID, DocID: rs.rep.DocID, Handle: nd.Handle, Label: rs.rep.Label(i), Resident: i + 1,
+	}}
+	return it
 }
 
-func (rs *residentStore) parent(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error) {
-	i, ok := rs.rep.Index(d)
+func (rs *residentStore) byHandle(e *env, h sas.XPtr) (*NodeItem, error) {
+	i, ok := rs.rep.IndexOf(h)
 	if !ok {
-		return pagedStore{}.parent(e, doc, d)
+		return rs.paged.byHandle(e, h)
 	}
-	p := rs.rep.Nodes[i].Parent
+	return rs.set(&e.ctx.nodes.take(1)[0], i), nil
+}
+
+func (rs *residentStore) parent(e *env, n *NodeItem) (*NodeItem, error) {
+	p := rs.rep.Nodes[n.D.Resident-1].Parent
 	if p < 0 {
-		return storage.Desc{}, false, nil
-	}
-	return rs.rep.Desc(p), true, nil
-}
-
-func (rs *residentStore) nextSibling(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error) {
-	i, ok := rs.rep.Index(d)
-	if !ok {
-		return pagedStore{}.nextSibling(e, doc, d)
-	}
-	s := rs.rep.Nodes[i].NextSib
-	if s < 0 {
-		return storage.Desc{}, false, nil
-	}
-	return rs.rep.Desc(s), true, nil
-}
-
-func (rs *residentStore) prevSibling(e *env, doc *storage.Doc, d *storage.Desc) (storage.Desc, bool, error) {
-	i, ok := rs.rep.Index(d)
-	if !ok {
-		return pagedStore{}.prevSibling(e, doc, d)
-	}
-	s := rs.rep.Nodes[i].PrevSib
-	if s < 0 {
-		return storage.Desc{}, false, nil
-	}
-	return rs.rep.Desc(s), true, nil
-}
-
-func (rs *residentStore) children(e *env, doc *storage.Doc, d *storage.Desc) ([]storage.Desc, error) {
-	i, ok := rs.rep.Index(d)
-	if !ok {
-		return pagedStore{}.children(e, doc, d)
-	}
-	var out []storage.Desc
-	for c := rs.rep.Nodes[i].FirstChild; c >= 0; c = rs.rep.Nodes[c].NextSib {
-		out = append(out, rs.rep.Desc(c))
-	}
-	return out, nil
-}
-
-func (rs *residentStore) childrenOfSchema(e *env, doc *storage.Doc, d *storage.Desc, parent, child *schema.Node) ([]storage.Desc, error) {
-	i, ok := rs.rep.Index(d)
-	if !ok {
-		return pagedStore{}.childrenOfSchema(e, doc, d, parent, child)
-	}
-	list := rs.rep.ChildrenOfSchema(child.ID, i)
-	if len(list) == 0 {
 		return nil, nil
 	}
-	out := make([]storage.Desc, len(list))
-	for k, ci := range list {
-		out[k] = rs.rep.Desc(ci)
-	}
-	return out, nil
+	return rs.set(&e.ctx.nodes.take(1)[0], p), nil
 }
 
-func (rs *residentStore) text(e *env, doc *storage.Doc, d *storage.Desc) ([]byte, error) {
-	i, ok := rs.rep.Index(d)
-	if !ok {
-		return storage.Text(e.r, d)
-	}
-	return rs.rep.NodeText(i), nil
+func (rs *residentStore) text(e *env, n *NodeItem, dst []byte) ([]byte, error) {
+	return append(dst, rs.rep.NodeText(n.D.Resident-1)...), nil
 }
 
-func (rs *residentStore) descendantScan(e *env, doc *storage.Doc, sn *schema.Node, anc *storage.Desc) (descStream, error) {
-	i, ok := rs.rep.Index(anc)
-	if !ok {
-		return pagedStore{}.descendantScan(e, doc, sn, anc)
-	}
+func (rs *residentStore) children(e *env, n *NodeItem) (cursor, error) {
+	return cursor{src: rs.src, sib: rs.rep.FirstChild(n.D.Resident-1) + 1}, nil
+}
+
+func (rs *residentStore) following(n *NodeItem) cursor {
+	return cursor{src: rs.src, sib: rs.rep.NextSib(n.D.Resident-1) + 1}
+}
+
+func (rs *residentStore) childrenOfSchema(n *NodeItem, parent, child *schema.Node) cursor {
+	// Schema nodes have a fixed depth, so the schema child's instances inside
+	// n's subtree are exactly n's children.
+	return cursor{src: rs.src, list: rs.rep.DescendantRange(child.ID, n.D.Resident-1)}
+}
+
+func (rs *residentStore) descendantScan(e *env, sn *schema.Node, anc *NodeItem, ancSN *schema.Node) (cursor, error) {
 	e.ctx.stats().AddSchemaScans(1)
-	list := rs.rep.DescendantRange(sn.ID, i)
-	if len(list) == 0 {
-		return nil, nil
-	}
-	return &residentScan{rep: rs.rep, list: list, d: rs.rep.Desc(list[0])}, nil
+	return cursor{src: rs.src, list: rs.rep.DescendantRange(sn.ID, anc.D.Resident-1)}, nil
 }
 
-func (rs *residentStore) schemaScan(e *env, doc *storage.Doc, sn *schema.Node, fn func(storage.Desc) (bool, error)) error {
+func (rs *residentStore) schemaScan(e *env, sn *schema.Node) cursor {
 	e.ctx.stats().AddSchemaScans(1)
-	for _, i := range rs.rep.BySchema[sn.ID] {
-		cont, err := fn(rs.rep.Desc(i))
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
+	return cursor{src: rs.src, list: rs.rep.BySchema[sn.ID]}
 }
 
-// residentScan streams one per-schema index-list slice, materializing
-// descriptors on demand.
-type residentScan struct {
-	rep  *resident.Rep
-	list []int32
-	pos  int
-	d    storage.Desc
-}
-
-func (s *residentScan) valid() bool         { return s.pos < len(s.list) }
-func (s *residentScan) desc() *storage.Desc { return &s.d }
-
-func (s *residentScan) advance(e *env) error {
-	s.pos++
-	if s.valid() {
-		s.d = s.rep.Desc(s.list[s.pos])
+func (rs *residentStore) fill(e *env, c cursor, dst []NodeItem) (int, cursor, error) {
+	n := 0
+	for ; n < len(dst) && n < len(c.list); n++ {
+		rs.set(&dst[n], c.list[n])
 	}
-	return nil
+	c.list = c.list[n:]
+	for ; n < len(dst) && c.sib > 0; n++ {
+		rs.set(&dst[n], c.sib-1)
+		c.sib = rs.rep.NextSib(c.sib-1) + 1
+	}
+	return n, c, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sedna/internal/schema"
-	"sedna/internal/storage"
 )
 
 // Structural location paths (§5.1.4): a path that starts from a document
@@ -71,9 +70,7 @@ func resolveStructural(root *schema.Node, steps []*Step) []*schema.Node {
 				if st.Axis == AxisDescendantOrSelf && matchesSchema(sn, st.Test) {
 					next[sn] = true
 				}
-				for _, d := range sn.Descendants(func(c *schema.Node) bool {
-					return c.Kind != schema.KindAttribute && matchesSchema(c, st.Test)
-				}) {
+				for _, d := range descendantTargets(sn, st.Test, nil) {
 					next[d] = true
 				}
 			}
@@ -88,51 +85,24 @@ func resolveStructural(root *schema.Node, steps []*Step) []*schema.Node {
 }
 
 // evalStructural executes a structural step chain: schema resolution in
-// memory, then direct block-list scans merged by document order.
-func evalStructural(s *Step, e *env, f *focus) ([]Item, error) {
+// memory, then direct block-list scans merged by document order into k.
+func evalStructural(s *Step, e *env, k *collector) error {
 	docCall, steps := structuralChain(s)
 	if docCall == nil {
-		return nil, fmt.Errorf("query: step marked structural is not a structural path")
+		return fmt.Errorf("query: step marked structural is not a structural path")
 	}
 	docItems, err := evalDoc(e, docCall.Name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	docNode := docItems[0].(*NodeItem)
-	doc := docNode.Doc
-	targets := resolveStructural(doc.Schema.Root, steps)
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	st := e.storeFor(doc)
+	targets := resolveStructural(docNode.Doc.Schema.Root, steps)
 	if len(targets) == 1 {
 		// Single schema node: its list already is the answer in document
 		// order — no per-node work at all.
-		var out []Item
-		err := st.schemaScan(e, doc, targets[0], func(d storage.Desc) (bool, error) {
-			out = append(out, &NodeItem{Doc: doc, D: d})
-			return true, nil
-		})
-		return out, err
+		return drain(e, docNode.st.schemaScan(e, targets[0]), k)
 	}
 	// A costed plan that chose serial execution (fan-out startup would
-	// outweigh the scan) overrides the size heuristics below.
-	if s.Plan == nil || s.Plan.Workers != 1 {
-		if merged, ok, err := parallelStreams(e, doc, targets, st, &docNode.D, nil); err != nil {
-			return nil, err
-		} else if ok {
-			return merged, nil
-		}
-	}
-	streams := make([]descStream, 0, len(targets))
-	for _, sn := range targets {
-		s, err := st.descendantScan(e, doc, sn, &docNode.D)
-		if err != nil {
-			return nil, err
-		}
-		if s != nil && s.valid() {
-			streams = append(streams, s)
-		}
-	}
-	return mergeStreams(e, doc, streams, nil)
+	// outweigh the scan) overrides the size heuristics of the fan-out.
+	return scanTargets(e, targets, docNode, docNode.Doc.Schema.Root, s.Plan == nil || s.Plan.Workers != 1, k)
 }

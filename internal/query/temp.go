@@ -28,7 +28,7 @@ type TempNode struct {
 
 // newTempNode allocates a constructed node with the next ordinal. The
 // counter is atomic for safety, but parallel sections exclude constructors
-// (parallelSafeExpr) precisely because worker interleaving would make these
+// (parallelSafeFLWOR) precisely because worker interleaving would make these
 // ordinals — the document order of constructed nodes — nondeterministic.
 func (c *ExecCtx) newTempNode(kind schema.NodeKind, name string) *TempNode {
 	return &TempNode{Kind: kind, Name: name, ord: c.shared().tempOrd.Add(1)}
@@ -64,12 +64,15 @@ func (n *TempNode) expand(env *env) error {
 }
 
 // deepCopyStored copies a stored subtree into temp nodes — the expensive
-// operation element constructors pay by default (§5.2.1).
+// operation element constructors pay by default (§5.2.1). The copy holds no
+// stored node, so the slab entries the walk read are returned.
 func deepCopyStored(env *env, it *NodeItem) (*TempNode, error) {
+	m := env.ctx.nodes.mark()
+	defer env.ctx.nodes.release(m)
 	sn := it.Doc.Schema.ByID(it.D.SchemaID)
 	t := env.ctx.newTempNode(sn.Kind, sn.Name)
 	if sn.Kind.HasText() {
-		b, err := env.storeFor(it.Doc).text(env, it.Doc, &it.D)
+		b, err := it.st.text(env, it, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -81,8 +84,8 @@ func deepCopyStored(env *env, it *NodeItem) (*TempNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range kids {
-		ct, err := deepCopyStored(env, &kids[i])
+	for _, kid := range kids {
+		ct, err := deepCopyStored(env, kid.(*NodeItem))
 		if err != nil {
 			return nil, err
 		}
@@ -92,16 +95,14 @@ func deepCopyStored(env *env, it *NodeItem) (*TempNode, error) {
 }
 
 // storedChildren lists the children of a stored node in document order.
-func storedChildren(env *env, it *NodeItem) ([]NodeItem, error) {
-	kids, err := env.storeFor(it.Doc).children(env, it.Doc, &it.D)
+func storedChildren(env *env, it *NodeItem) ([]Item, error) {
+	c, err := it.st.children(env, it)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]NodeItem, len(kids))
-	for i := range kids {
-		out[i] = NodeItem{Doc: it.Doc, D: kids[i]}
-	}
-	return out, nil
+	k := collector{e: env}
+	err = drain(env, c, &k)
+	return k.out, err
 }
 
 // stringValue concatenates descendant text of a temp node.

@@ -57,52 +57,36 @@ func execUpdate(u *Update, e *env) (int, error) {
 	case UpdDelete:
 		return deleteNodes(e, nodes)
 
-	case UpdReplace:
+	case UpdReplace, UpdRename:
 		count := 0
 		for _, n := range nodes {
 			// Re-resolve: previous iterations may have moved descriptors.
-			d, err := storage.DescOf(e.r, n.D.Handle)
+			cur, err := n.st.byHandle(e, n.D.Handle)
 			if err != nil {
 				return count, err
 			}
-			cur := &NodeItem{Doc: n.Doc, D: d}
-			src, err := eval(u.Source, e.bind(u.Var, []Item{cur}), nil)
+			if u.Kind == UpdReplace {
+				var src []Item
+				if src, err = eval(u.Source, e.bind(u.Var, []Item{cur}), nil); err == nil {
+					err = insertItems(e, cur, UpdInsertFollowing, src)
+				}
+			} else {
+				sn := cur.Doc.Schema.ByID(cur.D.SchemaID)
+				if sn.Kind != schema.KindElement && sn.Kind != schema.KindAttribute {
+					return count, fmt.Errorf("query: rename of a %v node", sn.Kind)
+				}
+				// Rename re-clusters the subtree under the new name's schema
+				// node: copy with the new name, then delete the original.
+				var cp *TempNode
+				if cp, err = deepCopyStored(e, cur); err == nil {
+					cp.Name = u.Name
+					err = insertTempAt(e, cur, UpdInsertFollowing, cp)
+				}
+			}
+			if err == nil {
+				_, err = deleteNodes(e, []*NodeItem{cur})
+			}
 			if err != nil {
-				return count, err
-			}
-			if err := insertItems(e, cur, UpdInsertFollowing, src); err != nil {
-				return count, err
-			}
-			if _, err := deleteNodes(e, []*NodeItem{cur}); err != nil {
-				return count, err
-			}
-			count++
-		}
-		return count, nil
-
-	case UpdRename:
-		count := 0
-		for _, n := range nodes {
-			d, err := storage.DescOf(e.r, n.D.Handle)
-			if err != nil {
-				return count, err
-			}
-			cur := &NodeItem{Doc: n.Doc, D: d}
-			sn := cur.Doc.Schema.ByID(cur.D.SchemaID)
-			if sn.Kind != schema.KindElement && sn.Kind != schema.KindAttribute {
-				return count, fmt.Errorf("query: rename of a %v node", sn.Kind)
-			}
-			// Rename re-clusters the subtree under the new name's schema
-			// node: copy with the new name, then delete the original.
-			cp, err := deepCopyStored(e, cur)
-			if err != nil {
-				return count, err
-			}
-			cp.Name = u.Name
-			if err := insertTempAt(e, cur, UpdInsertFollowing, cp); err != nil {
-				return count, err
-			}
-			if _, err := deleteNodes(e, []*NodeItem{cur}); err != nil {
 				return count, err
 			}
 			count++
@@ -137,11 +121,10 @@ func insertItems(e *env, target *NodeItem, kind UpdateKind, src []Item) error {
 		// Subsequent siblings insert after the one just inserted when the
 		// position is "following"/"into"; re-resolve the target descriptor
 		// in case it moved.
-		d, err := storage.DescOf(e.r, target.D.Handle)
-		if err != nil {
+		var err error
+		if target, err = target.st.byHandle(e, target.D.Handle); err != nil {
 			return err
 		}
-		target = &NodeItem{Doc: target.Doc, D: d}
 	}
 	return nil
 }
@@ -211,27 +194,27 @@ func deleteNodes(e *env, nodes []*NodeItem) (int, error) {
 	count := 0
 	for _, n := range nodes {
 		// The node may already be gone as part of an earlier subtree.
-		d, err := storage.DescOf(e.r, n.D.Handle)
+		cur, err := n.st.byHandle(e, n.D.Handle)
 		if err != nil {
 			continue
 		}
 		// Collect handles in the subtree for index maintenance.
 		var handles []sas.XPtr
-		var collect func(d storage.Desc) error
-		collect = func(d storage.Desc) error {
-			handles = append(handles, d.Handle)
-			kids, err := storedChildren(e, &NodeItem{Doc: n.Doc, D: d})
+		var collect func(n *NodeItem) error
+		collect = func(n *NodeItem) error {
+			handles = append(handles, n.D.Handle)
+			kids, err := storedChildren(e, n)
 			if err != nil {
 				return err
 			}
-			for i := range kids {
-				if err := collect(kids[i].D); err != nil {
+			for _, kid := range kids {
+				if err := collect(kid.(*NodeItem)); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		if err := collect(d); err != nil {
+		if err := collect(cur); err != nil {
 			return count, err
 		}
 		if err := maintainIndexes(e, n.Doc, handles, false); err != nil {
@@ -258,6 +241,7 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 	for _, h := range handles {
 		handleSet[h] = struct{}{}
 	}
+	src := e.source(doc)
 	for _, meta := range metas {
 		onSet, bySteps, err := indexPaths(e, doc, meta)
 		if err != nil {
@@ -276,17 +260,17 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 		tree := &index.Tree{Root: meta.Root}
 		changed := false
 		for _, h := range handles {
-			d, err := storage.DescOf(e.r, h)
+			node, err := src.st.byHandle(e, h)
 			if err != nil {
 				return err
 			}
+			d := node.D
 			sn := doc.Schema.ByID(d.SchemaID)
 			if sn == nil {
 				continue
 			}
 			switch {
 			case onSet[sn.ID]:
-				node := &NodeItem{Doc: doc, D: d}
 				keys, err := indexKeysOf(e, node, bySteps, meta.KeyType)
 				if err != nil {
 					return err
@@ -317,7 +301,7 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 				if _, busy := handleSet[owner]; busy {
 					continue
 				}
-				a, err := atomize(e, &NodeItem{Doc: doc, D: d})
+				a, err := atomize(e, node)
 				if err != nil {
 					return err
 				}

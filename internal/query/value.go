@@ -16,10 +16,13 @@ import (
 type Item interface{ isItem() }
 
 // NodeItem is a node stored in the database, referenced by direct pointer
-// (its descriptor) as intermediate query results are in Sedna (§5.2).
+// (its descriptor) as intermediate query results are in Sedna (§5.2). It is a
+// fixed-size entry of a statement-owned slab (slab.go): the label and
+// child-pointer bytes D points at live in the slab's arena (paged) or in the
+// resident representation's.
 type NodeItem struct {
-	Doc *storage.Doc
-	D   storage.Desc
+	*docSource // Doc, and the store that reads it
+	D          storage.Desc
 }
 
 // TempItem is a node constructed during query evaluation.
@@ -53,6 +56,16 @@ func str(s string) *Atomic     { return &Atomic{Kind: AtomString, S: s} }
 func untyped(s string) *Atomic { return &Atomic{Kind: AtomUntyped, S: s} }
 func num(f float64) *Atomic    { return &Atomic{Kind: AtomNumber, F: f} }
 func boolean(b bool) *Atomic   { return &Atomic{Kind: AtomBool, B: b} }
+
+// boolSeq returns a boolean as a (shared, immutable) singleton sequence.
+func boolSeq(b bool) []Item {
+	if b {
+		return trueSeq
+	}
+	return falseSeq
+}
+
+var trueSeq, falseSeq = []Item{boolean(true)}, []Item{boolean(false)}
 
 // StringValue returns the atomic's lexical form.
 func (a *Atomic) StringValue() string {
@@ -97,28 +110,28 @@ func (a *Atomic) NumberValue() float64 {
 	}
 }
 
-// nodeStringValue computes the string value of a stored node: the
-// concatenation of all descendant text (and the value itself for
-// text-carrying kinds).
-func nodeStringValue(env *env, n *NodeItem) (string, error) {
+// nodeText appends the string value of a stored node to dst: its own value
+// for text-carrying kinds, else the concatenation of its descendant text
+// nodes in document order, streamed from the schema-driven descendant scan
+// without the text nodes becoming items.
+func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
 	if sn == nil {
-		return "", fmt.Errorf("query: unknown schema node %d", n.D.SchemaID)
+		return nil, fmt.Errorf("query: unknown schema node %d", n.D.SchemaID)
 	}
 	if sn.Kind.HasText() {
-		b, err := env.storeFor(n.Doc).text(env, n.Doc, &n.D)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
+		return n.st.text(env, n, dst)
 	}
-	// Element/document: concatenate descendant text nodes in document
-	// order via the schema-driven descendant scan.
-	var sb strings.Builder
-	err := forEachDescendantText(env, n, func(text []byte) {
-		sb.Write(text)
-	})
-	return sb.String(), err
+	k := collector{e: env, text: true, buf: dst}
+	err := descendantAxis(env, n, sn, NodeTest{Kind: TestText}, &k)
+	return k.buf, err
+}
+
+// nodeStringValue computes the string value of a stored node.
+func nodeStringValue(env *env, n *NodeItem) (string, error) {
+	b, err := nodeText(env, n, env.ctx.textBuf[:0])
+	env.ctx.textBuf = b
+	return string(b), err
 }
 
 // itemStringValue is the string value of any item.
@@ -135,18 +148,24 @@ func itemStringValue(env *env, it Item) (string, error) {
 	}
 }
 
-// atomize converts an item to its typed value (untyped atomic for nodes).
-func atomize(env *env, it Item) (*Atomic, error) {
-	switch x := it.(type) {
-	case *Atomic:
-		return x, nil
-	default:
-		s, err := itemStringValue(env, x)
-		if err != nil {
-			return nil, err
-		}
-		return untyped(s), nil
+// atomizeTo sets a to the item's typed value (untyped atomic for nodes).
+func atomizeTo(env *env, it Item, a *Atomic) error {
+	if x, ok := it.(*Atomic); ok {
+		*a = *x
+		return nil
 	}
+	s, err := itemStringValue(env, it)
+	*a = Atomic{Kind: AtomUntyped, S: s}
+	return err
+}
+
+// atomize is atomizeTo for a value that becomes an item.
+func atomize(env *env, it Item) (*Atomic, error) {
+	if x, ok := it.(*Atomic); ok {
+		return x, nil
+	}
+	a := new(Atomic)
+	return a, atomizeTo(env, it, a)
 }
 
 // ebv computes the effective boolean value of a sequence.

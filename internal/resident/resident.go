@@ -16,36 +16,35 @@ package resident
 
 import (
 	"fmt"
+	"sort"
 	"unsafe"
 
 	"sedna/internal/nid"
 	"sedna/internal/sas"
+	"sedna/internal/schema"
 	"sedna/internal/storage"
 )
 
 // Node is one document node in the structural array. Tree edges are array
-// indices (-1 = none); the NID label and text value live in the Rep's shared
-// arenas. The record is fixed-size, so a document's structure costs
-// len(Nodes) * sizeof(Node) bytes plus the arenas.
+// indices (-1 = none), and only the two that cannot be derived are stored:
+// the array is in document order, so a node's first child is the next entry
+// and its next sibling the entry its subtree ends at (FirstChild, NextSib).
+// The NID label and text value live in the Rep's shared arenas, each ending
+// where the next node's begins. The record is fixed-size, so a document's
+// structure costs len(Nodes) * sizeof(Node) bytes plus the arenas.
 type Node struct {
-	SchemaID uint32
-	Handle   sas.XPtr // indirection handle: stable node identity
+	Handle sas.XPtr // indirection handle: stable node identity
 
-	Parent     int32
-	FirstChild int32
-	NextSib    int32
-	PrevSib    int32
+	Parent int32
 	// SubtreeEnd is one past the last descendant's index: descendants of
 	// node i are exactly the indices in (i, SubtreeEnd).
 	SubtreeEnd int32
 
+	SchemaID   uint32
 	LabelOff   uint32
-	LabelLen   uint16
+	TextOff    uint32
 	LabelDelim byte
-
-	TextOff uint32
-	TextLen uint32
-	HasText bool // distinguishes "no text pointer" from empty text
+	HasText    bool // distinguishes "no text pointer" from empty text
 }
 
 // Rep is the resident representation of one document as of one committed
@@ -69,9 +68,10 @@ type Rep struct {
 	// BySchema lists the node indices of each schema node in document
 	// order — the resident counterpart of the per-schema block lists.
 	BySchema map[uint32][]int32
-	// ByHandle bridges paged-origin descriptors (index probes, stored
-	// handles) into the array; see Index.
-	ByHandle map[sas.XPtr]int32
+	// byHandle lists the node indices in handle order (nil: the array itself
+	// is in handle order); IndexOf searches it to bridge node handles (index
+	// probes, stored handles) into the array.
+	byHandle []int32
 
 	// Bytes is the approximate memory footprint, used for the cache budget.
 	Bytes uint64
@@ -80,52 +80,55 @@ type Rep struct {
 // Label returns node i's NID label. The prefix aliases the shared arena;
 // callers must not mutate it.
 func (rep *Rep) Label(i int32) nid.Label {
-	n := &rep.Nodes[i]
-	return nid.Label{
-		Prefix: rep.Labels[n.LabelOff : n.LabelOff+uint32(n.LabelLen)],
-		Delim:  n.LabelDelim,
+	end := uint32(len(rep.Labels))
+	if int(i)+1 < len(rep.Nodes) {
+		end = rep.Nodes[i+1].LabelOff
 	}
-}
-
-// Desc materializes node i as a storage descriptor for the executor. The
-// paged navigation fields (Ptr, sibling/text pointers, child slots) stay
-// nil: a resident descriptor is only ever navigated through the resident
-// store, which finds the node again by the index the descriptor carries.
-func (rep *Rep) Desc(i int32) storage.Desc {
-	n := &rep.Nodes[i]
-	d := storage.Desc{
-		SchemaID: n.SchemaID,
-		DocID:    rep.DocID,
-		Handle:   n.Handle,
-		Label:    rep.Label(i),
-		TextLen:  n.TextLen,
-		Resident: i + 1,
-	}
-	if n.Parent >= 0 {
-		d.Parent = rep.Nodes[n.Parent].Handle
-	}
-	return d
+	return nid.Label{Prefix: rep.Labels[rep.Nodes[i].LabelOff:end], Delim: rep.Nodes[i].LabelDelim}
 }
 
 // NodeText returns node i's text value (nil when the node carries none).
 func (rep *Rep) NodeText(i int32) []byte {
-	n := &rep.Nodes[i]
-	if !n.HasText {
+	if !rep.Nodes[i].HasText {
 		return nil
 	}
-	return rep.Text[n.TextOff : n.TextOff+n.TextLen]
+	end := uint32(len(rep.Text))
+	if int(i)+1 < len(rep.Nodes) {
+		end = rep.Nodes[i+1].TextOff
+	}
+	return rep.Text[rep.Nodes[i].TextOff:end]
 }
 
-// Index resolves a descriptor to its array index. A descriptor this Rep
-// materialized carries the index (checked against the handle, so one from
-// another version of the document cannot alias); a paged-origin descriptor
-// — an index probe's result, a stored handle — goes through ByHandle.
-func (rep *Rep) Index(d *storage.Desc) (int32, bool) {
-	if i := d.Resident - 1; i >= 0 && int(i) < len(rep.Nodes) && rep.Nodes[i].Handle == d.Handle {
-		return i, true
+// FirstChild returns the index of node i's first child (-1: none).
+func (rep *Rep) FirstChild(i int32) int32 {
+	if rep.Nodes[i].SubtreeEnd > i+1 {
+		return i + 1
 	}
-	i, ok := rep.ByHandle[d.Handle]
-	return i, ok
+	return -1
+}
+
+// NextSib returns the index of node i's next sibling (-1: none).
+func (rep *Rep) NextSib(i int32) int32 {
+	n := &rep.Nodes[i]
+	if n.Parent >= 0 && n.SubtreeEnd < rep.Nodes[n.Parent].SubtreeEnd {
+		return n.SubtreeEnd
+	}
+	return -1
+}
+
+// IndexOf resolves a node handle to its array index.
+func (rep *Rep) IndexOf(h sas.XPtr) (int32, bool) {
+	at := func(k int) int32 {
+		if rep.byHandle == nil {
+			return int32(k)
+		}
+		return rep.byHandle[k]
+	}
+	k := sort.Search(len(rep.Nodes), func(k int) bool { return rep.Nodes[at(k)].Handle >= h })
+	if k < len(rep.Nodes) && rep.Nodes[at(k)].Handle == h {
+		return at(k), true
+	}
+	return 0, false
 }
 
 // Build constructs the resident representation of doc by a depth-first walk
@@ -144,10 +147,29 @@ func Build(r storage.Reader, doc *storage.Doc, version, snapTS uint64) (*Rep, er
 		CommitTS: version,
 		SnapTS:   snapTS,
 		BySchema: make(map[uint32][]int32),
-		ByHandle: make(map[sas.XPtr]int32),
 	}
+	// The schema's instance counts size the array (a hint: they need not
+	// describe the state r reads).
+	var hint uint64
+	doc.Schema.Root.Walk(func(sn *schema.Node) { hint += sn.NodeCount })
+	rep.Nodes = make([]Node, 0, hint)
 	if _, err := rep.addSubtree(r, root, -1, 0); err != nil {
 		return nil, err
+	}
+	// The arenas keep no growth slack: a Rep lives as long as its document
+	// stays unmodified.
+	rep.Labels = append([]byte(nil), rep.Labels...)
+	rep.Text = append([]byte(nil), rep.Text...)
+	// A bulk-loaded document's handles ascend in document order; only one
+	// that updates have reshuffled needs the handle-order index.
+	if !sort.SliceIsSorted(rep.Nodes, func(a, b int) bool { return rep.Nodes[a].Handle < rep.Nodes[b].Handle }) {
+		rep.byHandle = make([]int32, len(rep.Nodes))
+		for i := range rep.byHandle {
+			rep.byHandle[i] = int32(i)
+		}
+		sort.Slice(rep.byHandle, func(a, b int) bool {
+			return rep.Nodes[rep.byHandle[a]].Handle < rep.Nodes[rep.byHandle[b]].Handle
+		})
 	}
 	rep.Bytes = rep.footprint()
 	return rep, nil
@@ -163,53 +185,34 @@ func (rep *Rep) addSubtree(r storage.Reader, d storage.Desc, parent int32, depth
 	if depth > maxBuildDepth {
 		return 0, fmt.Errorf("resident: document deeper than %d levels", maxBuildDepth)
 	}
-	if len(d.Label.Prefix) > 0xFFFF {
-		return 0, fmt.Errorf("resident: NID label prefix of %d bytes exceeds 64 KiB", len(d.Label.Prefix))
-	}
 	i := int32(len(rep.Nodes))
 	n := Node{
 		SchemaID:   d.SchemaID,
 		Handle:     d.Handle,
 		Parent:     parent,
-		FirstChild: -1,
-		NextSib:    -1,
-		PrevSib:    -1,
 		LabelOff:   uint32(len(rep.Labels)),
-		LabelLen:   uint16(len(d.Label.Prefix)),
 		LabelDelim: d.Label.Delim,
+		TextOff:    uint32(len(rep.Text)),
+		HasText:    !d.Text.IsNil(),
 	}
 	rep.Labels = append(rep.Labels, d.Label.Prefix...)
-	if !d.Text.IsNil() {
-		txt, err := storage.Text(r, &d)
-		if err != nil {
+	if n.HasText {
+		var err error
+		if rep.Text, err = storage.AppendText(r, d.Text, d.TextLen, rep.Text); err != nil {
 			return 0, err
 		}
-		n.HasText = true
-		n.TextOff = uint32(len(rep.Text))
-		n.TextLen = uint32(len(txt))
-		rep.Text = append(rep.Text, txt...)
 	}
 	rep.Nodes = append(rep.Nodes, n)
 	rep.BySchema[d.SchemaID] = append(rep.BySchema[d.SchemaID], i)
-	rep.ByHandle[d.Handle] = i
 
 	c, ok, err := storage.FirstChild(r, &d)
 	if err != nil {
 		return 0, err
 	}
-	prev := int32(-1)
 	for ok {
-		ci, err := rep.addSubtree(r, c, i, depth+1)
-		if err != nil {
+		if _, err := rep.addSubtree(r, c, i, depth+1); err != nil {
 			return 0, err
 		}
-		if prev < 0 {
-			rep.Nodes[i].FirstChild = ci
-		} else {
-			rep.Nodes[prev].NextSib = ci
-			rep.Nodes[ci].PrevSib = prev
-		}
-		prev = ci
 		if c.RightSib.IsNil() {
 			break
 		}
@@ -222,14 +225,13 @@ func (rep *Rep) addSubtree(r storage.Reader, d storage.Desc, parent int32, depth
 }
 
 // footprint approximates the Rep's memory cost: the node array, both
-// arenas, and the two index maps (entry overhead estimated).
+// arenas, and the two indexes (map entry overhead estimated).
 func (rep *Rep) footprint() uint64 {
 	const mapEntryCost = 24 // key + value + bucket overhead, roughly
-	b := uint64(len(rep.Nodes)) * uint64(unsafe.Sizeof(Node{}))
-	b += uint64(len(rep.Labels)) + uint64(len(rep.Text))
-	b += uint64(len(rep.ByHandle)) * mapEntryCost
+	b := uint64(cap(rep.Nodes)) * uint64(unsafe.Sizeof(Node{}))
+	b += uint64(len(rep.Labels)) + uint64(len(rep.Text)) + uint64(len(rep.byHandle))*4
 	for _, l := range rep.BySchema {
-		b += uint64(len(l))*4 + mapEntryCost
+		b += uint64(cap(l))*4 + mapEntryCost
 	}
 	return b
 }
@@ -237,20 +239,14 @@ func (rep *Rep) footprint() uint64 {
 // DescendantRange returns the slice of schemaID's index list falling
 // strictly inside anc's subtree — the resident descendant scan. Because
 // the array is in document order and list entries are ascending, two
-// binary searches bound the result.
+// binary searches bound the result. Schema nodes have a fixed depth, so for
+// a schema child of anc's schema node these are exactly anc's children.
 func (rep *Rep) DescendantRange(schemaID uint32, anc int32) []int32 {
 	list := rep.BySchema[schemaID]
 	end := rep.Nodes[anc].SubtreeEnd
 	lo := searchIdx(list, anc+1)
 	hi := searchIdx(list, end)
 	return list[lo:hi]
-}
-
-// ChildrenOfSchema returns the indices of anc's children clustered under
-// one schema child. Schema nodes have a fixed depth, so the schema child's
-// instances inside anc's subtree range are exactly anc's children.
-func (rep *Rep) ChildrenOfSchema(schemaID uint32, anc int32) []int32 {
-	return rep.DescendantRange(schemaID, anc)
 }
 
 // searchIdx returns the first position in the ascending list whose value is

@@ -91,8 +91,16 @@ func TestBuildStructure(t *testing.T) {
 		if nd.SubtreeEnd > p.SubtreeEnd {
 			t.Fatalf("node %d: subtree escapes parent %d", i, nd.Parent)
 		}
-		if p.FirstChild == int32(i) && nd.Parent != int32(i)-1 {
-			t.Fatalf("first child %d does not follow parent %d", i, nd.Parent)
+		// The derived edges agree with the stored ones: the node after a
+		// parent is its first child, and following NextSib from it visits
+		// exactly the parent's children.
+		if first := rep.FirstChild(nd.Parent); (first == int32(i)) != (nd.Parent == int32(i)-1) {
+			t.Fatalf("FirstChild(%d) = %d, node %d has that parent", nd.Parent, first, i)
+		}
+		if next := rep.NextSib(int32(i)); next >= 0 && (rep.Nodes[next].Parent != nd.Parent || next != nd.SubtreeEnd) {
+			t.Fatalf("NextSib(%d) = %d: parent %d, want %d", i, next, rep.Nodes[next].Parent, nd.Parent)
+		} else if next < 0 && nd.SubtreeEnd != p.SubtreeEnd {
+			t.Fatalf("node %d has no next sibling but its parent's subtree goes on to %d", i, p.SubtreeEnd)
 		}
 		if nid.Compare(rep.Label(int32(i-1)), rep.Label(int32(i))) >= 0 {
 			t.Fatalf("labels not strictly increasing at %d", i)
@@ -100,9 +108,8 @@ func TestBuildStructure(t *testing.T) {
 	}
 	// Every node resolves back to its index through the handle map.
 	for i := 0; i < n; i++ {
-		d := rep.Desc(int32(i))
-		if j, ok := rep.Index(&d); !ok || j != int32(i) {
-			t.Fatalf("Index(Desc(%d)) = %d, %v", i, j, ok)
+		if j, ok := rep.IndexOf(rep.Nodes[i].Handle); !ok || j != int32(i) {
+			t.Fatalf("IndexOf(handle of %d) = %d, %v", i, j, ok)
 		}
 	}
 	total := 0
@@ -242,6 +249,67 @@ func TestUpdateTextInvalidates(t *testing.T) {
 	}
 }
 
+// TestIndexOfAfterReshuffle checks the handle lookup on a document whose
+// handles no longer ascend in document order: a node inserted in front gets
+// the newest handle and the first place.
+func TestIndexOfAfterReshuffle(t *testing.T) {
+	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, Resident: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := tx.LoadXML("d", strings.NewReader(repXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := storage.DescOf(tx.Tx, doc.RootHandle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := storage.FirstChild(tx.Tx, &root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := storage.FirstChild(tx.Tx, &r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storage.InsertNode(tx.Tx, doc, r.Handle, first.Handle, sas.NilPtr, schema.KindElement, "x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := db.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Rollback()
+	rdoc, err := ro.Document("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := ro.ResidentFor(rdoc)
+	if rep == nil {
+		t.Fatal("ResidentFor returned nil with resident mode on")
+	}
+	if sort.SliceIsSorted(rep.Nodes, func(a, b int) bool { return rep.Nodes[a].Handle < rep.Nodes[b].Handle }) {
+		t.Fatal("handles still ascend in document order: the insert did not reshuffle them")
+	}
+	for i := range rep.Nodes {
+		if j, ok := rep.IndexOf(rep.Nodes[i].Handle); !ok || j != int32(i) {
+			t.Fatalf("IndexOf(handle of %d) = %d, %v", i, j, ok)
+		}
+	}
+	if _, ok := rep.IndexOf(sas.XPtr(1)); ok {
+		t.Fatal("IndexOf found a handle the document does not hold")
+	}
+}
+
 func TestDescendantRange(t *testing.T) {
 	rep, sch := buildRep(t)
 	xID := schemaID(t, rep, sch, "x", schema.KindElement)
@@ -262,8 +330,8 @@ func TestDescendantRange(t *testing.T) {
 	// Children of r under the x schema are exactly the two x elements.
 	rID := schemaID(t, rep, sch, "r", schema.KindElement)
 	r := rep.BySchema[rID][0]
-	if got := rep.ChildrenOfSchema(xID, r); len(got) != 2 {
-		t.Fatalf("ChildrenOfSchema(x, r) = %v", got)
+	if got := rep.DescendantRange(xID, r); len(got) != 2 {
+		t.Fatalf("DescendantRange(x, r) = %v", got)
 	}
 }
 

@@ -248,8 +248,10 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 	var run []moved
 	err = w.ReadPage(block, func(page []byte) error {
 		for off := fromOff; off != 0; {
-			d, ov, nl := decodeDescAt(page, block, off, oldH)
-			run = append(run, moved{d: d, nidOv: ov, nidLen: nl, oldOff: off})
+			var d Desc
+			decodeDescAt(&d, page, block, off, &oldH, make([]byte, descVarLen(page[off:], &oldH)))
+			ov, nl := overflowOf(page[off:])
+			run = append(run, moved{d: d, nidOv: ov, nidLen: int(nl), oldOff: off})
 			off = getU16(page[off:], dNextIn)
 		}
 		return nil

@@ -172,10 +172,10 @@ type Desc struct {
 	Text    sas.XPtr
 	TextLen uint32
 
-	// Resident is set only on descriptors materialized from a document's
-	// in-memory resident representation: the node's index there plus one,
-	// so a step from the node needs no lookup by handle. 0 on every
-	// descriptor read from a block.
+	// Resident is set only on the executor's entries for nodes of a
+	// document's in-memory resident representation: the node's index there
+	// plus one, so a step from the node needs no lookup by handle. 0 on
+	// every descriptor read from a block.
 	Resident int32
 
 	Children ChildPtrs // one first-child pointer per schema-child slot
@@ -193,15 +193,25 @@ func (c ChildPtrs) Len() int { return len(c) / 8 }
 // At returns the first-child pointer in slot i.
 func (c ChildPtrs) At(i int) sas.XPtr { return getPtr(c, 8*i) }
 
-// decodeDescAt decodes the descriptor at byte offset off of the node block
-// page whose base pointer is base. Overflowed labels are left with a nil
-// prefix and reported via the second result (their length in the third), to
-// be resolved by the caller with a text-storage read. Nothing in the result
-// aliases page: the child pointers and an inline label are copied into one
-// allocation.
-func decodeDescAt(page []byte, base sas.XPtr, off uint16, h nodeBlockHeader) (Desc, sas.XPtr, int) {
+// descVarLen returns how many bytes the variable-length parts of the
+// descriptor b — its child pointers and an inline label — take once decoded.
+func descVarLen(b []byte, h *nodeBlockHeader) int {
+	n := 8 * h.ChildSlots
+	if b[dFlags]&flagNidOverflow == 0 {
+		n += int(getU16(b, dNidLen))
+	}
+	return n
+}
+
+// decodeDescAt decodes into d the descriptor at byte offset off of the node
+// block page whose base pointer is base. The child pointers and an inline
+// label are copied into buf (descVarLen bytes, supplied by the caller so that
+// a run of descriptors shares one arena), so nothing in d aliases page. An
+// overflowed label is left with a nil prefix: the caller resolves it with a
+// text-storage read (overflowOf).
+func decodeDescAt(d *Desc, page []byte, base sas.XPtr, off uint16, h *nodeBlockHeader, buf []byte) {
 	b := page[off:]
-	d := Desc{
+	*d = Desc{
 		Ptr:        base.Add(uint32(off)),
 		SchemaID:   h.SchemaID,
 		DocID:      h.DocID,
@@ -219,23 +229,23 @@ func decodeDescAt(page []byte, base sas.XPtr, off uint16, h nodeBlockHeader) (De
 	if p := getU16(b, dPrevIn); p != 0 {
 		d.PrevInBlock = base.Add(uint32(p))
 	}
-	nidLen := int(getU16(b, dNidLen))
 	d.Label.Delim = b[dNidDelim]
-	var overflow sas.XPtr
-	inline := nidLen
-	if b[dFlags]&flagNidOverflow != 0 {
-		overflow = getPtr(b, dNid)
-		inline = 0
-	}
 	kids := 8 * h.ChildSlots
-	buf := make([]byte, kids+inline)
 	copy(buf, b[dChildren:dChildren+kids])
-	copy(buf[kids:], b[dNid:dNid+inline])
 	d.Children = buf[:kids:kids]
-	if inline > 0 {
+	if len(buf) > kids {
+		copy(buf[kids:], b[dNid:])
 		d.Label.Prefix = buf[kids:]
 	}
-	return d, overflow, nidLen
+}
+
+// overflowOf returns the text-storage pointer and length of the descriptor
+// b's label when it overflowed the inline capacity (nil otherwise).
+func overflowOf(b []byte) (sas.XPtr, uint32) {
+	if b[dFlags]&flagNidOverflow == 0 {
+		return sas.NilPtr, 0
+	}
+	return getPtr(b, dNid), uint32(getU16(b, dNidLen))
 }
 
 // encodeDesc writes the descriptor fields into buf (of the block's descSize)

@@ -111,15 +111,15 @@ func checkRangeStarts(t *testing.T, stage string, r storage.Reader, doc *storage
 						break
 					}
 				}
-				got, ok, err := storage.FirstInRange(r, ctx, ctxSN, sn)
+				got, err := storage.FirstInRange(r, ctx, ctxSN, sn)
 				if err != nil {
 					t.Fatalf("%s: %s under %s %v: %v", stage, sn.Path(), ctxSN.Path(), ctx.Ptr, err)
 				}
 				switch {
-				case ok != (want != nil):
-					t.Fatalf("%s: %s under %s %v: found=%v, oracle found=%v", stage, sn.Path(), ctxSN.Path(), ctx.Ptr, ok, want != nil)
-				case ok && (got.Ptr != want.Ptr || got.Handle != want.Handle || nid.Compare(got.Label, want.Label) != 0):
-					t.Fatalf("%s: %s under %s %v: starts at %v, oracle says %v", stage, sn.Path(), ctxSN.Path(), ctx.Ptr, got.Ptr, want.Ptr)
+				case got.IsNil() != (want == nil):
+					t.Fatalf("%s: %s under %s %v: found=%v, oracle found=%v", stage, sn.Path(), ctxSN.Path(), ctx.Ptr, !got.IsNil(), want != nil)
+				case want != nil && got != want.Ptr:
+					t.Fatalf("%s: %s under %s %v: starts at %v, oracle says %v", stage, sn.Path(), ctxSN.Path(), ctx.Ptr, got, want.Ptr)
 				}
 				pairs++
 			}

@@ -8,41 +8,171 @@ import (
 	"sedna/internal/schema"
 )
 
+// Link selects the chain a page run follows from one descriptor to the next.
+type Link int
+
+const (
+	// NoLink decodes the one descriptor the run starts at.
+	NoLink Link = iota
+	// ListLink follows the schema node's list: the in-block chain, then the
+	// first descriptor of the next non-empty block.
+	ListLink
+	// SiblingLink follows right-sibling pointers.
+	SiblingLink
+)
+
+// RunBuffer receives the descriptors a page run decodes. The executor's node
+// slab implements it, so a run is decoded straight into the slots its nodes
+// will live in.
+type RunBuffer interface {
+	// NextDesc returns the slot for the next descriptor, nil when full.
+	NextDesc() *Desc
+	// Bytes returns n bytes for the slot's child pointers and label; they
+	// must stay valid for as long as the descriptor is used.
+	Bytes(n int) []byte
+}
+
+// ReadRun is the page-run decoder. Starting at the descriptor at (or, when at
+// is a block's base pointer, at the first descriptor of the block) it decodes
+// descriptors into out for as long as link leads to another descriptor on the
+// same page, under a single ViewPage: descriptors are clustered by schema
+// node (§4.1), so a step's neighbours are read together. The run ends early,
+// before a descriptor, when out is full, when parent is non-nil and the
+// descriptor is another parent's child, or when under is non-nil and the
+// descriptor is not a descendant of that label — so a child step or a range
+// scan decodes nothing past its end. It returns where the chain continues
+// (nil: it ended, or a stop condition held). A descriptor whose label
+// overflowed into text storage makes a run of its own, its label read after
+// the page is released.
+func ReadRun(r Reader, at sas.XPtr, link Link, parent sas.XPtr, under *nid.Label, out RunBuffer) (sas.XPtr, error) {
+	page, pin, h, at, err := viewDesc(r, at)
+	if err != nil || at.IsNil() {
+		return sas.NilPtr, err
+	}
+	base, off := at.PageBase(), uint16(at.PageOffset())
+	for n := 0; ; n++ {
+		b := page[off:]
+		ov, ovLen := overflowOf(b)
+		var prefix []byte
+		switch {
+		case !parent.IsNil() && getPtr(b, dParent) != parent:
+			r.ReleasePage(pin)
+			return sas.NilPtr, nil
+		case !ov.IsNil() && n > 0:
+			r.ReleasePage(pin)
+			return base.Add(uint32(off)), nil
+		case !ov.IsNil():
+			// Read the label first, then come back for the descriptor: the
+			// range check needs it, and no page stays viewed across the text
+			// read.
+			r.ReleasePage(pin)
+			if prefix, err = ReadText(r, ov, ovLen); err != nil {
+				return sas.NilPtr, fmt.Errorf("storage: overflowed label of %v: %w", at, err)
+			}
+			if page, pin, err = r.ViewPage(at); err != nil {
+				return sas.NilPtr, err
+			}
+			b = page[off:]
+		}
+		if under != nil {
+			l := nid.Label{Prefix: prefix, Delim: b[dNidDelim]}
+			if ov.IsNil() {
+				l.Prefix = b[dNid : dNid+int(getU16(b, dNidLen))]
+			}
+			if !nid.IsAncestor(*under, l) {
+				r.ReleasePage(pin)
+				return sas.NilPtr, nil
+			}
+		}
+		d := out.NextDesc()
+		if d == nil {
+			r.ReleasePage(pin)
+			return base.Add(uint32(off)), nil
+		}
+		decodeDescAt(d, page, base, off, &h, out.Bytes(descVarLen(b, &h)))
+		var next sas.XPtr
+		switch link {
+		case ListLink:
+			if next = d.NextInBlock; next.IsNil() {
+				// Crossing a block boundary: hint the chain ahead so the
+				// pages the scan reaches next load while it drains this one.
+				next = h.Next
+				hintChain(r, next)
+			}
+		case SiblingLink:
+			next = d.RightSib
+		}
+		if ov.IsNil() && !next.IsNil() && next.PageBase() == base {
+			off = uint16(next.PageOffset())
+			continue
+		}
+		if !ov.IsNil() {
+			d.Label.Prefix = prefix
+		}
+		r.ReleasePage(pin)
+		return next, nil
+	}
+}
+
+// viewDesc views the page of the descriptor at p — or, when p is a block's
+// base pointer, of the first descriptor from that block on, skipping blocks a
+// run of deletes left empty — and returns the view, the block's header and
+// the descriptor's address. The address is nil, and nothing is viewed, when
+// the list ended.
+func viewDesc(r Reader, p sas.XPtr) ([]byte, any, nodeBlockHeader, sas.XPtr, error) {
+	for !p.IsNil() {
+		page, pin, err := r.ViewPage(p)
+		if err != nil {
+			return nil, nil, nodeBlockHeader{}, sas.NilPtr, err
+		}
+		h, err := decodeNodeHeader(page)
+		if err != nil {
+			r.ReleasePage(pin)
+			return nil, nil, nodeBlockHeader{}, sas.NilPtr, err
+		}
+		if p.PageOffset() != 0 {
+			return page, pin, h, p, nil
+		}
+		if h.FirstDesc != 0 {
+			return page, pin, h, p.Add(uint32(h.FirstDesc)), nil
+		}
+		r.ReleasePage(pin)
+		p = h.Next
+	}
+	return nil, nil, nodeBlockHeader{}, sas.NilPtr, nil
+}
+
+// oneDesc is the RunBuffer of a single-descriptor read; the descriptor and
+// (up to oneDescInline of) its bytes are one allocation.
+type oneDesc struct {
+	d      Desc
+	full   bool
+	inline [oneDescInline]byte
+}
+
+const oneDescInline = 64
+
+func (o *oneDesc) NextDesc() *Desc {
+	if o.full {
+		return nil
+	}
+	o.full = true
+	return &o.d
+}
+
+func (o *oneDesc) Bytes(n int) []byte {
+	if n <= oneDescInline {
+		return o.inline[:n]
+	}
+	return make([]byte, n)
+}
+
 // ReadDesc reads and fully decodes the node descriptor at ptr, resolving an
 // overflowed numbering-scheme label from text storage when necessary.
 func ReadDesc(r Reader, ptr sas.XPtr) (Desc, error) {
-	d, _, err := readDescIf(r, ptr, sas.NilPtr)
-	return d, err
-}
-
-// readDescIf is ReadDesc restricted to children of one parent: with a non-nil
-// parent handle it compares the descriptor's parent field first and reports
-// ok=false, decoding nothing else, when the node belongs to another parent.
-func readDescIf(r Reader, ptr, parent sas.XPtr) (Desc, bool, error) {
-	page, pin, err := r.ViewPage(ptr)
-	if err != nil {
-		return Desc{}, false, err
-	}
-	off := uint16(ptr.PageOffset())
-	if !parent.IsNil() && getPtr(page[off:], dParent) != parent {
-		r.ReleasePage(pin)
-		return Desc{}, false, nil
-	}
-	h, err := decodeNodeHeader(page)
-	if err != nil {
-		r.ReleasePage(pin)
-		return Desc{}, false, err
-	}
-	d, overflow, nidLen := decodeDescAt(page, ptr.PageBase(), off, h)
-	r.ReleasePage(pin)
-	if !overflow.IsNil() {
-		prefix, err := ReadText(r, overflow, uint32(nidLen))
-		if err != nil {
-			return Desc{}, false, fmt.Errorf("storage: overflowed label of %v: %w", ptr, err)
-		}
-		d.Label.Prefix = prefix
-	}
-	return d, true, nil
+	var o oneDesc
+	_, err := ReadRun(r, ptr, NoLink, sas.NilPtr, nil, &o)
+	return o.d, err
 }
 
 // DescOf resolves a node handle and reads its descriptor.
@@ -97,6 +227,23 @@ func FirstChild(r Reader, d *Desc) (Desc, bool, error) {
 	return best, found, nil
 }
 
+// FirstChildPtr returns the address of d's first child in document order
+// (nil: no children). With a single non-empty schema-child slot that is the
+// slot's pointer and nothing is read.
+func FirstChildPtr(r Reader, d *Desc) (sas.XPtr, error) {
+	only, n := sas.NilPtr, 0
+	for i := 0; i < d.Children.Len(); i++ {
+		if c := d.Children.At(i); !c.IsNil() {
+			only, n = c, n+1
+		}
+	}
+	if n <= 1 {
+		return only, nil
+	}
+	c, _, err := FirstChild(r, d)
+	return c.Ptr, err
+}
+
 // LastChild returns the last child of d in document order.
 func LastChild(r Reader, d *Desc) (Desc, bool, error) {
 	// Take the per-schema first child with the greatest label, then follow
@@ -138,63 +285,6 @@ func (d *Desc) ChildAtSlot(slot int) sas.XPtr {
 		return sas.NilPtr
 	}
 	return d.Children.At(slot)
-}
-
-// NextInList returns the next descriptor of the same schema node in
-// document order, crossing block boundaries. ok=false at the end of the
-// list.
-func NextInList(r Reader, d *Desc) (Desc, bool, error) {
-	next, err := nextInListPtr(r, d)
-	if err != nil || next.IsNil() {
-		return Desc{}, false, err
-	}
-	n, err := ReadDesc(r, next)
-	if err != nil {
-		return Desc{}, false, err
-	}
-	return n, true, nil
-}
-
-// NextSameParent returns the descriptor after d in its schema node's list if
-// it has the same parent as d; ok=false when the list ends or the next node
-// is another parent's child. Children of one parent are contiguous in a
-// schema node's list, so this steps through them — and the step that finds
-// the run's end reads the neighbour's parent handle and nothing more.
-func NextSameParent(r Reader, d *Desc) (Desc, bool, error) {
-	next, err := nextInListPtr(r, d)
-	if err != nil || next.IsNil() || d.Parent.IsNil() {
-		return Desc{}, false, err
-	}
-	return readDescIf(r, next, d.Parent)
-}
-
-// nextInListPtr locates the descriptor after d in its schema node's list,
-// skipping blocks a run of deletes left empty; nil at the end of the list.
-func nextInListPtr(r Reader, d *Desc) (sas.XPtr, error) {
-	if !d.NextInBlock.IsNil() {
-		return d.NextInBlock, nil
-	}
-	block := d.Ptr.PageBase()
-	for {
-		h, err := readNodeHeader(r, block)
-		if err != nil {
-			return sas.NilPtr, err
-		}
-		if h.Next.IsNil() {
-			return sas.NilPtr, nil
-		}
-		block = h.Next
-		// Crossing a block boundary: hint the chain ahead so the pages the
-		// scan will reach next are loading while it drains this block.
-		hintChain(r, block)
-		nh, err := readNodeHeader(r, block)
-		if err != nil {
-			return sas.NilPtr, err
-		}
-		if nh.FirstDesc != 0 {
-			return block.Add(uint32(nh.FirstDesc)), nil
-		}
-	}
 }
 
 // FirstOfSchema returns the first descriptor of the schema node's block
@@ -239,34 +329,93 @@ func LastOfSchema(r Reader, sn *schema.Node) (Desc, bool, error) {
 	return Desc{}, false, nil
 }
 
-// ScanSchema calls visit for every node of the schema node in document
-// order. visit returning false stops the scan. This is the block-list scan
-// that backs descendant-axis evaluation over the descriptive schema.
-func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error {
-	d, ok, err := FirstOfSchema(r, sn)
-	for {
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		cont, err := visit(d)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-		d, ok, err = NextInList(r, &d)
-	}
+// descRun is the RunBuffer of the callback scans: a fixed array of slots, and
+// bytes that are never reused, since a visitor may keep a descriptor.
+type descRun struct {
+	d     [32]Desc
+	n     int
+	bytes []byte
 }
 
-// FirstInRange returns the first descriptor of sn, in document order, inside
-// the subtree of ctx, an instance of sn's schema ancestor ctxSN; ok=false when
-// the subtree holds none. This is the primitive behind schema-driven
+func (b *descRun) NextDesc() *Desc {
+	if b.n == len(b.d) {
+		return nil
+	}
+	b.n++
+	return &b.d[b.n-1]
+}
+
+func (b *descRun) Bytes(n int) []byte {
+	if n > len(b.bytes) {
+		b.bytes = make([]byte, n+1024)
+	}
+	out := b.bytes[:n:n]
+	b.bytes = b.bytes[n:]
+	return out
+}
+
+// ScanSchema calls visit for every node of the schema node in document
+// order, one page view per run of descriptors. visit returning false stops
+// the scan. This is the block-list scan behind index builds and ANALYZE.
+func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error {
+	hintChain(r, sn.FirstBlock)
+	var run descRun
+	for at := sn.FirstBlock; !at.IsNil(); {
+		run.n = 0
+		next, err := ReadRun(r, at, ListLink, sas.NilPtr, nil, &run)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < run.n; i++ {
+			if cont, err := visit(run.d[i]); err != nil || !cont {
+				return err
+			}
+		}
+		at = next
+	}
+	return nil
+}
+
+// peekDesc reads, under one page view and without decoding the descriptor,
+// what a structural descent needs of the descriptor at p (or, when p is a
+// block's base pointer, of the first descriptor from that block on): its
+// address, whether it lies under the label, its first child in the slot
+// (slot < 0: none asked) and the next descriptor of its list. at is nil when
+// the list ended.
+func peekDesc(r Reader, p sas.XPtr, slot int, under *nid.Label) (at, child, next sas.XPtr, inRange bool, err error) {
+	page, pin, h, at, err := viewDesc(r, p)
+	if err != nil || at.IsNil() {
+		return sas.NilPtr, sas.NilPtr, sas.NilPtr, false, err
+	}
+	b := page[at.PageOffset():]
+	if slot >= 0 && slot < h.ChildSlots {
+		child = getPtr(b, dChildren+8*slot)
+	}
+	if next = h.Next; getU16(b, dNextIn) != 0 {
+		next = at.PageBase().Add(uint32(getU16(b, dNextIn)))
+	}
+	l := nid.Label{Delim: b[dNidDelim]}
+	ov, ovLen := overflowOf(b)
+	if ov.IsNil() {
+		l.Prefix = b[dNid : dNid+int(getU16(b, dNidLen))]
+		inRange = nid.IsAncestor(*under, l)
+	}
+	r.ReleasePage(pin)
+	if !ov.IsNil() {
+		if l.Prefix, err = ReadText(r, ov, ovLen); err != nil {
+			return sas.NilPtr, sas.NilPtr, sas.NilPtr, false, err
+		}
+		inRange = nid.IsAncestor(*under, l)
+	}
+	return at, child, next, inRange, nil
+}
+
+// FirstInRange returns the address of the first descriptor of sn, in document
+// order, inside the subtree of ctx, an instance of sn's schema ancestor ctxSN;
+// nil when the subtree holds none. This is the primitive behind schema-driven
 // descendant-axis evaluation, and its cost is bounded by ctx's own subtree,
-// never by the length of sn's block list.
+// never by the length of sn's block list. It decodes no descriptor: the
+// caller starts a ReadRun at the address.
 //
 // The start is found by structural descent along the schema path ctxSN → … →
 // sn. The first level is ctx's own first-child pointer for that schema child
@@ -280,56 +429,44 @@ func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error
 // singletons) every instance of sn lies under it, and the range starts at the
 // head of sn's list. NodeCount need not describe the state r reads, so the
 // head is used only if it does lie under ctx.
-func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (Desc, bool, error) {
+func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error) {
 	if ctxSN.NodeCount <= 1 {
-		d, ok, err := FirstOfSchema(r, sn)
-		if err != nil {
-			return Desc{}, false, err
-		}
-		if ok && nid.IsAncestor(ctx.Label, d.Label) {
-			return d, true, nil
+		hintChain(r, sn.FirstBlock)
+		head, _, _, in, err := peekDesc(r, sn.FirstBlock, -1, &ctx.Label)
+		if err != nil || in {
+			return head, err
 		}
 	}
 	var buf [16]*schema.Node
 	path := buf[:0] // sn first, ctxSN's child last
 	for n := sn; n != ctxSN; n = n.Parent {
 		if n == nil {
-			return Desc{}, false, fmt.Errorf("storage: schema node %d is not below %d", sn.ID, ctxSN.ID)
+			return sas.NilPtr, fmt.Errorf("storage: schema node %d is not below %d", sn.ID, ctxSN.ID)
 		}
 		path = append(path, n)
 	}
 	if len(path) == 0 {
-		return Desc{}, false, nil
+		return sas.NilPtr, nil
 	}
 	level := len(path) - 1
-	first := ctx.ChildAtSlot(ctxSN.ChildIndex(path[level]))
-	if first.IsNil() {
-		return Desc{}, false, nil
-	}
-	d, err := ReadDesc(r, first)
-	if err != nil {
-		return Desc{}, false, err
-	}
-	for ; level > 0; level-- {
+	p := ctx.ChildAtSlot(ctxSN.ChildIndex(path[level]))
+	for ; level > 0 && !p.IsNil(); level-- {
 		slot := path[level].ChildIndex(path[level-1])
-		for {
-			if c := d.ChildAtSlot(slot); !c.IsNil() {
-				if d, err = ReadDesc(r, c); err != nil {
-					return Desc{}, false, err
-				}
+		for !p.IsNil() {
+			at, child, next, in, err := peekDesc(r, p, slot, &ctx.Label)
+			if err != nil {
+				return sas.NilPtr, err
+			}
+			if at.IsNil() || !in {
+				return sas.NilPtr, nil
+			}
+			if p = next; !child.IsNil() {
+				p = child
 				break
 			}
-			n, ok, err := NextInList(r, &d)
-			if err != nil {
-				return Desc{}, false, err
-			}
-			if !ok || !nid.IsAncestor(ctx.Label, n.Label) {
-				return Desc{}, false, nil
-			}
-			d = n
 		}
 	}
-	return d, true, nil
+	return p, nil
 }
 
 // BlockCountNext decodes the live-descriptor count and next pointer from a

@@ -54,7 +54,13 @@ func FreeText(w Writer, doc *Doc, ptr sas.XPtr) error {
 // ReadText reads the full value of the record chain starting at ptr.
 // totalLen is the descriptor's recorded length, used to presize the result.
 func ReadText(r Reader, ptr sas.XPtr, totalLen uint32) ([]byte, error) {
-	out := make([]byte, 0, totalLen)
+	return AppendText(r, ptr, totalLen, make([]byte, 0, totalLen))
+}
+
+// AppendText appends the value of the record chain starting at ptr (nil: no
+// value) to dst, so a caller that only looks at values can reuse one buffer.
+func AppendText(r Reader, ptr sas.XPtr, totalLen uint32, dst []byte) ([]byte, error) {
+	start := len(dst)
 	for !ptr.IsNil() {
 		page, pin, err := r.ViewPage(ptr)
 		if err != nil {
@@ -66,13 +72,13 @@ func ReadText(r Reader, ptr sas.XPtr, totalLen uint32) ([]byte, error) {
 			return nil, err
 		}
 		ptr = sas.XPtr(binary.LittleEndian.Uint64(page[off:]))
-		out = append(out, page[off+textChunkHeader:off+length]...)
+		dst = append(dst, page[off+textChunkHeader:off+length]...)
 		r.ReleasePage(pin)
 	}
-	if uint32(len(out)) != totalLen {
-		return nil, fmt.Errorf("storage: text length mismatch: chain has %d bytes, descriptor says %d", len(out), totalLen)
+	if uint32(len(dst)-start) != totalLen {
+		return nil, fmt.Errorf("storage: text length mismatch: chain has %d bytes, descriptor says %d", len(dst)-start, totalLen)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // slotAt validates and decodes the slot entry at in-page offset slotOff.
