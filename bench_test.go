@@ -830,105 +830,3 @@ func BenchmarkE18SerialFallback(b *testing.B) {
 		}
 	}
 }
-
-// ---------------------------------------------------------------- E19 ----
-// Chain-following scan readahead (§2.3, §4.1): a block-list scan over a
-// cold buffer pool pays one synchronous pread per chain block it faults in;
-// with readahead the asynchronous workers follow the chain ahead of the
-// scan, so it finds the blocks they reached first already resident. The
-// timed region is open + scan: the open-time block recount is itself the
-// engine's biggest chain walk. Results are identical at every depth.
-
-func benchmarkE19ColdScan(b *testing.B, depth int) {
-	dir := b.TempDir()
-	db, err := bench.OpenDB(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := bench.LoadSections(db, 8, 1000); err != nil {
-		b.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		b.Fatal(err)
-	}
-	q := `count(doc("cat")//item[value > 5000])`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db, err := bench.OpenDBPrefetch(dir, nil, depth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := bench.Query(db, q, true); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := db.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
-func BenchmarkE19ColdScanDepth0(b *testing.B)  { benchmarkE19ColdScan(b, 0) }
-func BenchmarkE19ColdScanDepth2(b *testing.B)  { benchmarkE19ColdScan(b, 2) }
-func BenchmarkE19ColdScanDepth8(b *testing.B)  { benchmarkE19ColdScan(b, 8) }
-func BenchmarkE19ColdScanDepth32(b *testing.B) { benchmarkE19ColdScan(b, 32) }
-
-// TestE19DepthResultsIdentical pins the E19 correctness property: the same
-// statement returns byte-identical results at every readahead depth,
-// including forced-off, on both warm and cold pools.
-func TestE19DepthResultsIdentical(t *testing.T) {
-	dir := t.TempDir()
-	db, err := bench.OpenDB(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bench.LoadSections(db, 4, 300); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{
-		`count(doc("cat")//item[value > 5000])`,
-		`sum(for $i in doc("cat")//item where $i/value > 2500 return number($i/value))`,
-		`doc("cat")/catalog/sec0/item[1]/value`,
-	}
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		res, _, err := bench.QueryPrefetch(db, q, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-	for _, depth := range []int{0, 2, 8, 32} {
-		for i, q := range queries {
-			got, _, err := bench.QueryPrefetch(db, q, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[i] {
-				t.Fatalf("depth=%d warm result diverges for %s", depth, q)
-			}
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []int{0, 8} {
-		db, err := bench.OpenDBPrefetch(dir, nil, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range queries {
-			got, _, err := bench.Query(db, q, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[i] {
-				t.Fatalf("depth=%d cold result diverges for %s", depth, q)
-			}
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

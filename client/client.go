@@ -131,55 +131,6 @@ func (c *Conn) SetQueryWorkers(n int) (int, error) {
 	return eff, nil
 }
 
-// PrefetchDepth returns the server's effective chain-readahead depth
-// (0 = readahead off).
-func (c *Conn) PrefetchDepth() (int, error) {
-	resp, err := c.roundTrip(server.MsgPrefetch, server.Request{})
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(resp.Data)
-	if err != nil {
-		return 0, fmt.Errorf("client: prefetch: %w", err)
-	}
-	return n, nil
-}
-
-// SetPrefetchDepth retunes the server's default chain-readahead depth at
-// runtime (n ≤ 0 disables readahead) and returns the resulting effective
-// depth.
-func (c *Conn) SetPrefetchDepth(n int) (int, error) {
-	resp, err := c.roundTrip(server.MsgPrefetch, server.Request{SetPrefetch: true, Prefetch: n})
-	if err != nil {
-		return 0, err
-	}
-	eff, err := strconv.Atoi(resp.Data)
-	if err != nil {
-		return 0, fmt.Errorf("client: prefetch: %w", err)
-	}
-	return eff, nil
-}
-
-// Resident reports whether the server's compressed in-memory resident mode
-// is on.
-func (c *Conn) Resident() (bool, error) {
-	resp, err := c.roundTrip(server.MsgResident, server.Request{})
-	if err != nil {
-		return false, err
-	}
-	return resp.Data == "on", nil
-}
-
-// SetResident switches the server's compressed in-memory resident mode on
-// or off at runtime and returns the resulting effective state.
-func (c *Conn) SetResident(on bool) (bool, error) {
-	resp, err := c.roundTrip(server.MsgResident, server.Request{SetResident: true, Resident: on})
-	if err != nil {
-		return false, err
-	}
-	return resp.Data == "on", nil
-}
-
 // ReplStatus fetches the server's replication topology: its role, every
 // connected downstream replica with its lag in log bytes, and — on a
 // replica — the state of its own stream from the primary.

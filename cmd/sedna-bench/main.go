@@ -154,6 +154,14 @@ func ratio(a, b time.Duration) string {
 	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }
 
+func sum(ds []time.Duration) time.Duration {
+	var t time.Duration
+	for _, d := range ds {
+		t += d
+	}
+	return t
+}
+
 // timeIt runs fn `reps` times and returns the average duration.
 func timeIt(reps int, fn func() error) (time.Duration, error) {
 	start := time.Now()

@@ -14,8 +14,6 @@
 //	\slowlog [N]  print the last N retained slow-query traces (default all)
 //	\slowthreshold DUR   set the slow-query threshold (e.g. 50ms; 0 = off)
 //	\workers [N]  show or set the intra-query parallelism cap (0 = default)
-//	\prefetch [D] show or set the chain-readahead depth (0 = off)
-//	\resident [on|off]   show or switch the compressed in-memory resident mode
 //	\replicas     show the replication topology (role, replicas, lag)
 //	\promote      promote a replica server to a writable primary
 //	\sessions     list live sessions with accounting and in-flight statements
@@ -193,47 +191,6 @@ func command(c *client.Conn, cmd string) bool {
 		} else {
 			fmt.Printf("query workers: %d\n", n)
 		}
-	case `\prefetch`:
-		if len(fields) == 1 {
-			n, err := c.PrefetchDepth()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			} else {
-				fmt.Printf("prefetch depth: %d\n", n)
-			}
-			return true
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil || len(fields) != 2 {
-			fmt.Fprintln(os.Stderr, `usage: \prefetch [D] (chain-readahead depth; 0 = off)`)
-			return true
-		}
-		n, err := c.SetPrefetchDepth(v)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		} else {
-			fmt.Printf("prefetch depth: %d\n", n)
-		}
-	case `\resident`:
-		if len(fields) == 1 {
-			on, err := c.Resident()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			} else {
-				fmt.Printf("resident mode: %s\n", onOff(on))
-			}
-			return true
-		}
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			fmt.Fprintln(os.Stderr, `usage: \resident [on|off]`)
-			return true
-		}
-		on, err := c.SetResident(fields[1] == "on")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		} else {
-			fmt.Printf("resident mode: %s\n", onOff(on))
-		}
 	case `\replicas`:
 		t, err := c.ReplStatus()
 		if err != nil {
@@ -321,13 +278,6 @@ func command(c *client.Conn, cmd string) bool {
 		fmt.Fprintf(os.Stderr, "unknown command %s\n", fields[0])
 	}
 	return true
-}
-
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
 }
 
 // printSession renders one session's introspection view: a summary line, a

@@ -29,9 +29,6 @@ func main() {
 	slowThreshold := flag.Duration("slow-query-threshold", 0, "log statements at or above this duration to the slow-query log (0 = off; runtime-settable via SLOWLOG)")
 	slowLog := flag.String("slow-log", "", "slow-query log path (default <dir>/slowlog.jsonl)")
 	queryWorkers := flag.Int("query-workers", 0, "intra-query parallelism cap per statement (0 = GOMAXPROCS, 1 = serial; runtime-settable via WORKERS)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "chain-readahead depth for block-list scans (0 = off; runtime-settable via PREFETCH)")
-	residentOn := flag.Bool("resident", false, "serve read-only queries from compressed in-memory resident copies of hot documents (runtime-settable via RESIDENT)")
-	residentBudget := flag.Int64("resident-budget", 0, "byte budget for resident document copies (0 = default 256MiB)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary sednad at this host:port (an empty directory seeds itself over the wire; PROMOTE makes the node writable)")
 	flag.Parse()
 
@@ -42,9 +39,6 @@ func main() {
 		SlowQueryThreshold: *slowThreshold,
 		SlowLogPath:        *slowLog,
 		QueryWorkers:       *queryWorkers,
-		PrefetchDepth:      *prefetchDepth,
-		Resident:           *residentOn,
-		ResidentBudget:     *residentBudget,
 	}
 	var db *core.Database
 	var rep *repl.Replica
@@ -67,12 +61,6 @@ func main() {
 		log.Printf("sednad: slow-query threshold %s", slowThreshold.String())
 	}
 	log.Printf("sednad: query workers %d", db.QueryWorkers())
-	if d := db.PrefetchDepth(); d > 0 {
-		log.Printf("sednad: prefetch depth %d", d)
-	}
-	if db.Resident() {
-		log.Printf("sednad: resident mode on (budget %d bytes)", db.ResidentCache().Budget())
-	}
 	srv, err := server.Listen(db, *addr)
 	if err != nil {
 		db.Close()

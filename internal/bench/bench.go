@@ -99,43 +99,6 @@ func OpenDBBulk(dir string, reg *metrics.Registry, mode sedna.BulkLoadMode) (*se
 	return sedna.Open(dir, &sedna.Options{NoSync: true, BufferPages: 8192, Metrics: reg, BulkLoad: mode})
 }
 
-// OpenDBPrefetch reopens a database directory with an explicit default
-// chain-readahead depth. The buffer pool starts empty, so the first scan
-// after opening runs against a cold cache — the E19 measurement setup.
-func OpenDBPrefetch(dir string, reg *metrics.Registry, depth int) (*sedna.DB, error) {
-	return sedna.Open(dir, &sedna.Options{NoSync: true, BufferPages: 8192, Metrics: reg, PrefetchDepth: depth})
-}
-
-// OpenDBResident reopens a database directory with the compressed in-memory
-// resident mode on (budget 0 = default 256 MiB). The buffer pool starts
-// empty, so the first statement per document pays the resident build against
-// a cold cache — the E22 measurement setup.
-func OpenDBResident(dir string, reg *metrics.Registry, budget int64) (*sedna.DB, error) {
-	return sedna.Open(dir, &sedna.Options{NoSync: true, BufferPages: 8192, Metrics: reg, Resident: true, ResidentBudget: budget})
-}
-
-// QueryPrefetch runs a query under an explicit per-statement chain-readahead
-// depth (> 0 enables readahead regardless of the database default, < 0
-// forces it off) and returns the result data plus executor stats.
-func QueryPrefetch(db *sedna.DB, src string, depth int) (string, query.ExecStats, error) {
-	tx, err := db.Internal().BeginReadOnly()
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	defer tx.Rollback()
-	ctx := query.NewExecCtx(tx)
-	ctx.PrefetchDepth = depth
-	res, err := query.Execute(ctx, src)
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	var sb strings.Builder
-	if err := res.Serialize(&sb); err != nil {
-		return "", query.ExecStats{}, err
-	}
-	return sb.String(), ctx.Profile.ExecStats, nil
-}
-
 // SubtreeStore builds the subtree-clustered baseline store with the same
 // library corpus inside the same database (separate pages).
 func SubtreeStore(db *sedna.DB, n int) (*subtree.Store, *core.Tx, error) {

@@ -49,10 +49,6 @@
 // stripe's mutex (read or write), and eviction inspects them under the
 // write lock, so a pinned frame can never be chosen as a victim. Unpin is
 // lock-free.
-//
-// The readahead workers (prefetch.go) obey the same order: page reads happen
-// with no locks held, installs take exactly one stripe mutex, and the
-// prefetch eviction sweep never flushes (so it never touches the WAL mutex).
 package buffer
 
 import (
@@ -114,13 +110,6 @@ type Frame struct {
 	// clockIdx is the frame's position in its stripe's clock ring,
 	// maintained under the stripe mutex for O(1) removal.
 	clockIdx int
-
-	// prefetched marks a frame installed by the readahead worker that has
-	// not yet been touched by a real access. The first touch CASes it off
-	// and counts a prefetch hit; eviction or invalidation while still set
-	// counts the read as wasted. Both transitions release the frame's share
-	// of the resident-prefetch budget.
-	prefetched atomic.Bool
 }
 
 // ID returns the identity of the page held by the frame.
@@ -177,11 +166,6 @@ type bufMetrics struct {
 	stripeLockWait *metrics.Counter // ns spent blocked on contended stripe mutexes
 	clockSweeps    *metrics.Counter // clock-hand advances during eviction scans
 	pinWaits       *metrics.Counter // bounded waits entered because all frames were pinned
-
-	prefetchIssued  *metrics.Counter // pages read from disk and installed by the prefetcher
-	prefetchHits    *metrics.Counter // prefetched frames later touched by a real access
-	prefetchWasted  *metrics.Counter // prefetched frames evicted or invalidated untouched
-	prefetchDropped *metrics.Counter // hints discarded (queue full, budget, raced, stale)
 }
 
 func bindBufMetrics(reg *metrics.Registry) bufMetrics {
@@ -199,11 +183,6 @@ func bindBufMetrics(reg *metrics.Registry) bufMetrics {
 		stripeLockWait: reg.Counter("buffer.stripe_lock_wait_ns"),
 		clockSweeps:    reg.Counter("buffer.clock_sweeps"),
 		pinWaits:       reg.Counter("buffer.pin_waits"),
-
-		prefetchIssued:  reg.Counter("buffer.prefetch_issued"),
-		prefetchHits:    reg.Counter("buffer.prefetch_hits"),
-		prefetchWasted:  reg.Counter("buffer.prefetch_wasted"),
-		prefetchDropped: reg.Counter("buffer.prefetch_dropped"),
 	}
 }
 
@@ -250,10 +229,6 @@ type Manager struct {
 	walFlush    func() error    // flush the WAL; called before any page write (WAL rule)
 	activeSnaps func() []uint64 // timestamps of active snapshots, for purge
 
-	// pref is the async readahead machinery (prefetch.go): a bounded worker
-	// pool that loads hinted pages into unpinned frames ahead of the scan.
-	pref prefetcher
-
 	reg *metrics.Registry
 	met bufMetrics
 }
@@ -290,7 +265,6 @@ func NewWithMetrics(pf *pagefile.File, snap *pagefile.SnapArea, capacity int, re
 		stripeShift: shift,
 		txnPages:    make(map[uint64]map[sas.PageID]struct{}),
 	}
-	m.pref.init(capacity)
 	slotsPer := (sas.PagesPerLayer + n - 1) / n
 	base, extra := capacity/n, capacity%n
 	for i := range m.stripes {
@@ -428,7 +402,6 @@ func (m *Manager) DerefTrack(p sas.XPtr) (data []byte, f *Frame, loaded bool, er
 		data = f.data
 		s.mu.RUnlock()
 		m.met.hits.Inc()
-		m.notePrefetchTouch(f)
 		return data, f, false, nil
 	}
 	s.mu.RUnlock()
@@ -485,7 +458,6 @@ func (m *Manager) ViewSnapshot(id sas.PageID, snapTS uint64) (page []byte, pin *
 		page = f.data
 		s.mu.RUnlock()
 		m.met.hits.Inc()
-		m.notePrefetchTouch(f)
 		return page, f, false, nil
 	}
 	s.mu.RUnlock()
@@ -564,7 +536,6 @@ func (m *Manager) Pin(id sas.PageID) (*Frame, error) {
 		f.ref.Store(true)
 		f.pin.Add(1)
 		s.mu.RUnlock()
-		m.notePrefetchTouch(f)
 		return f, nil
 	}
 	s.mu.RUnlock()
@@ -655,7 +626,6 @@ func (m *Manager) PinNew(id sas.PageID, txn uint64) (*Frame, error) {
 func (s *stripe) load(m *Manager, id sas.PageID) (f *Frame, read bool, err error) {
 	if f := s.frames[id]; f != nil {
 		f.ref.Store(true)
-		m.notePrefetchTouch(f)
 		return f, false, nil
 	}
 	for len(s.frames) >= s.capacity {
@@ -679,10 +649,6 @@ func (s *stripe) load(m *Manager, id sas.PageID) (f *Frame, read bool, err error
 // drop removes the frame from the stripe's clock ring, frame map and slot
 // share. The caller holds the stripe write lock.
 func (s *stripe) drop(m *Manager, f *Frame) {
-	if f.prefetched.CompareAndSwap(true, false) {
-		m.met.prefetchWasted.Inc()
-		m.pref.resident.Add(-1)
-	}
 	last := len(s.clock) - 1
 	i := f.clockIdx
 	s.clock[i] = s.clock[last]
@@ -845,25 +811,6 @@ func (s *stripe) rollbackPage(m *Manager, id sas.PageID) error {
 	return nil
 }
 
-// prefetchEligibility captures, per page, whether a disk read made now may
-// later be installed (not resident — which with the dirty ⟹ resident
-// invariant also means the disk copy is current) and the page's commit
-// timestamp at capture time. An install is refused unless the timestamp is
-// still unchanged, so bytes that a concurrent commit (or a flush racing the
-// pread) could have made stale never reach the pool.
-func (m *Manager) prefetchEligibility(ids []sas.PageID) ([]bool, []uint64) {
-	elig := make([]bool, len(ids))
-	ts0 := make([]uint64, len(ids))
-	for i, id := range ids {
-		s := m.stripeFor(id.Page)
-		s.rlock(m)
-		elig[i] = s.frames[id] == nil && s.dirtyBy[id] == 0
-		ts0[i] = s.pageTS[id]
-		s.mu.RUnlock()
-	}
-	return elig, ts0
-}
-
 // purgeChain drops the versions of a committed page that none of the
 // snapshots in snaps can read. A version with timestamp v.ts is the visible
 // one for snapshot sn iff v.ts <= sn and sn is below the timestamp of the
@@ -985,19 +932,12 @@ func (m *Manager) DropVersions() {
 // Used by recovery before re-reading the restored data file, and by hot
 // backup tests. Panics if any frame is pinned.
 func (m *Manager) InvalidateAll() {
-	// Fence the prefetch workers first: any install that locks its stripe
-	// after this bump sees a stale generation and refuses, so no prefetched
-	// page can reappear behind the invalidation.
-	m.pref.gen.Add(1)
 	for _, s := range m.stripes {
 		s.lock(m)
 		for _, f := range s.frames {
 			if f.pin.Load() > 0 {
 				s.mu.Unlock()
 				panic("buffer: InvalidateAll with pinned frames")
-			}
-			if f.prefetched.Load() {
-				m.met.prefetchWasted.Inc()
 			}
 		}
 		s.frames = make(map[sas.PageID]*Frame)
@@ -1014,7 +954,6 @@ func (m *Manager) InvalidateAll() {
 	m.txnPages = make(map[uint64]map[sas.PageID]struct{})
 	m.txnMu.Unlock()
 	m.met.versionsLive.Set(0)
-	m.pref.resident.Store(0)
 }
 
 // FrameCount returns the number of pages resident in the pool.

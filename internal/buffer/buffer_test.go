@@ -20,9 +20,7 @@ func newTestManager(t *testing.T, capacity int) (*Manager, *pagefile.File, *page
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pf.Close(); snap.Close() })
-	m := New(pf, snap, capacity)
-	t.Cleanup(m.StopPrefetch) // LIFO: workers stop before the files close
-	return m, pf, snap
+	return New(pf, snap, capacity), pf, snap
 }
 
 // snapByte returns the first byte of the page as a snapshot at ts views it.
@@ -510,5 +508,109 @@ func TestInvalidateAll(t *testing.T) {
 	m.Unpin(f2)
 	if m.Stats().Faults != st.Faults+1 {
 		t.Fatal("deref after InvalidateAll must fault")
+	}
+}
+
+// writePages allocates n pages on disk, page i filled with byte i+1.
+func writePages(t *testing.T, pf *pagefile.File, n int) []sas.PageID {
+	t.Helper()
+	ids := make([]sas.PageID, n)
+	buf := make([]byte, sas.PageSize)
+	for i := range ids {
+		ids[i] = pf.Alloc()
+		for j := range buf {
+			buf[j] = byte(i + 1)
+		}
+		if err := pf.WritePage(ids[i], buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// TestViewSnapshotLoadsThroughThePool covers the cold half of the one
+// snapshot read path: a miss loads the page into the pool like any other
+// fault (one fault, one disk read) and maps its slot, and the next view of it
+// and an updater's dereference are hits with no disk read.
+func TestViewSnapshotLoadsThroughThePool(t *testing.T) {
+	m, pf, _ := newTestManager(t, 256)
+	ids := writePages(t, pf, 1)
+	view := func() (loaded bool) {
+		t.Helper()
+		page, pin, loaded, err := m.ViewSnapshot(ids[0], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pin == nil || pin.ID() != ids[0] {
+			t.Fatal("live-visible view came back without its frame")
+		}
+		if page[0] != 1 || page[sas.PageSize-1] != 1 {
+			t.Fatalf("payload = %#x", page[0])
+		}
+		m.Unpin(pin)
+		return loaded
+	}
+
+	if !view() {
+		t.Fatal("cold view did not report a load")
+	}
+	if view() {
+		t.Fatal("warm view reported a load")
+	}
+	f, err := m.Deref(ids[0].Ptr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Unpin(f)
+	if st := m.Stats(); st.Faults != 1 || st.DiskReads != 1 || st.Hits != 2 || st.SnapshotReads != 0 {
+		t.Fatalf("one cold view, one warm view and one dereference counted as %+v", st)
+	}
+}
+
+// TestViewSnapshotBesideUncommittedWriter: a page under an uncommitted writer
+// is served from its version chain — the committed bytes, no pin, counted as
+// a snapshot read — whether or not the snapshot reader had the frame first,
+// and neither side's bytes reach the other.
+func TestViewSnapshotBesideUncommittedWriter(t *testing.T) {
+	m, pf, _ := newTestManager(t, 256)
+	ids := writePages(t, pf, 2)
+
+	// The reader views the committed frame, then the writer arrives.
+	held, pin, _, err := m.ViewSnapshot(ids[1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.PinWrite(ids[1], 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data()[0] = 0xEE
+	m.Unpin(f)
+	if held[0] != 2 {
+		t.Fatalf("held view reads %#x after the writer's first touch, want 2", held[0])
+	}
+	m.Unpin(pin)
+
+	page, pin, loaded, err := m.ViewSnapshot(ids[1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pin != nil || loaded || page[0] != 2 {
+		t.Fatalf("view beside the writer: pin=%v loaded=%v byte=%#x, want the unpinned pre-image", pin, loaded, page[0])
+	}
+	if got := m.Stats().SnapshotReads; got != 1 {
+		t.Fatalf("snapshot_reads = %d, want 1", got)
+	}
+	// The neighbour is untouched by any of it.
+	if b := snapByte(t, m, ids[0], 1); b != 1 {
+		t.Fatalf("neighbour reads %#x", b)
+	}
+	g, err := m.Deref(ids[1].Ptr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Unpin(g)
+	if g.Data()[0] != 0xEE {
+		t.Fatalf("writer's page content = %#x, want 0xEE", g.Data()[0])
 	}
 }

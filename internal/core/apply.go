@@ -101,10 +101,6 @@ func (db *Database) ApplyReplicated(recs []*wal.Record, restart, commit uint64) 
 	if err != nil {
 		return err
 	}
-	// Physical page applies change document content without touching the
-	// metadata versions resident caching validates against: have the commit
-	// raise the resident cache's barrier.
-	t.applyBarrier = true
 	for _, r := range recs {
 		if err := applyRecord(t, r); err != nil {
 			t.Rollback()
@@ -213,17 +209,22 @@ func applyRecord(t *Tx, r *wal.Record) error {
 			ix.OnPath, ix.ByPath, ix.KeyType = parts[0], parts[1], parts[2]
 		}
 		db.catalog.PutIndex(ix)
+		t.TouchDoc(doc)
 	case wal.RecDropIndex:
 		if err := t.LogRecord(&wal.Record{Type: wal.RecDropIndex, Name: r.Name}); err != nil {
 			return err
 		}
-		db.catalog.DeleteIndex(r.Name)
+		if ix, ok := db.catalog.Index(r.Name); ok {
+			db.catalog.DeleteIndex(r.Name)
+			t.touchIndexDoc(ix)
+		}
 	case wal.RecIndexMeta:
 		if err := t.LogRecord(&wal.Record{Type: wal.RecIndexMeta, Name: r.Name, Ptrs: r.Ptrs}); err != nil {
 			return err
 		}
 		if ix, ok := db.catalog.Index(r.Name); ok {
 			ix.Root = r.Ptrs[0]
+			t.touchIndexDoc(ix)
 		}
 	case wal.RecBulkLoad:
 		// The load's data arrived as whole-page images (re-applied above as
@@ -242,6 +243,14 @@ func applyRecord(t *Tx, r *wal.Record) error {
 		return fmt.Errorf("unknown record type %d", r.Type)
 	}
 	return nil
+}
+
+// touchIndexDoc marks the document an index belongs to as changed, so the
+// commit publishes the index's new root (or its absence) to snapshot readers.
+func (t *Tx) touchIndexDoc(ix *IndexMeta) {
+	if doc, ok := t.db.catalog.Doc(ix.DocName); ok {
+		t.TouchDoc(doc)
+	}
 }
 
 // Promote flips a replica into a writable primary: per-schema-node counters
@@ -264,8 +273,9 @@ func (db *Database) Promote() error {
 		}
 		// Republish so new snapshot readers see the corrected counters.
 		db.pubMu.Lock()
-		db.docVers.publish(name, db.txm.CommitTS(), cloneDoc(doc), db.txm.MinActiveSnapshot())
-		db.resCache.Invalidate(name)
+		v := db.committedVersion(doc)
+		v.ts = db.txm.CommitTS()
+		db.docVers.publish(name, v, db.txm.MinActiveSnapshot())
 		db.pubMu.Unlock()
 	}
 	db.replica.Store(false)

@@ -28,13 +28,16 @@ type IndexMeta struct {
 	OnPath  string
 	ByPath  string
 	KeyType string
-	Root    sas.XPtr
+	// Root is the live root of the B+tree, assigned by the update
+	// transaction that holds the document's exclusive lock; snapshot readers
+	// take the root committed at their snapshot (Tx.IndexRoot).
+	Root sas.XPtr
 }
 
 // Catalog tracks every document and index in the database, plus the
 // optimizer state attached to documents: the ANALYZE statistics snapshots
-// (persisted through the meta file) and the live access/update activity
-// counters (advisory, reset on restart).
+// (persisted through the meta file) and the live update activity counters
+// (advisory, reset on restart).
 type Catalog struct {
 	mu        sync.RWMutex
 	docs      map[string]*storage.Doc
@@ -139,6 +142,23 @@ func (c *Catalog) DeleteIndex(name string) {
 	delete(c.indexes, name)
 }
 
+// indexRoots returns the B+tree roots of the document's indexes by name (nil
+// when it has none).
+func (c *Catalog) indexRoots(docName string) map[string]sas.XPtr {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out map[string]sas.XPtr
+	for _, ix := range c.indexes {
+		if ix.DocName == docName {
+			if out == nil {
+				out = make(map[string]sas.XPtr)
+			}
+			out[ix.Name] = ix.Root
+		}
+	}
+	return out
+}
+
 // IndexesOf returns the indexes defined over a document.
 func (c *Catalog) IndexesOf(docName string) []*IndexMeta {
 	c.mu.RLock()
@@ -195,11 +215,6 @@ func (c *Catalog) Activity(docName string) *opt.Activity {
 // NoteUpdate records one committed update transaction touching the document.
 func (c *Catalog) NoteUpdate(docName string) {
 	c.Activity(docName).Updates.Add(1)
-}
-
-// NoteAccess records one statement resolving the document.
-func (c *Catalog) NoteAccess(docName string) {
-	c.Activity(docName).Accesses.Add(1)
 }
 
 // ---- catalog snapshot (the meta.<gen> file written at every checkpoint) ----

@@ -14,7 +14,6 @@ import (
 	"sedna/internal/lock"
 	"sedna/internal/metrics"
 	"sedna/internal/pagefile"
-	"sedna/internal/resident"
 	"sedna/internal/sas"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
@@ -54,24 +53,10 @@ type Options struct {
 	// fan-out). 0 means GOMAXPROCS; 1 disables parallel execution. Also
 	// settable at runtime via Database.SetQueryWorkers.
 	QueryWorkers int
-	// PrefetchDepth is the default chain-readahead depth for block-list
-	// scans: how many nextBlock links ahead of a scan the buffer manager
-	// may load asynchronously. 0 (the default) disables readahead. Also
-	// settable at runtime via Database.SetPrefetchDepth.
-	PrefetchDepth int
 	// Replica opens the database in replica mode: Begin refuses update
 	// transactions (ErrReplicaReadOnly) and changes arrive only through
 	// ApplyReplicated until Promote lifts the gate.
 	Replica bool
-	// Resident enables the compressed in-memory resident mode: read-only
-	// statements over documents that fit the byte budget execute against a
-	// cached structural array instead of the paged block chains. Updates
-	// invalidate the cached copy on commit, so results stay byte-identical.
-	// Also settable at runtime via Database.SetResident.
-	Resident bool
-	// ResidentBudget caps the total bytes of resident representations across
-	// documents (LRU-evicted beyond it). 0 uses resident.DefaultBudget.
-	ResidentBudget int64
 	// BulkLoad selects the document-ingest path for LoadXML: the default
 	// (BulkLoadAuto) streams freshly created documents through the direct
 	// block-construction bulk loader; BulkLoadOff forces the node-at-a-time
@@ -103,16 +88,6 @@ type Database struct {
 	// queryWorkers is the intra-query parallelism cap (0 = GOMAXPROCS),
 	// read by every new execution context and settable at runtime.
 	queryWorkers atomic.Int64
-
-	// prefetchDepth is the default chain-readahead depth (0 = off), read
-	// at the start of every statement and settable at runtime.
-	prefetchDepth atomic.Int64
-
-	// residentOn gates the resident mode; resCache holds the per-document
-	// resident representations (always allocated so metrics and runtime
-	// toggling work even when the mode starts off).
-	residentOn atomic.Bool
-	resCache   *resident.Cache
 
 	// quiesce is held shared by every statement-executing transaction and
 	// exclusively by checkpoint/backup/close.
@@ -178,9 +153,6 @@ func Open(dir string, opts Options) (*Database, error) {
 	db.txm.LockTimeout = opts.LockTimeout
 	db.replica.Store(opts.Replica)
 	db.SetQueryWorkers(opts.QueryWorkers)
-	db.SetPrefetchDepth(opts.PrefetchDepth)
-	db.resCache = resident.NewCache(opts.ResidentBudget, reg)
-	db.SetResident(opts.Resident)
 
 	db.tracer = trace.New(reg)
 	db.tracer.SetEnabled(opts.TraceEnabled)
@@ -200,7 +172,6 @@ func Open(dir string, opts Options) (*Database, error) {
 }
 
 func (db *Database) closeFiles() {
-	db.buf.StopPrefetch()
 	if db.tracer != nil {
 		db.tracer.Close()
 	}
@@ -267,40 +238,6 @@ func (db *Database) QueryWorkers() int {
 	return n
 }
 
-// SetPrefetchDepth sets the default chain-readahead depth at runtime: how
-// many pages ahead of a block-list scan the buffer manager's workers may
-// load by following nextBlock chains. n ≤ 0 disables readahead
-// (scans behave exactly as without the prefetcher). New transactions start
-// at this depth; an execution context's explicit PrefetchDepth overrides it
-// per statement.
-func (db *Database) SetPrefetchDepth(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.prefetchDepth.Store(int64(n))
-	db.txm.SetDefaultPrefetchDepth(n)
-}
-
-// PrefetchDepth returns the default chain-readahead depth (0 = off).
-func (db *Database) PrefetchDepth() int { return int(db.prefetchDepth.Load()) }
-
-// SetResident switches the resident mode at runtime. Turning it off flushes
-// the cache; statements already holding a resident representation finish on
-// it (the representations are immutable).
-func (db *Database) SetResident(on bool) {
-	db.residentOn.Store(on)
-	if !on {
-		db.resCache.Flush()
-	}
-}
-
-// Resident reports whether the resident mode is on.
-func (db *Database) Resident() bool { return db.residentOn.Load() }
-
-// ResidentCache exposes the resident-representation cache (tools, tests and
-// benchmarks).
-func (db *Database) ResidentCache() *resident.Cache { return db.resCache }
-
 // Buffer exposes the buffer manager (benchmarks and tools).
 func (db *Database) Buffer() *buffer.Manager { return db.buf }
 
@@ -357,9 +294,6 @@ func (db *Database) Close() error {
 		return nil
 	}
 	db.mu.Unlock()
-	// Stop the readahead workers before checkpointing: no prefetch I/O may
-	// overlap the shutdown writes or outlive the files.
-	db.buf.StopPrefetch()
 	if err := db.checkpointLocked(); err != nil {
 		db.closeFiles()
 		return err
@@ -391,12 +325,6 @@ type Tx struct {
 	done bool
 
 	pendingDrops []string // documents dropped by this transaction
-
-	// applyBarrier marks a replicated-apply transaction: its physical page
-	// writes change content without touching document metadata, so commit
-	// must raise the resident cache's barrier instead of relying on
-	// per-document invalidation.
-	applyBarrier bool
 }
 
 // Begin starts an update transaction. On a replica it fails with
@@ -436,33 +364,26 @@ func (t *Tx) Commit() error {
 		err = t.Tx.Commit()
 	} else {
 		t.db.pubMu.Lock()
-		// Clone metadata before the inner commit: committing releases the
+		// Copy metadata before the inner commit: committing releases the
 		// document locks, after which another writer may mutate the live
-		// schema while we are still flattening it.
-		clones := make([]*storage.Doc, len(touched))
+		// schema and index roots while we are still copying them.
+		versions := make([]docVersion, len(touched))
 		for i, doc := range touched {
-			clones[i] = cloneDoc(doc)
+			versions[i] = t.db.committedVersion(doc)
 		}
 		err = t.Tx.Commit()
 		if err == nil {
 			cts := t.Tx.CommitTS()
 			minSnap := t.db.txm.MinActiveSnapshot()
 			for i, doc := range touched {
-				t.db.docVers.publish(doc.Name, cts, clones[i], minSnap)
-				t.db.resCache.Invalidate(doc.Name)
+				versions[i].ts = cts
+				t.db.docVers.publish(doc.Name, versions[i], minSnap)
 				// Feed the optimizer's staleness clock: one committed update
 				// transaction per touched document.
 				t.db.catalog.NoteUpdate(doc.Name)
 			}
 			for _, name := range t.pendingDrops {
-				t.db.docVers.publish(name, cts, nil, minSnap)
-				t.db.resCache.Invalidate(name)
-			}
-			if t.applyBarrier {
-				// Still under pubMu: no reader can begin between the apply
-				// commit and the cache flush, so none can cache stale content
-				// under a pre-apply snapshot.
-				t.db.resCache.Barrier(cts)
+				t.db.docVers.publish(name, docVersion{ts: cts}, minSnap)
 			}
 		}
 		t.db.pubMu.Unlock()
@@ -555,63 +476,13 @@ func (t *Tx) DropDocument(name string) error {
 	return nil
 }
 
-// residentHotAccesses is how many statement accesses a document needs before
-// the residency advisor promotes it without the global resident switch.
-const residentHotAccesses = 32
-
 // scanRingPages is how many of the pages it loads a whole-document pass (the
-// resident build, the open-time recount) keeps in the buffer pool at a time
-// (4 MiB); it leaves none behind.
-// The build walks every schema node's block list forwards, so it revisits
-// about one block per schema node plus the text and indirection blocks under
-// its hand; the ring covers documents with a couple of hundred schema nodes,
-// and beyond it a page is simply read again.
+// open-time recount) keeps in the buffer pool at a time (4 MiB); it leaves
+// none behind. The pass walks every schema node's block list forwards, so it
+// revisits about one block per schema node under its hand; the ring covers
+// documents with a couple of hundred schema nodes, and beyond it a page is
+// simply read again.
 const scanRingPages = 256
-
-// advisorHot reports whether the residency advisor wants doc resident even
-// with the global switch off: the document has fresh ANALYZE statistics (so
-// we know its shape and that it is not churning) and enough accesses to
-// amortize the build.
-func (db *Database) advisorHot(name string) bool {
-	s := db.catalog.DocStats(name)
-	if s == nil {
-		return false
-	}
-	a := db.catalog.Activity(name)
-	if s.Stale(a.Updates.Load()) {
-		return false
-	}
-	return a.Accesses.Load() >= residentHotAccesses
-}
-
-// ResidentFor returns the resident representation of doc for this
-// transaction's snapshot, or nil when the document must be served paged:
-// update transaction, unversioned document, build failure, budget overflow,
-// a replication barrier — or, with deferred=true, a build the cache put off
-// because the document is being written faster than it can be built (or
-// another reader is building it right now). Residency triggers either
-// globally (the -resident switch) or per document via the advisor: analyzed,
-// not stale, and hot enough (≥ residentHotAccesses statement accesses). The
-// cache builds at most once per committed version and validates shared
-// representations by commit timestamp.
-func (t *Tx) ResidentFor(doc *storage.Doc) (rep *resident.Rep, deferred bool) {
-	if !t.ReadOnly() {
-		return nil, false
-	}
-	if !t.db.Resident() && !t.db.advisorHot(doc.Name) {
-		return nil, false
-	}
-	snap := t.SnapshotTS()
-	_, vts, ok := t.db.docVers.versionAt(doc.Name, snap)
-	if !ok {
-		return nil, false
-	}
-	return t.db.resCache.Acquire(doc.Name, vts, snap, func() (*resident.Rep, error) {
-		r := t.Tx.ScanReader(scanRingPages)
-		defer r.Close()
-		return resident.Build(r, doc, vts, snap)
-	})
-}
 
 // Document resolves a document by name. Update transactions use the live
 // catalog (they hold document locks); read-only transactions use the
@@ -619,15 +490,29 @@ func (t *Tx) ResidentFor(doc *storage.Doc) (rep *resident.Rep, deferred bool) {
 // uncommitted schema changes stay invisible (§6.1, §6.3).
 func (t *Tx) Document(name string) (*storage.Doc, error) {
 	if t.ReadOnly() {
-		doc, ok := t.db.docVers.at(name, t.SnapshotTS())
+		v, ok := t.db.docVers.at(name, t.SnapshotTS())
 		if !ok {
 			return nil, fmt.Errorf("core: document %q does not exist", name)
 		}
-		return doc, nil
+		return v.doc, nil
 	}
 	doc, ok := t.db.catalog.Doc(name)
 	if !ok {
 		return nil, fmt.Errorf("core: document %q does not exist", name)
 	}
 	return doc, nil
+}
+
+// IndexRoot returns the root of the index's B+tree as the transaction reads
+// it: the live root for an update transaction, which holds the document's
+// lock, and the root committed at the snapshot for a read-only one — a
+// writer may be growing the live tree a level right now, or about to roll
+// the growth back. ok=false: the index did not exist at the snapshot.
+func (t *Tx) IndexRoot(ix *IndexMeta) (root sas.XPtr, ok bool) {
+	if !t.ReadOnly() {
+		return ix.Root, true
+	}
+	v, _ := t.db.docVers.at(ix.DocName, t.SnapshotTS())
+	root, ok = v.roots[ix.Name]
+	return root, ok
 }

@@ -133,9 +133,8 @@ func xmlName(n xml.Name) string {
 }
 
 // NodeAccess abstracts the node reads serialization needs over a node type N
-// — a paged descriptor here, a slab entry of either backend in the executor —
-// so the one serializer below runs over paged storage and over a resident
-// representation, keeping output byte-identical by construction.
+// — a descriptor here, a slab entry in the executor — so the one serializer
+// below serves both, keeping output byte-identical by construction.
 type NodeAccess[N any] interface {
 	// SchemaID returns the id of n's schema node.
 	SchemaID(n N) uint32

@@ -124,9 +124,9 @@ func TestVersionsDieAtCommit(t *testing.T) {
 	}
 }
 
-// TestWholeDocumentPassesLeaveNoFootprint: the two passes that read every
-// page of a document once — the recount at open, the resident build — hand
-// the pages they load back, so neither leaves the document in the pool.
+// TestWholeDocumentPassesLeaveNoFootprint: the pass that reads every page of
+// a document once at open — the recount — hands the pages it loads back, so
+// it does not leave the document in the pool.
 func TestWholeDocumentPassesLeaveNoFootprint(t *testing.T) {
 	dir := t.TempDir()
 	open := func(opts core.Options) *core.Database {
@@ -147,23 +147,10 @@ func TestWholeDocumentPassesLeaveNoFootprint(t *testing.T) {
 		t.Fatalf("document of %d pages: too small to tell a ring of %d from the whole", n, scanRing)
 	}
 
-	db = open(core.Options{Resident: true})
+	db = open(core.Options{})
 	defer db.Close()
-	recount := db.Buffer().FrameCount()
-	if recount > scanRing {
-		t.Fatalf("%d frames resident after open, ring is %d", recount, scanRing)
-	}
-	const q = `count(doc("big")//bidder)`
-	want := runQuery(t, db, q)
-	if n := db.Metrics().Snapshot().Counters["resident.builds"]; n != 1 {
-		t.Fatalf("resident.builds = %d after the first statement", n)
-	}
-	if n := db.Buffer().FrameCount(); n > recount {
-		t.Fatalf("%d frames resident after the resident build, %d before it", n, recount)
-	}
-	db.SetResident(false)
-	if got := runQuery(t, db, q); got != want {
-		t.Fatalf("paged answer %s, resident answer %s", got, want)
+	if n := db.Buffer().FrameCount(); n > scanRing {
+		t.Fatalf("%d frames in the pool after open, ring is %d", n, scanRing)
 	}
 }
 

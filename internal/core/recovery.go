@@ -113,7 +113,9 @@ func (db *Database) recover() error {
 		if err := db.recountDoc(doc); err != nil {
 			return err
 		}
-		db.docVers.publish(name, maxCTS, cloneDoc(doc), 0)
+		v := db.committedVersion(doc)
+		v.ts = maxCTS
+		db.docVers.publish(name, v, 0)
 	}
 
 	// Fresh checkpoint: bounds the next recovery and clears redo work.

@@ -463,16 +463,12 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	for name, labels := range s.Infos {
 		lines = append(lines, fmt.Sprintf("%s%s 1", name, formatLabels(labels)))
 	}
-	// Derived ratios, computed at render time so every consumer of the text
+	// The derived ratio, computed at render time so every consumer of the text
 	// form (METRICS verb, /metrics endpoint) sees them without bookkeeping.
 	if hits, ok := s.Counters["buffer.hits"]; ok {
 		if total := hits + s.Counters["buffer.faults"]; total > 0 {
 			lines = append(lines, fmt.Sprintf("buffer.hit_ratio %.4f", float64(hits)/float64(total)))
 		}
-	}
-	if issued, ok := s.Counters["buffer.prefetch_issued"]; ok && issued > 0 {
-		lines = append(lines, fmt.Sprintf("buffer.prefetch_hit_ratio %.4f",
-			float64(s.Counters["buffer.prefetch_hits"])/float64(issued)))
 	}
 	sort.Strings(lines)
 	for _, l := range lines {

@@ -224,9 +224,8 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-// TestDerivedRatios checks the ratio lines the text form derives at render
-// time: buffer.hit_ratio from hits/faults and buffer.prefetch_hit_ratio
-// from the readahead counters, present only when their inputs are.
+// TestDerivedRatios checks the ratio line the text form derives at render
+// time: buffer.hit_ratio from hits/faults, present only when its inputs are.
 func TestDerivedRatios(t *testing.T) {
 	r := NewRegistry()
 	var sb strings.Builder
@@ -238,8 +237,6 @@ func TestDerivedRatios(t *testing.T) {
 	}
 	r.Counter("buffer.hits").Add(3)
 	r.Counter("buffer.faults").Add(1)
-	r.Counter("buffer.prefetch_issued").Add(4)
-	r.Counter("buffer.prefetch_hits").Add(1)
 	sb.Reset()
 	if err := r.Snapshot().WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -247,8 +244,5 @@ func TestDerivedRatios(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "buffer.hit_ratio 0.7500") {
 		t.Fatalf("missing buffer.hit_ratio 0.7500 in:\n%s", out)
-	}
-	if !strings.Contains(out, "buffer.prefetch_hit_ratio 0.2500") {
-		t.Fatalf("missing buffer.prefetch_hit_ratio 0.2500 in:\n%s", out)
 	}
 }

@@ -43,8 +43,6 @@ var metricHelp = map[string]string{
 	"server.kills":           "Statements terminated by KILL.",
 	"sedna.build_info":       "Build metadata; the value is always 1.",
 	"repl.replica_lag_lsn":   "Replication lag in log bytes.",
-	"resident.deferred":      "Reads served paged because the document's resident build was put off (written faster than it builds, or a build in flight).",
-	"resident.fallbacks":     "Reads served paged because no resident copy can serve them (build failed, over budget, snapshot before a replication barrier).",
 }
 
 // promName maps an internal dotted metric name to its exported Prometheus
@@ -127,17 +125,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			fmt.Sprintf("%s_count %d", pn, h.Count))
 		fams = append(fams, family{name, "histogram", lines})
 	}
-	// The derived ratios of the plain-text exposition.
+	// The derived ratio of the plain-text exposition.
 	if hits, ok := s.Counters["buffer.hits"]; ok {
 		if total := hits + s.Counters["buffer.faults"]; total > 0 {
 			fams = append(fams, family{"buffer.hit_ratio", "gauge",
 				[]string{fmt.Sprintf("%s %.4f", promName("buffer.hit_ratio"), float64(hits)/float64(total))}})
 		}
-	}
-	if issued, ok := s.Counters["buffer.prefetch_issued"]; ok && issued > 0 {
-		fams = append(fams, family{"buffer.prefetch_hit_ratio", "gauge",
-			[]string{fmt.Sprintf("%s %.4f", promName("buffer.prefetch_hit_ratio"),
-				float64(s.Counters["buffer.prefetch_hits"])/float64(issued))}})
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	bw := bufio.NewWriter(w)

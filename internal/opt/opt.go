@@ -66,13 +66,11 @@ type DocStats struct {
 	Cols          map[uint32]*ColStats
 }
 
-// Activity is a document's live access/update counters, maintained by the
-// engine outside any statistics snapshot: Updates counts committed update
-// transactions touching the document (staleness input), Accesses counts
-// statements that resolved the document (residency-advisor input).
+// Activity is a document's live update counter, maintained by the engine
+// outside any statistics snapshot: Updates counts committed update
+// transactions touching the document (the staleness input).
 type Activity struct {
-	Updates  atomic.Uint64
-	Accesses atomic.Uint64
+	Updates atomic.Uint64
 }
 
 // Stale reports whether the snapshot no longer reflects the document, given

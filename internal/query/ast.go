@@ -154,10 +154,6 @@ type StepPlan struct {
 	// Sampled reports that the statistics behind the estimates came from a
 	// sampled ANALYZE (reservoir histograms); EXPLAIN annotates the step.
 	Sampled bool
-
-	// blocks is the estimated chain-block volume behind the step, kept for
-	// the optimizer's prefetch decision.
-	blocks float64
 }
 
 // IndexProbe is a planned value-index access: probe the named index with

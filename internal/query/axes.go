@@ -5,6 +5,7 @@ import (
 
 	"sedna/internal/sas"
 	"sedna/internal/schema"
+	"sedna/internal/storage"
 )
 
 // Axis evaluation over stored nodes. The implementations exploit the
@@ -55,7 +56,7 @@ func attributeTest(test NodeTest) NodeTest {
 
 // axisStored evaluates an axis step for one stored context node, handing
 // matches to k in document order. All storage access routes through the
-// node's store, so the same code serves paged and resident backends.
+// statement worker's reader (store.go).
 func axisStored(env *env, n *NodeItem, axis Axis, test NodeTest, k *collector) error {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
 	if sn == nil {
@@ -82,7 +83,7 @@ func axisStored(env *env, n *NodeItem, axis Axis, test NodeTest, k *collector) e
 			chain = append(chain, n)
 		}
 		for cur := n; ; {
-			p, err := cur.st.parent(env, cur)
+			p, err := env.parent(cur)
 			if err != nil {
 				return err
 			}
@@ -103,14 +104,14 @@ func axisStored(env *env, n *NodeItem, axis Axis, test NodeTest, k *collector) e
 		}
 		return nil
 	case AxisFollowingSibling:
-		return siblings(env, n.st.following(n), test, -1, sas.NilPtr, k)
+		return siblings(env, following(n), test, -1, sas.NilPtr, k)
 	case AxisPrecedingSibling:
 		// The parent's children up to n.
-		p, err := n.st.parent(env, n)
+		p, err := env.parent(n)
 		if err != nil || p == nil {
 			return err
 		}
-		c, err := p.st.children(env, p)
+		c, err := env.children(p)
 		if err != nil {
 			return err
 		}
@@ -139,8 +140,8 @@ func siblings(env *env, c cursor, test NodeTest, attrs int8, until sas.XPtr, k *
 
 // childAxis hands k the children of n matching test in document order. For
 // a specific name/kind test it touches only the matching schema node's
-// children (per-schema slot chain or resident index range); for wildcard
-// tests it walks the sibling chain.
+// children (its per-schema slot chain); for wildcard tests it walks the
+// sibling chain.
 func childAxis(env *env, n *NodeItem, sn *schema.Node, test NodeTest, attrs int8, k *collector) error {
 	var only *schema.Node
 	matched := 0
@@ -153,11 +154,22 @@ func childAxis(env *env, n *NodeItem, sn *schema.Node, test NodeTest, attrs int8
 	case 0:
 		return nil
 	case 1:
-		return drain(env, n.st.childrenOfSchema(n, sn, only), k)
+		c := childrenOfSchema(n, sn, only)
+		if skip := k.positionSkip(); skip > 0 {
+			// person[k]: the first k-1 children are stepped over on their
+			// list links, not decoded.
+			var skipped int
+			var err error
+			if c.at, skipped, err = storage.SkipRun(env.r, c.at, c.link, c.parent, skip); err != nil {
+				return err
+			}
+			k.pos[0] += skipped
+		}
+		return drain(env, c, k)
 	}
 	// Several schema children match (wildcard): walk the sibling chain for
 	// global document order.
-	c, err := n.st.children(env, n)
+	c, err := env.children(n)
 	if err != nil {
 		return err
 	}
@@ -178,8 +190,8 @@ func descendantTargets(sn *schema.Node, test NodeTest, out []*schema.Node) []*sc
 
 // descendantAxis evaluates the descendant axis with the schema-driven
 // strategy: matching schema nodes are found in main memory, then only their
-// per-schema streams are scanned (the context's range of each block list,
-// or resident index-list slices) and merged by document order.
+// per-schema streams are scanned (the context's range of each block list)
+// and merged by document order.
 func descendantAxis(env *env, n *NodeItem, sn *schema.Node, test NodeTest, k *collector) error {
 	var tbuf [8]*schema.Node
 	return scanTargets(env, descendantTargets(sn, test, tbuf[:0]), n, sn, true, k)
@@ -197,7 +209,7 @@ func scanTargets(env *env, targets []*schema.Node, anc *NodeItem, ancSN *schema.
 	var sbuf [4]nodeStream
 	streams := sbuf[:0]
 	for _, m := range targets {
-		c, err := anc.st.descendantScan(env, m, anc, ancSN)
+		c, err := env.descendantScan(m, anc, ancSN)
 		if err != nil {
 			return err
 		}

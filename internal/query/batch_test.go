@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sedna/internal/core"
+	"sedna/internal/schema"
 	"sedna/internal/storage"
 	"sedna/internal/xmlgen"
 )
@@ -19,32 +20,15 @@ func forceBatchCap(t *testing.T, n int) {
 	t.Cleanup(func() { batchCap = old })
 }
 
-// TestBatchCapacityIdentity re-runs the shared corpus tests — resident against
-// paged, parallel against serial, optimized against unoptimized — with every
-// batch cut to one node and to three (so runs, merges and predicates cross a
-// batch boundary at every node), and checks that the corpus serializes to the
-// bytes it does at the default capacity.
+// TestBatchCapacityIdentity re-runs the shared corpus tests — every worker
+// budget, the optimizer on and off — with every batch cut to one node and to
+// three (so runs, merges and predicates cross a batch boundary at every node)
+// and at the default capacity: the corpus must serialize to its recorded
+// answers at each.
 func TestBatchCapacityIdentity(t *testing.T) {
-	lowerScanGate(t)
-	corpus := func(t *testing.T) []string {
-		db := parallelDB(t)
-		out := make([]string, len(parallelPropertyQueries))
-		for i, src := range parallelPropertyQueries {
-			out[i] = qw(t, db, src, 1)
-		}
-		return out
-	}
-	want := corpus(t)
-	for _, capacity := range []int{1, 3} {
+	for _, capacity := range []int{1, 3, batchCap} {
 		t.Run(fmt.Sprint("capacity=", capacity), func(t *testing.T) {
 			forceBatchCap(t, capacity)
-			for i, got := range corpus(t) {
-				if got != want[i] {
-					t.Errorf("%s\ncapacity %d diverges from the default\n got: %.200s\nwant: %.200s",
-						parallelPropertyQueries[i], capacity, got, want[i])
-				}
-			}
-			t.Run("resident", TestResidentMatchesPaged)
 			t.Run("parallel", TestParallelMatchesSerial)
 			t.Run("optimized", TestOptimizedCorpusIdentity)
 			t.Run("strings", TestStringValueInterleaved)
@@ -52,11 +36,10 @@ func TestBatchCapacityIdentity(t *testing.T) {
 	}
 }
 
-// allocDB holds two Auction documents, the second four times the first, on
-// either backend.
-func allocDB(t *testing.T, resident bool) *core.Database {
+// allocDB holds two Auction documents, the second four times the first.
+func allocDB(t *testing.T) *core.Database {
 	t.Helper()
-	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 2048, Resident: resident})
+	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +59,9 @@ func allocDB(t *testing.T, resident bool) *core.Database {
 	return db
 }
 
-// TestOperatorAllocations bounds what each batch operator allocates per node
-// on each backend: the statement runs over a document and over one four times
-// its size, and the extra heap allocations are divided by the extra context
-// nodes. A child step, a merged descendant scan and count() allocate per
+// TestOperatorAllocations bounds what each batch operator allocates per node:
+// the statement runs over a document and over one four times its size, and
+// the extra heap allocations are divided by the extra context nodes. A child step, a merged descendant scan and count() allocate per
 // batch, not per node (slab chunks, the result slice doubling); a value
 // predicate and an atomization allocate the compared string and nothing else.
 func TestOperatorAllocations(t *testing.T) {
@@ -94,35 +76,30 @@ func TestOperatorAllocations(t *testing.T) {
 		{"value predicate", `count(doc("%s")//person[profile/age > 40])`, 1.2},
 		{"leaf atomization", `count(doc("%s")/site/people/person[name = "nobody"])`, 1.2},
 	}
-	for _, resident := range []bool{false, true} {
-		db := allocDB(t, resident)
-		for _, op := range operators {
-			allocs := func(doc string) float64 {
-				src := fmt.Sprintf(op.path, doc)
-				run := func() {
-					tx, err := db.BeginReadOnly()
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer tx.Rollback()
-					ctx := NewExecCtx(tx)
-					ctx.Workers = 1
-					if _, err := Execute(ctx, src); err != nil {
-						t.Fatal(err)
-					}
+	db := allocDB(t)
+	for _, op := range operators {
+		allocs := func(doc string) float64 {
+			src := fmt.Sprintf(op.path, doc)
+			run := func() {
+				tx, err := db.BeginReadOnly()
+				if err != nil {
+					t.Fatal(err)
 				}
-				run() // warm: the resident build, the pool
-				return testing.AllocsPerRun(20, run)
+				defer tx.Rollback()
+				ctx := NewExecCtx(tx)
+				ctx.Workers = 1
+				if _, err := Execute(ctx, src); err != nil {
+					t.Fatal(err)
+				}
 			}
-			small, large := allocs("small"), allocs("large")
-			perNode := (large - small) / extra
-			t.Logf("resident=%v %s: %.0f → %.0f allocations, %.3f per extra node", resident, op.name, small, large, perNode)
-			if perNode > op.perNode {
-				t.Errorf("resident=%v %s: %.3f allocations per node (%.0f → %.0f), want ≤ %.1f", resident, op.name, perNode, small, large, op.perNode)
-			}
+			run() // warm the pool
+			return testing.AllocsPerRun(20, run)
 		}
-		if got := db.Metrics().Snapshot().Counters["resident.hits"]; (got > 0) != resident {
-			t.Fatalf("resident=%v: resident.hits = %d", resident, got)
+		small, large := allocs("small"), allocs("large")
+		perNode := (large - small) / extra
+		t.Logf("%s: %.0f → %.0f allocations, %.3f per extra node", op.name, small, large, perNode)
+		if perNode > op.perNode {
+			t.Errorf("%s: %.3f allocations per node (%.0f → %.0f), want ≤ %.1f", op.name, perNode, small, large, op.perNode)
 		}
 	}
 }
@@ -131,7 +108,7 @@ func TestOperatorAllocations(t *testing.T) {
 // selects what the general predicate path selects, and the child producer
 // stops at the position instead of building the whole list.
 func TestLiteralPositionStopsProducer(t *testing.T) {
-	db := allocDB(t, false)
+	db := allocDB(t)
 	pages := func(src string) (uint64, string) {
 		tx, err := db.BeginReadOnly()
 		if err != nil {
@@ -161,10 +138,20 @@ func TestLiteralPositionStopsProducer(t *testing.T) {
 			t.Errorf("%s = %q, but %s = %q", c[0], got, c[1], want)
 		}
 	}
+	// The person list spans several blocks and person[7] lies in the first: a
+	// producer that ran on past it would view every block, as person[600]
+	// does. (The statement worker holds its views, so each block is one view
+	// however many batches it fills.)
+	doc, _ := db.Catalog().Doc("large")
+	el := func(n *schema.Node, name string) *schema.Node { return n.Child(schema.KindElement, name) }
+	blocks := uint64(el(el(el(doc.Schema.Root, "site"), "people"), "person").BlockCount)
+	if blocks < 4 {
+		t.Fatalf("the person list has %d blocks; the test needs several", blocks)
+	}
 	early, _ := pages(`doc("large")/site/people/person[7]/name`)
-	late, _ := pages(`doc("large")/site/people/person[590]/name`)
-	if early*2 > late {
-		t.Fatalf("person[7] touched %d pages, person[590] %d: the producer did not stop at the position", early, late)
+	late, _ := pages(`doc("large")/site/people/person[600]/name`)
+	if late-early < blocks/2 {
+		t.Fatalf("person[7] viewed %d pages, person[600] %d, over a list of %d blocks: the producer did not stop at the position", early, late, blocks)
 	}
 }
 
@@ -176,11 +163,10 @@ func TestWorkerSlabsNotShared(t *testing.T) {
 	ctx.Workers = 4
 	var mu sync.Mutex
 	owner := map[*slab]*ExecCtx{&ctx.nodes: ctx}
-	src := &docSource{}
 	if _, err := ctx.fanOut(256, func(i int, wctx *ExecCtx) error {
 		e := &env{ctx: wctx}
 		for j := 0; j < 40; j++ {
-			e.node(src, storage.Desc{SchemaID: uint32(i)})
+			e.node(nil, storage.Desc{SchemaID: uint32(i)})
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -201,10 +187,10 @@ func TestWorkerSlabsNotShared(t *testing.T) {
 }
 
 // TestAttributeEscapingRoundTrip loads attribute values holding every
-// character XML does not allow literally in one, serializes them from the
-// paged and the resident backend and from a constructor, and loads the output
-// again: it must be well-formed and hold the same values. Values without such
-// characters serialize to the bytes they always did.
+// character XML does not allow literally in one, serializes them from storage
+// and from a constructor, and loads the output again: it must be well-formed
+// and hold the same values. Values without such characters serialize to the
+// bytes they always did.
 func TestAttributeEscapingRoundTrip(t *testing.T) {
 	const v, w = `x & "y" <z`, "tab\tnl\ncr\rend"
 	src := `<r><a v="x &amp; &quot;y&quot; &lt;z" w="tab&#9;nl&#10;cr&#13;end" plain="1.5 'ok' &gt;">t</a></r>`
@@ -242,15 +228,6 @@ func TestAttributeEscapingRoundTrip(t *testing.T) {
 	check("again", "/a")
 	if got := q(t, db, `doc("again")/a`); got != paged {
 		t.Fatalf("serialization is not a fixed point of load:\n got %s\nwant %s", got, paged)
-	}
-
-	db.SetResident(true)
-	defer db.SetResident(false)
-	if got := q(t, db, `doc("esc")/r/a`); got != paged {
-		t.Fatalf("resident serialization:\n got %s\nwant %s", got, paged)
-	}
-	if db.ResidentCache().Len() == 0 {
-		t.Fatal("the document did not go resident")
 	}
 
 	built := q(t, db, `<b v="{doc("esc")/r/a/@v}" w="{doc("esc")/r/a/@w}"/>`)

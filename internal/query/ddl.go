@@ -93,7 +93,6 @@ func createIndex(e *env, d *DDL) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	src := e.source(doc)
 	count := 0
 	var outerErr error
 	doc.Schema.Root.Walk(func(sn *schema.Node) {
@@ -103,7 +102,7 @@ func createIndex(e *env, d *DDL) (string, error) {
 		outerErr = storage.ScanSchema(e.r, sn, func(desc storage.Desc) (bool, error) {
 			m := e.ctx.nodes.mark()
 			defer e.ctx.nodes.release(m)
-			keys, err := indexKeysOf(e, e.node(src, desc), bySteps, meta.KeyType)
+			keys, err := indexKeysOf(e, e.node(doc, desc), bySteps, meta.KeyType)
 			if err != nil {
 				return false, err
 			}
@@ -131,6 +130,8 @@ func createIndex(e *env, d *DDL) (string, error) {
 	}
 	cat.PutIndex(meta)
 	tx.Defer(func() { cat.DeleteIndex(d.Name) })
+	// The commit publishes the new root with the document's metadata.
+	tx.TouchDoc(doc)
 	if err := logIndexRoot(e, meta); err != nil {
 		return "", err
 	}
@@ -291,6 +292,9 @@ func dropIndex(e *env, name string) error {
 	}
 	cat.DeleteIndex(name)
 	tx.Defer(func() { cat.PutIndex(meta) })
+	if doc, ok := cat.Doc(meta.DocName); ok {
+		tx.TouchDoc(doc)
+	}
 	return nil
 }
 
@@ -401,18 +405,21 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 			return nil, err
 		}
 	}
+	root, ok := e.ctx.Tx.IndexRoot(meta)
+	if !ok {
+		return nil, fmt.Errorf("query: index %q does not exist", name)
+	}
 	_, bySteps, err := indexPaths(e, doc, meta)
 	if err != nil {
 		return nil, err
 	}
-	tree := &index.Tree{Root: meta.Root}
+	tree := &index.Tree{Root: root}
 	key := index.KeyFor(meta.KeyType, value.StringValue(), value.NumberValue())
 	handles, err := tree.Lookup(e.r, key)
 	if err != nil {
 		return nil, err
 	}
 	sp.SetInt("candidates", int64(len(handles)))
-	src := e.source(doc)
 	var out []Item
 	seen := make(map[sas.XPtr]struct{}, len(handles))
 	for _, h := range handles {
@@ -420,7 +427,7 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 			continue
 		}
 		seen[h] = struct{}{}
-		node, err := src.st.byHandle(e, h)
+		node, err := e.byHandle(doc, h)
 		if err != nil {
 			return nil, err
 		}

@@ -32,6 +32,14 @@ type binding struct {
 	next *binding
 }
 
+// on returns e for a worker fork of the statement: same bindings, the fork's
+// context and the fork's own reader.
+func (e *env) on(wctx *ExecCtx) *env {
+	we := *e
+	we.ctx, we.r = wctx, wctx.reader()
+	return &we
+}
+
 func (e *env) bind(name string, val []Item) *env {
 	ne := *e
 	ne.vars = &binding{name: name, val: val, next: e.vars}
@@ -57,10 +65,10 @@ type focus struct {
 
 // eval evaluates an expression to an item sequence. Sequences are
 // materialized between expressions; inside a path expression stored nodes
-// flow in batches (slab.go): a step's producers — docStore cursors over page
-// runs or the resident array — fill fixed-capacity batches of slab entries,
-// the step's collector filters each batch in place, and only the survivors
-// stay allocated, as entries of the statement's slab, never as heap objects.
+// flow in batches (slab.go): a step's producers — cursors over page runs —
+// fill fixed-capacity batches of slab entries, the step's collector filters
+// each batch in place, and only the survivors stay allocated, as entries of
+// the statement's slab, never as heap objects.
 // Consumers that need no sequence — count(), exists(), an effective boolean
 // value, atomization — run the same producers through a collector that
 // counts or reads text and keeps nothing.
@@ -90,7 +98,7 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 		if !ok {
 			return nil, fmt.Errorf("query: '/' requires a stored context node")
 		}
-		root, err := ni.st.byHandle(e, ni.Doc.RootHandle)
+		root, err := e.byHandle(ni.Doc, ni.Doc.RootHandle)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +240,7 @@ func evalDoc(e *env, name string) ([]Item, error) {
 	if err := e.ctx.lockDocForRead(name); err != nil {
 		return nil, err
 	}
-	root, err := e.source(doc).st.byHandle(e, doc.RootHandle)
+	root, err := e.byHandle(doc, doc.RootHandle)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +316,6 @@ func evalStepTo(s *Step, e *env, f *focus, k *collector) error {
 	if s.Plan != nil {
 		sp.SetInt("est_rows", int64(s.Plan.EstRows+0.5))
 	}
-	e.ctx.annotateStorage(sp, k.out)
 	e.ctx.popSpan(sp)
 	return err
 }

@@ -10,6 +10,7 @@ import (
 
 	"sedna/internal/core"
 	"sedna/internal/metrics"
+	"sedna/internal/storage"
 	"sedna/internal/trace"
 )
 
@@ -28,7 +29,7 @@ type ExecCtx struct {
 	// NoRewrite disables the optimizing rewriter (baseline for E5–E8).
 	NoRewrite bool
 	// NoOpt disables the cost-based optimizer: no step plans, no automatic
-	// index probes, no costed fan-out or prefetch (baseline for E23).
+	// index probes, no costed fan-out (baseline for E23).
 	NoOpt bool
 	// NoVirtualCtors disables the virtual-constructor optimisation
 	// (baseline for E9).
@@ -39,13 +40,6 @@ type ExecCtx struct {
 	// -query-workers setting (default GOMAXPROCS). Set it before the first
 	// statement; the worker pool is built on first use.
 	Workers int
-
-	// PrefetchDepth is the chain-readahead depth for block-list scans: how
-	// many nextBlock links ahead of the scan the buffer manager may load.
-	// 0 resolves the database's -prefetch-depth setting (default off), a
-	// negative value forces readahead off for this context. At effective
-	// depth 0 the read path is byte-identical to a build without readahead.
-	PrefetchDepth int
 
 	// updateStmt is set while executing an update statement so that
 	// document resolution takes exclusive locks up front, avoiding the
@@ -72,6 +66,10 @@ type ExecCtx struct {
 	nodes, scratch slab
 	textBuf        []byte
 
+	// views are the page views this context's worker holds over a snapshot
+	// (store.go); released when the worker hands off or the statement ends.
+	views heldViews
+
 	// Tracing state: the database's tracer, the open trace (nil when not
 	// tracing — the disabled path's single check) and the innermost open
 	// span, which storage-layer events attach to via the transaction.
@@ -97,15 +95,6 @@ type execShared struct {
 
 	poolOnce sync.Once
 	pool     *workerPool
-
-	// storeMu guards the per-document storage-backend registry and its
-	// backend tallies; prefetchDepth is the statement's resolved readahead
-	// depth, restored when a paged document joins a resident-only statement.
-	storeMu       sync.Mutex
-	stores        map[uint32]*docSource
-	residentDocs  int
-	pagedDocs     int
-	prefetchDepth int
 
 	// plannedWorkers is the cost-based optimizer's chosen fan-out width for
 	// this statement (0 = no decision); pool() consults it when the context
@@ -198,7 +187,6 @@ func (ctx *ExecCtx) fork(span *trace.Span) *ExecCtx {
 		NoOpt:          ctx.NoOpt,
 		NoVirtualCtors: ctx.NoVirtualCtors,
 		Workers:        ctx.Workers,
-		PrefetchDepth:  ctx.PrefetchDepth,
 		updateStmt:     ctx.updateStmt,
 		funcs:          ctx.funcs,
 		globalEnv:      ctx.globalEnv,
@@ -365,7 +353,7 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	ctx.Profile.NodesYielded = 0
 	pagesBefore := ctx.Tx.PagesTouched()
 	start := time.Now()
-	res, err := executeWithPrefetch(ctx, st)
+	res, err := executeStatement(ctx, st)
 	ctx.Profile.PagesTouched = ctx.Tx.PagesTouched() - pagesBefore
 	if res != nil {
 		if len(res.Items) > 0 {
@@ -389,36 +377,17 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	return res, err
 }
 
-// executeWithPrefetch runs the statement at its resolved readahead depth and
-// annotates the current span with the depth and the hints the scans emitted.
-func executeWithPrefetch(ctx *ExecCtx, st *Statement) (*Result, error) {
-	depth := ctx.resolvePrefetchDepth()
-	ctx.shared().prefetchDepth = depth
-	var hintsBefore uint64
-	if ctx.Tx != nil {
-		ctx.Tx.SetPrefetchDepth(depth)
-		hintsBefore = ctx.Tx.PrefetchHints()
+// reader returns the storage reader of this context's worker: its held views
+// over a snapshot, the transaction itself in an update transaction.
+func (ctx *ExecCtx) reader() storage.Reader {
+	switch {
+	case ctx.Tx == nil:
+		return nil
+	case !ctx.Tx.ReadOnly():
+		return ctx.Tx.Tx
 	}
-	res, err := executeStatement(ctx, st)
-	if depth > 0 && ctx.span != nil && ctx.Tx != nil {
-		ctx.span.SetInt("prefetch_depth", int64(depth))
-		ctx.span.SetInt("prefetch_hints", int64(ctx.Tx.PrefetchHints()-hintsBefore))
-	}
-	return res, err
-}
-
-// resolvePrefetchDepth resolves the effective chain-readahead depth for a
-// statement: the context's explicit setting, else the database default;
-// never negative.
-func (ctx *ExecCtx) resolvePrefetchDepth() int {
-	d := ctx.PrefetchDepth
-	if d == 0 && ctx.Tx != nil && ctx.Tx.DB() != nil {
-		d = ctx.Tx.DB().PrefetchDepth()
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	ctx.views.tx = ctx.Tx.Tx
+	return &ctx.views
 }
 
 func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
@@ -446,7 +415,8 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	}()
 	ctx.funcs = st.Prolog.Funcs
 	ctx.shared() // materialize shared executor state before any fan-out
-	e := &env{ctx: ctx, r: ctx.Tx.Tx}
+	defer ctx.views.release()
+	e := &env{ctx: ctx, r: ctx.reader()}
 	// Prolog variables bind in order.
 	for _, v := range st.Prolog.Vars {
 		val, err := eval(v.Seq, e, nil)
@@ -514,19 +484,7 @@ func execExplain(ctx *ExecCtx, inner *Statement) (*Result, error) {
 	if err := prepare(ctx, inner); err != nil {
 		return nil, err
 	}
-	hint := ""
-	if ctx.Tx != nil && ctx.Tx.DB() != nil && ctx.Tx.DB().Resident() {
-		if inner.ReadOnly() && !ctx.Tx.ReadOnly() {
-			// Resident serving requires a snapshot transaction; an update
-			// transaction reads paged even for its read-only statements.
-			hint = storagePaged
-		} else if inner.ReadOnly() {
-			hint = storageResident
-		} else {
-			hint = storagePaged
-		}
-	}
-	return &Result{Items: []Item{str(ExplainTextStorage(inner, hint))}, ctx: ctx}, nil
+	return &Result{Items: []Item{str(ExplainText(inner))}, ctx: ctx}, nil
 }
 
 // execProfile executes the inner statement under a forced trace — stashing
@@ -542,9 +500,7 @@ func execProfile(ctx *ExecCtx, inner *Statement) (*Result, error) {
 	ctx.trace, ctx.span = nil, nil
 	tr := ctx.tracer.StartForced(inner.Source)
 	ctx.adoptTrace(tr)
-	// PROFILE runs the statement directly, so it applies (and annotates) the
-	// readahead depth itself, as ExecuteStatement does for plain statements.
-	res, err := executeWithPrefetch(ctx, inner)
+	res, err := executeStatement(ctx, inner)
 	// Close out the forced trace and restore the ambient one (if any).
 	if ctx.Tx != nil {
 		ctx.Tx.SetTraceSpan(prevSpan)
@@ -571,7 +527,8 @@ func execProfile(ctx *ExecCtx, inner *Statement) (*Result, error) {
 // their lexical forms, items separated by single spaces (adjacent atomics)
 // or nothing (nodes).
 func (r *Result) Serialize(w io.Writer) error {
-	e := &env{ctx: r.ctx, r: r.ctx.Tx.Tx}
+	defer r.ctx.views.release()
+	e := &env{ctx: r.ctx, r: r.ctx.reader()}
 	prevAtomic := false
 	for _, it := range r.Items {
 		switch x := it.(type) {

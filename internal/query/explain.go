@@ -99,15 +99,10 @@ func binOpText(op BinOp) string {
 	}
 }
 
-// ExplainTextStorage renders the statement's optimized operation tree; call
-// after Analyze and Rewrite so the rewriter flags and notes are populated.
-// With a storage-backend hint: when
-// non-empty ("resident" or "paged"), every location step is annotated
-// storage=<hint> — the backend the executor will serve the statement's
-// documents from (EXPLAIN is static, so the hint reflects the mode switch
-// and statement kind, not per-document cache state).
-func ExplainTextStorage(st *Statement, storageHint string) string {
-	p := planPrinter{storage: storageHint}
+// ExplainText renders the statement's optimized operation tree; call after
+// Analyze and Rewrite so the rewriter flags and notes are populated.
+func ExplainText(st *Statement) string {
+	var p planPrinter
 	var sb strings.Builder
 	kind := statementKind(st)
 	access := "update"
@@ -115,9 +110,6 @@ func ExplainTextStorage(st *Statement, storageHint string) string {
 		access = "read-only"
 	}
 	fmt.Fprintf(&sb, "statement: %s (%s)\n", kind, access)
-	if storageHint != "" {
-		fmt.Fprintf(&sb, "storage: %s\n", storageHint)
-	}
 	if len(st.Rewrites) > 0 {
 		sb.WriteString("rewrites:\n")
 		for _, r := range st.Rewrites {
@@ -160,11 +152,10 @@ func indent(w io.Writer, depth int) {
 	}
 }
 
-// planPrinter carries rendering options through the recursive plan walk and
-// collects the costed steps it encounters for the trailing costs table.
+// planPrinter collects the costed steps the recursive plan walk encounters
+// for the trailing costs table.
 type planPrinter struct {
-	storage string  // per-step storage-backend annotation ("" = none)
-	costed  []*Step // steps with a cost-based plan, in render order
+	costed []*Step // steps with a cost-based plan, in render order
 }
 
 // writeCosts appends the optimizer's costed-alternatives table: one block per
@@ -223,9 +214,6 @@ func (p *planPrinter) writePlan(w io.Writer, x Expr, depth int) {
 		}
 		if len(n.Preds) > 0 {
 			flags = append(flags, fmt.Sprintf("preds=%d", len(n.Preds)))
-		}
-		if p.storage != "" {
-			flags = append(flags, "storage="+p.storage)
 		}
 		if n.Plan != nil {
 			for _, a := range n.Plan.Alts {

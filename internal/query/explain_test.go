@@ -190,22 +190,3 @@ func TestProfileForcesTrace(t *testing.T) {
 		t.Fatalf("PROFILE without tracer config produced no trace:\n%s", out)
 	}
 }
-
-// TestProfilePrefetchAnnotation pins that a statement run with readahead on
-// renders the effective depth (and the hint counter) on its statement span,
-// and that with readahead off neither attribute appears.
-func TestProfilePrefetchAnnotation(t *testing.T) {
-	db := testDB(t)
-	out := q(t, db, `PROFILE doc("lib")//title`)
-	if strings.Contains(out, "prefetch_depth=") {
-		t.Errorf("depth-0 PROFILE mentions prefetch:\n%s", out)
-	}
-	db.SetPrefetchDepth(8)
-	defer db.SetPrefetchDepth(0)
-	out = q(t, db, `PROFILE doc("lib")//title`)
-	for _, want := range []string{"prefetch_depth=8", "prefetch_hints="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("PROFILE output missing %q:\n%s", want, out)
-		}
-	}
-}

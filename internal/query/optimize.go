@@ -25,14 +25,6 @@ import (
 	"sedna/internal/storage"
 )
 
-// optPrefetchMinBlocks is the estimated chain-block volume above which the
-// optimizer turns on readahead for a statement that would otherwise run with
-// depth 0; optPrefetchDepth is the depth it picks.
-const (
-	optPrefetchMinBlocks = 64
-	optPrefetchDepth     = 4
-)
-
 // optimizeStatement plans every eligible step of a query statement and the
 // target selection of an update statement; it is a no-op for DDL. The only
 // error is a document lock an update could not get.
@@ -49,7 +41,6 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	}
 	planned := 0
 	probes := 0
-	var scanBlocks float64
 	maxWorkers := 0
 	visit := func(x Expr) {
 		s, ok := x.(*Step)
@@ -61,8 +52,6 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 			planned++
 			if p.Probe != nil {
 				probes++
-			} else {
-				scanBlocks += chosenBlocks(p)
 			}
 			if p.Workers > maxWorkers {
 				maxWorkers = p.Workers
@@ -76,16 +65,8 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	if planned == 0 {
 		return nil
 	}
-	sh := ctx.shared()
 	if maxWorkers >= 2 {
-		sh.plannedWorkers = maxWorkers
-	}
-	// Costed prefetch: a statement about to scan a meaningful chain volume
-	// with readahead off gets a moderate depth. Readahead never changes
-	// results, only when pages are fetched.
-	if scanBlocks >= optPrefetchMinBlocks && ctx.resolvePrefetchDepth() == 0 {
-		ctx.Tx.SetPrefetchDepth(optPrefetchDepth)
-		sh.prefetchDepth = optPrefetchDepth
+		ctx.shared().plannedWorkers = maxWorkers
 	}
 	if reg := ctx.registry(); reg != nil {
 		reg.Counter("opt.plans_costed").Add(uint64(planned))
@@ -98,8 +79,8 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 
 // planUpdateTarget costs the steps of an update's target selection (§5.2:
 // select the targets, then modify them by node handle) and keeps the plans
-// that chose a value-index probe. Scan plans are dropped: fan-out, prefetch
-// and residency stay off for update statements. The probe is safe inside the
+// that chose a value-index probe. Scan plans are dropped: fan-out stays off
+// for update statements. The probe is safe inside the
 // writing transaction: it rechecks every predicate, the targets are fully
 // evaluated before the first modification, and indexes are maintained
 // synchronously in-transaction, so the statement reads its transaction's
@@ -139,17 +120,6 @@ func planUpdateTarget(ctx *ExecCtx, u *Update) error {
 		}
 	}
 	return nil
-}
-
-// chosenBlocks reports the chain blocks the chosen alternative will read
-// (zero for probes), for the prefetch decision.
-func chosenBlocks(p *StepPlan) float64 {
-	for _, a := range p.Alts {
-		if a.Chosen && a.Name != opt.AltIndexProbe {
-			return p.blocks
-		}
-	}
-	return 0
 }
 
 // clearPlans drops every step plan of the statement; ASTs are reused across
@@ -226,7 +196,7 @@ func planStep(ctx *ExecCtx, s *Step) *StepPlan {
 // parallel fan-out vs chain navigation. Cardinality is exact (NodeCount).
 func planScanStep(ctx *ExecCtx, nodes, blocks float64, targets int) *StepPlan {
 	scan := opt.ScanCost(blocks, nodes, 0)
-	p := &StepPlan{EstRows: nodes, Workers: 1, blocks: blocks}
+	p := &StepPlan{EstRows: nodes, Workers: 1}
 	alts := []opt.Alt{
 		{Name: opt.AltStructuralScan, EstRows: nodes, Cost: scan},
 		{Name: opt.AltChainScan, EstRows: nodes, Cost: opt.ChainCost(blocks, nodes)},
@@ -255,7 +225,7 @@ func planPredStep(ctx *ExecCtx, s *Step, doc *storage.Doc, targets []*schema.Nod
 		sel *= predSelectivity(targets, stats, pred)
 	}
 	estRows := nodes * sel
-	p := &StepPlan{EstRows: estRows, blocks: blocks, Sampled: stats != nil && stats.Sampled}
+	p := &StepPlan{EstRows: estRows, Sampled: stats != nil && stats.Sampled}
 	alts := []opt.Alt{
 		{Name: opt.AltStructuralScan, EstRows: estRows, Cost: opt.ScanCost(blocks, nodes, len(s.Preds))},
 		{Name: opt.AltChainScan, EstRows: estRows, Cost: opt.ChainCost(blocks, nodes)},
@@ -534,8 +504,8 @@ func keyRange(keyType string, p *IndexProbe) (lo, hi index.Key) {
 // evalIndexProbe executes a planned index probe: probe the B+tree for
 // candidate handles, keep those whose schema node belongs to the step's
 // target set, sort into document order, then recheck every predicate.
-// handled=false (index or document gone since planning) sends the caller to
-// normal evaluation.
+// handled=false (index or document gone since planning, or index not there
+// at the snapshot) sends the caller to normal evaluation.
 func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 	probe := s.Plan.Probe
 	ctx := e.ctx
@@ -554,6 +524,10 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 	if err := ctx.lockDocForRead(doc.Name); err != nil {
 		return nil, true, err
 	}
+	root, ok := ctx.Tx.IndexRoot(meta)
+	if !ok {
+		return nil, false, nil
+	}
 	sp := ctx.pushSpan("index-probe " + probe.Index)
 	defer ctx.popSpan(sp)
 	ctx.stats().AddIndexScans(1)
@@ -567,7 +541,7 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 		targetSet[sn.ID] = true
 	}
 	lo, hi := keyRange(meta.KeyType, probe)
-	tree := &index.Tree{Root: meta.Root}
+	tree := &index.Tree{Root: root}
 	var handles []sas.XPtr
 	seen := make(map[sas.XPtr]struct{})
 	if err := tree.Range(e.r, lo, hi, func(_ index.Key, h sas.XPtr) bool {
@@ -581,13 +555,12 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 	}
 	sp.SetInt("candidates", int64(len(handles)))
 
-	src := e.source(doc)
 	nodes := make([]Item, 0, len(handles))
 	for _, h := range handles {
 		if err := ctx.checkKilled(); err != nil {
 			return nil, true, err
 		}
-		n, err := src.st.byHandle(e, h)
+		n, err := e.byHandle(doc, h)
 		if err != nil {
 			return nil, true, err
 		}

@@ -179,6 +179,7 @@ func (ctx *ExecCtx) fanOut(n int, fn func(i int, wctx *ExecCtx) error) (int, err
 	)
 	work := func(w int) {
 		wctx := ctx.fork(spans[w])
+		defer wctx.views.release()
 		start := time.Now()
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
@@ -243,15 +244,14 @@ func parallelStreams(e *env, targets []*schema.Node, anc *NodeItem, ancSN *schem
 	streams := make([]nodeStream, len(targets))
 	ts := append([]*schema.Node(nil), targets...) // the caller's stay on its stack
 	if _, err := ctx.fanOut(len(ts), func(i int, wctx *ExecCtx) error {
-		we := *e
-		we.ctx = wctx
-		c, err := anc.st.descendantScan(&we, ts[i], anc, ancSN)
+		we := e.on(wctx)
+		c, err := we.descendantScan(ts[i], anc, ancSN)
 		for err == nil && !c.done() {
 			if err = wctx.checkKilled(); err != nil {
 				break
 			}
 			b, n := wctx.nodes.batch(), 0
-			if n, c, err = c.src.st.fill(&we, c, b); err == nil {
+			if n, c, err = we.fill(c, b); err == nil {
 				wctx.nodes.top += n
 				streams[i].chunks = append(streams[i].chunks, b[:n])
 			}
@@ -303,9 +303,7 @@ func parallelFLWOR(fl *FLWOR, e *env, f *focus, iter func(i int, e *env, it Item
 	}
 	sinks := make([][]flworTuple, len(seq))
 	if _, err := ctx.fanOut(len(seq), func(i int, wctx *ExecCtx) error {
-		we := *e
-		we.ctx = wctx
-		return iter(0, &we, seq[i], i, &sinks[i])
+		return iter(0, e.on(wctx), seq[i], i, &sinks[i])
 	}); err != nil {
 		return true, err
 	}

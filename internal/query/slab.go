@@ -2,8 +2,8 @@ package query
 
 // Node batches (DESIGN.md §5 has the whole picture). Stored nodes flow through
 // the executor as fixed-size entries (NodeItem) of slabs the statement's
-// ExecCtx owns, one slab set per worker fork. A producer — a docStore cursor —
-// fills a batch, the free tail of the slab's current chunk; the step's
+// ExecCtx owns, one slab set per worker fork. A producer — a cursor (store.go)
+// — fills a batch, the free tail of the slab's current chunk; the step's
 // collector runs the predicates over it and moves the survivors to the front;
 // the rest of the batch goes back to the slab before the next fill. Chunks
 // are never reallocated, so a *NodeItem stays a valid Item for as long as the
@@ -14,6 +14,7 @@ package query
 
 import (
 	"errors"
+	"math"
 
 	"sedna/internal/nid"
 	"sedna/internal/sas"
@@ -46,10 +47,10 @@ type slab struct {
 	sgen   int          // sequence chunks started
 	floor  slabMark     // release stops here: entries below are pinned
 
-	// The run the paged producers are decoding (storage.RunBuffer).
+	// The run the producers are decoding (storage.RunBuffer).
 	dst []NodeItem
 	n   int
-	src *docSource
+	doc *storage.Doc
 }
 
 // slabMark is a slab position: everything allocated after it can be released.
@@ -128,7 +129,7 @@ func (s *slab) NextDesc() *storage.Desc {
 	}
 	it := &s.dst[s.n]
 	s.n++
-	it.docSource = s.src
+	it.Doc = s.doc
 	return &it.D
 }
 
@@ -165,29 +166,24 @@ func (s *slab) seq() []Item {
 }
 
 // node allocates one entry for a descriptor read outside a run.
-func (e *env) node(src *docSource, d storage.Desc) *NodeItem {
+func (e *env) node(doc *storage.Doc, d storage.Desc) *NodeItem {
 	it := &e.ctx.nodes.take(1)[0]
-	it.docSource, it.D = src, d
+	it.Doc, it.D = doc, d
 	return it
 }
 
 // cursor is an open producer of one document's nodes in document order: a
-// position in a block list or sibling chain (paged) or in an index list or
-// sibling chain of the structural array (resident). A store opens it; fill
-// advances it.
+// position in a block list or sibling chain. The producers in store.go open
+// it; fill advances it.
 type cursor struct {
-	src *docSource
-
-	at     sas.XPtr // paged: where the next run starts (nil: done)
+	doc    *storage.Doc
+	at     sas.XPtr // where the next run starts (nil: done)
 	link   storage.Link
 	parent sas.XPtr   // run ends at another parent's child
 	under  *nid.Label // run ends outside this label's subtree
-
-	list []int32 // resident: indices still to produce
-	sib  int32   // resident: next node of a sibling chain, plus one
 }
 
-func (c *cursor) done() bool { return c.at.IsNil() && len(c.list) == 0 && c.sib == 0 }
+func (c *cursor) done() bool { return c.at.IsNil() }
 
 // collector is the consumer side of a step: it takes the batches the step's
 // producers fill, applies the node test (sibling walks only) and the
@@ -213,6 +209,20 @@ type collector struct {
 }
 
 func (k *collector) full() bool { return k.limit > 0 && k.n >= k.limit }
+
+// positionSkip returns how many of the producer's next nodes the collector
+// would reject on position alone: all before N when its first predicate is
+// the numeric literal N (0 when there is none, or the collector filters).
+func (k *collector) positionSkip() int {
+	if len(k.preds) == 0 || k.filter {
+		return 0
+	}
+	lit, ok := k.preds[0].(*Literal)
+	if !ok || lit.IsString || lit.Number != math.Trunc(lit.Number) || lit.Number > math.MaxInt32 {
+		return 0
+	}
+	return int(lit.Number) - 1 - k.pos[0]
+}
 
 // take consumes one batch and returns how many of its entries, moved to its
 // front, must stay allocated.
@@ -261,7 +271,7 @@ func (k *collector) item(it *NodeItem) (kept bool, err error) {
 	k.n++
 	switch {
 	case k.text:
-		if k.buf, err = it.st.text(k.e, it, k.buf); err != nil {
+		if k.buf, err = k.e.text(it, k.buf); err != nil {
 			return false, err
 		}
 	case !k.discard:
@@ -295,7 +305,7 @@ func drain(e *env, c cursor, k *collector) (err error) {
 		b := s.batch()
 		m := s.mark()
 		var n int
-		if n, c, err = c.src.st.fill(e, c, b); err != nil {
+		if n, c, err = e.fill(c, b); err != nil {
 			return err
 		}
 		s.top += n
@@ -326,7 +336,7 @@ func (s *nodeStream) head(e *env) (*NodeItem, error) {
 		case len(s.chunks) > 0:
 			s.buf, s.chunks, s.pos = s.chunks[0], s.chunks[1:], 0
 		case !s.c.done():
-			n, c, err := s.c.src.st.fill(e, s.c, s.buf[:cap(s.buf)])
+			n, c, err := e.fill(s.c, s.buf[:cap(s.buf)])
 			if err != nil {
 				return nil, err
 			}

@@ -100,7 +100,7 @@ func evalStructural(s *Step, e *env, k *collector) error {
 	if len(targets) == 1 {
 		// Single schema node: its list already is the answer in document
 		// order — no per-node work at all.
-		return drain(e, docNode.st.schemaScan(e, targets[0]), k)
+		return drain(e, e.schemaScan(docNode.Doc, targets[0]), k)
 	}
 	// A costed plan that chose serial execution (fan-out startup would
 	// outweigh the scan) overrides the size heuristics of the fan-out.

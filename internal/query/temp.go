@@ -72,7 +72,7 @@ func deepCopyStored(env *env, it *NodeItem) (*TempNode, error) {
 	sn := it.Doc.Schema.ByID(it.D.SchemaID)
 	t := env.ctx.newTempNode(sn.Kind, sn.Name)
 	if sn.Kind.HasText() {
-		b, err := it.st.text(env, it, nil)
+		b, err := env.text(it, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func deepCopyStored(env *env, it *NodeItem) (*TempNode, error) {
 
 // storedChildren lists the children of a stored node in document order.
 func storedChildren(env *env, it *NodeItem) ([]Item, error) {
-	c, err := it.st.children(env, it)
+	c, err := env.children(it)
 	if err != nil {
 		return nil, err
 	}

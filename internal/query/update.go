@@ -61,7 +61,7 @@ func execUpdate(u *Update, e *env) (int, error) {
 		count := 0
 		for _, n := range nodes {
 			// Re-resolve: previous iterations may have moved descriptors.
-			cur, err := n.st.byHandle(e, n.D.Handle)
+			cur, err := e.byHandle(n.Doc, n.D.Handle)
 			if err != nil {
 				return count, err
 			}
@@ -122,7 +122,7 @@ func insertItems(e *env, target *NodeItem, kind UpdateKind, src []Item) error {
 		// position is "following"/"into"; re-resolve the target descriptor
 		// in case it moved.
 		var err error
-		if target, err = target.st.byHandle(e, target.D.Handle); err != nil {
+		if target, err = e.byHandle(target.Doc, target.D.Handle); err != nil {
 			return err
 		}
 	}
@@ -194,7 +194,7 @@ func deleteNodes(e *env, nodes []*NodeItem) (int, error) {
 	count := 0
 	for _, n := range nodes {
 		// The node may already be gone as part of an earlier subtree.
-		cur, err := n.st.byHandle(e, n.D.Handle)
+		cur, err := e.byHandle(n.Doc, n.D.Handle)
 		if err != nil {
 			continue
 		}
@@ -241,7 +241,6 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 	for _, h := range handles {
 		handleSet[h] = struct{}{}
 	}
-	src := e.source(doc)
 	for _, meta := range metas {
 		onSet, bySteps, err := indexPaths(e, doc, meta)
 		if err != nil {
@@ -260,7 +259,7 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 		tree := &index.Tree{Root: meta.Root}
 		changed := false
 		for _, h := range handles {
-			node, err := src.st.byHandle(e, h)
+			node, err := e.byHandle(doc, h)
 			if err != nil {
 				return err
 			}
@@ -318,7 +317,12 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 			}
 		}
 		if changed && tree.Root != meta.Root {
+			// The catalog's index meta is shared: a rollback restores the
+			// root, a commit publishes it with the document's metadata.
+			old := meta.Root
+			e.ctx.Tx.Defer(func() { meta.Root = old })
 			meta.Root = tree.Root
+			e.ctx.Tx.TouchDoc(doc)
 			if err := logIndexRoot(e, meta); err != nil {
 				return err
 			}

@@ -18,11 +18,10 @@ type Item interface{ isItem() }
 // NodeItem is a node stored in the database, referenced by direct pointer
 // (its descriptor) as intermediate query results are in Sedna (§5.2). It is a
 // fixed-size entry of a statement-owned slab (slab.go): the label and
-// child-pointer bytes D points at live in the slab's arena (paged) or in the
-// resident representation's.
+// child-pointer bytes D points at live in the slab's arena.
 type NodeItem struct {
-	*docSource // Doc, and the store that reads it
-	D          storage.Desc
+	Doc *storage.Doc
+	D   storage.Desc
 }
 
 // TempItem is a node constructed during query evaluation.
@@ -120,7 +119,7 @@ func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 		return nil, fmt.Errorf("query: unknown schema node %d", n.D.SchemaID)
 	}
 	if sn.Kind.HasText() {
-		return n.st.text(env, n, dst)
+		return env.text(n, dst)
 	}
 	k := collector{e: env, text: true, buf: dst}
 	err := descendantAxis(env, n, sn, NodeTest{Kind: TestText}, &k)

@@ -103,6 +103,8 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnknownVerbIsError covers a type no server ever knew and the retired
+// verbs 10 and 17 alike.
 func TestUnknownVerbIsError(t *testing.T) {
 	srv := startServer(t)
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -110,26 +112,28 @@ func TestUnknownVerbIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := server.WriteMsg(conn, 42, &server.Request{}); err != nil {
-		t.Fatal(err)
-	}
-	var resp server.Response
-	typ, err := server.ReadMsg(conn, &resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != server.MsgError {
-		t.Fatalf("reply type = %d, want MsgError", typ)
-	}
-	if !strings.Contains(resp.Error, "unknown message type") {
-		t.Fatalf("error = %q", resp.Error)
-	}
-	// The session survives a protocol error.
-	if err := server.WriteMsg(conn, server.MsgHello, &server.Request{}); err != nil {
-		t.Fatal(err)
-	}
-	if typ, err := server.ReadMsg(conn, &resp); err != nil || typ != server.MsgOK {
-		t.Fatalf("session dead after unknown verb: type=%d err=%v", typ, err)
+	for _, verb := range []byte{42, 10, 17} {
+		if err := server.WriteMsg(conn, verb, &server.Request{}); err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		typ, err := server.ReadMsg(conn, &resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != server.MsgError {
+			t.Fatalf("verb %d: reply type = %d, want MsgError", verb, typ)
+		}
+		if !strings.Contains(resp.Error, "unknown message type") {
+			t.Fatalf("verb %d: error = %q", verb, resp.Error)
+		}
+		// The session survives a protocol error.
+		if err := server.WriteMsg(conn, server.MsgHello, &server.Request{}); err != nil {
+			t.Fatal(err)
+		}
+		if typ, err := server.ReadMsg(conn, &resp); err != nil || typ != server.MsgOK {
+			t.Fatalf("session dead after verb %d: type=%d err=%v", verb, typ, err)
+		}
 	}
 }
 

@@ -27,14 +27,12 @@ const (
 	MsgMetrics    = wire.MsgMetrics
 	MsgSlowLog    = wire.MsgSlowLog
 	MsgWorkers    = wire.MsgWorkers
-	MsgPrefetch   = wire.MsgPrefetch
 	MsgReplicate  = wire.MsgReplicate
 	MsgReplStatus = wire.MsgReplStatus
 	MsgPromote    = wire.MsgPromote
 	MsgSessions   = wire.MsgSessions
 	MsgKill       = wire.MsgKill
 	MsgCluster    = wire.MsgCluster
-	MsgResident   = wire.MsgResident
 )
 
 // Message types (server → client).

@@ -304,37 +304,6 @@ func (g *Governor) workers(req *Request) (*Response, error) {
 	}, nil
 }
 
-// prefetch serves a MsgPrefetch request: optionally retune the default
-// chain-readahead depth (the runtime face of sednad -prefetch-depth), then
-// report the effective depth.
-func (g *Governor) prefetch(req *Request) (*Response, error) {
-	if req.SetPrefetch {
-		g.db.SetPrefetchDepth(req.Prefetch)
-	}
-	n := g.db.PrefetchDepth()
-	return &Response{
-		Data:    fmt.Sprint(n),
-		Message: fmt.Sprintf("prefetch depth=%d", n),
-	}, nil
-}
-
-// resident serves a MsgResident request: optionally switch the compressed
-// in-memory resident mode (the runtime face of sednad -resident), then
-// report the effective state.
-func (g *Governor) resident(req *Request) (*Response, error) {
-	if req.SetResident {
-		g.db.SetResident(req.Resident)
-	}
-	state := "off"
-	if g.db.Resident() {
-		state = "on"
-	}
-	return &Response{
-		Data:    state,
-		Message: fmt.Sprintf("resident mode %s", state),
-	}, nil
-}
-
 // replStatus serves a MsgReplStatus request: the node's role and lag-aware
 // replica topology as JSON.
 func (g *Governor) replStatus() (*Response, error) {
@@ -488,10 +457,6 @@ func (s *Server) handle(rawConn net.Conn) {
 			resp, rerr = s.gov.slowLog(&req)
 		case MsgWorkers:
 			resp, rerr = s.gov.workers(&req)
-		case MsgPrefetch:
-			resp, rerr = s.gov.prefetch(&req)
-		case MsgResident:
-			resp, rerr = s.gov.resident(&req)
 		case MsgReplicate:
 			// The connection becomes a replication stream and never returns
 			// to the request-response loop.
@@ -525,7 +490,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		}
 		out := byte(MsgOK)
 		switch typ {
-		case MsgExecute, MsgMetrics, MsgSlowLog, MsgWorkers, MsgPrefetch, MsgReplStatus, MsgSessions, MsgCluster, MsgResident:
+		case MsgExecute, MsgMetrics, MsgSlowLog, MsgWorkers, MsgReplStatus, MsgSessions, MsgCluster:
 			out = MsgResult
 		}
 		if err := WriteMsg(conn, out, resp); err != nil {

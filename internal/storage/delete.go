@@ -183,8 +183,8 @@ func UpdateText(w Writer, doc *Doc, handle sas.XPtr, text []byte) error {
 		return err
 	}
 	// A text replacement changes document content without moving any
-	// descriptor: touch the document anyway so commit publishes a new
-	// metadata version (snapshot readers key resident caching off it).
+	// descriptor: touch the document anyway so commit counts it as an
+	// update of the document (the optimizer's staleness clock).
 	w.TouchDoc(doc)
 	return nil
 }

@@ -172,12 +172,6 @@ type Desc struct {
 	Text    sas.XPtr
 	TextLen uint32
 
-	// Resident is set only on the executor's entries for nodes of a
-	// document's in-memory resident representation: the node's index there
-	// plus one, so a step from the node needs no lookup by handle. 0 on
-	// every descriptor read from a block.
-	Resident int32
-
 	Children ChildPtrs // one first-child pointer per schema-child slot
 }
 

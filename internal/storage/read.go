@@ -94,10 +94,7 @@ func ReadRun(r Reader, at sas.XPtr, link Link, parent sas.XPtr, under *nid.Label
 		switch link {
 		case ListLink:
 			if next = d.NextInBlock; next.IsNil() {
-				// Crossing a block boundary: hint the chain ahead so the
-				// pages the scan reaches next load while it drains this one.
 				next = h.Next
-				hintChain(r, next)
 			}
 		case SiblingLink:
 			next = d.RightSib
@@ -112,6 +109,51 @@ func ReadRun(r Reader, at sas.XPtr, link Link, parent sas.XPtr, under *nid.Label
 		r.ReleasePage(pin)
 		return next, nil
 	}
+}
+
+// SkipRun steps over up to n descriptors of the chain ReadRun would decode
+// from at (ListLink or SiblingLink, ending at another parent's child when
+// parent is non-nil), reading only their parent and link fields — one page
+// view per page, no label or child pointer decoded: a literal position skips
+// the nodes before it this way. It returns where the chain continues (nil:
+// it ended) and how many descriptors it stepped over.
+func SkipRun(r Reader, at sas.XPtr, link Link, parent sas.XPtr, n int) (sas.XPtr, int, error) {
+	skipped := 0
+	for skipped < n {
+		page, pin, h, p, err := viewDesc(r, at)
+		if err != nil || p.IsNil() {
+			return sas.NilPtr, skipped, err
+		}
+		base, off := p.PageBase(), uint16(p.PageOffset())
+		for {
+			b := page[off:]
+			if !parent.IsNil() && getPtr(b, dParent) != parent {
+				r.ReleasePage(pin)
+				return sas.NilPtr, skipped, nil
+			}
+			if skipped == n {
+				r.ReleasePage(pin)
+				return base.Add(uint32(off)), skipped, nil
+			}
+			skipped++
+			next := getPtr(b, dRightSib)
+			if link == ListLink {
+				if next = h.Next; getU16(b, dNextIn) != 0 {
+					next = base.Add(uint32(getU16(b, dNextIn)))
+				}
+			}
+			if !next.IsNil() && next.PageBase() == base {
+				off = uint16(next.PageOffset())
+				continue
+			}
+			r.ReleasePage(pin)
+			if at = next; at.IsNil() {
+				return sas.NilPtr, skipped, nil
+			}
+			break
+		}
+	}
+	return at, skipped, nil
 }
 
 // viewDesc views the page of the descriptor at p — or, when p is a block's
@@ -291,7 +333,6 @@ func (d *Desc) ChildAtSlot(slot int) sas.XPtr {
 // list in document order; ok=false when the list is empty.
 func FirstOfSchema(r Reader, sn *schema.Node) (Desc, bool, error) {
 	block := sn.FirstBlock
-	hintChain(r, block)
 	for !block.IsNil() {
 		h, err := readNodeHeader(r, block)
 		if err != nil {
@@ -358,7 +399,6 @@ func (b *descRun) Bytes(n int) []byte {
 // order, one page view per run of descriptors. visit returning false stops
 // the scan. This is the block-list scan behind index builds and ANALYZE.
 func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error {
-	hintChain(r, sn.FirstBlock)
 	var run descRun
 	for at := sn.FirstBlock; !at.IsNil(); {
 		run.n = 0
@@ -431,7 +471,6 @@ func peekDesc(r Reader, p sas.XPtr, slot int, under *nid.Label) (at, child, next
 // head is used only if it does lie under ctx.
 func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error) {
 	if ctxSN.NodeCount <= 1 {
-		hintChain(r, sn.FirstBlock)
 		head, _, _, in, err := peekDesc(r, sn.FirstBlock, -1, &ctx.Label)
 		if err != nil || in {
 			return head, err
@@ -473,48 +512,6 @@ func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error)
 // node-block page; recovery uses it to recompute schema counters.
 func BlockCountNext(page []byte) (count int, next sas.XPtr) {
 	return int(getU16(page, nbCount)), getPtr(page, nbNext)
-}
-
-// PageChainNext decodes the next-block pointer from raw page bytes for any
-// block kind, reporting ok=false at chain end or on an unrecognized page.
-// It is the chain decoder handed to the buffer manager's readahead workers
-// (which are layout-agnostic): a worker that has just loaded a block uses it
-// to discover the following one without any storage-layer call.
-func PageChainNext(page []byte) (sas.PageID, bool) {
-	var next sas.XPtr
-	switch page[0] {
-	case blockKindNode:
-		next = getPtr(page, nbNext)
-	case blockKindText:
-		next = getPtr(page, tbNext)
-	case blockKindIndir:
-		next = getPtr(page, ibNext)
-	default:
-		return sas.PageID{}, false
-	}
-	if next.IsNil() {
-		return sas.PageID{}, false
-	}
-	return sas.PageIDOf(next), true
-}
-
-// Prefetcher is optionally implemented by a Reader whose buffer pool does
-// chain readahead. The block-list iterators type-assert it and emit a hint
-// whenever the scan crosses (or is about to start walking) a block chain;
-// implementations must be non-blocking, fire-and-forget.
-type Prefetcher interface {
-	PrefetchFrom(block sas.XPtr)
-}
-
-// hintChain emits a readahead hint for the chain starting at block if the
-// reader supports it.
-func hintChain(r Reader, block sas.XPtr) {
-	if block.IsNil() {
-		return
-	}
-	if p, ok := r.(Prefetcher); ok {
-		p.PrefetchFrom(block)
-	}
 }
 
 // ChainNext returns the next-block pointer of any block kind (node, text or

@@ -211,4 +211,38 @@ func TestReadRunMatchesReadDescLoop(t *testing.T) {
 	if got, want := viaRuns(t, w, firstChild, SiblingLink, sas.NilPtr, nil, 7), viaReadDesc(t, w, eSN); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sibling runs decoded %d children, the list holds %d", len(got), len(want))
 	}
+
+	// SkipRun lands where a decoder that dropped the first n descriptors of
+	// each of these chains would resume — across blocks, past the empty one,
+	// and at a parent stop.
+	skipTo := func(what string, at sas.XPtr, link Link, parent sas.XPtr, want []Desc) {
+		t.Helper()
+		for _, n := range []int{0, 1, 2, 239, 240, 241, len(want) - 1, len(want), len(want) + 5} {
+			if n < 0 {
+				continue
+			}
+			next, skipped, err := SkipRun(w, at, link, parent, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail := want[min(n, len(want)):]
+			rest := viaRuns(t, w, next, link, parent, nil, 64)
+			if skipped != min(n, len(want)) || len(rest) != len(tail) || len(tail) > 0 && !reflect.DeepEqual(rest, tail) {
+				t.Fatalf("%s: skipping %d stepped over %d, then decoded %d; want %d", what, n, skipped, len(rest), len(tail))
+			}
+		}
+	}
+	skipTo("e list", eSN.FirstBlock, ListLink, sas.NilPtr, viaReadDesc(t, w, eSN))
+	skipTo("r's children", firstChild, SiblingLink, sas.NilPtr, viaReadDesc(t, w, eSN))
+	e300, err := DescOf(w, es[300])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subs []Desc
+	for _, s := range allSubs {
+		if s.Parent == es[300] {
+			subs = append(subs, s)
+		}
+	}
+	skipTo("sub children of e[300]", e300.ChildAtSlot(eSN.ChildIndex(subSN)), ListLink, es[300], subs)
 }

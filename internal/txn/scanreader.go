@@ -6,7 +6,7 @@ import (
 )
 
 // ScanReader reads a transaction's pages for one goroutine that passes over a
-// whole document once — the resident build, the open-time recount. Through
+// whole document once — the open-time recount. Through
 // the transaction itself such a pass parks the document in the buffer pool
 // and pushes out what statements are using. A ScanReader remembers the last
 // pages it read from disk and hands the oldest back as it goes, and the rest when
@@ -59,9 +59,6 @@ func (s *ScanReader) ReadPage(p sas.XPtr, fn func(page []byte) error) error {
 	defer s.ReleasePage(pin)
 	return fn(page)
 }
-
-// PrefetchFrom implements storage.Prefetcher through the transaction.
-func (s *ScanReader) PrefetchFrom(block sas.XPtr) { s.tx.PrefetchFrom(block) }
 
 // Close hands the pages still in the ring back to the pool.
 func (s *ScanReader) Close() {

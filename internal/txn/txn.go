@@ -70,11 +70,6 @@ type Manager struct {
 	// eagerly regardless.
 	LockTimeout time.Duration
 
-	// defaultPrefetchDepth seeds every new transaction's chain-readahead
-	// depth, so block-list scans that never pass through the query executor
-	// (the resident build, index builds) still get readahead.
-	defaultPrefetchDepth atomic.Int64
-
 	met txnMetrics
 }
 
@@ -212,15 +207,6 @@ type Tx struct {
 	// never call SetTraceSpan), and Span's methods are goroutine-safe, so
 	// workers may attribute events through it concurrently.
 	span *trace.Span
-
-	// prefetchDepth is the chain-readahead depth for block-list scans on
-	// this transaction (0 = off). Atomic because the executor sets it per
-	// statement while parallel scan workers may be emitting hints.
-	prefetchDepth atomic.Int64
-
-	// prefetchHints counts readahead hints emitted through this
-	// transaction, for PROFILE/trace attribution.
-	prefetchHints atomic.Uint64
 }
 
 // SetTraceSpan installs (or, with nil, clears) the trace span storage-layer
@@ -261,7 +247,6 @@ func (m *Manager) Begin() *Tx {
 	m.nextTxn++
 	m.met.begins.Inc()
 	tx := &Tx{m: m, id: m.nextTxn}
-	tx.prefetchDepth.Store(m.defaultPrefetchDepth.Load())
 	if _, err := m.log.Append(&wal.Record{Type: wal.RecBegin, Txn: tx.id}); err != nil {
 		// Log append failures surface at the first write; Begin stays
 		// infallible for API simplicity.
@@ -288,16 +273,7 @@ func (m *Manager) BeginReadOnly() *Tx {
 	m.snapshots[ts]++
 	m.met.activeSnaps.Set(int64(len(m.snapshots)))
 	m.snapMu.Unlock()
-	tx := &Tx{m: m, id: m.nextTxn, readonly: true, snapTS: ts}
-	tx.prefetchDepth.Store(m.defaultPrefetchDepth.Load())
-	return tx
-}
-
-// SetDefaultPrefetchDepth sets the chain-readahead depth new transactions
-// start with; statements may still override it per transaction. 0 disables
-// readahead by default.
-func (m *Manager) SetDefaultPrefetchDepth(d int) {
-	m.defaultPrefetchDepth.Store(int64(d))
+	return &Tx{m: m, id: m.nextTxn, readonly: true, snapTS: ts}
 }
 
 // ID returns the transaction identifier.
@@ -369,32 +345,6 @@ func (tx *Tx) ReleasePage(pin any) {
 	if f, ok := pin.(*buffer.Frame); ok {
 		tx.m.buf.Unpin(f)
 	}
-}
-
-// SetPrefetchDepth sets the chain-readahead depth for scans on this
-// transaction; 0 disables hint emission entirely (byte-identical to the
-// pre-readahead read path).
-func (tx *Tx) SetPrefetchDepth(d int) { tx.prefetchDepth.Store(int64(d)) }
-
-// PrefetchDepth returns the transaction's chain-readahead depth.
-func (tx *Tx) PrefetchDepth() int { return int(tx.prefetchDepth.Load()) }
-
-// PrefetchHints returns the number of readahead hints emitted so far.
-func (tx *Tx) PrefetchHints() uint64 { return tx.prefetchHints.Load() }
-
-// PrefetchFrom implements storage.Prefetcher: the block-list iterators call
-// it when a scan crosses a block boundary, and the buffer manager's workers
-// follow the nextBlock chain up to the configured depth. Fire-and-forget —
-// never blocks, never errors. Prefetched frames serve updaters through
-// Deref and snapshot readers through ViewSnapshot alike.
-func (tx *Tx) PrefetchFrom(block sas.XPtr) {
-	d := int(tx.prefetchDepth.Load())
-	if d <= 0 || tx.done {
-		return
-	}
-	tx.prefetchHints.Add(1)
-	tx.span.AddInt("prefetch_hints", 1)
-	tx.m.buf.PrefetchChain(sas.PageIDOf(block), d, storage.PageChainNext)
 }
 
 // WriteAt implements storage.Writer: the bytes are applied to the page

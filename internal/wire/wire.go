@@ -17,7 +17,9 @@ import (
 	"io"
 )
 
-// Message types (client → server).
+// Message types (client → server). 10 and 17 are retired (they tuned the
+// readahead prefetcher and the resident mode); a server answers them as
+// unknown.
 const (
 	MsgHello      = 1
 	MsgBegin      = 2
@@ -28,14 +30,12 @@ const (
 	MsgMetrics    = 7
 	MsgSlowLog    = 8
 	MsgWorkers    = 9
-	MsgPrefetch   = 10
 	MsgReplicate  = 11 // switch the connection to a replication stream
 	MsgReplStatus = 12 // report replication topology and lag
 	MsgPromote    = 13 // promote a replica to a writable primary
 	MsgSessions   = 14 // list live sessions with per-session accounting
 	MsgKill       = 15 // cancel another session's in-flight statement
 	MsgCluster    = 16 // merged topology: local sessions + per-replica lag
-	MsgResident   = 17 // report or toggle the resident-mode switch
 )
 
 // Message types (server → client).
@@ -90,18 +90,6 @@ type Request struct {
 	// response always reports the effective worker budget.
 	Workers    int  `json:"workers,omitempty"`
 	SetWorkers bool `json:"set_workers,omitempty"`
-
-	// MsgPrefetch: when SetPrefetch is set, the server updates the default
-	// chain-readahead depth to Prefetch (≤ 0 disables readahead); the
-	// response always reports the effective depth.
-	Prefetch    int  `json:"prefetch,omitempty"`
-	SetPrefetch bool `json:"set_prefetch,omitempty"`
-
-	// MsgResident: when SetResident is set, the server switches the
-	// compressed in-memory resident mode on or off; the response always
-	// reports the effective state ("on"/"off").
-	Resident    bool `json:"resident,omitempty"`
-	SetResident bool `json:"set_resident,omitempty"`
 
 	// MsgReplicate: the joining replica asks for the stream to start at
 	// FromLSN; with NeedSeed it requests a hot-backup seed transfer first

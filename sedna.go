@@ -78,21 +78,6 @@ type Options struct {
 	// range-scan fan-out and FLWOR for-clause fan-out use at most this many
 	// goroutines (0 = GOMAXPROCS, 1 = serial).
 	QueryWorkers int
-	// PrefetchDepth is the default chain-readahead depth for block-list
-	// scans: how many nextBlock links ahead of a scan the buffer manager
-	// may load asynchronously (0 = off). Runtime-settable per statement via
-	// query.ExecCtx.PrefetchDepth and server-side via the PREFETCH verb.
-	PrefetchDepth int
-	// Resident serves read-only queries from compressed in-memory resident
-	// copies of hot documents: a compact structural array plus a shared text
-	// arena, built once per committed document version and invalidated on
-	// update. Results are byte-identical to the paged path. Runtime-settable
-	// server-side via the RESIDENT verb.
-	Resident bool
-	// ResidentBudget caps the total bytes of resident document copies
-	// (0 = default 256 MiB). Least-recently-used copies are evicted; a
-	// document larger than the whole budget always stays on the paged path.
-	ResidentBudget int64
 	// BulkLoad selects the LoadXML ingest path (default BulkLoadAuto: direct
 	// block construction for fresh documents). BulkLoadOff is the escape
 	// hatch back to node-at-a-time inserts; both paths produce byte-identical
@@ -122,9 +107,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 		SlowLogPath:        o.SlowLogPath,
 		Metrics:            o.Metrics,
 		QueryWorkers:       o.QueryWorkers,
-		PrefetchDepth:      o.PrefetchDepth,
-		Resident:           o.Resident,
-		ResidentBudget:     o.ResidentBudget,
 		BulkLoad:           core.BulkLoadMode(o.BulkLoad),
 	})
 	if err != nil {
