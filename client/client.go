@@ -14,6 +14,7 @@ import (
 	"sedna/internal/repl"
 	"sedna/internal/server"
 	"sedna/internal/trace"
+	"sedna/internal/wire"
 )
 
 // Conn is a client session with a sedna-go server.
@@ -45,12 +46,12 @@ func Connect(addr string) (*Conn, error) {
 	return conn, nil
 }
 
-func (c *Conn) roundTrip(typ byte, req server.Request) (*server.Response, error) {
-	if err := server.WriteMsg(c.c, typ, &req); err != nil {
+func (c *Conn) roundTrip(typ byte, req server.Request) (*wire.Response, error) {
+	if err := wire.WriteRequest(c.c, typ, &req); err != nil {
 		return nil, fmt.Errorf("client: send: %w", err)
 	}
-	var resp server.Response
-	rt, err := server.ReadMsg(c.c, &resp)
+	var resp wire.Response
+	rt, err := wire.ReadResponse(c.c, &resp)
 	if err != nil {
 		return nil, fmt.Errorf("client: receive: %w", err)
 	}
@@ -67,7 +68,7 @@ func (c *Conn) Execute(q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Data: resp.Data, Updated: resp.Updated, Message: resp.Message}, nil
+	return &Result{Data: string(resp.Data), Updated: resp.Updated, Message: resp.Message}, nil
 }
 
 // Metrics fetches the server's metrics registry as a plain-text snapshot.
@@ -76,7 +77,7 @@ func (c *Conn) Metrics() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return resp.Data, nil
+	return string(resp.Data), nil
 }
 
 // SlowLog fetches the server's retained slow-query traces, newest first
@@ -87,7 +88,7 @@ func (c *Conn) SlowLog(n int) ([]*trace.Trace, error) {
 		return nil, err
 	}
 	var traces []*trace.Trace
-	if err := json.Unmarshal([]byte(resp.Data), &traces); err != nil {
+	if err := json.Unmarshal(resp.Data, &traces); err != nil {
 		return nil, fmt.Errorf("client: slowlog: %w", err)
 	}
 	return traces, nil
@@ -109,7 +110,7 @@ func (c *Conn) QueryWorkers() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.Atoi(resp.Data)
+	n, err := strconv.Atoi(string(resp.Data))
 	if err != nil {
 		return 0, fmt.Errorf("client: workers: %w", err)
 	}
@@ -124,7 +125,7 @@ func (c *Conn) SetQueryWorkers(n int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	eff, err := strconv.Atoi(resp.Data)
+	eff, err := strconv.Atoi(string(resp.Data))
 	if err != nil {
 		return 0, fmt.Errorf("client: workers: %w", err)
 	}
@@ -140,7 +141,7 @@ func (c *Conn) ReplStatus() (*repl.Topology, error) {
 		return nil, err
 	}
 	var t repl.Topology
-	if err := json.Unmarshal([]byte(resp.Data), &t); err != nil {
+	if err := json.Unmarshal(resp.Data, &t); err != nil {
 		return nil, fmt.Errorf("client: replstatus: %w", err)
 	}
 	return &t, nil
@@ -156,7 +157,7 @@ func (c *Conn) Sessions() ([]server.SessionInfo, error) {
 		return nil, err
 	}
 	var infos []server.SessionInfo
-	if err := json.Unmarshal([]byte(resp.Data), &infos); err != nil {
+	if err := json.Unmarshal(resp.Data, &infos); err != nil {
 		return nil, fmt.Errorf("client: sessions: %w", err)
 	}
 	return infos, nil
@@ -186,7 +187,7 @@ func (c *Conn) Cluster() (*server.ClusterInfo, error) {
 		return nil, err
 	}
 	var ci server.ClusterInfo
-	if err := json.Unmarshal([]byte(resp.Data), &ci); err != nil {
+	if err := json.Unmarshal(resp.Data, &ci); err != nil {
 		return nil, fmt.Errorf("client: cluster: %w", err)
 	}
 	return &ci, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"sedna/internal/sas"
 	"sedna/internal/schema"
@@ -204,7 +205,7 @@ func (s *serializer[N]) node(n N) error {
 	}
 	switch sn.Kind {
 	case schema.KindText:
-		return xml.EscapeText(s.w, val)
+		return EscapeText(s.w, val)
 	case schema.KindAttribute:
 		// A bare attribute serializes as its string value.
 		_, err = s.w.Write(val)
@@ -299,6 +300,55 @@ func WriteAttr(w io.Writer, name string, val []byte) error {
 		return err
 	}
 	_, err := io.WriteString(w, `"`)
+	return err
+}
+
+// textEscapes maps each ASCII byte encoding/xml.EscapeText replaces to its
+// replacement: the five markup characters, the three white-space controls a
+// parser would normalize, and U+FFFD for the other C0 controls, which XML
+// cannot hold.
+var textEscapes = func() (t [utf8.RuneSelf]string) {
+	for c := range 0x20 {
+		t[c] = "\uFFFD"
+	}
+	t['"'], t['\''], t['&'], t['<'], t['>'] = "&#34;", "&#39;", "&amp;", "&lt;", "&gt;"
+	t['\t'], t['\n'], t['\r'] = "&#x9;", "&#xA;", "&#xD;"
+	return t
+}()
+
+// EscapeText writes s to w escaped as XML character data, byte for byte as
+// encoding/xml.EscapeText writes it, but looking ASCII up in a table and
+// decoding a rune only at a byte >= 0x80. Invalid UTF-8 and the noncharacters
+// U+FFFE and U+FFFF — the runes a decoder can return outside the XML
+// character range — become U+FFFD.
+func EscapeText(w io.Writer, s []byte) error {
+	from := 0
+	for i := 0; i < len(s); {
+		c, width := s[i], 1
+		var esc string
+		if c < utf8.RuneSelf {
+			esc = textEscapes[c]
+		} else {
+			var r rune
+			r, width = utf8.DecodeRune(s[i:])
+			if width == 1 || r == 0xFFFE || r == 0xFFFF {
+				esc = "\uFFFD"
+			}
+		}
+		if esc == "" {
+			i += width
+			continue
+		}
+		if _, err := w.Write(s[from:i]); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, esc); err != nil {
+			return err
+		}
+		i += width
+		from = i
+	}
+	_, err := w.Write(s[from:])
 	return err
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"sedna/internal/metrics"
@@ -60,24 +59,20 @@ type File struct {
 
 // pfMetrics binds the pagefile counters in a metrics registry.
 type pfMetrics struct {
-	reads      *metrics.Counter
-	writes     *metrics.Counter
-	extends    *metrics.Counter // fresh pages handed out past the high-water mark
-	frees      *metrics.Counter
-	syncs      *metrics.Counter
-	batchReads *metrics.Counter // coalesced preads issued by ReadPages
-	batchPages *metrics.Counter // pages delivered through ReadPages
+	reads   *metrics.Counter
+	writes  *metrics.Counter
+	extends *metrics.Counter // fresh pages handed out past the high-water mark
+	frees   *metrics.Counter
+	syncs   *metrics.Counter
 }
 
 func bindPfMetrics(reg *metrics.Registry) pfMetrics {
 	return pfMetrics{
-		reads:      reg.Counter("pagefile.reads"),
-		writes:     reg.Counter("pagefile.writes"),
-		extends:    reg.Counter("pagefile.extends"),
-		frees:      reg.Counter("pagefile.frees"),
-		syncs:      reg.Counter("pagefile.syncs"),
-		batchReads: reg.Counter("pagefile.batch_reads"),
-		batchPages: reg.Counter("pagefile.batch_pages"),
+		reads:   reg.Counter("pagefile.reads"),
+		writes:  reg.Counter("pagefile.writes"),
+		extends: reg.Counter("pagefile.extends"),
+		frees:   reg.Counter("pagefile.frees"),
+		syncs:   reg.Counter("pagefile.syncs"),
 	}
 }
 
@@ -207,83 +202,7 @@ func (pf *File) ReadPage(id sas.PageID, buf []byte) error {
 	// Pages are materialized lazily: a read at or past EOF — including a
 	// *short* read of a partial page at EOF — yields zeros for the missing
 	// tail, exactly as if the file had been extended with zero pages.
-	zeroFill(buf[n:])
-	return nil
-}
-
-func zeroFill(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// ReadPages reads a batch of pages in one pass: the requests are sorted by
-// file position and runs of adjacent pages are coalesced into a single large
-// pread each, so a chain of consecutively-allocated blocks costs one syscall
-// instead of one per page. ids[i] is read into bufs[i] (each PageSize bytes);
-// reads past EOF zero-fill like ReadPage. Duplicate ids are allowed.
-func (pf *File) ReadPages(ids []sas.PageID, bufs [][]byte) error {
-	if len(ids) != len(bufs) {
-		return fmt.Errorf("pagefile: ReadPages got %d ids, %d buffers", len(ids), len(bufs))
-	}
-	if len(ids) == 0 {
-		return nil
-	}
-	for i, b := range bufs {
-		if len(b) != sas.PageSize {
-			return fmt.Errorf("pagefile: ReadPages buffer %d is %d bytes", i, len(b))
-		}
-	}
-	// Order the requests by file position without disturbing the caller's
-	// slices: sort an index permutation keyed by the global page index.
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return ids[order[a]].GlobalIndex() < ids[order[b]].GlobalIndex()
-	})
-	pf.met.reads.Add(uint64(len(ids)))
-	pf.met.batchPages.Add(uint64(len(ids)))
-	for start := 0; start < len(order); {
-		// Grow a run of file-adjacent pages (duplicates collapse onto the
-		// same position and stay in the run).
-		end := start + 1
-		for end < len(order) {
-			prev, next := ids[order[end-1]].GlobalIndex(), ids[order[end]].GlobalIndex()
-			if next != prev && next != prev+1 {
-				break
-			}
-			end++
-		}
-		first := ids[order[start]].GlobalIndex()
-		last := ids[order[end-1]].GlobalIndex()
-		span := int(last-first) + 1
-		if span == 1 && end-start == 1 {
-			pf.met.batchReads.Inc()
-			off := int64(first) * sas.PageSize
-			n, err := pf.f.ReadAt(bufs[order[start]], off)
-			if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("pagefile: read %v: %w", ids[order[start]], err)
-			}
-			zeroFill(bufs[order[start]][n:])
-			start = end
-			continue
-		}
-		big := make([]byte, span*sas.PageSize)
-		pf.met.batchReads.Inc()
-		off := int64(first) * sas.PageSize
-		n, err := pf.f.ReadAt(big, off)
-		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("pagefile: batch read at %v: %w", ids[order[start]], err)
-		}
-		zeroFill(big[n:])
-		for i := start; i < end; i++ {
-			rel := int(ids[order[i]].GlobalIndex() - first)
-			copy(bufs[order[i]], big[rel*sas.PageSize:])
-		}
-		start = end
-	}
+	clear(buf[n:])
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sedna/internal/metrics"
 	"sedna/internal/sas"
 )
 
@@ -358,113 +357,5 @@ func TestShortReadAtEOFZeroFills(t *testing.T) {
 		if buf[i] != 0 {
 			t.Fatalf("byte %d = %#x, want zero-filled tail", i, buf[i])
 		}
-	}
-	// ReadPages must zero-fill short tails the same way.
-	for i := range buf {
-		buf[i] = 0xFF
-	}
-	if err := pf.ReadPages([]sas.PageID{id}, [][]byte{buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 0xAB || buf[sas.PageSize-1] != 0 {
-		t.Fatalf("ReadPages short read: first=%#x last=%#x", buf[0], buf[sas.PageSize-1])
-	}
-}
-
-func TestReadPagesCoalescesAdjacent(t *testing.T) {
-	reg := metrics.NewRegistry()
-	pf, err := Open(filepath.Join(t.TempDir(), "data.sdb"), Options{NoSync: true, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-
-	// Lay out five pages; 0,1,2 adjacent, then a gap, then 4,5 adjacent.
-	var ids []sas.PageID
-	for i := 0; i < 6; i++ {
-		id := pf.Alloc()
-		if i == 3 {
-			continue // hole in the request set, page still allocated
-		}
-		data := make([]byte, sas.PageSize)
-		for j := range data {
-			data[j] = byte(i + 1)
-		}
-		if err := pf.WritePage(id, data); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-
-	// Request out of order, with a duplicate.
-	req := []sas.PageID{ids[3], ids[0], ids[4], ids[2], ids[1], ids[0]}
-	bufs := make([][]byte, len(req))
-	for i := range bufs {
-		bufs[i] = make([]byte, sas.PageSize)
-	}
-	before := reg.Counter("pagefile.batch_reads").Value()
-	if err := pf.ReadPages(req, bufs); err != nil {
-		t.Fatal(err)
-	}
-	reads := reg.Counter("pagefile.batch_reads").Value() - before
-	if reads != 2 {
-		t.Fatalf("coalesced preads = %d, want 2 (runs 0-2 and 4-5)", reads)
-	}
-	if got := reg.Counter("pagefile.batch_pages").Value(); got != uint64(len(req)) {
-		t.Fatalf("batch_pages = %d, want %d", got, len(req))
-	}
-	want := []byte{5, 1, 6, 3, 2, 1}
-	for i, b := range bufs {
-		for j := 0; j < sas.PageSize; j++ {
-			if b[j] != want[i] {
-				t.Fatalf("buf %d byte %d = %#x, want %#x", i, j, b[j], want[i])
-			}
-		}
-	}
-}
-
-func TestReadPagesMatchesReadPage(t *testing.T) {
-	pf := openTemp(t)
-	var ids []sas.PageID
-	for i := 0; i < 9; i++ {
-		id := pf.Alloc()
-		data := make([]byte, sas.PageSize)
-		for j := range data {
-			data[j] = byte(i*31 + j)
-		}
-		if err := pf.WritePage(id, data); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	// Include one never-written page (beyond EOF after the writes? no —
-	// allocation order means the last written page extends the file; use a
-	// far page instead).
-	ids = append(ids, sas.PageID{Layer: 1, Page: 500})
-	bufs := make([][]byte, len(ids))
-	for i := range bufs {
-		bufs[i] = make([]byte, sas.PageSize)
-	}
-	if err := pf.ReadPages(ids, bufs); err != nil {
-		t.Fatal(err)
-	}
-	single := make([]byte, sas.PageSize)
-	for i, id := range ids {
-		if err := pf.ReadPage(id, single); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(single, bufs[i]) {
-			t.Fatalf("page %v: ReadPages differs from ReadPage", id)
-		}
-	}
-}
-
-func TestReadPagesLengthMismatch(t *testing.T) {
-	pf := openTemp(t)
-	if err := pf.ReadPages([]sas.PageID{{Layer: 1, Page: 1}}, nil); err == nil {
-		t.Fatal("want error on ids/bufs length mismatch")
-	}
-	if err := pf.ReadPages(nil, nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
 	}
 }

@@ -15,7 +15,9 @@ import (
 // engine that served every document from two independent backends — the
 // block chains and an in-memory structural array — which agreed on all of
 // them, so the identity tests compare the block-chain executor with
-// something other than itself. They are checked, never regenerated.
+// something other than itself; the doc("simple") entries were written by
+// hand from its one line of XML and the two updates applied to it. They are
+// checked, never regenerated.
 var corpusAnswers = sync.OnceValues(func() (map[string]string, error) {
 	b, err := os.ReadFile("testdata/corpus.json")
 	if err != nil {

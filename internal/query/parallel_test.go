@@ -13,7 +13,8 @@ import (
 // parallelDB opens a database preloaded with the xmlgen corpora the
 // parallel-vs-serial property tests query against: the multi-schema-node
 // Sections catalog (the fan-out shape), a scaled library, an auction site,
-// a deep narrow tree and a mixed-content document.
+// a deep narrow tree, a mixed-content document, and a small document of
+// text-only, empty and mixed elements that updates reshape after load.
 func parallelDB(t *testing.T) *core.Database {
 	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 1024})
@@ -31,6 +32,7 @@ func parallelDB(t *testing.T) *core.Database {
 		"site":   xmlgen.AuctionString(30, 20, 3, 3),
 		"deep":   xmlgen.DeepString(6, 4),
 		"mixed":  mixedContentDoc(60),
+		"simple": simpleContentXML,
 	}
 	for name, content := range docs {
 		if _, err := tx.LoadXML(name, strings.NewReader(content)); err != nil {
@@ -40,8 +42,17 @@ func parallelDB(t *testing.T) *core.Database {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// Split <split>'s text in two by deleting the child between, and give the
+	// text-only <v> an element child.
+	upd(t, db, `UPDATE delete doc("simple")/s/split/x`)
+	upd(t, db, `UPDATE insert <w>5</w> into doc("simple")/s/v[1]`)
 	return db
 }
+
+// simpleContentXML holds elements whose string value is their text slot
+// (<t>, <v> as loaded), elements with no content (<e>), and mixed content.
+const simpleContentXML = `<s><e a="1"/><e a="2"></e><t>plain</t><t>a &lt; b &amp; c</t>` +
+	`<mix>one<k>two</k>three</mix><split>ab<x/>cd</split><v>10</v><v>20</v></s>`
 
 // mixedContentDoc generates n paragraphs whose string values are spread over
 // nested and interleaved text nodes: text before, between and after child
@@ -144,6 +155,18 @@ var parallelPropertyQueries = []string{
 	`for $p in doc("mixed")/m/p where $p/b > "b" return string($p/b/i)`,
 	`string(doc("mixed")/m/q)`,
 	`count(doc("mixed")//p[. = ""])`,
+	// String values read from the text slot of a text-only element, and the
+	// shapes that must not take that path.
+	`data(doc("simple")/s/t)`,
+	`doc("simple")/s/t[. = "a < b & c"]`,
+	`count(doc("simple")/s/e[. = ""])`,
+	`data(doc("simple")//e/@a)`,
+	`string(doc("simple")/s/mix)`,
+	`doc("simple")/s/split`,
+	`string(doc("simple")/s/split)`,
+	`for $v in doc("simple")/s/v return string($v)`,
+	`sum(doc("simple")/s/v)`,
+	`doc("simple")/s/v[. = "20"]`,
 	// Positions, reverse and sibling axes, and paths that are only counted
 	// or probed: what the batch collectors decide node by node.
 	`doc("cat")/catalog/sec3/item[last()]/name/text()`,

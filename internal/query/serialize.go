@@ -1,7 +1,6 @@
 package query
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 
@@ -55,7 +54,7 @@ func serializeTemp(e *env, n *TempNode, w io.Writer) error {
 		_, err := io.WriteString(w, "</"+n.Name+">")
 		return err
 	case schema.KindText:
-		return xml.EscapeText(w, []byte(n.Text))
+		return core.EscapeText(w, []byte(n.Text))
 	case schema.KindAttribute:
 		_, err := io.WriteString(w, n.Text)
 		return err

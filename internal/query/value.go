@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"sedna/internal/nid"
+	"sedna/internal/schema"
 	"sedna/internal/storage"
 )
 
@@ -111,8 +112,10 @@ func (a *Atomic) NumberValue() float64 {
 
 // nodeText appends the string value of a stored node to dst: its own value
 // for text-carrying kinds, else the concatenation of its descendant text
-// nodes in document order, streamed from the schema-driven descendant scan
-// without the text nodes becoming items.
+// nodes in document order, streamed without the text nodes becoming items.
+// When the descriptive schema says the node holds nothing but text, those
+// are its children in its text slot; otherwise they come from the
+// schema-driven descendant scan.
 func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
 	if sn == nil {
@@ -122,8 +125,28 @@ func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 		return env.text(n, dst)
 	}
 	k := collector{e: env, text: true, buf: dst}
-	err := descendantAxis(env, n, sn, NodeTest{Kind: TestText}, &k)
+	var err error
+	if text, ok := simpleContent(sn); !ok {
+		err = descendantAxis(env, n, sn, NodeTest{Kind: TestText}, &k)
+	} else if text != nil {
+		err = drain(env, childrenOfSchema(n, sn, text), &k)
+	}
 	return k.buf, err
+}
+
+// simpleContent reports whether every non-attribute schema child of sn is its
+// one text child, and returns that child (nil when sn has no content at all).
+func simpleContent(sn *schema.Node) (text *schema.Node, ok bool) {
+	for _, c := range sn.Children {
+		switch {
+		case c.Kind == schema.KindAttribute:
+		case c.Kind == schema.KindText && text == nil:
+			text = c
+		default:
+			return nil, false
+		}
+	}
+	return text, true
 }
 
 // nodeStringValue computes the string value of a stored node.

@@ -168,28 +168,28 @@ func (p *Primary) ServeConn(conn net.Conn, req *wire.Request) error {
 	if req.NeedSeed {
 		dir, err := os.MkdirTemp("", "sedna-seed-")
 		if err != nil {
-			wire.WriteMsg(conn, wire.MsgError, &wire.Response{Error: err.Error()})
+			wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
 			return err
 		}
 		defer os.RemoveAll(dir)
 		if err := p.db.Backup(dir); err != nil {
-			wire.WriteMsg(conn, wire.MsgError, &wire.Response{Error: err.Error()})
+			wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
 			return fmt.Errorf("repl: seed backup: %w", err)
 		}
 		m, err := core.ReadBackupManifest(dir)
 		if err != nil {
-			wire.WriteMsg(conn, wire.MsgError, &wire.Response{Error: err.Error()})
+			wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
 			return err
 		}
 		seedDir, start = dir, m.DurableLSN
 		st.seeding.Store(true)
 	} else if durable := p.db.WAL().DurableLSN(); start > durable {
 		err := fmt.Errorf("repl: requested LSN %d past durable %d (need a seed)", start, durable)
-		wire.WriteMsg(conn, wire.MsgError, &wire.Response{Error: err.Error()})
+		wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
 		return err
 	}
 	if err := p.register(st); err != nil {
-		wire.WriteMsg(conn, wire.MsgError, &wire.Response{Error: err.Error()})
+		wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
 		return err
 	}
 	defer p.unregister(st)
@@ -200,7 +200,7 @@ func (p *Primary) ServeConn(conn net.Conn, req *wire.Request) error {
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteMsg(conn, wire.MsgResult, &wire.Response{Data: string(hs)}); err != nil {
+	if err := wire.WriteResponse(conn, wire.MsgResult, &wire.Response{Data: hs}); err != nil {
 		return err
 	}
 	if seedDir != "" {

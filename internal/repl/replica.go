@@ -227,13 +227,13 @@ func (r *Replica) dial(from uint64, needSeed bool) (net.Conn, *wire.Handshake, e
 		return nil, nil, err
 	}
 	req := wire.Request{FromLSN: from, NeedSeed: needSeed}
-	if err := wire.WriteMsg(conn, wire.MsgReplicate, &req); err != nil {
+	if err := wire.WriteRequest(conn, wire.MsgReplicate, &req); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
 	var resp wire.Response
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, err := wire.ReadMsg(conn, &resp)
+	typ, err := wire.ReadResponse(conn, &resp)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
@@ -244,7 +244,7 @@ func (r *Replica) dial(from uint64, needSeed bool) (net.Conn, *wire.Handshake, e
 		return nil, nil, fmt.Errorf("primary refused: %s", resp.Error)
 	}
 	var hs wire.Handshake
-	if err := json.Unmarshal([]byte(resp.Data), &hs); err != nil {
+	if err := json.Unmarshal(resp.Data, &hs); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}

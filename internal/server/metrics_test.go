@@ -11,6 +11,7 @@ import (
 
 	"sedna/client"
 	"sedna/internal/server"
+	"sedna/internal/wire"
 )
 
 // metricFamilies are the subsystem prefixes every exposure path must cover.
@@ -94,11 +95,11 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 		}
 	}
 	// The wire snapshot and the HTTP snapshot come from the same registry.
-	wire, err := c.Metrics()
+	snap, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(wire, "buffer.hits") || !strings.Contains(text, "buffer.hits") {
+	if !strings.Contains(snap, "buffer.hits") || !strings.Contains(text, "buffer.hits") {
 		t.Error("wire and HTTP snapshots disagree on buffer.hits presence")
 	}
 }
@@ -113,11 +114,11 @@ func TestUnknownVerbIsError(t *testing.T) {
 	}
 	defer conn.Close()
 	for _, verb := range []byte{42, 10, 17} {
-		if err := server.WriteMsg(conn, verb, &server.Request{}); err != nil {
+		if err := wire.WriteRequest(conn, verb, &server.Request{}); err != nil {
 			t.Fatal(err)
 		}
-		var resp server.Response
-		typ, err := server.ReadMsg(conn, &resp)
+		var resp wire.Response
+		typ, err := wire.ReadResponse(conn, &resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,10 +129,10 @@ func TestUnknownVerbIsError(t *testing.T) {
 			t.Fatalf("verb %d: error = %q", verb, resp.Error)
 		}
 		// The session survives a protocol error.
-		if err := server.WriteMsg(conn, server.MsgHello, &server.Request{}); err != nil {
+		if err := wire.WriteRequest(conn, server.MsgHello, &server.Request{}); err != nil {
 			t.Fatal(err)
 		}
-		if typ, err := server.ReadMsg(conn, &resp); err != nil || typ != server.MsgOK {
+		if typ, err := wire.ReadResponse(conn, &resp); err != nil || typ != server.MsgOK {
 			t.Fatalf("session dead after verb %d: type=%d err=%v", verb, typ, err)
 		}
 	}
@@ -151,8 +152,8 @@ func TestOversizedMessageIsError(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	var resp server.Response
-	typ, err := server.ReadMsg(conn, &resp)
+	var resp wire.Response
+	typ, err := wire.ReadResponse(conn, &resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,15 +165,15 @@ func TestOversizedMessageIsError(t *testing.T) {
 	}
 	// After an oversized header the stream is unparseable; the server
 	// closes the connection.
-	if _, err := server.ReadMsg(conn, &resp); err == nil {
+	if _, err := wire.ReadResponse(conn, &resp); err == nil {
 		t.Fatal("connection still open after oversized message")
 	}
 }
 
 func TestOversizedClientRead(t *testing.T) {
-	// The client-side ReadMsg applies the same bound.
+	// The client-side ReadResponse applies the same bound.
 	r := strings.NewReader(string([]byte{0xff, 0xff, 0xff, 0xff, server.MsgOK}))
-	_, err := server.ReadMsg(r, nil)
+	_, err := wire.ReadResponse(r, new(wire.Response))
 	if err == nil || !strings.Contains(err.Error(), "exceeds size limit") {
 		t.Fatalf("err = %v", err)
 	}

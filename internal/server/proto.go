@@ -6,15 +6,11 @@
 // message protocol on TCP.
 //
 // The frame format itself lives in package wire (shared with the
-// replication subsystem and the Go driver); this file re-exports it so
-// existing callers keep working against the server package.
+// replication subsystem and the Go driver); this file re-exports its verbs
+// and request type for callers of the server package.
 package server
 
-import (
-	"io"
-
-	"sedna/internal/wire"
-)
+import "sedna/internal/wire"
 
 // Message types (client → server).
 const (
@@ -48,16 +44,3 @@ var ErrTooLarge = wire.ErrTooLarge
 
 // Request is a client message payload.
 type Request = wire.Request
-
-// Response is a server message payload.
-type Response = wire.Response
-
-// WriteMsg frames and writes one message.
-func WriteMsg(w io.Writer, typ byte, payload any) error {
-	return wire.WriteMsg(w, typ, payload)
-}
-
-// ReadMsg reads one framed message.
-func ReadMsg(r io.Reader, payload any) (byte, error) {
-	return wire.ReadMsg(r, payload)
-}

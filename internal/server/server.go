@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +16,7 @@ import (
 	"sedna/internal/query"
 	"sedna/internal/repl"
 	"sedna/internal/trace"
+	"sedna/internal/wire"
 )
 
 // Governor is the control center of the system (§3): it keeps track of the
@@ -145,6 +146,8 @@ type Session struct {
 	curMu   sync.Mutex
 	stmtOrd uint64     // per-session statement ordinal, counts from 1
 	cur     *stmtState // in-flight statement, nil when idle
+
+	out []byte // serialization buffer, reused across statements
 }
 
 // NewSession registers a fresh session with the governor.
@@ -214,10 +217,60 @@ func (s *Session) Rollback() error {
 	return err
 }
 
+// Response is the outcome of one statement run by Session.Execute.
+type Response struct {
+	Data    string // the serialized result sequence
+	Updated int    // nodes an update statement affected
+	Message string // acknowledgement of DDL
+}
+
 // Execute runs one statement. Inside an explicit transaction it uses it;
 // otherwise it runs in auto-commit mode, choosing a read-only snapshot
 // transaction for queries and an update transaction for everything else.
 func (s *Session) Execute(src string) (*Response, error) {
+	resp, err := s.execute(src)
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Data: string(resp.Data), Updated: resp.Updated, Message: resp.Message}, nil
+}
+
+// maxKeptResult bounds the serialization buffer a session keeps for its next
+// statement: one that grew past it is dropped once its result is sent, so an
+// idle session does not pin a large result.
+const maxKeptResult = 1 << 20
+
+// resultBuf is a session's serialization buffer. It refuses to grow past the
+// wire's message limit, so an oversized result is known before anything is
+// sent, and stops costing memory where it crosses the limit.
+type resultBuf []byte
+
+func (b *resultBuf) Write(p []byte) (int, error) {
+	if err := b.check(len(p)); err != nil {
+		return 0, err
+	}
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+func (b *resultBuf) WriteString(p string) (int, error) {
+	if err := b.check(len(p)); err != nil {
+		return 0, err
+	}
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+func (b *resultBuf) check(n int) error {
+	if len(*b)+n > wire.MaxMessage {
+		return fmt.Errorf("server: result of at least %d bytes exceeds the %d MiB message limit", len(*b)+n, wire.MaxMessage>>20)
+	}
+	return nil
+}
+
+// execute is Execute with the result serialized into the session's buffer:
+// the response's Data is valid until the session's next statement.
+func (s *Session) execute(src string) (*wire.Response, error) {
 	parseStart := time.Now()
 	st, err := query.Parse(src)
 	if err != nil {
@@ -246,17 +299,20 @@ func (s *Session) Execute(src string) (*Response, error) {
 	defer func() { s.endStatement(base, nodes, err) }()
 	res, err := query.ExecuteStatement(ctx, st)
 	if err == nil {
-		var sb strings.Builder
-		if serr := res.Serialize(&sb); serr != nil {
-			err = serr
-		} else {
+		out := s.out[:0]
+		err = res.Serialize((*resultBuf)(&out))
+		s.out = out
+		if cap(out) > maxKeptResult {
+			s.out = nil
+		}
+		if err == nil {
 			nodes = len(res.Items) + res.Updated
 			if auto {
 				if err = tx.Commit(); err != nil {
 					return nil, err
 				}
 			}
-			return &Response{Data: sb.String(), Updated: res.Updated, Message: res.Message}, nil
+			return &wire.Response{Data: out, Updated: res.Updated, Message: res.Message}, nil
 		}
 	}
 	if auto {
@@ -271,7 +327,7 @@ func (s *Session) Execute(src string) (*Response, error) {
 
 // slowLog serves a MsgSlowLog request: optionally retune the slow-query
 // threshold, then return retained slow traces (newest first) as JSON.
-func (g *Governor) slowLog(req *Request) (*Response, error) {
+func (g *Governor) slowLog(req *Request) (*wire.Response, error) {
 	tr := g.db.Tracer()
 	if req.SetThreshold {
 		tr.SetSlowThreshold(time.Duration(req.ThresholdNs))
@@ -284,8 +340,8 @@ func (g *Governor) slowLog(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Response{
-		Data:    string(b),
+	return &wire.Response{
+		Data:    b,
 		Message: fmt.Sprintf("threshold=%s entries=%d", time.Duration(tr.SlowThresholdNs()), len(traces)),
 	}, nil
 }
@@ -293,20 +349,20 @@ func (g *Governor) slowLog(req *Request) (*Response, error) {
 // workers serves a MsgWorkers request: optionally retune the intra-query
 // parallelism cap (the runtime face of sednad -query-workers), then report
 // the effective worker budget.
-func (g *Governor) workers(req *Request) (*Response, error) {
+func (g *Governor) workers(req *Request) (*wire.Response, error) {
 	if req.SetWorkers {
 		g.db.SetQueryWorkers(req.Workers)
 	}
 	n := g.db.QueryWorkers()
-	return &Response{
-		Data:    fmt.Sprint(n),
+	return &wire.Response{
+		Data:    strconv.AppendInt(nil, int64(n), 10),
 		Message: fmt.Sprintf("query workers=%d", n),
 	}, nil
 }
 
 // replStatus serves a MsgReplStatus request: the node's role and lag-aware
 // replica topology as JSON.
-func (g *Governor) replStatus() (*Response, error) {
+func (g *Governor) replStatus() (*wire.Response, error) {
 	t := repl.Topology{Role: "primary", Replicas: g.primary.Status()}
 	if g.replica != nil {
 		self := g.replica.Status()
@@ -319,22 +375,22 @@ func (g *Governor) replStatus() (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Response{
-		Data:    string(b),
+	return &wire.Response{
+		Data:    b,
 		Message: fmt.Sprintf("role=%s replicas=%d", t.Role, len(t.Replicas)),
 	}, nil
 }
 
 // promote serves a MsgPromote request: the replica detaches from its primary
 // and starts accepting writes.
-func (g *Governor) promote() (*Response, error) {
+func (g *Governor) promote() (*wire.Response, error) {
 	if g.replica == nil {
 		return nil, errors.New("server: not a replica")
 	}
 	if err := g.replica.Promote(); err != nil {
 		return nil, err
 	}
-	return &Response{Message: "promoted: accepting writes"}, nil
+	return &wire.Response{Message: "promoted: accepting writes"}, nil
 }
 
 // Server accepts client connections.
@@ -424,35 +480,35 @@ func (s *Server) handle(rawConn net.Conn) {
 
 	for {
 		var req Request
-		typ, err := ReadMsg(conn, &req)
+		typ, err := wire.ReadRequest(conn, &req)
 		if err != nil {
 			if errors.Is(err, ErrTooLarge) {
 				// Report the protocol violation before dropping the
 				// connection; the stream is unparseable past this point.
 				s.gov.met.errors.Inc()
-				WriteMsg(conn, MsgError, &Response{Error: err.Error()})
+				wire.WriteResponse(conn, MsgError, &wire.Response{Error: err.Error()})
 			}
 			return // connection gone
 		}
 		s.gov.met.commands.Inc()
-		var resp *Response
+		var resp *wire.Response
 		var rerr error
 		switch typ {
 		case MsgHello:
-			resp = &Response{Message: fmt.Sprintf("sedna-go session %d", sess.id)}
+			resp = &wire.Response{Message: fmt.Sprintf("sedna-go session %d", sess.id)}
 		case MsgBegin:
 			rerr = sess.Begin(req.ReadOnly)
-			resp = &Response{Message: "begun"}
+			resp = &wire.Response{Message: "begun"}
 		case MsgExecute:
-			resp, rerr = sess.Execute(req.Query)
+			resp, rerr = sess.execute(req.Query)
 		case MsgCommit:
 			rerr = sess.Commit()
-			resp = &Response{Message: "committed"}
+			resp = &wire.Response{Message: "committed"}
 		case MsgRollback:
 			rerr = sess.Rollback()
-			resp = &Response{Message: "rolled back"}
+			resp = &wire.Response{Message: "rolled back"}
 		case MsgMetrics:
-			resp = &Response{Data: s.gov.Metrics().Text()}
+			resp = &wire.Response{Data: []byte(s.gov.Metrics().Text())}
 		case MsgSlowLog:
 			resp, rerr = s.gov.slowLog(&req)
 		case MsgWorkers:
@@ -476,24 +532,29 @@ func (s *Server) handle(rawConn net.Conn) {
 		case MsgCluster:
 			resp, rerr = s.gov.clusterResp()
 		case MsgQuit:
-			WriteMsg(conn, MsgOK, &Response{Message: "bye"})
+			wire.WriteResponse(conn, MsgOK, &wire.Response{Message: "bye"})
 			return
 		default:
 			rerr = fmt.Errorf("server: unknown message type %d", typ)
 		}
-		if rerr != nil {
-			s.gov.met.errors.Inc()
-			if err := WriteMsg(conn, MsgError, &Response{Error: rerr.Error()}); err != nil {
+		if rerr == nil {
+			out := byte(MsgOK)
+			switch typ {
+			case MsgExecute, MsgMetrics, MsgSlowLog, MsgWorkers, MsgReplStatus, MsgSessions, MsgCluster:
+				out = MsgResult
+			}
+			// A response over the limit is refused before any byte of it is
+			// written and is answered as an error instead.
+			rerr = wire.WriteResponse(conn, out, resp)
+			if rerr == nil {
+				continue
+			}
+			if !errors.Is(rerr, ErrTooLarge) {
 				return
 			}
-			continue
 		}
-		out := byte(MsgOK)
-		switch typ {
-		case MsgExecute, MsgMetrics, MsgSlowLog, MsgWorkers, MsgReplStatus, MsgSessions, MsgCluster:
-			out = MsgResult
-		}
-		if err := WriteMsg(conn, out, resp); err != nil {
+		s.gov.met.errors.Inc()
+		if err := wire.WriteResponse(conn, MsgError, &wire.Response{Error: rerr.Error()}); err != nil {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sedna/client"
 	"sedna/internal/core"
@@ -219,5 +220,69 @@ func TestLargeResult(t *testing.T) {
 	}
 	if len(res.Data) < 3000*20 {
 		t.Fatalf("large result truncated: %d bytes", len(res.Data))
+	}
+}
+
+// TestOversizedResultKeepsSession checks that a result over the frame limit
+// is answered with an error and leaves the connection in step: the next
+// statement on the same Conn works.
+func TestOversizedResultKeepsSession(t *testing.T) {
+	srv := startServer(t)
+	c, err := client.Connect(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	kib := strings.Repeat("abcdefgh", 128)
+	_, err = c.Execute(`string-join(for $i in 1 to 66000 return "` + kib + `", "")`)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 64 MiB message limit") {
+		t.Fatalf("oversized result: err = %v", err)
+	}
+	res, err := c.Execute(`1 + 1`)
+	if err != nil || res.Data != "2" {
+		t.Fatalf("statement after an oversized result: %v, %v", res, err)
+	}
+}
+
+// TestMarkupDenseResultBytes checks that a result full of escaped markup
+// arrives byte-identical and costs the wire exactly its frame: a 5-byte
+// header, three one-byte fields (Updated, Message and Error lengths) and the
+// result itself.
+func TestMarkupDenseResultBytes(t *testing.T) {
+	srv := startServer(t)
+	c, err := client.Connect(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Execute(`CREATE DOCUMENT "d"`); err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Repeat("x&lt;", 60000)
+	if _, err := c.Execute(`UPDATE insert <r>` + text + `</r> into doc("d")`); err != nil {
+		t.Fatal(err)
+	}
+	// The server counts a write after it returns, which can be after the
+	// client has read the bytes: read the counter once it has settled.
+	out := srv.Governor().Metrics().Counter("server.bytes_out")
+	settled := func() uint64 {
+		for {
+			v := out.Value()
+			time.Sleep(20 * time.Millisecond)
+			if out.Value() == v {
+				return v
+			}
+		}
+	}
+	before := settled()
+	res, err := c.Execute(`doc("d")/r`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "<r>" + text + "</r>"; res.Data != want {
+		t.Fatalf("result differs: %d bytes, want %d", len(res.Data), len(want))
+	}
+	if got, want := settled()-before, uint64(5+3+len(res.Data)); got != want {
+		t.Fatalf("server.bytes_out grew by %d, want %d", got, want)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sedna/internal/query"
 	"sedna/internal/repl"
 	"sedna/internal/trace"
+	"sedna/internal/wire"
 )
 
 // SessionStats is one session's cumulative resource accounting.
@@ -239,7 +240,7 @@ func (g *Governor) Cluster() ClusterInfo {
 }
 
 // sessionsResp serves a MsgSessions request.
-func (g *Governor) sessionsResp() (*Response, error) {
+func (g *Governor) sessionsResp() (*wire.Response, error) {
 	infos := g.SessionInfos()
 	b, err := json.Marshal(infos)
 	if err != nil {
@@ -251,32 +252,32 @@ func (g *Governor) sessionsResp() (*Response, error) {
 			running++
 		}
 	}
-	return &Response{
-		Data:    string(b),
+	return &wire.Response{
+		Data:    b,
 		Message: fmt.Sprintf("sessions=%d running=%d", len(infos), running),
 	}, nil
 }
 
 // killResp serves a MsgKill request.
-func (g *Governor) killResp(req *Request) (*Response, error) {
+func (g *Governor) killResp(req *Request) (*wire.Response, error) {
 	if req.KillSession == 0 {
 		return nil, errors.New("server: KILL needs a session id")
 	}
 	if err := g.Kill(req.KillSession, req.KillStatement); err != nil {
 		return nil, err
 	}
-	return &Response{Message: fmt.Sprintf("killed: session %d", req.KillSession)}, nil
+	return &wire.Response{Message: fmt.Sprintf("killed: session %d", req.KillSession)}, nil
 }
 
 // clusterResp serves a MsgCluster request.
-func (g *Governor) clusterResp() (*Response, error) {
+func (g *Governor) clusterResp() (*wire.Response, error) {
 	c := g.Cluster()
 	b, err := json.Marshal(&c)
 	if err != nil {
 		return nil, err
 	}
-	return &Response{
-		Data: string(b),
+	return &wire.Response{
+		Data: b,
 		Message: fmt.Sprintf("role=%s replicas=%d sessions=%d",
 			c.Topology.Role, len(c.Topology.Replicas), len(c.Sessions)),
 	}, nil

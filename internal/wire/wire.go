@@ -1,8 +1,12 @@
 // Package wire defines the client-server wire protocol: a small
-// length-prefixed message format on TCP. Control messages (queries,
-// transaction verbs, runtime tuning) are JSON payloads; the replication
-// stream negotiated by MsgReplicate switches the connection to raw binary
-// frames carrying seed files and write-ahead-log bytes.
+// length-prefixed frame format on TCP. Every frame is a 5-byte header — the
+// payload length as a little-endian uint32, then a type byte — followed by the
+// payload. Requests (client → server) carry JSON; they are small. Responses
+// carry the binary layout of Response (WriteResponse): a uvarint Updated, the
+// length-prefixed Message and Error, then Data raw to the end of the frame, so
+// a result leaves the server as the bytes its serializer wrote. The
+// replication stream negotiated by MsgReplicate switches the connection to
+// raw binary frames carrying seed files and write-ahead-log bytes.
 //
 // The package exists below both the server and the replication subsystem so
 // that primaries (package server), replicas (package repl) and the Go driver
@@ -15,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Message types (client → server). 10 and 17 are retired (they tuned the
@@ -65,13 +70,17 @@ const (
 	FrameAck = 0x55
 )
 
-// maxMessage bounds a single protocol message or frame.
-const maxMessage = 64 << 20
+// MaxMessage bounds a single protocol message or frame.
+const MaxMessage = 64 << 20
 
-// ErrTooLarge reports a framed message whose declared length exceeds the
-// protocol limit. The server answers it with a protocol error before closing
-// the connection; everything after the oversized header is unparseable.
+// ErrTooLarge reports a message whose length exceeds the protocol limit. A
+// server that reads such a header answers it with a protocol error before
+// closing the connection, since everything after it is unparseable;
+// WriteResponse refuses to send one and writes nothing.
 var ErrTooLarge = errors.New("wire: message exceeds size limit")
+
+// errMalformed reports a response payload whose fields do not fit its frame.
+var errMalformed = errors.New("wire: malformed response")
 
 // Request is a client message payload.
 type Request struct {
@@ -106,12 +115,15 @@ type Request struct {
 	KillStatement uint64 `json:"kill_statement,omitempty"`
 }
 
-// Response is a server message payload.
+// Response is a server message payload. Its one encoding is binary (see
+// WriteResponse); Data is whatever bytes the verb produced: a serialized
+// result sequence, a metrics snapshot, or a JSON document for the
+// introspection verbs.
 type Response struct {
-	Message string `json:"message,omitempty"`
-	Data    string `json:"data,omitempty"`
-	Updated int    `json:"updated,omitempty"`
-	Error   string `json:"error,omitempty"`
+	Updated int
+	Message string
+	Error   string
+	Data    []byte
 }
 
 // Handshake is the primary's JSON answer to MsgReplicate (in Response.Data),
@@ -129,27 +141,93 @@ type SeedFile struct {
 	Size int64  `json:"size"`
 }
 
-// WriteMsg frames and writes one JSON message.
-func WriteMsg(w io.Writer, typ byte, payload any) error {
-	body, err := json.Marshal(payload)
+// WriteRequest frames and writes one JSON request.
+func WriteRequest(w io.Writer, typ byte, req *Request) error {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	return WriteFrame(w, typ, body)
 }
 
-// ReadMsg reads one framed JSON message.
-func ReadMsg(r io.Reader, payload any) (byte, error) {
+// ReadRequest reads one framed JSON request.
+func ReadRequest(r io.Reader, req *Request) (byte, error) {
 	typ, body, err := ReadFrame(r)
 	if err != nil {
 		return 0, err
 	}
-	if payload != nil {
-		if err := json.Unmarshal(body, payload); err != nil {
-			return 0, err
-		}
+	return typ, json.Unmarshal(body, req)
+}
+
+// WriteResponse frames and writes one response: a uvarint Updated, Message
+// and Error each as a uvarint length and its bytes, then Data to the end of
+// the frame. The header and the fixed fields go in the first write and Data
+// in the second, straight from the caller's slice. A response whose payload
+// would exceed MaxMessage is refused with ErrTooLarge before anything is
+// written, so the stream stays in step.
+func WriteResponse(w io.Writer, typ byte, r *Response) error {
+	head := make([]byte, 5, 5+3*binary.MaxVarintLen64+len(r.Message)+len(r.Error))
+	head = binary.AppendUvarint(head, uint64(r.Updated))
+	head = binary.AppendUvarint(head, uint64(len(r.Message)))
+	head = append(head, r.Message...)
+	head = binary.AppendUvarint(head, uint64(len(r.Error)))
+	head = append(head, r.Error...)
+	size := len(head) - 5 + len(r.Data)
+	if size > MaxMessage {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, size)
 	}
-	return typ, nil
+	binary.LittleEndian.PutUint32(head[:4], uint32(size))
+	head[4] = typ
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	if len(r.Data) == 0 {
+		return nil
+	}
+	_, err := w.Write(r.Data)
+	return err
+}
+
+// ReadResponse reads one framed response into r. Data is the tail of the
+// frame's own buffer: no copy is made past the read.
+func ReadResponse(rd io.Reader, r *Response) (byte, error) {
+	typ, body, err := ReadFrame(rd)
+	if err != nil {
+		return 0, err
+	}
+	return typ, r.decode(body)
+}
+
+func (r *Response) decode(b []byte) error {
+	updated, n := binary.Uvarint(b)
+	if n <= 0 || updated > math.MaxInt {
+		return errMalformed
+	}
+	b = b[n:]
+	msg, b, err := cutField(b)
+	if err != nil {
+		return err
+	}
+	errText, b, err := cutField(b)
+	if err != nil {
+		return err
+	}
+	*r = Response{Updated: int(updated), Message: msg, Error: errText}
+	if len(b) > 0 {
+		r.Data = b
+	}
+	return nil
+}
+
+// cutField splits a uvarint-length-prefixed string off b. A declared length
+// beyond what b holds is an error: nothing is allocated from it.
+func cutField(b []byte) (string, []byte, error) {
+	size, n := binary.Uvarint(b)
+	if n <= 0 || size > uint64(len(b)-n) {
+		return "", nil, errMalformed
+	}
+	end := n + int(size)
+	return string(b[n:end]), b[end:], nil
 }
 
 // WriteFrame writes one frame with a raw payload.
@@ -171,7 +249,7 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > maxMessage {
+	if n > MaxMessage {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	body := make([]byte, n)
