@@ -12,8 +12,6 @@ package opt
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 )
 
@@ -113,12 +111,9 @@ func BuildCol(values []string) *ColStats {
 		distinct[v] = struct{}{}
 		totalLen += len(v)
 		if numeric {
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				numeric = false
-			} else {
-				nums = append(nums, f)
-			}
+			f, ok := ParseDouble(v)
+			numeric = ok
+			nums = append(nums, f)
 		}
 	}
 	c.Distinct = uint64(len(distinct))

@@ -137,6 +137,13 @@ func TestMixedColumnFallsBackToString(t *testing.T) {
 	if c.Distinct != 4 {
 		t.Fatalf("distinct = %d", c.Distinct)
 	}
+	// Go float syntax is not xs:double's; XML white space around digits is.
+	if BuildCol([]string{"1", "0x1p4"}).Numeric {
+		t.Fatal("a hexadecimal mantissa classified numeric")
+	}
+	if !BuildCol([]string{" 1 ", "\t2\n", "INF"}).Numeric {
+		t.Fatal("xs:double values classified as strings")
+	}
 }
 
 func TestStaleness(t *testing.T) {

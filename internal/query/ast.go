@@ -213,6 +213,10 @@ const (
 type Binary struct {
 	Op          BinOp
 	Left, Right Expr
+
+	// inPlace is set after the optimizer on a comparison whose values are
+	// read where they lie (inplace.go).
+	inPlace *inPlaceCmp
 }
 
 // Unary is unary minus.

@@ -31,6 +31,7 @@ func TestBatchCapacityIdentity(t *testing.T) {
 			forceBatchCap(t, capacity)
 			t.Run("parallel", TestParallelMatchesSerial)
 			t.Run("optimized", TestOptimizedCorpusIdentity)
+			t.Run("in-place off", TestInPlaceOffCorpusIdentity)
 			t.Run("strings", TestStringValueInterleaved)
 		})
 	}
@@ -62,8 +63,9 @@ func allocDB(t *testing.T) *core.Database {
 // TestOperatorAllocations bounds what each batch operator allocates per node:
 // the statement runs over a document and over one four times its size, and
 // the extra heap allocations are divided by the extra context nodes. A child step, a merged descendant scan and count() allocate per
-// batch, not per node (slab chunks, the result slice doubling); a value
-// predicate and an atomization allocate the compared string and nothing else.
+// batch, not per node (slab chunks, the result slice doubling), and a value
+// predicate, one or two child steps deep, compares in place and allocates
+// nothing per node either.
 func TestOperatorAllocations(t *testing.T) {
 	const extra = 600 - 150
 	operators := []struct {
@@ -73,8 +75,8 @@ func TestOperatorAllocations(t *testing.T) {
 		{"child step", `doc("%s")/site/people/person/name`, 0.1},
 		{"merged descendant scan", `count(doc("%s")//item)`, 0.1},
 		{"count", `count(doc("%s")//person)`, 0.1},
-		{"value predicate", `count(doc("%s")//person[profile/age > 40])`, 1.2},
-		{"leaf atomization", `count(doc("%s")/site/people/person[name = "nobody"])`, 1.2},
+		{"value predicate", `count(doc("%s")//person[profile/age > 40])`, 0.1},
+		{"leaf atomization", `count(doc("%s")/site/people/person[name = "nobody"])`, 0.1},
 	}
 	db := allocDB(t)
 	for _, op := range operators {

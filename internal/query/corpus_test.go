@@ -34,9 +34,9 @@ var corpusAnswers = sync.OnceValues(func() (map[string]string, error) {
 	return out, nil
 })
 
-// checkCorpus runs the whole corpus with the given optimizer switch and
-// worker budget and compares every answer with the recorded one.
-func checkCorpus(t *testing.T, db *core.Database, noopt bool, workers int) {
+// checkCorpus runs the whole corpus through contexts set up by set and
+// compares every answer with the recorded one.
+func checkCorpus(t *testing.T, db *core.Database, set func(*ExecCtx)) {
 	t.Helper()
 	want, err := corpusAnswers()
 	if err != nil {
@@ -50,8 +50,10 @@ func checkCorpus(t *testing.T, db *core.Database, noopt bool, workers int) {
 		if !ok {
 			t.Fatalf("no recorded answer for %s", src)
 		}
-		if got := qctl(t, db, src, noopt, workers); got != w {
-			t.Errorf("%s (noopt=%v workers=%d)\n got: %.200s\nwant: %.200s", src, noopt, workers, got, w)
+		var ctx ExecCtx
+		set(&ctx)
+		if got := qset(t, db, src, set); got != w {
+			t.Errorf("%s (noopt=%v norewrite=%v workers=%d)\n got: %.200s\nwant: %.200s", src, ctx.NoOpt, ctx.NoRewrite, ctx.Workers, got, w)
 		}
 	}
 }

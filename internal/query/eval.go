@@ -638,6 +638,11 @@ func evalBinary(n *Binary, e *env, f *focus) ([]Item, error) {
 		return boolSeq(b), err
 
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		if n.inPlace != nil {
+			if holds, ok, err := evalInPlace(n.inPlace, e, f); ok || err != nil {
+				return boolSeq(holds), err
+			}
+		}
 		// General comparison: existential over atomized operands. The
 		// operands' nodes are only read for their values.
 		m := e.ctx.nodes.mark()

@@ -70,6 +70,10 @@ type ExecCtx struct {
 	// (store.go); released when the worker hands off or the statement ends.
 	views heldViews
 
+	// paths holds the chains of in-place comparisons this context resolved
+	// in the statement (inplace.go).
+	paths []resolvedPath
+
 	// Tracing state: the database's tracer, the open trace (nil when not
 	// tracing — the disabled path's single check) and the innermost open
 	// span, which storage-layer events attach to via the transaction.
@@ -472,6 +476,8 @@ func prepare(ctx *ExecCtx, st *Statement) error {
 		err = optimizeStatement(ctx, st)
 		ctx.popSpan(osp)
 	}
+	markInPlace(st, !ctx.NoRewrite)
+	ctx.paths = ctx.paths[:0]
 	if ctx.NoVirtualCtors {
 		clearVirtualFlags(st)
 	}

@@ -243,7 +243,11 @@ func (p *planPrinter) writePlan(w io.Writer, x Expr, depth int) {
 			p.writePlan(w, it, depth+1)
 		}
 	case *Binary:
-		fmt.Fprintf(w, "binary %s\n", binOpText(n.Op))
+		var flags []string
+		if n.inPlace != nil {
+			flags = append(flags, "in-place")
+		}
+		fmt.Fprintf(w, "binary %s%s\n", binOpText(n.Op), flagText(flags))
 		p.writePlan(w, n.Left, depth+1)
 		p.writePlan(w, n.Right, depth+1)
 	case *Unary:

@@ -1,0 +1,166 @@
+package query
+
+// In-place value comparisons: a general comparison of a literal with a chain
+// of named child steps (or child steps and a last attribute step), starting at
+// the context item or at a variable, reads the values where they lie
+// (storage.ChildValues) and compares each as bytes with the literal, converted
+// once. Any other start or leaf takes evalBinary's general path.
+
+import (
+	"bytes"
+
+	"sedna/internal/opt"
+	"sedna/internal/schema"
+	"sedna/internal/storage"
+)
+
+// inPlaceCmp is a comparison's in-place mark (Binary.inPlace).
+type inPlaceCmp struct {
+	start string   // the variable the chain starts at; "": the context item
+	names []string // the steps' names, first step first
+	attr  bool     // the last step is an attribute step
+	op    BinOp    // the operator with the chain on the left
+	isStr bool
+	s     []byte  // a string literal
+	f     float64 // a numeric literal
+}
+
+// mirror maps each general comparison to the one with its operands swapped.
+var mirror = map[BinOp]BinOp{OpEq: OpEq, OpNe: OpNe, OpLt: OpGt, OpLe: OpGe, OpGt: OpLt, OpGe: OpLe}
+
+// markInPlace sets (on) or clears the in-place mark of every comparison of
+// the statement. It runs after the optimizer, so that a step it planned an
+// index probe for keeps the general path.
+func markInPlace(st *Statement, on bool) {
+	mark := func(x Expr) {
+		if b, ok := x.(*Binary); ok {
+			b.inPlace = nil
+			if on {
+				b.inPlace = inPlaceShape(b)
+			}
+		}
+	}
+	for _, fd := range st.Prolog.Funcs {
+		walkExpr(fd.Body, mark)
+	}
+	for _, x := range st.exprs() {
+		walkExpr(*x, mark)
+	}
+}
+
+// inPlaceShape returns the mark of a comparison of the in-place shape, nil for
+// any other.
+func inPlaceShape(b *Binary) *inPlaceCmp {
+	op, ok := mirror[b.Op]
+	if !ok {
+		return nil
+	}
+	path, other := b.Left, b.Right
+	if _, isLit := path.(*Literal); isLit {
+		path, other = other, path
+	} else {
+		op = b.Op
+	}
+	lit, ok := other.(*Literal)
+	if !ok {
+		return nil
+	}
+	c := &inPlaceCmp{op: op, isStr: lit.IsString, s: []byte(lit.String), f: lit.Number}
+	x := path
+	for s, ok := x.(*Step); ok; s, ok = x.(*Step) {
+		if len(s.Preds) > 0 || s.Plan != nil && s.Plan.Probe != nil ||
+			s.Test.Kind != TestName || s.Test.Name == "*" || s.Test.Name == "" ||
+			s.Axis != AxisChild && (s.Axis != AxisAttribute || len(c.names) > 0) {
+			return nil
+		}
+		c.attr = c.attr || s.Axis == AxisAttribute
+		c.names = append([]string{s.Test.Name}, c.names...)
+		x = s.Input
+	}
+	switch v := x.(type) {
+	case *VarRef:
+		c.start = v.Name
+	case nil, *ContextItem:
+	default:
+		return nil
+	}
+	if len(c.names) == 0 {
+		return nil
+	}
+	return c
+}
+
+// resolvedPath is a marked chain resolved from one start schema node.
+type resolvedPath struct {
+	c     *inPlaceCmp
+	sn    *schema.Node
+	slots []int // each step's schema-child slot, an element leaf's text child's; nil: no match
+	ok    bool  // false: the leaf is not simple content, the general path decides
+}
+
+// inPlaceSlots resolves c's chain from a start node of schema node sn (nil:
+// unknown, the general path decides). A read-only statement resolves it once
+// per start schema node: the schema of its snapshot does not change.
+func (ctx *ExecCtx) inPlaceSlots(c *inPlaceCmp, sn *schema.Node) ([]int, bool) {
+	if sn == nil {
+		return nil, false
+	}
+	for i := range ctx.paths {
+		if p := &ctx.paths[i]; p.c == c && p.sn == sn {
+			return p.slots, p.ok
+		}
+	}
+	p := resolvedPath{c: c, sn: sn, ok: true}
+	for i, name := range c.names {
+		kind := schema.KindElement
+		if c.attr && i == len(c.names)-1 {
+			kind = schema.KindAttribute
+		}
+		child := sn.Child(kind, name)
+		if child == nil {
+			p.slots = nil
+			break
+		}
+		p.slots, sn = append(p.slots, sn.ChildIndex(child)), child
+	}
+	if p.slots != nil && !c.attr {
+		text, simple := simpleContent(sn)
+		p.slots, p.ok = append(p.slots, sn.ChildIndex(text)), simple
+	}
+	if ctx.Tx != nil && ctx.Tx.ReadOnly() {
+		ctx.paths = append(ctx.paths, p)
+	}
+	return p.slots, p.ok
+}
+
+// evalInPlace evaluates a marked comparison; handled=false sends it down the
+// general path.
+func evalInPlace(c *inPlaceCmp, e *env, f *focus) (holds, handled bool, err error) {
+	var start Item
+	if c.start == "" && f != nil {
+		start = f.item
+	} else if v, _ := e.lookup(c.start); c.start != "" && len(v) == 1 {
+		start = v[0]
+	}
+	n, ok := start.(*NodeItem)
+	if !ok {
+		return false, false, nil
+	}
+	slots, ok := e.ctx.inPlaceSlots(c, n.Doc.Schema.ByID(n.D.SchemaID))
+	if !ok || slots == nil {
+		return false, ok, nil
+	}
+	e.ctx.textBuf, holds, err = storage.ChildValues(e.r, &n.D, slots, !c.attr, e.ctx.textBuf[:0], c.holds)
+	return holds, true, err
+}
+
+// holds compares a value with the literal as compareAtomic compares an
+// untyped atomic with it.
+func (c *inPlaceCmp) holds(v []byte) bool {
+	if c.isStr {
+		return cmpResult(c.op, bytes.Compare(v, c.s))
+	}
+	f, _ := opt.ParseDouble(v)
+	ok, _ := compareFloats(c.op, f, c.f)
+	return ok
+}

@@ -12,17 +12,23 @@ import (
 // qctl executes a query with explicit optimizer and worker settings.
 func qctl(t *testing.T, db *core.Database, src string, noopt bool, workers int) string {
 	t.Helper()
+	return qset(t, db, src, func(ctx *ExecCtx) { ctx.NoOpt, ctx.Workers = noopt, workers })
+}
+
+// qset executes a query in a read-only transaction through a context set up by
+// set and serializes the result.
+func qset(t *testing.T, db *core.Database, src string, set func(*ExecCtx)) string {
+	t.Helper()
 	tx, err := db.BeginReadOnly()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Rollback()
 	ctx := NewExecCtx(tx)
-	ctx.NoOpt = noopt
-	ctx.Workers = workers
+	set(ctx)
 	res, err := Execute(ctx, src)
 	if err != nil {
-		t.Fatalf("query %q (noopt=%v workers=%d): %v", src, noopt, workers, err)
+		t.Fatalf("query %q (noopt=%v norewrite=%v workers=%d): %v", src, ctx.NoOpt, ctx.NoRewrite, ctx.Workers, err)
 	}
 	s, err := res.String()
 	if err != nil {
@@ -492,7 +498,7 @@ func TestOptimizedCorpusIdentity(t *testing.T) {
 	}
 	for _, noopt := range []bool{true, false} {
 		for _, workers := range []int{1, 4} {
-			checkCorpus(t, db, noopt, workers)
+			checkCorpus(t, db, func(ctx *ExecCtx) { ctx.NoOpt, ctx.Workers = noopt, workers })
 		}
 	}
 	m := db.Metrics().Snapshot()

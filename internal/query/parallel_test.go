@@ -13,8 +13,9 @@ import (
 // parallelDB opens a database preloaded with the xmlgen corpora the
 // parallel-vs-serial property tests query against: the multi-schema-node
 // Sections catalog (the fan-out shape), a scaled library, an auction site,
-// a deep narrow tree, a mixed-content document, and a small document of
-// text-only, empty and mixed elements that updates reshape after load.
+// a deep narrow tree, a mixed-content document, a small document of
+// text-only, empty and mixed elements that updates reshape after load, and
+// one of values in and out of xs:double's lexical space.
 func parallelDB(t *testing.T) *core.Database {
 	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 1024})
@@ -33,6 +34,7 @@ func parallelDB(t *testing.T) *core.Database {
 		"deep":   xmlgen.DeepString(6, 4),
 		"mixed":  mixedContentDoc(60),
 		"simple": simpleContentXML,
+		"num":    numberXML,
 	}
 	for name, content := range docs {
 		if _, err := tx.LoadXML(name, strings.NewReader(content)); err != nil {
@@ -46,8 +48,21 @@ func parallelDB(t *testing.T) *core.Database {
 	// text-only <v> an element child.
 	upd(t, db, `UPDATE delete doc("simple")/s/split/x`)
 	upd(t, db, `UPDATE insert <w>5</w> into doc("simple")/s/v[1]`)
+	// Widen the last <r> alone: the others keep descriptors without a slot
+	// for <u>.
+	upd(t, db, `UPDATE insert <u>9</u> into doc("num")/n/r[15]`)
 	return db
 }
+
+// numberXML holds values in and out of xs:double's lexical space, some in Go
+// float syntax: white space and a no-break space around digits, a hexadecimal
+// mantissa, "inf", an underscore, an empty element, a record with two values
+// and one with none.
+const numberXML = `<n><r k="1"><v>10</v></r><r k="2"><v> 20 </v></r><r k="3"><v>&#9;30&#xA;</v></r>` +
+	`<r k="4"><v>0x1p4</v></r><r k="5"><v>inf</v></r><r k="6"><v>INF</v></r><r k="7"><v>1_000</v></r>` +
+	"<r k=\"8\"><v>\u00a020</v></r>" + `<r k="9"><v>nan</v></r><r k="10"><v/></r>` +
+	`<r k="11"><v>1e2</v><v>3</v></r><r k="12"/><r k="13"><v>-INF</v></r><r k="14"><v>.5</v></r>` +
+	`<r k="15"><v>+7</v></r></n>`
 
 // simpleContentXML holds elements whose string value is their text slot
 // (<t>, <v> as loaded), elements with no content (<e>), and mixed content.
@@ -185,6 +200,34 @@ var parallelPropertyQueries = []string{
 	`exists(doc("site")//bidder), empty(doc("site")//nosuch), boolean(doc("site")//person[7])`,
 	`for $a in doc("site")//open_auction where $a/bidder return count($a/bidder/increase)`,
 	`doc("deep")//n1[1]/n0[1]/ancestor-or-self::*[2]`,
+	// Comparisons read in place — several values per node, a missing step,
+	// empty elements, attributes, a literal on the left, a start at a
+	// variable, a slot beyond a narrow descriptor's width — the shapes that
+	// fall back (mixed content, text split by a deleted child, an element
+	// child gained after load), and untyped values cast to xs:double.
+	`data(doc("num")/n/r[v > 15]/@k)`,
+	`data(doc("num")/n/r[15 < v]/@k)`,
+	`count(doc("num")/n/r[v > 5])`,
+	`count(doc("num")/n/r[v != 5])`,
+	`data(doc("num")/n/r[v = ""]/@k)`,
+	`data(doc("num")/n/r[v = " 20 "]/@k)`,
+	`count(doc("num")/n/r[@k > 10])`,
+	`data(doc("num")/n[r/@k = "7"]/r[v = "1_000"]/@k)`,
+	`data(doc("num")/n/r[u > 5]/@k)`,
+	`for $r in doc("num")/n/r where $r/v > 15 return string($r/@k)`,
+	`count(doc("biglib")//book[author = "Codd"])`,
+	`count(doc("biglib")//book[issue/year >= 2015])`,
+	`count(doc("site")//person[profile/age < 30])`,
+	`count(doc("site")//person[profile/age != 30])`,
+	`data(doc("site")//open_auction[bidder/increase > 45]/@id)`,
+	`count(doc("cat")//item[value >= 5000])`,
+	`count(doc("simple")/s[e = ""])`,
+	`count(doc("simple")/s[e > 5])`,
+	`count(doc("simple")/s[e != 5])`,
+	`count(doc("simple")/s[t = "a < b & c"])`,
+	`count(doc("simple")/s[mix = "onetwothree"])`,
+	`count(doc("simple")/s[split = "abcd"])`,
+	`count(doc("simple")/s[v = "105"])`,
 }
 
 // lowerScanGate drops the scan fan-out threshold so the small test corpora
@@ -204,7 +247,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	lowerScanGate(t)
 	db := parallelDB(t)
 	for _, workers := range []int{1, 2, 4, 8} {
-		checkCorpus(t, db, false, workers)
+		checkCorpus(t, db, func(ctx *ExecCtx) { ctx.Workers = workers })
 	}
 }
 

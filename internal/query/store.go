@@ -117,10 +117,10 @@ func (a storeAccess) Text(n Item) ([]byte, error) {
 }
 
 // maxHeldViews is how many page views one statement worker keeps. A value
-// predicate under a context node reads about four pages per node — the
-// compared child's run, its text node, the text record, and the context's own
-// list now and then — and those pages change slowly from node to node.
-const maxHeldViews = 4
+// comparison two child steps below a context node reads five pages per node —
+// the context's own list, one page per step, the text node and the text
+// record — and those pages change slowly from node to node.
+const maxHeldViews = 8
 
 // heldViews is the storage.Reader of one statement worker over a snapshot
 // transaction. It keeps the maxHeldViews pages it viewed most recently and

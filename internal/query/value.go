@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"sedna/internal/nid"
+	"sedna/internal/opt"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
 )
@@ -91,7 +92,8 @@ func formatNumber(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// NumberValue converts to a double (NaN on failure, per XPath).
+// NumberValue converts to a double, an untyped or string value as xs:double
+// does (opt.ParseDouble; NaN on failure, per XPath).
 func (a *Atomic) NumberValue() float64 {
 	switch a.Kind {
 	case AtomNumber:
@@ -102,10 +104,7 @@ func (a *Atomic) NumberValue() float64 {
 		}
 		return 0
 	default:
-		f, err := strconv.ParseFloat(strings.TrimSpace(a.S), 64)
-		if err != nil {
-			return math.NaN()
-		}
+		f, _ := opt.ParseDouble(a.S)
 		return f
 	}
 }
@@ -114,8 +113,8 @@ func (a *Atomic) NumberValue() float64 {
 // for text-carrying kinds, else the concatenation of its descendant text
 // nodes in document order, streamed without the text nodes becoming items.
 // When the descriptive schema says the node holds nothing but text, those
-// are its children in its text slot; otherwise they come from the
-// schema-driven descendant scan.
+// are its children in its text slot, read in place (storage.ChildValues);
+// otherwise they come from the schema-driven descendant scan.
 func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
 	if sn == nil {
@@ -129,10 +128,13 @@ func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 	if text, ok := simpleContent(sn); !ok {
 		err = descendantAxis(env, n, sn, NodeTest{Kind: TestText}, &k)
 	} else if text != nil {
-		err = drain(env, childrenOfSchema(n, sn, text), &k)
+		k.buf, _, err = storage.ChildValues(env.r, &n.D, []int{sn.ChildIndex(text)}, true, dst, oneValue)
 	}
 	return k.buf, err
 }
+
+// oneValue is the visitor of a walk that reads one value.
+func oneValue([]byte) bool { return true }
 
 // simpleContent reports whether every non-attribute schema child of sn is its
 // one text child, and returns that child (nil when sn has no content at all).

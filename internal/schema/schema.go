@@ -86,12 +86,15 @@ type Node struct {
 type Schema struct {
 	Root   *Node // kind KindDocument
 	nextID uint32
-	byID   map[uint32]*Node
+	// byID is indexed by ID: IDs are dealt densely from nextID, and a removed
+	// node leaves a nil hole. n counts the nodes.
+	byID []*Node
+	n    int
 }
 
 // New creates the schema for an empty document.
 func New() *Schema {
-	s := &Schema{nextID: 1, byID: make(map[uint32]*Node)}
+	s := &Schema{nextID: 1}
 	s.Root = s.newNode(KindDocument, "")
 	return s
 }
@@ -99,17 +102,31 @@ func New() *Schema {
 func (s *Schema) newNode(kind NodeKind, name string) *Node {
 	n := &Node{ID: s.nextID, Kind: kind, Name: name}
 	s.nextID++
-	s.byID[n.ID] = n
+	s.put(n)
 	return n
+}
+
+// put files n under its ID.
+func (s *Schema) put(n *Node) {
+	for int(n.ID) >= len(s.byID) {
+		s.byID = append(s.byID, nil)
+	}
+	if s.byID[n.ID] == nil {
+		s.n++
+	}
+	s.byID[n.ID] = n
 }
 
 // ByID resolves a schema node by its stable identifier.
 func (s *Schema) ByID(id uint32) *Node {
-	return s.byID[id]
+	if int(id) < len(s.byID) {
+		return s.byID[id]
+	}
+	return nil
 }
 
 // Len returns the number of schema nodes.
-func (s *Schema) Len() int { return len(s.byID) }
+func (s *Schema) Len() int { return s.n }
 
 // Child returns the existing child of parent with the given kind and name,
 // or nil. For kinds without names, name is ignored.
@@ -160,8 +177,7 @@ func (s *Schema) EnsureChild(parent *Node, kind NodeKind, name string) (*Node, b
 // uses it to replay AddSchemaNode log records so that IDs referenced by
 // later records stay stable.
 func (s *Schema) AddWithID(parent *Node, id uint32, kind NodeKind, name string) (*Node, error) {
-	if s.byID[id] != nil {
-		existing := s.byID[id]
+	if existing := s.ByID(id); existing != nil {
 		if existing.Parent == parent && existing.Kind == kind && existing.Name == name {
 			return existing, nil // idempotent replay
 		}
@@ -169,7 +185,7 @@ func (s *Schema) AddWithID(parent *Node, id uint32, kind NodeKind, name string) 
 	}
 	n := &Node{ID: id, Kind: kind, Name: name, Parent: parent}
 	parent.Children = append(parent.Children, n)
-	s.byID[id] = n
+	s.put(n)
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
@@ -191,7 +207,10 @@ func (s *Schema) Remove(n *Node) {
 			}
 		}
 	}
-	delete(s.byID, n.ID)
+	if s.ByID(n.ID) == n {
+		s.byID[n.ID] = nil
+		s.n--
+	}
 }
 
 // Path returns the slash-separated path of the node from the document root,
@@ -300,7 +319,7 @@ type Flat struct {
 
 // Flatten serializes the schema into parent-before-child order.
 func (s *Schema) Flatten() []Flat {
-	out := make([]Flat, 0, len(s.byID))
+	out := make([]Flat, 0, s.n)
 	s.Root.Walk(func(n *Node) {
 		f := Flat{
 			ID: n.ID, Kind: n.Kind, Name: n.Name,
@@ -320,21 +339,21 @@ func Rebuild(flats []Flat) (*Schema, error) {
 	if len(flats) == 0 {
 		return nil, fmt.Errorf("schema: empty flattened schema")
 	}
-	s := &Schema{byID: make(map[uint32]*Node)}
+	s := &Schema{}
 	for _, f := range flats {
 		n := &Node{
 			ID: f.ID, Kind: f.Kind, Name: f.Name,
 			FirstBlock: f.FirstBlock, LastBlock: f.LastBlock,
 			NodeCount: f.NodeCount, BlockCount: f.BlockCount,
 		}
-		s.byID[n.ID] = n
+		s.put(n)
 		if f.ParentID == 0 {
 			if s.Root != nil {
 				return nil, fmt.Errorf("schema: multiple roots")
 			}
 			s.Root = n
 		} else {
-			p := s.byID[f.ParentID]
+			p := s.ByID(f.ParentID)
 			if p == nil {
 				return nil, fmt.Errorf("schema: node %d before its parent %d", f.ID, f.ParentID)
 			}

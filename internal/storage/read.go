@@ -416,38 +416,48 @@ func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error
 	return nil
 }
 
+// links is what peekDesc reads of a descriptor.
+type links struct {
+	at, handle, parent, child, next, text sas.XPtr
+	nextParent                            sas.XPtr // next's parent when on the page, else nil
+	textLen                               uint32
+}
+
 // peekDesc reads, under one page view and without decoding the descriptor,
-// what a structural descent needs of the descriptor at p (or, when p is a
-// block's base pointer, of the first descriptor from that block on): its
-// address, whether it lies under the label, its first child in the slot
-// (slot < 0: none asked) and the next descriptor of its list. at is nil when
-// the list ended.
-func peekDesc(r Reader, p sas.XPtr, slot int, under *nid.Label) (at, child, next sas.XPtr, inRange bool, err error) {
+// what a structural descent or a value walk needs of the descriptor at p (or,
+// when p is a block's base pointer, of the first descriptor from that block
+// on): its address (nil: the list ended), handle, parent, text, first child in
+// the slot (slot < 0, or beyond a narrow block's width: none), the next
+// descriptor of its list and, when under is not nil, whether it lies under
+// that label.
+func peekDesc(r Reader, p sas.XPtr, slot int, under *nid.Label) (l links, inRange bool, err error) {
 	page, pin, h, at, err := viewDesc(r, p)
 	if err != nil || at.IsNil() {
-		return sas.NilPtr, sas.NilPtr, sas.NilPtr, false, err
+		return links{}, false, err
 	}
 	b := page[at.PageOffset():]
+	l = links{at: at, handle: getPtr(b, dHandle), parent: getPtr(b, dParent),
+		text: getPtr(b, dText), textLen: getU32(b, dTextLen), next: h.Next}
 	if slot >= 0 && slot < h.ChildSlots {
-		child = getPtr(b, dChildren+8*slot)
+		l.child = getPtr(b, dChildren+8*slot)
 	}
-	if next = h.Next; getU16(b, dNextIn) != 0 {
-		next = at.PageBase().Add(uint32(getU16(b, dNextIn)))
+	if n := getU16(b, dNextIn); n != 0 {
+		l.next, l.nextParent = at.PageBase().Add(uint32(n)), getPtr(page[n:], dParent)
 	}
-	l := nid.Label{Delim: b[dNidDelim]}
+	lab := nid.Label{Delim: b[dNidDelim]}
 	ov, ovLen := overflowOf(b)
-	if ov.IsNil() {
-		l.Prefix = b[dNid : dNid+int(getU16(b, dNidLen))]
-		inRange = nid.IsAncestor(*under, l)
+	if under != nil && ov.IsNil() {
+		lab.Prefix = b[dNid : dNid+int(getU16(b, dNidLen))]
+		inRange = nid.IsAncestor(*under, lab)
 	}
 	r.ReleasePage(pin)
-	if !ov.IsNil() {
-		if l.Prefix, err = ReadText(r, ov, ovLen); err != nil {
-			return sas.NilPtr, sas.NilPtr, sas.NilPtr, false, err
+	if under != nil && !ov.IsNil() {
+		if lab.Prefix, err = ReadText(r, ov, ovLen); err != nil {
+			return links{}, false, err
 		}
-		inRange = nid.IsAncestor(*under, l)
+		inRange = nid.IsAncestor(*under, lab)
 	}
-	return at, child, next, inRange, nil
+	return l, inRange, nil
 }
 
 // FirstInRange returns the address of the first descriptor of sn, in document
@@ -471,9 +481,9 @@ func peekDesc(r Reader, p sas.XPtr, slot int, under *nid.Label) (at, child, next
 // head is used only if it does lie under ctx.
 func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error) {
 	if ctxSN.NodeCount <= 1 {
-		head, _, _, in, err := peekDesc(r, sn.FirstBlock, -1, &ctx.Label)
+		head, in, err := peekDesc(r, sn.FirstBlock, -1, &ctx.Label)
 		if err != nil || in {
-			return head, err
+			return head.at, err
 		}
 	}
 	var buf [16]*schema.Node
@@ -492,20 +502,71 @@ func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error)
 	for ; level > 0 && !p.IsNil(); level-- {
 		slot := path[level].ChildIndex(path[level-1])
 		for !p.IsNil() {
-			at, child, next, in, err := peekDesc(r, p, slot, &ctx.Label)
+			l, in, err := peekDesc(r, p, slot, &ctx.Label)
 			if err != nil {
 				return sas.NilPtr, err
 			}
-			if at.IsNil() || !in {
+			if l.at.IsNil() || !in {
 				return sas.NilPtr, nil
 			}
-			if p = next; !child.IsNil() {
-				p = child
+			if p = l.next; !l.child.IsNil() {
+				p = l.child
 				break
 			}
 		}
 	}
 	return p, nil
+}
+
+// ChildValues reads the values of the nodes a chain of schema-child slots
+// leads to from start, where they lie: slots[i] is the slot followed from the
+// nodes of level i (start is level 0), then the child's list while the parent
+// stays the same (§4.1). With text, the last slot is the leaf elements' text
+// child (-1: none) and a leaf's value is its text children concatenated;
+// otherwise a leaf is an attribute and its value its own text. No descriptor
+// is decoded. Each value is appended to buf at its length on entry and handed
+// to visit, which returns true to stop the walk; ChildValues returns buf with
+// the last value visited and whether visit stopped the walk.
+func ChildValues(r Reader, start *Desc, slots []int, text bool, buf []byte, visit func(v []byte) bool) ([]byte, bool, error) {
+	return childValues(r, start.ChildAtSlot(slots[0]), start.Handle, slots, text, buf, len(buf), visit)
+}
+
+// childValues walks the children of parent from first, its child in slots[0].
+// No struct carries the arguments: slots and visit stay on the caller's stack.
+func childValues(r Reader, first, parent sas.XPtr, slots []int, text bool, buf []byte, base int, visit func([]byte) bool) ([]byte, bool, error) {
+	leaf := len(slots) == 1
+	buf = buf[:base]
+	for p := first; !p.IsNil(); {
+		slot := -1
+		if !leaf {
+			slot = slots[1]
+		}
+		l, _, err := peekDesc(r, p, slot, nil)
+		if err != nil {
+			return buf, false, err
+		}
+		if l.at.IsNil() || l.parent != parent {
+			break
+		}
+		stop := false
+		switch {
+		case text && leaf:
+			buf, err = AppendText(r, l.text, l.textLen, buf)
+		case leaf:
+			if buf, err = AppendText(r, l.text, l.textLen, buf[:base]); err == nil {
+				stop = visit(buf[base:])
+			}
+		default:
+			buf, stop, err = childValues(r, l.child, l.handle, slots[1:], text, buf, base, visit)
+		}
+		if stop || err != nil {
+			return buf, stop, err
+		}
+		if p = l.next; !l.nextParent.IsNil() && l.nextParent != parent {
+			break // the list goes on with another parent's children: no view for it
+		}
+	}
+	return buf, text && leaf && visit(buf[base:]), nil
 }
 
 // BlockCountNext decodes the live-descriptor count and next pointer from a
