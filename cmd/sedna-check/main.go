@@ -116,6 +116,7 @@ func printMetricsSummary(db *core.Database) {
 	}
 	row("pagefile", "pagefile.reads", "pagefile.writes", "pagefile.extends")
 	row("wal", "wal.appends", "wal.fsyncs", "wal.fsync_ns")
+	row("", "wal.segments", "wal.retained_bytes", "wal.replica_held_bytes", "wal.backup_held_bytes")
 	row("txn", "txn.begins", "txn.begins_readonly", "txn.commits", "txn.aborts")
 	row("lock", "lock.acquires", "lock.waits", "lock.deadlock_aborts")
 }

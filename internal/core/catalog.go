@@ -235,6 +235,9 @@ type metaFile struct {
 	Docs      []metaDoc
 	Indexes   []IndexMeta
 	Stats     map[string]*opt.DocStats
+	// BackupLSN is the log position the last backup copied up to (0 = no
+	// backup): the log above it is kept for the next incremental backup.
+	BackupLSN uint64
 }
 
 func metaPath(dir string, gen uint64) string {
@@ -242,9 +245,9 @@ func metaPath(dir string, gen uint64) string {
 }
 
 // saveMeta writes the catalog snapshot for generation gen and fsyncs it.
-func saveMeta(dir string, gen uint64, c *Catalog, freeList []sas.PageID) error {
+func saveMeta(dir string, gen uint64, c *Catalog, freeList []sas.PageID, backupLSN uint64) error {
 	c.mu.RLock()
-	mf := metaFile{Gen: gen, NextDocID: c.nextDocID, FreeList: freeList}
+	mf := metaFile{Gen: gen, NextDocID: c.nextDocID, FreeList: freeList, BackupLSN: backupLSN}
 	for _, d := range c.docs {
 		mf.Docs = append(mf.Docs, metaDoc{
 			ID: d.ID, Name: d.Name, RootHandle: d.RootHandle,
@@ -288,23 +291,23 @@ func saveMeta(dir string, gen uint64, c *Catalog, freeList []sas.PageID) error {
 }
 
 // loadMeta reads the catalog snapshot of generation gen and rebuilds the
-// catalog.
-func loadMeta(dir string, gen uint64) (*Catalog, []sas.PageID, error) {
+// catalog; it also returns the free list and the backup LSN.
+func loadMeta(dir string, gen uint64) (*Catalog, []sas.PageID, uint64, error) {
 	f, err := os.Open(metaPath(dir, gen))
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: load meta: %w", err)
+		return nil, nil, 0, fmt.Errorf("core: load meta: %w", err)
 	}
 	defer f.Close()
 	var mf metaFile
 	if err := gob.NewDecoder(f).Decode(&mf); err != nil {
-		return nil, nil, fmt.Errorf("core: decode meta: %w", err)
+		return nil, nil, 0, fmt.Errorf("core: decode meta: %w", err)
 	}
 	c := NewCatalog()
 	c.nextDocID = mf.NextDocID
 	for _, md := range mf.Docs {
 		s, err := schema.Rebuild(md.Schema)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: doc %q: %w", md.Name, err)
+			return nil, nil, 0, fmt.Errorf("core: doc %q: %w", md.Name, err)
 		}
 		doc := &storage.Doc{
 			ID: md.ID, Name: md.Name, Schema: s,
@@ -324,7 +327,7 @@ func loadMeta(dir string, gen uint64) (*Catalog, []sas.PageID, error) {
 			c.stats[n] = s
 		}
 	}
-	return c, mf.FreeList, nil
+	return c, mf.FreeList, mf.BackupLSN, nil
 }
 
 // removeOldMeta deletes catalog snapshots older than keepGen.

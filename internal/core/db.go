@@ -105,6 +105,13 @@ type Database struct {
 	replRestart atomic.Uint64
 	replCommit  atomic.Uint64
 
+	// backupLSN is how far the last backup copied the log (0 = none yet);
+	// backupHold keeps the log above it for the next incremental backup.
+	// Both change under the exclusive quiesce latch and are persisted with
+	// the catalog snapshot.
+	backupLSN  uint64
+	backupHold *wal.Hold
+
 	closed bool
 	mu     sync.Mutex
 }
@@ -132,7 +139,7 @@ func Open(dir string, opts Options) (*Database, error) {
 		pf.Close()
 		return nil, err
 	}
-	log, err := wal.Open(filepath.Join(dir, "data.wal"), wal.Options{NoSync: opts.NoSync, Metrics: reg})
+	log, err := wal.Open(filepath.Join(dir, logName), wal.Options{NoSync: opts.NoSync, Metrics: reg})
 	if err != nil {
 		snap.Close()
 		pf.Close()
@@ -241,7 +248,8 @@ func (db *Database) QueryWorkers() int {
 // Buffer exposes the buffer manager (benchmarks and tools).
 func (db *Database) Buffer() *buffer.Manager { return db.buf }
 
-// LogSize returns the current WAL size in bytes.
+// LogSize returns the bytes of write-ahead log on disk: the segments kept
+// since the last checkpoint, plus any a replica or backup still holds.
 func (db *Database) LogSize() uint64 { return db.log.Size() }
 
 // Checkpoint fixates the current committed state as the persistent
@@ -262,13 +270,19 @@ func (db *Database) checkpointLocked() error {
 	}
 	db.mu.Unlock()
 	gen := db.pf.Master().MetaGen + 1
-	if err := saveMeta(db.dir, gen, db.catalog, db.pf.FreeList()); err != nil {
+	if err := saveMeta(db.dir, gen, db.catalog, db.pf.FreeList(), db.backupLSN); err != nil {
 		return err
 	}
-	if _, err := db.txm.Checkpoint(db.snap, gen); err != nil {
+	lsn, err := db.txm.Checkpoint(db.snap, gen)
+	if err != nil {
 		return err
 	}
 	removeOldMeta(db.dir, gen)
+	// The master page naming the checkpoint is durable: a restart reads the
+	// log only from lsn, so every older segment no hold needs can go.
+	if err := db.log.Retire(lsn); err != nil {
+		return err
+	}
 	// Recovery scans the log only from this checkpoint, so any replication
 	// progress recorded inside earlier apply transactions just became
 	// invisible to it: re-assert the watermarks with a standalone record

@@ -23,18 +23,24 @@ import (
 //     records that rebuild in-memory schemas and document metadata.
 //
 // Afterwards per-schema node counters are recomputed and a fresh checkpoint
-// is taken, so a crash during recovery restarts it idempotently.
+// is taken, so a crash during recovery restarts it idempotently; that
+// checkpoint retires the log segments recovery has just redone.
 func (db *Database) recover() error {
 	master := db.pf.Master()
 
 	// Step 0: catalog snapshot of the checkpoint generation.
 	if master.MetaGen > 0 {
-		cat, freeList, err := loadMeta(db.dir, master.MetaGen)
+		cat, freeList, backupLSN, err := loadMeta(db.dir, master.MetaGen)
 		if err != nil {
 			return err
 		}
 		db.catalog = cat
 		db.pf.ResetAllocator(master.NextAlloc, freeList)
+		if backupLSN > 0 {
+			if err := db.holdBackupLog(backupLSN); err != nil {
+				return err
+			}
+		}
 	} else {
 		db.catalog = NewCatalog()
 		db.pf.ResetAllocator(master.NextAlloc, nil)
@@ -58,15 +64,14 @@ func (db *Database) recover() error {
 		return err
 	}
 
-	// Step 2, pass 1: find committed transactions.
+	// Step 2, pass 1: find committed transactions. Only commit records are
+	// decoded; page images are checksummed and skipped.
 	committed := make(map[uint64]uint64) // txn -> commitTS
 	maxCTS := master.CommitTS
-	err := db.log.Scan(master.CheckpointLSN, func(_ uint64, r *wal.Record) error {
-		if r.Type == wal.RecCommit {
-			committed[r.Txn] = r.CommitTS
-			if r.CommitTS > maxCTS {
-				maxCTS = r.CommitTS
-			}
+	err := db.log.ScanType(master.CheckpointLSN, wal.RecCommit, func(_ uint64, r *wal.Record) error {
+		committed[r.Txn] = r.CommitTS
+		if r.CommitTS > maxCTS {
+			maxCTS = r.CommitTS
 		}
 		return nil
 	})

@@ -11,6 +11,7 @@ package repl
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -21,8 +22,14 @@ import (
 
 	"sedna/internal/core"
 	"sedna/internal/metrics"
+	"sedna/internal/wal"
 	"sedna/internal/wire"
 )
+
+// needSeed ends the error a primary answers a stream request with when the
+// replica cannot resume from where it asks: a replica that reads it stops
+// instead of retrying, since only a new seed can bring it back.
+const needSeed = "need a seed"
 
 // shipChunk bounds how many log bytes one FrameWAL carries.
 const shipChunk = 256 << 10
@@ -51,6 +58,7 @@ type stream struct {
 	addr    string
 	since   time.Time
 	acked   atomic.Uint64 // replica's restart LSN: everything below is applied
+	hold    *wal.Hold     // keeps the primary's log from acked on
 	seeding atomic.Bool
 	stop    chan struct{}
 	once    sync.Once
@@ -160,37 +168,53 @@ func (p *Primary) updateLag() {
 // request is req. It blocks until the replica disconnects or the primary is
 // closed; the caller owns (and closes) the connection. With NeedSeed the
 // replica first receives a hot backup taken on the spot; otherwise the WAL
-// stream starts at req.FromLSN, which must not exceed the durable LSN.
+// stream starts at req.FromLSN, which must lie between the oldest retained
+// LSN and the durable LSN. Either way the stream holds the primary's log
+// from the replica's acknowledged restart LSN on until it disconnects.
 func (p *Primary) ServeConn(conn net.Conn, req *wire.Request) error {
 	st := &stream{conn: conn, addr: conn.RemoteAddr().String(), since: time.Now(), stop: make(chan struct{})}
+	refuse := func(err error) error {
+		wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
+		return err
+	}
+	log := p.db.WAL()
 	start := req.FromLSN
+	if req.NeedSeed {
+		// Hold the log from before the seed's checkpoint, so no checkpoint
+		// can retire where the stream will start while the seed is taken.
+		start = log.NextLSN()
+	} else if durable := log.DurableLSN(); start > durable {
+		return refuse(fmt.Errorf("repl: requested LSN %d past durable %d (%s)", start, durable, needSeed))
+	}
+	hold, err := log.Hold(wal.HoldReplica, start)
+	if err != nil {
+		if errors.Is(err, wal.ErrRetired) && !req.NeedSeed {
+			err = fmt.Errorf("repl: requested LSN %d is below the oldest retained LSN %d (%s)", start, log.OldestLSN(), needSeed)
+		}
+		return refuse(err)
+	}
+	defer hold.Release()
+	st.hold = hold
 	var seedDir string
 	if req.NeedSeed {
 		dir, err := os.MkdirTemp("", "sedna-seed-")
 		if err != nil {
-			wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
-			return err
+			return refuse(err)
 		}
 		defer os.RemoveAll(dir)
-		if err := p.db.Backup(dir); err != nil {
-			wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
-			return fmt.Errorf("repl: seed backup: %w", err)
+		if err := p.db.SeedBackup(dir); err != nil {
+			return refuse(fmt.Errorf("repl: seed backup: %w", err))
 		}
 		m, err := core.ReadBackupManifest(dir)
 		if err != nil {
-			wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
-			return err
+			return refuse(err)
 		}
 		seedDir, start = dir, m.DurableLSN
+		hold.Move(start)
 		st.seeding.Store(true)
-	} else if durable := p.db.WAL().DurableLSN(); start > durable {
-		err := fmt.Errorf("repl: requested LSN %d past durable %d (need a seed)", start, durable)
-		wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
-		return err
 	}
 	if err := p.register(st); err != nil {
-		wire.WriteResponse(conn, wire.MsgError, &wire.Response{Error: err.Error()})
-		return err
+		return refuse(err)
 	}
 	defer p.unregister(st)
 	defer st.close()
@@ -220,7 +244,9 @@ func (p *Primary) ServeConn(conn net.Conn, req *wire.Request) error {
 				return
 			}
 			if typ == wire.FrameAck && len(body) == 8 {
-				st.acked.Store(binary.LittleEndian.Uint64(body))
+				acked := binary.LittleEndian.Uint64(body)
+				st.acked.Store(acked)
+				st.hold.Move(acked)
 				p.updateLag()
 			}
 		}

@@ -220,6 +220,19 @@ func (r *Replica) Promote() error {
 	return nil
 }
 
+// refusedError is a primary's ERROR answer to a stream request.
+type refusedError struct{ msg string }
+
+func (e *refusedError) Error() string { return "primary refused: " + e.msg }
+
+// needsSeed reports whether err is a primary refusing to resume this
+// replica's stream: the log it would need is retired (or never existed), so
+// retrying cannot help and applying anything else would leave a gap.
+func needsSeed(err error) bool {
+	var ref *refusedError
+	return errors.As(err, &ref) && strings.HasSuffix(ref.msg, "("+needSeed+")")
+}
+
 // dial connects to the primary and performs the MsgReplicate handshake.
 func (r *Replica) dial(from uint64, needSeed bool) (net.Conn, *wire.Handshake, error) {
 	conn, err := net.Dial("tcp", r.primary)
@@ -241,7 +254,7 @@ func (r *Replica) dial(from uint64, needSeed bool) (net.Conn, *wire.Handshake, e
 	}
 	if typ == wire.MsgError {
 		conn.Close()
-		return nil, nil, fmt.Errorf("primary refused: %s", resp.Error)
+		return nil, nil, &refusedError{msg: resp.Error}
 	}
 	var hs wire.Handshake
 	if err := json.Unmarshal(resp.Data, &hs); err != nil {
@@ -340,7 +353,8 @@ func (r *Replica) stopped() bool {
 // run is the replica's streaming loop: consume frames until the connection
 // dies, then reconnect from the in-memory restart watermark with exponential
 // backoff. A local apply failure halts the replica (state "failed") — the
-// data cannot self-heal by reconnecting.
+// data cannot self-heal by reconnecting — and so does a primary that no
+// longer has the log from the watermark on: the replica needs a new seed.
 func (r *Replica) run(conn net.Conn) {
 	defer close(r.done)
 	backoff := backoffMin
@@ -349,6 +363,10 @@ func (r *Replica) run(conn net.Conn) {
 			c, hs, err := r.dial(r.restartW, false)
 			if err != nil {
 				if r.stopped() {
+					return
+				}
+				if needsSeed(err) {
+					r.setState("failed", err)
 					return
 				}
 				r.setState("reconnecting", err)
@@ -407,6 +425,9 @@ func (r *Replica) consume(conn net.Conn) error {
 			if err := r.applyChunk(base, body[8:]); err != nil {
 				return err
 			}
+			if err := r.saveRestart(); err != nil {
+				return err
+			}
 			if err := r.ack(conn); err != nil {
 				return err
 			}
@@ -428,11 +449,26 @@ func (r *Replica) consume(conn net.Conn) error {
 	}
 }
 
-// ack reports the restart watermark back to the primary.
+// ack reports the saved restart watermark back to the primary. The primary
+// holds its log only from the acknowledged LSN on, so the replica must never
+// acknowledge a position a restart of its own would not resume from.
 func (r *Replica) ack(conn net.Conn) error {
+	restart, _ := r.db.ReplProgress()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], r.restartW)
+	binary.LittleEndian.PutUint64(b[:], restart)
 	return wire.WriteFrame(conn, wire.FrameAck, b[:])
+}
+
+// saveRestart makes the restart watermark durable when a chunk moved it
+// past the saved one without applying a commit — over checkpoint records
+// or an aborted transaction — so that the next ack can release that log.
+func (r *Replica) saveRestart() error {
+	if saved, _ := r.db.ReplProgress(); r.restartW > saved {
+		if err := r.db.SetReplProgress(r.restartW, r.commitW); err != nil {
+			return fmt.Errorf("%w: %v", errApply, err)
+		}
+	}
+	return nil
 }
 
 // applyChunk walks one record-aligned chunk of the primary's log, buffering

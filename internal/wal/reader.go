@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -9,56 +10,72 @@ import (
 )
 
 // Reader tails a live log for replication shipping. It reads through its own
-// read-only file descriptor with positioned reads, so it never interferes
-// with the appender's file position and needs no lock coordination: it only
-// reads below the durable LSN, and bytes below the durable LSN are complete,
-// fsynced records that will never change.
+// read-only file descriptor on one segment at a time with positioned reads,
+// so it never interferes with the appender's file position and needs no lock
+// coordination beyond mapping an LSN to its segment: it only reads below the
+// durable LSN, and bytes below the durable LSN are complete, fsynced records
+// that will never change.
 type Reader struct {
-	f   *os.File
-	log *Log
+	log  *Log
+	f    *os.File // the segment starting at base; nil before the first read
+	base uint64
 }
 
 // OpenReader opens a tailing reader over the log.
-func (l *Log) OpenReader() (*Reader, error) {
-	f, err := os.Open(l.path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open reader: %w", err)
-	}
-	return &Reader{f: f, log: l}, nil
-}
+func (l *Log) OpenReader() (*Reader, error) { return &Reader{log: l}, nil }
 
 // Close releases the reader's file descriptor.
-func (r *Reader) Close() error { return r.f.Close() }
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	return r.f.Close()
+}
 
 // ReadRecords reads a record-aligned chunk of the log starting at from,
-// bounded by the durable LSN and approximately by maxBytes (a single record
-// larger than maxBytes is returned whole). It returns the raw bytes exactly
-// as they appear in the log (framing headers included), the LSN of the first
-// byte after the chunk, and the number of complete records in it. A caught-up
-// reader gets (nil, from, 0, nil); combine with Log.NotifyDurable to wait
-// for more.
+// bounded by the durable LSN, by the end of from's segment and approximately
+// by maxBytes (a single record larger than maxBytes is returned whole). It
+// returns the raw bytes exactly as they appear in the log (framing headers
+// included), the LSN of the first byte after the chunk, and the number of
+// complete records in it; the next call continues in the next segment. A
+// caught-up reader gets (nil, from, 0, nil); combine with Log.NotifyDurable
+// to wait for more. A read below the oldest retained LSN fails with
+// ErrRetired.
 func (r *Reader) ReadRecords(from uint64, maxBytes int) (data []byte, next uint64, nrecs int, err error) {
-	durable := r.log.DurableLSN()
-	if from > durable {
-		return nil, from, 0, fmt.Errorf("wal: read from %d past durable LSN %d", from, durable)
+	seg, end, err := r.log.segmentFor(from)
+	if err != nil {
+		return nil, from, 0, err
 	}
-	if from == durable {
+	if from == end {
 		return nil, from, 0, nil
+	}
+	if r.f == nil || r.base != seg.Base {
+		f, err := os.Open(seg.Path)
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, from, 0, fmt.Errorf("%w: segment of LSN %d", ErrRetired, from)
+		}
+		if err != nil {
+			return nil, from, 0, fmt.Errorf("wal: open reader: %w", err)
+		}
+		if r.f != nil {
+			r.f.Close()
+		}
+		r.f, r.base = f, seg.Base
 	}
 	if maxBytes < 64 {
 		maxBytes = 64
 	}
-	avail := durable - from
+	avail := end - from
 	n := uint64(maxBytes)
 	if n > avail {
 		n = avail
 	}
 	buf := make([]byte, n)
-	if _, err := r.f.ReadAt(buf, int64(from)); err != nil {
+	if _, err := r.f.ReadAt(buf, int64(from-seg.Base)); err != nil {
 		return nil, from, 0, fmt.Errorf("wal: read records: %w", err)
 	}
-	end, cnt := recordAlignedEnd(buf)
-	if end == 0 {
+	aligned, cnt := recordAlignedEnd(buf)
+	if aligned == 0 {
 		// The first record is larger than maxBytes; it is durable, hence
 		// complete — read it whole.
 		if len(buf) < 8 {
@@ -69,15 +86,34 @@ func (r *Reader) ReadRecords(from uint64, maxBytes int) (data []byte, next uint6
 			return nil, from, 0, ErrCorrupt
 		}
 		buf = make([]byte, total)
-		if _, err := r.f.ReadAt(buf, int64(from)); err != nil {
+		if _, err := r.f.ReadAt(buf, int64(from-seg.Base)); err != nil {
 			return nil, from, 0, fmt.Errorf("wal: read records: %w", err)
 		}
-		end, cnt = recordAlignedEnd(buf)
-		if end == 0 {
+		aligned, cnt = recordAlignedEnd(buf)
+		if aligned == 0 {
 			return nil, from, 0, ErrCorrupt
 		}
 	}
-	return buf[:end], from + uint64(end), cnt, nil
+	return buf[:aligned], from + uint64(aligned), cnt, nil
+}
+
+// segmentFor maps lsn to the segment holding it and the end of what may be
+// read there: the next segment's base, or the durable LSN in the live one.
+func (l *Log) segmentFor(lsn uint64) (Segment, uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn > l.flushed {
+		return Segment{}, 0, fmt.Errorf("wal: read from %d past durable LSN %d", lsn, l.flushed)
+	}
+	if oldest := l.segs[0].Base; lsn < oldest {
+		return Segment{}, 0, fmt.Errorf("%w: LSN %d is below the oldest retained LSN %d", ErrRetired, lsn, oldest)
+	}
+	i := l.segmentIndex(lsn)
+	end := l.flushed
+	if i+1 < len(l.segs) {
+		end = min(end, l.segs[i+1].Base)
+	}
+	return l.segs[i], end, nil
 }
 
 // recordAlignedEnd returns the length of the longest prefix of buf holding
@@ -86,7 +122,7 @@ func recordAlignedEnd(buf []byte) (int, int) {
 	pos, cnt := 0, 0
 	for pos+8 <= len(buf) {
 		n := int(binary.LittleEndian.Uint32(buf[pos:]))
-		if n == 0 || n > 1<<24 {
+		if n == 0 || n > maxPayload {
 			break
 		}
 		if pos+8+n > len(buf) {
@@ -112,7 +148,7 @@ func ScanBytes(base uint64, buf []byte, fn func(lsn uint64, r *Record, recLen in
 		}
 		n := int(binary.LittleEndian.Uint32(buf[pos:]))
 		crc := binary.LittleEndian.Uint32(buf[pos+4:])
-		if n == 0 || n > 1<<24 || pos+8+n > len(buf) {
+		if n == 0 || n > maxPayload || pos+8+n > len(buf) {
 			return ErrCorrupt
 		}
 		payload := buf[pos+8 : pos+8+n]

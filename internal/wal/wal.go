@@ -16,6 +16,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -94,8 +95,13 @@ type Record struct {
 }
 
 // ErrCorrupt reports a malformed record in the middle of the log (not a
-// torn tail, which is silently treated as the end).
+// torn tail, which is silently treated as the end) or a gap between
+// segments.
 var ErrCorrupt = errors.New("wal: corrupt log record")
+
+// ErrRetired reports a read below the oldest retained LSN: the segment
+// holding it was deleted after a checkpoint.
+var ErrRetired = errors.New("wal: log retired")
 
 // Options configures Open.
 type Options struct {
@@ -107,7 +113,7 @@ type Options struct {
 }
 
 // Log is an append-only write-ahead log. LSNs are byte offsets of record
-// starts.
+// starts in the logical log; the bytes live in segment files (segment.go).
 //
 // Flush implements group commit: concurrent flushers targeting undurable
 // LSNs elect one leader, which performs a single batched fsync covering
@@ -118,7 +124,7 @@ type Options struct {
 type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled when a sync round completes
-	f       *os.File
+	f       *os.File   // the live (last) segment, open for appending
 	w       *bufio.Writer
 	nextLSN uint64
 	flushed uint64 // all records below this LSN are durable
@@ -127,6 +133,14 @@ type Log struct {
 	waiters int    // flushers waiting for the in-flight round
 	noSync  bool
 	path    string
+
+	// segs lists the retained segments, oldest first; the last one is live.
+	// Segment i covers [segs[i].Base, segs[i+1].Base).
+	segs []Segment
+	// holds keep segments past the checkpoint for replicas and backups;
+	// checkpoint is the cutoff of the last Retire.
+	holds      []*Hold
+	checkpoint uint64
 
 	// durableSubs are notified (non-blocking) whenever the durable LSN
 	// advances; replication streamers tailing the log wait on them.
@@ -161,16 +175,35 @@ func bindWalMetrics(reg *metrics.Registry) walMetrics {
 	}
 }
 
-// Open opens or creates the log at path and positions appends at the end of
-// the last complete record.
+// maxPayload bounds a record payload; a larger length field is garbage.
+const maxPayload = 1 << 24
+
+// Open opens or creates the log whose segments are path.<base LSN> and
+// positions appends at the end of the last complete record. Only the last
+// segment can hold a torn tail: it is truncated to its valid prefix.
 func Open(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	reg := metrics.OrNew(opts.Metrics)
+	l := &Log{noSync: opts.NoSync, path: path, met: bindWalMetrics(reg)}
+	segs, err := listSegments(path)
+	if err != nil {
+		return nil, err
+	}
+	created := len(segs) == 0
+	if created {
+		segs = []Segment{{Base: 0, Path: segmentPath(path, 0)}}
+	}
+	live := segs[len(segs)-1]
+	f, err := os.OpenFile(live.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l := &Log{f: f, noSync: opts.NoSync, path: path, met: bindWalMetrics(metrics.OrNew(opts.Metrics))}
-	// Find the end of the valid prefix.
-	end, err := l.validEnd()
+	if created {
+		if err := l.syncDir(); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	end, err := validEnd(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -183,33 +216,35 @@ func Open(path string, opts Options) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l.nextLSN = end
-	l.flushed = end
+	l.f = f
+	l.segs = segs
+	l.nextLSN = live.Base + end
+	l.flushed = l.nextLSN
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.cond = sync.NewCond(&l.mu)
+	l.bindGauges(reg)
 	return l, nil
 }
 
-// validEnd scans the file for the end of the last complete record.
-func (l *Log) validEnd() (uint64, error) {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	r := bufio.NewReaderSize(l.f, 1<<16)
+// validEnd scans a segment for the end of its last complete record,
+// reusing one payload buffer.
+func validEnd(f *os.File) (uint64, error) {
+	r := bufio.NewReaderSize(f, 1<<16)
 	var pos uint64
 	var hdr [8]byte
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return pos, nil // EOF or torn header
+			return pos, tornOK(err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:])
 		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > 1<<24 {
+		if n == 0 || n > maxPayload {
 			return pos, nil
 		}
-		payload := make([]byte, n)
+		payload = grow(payload, int(n))
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return pos, nil // torn payload
+			return pos, tornOK(err)
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
 			return pos, nil
@@ -218,8 +253,26 @@ func (l *Log) validEnd() (uint64, error) {
 	}
 }
 
+// tornOK maps an end-of-file read (a torn tail) to nil and keeps real I/O
+// errors.
+func tornOK(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return fmt.Errorf("wal: read: %w", err)
+}
+
+// grow returns buf resized to n bytes, reallocating only when it is too
+// small.
+func grow(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
 // Append appends the record and returns its LSN. The record is durable only
-// after Flush.
+// after Flush. A checkpoint record starts a new segment (see roll).
 func (l *Log) Append(r *Record) (uint64, error) {
 	payload := encodeRecord(r)
 	var hdr [8]byte
@@ -227,6 +280,11 @@ func (l *Log) Append(r *Record) (uint64, error) {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if r.Type == RecCheckpoint {
+		if err := l.rollLocked(); err != nil {
+			return 0, err
+		}
+	}
 	lsn := l.nextLSN
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
@@ -249,10 +307,11 @@ func (l *Log) Flush() error { return l.FlushSpan(nil) }
 // flusher's round inside "wal.group_wait".
 //
 // Group commit: the first flusher to find no round in flight becomes the
-// leader; it flushes the buffered records and runs one fsync with the mutex
-// released, so concurrent committers keep appending and enqueueing behind
-// it. Every flusher whose records the round covered is satisfied by that
-// single fsync.
+// leader; it flushes the buffered records and runs one fsync of the live
+// segment with the mutex released, so concurrent committers keep appending
+// and enqueueing behind it. Every flusher whose records the round covered is
+// satisfied by that single fsync. (A segment roll waits for the round, so
+// the live segment cannot change under it.)
 func (l *Log) FlushSpan(sp *trace.Span) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,12 +348,13 @@ func (l *Log) FlushSpan(sp *trace.Span) error {
 		}
 		goal := l.nextLSN
 		if !l.noSync {
+			f := l.f
 			l.syncing = true
 			l.syncErr = nil
 			l.mu.Unlock()
 			fs := sp.Child("wal.fsync")
 			start := time.Now()
-			err := l.f.Sync()
+			err := f.Sync()
 			fs.End()
 			l.mu.Lock()
 			l.syncing = false
@@ -360,57 +420,121 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
-// Size returns the current log size in bytes.
-func (l *Log) Size() uint64 { return l.NextLSN() }
+// OldestLSN returns the first LSN still on disk (the base of the oldest
+// retained segment).
+func (l *Log) OldestLSN() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.segs[0].Base
+}
 
-// Scan replays records from the given LSN in order. A torn tail terminates
-// the scan without error; corruption in the middle returns ErrCorrupt.
-// Appends are blocked during the scan.
+// Size returns the bytes of log on disk: the retained segments, from the
+// oldest LSN to the end of the log.
+func (l *Log) Size() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextLSN - l.segs[0].Base
+}
+
+// Scan replays records from the given LSN in order, across segments. A
+// torn tail of the live segment terminates the scan without error; a
+// malformed record anywhere else returns ErrCorrupt, and a start below the
+// oldest retained LSN returns ErrRetired. Appends are blocked during the
+// scan.
 func (l *Log) Scan(from uint64, fn func(lsn uint64, r *Record) error) error {
+	return l.scan(from, 0, fn)
+}
+
+// ScanType is Scan restricted to records of one type: the others are read
+// and checksummed but not decoded, so a page image is never copied.
+func (l *Log) ScanType(from uint64, typ RecType, fn func(lsn uint64, r *Record) error) error {
+	return l.scan(from, typ, fn)
+}
+
+func (l *Log) scan(from uint64, only RecType, fn func(lsn uint64, r *Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.w.Flush(); err != nil {
-		return err
+		return fmt.Errorf("wal: flush: %w", err)
 	}
-	end := l.nextLSN
-	if _, err := l.f.Seek(int64(from), io.SeekStart); err != nil {
-		return err
+	if oldest := l.segs[0].Base; from < oldest {
+		return fmt.Errorf("%w: scan from LSN %d, oldest retained LSN is %d", ErrRetired, from, oldest)
 	}
-	r := bufio.NewReaderSize(l.f, 1<<16)
-	pos := from
+	if from > l.nextLSN {
+		return fmt.Errorf("%w: scan from LSN %d past the end of the log at %d", ErrCorrupt, from, l.nextLSN)
+	}
+	var payload []byte
+	for i := l.segmentIndex(from); i < len(l.segs); i++ {
+		end, live := l.nextLSN, i == len(l.segs)-1
+		if !live {
+			end = l.segs[i+1].Base
+		}
+		if from == end {
+			continue
+		}
+		var err error
+		payload, err = scanSegment(l.segs[i], from, end, live, only, payload, fn)
+		if err != nil || live {
+			return err
+		}
+		from = end
+	}
+	return nil
+}
+
+// scanSegment reads the records of seg in [from, end) through its own file
+// descriptor. A torn or corrupt record ends a live segment's scan quietly
+// (it is a tail Open has not seen) and is ErrCorrupt in a sealed one.
+func scanSegment(seg Segment, from, end uint64, live bool, only RecType, payload []byte,
+	fn func(lsn uint64, r *Record) error) ([]byte, error) {
+	f, err := os.Open(seg.Path)
+	if err != nil {
+		return payload, fmt.Errorf("wal: scan: %w", err)
+	}
+	defer f.Close()
+	if _, err := f.Seek(int64(from-seg.Base), io.SeekStart); err != nil {
+		return payload, fmt.Errorf("wal: scan: %w", err)
+	}
+	r := bufio.NewReaderSize(f, 1<<16)
+	bad := func(err error) ([]byte, error) {
+		if live {
+			return payload, tornOK(err)
+		}
+		if err == nil || tornOK(err) == nil {
+			return payload, fmt.Errorf("%w: segment %s at LSN %d", ErrCorrupt, filepath.Base(seg.Path), from)
+		}
+		return payload, fmt.Errorf("wal: scan: %w", err)
+	}
 	var hdr [8]byte
-	for pos < end {
+	for from < end {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil
+			return bad(err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:])
 		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > 1<<24 {
-			return nil
+		if n == 0 || n > maxPayload || from+8+uint64(n) > end {
+			return bad(nil)
 		}
-		payload := make([]byte, n)
+		payload = grow(payload, int(n))
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil
+			return bad(err)
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
-			return nil
+			return bad(nil)
 		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return err
+		if only == 0 || RecType(payload[0]) == only {
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				return payload, err
+			}
+			if err := fn(from, rec); err != nil {
+				return payload, err
+			}
 		}
-		if err := fn(pos, rec); err != nil {
-			return err
-		}
-		pos += 8 + uint64(n)
+		from += 8 + uint64(n)
 	}
-	// Restore the file position for future appends.
-	_, err := l.f.Seek(int64(l.nextLSN), io.SeekStart)
-	return err
+	return payload, nil
 }
-
-// Path returns the log file path.
-func (l *Log) Path() string { return l.path }
 
 // Close flushes and closes the log. It waits for any in-flight group-commit
 // round before touching the file.

@@ -132,8 +132,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	l.Flush()
 	l.Close()
 
-	// Simulate a torn write: append garbage half-record.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Simulate a torn write: append garbage half-record to the live segment.
+	f, err := os.OpenFile(segmentPath(path, 0), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,11 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
     ./internal/repl ./internal/opt
 
-echo "== fuzz (10 s each: the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path) =="
+echo "== fuzz (10 s each: the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path, opening a damaged segmented log) =="
 go test -run '^$' -fuzz='^FuzzEscapeText$' -fuzztime=10s ./internal/core
 go test -run '^$' -fuzz='^FuzzReadResponse$' -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz='^FuzzValueCompare$' -fuzztime=10s ./internal/query
+go test -run '^$' -fuzz='^FuzzOpenLog$' -fuzztime=10s ./internal/wal
 
 echo "== bench smoke (compile + one iteration of every benchmark) =="
 go test -bench=. -benchtime=1x -run '^$' .

@@ -147,7 +147,9 @@ func (db *DB) BufferStats() buffer.Stats { return db.inner.BufferStats() }
 // executor.
 func (db *DB) Metrics() *metrics.Registry { return db.inner.Metrics() }
 
-// LogSize returns the write-ahead log size in bytes.
+// LogSize returns the bytes of write-ahead log on disk: the segments since
+// the last checkpoint, plus any a connected replica or the last backup still
+// holds.
 func (db *DB) LogSize() uint64 { return db.inner.LogSize() }
 
 // Documents lists the stored document names.
