@@ -777,56 +777,3 @@ func BenchmarkE17MixedWriters(b *testing.B) {
 	fsyncs := db.Metrics().Snapshot().Counters["wal.fsyncs"] - fsyncs0
 	b.ReportMetric(float64(fsyncs)/float64(b.N), "fsyncs/commit")
 }
-
-// ---------------------------------------------------------------- E18 ----
-// Intra-query parallel execution (§4.1, §5.1): one statement's descendant
-// range scans and for-clause bindings fan out over an explicit worker
-// budget. On a single-core host the family is flat; the per-level speedup
-// appears once cores exist. Output is byte-identical at every level (the
-// parallel-vs-serial property test pins this).
-
-func openSections(b *testing.B) *sedna.DB {
-	b.Helper()
-	db, err := bench.OpenDB(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-	if err := bench.LoadSections(db, 16, 250); err != nil {
-		b.Fatal(err)
-	}
-	return db
-}
-
-func benchmarkE18Workers(b *testing.B, workers int) {
-	db := openSections(b)
-	q := `sum(for $i in doc("cat")//item where $i/value > 2500 return number($i/value))`
-	if _, _, err := bench.QueryWorkers(db, q, workers); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.QueryWorkers(db, q, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE18ParallelQuery1(b *testing.B) { benchmarkE18Workers(b, 1) }
-func BenchmarkE18ParallelQuery2(b *testing.B) { benchmarkE18Workers(b, 2) }
-func BenchmarkE18ParallelQuery4(b *testing.B) { benchmarkE18Workers(b, 4) }
-func BenchmarkE18ParallelQuery8(b *testing.B) { benchmarkE18Workers(b, 8) }
-
-// BenchmarkE18SerialFallback times a node-constructing FLWOR under a large
-// worker budget: the safety analysis forces it serial, so the cost must
-// match a workers=1 run (the fallback itself is free).
-func BenchmarkE18SerialFallback(b *testing.B) {
-	db := openSections(b)
-	q := `for $i in doc("cat")/catalog/sec0/item[value > 9000] return <v>{$i/value/text()}</v>`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.QueryWorkers(db, q, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

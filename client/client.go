@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"time"
 
 	"sedna/internal/repl"
@@ -102,34 +101,6 @@ func (c *Conn) SetSlowThreshold(d time.Duration) error {
 		ThresholdNs:  d.Nanoseconds(),
 	})
 	return err
-}
-
-// QueryWorkers returns the server's effective intra-query worker budget.
-func (c *Conn) QueryWorkers() (int, error) {
-	resp, err := c.roundTrip(server.MsgWorkers, server.Request{})
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(string(resp.Data))
-	if err != nil {
-		return 0, fmt.Errorf("client: workers: %w", err)
-	}
-	return n, nil
-}
-
-// SetQueryWorkers retunes the server's intra-query parallelism cap at
-// runtime (n ≤ 0 restores the GOMAXPROCS default) and returns the
-// resulting effective budget.
-func (c *Conn) SetQueryWorkers(n int) (int, error) {
-	resp, err := c.roundTrip(server.MsgWorkers, server.Request{SetWorkers: true, Workers: n})
-	if err != nil {
-		return 0, err
-	}
-	eff, err := strconv.Atoi(string(resp.Data))
-	if err != nil {
-		return 0, fmt.Errorf("client: workers: %w", err)
-	}
-	return eff, nil
 }
 
 // ReplStatus fetches the server's replication topology: its role, every

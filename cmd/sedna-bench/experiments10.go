@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"sedna"
 	"sedna/internal/bench"
 	"sedna/internal/core"
 	"sedna/internal/storage"
@@ -41,7 +40,7 @@ func runE24(s *session) error {
 		{"large", 10000 * s.scale},
 	}
 
-	load := func(mode sedna.BulkLoadMode, content string) (time.Duration, string, error) {
+	load := func(mode core.BulkLoadMode, content string) (time.Duration, string, error) {
 		dir, cleanup, err := bench.TempDir("sedna-e24-*")
 		if err != nil {
 			return 0, "", err
@@ -53,11 +52,11 @@ func runE24(s *session) error {
 		}
 		defer db.Close()
 		start := time.Now()
-		if err := db.LoadXMLString("d", content); err != nil {
+		if err := e24Load(db, "d", content); err != nil {
 			return 0, "", err
 		}
 		elapsed := time.Since(start)
-		out, _, err := bench.QueryWorkers(db, `doc("d")`, 1)
+		out, _, err := querySnapshot(db, `doc("d")`)
 		return elapsed, out, err
 	}
 
@@ -65,11 +64,11 @@ func runE24(s *session) error {
 	var largeBulk, largeIncr time.Duration
 	for _, sz := range sizes {
 		content := xmlgen.LibraryString(sz.books, 42)
-		bulkT, bulkOut, err := load(sedna.BulkLoadAuto, content)
+		bulkT, bulkOut, err := load(core.BulkLoadAuto, content)
 		if err != nil {
 			return fmt.Errorf("E24: bulk load %s: %w", sz.label, err)
 		}
-		incrT, incrOut, err := load(sedna.BulkLoadOff, content)
+		incrT, incrOut, err := load(core.BulkLoadOff, content)
 		if err != nil {
 			return fmt.Errorf("E24: incremental load %s: %w", sz.label, err)
 		}
@@ -114,11 +113,11 @@ func e24CrashLeg(s *session) error {
 		return err
 	}
 	defer cleanup()
-	db, err := bench.OpenDBBulk(dir, s.reg, sedna.BulkLoadAuto)
+	db, err := bench.OpenDBBulk(dir, s.reg, core.BulkLoadAuto)
 	if err != nil {
 		return err
 	}
-	if err := db.LoadXMLString("keep", `<r><a>1</a><b>2</b></r>`); err != nil {
+	if err := e24Load(db, "keep", `<r><a>1</a><b>2</b></r>`); err != nil {
 		return err
 	}
 	core.SetBulkFlushHookForTesting(func(pages uint64) error {
@@ -127,7 +126,7 @@ func e24CrashLeg(s *session) error {
 		}
 		return nil
 	})
-	tx, err := db.Internal().Begin()
+	tx, err := db.Begin()
 	if err != nil {
 		core.SetBulkFlushHookForTesting(nil)
 		return err
@@ -137,14 +136,14 @@ func e24CrashLeg(s *session) error {
 		return fmt.Errorf("E24: injected flush failure did not abort the load")
 	}
 	core.SetBulkFlushHookForTesting(nil)
-	db.Internal().CrashForTesting()
+	db.CrashForTesting()
 
-	db2, err := bench.OpenDBBulk(dir, s.reg, sedna.BulkLoadAuto)
+	db2, err := bench.OpenDBBulk(dir, s.reg, core.BulkLoadAuto)
 	if err != nil {
 		return fmt.Errorf("E24: recovery after mid-load crash: %w", err)
 	}
 	defer db2.Close()
-	rtx, err := db2.Internal().BeginReadOnly()
+	rtx, err := db2.BeginReadOnly()
 	if err != nil {
 		return err
 	}
@@ -161,4 +160,17 @@ func e24CrashLeg(s *session) error {
 	}
 	fmt.Println("crash leg: mid-load kill after 8 pages -> in-flight document absent, committed document verified")
 	return nil
+}
+
+// e24Load loads content as document name in a transaction of its own.
+func e24Load(db *core.Database, name, content string) error {
+	tx, err := db.Begin()
+	if err != nil {
+		return err
+	}
+	if _, err := tx.LoadXML(name, strings.NewReader(content)); err != nil {
+		tx.Rollback()
+		return err
+	}
+	return tx.Commit()
 }

@@ -11,6 +11,7 @@ import (
 
 	"sedna"
 	"sedna/internal/bench"
+	"sedna/internal/core"
 	"sedna/internal/query"
 	"sedna/internal/xmlgen"
 )
@@ -34,11 +35,11 @@ var e26Suite = []string{
 // e26PagesPerNode bounds the page views per context node. A node reads about
 // four pages — its share of the outer scan's run (a run of descriptors on one
 // page is one view), the compared child's run, the child's text node, and the
-// text record — but the statement worker holds its last views, and those
+// text record — but the statement holds its last views, and those
 // pages change slowly from one node to the next. Measured 0.72 on the
 // smallest document, plus a quarter: 0.04 and 0.35 for the person and auction
 // statements, 1.78 for //item, whose merged scan reads six regions' lists at
-// once — more pages than a worker holds.
+// once — more pages than a statement holds.
 const e26PagesPerNode = 0.9
 
 // e26AllocsPerNode bounds the heap allocations per context node: the compared
@@ -49,10 +50,8 @@ const e26PagesPerNode = 0.9
 const e26AllocsPerNode = 2.8
 
 // runE26 guards the paged backend's cost per context node. It runs the suite
-// over Auction documents of 500, 2000 and 8000 people, serially, so that
-// neither the time nor the counts of a statement are spread over worker
-// contexts, and reports time, page views and heap allocations per context
-// node. Opening a range scan under a node must not depend on how long the
+// over Auction documents of 500, 2000 and 8000 people and reports time, page
+// views and heap allocations per context node. Opening a range scan under a node must not depend on how long the
 // target's block list is, so the cost per node has to stay flat. The gates are
 // on what the experiment counts: page views (exact) and allocations grow less
 // than 1.5x from the smallest document to the largest and are bounded
@@ -110,7 +109,7 @@ func runE26(s *session) error {
 					runtime.ReadMemStats(&before)
 				}
 				start := time.Now()
-				data, pages, err := e26Serial(dbs[i], src)
+				data, pages, err := querySnapshot(dbs[i].Internal(), src)
 				if err != nil {
 					closeAll()
 					return err
@@ -156,7 +155,7 @@ func runE26(s *session) error {
 	t0, p0, a0 := perNode(rows[0])
 	t1, p1, a1 := perNode(rows[len(rows)-1])
 	fmt.Printf("time per context node grew %.2fx from %d to %d people (printed, not gated)\n", float64(t1)/float64(t0), sizes[0], sizes[len(sizes)-1])
-	fmt.Println("expected shape: the three statements cost the same per context node at every document size — a range scan under a node starts from the node's own child pointers, so a list 16 times as long makes it no dearer; the worker's held views serve most of a node's page reads; a node is a slab entry, so what a statement allocates per node is the string it compares; the answers equal the ones computed from the XML")
+	fmt.Println("expected shape: the three statements cost the same per context node at every document size — a range scan under a node starts from the node's own child pointers, so a list 16 times as long makes it no dearer; the statement's held views serve most of a node's page reads; a node is a slab entry, so what a statement allocates per node is the string it compares; the answers equal the ones computed from the XML")
 
 	for _, r := range rows {
 		_, p, a := perNode(r)
@@ -176,16 +175,15 @@ func runE26(s *session) error {
 	return nil
 }
 
-// e26Serial runs one statement on a single worker and returns its serialized
+// querySnapshot runs one statement over a snapshot and returns its serialized
 // answer and the page accesses it made.
-func e26Serial(db *sedna.DB, src string) (string, uint64, error) {
-	tx, err := db.Internal().BeginReadOnly()
+func querySnapshot(db *core.Database, src string) (string, uint64, error) {
+	tx, err := db.BeginReadOnly()
 	if err != nil {
 		return "", 0, err
 	}
 	defer tx.Rollback()
 	ctx := query.NewExecCtx(tx)
-	ctx.Workers = 1
 	res, err := query.Execute(ctx, src)
 	if err != nil {
 		return "", 0, err

@@ -14,10 +14,10 @@ func init() {
 	)
 }
 
-// e23Corpus is the parallel property-test corpus (33 queries over four
-// documents — fan-out scans, predicates, FLWORs, aggregates, deep
-// recursion), duplicated here so the benchmark and the in-tree tests gate
-// the same shapes.
+// e23Corpus is the first part of the identity test corpus (33 queries over
+// four documents — multi-schema-node scans, predicates, FLWORs, aggregates,
+// deep recursion), duplicated here so the benchmark and the in-tree tests
+// gate the same shapes.
 var e23Corpus = []string{
 	`count(doc("cat")//item)`,
 	`doc("cat")//name`,
@@ -65,19 +65,17 @@ var e23Selective = []string{
 	`count(doc("biglib")/library/book[year = 1999])`,
 }
 
-// runE23 measures the cost-based optimizer end to end. Corpus: the four
-// parallel property-test documents, value indexes on doc("cat")//item BY
-// value and doc("biglib")/library/book BY year, statistics via ANALYZE.
-// Gates:
+// runE23 measures the cost-based optimizer end to end. Corpus: four of the
+// identity-test documents, value indexes on doc("cat")//item BY value and
+// doc("biglib")/library/book BY year, statistics via ANALYZE. Gates:
 //
 //  1. regression — across the 33-query corpus the optimizer's total must be
-//     within 1.1x of the best hand-forced execution (per query: min of
-//     forced-serial and forced-4-workers, optimizer off), plus a small
+//     within 1.1x of the hand-forced execution (optimizer off), plus a small
 //     absolute slack for timer noise;
 //  2. selective predicates — across e23Selective the optimizer (index
-//     probes) must beat the forced serial scan by >= 2x in total;
-//  3. identity — every query serializes byte-identically optimized-serial,
-//     optimized-4-workers and unoptimized.
+//     probes) must beat the forced scan by >= 2x in total;
+//  3. identity — every query serializes byte-identically optimized and
+//     unoptimized.
 func runE23(s *session) error {
 	dir, cleanup, err := bench.TempDir("sedna-e23-*")
 	if err != nil {
@@ -117,13 +115,13 @@ func runE23(s *session) error {
 	const reps = 5
 	// run times one query in one mode (average of reps after one warm-up
 	// pass) and returns the serialized result.
-	run := func(src string, optimize bool, workers int) (time.Duration, string, error) {
-		out, _, err := bench.QueryOpt(db, src, optimize, workers)
+	run := func(src string, optimize bool) (time.Duration, string, error) {
+		out, _, err := bench.QueryOpt(db, src, optimize)
 		if err != nil {
 			return 0, "", err
 		}
 		d, err := timeIt(reps, func() error {
-			r, _, err := bench.QueryOpt(db, src, optimize, workers)
+			r, _, err := bench.QueryOpt(db, src, optimize)
 			if err == nil {
 				out = r
 			}
@@ -132,38 +130,25 @@ func runE23(s *session) error {
 		return d, out, err
 	}
 
-	measure := func(suite []string) (opt, serial, par4, best []time.Duration, err error) {
+	measure := func(suite []string) (opt, forced []time.Duration, err error) {
 		for _, src := range suite {
-			so, ro, err := run(src, true, 0)
+			so, ro, err := run(src, true)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, err
 			}
-			ss, rs, err := run(src, false, 1)
+			sf, rf, err := run(src, false)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, err
 			}
-			sp, rp, err := run(src, false, 4)
-			if err != nil {
-				return nil, nil, nil, nil, err
+			if ro != rf {
+				return nil, nil, fmt.Errorf("E23: results diverge for %s", src)
 			}
-			// Optimized at four workers: timed only for the identity check.
-			_, rop, err := run(src, true, 4)
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			if ro != rs || ro != rp || ro != rop {
-				return nil, nil, nil, nil, fmt.Errorf("E23: results diverge for %s", src)
-			}
-			b := ss
-			if sp < b {
-				b = sp
-			}
-			opt, serial, par4, best = append(opt, so), append(serial, ss), append(par4, sp), append(best, b)
+			opt, forced = append(opt, so), append(forced, sf)
 		}
-		return opt, serial, par4, best, nil
+		return opt, forced, nil
 	}
 
-	opt, serial, par4, best, err := measure(e23Corpus)
+	opt, forced, err := measure(e23Corpus)
 	if err != nil {
 		return err
 	}
@@ -173,35 +158,35 @@ func runE23(s *session) error {
 		if len(label) > 60 {
 			label = label[:57] + "..."
 		}
-		rows = append(rows, []string{label, dur(opt[i]), dur(serial[i]), dur(par4[i]), ratio(best[i], opt[i])})
+		rows = append(rows, []string{label, dur(opt[i]), dur(forced[i]), ratio(forced[i], opt[i])})
 	}
-	optTotal, bestTotal := sum(opt), sum(best)
-	rows = append(rows, []string{"total", dur(optTotal), dur(sum(serial)), dur(sum(par4)), ratio(bestTotal, optTotal)})
-	s.out.table([]string{"query", "optimized", "forced serial", "forced w=4", "best/opt"}, rows)
+	optTotal, forcedTotal := sum(opt), sum(forced)
+	rows = append(rows, []string{"total", dur(optTotal), dur(forcedTotal), ratio(forcedTotal, optTotal)})
+	s.out.table([]string{"query", "optimized", "forced", "forced/opt"}, rows)
 
-	selOpt, selSerial, _, _, err := measure(e23Selective)
+	selOpt, selForced, err := measure(e23Selective)
 	if err != nil {
 		return err
 	}
 	var selRows [][]string
 	for i, src := range e23Selective {
-		selRows = append(selRows, []string{src, dur(selOpt[i]), dur(selSerial[i]), ratio(selSerial[i], selOpt[i])})
+		selRows = append(selRows, []string{src, dur(selOpt[i]), dur(selForced[i]), ratio(selForced[i], selOpt[i])})
 	}
-	selOptTotal, selSerialTotal := sum(selOpt), sum(selSerial)
-	selRows = append(selRows, []string{"total", dur(selOptTotal), dur(selSerialTotal), ratio(selSerialTotal, selOptTotal)})
-	s.out.table([]string{"selective query", "optimized", "forced serial scan", "speedup"}, selRows)
+	selOptTotal, selForcedTotal := sum(selOpt), sum(selForced)
+	selRows = append(selRows, []string{"total", dur(selOptTotal), dur(selForcedTotal), ratio(selForcedTotal, selOptTotal)})
+	s.out.table([]string{"selective query", "optimized", "forced scan", "speedup"}, selRows)
 
 	m := s.reg.Snapshot()
 	fmt.Printf("optimizer: plans_costed=%d index_chosen=%d index_probes=%d\n",
 		m.Counters["opt.plans_costed"], m.Counters["opt.index_chosen"], m.Counters["opt.index_probes"])
 
 	const slack = 5 * time.Millisecond
-	if optTotal > bestTotal+bestTotal/10+slack {
-		return fmt.Errorf("E23: optimizer total %v exceeds 1.1x best hand-forced total %v", optTotal, bestTotal)
+	if optTotal > forcedTotal+forcedTotal/10+slack {
+		return fmt.Errorf("E23: optimizer total %v exceeds 1.1x hand-forced total %v", optTotal, forcedTotal)
 	}
-	if selOptTotal*2 > selSerialTotal {
+	if selOptTotal*2 > selForcedTotal {
 		return fmt.Errorf("E23: selective-predicate speedup %.2fx below the 2x gate",
-			float64(selSerialTotal)/float64(selOptTotal))
+			float64(selForcedTotal)/float64(selOptTotal))
 	}
 	if m.Counters["opt.index_probes"] == 0 {
 		return fmt.Errorf("E23: no index probe executed — the optimizer never chose an index")

@@ -13,7 +13,6 @@
 //	\metrics      print the server's metrics snapshot
 //	\slowlog [N]  print the last N retained slow-query traces (default all)
 //	\slowthreshold DUR   set the slow-query threshold (e.g. 50ms; 0 = off)
-//	\workers [N]  show or set the intra-query parallelism cap (0 = default)
 //	\replicas     show the replication topology (role, replicas, lag)
 //	\promote      promote a replica server to a writable primary
 //	\sessions     list live sessions with accounting and in-flight statements
@@ -169,27 +168,6 @@ func command(c *client.Conn, cmd string) bool {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {
 			fmt.Printf("slow-query threshold set to %s\n", d)
-		}
-	case `\workers`:
-		if len(fields) == 1 {
-			n, err := c.QueryWorkers()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			} else {
-				fmt.Printf("query workers: %d\n", n)
-			}
-			return true
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil || len(fields) != 2 {
-			fmt.Fprintln(os.Stderr, `usage: \workers [N] (0 = server default, 1 = serial)`)
-			return true
-		}
-		n, err := c.SetQueryWorkers(v)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		} else {
-			fmt.Printf("query workers: %d\n", n)
 		}
 	case `\replicas`:
 		t, err := c.ReplStatus()

@@ -28,7 +28,6 @@ func main() {
 	traceOn := flag.Bool("trace", false, "record a span trace for every statement")
 	slowThreshold := flag.Duration("slow-query-threshold", 0, "log statements at or above this duration to the slow-query log (0 = off; runtime-settable via SLOWLOG)")
 	slowLog := flag.String("slow-log", "", "slow-query log path (default <dir>/slowlog.jsonl)")
-	queryWorkers := flag.Int("query-workers", 0, "intra-query parallelism cap per statement (0 = GOMAXPROCS, 1 = serial; runtime-settable via WORKERS)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary sednad at this host:port (an empty directory seeds itself over the wire; PROMOTE makes the node writable)")
 	flag.Parse()
 
@@ -38,7 +37,6 @@ func main() {
 		TraceEnabled:       *traceOn,
 		SlowQueryThreshold: *slowThreshold,
 		SlowLogPath:        *slowLog,
-		QueryWorkers:       *queryWorkers,
 	}
 	var db *core.Database
 	var rep *repl.Replica
@@ -60,7 +58,6 @@ func main() {
 	if *slowThreshold > 0 {
 		log.Printf("sednad: slow-query threshold %s", slowThreshold.String())
 	}
-	log.Printf("sednad: query workers %d", db.QueryWorkers())
 	srv, err := server.Listen(db, *addr)
 	if err != nil {
 		db.Close()

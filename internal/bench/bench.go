@@ -41,38 +41,16 @@ func LoadAuction(db *sedna.DB, people, items, bids int) error {
 }
 
 // LoadSections loads a Sections corpus (sections distinctly named section
-// elements of perSection items each — the multi-schema-node shape the
-// parallel executor fans out over) as document "cat".
+// elements of perSection items each — a descendant step over it merges one
+// scan per schema node) as document "cat".
 func LoadSections(db *sedna.DB, sections, perSection int) error {
 	return db.LoadXML("cat", strings.NewReader(xmlgen.SectionsString(sections, perSection, 42)))
 }
 
-// QueryWorkers runs a query under an explicit intra-query worker budget
-// (1 = serial baseline) and returns the result data plus executor stats.
-func QueryWorkers(db *sedna.DB, src string, workers int) (string, query.ExecStats, error) {
-	tx, err := db.Internal().BeginReadOnly()
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	defer tx.Rollback()
-	ctx := query.NewExecCtx(tx)
-	ctx.Workers = workers
-	res, err := query.Execute(ctx, src)
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	var sb strings.Builder
-	if err := res.Serialize(&sb); err != nil {
-		return "", query.ExecStats{}, err
-	}
-	return sb.String(), ctx.Profile.ExecStats, nil
-}
-
-// QueryOpt runs a query with the cost-based optimizer on or off, under an
-// explicit worker budget (0 = let the plan / database default decide),
-// returning the result data plus executor stats — the E23 measurement
-// harness for optimized vs hand-forced plans.
-func QueryOpt(db *sedna.DB, src string, optimize bool, workers int) (string, query.ExecStats, error) {
+// QueryOpt runs a query with the cost-based optimizer on or off, returning
+// the result data plus executor stats — the E23 measurement harness for
+// optimized vs hand-forced plans.
+func QueryOpt(db *sedna.DB, src string, optimize bool) (string, query.ExecStats, error) {
 	tx, err := db.Internal().BeginReadOnly()
 	if err != nil {
 		return "", query.ExecStats{}, err
@@ -80,7 +58,6 @@ func QueryOpt(db *sedna.DB, src string, optimize bool, workers int) (string, que
 	defer tx.Rollback()
 	ctx := query.NewExecCtx(tx)
 	ctx.NoOpt = !optimize
-	ctx.Workers = workers
 	res, err := query.Execute(ctx, src)
 	if err != nil {
 		return "", query.ExecStats{}, err
@@ -95,8 +72,8 @@ func QueryOpt(db *sedna.DB, src string, optimize bool, workers int) (string, que
 // OpenDBBulk opens a database with an explicit LoadXML ingest path — the
 // E24 measurement setup comparing the streaming bulk loader against
 // node-at-a-time inserts.
-func OpenDBBulk(dir string, reg *metrics.Registry, mode sedna.BulkLoadMode) (*sedna.DB, error) {
-	return sedna.Open(dir, &sedna.Options{NoSync: true, BufferPages: 8192, Metrics: reg, BulkLoad: mode})
+func OpenDBBulk(dir string, reg *metrics.Registry, mode core.BulkLoadMode) (*core.Database, error) {
+	return core.Open(dir, core.Options{NoSync: true, BufferPages: 8192, Metrics: reg, BulkLoad: mode})
 }
 
 // SubtreeStore builds the subtree-clustered baseline store with the same

@@ -24,8 +24,7 @@ const (
 	// from update statements) keep the node-at-a-time path.
 	BulkLoadAuto BulkLoadMode = iota
 	// BulkLoadOff forces the node-at-a-time insert path everywhere — the
-	// escape hatch, and the reference behavior the bulk path must match
-	// byte for byte.
+	// reference behavior the bulk path must match byte for byte.
 	BulkLoadOff
 )
 

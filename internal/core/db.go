@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +47,6 @@ type Options struct {
 	// nil creates a fresh registry per database. Sharing one registry across
 	// databases (as sedna-bench does) accumulates counters across them.
 	Metrics *metrics.Registry
-	// QueryWorkers caps how many goroutines one statement may use for
-	// intra-query parallel execution (path-step range scans, for-clause
-	// fan-out). 0 means GOMAXPROCS; 1 disables parallel execution. Also
-	// settable at runtime via Database.SetQueryWorkers.
-	QueryWorkers int
 	// Replica opens the database in replica mode: Begin refuses update
 	// transactions (ErrReplicaReadOnly) and changes arrive only through
 	// ApplyReplicated until Promote lifts the gate.
@@ -84,10 +78,6 @@ type Database struct {
 	// docVers publishes committed document-metadata versions for snapshot
 	// readers.
 	docVers *docVersionStore
-
-	// queryWorkers is the intra-query parallelism cap (0 = GOMAXPROCS),
-	// read by every new execution context and settable at runtime.
-	queryWorkers atomic.Int64
 
 	// quiesce is held shared by every statement-executing transaction and
 	// exclusively by checkpoint/backup/close.
@@ -159,7 +149,6 @@ func Open(dir string, opts Options) (*Database, error) {
 	db.txm = txn.NewManagerWithMetrics(db.buf, log, pf, db.locks, reg)
 	db.txm.LockTimeout = opts.LockTimeout
 	db.replica.Store(opts.Replica)
-	db.SetQueryWorkers(opts.QueryWorkers)
 
 	db.tracer = trace.New(reg)
 	db.tracer.SetEnabled(opts.TraceEnabled)
@@ -224,26 +213,6 @@ func (db *Database) Metrics() *metrics.Registry { return db.met }
 // the server and shell use it to flip tracing on, adjust the slow-query
 // threshold and browse retained traces.
 func (db *Database) Tracer() *trace.Tracer { return db.tracer }
-
-// SetQueryWorkers sets the intra-query parallelism cap at runtime: how many
-// goroutines one statement may use for parallel path scans and for-clause
-// fan-out. n ≤ 0 restores the default (GOMAXPROCS); 1 disables parallel
-// execution. Takes effect for statements started after the call.
-func (db *Database) SetQueryWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.queryWorkers.Store(int64(n))
-}
-
-// QueryWorkers returns the effective intra-query worker budget (≥ 1).
-func (db *Database) QueryWorkers() int {
-	n := int(db.queryWorkers.Load())
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 // Buffer exposes the buffer manager (benchmarks and tools).
 func (db *Database) Buffer() *buffer.Manager { return db.buf }

@@ -186,11 +186,8 @@ type ExecStats struct {
 	IndexScans  uint64 `json:"index_scans,omitempty"`  // index-scan() lookups
 }
 
-// The Add* methods below increment ExecStats counters atomically: the
-// parallel query executor accumulates events from several worker goroutines
-// into one statement's stats block. Plain reads of the fields after the
-// statement joins its workers are safe (the join is the happens-before
-// edge); the struct layout and JSON form are unchanged.
+// The Add* methods below increment ExecStats counters atomically, so a stats
+// block stays safe to count into from several goroutines.
 
 // AddDDOOps counts n explicit DDO operations.
 func (s *ExecStats) AddDDOOps(n uint64) { atomic.AddUint64(&s.DDOOps, n) }

@@ -1,21 +1,17 @@
 package opt
 
-import "fmt"
-
 // The cost model. Units are approximately "page touches": a block read
 // costs 1, per-node work inside pinned pages costs a small fraction, a
 // B+tree probe costs its descent plus one handle dereference and recheck
-// per candidate row, and a parallel fan-out divides scan work across
-// workers at a fixed per-worker startup price. The constants are calibrated
-// against the executor's measured shapes (E18/E23), not micro-accurate —
-// what matters is that the orderings they induce match reality.
+// per candidate row. The constants are calibrated against the executor's
+// measured shapes (E23), not micro-accurate — what matters is that the
+// orderings they induce match reality.
 const (
 	CostBlock        = 1.0  // read one chain block
 	CostNode         = 0.05 // touch one descriptor inside a pinned block
 	CostPredNode     = 0.10 // evaluate one predicate on one node
 	CostProbeDescend = 3.0  // B+tree root-to-leaf descent
 	CostProbeRow     = 1.5  // candidate handle: descriptor fetch + recheck
-	CostWorker       = 16.0 // fan-out startup + merge per worker
 	CostChainNode    = 0.50 // naive per-node navigation (pointer chase)
 )
 
@@ -23,14 +19,13 @@ const (
 // them).
 const (
 	AltStructuralScan = "structural-scan"
-	AltParallelScan   = "parallel-scan"
 	AltChainScan      = "chain-scan"
 	AltIndexProbe     = "index-probe"
 )
 
 // Alt is one costed physical alternative for a step.
 type Alt struct {
-	Name    string  // AltStructuralScan, "parallel-scan(w=4)", ...
+	Name    string  // AltStructuralScan, AltChainScan or AltIndexProbe
 	EstRows float64 // estimated output rows of the step under this plan
 	Cost    float64
 	Chosen  bool
@@ -57,23 +52,3 @@ func ProbeCost(estRows float64) float64 {
 func ChainCost(blocks, nodes float64) float64 {
 	return blocks*CostBlock + nodes*CostChainNode
 }
-
-// ParallelCost is a fan-out of the structural scan across w workers.
-func ParallelCost(scan float64, w int) float64 {
-	return scan/float64(w) + CostWorker*float64(w)
-}
-
-// BestWorkers picks the cheapest fan-out width in [2, maxW] for a scan of
-// the given serial cost. ok=false when no width beats the serial scan.
-func BestWorkers(scan float64, maxW int) (w int, cost float64, ok bool) {
-	cost = scan
-	for cand := 2; cand <= maxW; cand++ {
-		if c := ParallelCost(scan, cand); c < cost {
-			w, cost, ok = cand, c, true
-		}
-	}
-	return w, cost, ok
-}
-
-// ParallelAltName renders the parallel alternative's display name.
-func ParallelAltName(w int) string { return fmt.Sprintf("%s(w=%d)", AltParallelScan, w) }

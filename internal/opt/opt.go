@@ -4,8 +4,8 @@
 // the block headers; ANALYZE collects equi-depth value histograms, distinct
 // counts and average lengths on top), selectivity estimation for comparison
 // predicates, and a cost model over the physical alternatives the executor
-// already implements — value-index probe, schema-level structural scan,
-// parallel fan-out, and naive chain navigation. The package is pure (no
+// already implements — value-index probe, schema-level structural scan and
+// naive chain navigation. The package is pure (no
 // engine imports), so both core (catalog persistence) and query (planning)
 // can use it without cycles.
 package opt

@@ -193,17 +193,4 @@ func TestCostOrderings(t *testing.T) {
 	if ChainCost(50, 3200) <= scan {
 		t.Fatal("chain scan undercut the structural scan")
 	}
-	// Parallel wins on big scans, not on small ones.
-	if w, c, ok := BestWorkers(ScanCost(50, 3200, 0), 8); !ok || w < 2 || c >= ScanCost(50, 3200, 0) {
-		t.Fatalf("big scan: workers=%d cost=%v ok=%v", w, c, ok)
-	}
-	if _, _, ok := BestWorkers(ScanCost(1, 20, 0), 8); ok {
-		t.Fatal("tiny scan should not fan out")
-	}
-}
-
-func TestParallelAltName(t *testing.T) {
-	if ParallelAltName(4) != "parallel-scan(w=4)" {
-		t.Fatalf("alt name: %s", ParallelAltName(4))
-	}
 }

@@ -146,11 +146,6 @@ type StepPlan struct {
 	// probe plus a full predicate recheck.
 	Probe *IndexProbe
 
-	// Workers is the planned fan-out for a structural scan: 0 = no decision
-	// (executor heuristics apply), 1 = forced serial, ≥2 = parallel with
-	// that many workers.
-	Workers int
-
 	// Sampled reports that the statistics behind the estimates came from a
 	// sampled ANALYZE (reservoir histograms); EXPLAIN annotates the step.
 	Sampled bool

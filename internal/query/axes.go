@@ -56,7 +56,7 @@ func attributeTest(test NodeTest) NodeTest {
 
 // axisStored evaluates an axis step for one stored context node, handing
 // matches to k in document order. All storage access routes through the
-// statement worker's reader (store.go).
+// statement's reader (store.go).
 func axisStored(env *env, n *NodeItem, axis Axis, test NodeTest, k *collector) error {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
 	if sn == nil {
@@ -194,18 +194,12 @@ func descendantTargets(sn *schema.Node, test NodeTest, out []*schema.Node) []*sc
 // and merged by document order.
 func descendantAxis(env *env, n *NodeItem, sn *schema.Node, test NodeTest, k *collector) error {
 	var tbuf [8]*schema.Node
-	return scanTargets(env, descendantTargets(sn, test, tbuf[:0]), n, sn, true, k)
+	return scanTargets(env, descendantTargets(sn, test, tbuf[:0]), n, sn, k)
 }
 
 // scanTargets merges the instances of the target schema nodes inside anc's
-// subtree into k, fanning the scans out over the worker pool when allowed
-// and worth it.
-func scanTargets(env *env, targets []*schema.Node, anc *NodeItem, ancSN *schema.Node, parallel bool, k *collector) error {
-	if parallel {
-		if ok, err := parallelStreams(env, targets, anc, ancSN, k); ok || err != nil {
-			return err
-		}
-	}
+// subtree into k.
+func scanTargets(env *env, targets []*schema.Node, anc *NodeItem, ancSN *schema.Node, k *collector) error {
 	var sbuf [4]nodeStream
 	streams := sbuf[:0]
 	for _, m := range targets {

@@ -3,12 +3,10 @@ package query
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"sedna/internal/core"
 	"sedna/internal/schema"
-	"sedna/internal/storage"
 	"sedna/internal/xmlgen"
 )
 
@@ -20,16 +18,15 @@ func forceBatchCap(t *testing.T, n int) {
 	t.Cleanup(func() { batchCap = old })
 }
 
-// TestBatchCapacityIdentity re-runs the shared corpus tests — every worker
-// budget, the optimizer on and off — with every batch cut to one node and to
-// three (so runs, merges and predicates cross a batch boundary at every node)
-// and at the default capacity: the corpus must serialize to its recorded
-// answers at each.
+// TestBatchCapacityIdentity re-runs the shared corpus tests — the optimizer
+// on and off, the rewriter on and off — with every batch cut to one node and
+// to three (so runs, merges and predicates cross a batch boundary at every
+// node) and at the default capacity: the corpus must serialize to its
+// recorded answers at each.
 func TestBatchCapacityIdentity(t *testing.T) {
 	for _, capacity := range []int{1, 3, batchCap} {
 		t.Run(fmt.Sprint("capacity=", capacity), func(t *testing.T) {
 			forceBatchCap(t, capacity)
-			t.Run("parallel", TestParallelMatchesSerial)
 			t.Run("optimized", TestOptimizedCorpusIdentity)
 			t.Run("in-place off", TestInPlaceOffCorpusIdentity)
 			t.Run("strings", TestStringValueInterleaved)
@@ -88,9 +85,7 @@ func TestOperatorAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer tx.Rollback()
-				ctx := NewExecCtx(tx)
-				ctx.Workers = 1
-				if _, err := Execute(ctx, src); err != nil {
+				if _, err := Execute(NewExecCtx(tx), src); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -142,7 +137,7 @@ func TestLiteralPositionStopsProducer(t *testing.T) {
 	}
 	// The person list spans several blocks and person[7] lies in the first: a
 	// producer that ran on past it would view every block, as person[600]
-	// does. (The statement worker holds its views, so each block is one view
+	// does. (The statement holds its views, so each block is one view
 	// however many batches it fills.)
 	doc, _ := db.Catalog().Doc("large")
 	el := func(n *schema.Node, name string) *schema.Node { return n.Child(schema.KindElement, name) }
@@ -154,37 +149,6 @@ func TestLiteralPositionStopsProducer(t *testing.T) {
 	late, _ := pages(`doc("large")/site/people/person[600]/name`)
 	if late-early < blocks/2 {
 		t.Fatalf("person[7] viewed %d pages, person[600] %d, over a list of %d blocks: the producer did not stop at the position", early, late, blocks)
-	}
-}
-
-// TestWorkerSlabsNotShared checks that every worker of a fan-out allocates
-// its nodes in a slab of its own; run with -race, which would flag two
-// goroutines writing one slab.
-func TestWorkerSlabsNotShared(t *testing.T) {
-	ctx := NewExecCtx(nil)
-	ctx.Workers = 4
-	var mu sync.Mutex
-	owner := map[*slab]*ExecCtx{&ctx.nodes: ctx}
-	if _, err := ctx.fanOut(256, func(i int, wctx *ExecCtx) error {
-		e := &env{ctx: wctx}
-		for j := 0; j < 40; j++ {
-			e.node(nil, storage.Desc{SchemaID: uint32(i)})
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if prev, ok := owner[&wctx.nodes]; ok && prev != wctx {
-			return fmt.Errorf("work item %d: slab %p belongs to another context", i, &wctx.nodes)
-		}
-		owner[&wctx.nodes] = wctx
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(owner) < 2 {
-		t.Fatal("no worker context took part")
-	}
-	if ctx.nodes.top != 0 || len(ctx.nodes.chunks) != 0 {
-		t.Fatal("a worker allocated in the coordinator's slab")
 	}
 }
 

@@ -32,14 +32,6 @@ type binding struct {
 	next *binding
 }
 
-// on returns e for a worker fork of the statement: same bindings, the fork's
-// context and the fork's own reader.
-func (e *env) on(wctx *ExecCtx) *env {
-	we := *e
-	we.ctx, we.r = wctx, wctx.reader()
-	return &we
-}
-
 func (e *env) bind(name string, val []Item) *env {
 	ne := *e
 	ne.vars = &binding{name: name, val: val, next: e.vars}
@@ -468,90 +460,12 @@ type flworTuple struct {
 
 // evalFLWOR evaluates for/let/where/order-by/return with nested-loop
 // semantics; lazy clauses (§5.1.3) evaluate their binding sequence once and
-// reuse it across outer iterations. When the first clause is a for-clause
-// whose body is safe for concurrent evaluation, the bindings fan out over
-// the statement's worker pool (parallelFLWOR) with an order-preserving
-// gather; the nested loop below remains the serial path and the semantic
-// reference.
-func evalFLWOR(fl *FLWOR, e *env, outer *focus) ([]Item, error) {
+// reuse it across outer iterations.
+func evalFLWOR(fl *FLWOR, e *env, f *focus) ([]Item, error) {
 	var results []flworTuple
-	// The closure below may run on worker goroutines: it gets a copy of the
-	// focus, so that a caller's focus can stay on its stack.
-	var f *focus
-	if outer != nil {
-		c := *outer
-		f = &c
-	}
-
-	var run func(i int, e *env, sink *[]flworTuple) error
-	var iter func(i int, e *env, it Item, pos int, sink *[]flworTuple) error
-	run = func(i int, e *env, sink *[]flworTuple) error {
-		if i == len(fl.Clauses) {
-			if fl.Where != nil {
-				if b, err := evalEBV(fl.Where, e, f); err != nil || !b {
-					return err
-				}
-			}
-			var keys []*Atomic
-			for _, spec := range fl.OrderBy {
-				v, err := eval(spec.Key, e, f)
-				if err != nil {
-					return err
-				}
-				var a *Atomic
-				if len(v) > 0 {
-					a, err = atomize(e, v[0])
-					if err != nil {
-						return err
-					}
-				}
-				keys = append(keys, a)
-			}
-			v, err := eval(fl.Return, e, f)
-			if err != nil {
-				return err
-			}
-			*sink = append(*sink, flworTuple{items: v, keys: keys})
-			return nil
-		}
-		cl := fl.Clauses[i]
-		seq, err := evalClauseSeq(cl, e, f)
-		if err != nil {
-			return err
-		}
-		if cl.Let {
-			return run(i+1, e.bind(cl.Var, seq), sink)
-		}
-		for pos, it := range seq {
-			// FLWOR iteration boundary: a KILL lands here even when each
-			// individual binding is cheap (wide cross joins).
-			if err := e.ctx.checkKilled(); err != nil {
-				return err
-			}
-			if err := iter(i, e, it, pos, sink); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// iter binds one item of clause i's sequence and runs what follows.
-	iter = func(i int, e *env, it Item, pos int, sink *[]flworTuple) error {
-		ne := e.bind(fl.Clauses[i].Var, []Item{it})
-		if pv := fl.Clauses[i].PosVar; pv != "" {
-			ne = ne.bind(pv, []Item{num(float64(pos + 1))})
-		}
-		return run(i+1, ne, sink)
-	}
-	handled, err := parallelFLWOR(fl, e, f, iter, &results)
-	if err != nil {
+	if err := flworLoop(fl, 0, e, f, &results); err != nil {
 		return nil, err
 	}
-	if !handled {
-		if err := run(0, e, &results); err != nil {
-			return nil, err
-		}
-	}
-
 	if len(fl.OrderBy) > 0 {
 		specs := fl.OrderBy
 		sort.SliceStable(results, func(a, b int) bool {
@@ -576,11 +490,67 @@ func evalFLWOR(fl *FLWOR, e *env, outer *focus) ([]Item, error) {
 	return out, nil
 }
 
+// flworLoop runs clauses i.. of fl in the scope e and appends one tuple per
+// binding combination that passes the where clause to sink.
+func flworLoop(fl *FLWOR, i int, e *env, f *focus, sink *[]flworTuple) error {
+	if i == len(fl.Clauses) {
+		if fl.Where != nil {
+			if b, err := evalEBV(fl.Where, e, f); err != nil || !b {
+				return err
+			}
+		}
+		var keys []*Atomic
+		for _, spec := range fl.OrderBy {
+			v, err := eval(spec.Key, e, f)
+			if err != nil {
+				return err
+			}
+			var a *Atomic
+			if len(v) > 0 {
+				a, err = atomize(e, v[0])
+				if err != nil {
+					return err
+				}
+			}
+			keys = append(keys, a)
+		}
+		v, err := eval(fl.Return, e, f)
+		if err != nil {
+			return err
+		}
+		*sink = append(*sink, flworTuple{items: v, keys: keys})
+		return nil
+	}
+	cl := fl.Clauses[i]
+	seq, err := evalClauseSeq(cl, e, f)
+	if err != nil {
+		return err
+	}
+	if cl.Let {
+		return flworLoop(fl, i+1, e.bind(cl.Var, seq), f, sink)
+	}
+	for pos, it := range seq {
+		// FLWOR iteration boundary: a KILL lands here even when each
+		// individual binding is cheap (wide cross joins).
+		if err := e.ctx.checkKilled(); err != nil {
+			return err
+		}
+		ne := e.bind(cl.Var, []Item{it})
+		if cl.PosVar != "" {
+			ne = ne.bind(cl.PosVar, []Item{num(float64(pos + 1))})
+		}
+		if err := flworLoop(fl, i+1, ne, f, sink); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // evalClauseSeq evaluates a for/let binding sequence, honouring the lazy
 // flag by caching the first evaluation (§5.1.3).
 func evalClauseSeq(cl *ForClause, e *env, f *focus) ([]Item, error) {
 	if cl.Lazy {
-		if v, ok := e.ctx.lazyLookup(cl.CacheID); ok {
+		if v, ok := e.ctx.lazy[cl.CacheID]; ok {
 			e.ctx.stats().AddLazyHits(1)
 			return v, nil
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,18 +27,12 @@ type ExecCtx struct {
 
 	// NoRewrite disables the optimizing rewriter (baseline for E5–E8).
 	NoRewrite bool
-	// NoOpt disables the cost-based optimizer: no step plans, no automatic
-	// index probes, no costed fan-out (baseline for E23).
+	// NoOpt disables the cost-based optimizer: no step plans and no
+	// automatic index probes (baseline for E23).
 	NoOpt bool
 	// NoVirtualCtors disables the virtual-constructor optimisation
 	// (baseline for E9).
 	NoVirtualCtors bool
-
-	// Workers caps intra-query parallelism for statements run through this
-	// context: 1 forces serial execution, 0 resolves the database's
-	// -query-workers setting (default GOMAXPROCS). Set it before the first
-	// statement; the worker pool is built on first use.
-	Workers int
 
 	// updateStmt is set while executing an update statement so that
 	// document resolution takes exclusive locks up front, avoiding the
@@ -49,25 +42,24 @@ type ExecCtx struct {
 	funcs     map[string]*FuncDecl
 	globalEnv *env // prolog-variable scope, used by function bodies
 
-	// sh is the executor state shared between the root context and its
-	// worker forks: the stats block, the lazy-clause cache, the temp-node
-	// ordinal counter and the worker pool.
-	sh *execShared
+	// lazy caches the binding sequences of lazy for-clauses (§5.1.3) by
+	// clause id; tempOrd numbers constructed nodes in document order.
+	lazy    map[int][]Item
+	tempOrd uint64
 
-	// forked marks a worker's view of the context (see fork). A forked
-	// context owns its span cursor but never re-points the transaction's
-	// event span — that stays with the coordinator.
-	forked bool
+	// killed is the statement's cancellation token: set by Kill (from any
+	// goroutine), observed at axis-step and FLWOR iteration boundaries via
+	// checkKilled.
+	killed atomic.Bool
 
-	// nodes holds the stored nodes this context (the statement's coordinator,
-	// or one worker fork — never shared) produces; scratch holds the merge
-	// streams' buffers, freed when their merge ends; textBuf is the reused
-	// buffer string values are assembled in. See slab.go.
+	// nodes holds the stored nodes the statement produces; scratch holds the
+	// merge streams' buffers, freed when their merge ends; textBuf is the
+	// reused buffer string values are assembled in. See slab.go.
 	nodes, scratch slab
 	textBuf        []byte
 
-	// views are the page views this context's worker holds over a snapshot
-	// (store.go); released when the worker hands off or the statement ends.
+	// views are the page views the statement holds over a snapshot
+	// (store.go); released when the statement ends.
 	views heldViews
 
 	// paths holds the chains of in-place comparisons this context resolved
@@ -82,49 +74,25 @@ type ExecCtx struct {
 	span   *trace.Span
 }
 
-// execShared is the per-statement executor state a root context shares with
-// its worker forks. Everything here is safe for concurrent use: the profile
-// counters are accumulated atomically, the lazy cache is mutex-guarded, the
-// ordinal counter is atomic, and the pool hands out goroutine tokens.
-type execShared struct {
-	prof    *metrics.QueryProfile // the root context's Profile
-	lazyMu  sync.Mutex
-	lazy    map[int][]Item
-	tempOrd atomic.Uint64
-
-	// killed is the statement's cancellation token: set (from any
-	// goroutine) by Kill, observed by every worker fork at axis-step and
-	// FLWOR iteration boundaries via checkKilled.
-	killed atomic.Bool
-
-	poolOnce sync.Once
-	pool     *workerPool
-
-	// plannedWorkers is the cost-based optimizer's chosen fan-out width for
-	// this statement (0 = no decision); pool() consults it when the context
-	// has no explicit Workers cap.
-	plannedWorkers int
-}
-
 // ErrKilled is returned by a statement terminated through ExecCtx.Kill. The
 // server maps it to a clean transaction abort.
 var ErrKilled = fmt.Errorf("query: statement killed")
 
-// Kill requests cancellation of the statement executing through this context
-// (and all its worker forks). Safe to call from any goroutine, at any time,
-// including after the statement finished (then a no-op for that statement —
-// contexts are not reused across statements by the server).
-func (ctx *ExecCtx) Kill() { ctx.shared().killed.Store(true) }
+// Kill requests cancellation of the statement executing through this
+// context. Safe to call from any goroutine, at any time, including after the
+// statement finished (then a no-op for that statement — contexts are not
+// reused across statements by the server).
+func (ctx *ExecCtx) Kill() { ctx.killed.Store(true) }
 
 // Killed reports whether Kill has been called.
-func (ctx *ExecCtx) Killed() bool { return ctx.shared().killed.Load() }
+func (ctx *ExecCtx) Killed() bool { return ctx.killed.Load() }
 
 // checkKilled is the executor's cancellation point: a single atomic load on
 // the hot path, returning ErrKilled once Kill has been called. Placed at
 // axis-step stream boundaries and FLWOR iteration boundaries so even a
 // statement in one long storage scan notices promptly.
 func (ctx *ExecCtx) checkKilled() error {
-	if ctx.sh != nil && ctx.sh.killed.Load() {
+	if ctx.killed.Load() {
 		return ErrKilled
 	}
 	return nil
@@ -133,73 +101,24 @@ func (ctx *ExecCtx) checkKilled() error {
 // NewExecCtx creates an execution context over an engine transaction.
 func NewExecCtx(tx *core.Tx) *ExecCtx {
 	ctx := &ExecCtx{Tx: tx}
-	ctx.sh = &execShared{prof: &ctx.Profile, lazy: make(map[int][]Item)}
 	if tx != nil && tx.DB() != nil {
 		ctx.tracer = tx.DB().Tracer()
 	}
 	return ctx
 }
 
-// shared returns the context's shared executor state, creating it for bare
-// contexts built without NewExecCtx (tests, tools). Must first be called
-// from the statement's coordinating goroutine, which every execution path
-// does before any fan-out.
-func (ctx *ExecCtx) shared() *execShared {
-	if ctx.sh == nil {
-		ctx.sh = &execShared{prof: &ctx.Profile, lazy: make(map[int][]Item)}
-	}
-	return ctx.sh
-}
+// stats returns the ExecStats block executor events accumulate into.
+func (ctx *ExecCtx) stats() *metrics.ExecStats { return &ctx.Profile.ExecStats }
 
-// stats returns the ExecStats block executor events accumulate into: always
-// the root context's profile, shared by worker forks. Callers increment
-// through the atomic Add* methods.
-func (ctx *ExecCtx) stats() *metrics.ExecStats {
-	return &ctx.shared().prof.ExecStats
-}
-
-// lazyLookup consults the shared lazy-clause cache.
-func (ctx *ExecCtx) lazyLookup(id int) ([]Item, bool) {
-	sh := ctx.shared()
-	sh.lazyMu.Lock()
-	v, ok := sh.lazy[id]
-	sh.lazyMu.Unlock()
-	return v, ok
-}
-
-// lazyStore records a lazy clause's materialized binding sequence. Racing
-// workers may store the same id; either value is correct (both evaluated
-// the same expression over the same snapshot), so last-write-wins is fine.
-// The sequence outlives whatever bracket it was evaluated in, so the slab
-// that holds its nodes is pinned.
+// lazyStore records a lazy clause's materialized binding sequence. The
+// sequence outlives whatever bracket it was evaluated in, so the slab that
+// holds its nodes is pinned.
 func (ctx *ExecCtx) lazyStore(id int, v []Item) {
 	ctx.nodes.pin()
-	sh := ctx.shared()
-	sh.lazyMu.Lock()
-	sh.lazy[id] = v
-	sh.lazyMu.Unlock()
-}
-
-// fork derives a worker's view of the context for one parallel section: it
-// shares the transaction, function table, rewriter switches and the shared
-// executor state, but owns its span cursor so the worker's spans nest under
-// its own "worker N" span.
-func (ctx *ExecCtx) fork(span *trace.Span) *ExecCtx {
-	return &ExecCtx{
-		Tx:             ctx.Tx,
-		NoRewrite:      ctx.NoRewrite,
-		NoOpt:          ctx.NoOpt,
-		NoVirtualCtors: ctx.NoVirtualCtors,
-		Workers:        ctx.Workers,
-		updateStmt:     ctx.updateStmt,
-		funcs:          ctx.funcs,
-		globalEnv:      ctx.globalEnv,
-		sh:             ctx.shared(),
-		forked:         true,
-		tracer:         ctx.tracer,
-		trace:          ctx.trace,
-		span:           span,
+	if ctx.lazy == nil {
+		ctx.lazy = make(map[int][]Item)
 	}
+	ctx.lazy[id] = v
 }
 
 // StartTrace opens a trace for the statement about to execute, unless one
@@ -254,14 +173,12 @@ func (ctx *ExecCtx) RecordParse(ns int64) {
 }
 
 // pushSpan opens a child of the current span and makes it current; returns
-// nil (and stays free of side effects) when not tracing. Worker forks keep
-// their span cursor private: only the coordinating goroutine re-points the
-// transaction's event span.
+// nil (and stays free of side effects) when not tracing.
 func (ctx *ExecCtx) pushSpan(name string) *trace.Span {
 	c := ctx.span.Child(name)
 	if c != nil {
 		ctx.span = c
-		if ctx.Tx != nil && !ctx.forked {
+		if ctx.Tx != nil {
 			ctx.Tx.SetTraceSpan(c)
 		}
 	}
@@ -275,7 +192,7 @@ func (ctx *ExecCtx) popSpan(c *trace.Span) {
 	}
 	c.End()
 	ctx.span = c.Parent()
-	if ctx.Tx != nil && !ctx.forked {
+	if ctx.Tx != nil {
 		ctx.Tx.SetTraceSpan(ctx.span)
 	}
 }
@@ -381,8 +298,8 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	return res, err
 }
 
-// reader returns the storage reader of this context's worker: its held views
-// over a snapshot, the transaction itself in an update transaction.
+// reader returns the statement's storage reader: its held views over a
+// snapshot, the transaction itself in an update transaction.
 func (ctx *ExecCtx) reader() storage.Reader {
 	switch {
 	case ctx.Tx == nil:
@@ -418,7 +335,6 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 		ctx.popSpan(esp)
 	}()
 	ctx.funcs = st.Prolog.Funcs
-	ctx.shared() // materialize shared executor state before any fan-out
 	defer ctx.views.release()
 	e := &env{ctx: ctx, r: ctx.reader()}
 	// Prolog variables bind in order.

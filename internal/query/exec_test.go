@@ -2,6 +2,7 @@ package query
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"sedna/internal/core"
@@ -494,5 +495,33 @@ func TestReadOnlyRejectsUpdates(t *testing.T) {
 	}
 	if _, err := Execute(NewExecCtx(tx), `CREATE DOCUMENT "x"`); err == nil {
 		t.Fatal("DDL in read-only transaction must fail")
+	}
+}
+
+// TestExecStatsConcurrent hammers one context's stats block from many
+// goroutines; run with -race. The counters must neither lose increments nor
+// tear.
+func TestExecStatsConcurrent(t *testing.T) {
+	ctx := NewExecCtx(nil)
+	const workers, perWorker = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := ctx.stats()
+			for i := 0; i < perWorker; i++ {
+				s.AddDDOOps(1)
+				s.AddSchemaScans(1)
+				s.AddLazyHits(1)
+			}
+		}()
+	}
+	wg.Wait()
+	want := uint64(workers * perWorker)
+	s := ctx.stats()
+	if s.DDOOps != want || s.SchemaScans != want || s.LazyHits != want {
+		t.Fatalf("lost increments: ddo=%d schema=%d lazy=%d want %d",
+			s.DDOOps, s.SchemaScans, s.LazyHits, want)
 	}
 }

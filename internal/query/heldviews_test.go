@@ -54,11 +54,10 @@ func TestHeldViewAllocations(t *testing.T) {
 }
 
 // TestHeldViewsReleased: whether a statement succeeds, fails or is killed,
-// serially or on four workers, no frame stays pinned behind it — checked
+// no frame stays pinned behind it — checked
 // while its transaction is still open, by handing every page of the
 // checkpointed database back to the pool and finding none left.
 func TestHeldViewsReleased(t *testing.T) {
-	lowerScanGate(t)
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -88,42 +87,39 @@ func TestHeldViewsReleased(t *testing.T) {
 		return db.Buffer().FrameCount()
 	}
 
-	for _, workers := range []int{1, 4} {
-		for _, c := range []struct {
-			name, src string
-			kill      bool
-		}{
-			{"success", `count(doc("cat")//item[value > 5000])`, false},
-			{"error", `doc("cat")//item/value + 1`, false},
-			{"kill", `count(doc("cat")//item[count(doc("cat")//item) > 0])`, true},
-		} {
-			tx, err := db.BeginReadOnly()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := NewExecCtx(tx)
-			ctx.Workers = workers
-			done := make(chan error, 1)
-			go func() {
-				res, err := Execute(ctx, c.src)
-				if err == nil {
-					_, err = res.String()
-				}
-				done <- err
-			}()
-			if c.kill {
-				time.Sleep(10 * time.Millisecond)
-				ctx.Kill()
-			}
-			err = <-done
-			switch {
-			case c.kill && !errors.Is(err, ErrKilled), !c.kill && (err != nil) != (c.name == "error"):
-				t.Errorf("workers=%d %s: %v", workers, c.name, err)
-			}
-			if n := pinned(); n != 0 {
-				t.Errorf("workers=%d %s: %d frames still pinned after the statement", workers, c.name, n)
-			}
-			tx.Rollback()
+	for _, c := range []struct {
+		name, src string
+		kill      bool
+	}{
+		{"success", `count(doc("cat")//item[value > 5000])`, false},
+		{"error", `doc("cat")//item/value + 1`, false},
+		{"kill", `count(doc("cat")//item[count(doc("cat")//item) > 0])`, true},
+	} {
+		tx, err := db.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
 		}
+		ctx := NewExecCtx(tx)
+		done := make(chan error, 1)
+		go func() {
+			res, err := Execute(ctx, c.src)
+			if err == nil {
+				_, err = res.String()
+			}
+			done <- err
+		}()
+		if c.kill {
+			time.Sleep(10 * time.Millisecond)
+			ctx.Kill()
+		}
+		err = <-done
+		switch {
+		case c.kill && !errors.Is(err, ErrKilled), !c.kill && (err != nil) != (c.name == "error"):
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if n := pinned(); n != 0 {
+			t.Errorf("%s: %d frames still pinned after the statement", c.name, n)
+		}
+		tx.Rollback()
 	}
 }

@@ -17,10 +17,7 @@ import (
 // recorded one, which the corpus tests with the rewriter on reach through the
 // in-place path.
 func TestInPlaceOffCorpusIdentity(t *testing.T) {
-	db := parallelDB(t)
-	for _, workers := range []int{1, 4} {
-		checkCorpus(t, db, func(ctx *ExecCtx) { ctx.NoRewrite, ctx.Workers = true, workers })
-	}
+	checkCorpus(t, corpusDB(t), func(ctx *ExecCtx) { ctx.NoRewrite = true })
 }
 
 // TestExplainInPlace: EXPLAIN marks the comparisons of the in-place shape,

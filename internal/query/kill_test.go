@@ -30,7 +30,6 @@ func TestKillLongFLWOR(t *testing.T) {
 	}
 	defer tx.Rollback()
 	ctx := NewExecCtx(tx)
-	ctx.Workers = 1
 
 	done := make(chan error, 1)
 	go func() {
@@ -57,7 +56,7 @@ func TestKillLongFLWOR(t *testing.T) {
 }
 
 // TestKillLongScan kills a statement stuck in a stored-node descendant scan
-// (the mergeStreams path), serial and parallel.
+// (the mergeStreams path).
 func TestKillLongScan(t *testing.T) {
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 1024})
 	if err != nil {
@@ -74,32 +73,29 @@ func TestKillLongScan(t *testing.T) {
 	if err := tx0.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		tx, err := db.BeginReadOnly()
-		if err != nil {
-			t.Fatal(err)
+	tx, err := db.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	ctx := NewExecCtx(tx)
+	// Quadratic predicate over the scan keeps one statement busy long
+	// enough to kill: every //item re-counts all //item descendants.
+	src := `count(doc("cat")//item[count(doc("cat")//item) > 0])`
+	done := make(chan error, 1)
+	go func() {
+		_, err := Execute(ctx, src)
+		done <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	ctx.Kill()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrKilled) {
+			t.Fatalf("got %v, want ErrKilled", err)
 		}
-		ctx := NewExecCtx(tx)
-		ctx.Workers = workers
-		// Quadratic predicate over the scan keeps one statement busy long
-		// enough to kill: every //item re-counts all //item descendants.
-		src := `count(doc("cat")//item[count(doc("cat")//item) > 0])`
-		done := make(chan error, 1)
-		go func() {
-			_, err := Execute(ctx, src)
-			done <- err
-		}()
-		time.Sleep(10 * time.Millisecond)
-		ctx.Kill()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrKilled) {
-				t.Fatalf("workers=%d: got %v, want ErrKilled", workers, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: killed scan did not terminate", workers)
-		}
-		tx.Rollback()
+	case <-time.After(10 * time.Second):
+		t.Fatal("killed scan did not terminate")
 	}
 }
 
@@ -119,7 +115,6 @@ func TestKillRacesCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := NewExecCtx(tx)
-		ctx.Workers = 1
 		done := make(chan error, 1)
 		go func() {
 			_, err := Execute(ctx, `count(for $i in 1 to 400 return $i)`)

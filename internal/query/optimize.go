@@ -5,16 +5,14 @@ package query
 // resolves over the descriptive schema it estimates cardinality (NodeCount
 // ratios for structural steps, histogram selectivity for comparison
 // predicates) and costs the physical alternatives the executor already
-// implements — value-index probe, schema-level structural scan, parallel
-// fan-out, naive chain navigation. The chosen plan is attached to the step
-// (Step.Plan) and surfaced through EXPLAIN (costed-alternatives table),
-// PROFILE (estimated vs actual rows) and the opt.* metrics. Plans never
-// change results: the index probe rechecks every predicate on its
-// candidates, and parallel output merges back into document order.
+// implements — value-index probe, schema-level structural scan, naive chain
+// navigation. The chosen plan is attached to the step (Step.Plan) and
+// surfaced through EXPLAIN (costed-alternatives table), PROFILE (estimated
+// vs actual rows) and the opt.* metrics. Plans never change results: the
+// index probe rechecks every predicate on its candidates.
 
 import (
 	"math"
-	"runtime"
 	"sort"
 
 	"sedna/internal/index"
@@ -41,7 +39,6 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	}
 	planned := 0
 	probes := 0
-	maxWorkers := 0
 	visit := func(x Expr) {
 		s, ok := x.(*Step)
 		if !ok {
@@ -53,9 +50,6 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 			if p.Probe != nil {
 				probes++
 			}
-			if p.Workers > maxWorkers {
-				maxWorkers = p.Workers
-			}
 		}
 	}
 	for _, v := range st.Prolog.Vars {
@@ -64,9 +58,6 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	walkExpr(st.Query, visit)
 	if planned == 0 {
 		return nil
-	}
-	if maxWorkers >= 2 {
-		ctx.shared().plannedWorkers = maxWorkers
 	}
 	if reg := ctx.registry(); reg != nil {
 		reg.Counter("opt.plans_costed").Add(uint64(planned))
@@ -79,8 +70,8 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 
 // planUpdateTarget costs the steps of an update's target selection (§5.2:
 // select the targets, then modify them by node handle) and keeps the plans
-// that chose a value-index probe. Scan plans are dropped: fan-out stays off
-// for update statements. The probe is safe inside the
+// that chose a value-index probe. Scan plans are dropped. The probe is safe
+// inside the
 // writing transaction: it rechecks every predicate, the targets are fully
 // evaluated before the first modification, and indexes are maintained
 // synchronously in-transaction, so the statement reads its transaction's
@@ -187,30 +178,19 @@ func planStep(ctx *ExecCtx, s *Step) *StepPlan {
 			// documents.
 			return nil
 		}
-		return planScanStep(ctx, nodes, blocks, len(targets))
+		return planScanStep(nodes, blocks)
 	}
 	return planPredStep(ctx, s, doc, targets, nodes, blocks, stats, fresh)
 }
 
-// planScanStep costs a predicate-free structural scan: serial scan vs
-// parallel fan-out vs chain navigation. Cardinality is exact (NodeCount).
-func planScanStep(ctx *ExecCtx, nodes, blocks float64, targets int) *StepPlan {
-	scan := opt.ScanCost(blocks, nodes, 0)
-	p := &StepPlan{EstRows: nodes, Workers: 1}
+// planScanStep costs a predicate-free structural scan: schema-level scan vs
+// chain navigation. Cardinality is exact (NodeCount).
+func planScanStep(nodes, blocks float64) *StepPlan {
 	alts := []opt.Alt{
-		{Name: opt.AltStructuralScan, EstRows: nodes, Cost: scan},
+		{Name: opt.AltStructuralScan, EstRows: nodes, Cost: opt.ScanCost(blocks, nodes, 0)},
 		{Name: opt.AltChainScan, EstRows: nodes, Cost: opt.ChainCost(blocks, nodes)},
 	}
-	maxW := ctx.workerBudget()
-	if maxW > targets {
-		maxW = targets
-	}
-	if w, cost, ok := opt.BestWorkers(scan, maxW); ok {
-		alts = append(alts, opt.Alt{Name: opt.ParallelAltName(w), EstRows: nodes, Cost: cost})
-		p.Workers = w
-	}
-	p.Alts = markChosen(alts)
-	return p
+	return &StepPlan{EstRows: nodes, Alts: markChosen(alts)}
 }
 
 // planPredStep costs a predicate-bearing step: structural scan + filter vs
@@ -265,18 +245,6 @@ func chosen(alts []opt.Alt, name string) bool {
 		}
 	}
 	return false
-}
-
-// workerBudget is the statement's maximum fan-out width: the context's
-// explicit cap, else the database setting, else GOMAXPROCS.
-func (ctx *ExecCtx) workerBudget() int {
-	if ctx.Workers > 0 {
-		return ctx.Workers
-	}
-	if ctx.Tx != nil && ctx.Tx.DB() != nil {
-		return ctx.Tx.DB().QueryWorkers()
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // cmpPred is a decomposed comparison predicate: a relative path compared to

@@ -9,10 +9,10 @@ import (
 	"sedna/internal/core"
 )
 
-// qctl executes a query with explicit optimizer and worker settings.
-func qctl(t *testing.T, db *core.Database, src string, noopt bool, workers int) string {
+// qctl executes a query with the cost-based optimizer off or on.
+func qctl(t *testing.T, db *core.Database, src string, noopt bool) string {
 	t.Helper()
-	return qset(t, db, src, func(ctx *ExecCtx) { ctx.NoOpt, ctx.Workers = noopt, workers })
+	return qset(t, db, src, func(ctx *ExecCtx) { ctx.NoOpt = noopt })
 }
 
 // qset executes a query in a read-only transaction through a context set up by
@@ -28,7 +28,7 @@ func qset(t *testing.T, db *core.Database, src string, set func(*ExecCtx)) strin
 	set(ctx)
 	res, err := Execute(ctx, src)
 	if err != nil {
-		t.Fatalf("query %q (noopt=%v norewrite=%v workers=%d): %v", src, ctx.NoOpt, ctx.NoRewrite, ctx.Workers, err)
+		t.Fatalf("query %q (noopt=%v norewrite=%v): %v", src, ctx.NoOpt, ctx.NoRewrite, err)
 	}
 	s, err := res.String()
 	if err != nil {
@@ -166,8 +166,8 @@ func TestAnalyzeSampled(t *testing.T) {
 		`count(doc("inv")//item[v = 3])`,
 		`count(doc("inv")//item[v > 7])`,
 	} {
-		want := qctl(t, db, src, true, 0)
-		if got := qctl(t, db, src, false, 0); got != want {
+		want := qctl(t, db, src, true)
+		if got := qctl(t, db, src, false); got != want {
 			t.Errorf("sampled stats diverge for %s: got %s want %s", src, got, want)
 		}
 	}
@@ -267,12 +267,9 @@ func TestProbeByteIdentity(t *testing.T) {
 	}
 	before := db.Metrics().Snapshot().Counters["opt.index_probes"]
 	for _, src := range queries {
-		want := qctl(t, db, src, true, 0) // optimizer off: plain evaluation
-		if got := qctl(t, db, src, false, 0); got != want {
-			t.Errorf("optimized serial diverges for %s\n got: %.200s\nwant: %.200s", src, got, want)
-		}
-		if got := qctl(t, db, src, false, 4); got != want {
-			t.Errorf("optimized parallel diverges for %s\n got: %.200s\nwant: %.200s", src, got, want)
+		want := qctl(t, db, src, true) // optimizer off: plain evaluation
+		if got := qctl(t, db, src, false); got != want {
+			t.Errorf("optimized plan diverges for %s\n got: %.200s\nwant: %.200s", src, got, want)
 		}
 	}
 	after := db.Metrics().Snapshot().Counters["opt.index_probes"]
@@ -293,8 +290,8 @@ func TestProbeAfterAnalyze(t *testing.T) {
 		`doc("inv")//item[v = 9]/name/text()`,
 	}
 	for _, src := range queries {
-		want := qctl(t, db, src, true, 0)
-		if got := qctl(t, db, src, false, 0); got != want {
+		want := qctl(t, db, src, true)
+		if got := qctl(t, db, src, false); got != want {
 			t.Errorf("analyzed plan diverges for %s\n got: %.200s\nwant: %.200s", src, got, want)
 		}
 	}
@@ -486,20 +483,18 @@ func TestAnalyzeRollback(t *testing.T) {
 	}
 }
 
-// TestOptimizedCorpusIdentity runs the full parallel property corpus with
-// fresh statistics on every document: plans (serial-forced, fanned out,
-// probed) must never change any serialization, which stays the recorded
-// answer with the optimizer on and off, serial and on four workers.
+// TestOptimizedCorpusIdentity runs the full identity corpus before and after
+// fresh statistics on every document: plans (scans, probes) must never change
+// any serialization, which stays the recorded answer with the optimizer on
+// and off.
 func TestOptimizedCorpusIdentity(t *testing.T) {
-	lowerScanGate(t)
-	db := parallelDB(t)
+	db := corpusDB(t)
+	checkCorpus(t, db, func(*ExecCtx) {})
 	for _, name := range []string{"cat", "biglib", "site", "deep"} {
 		upd(t, db, fmt.Sprintf(`ANALYZE doc(%q)`, name))
 	}
 	for _, noopt := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			checkCorpus(t, db, func(ctx *ExecCtx) { ctx.NoOpt, ctx.Workers = noopt, workers })
-		}
+		checkCorpus(t, db, func(ctx *ExecCtx) { ctx.NoOpt = noopt })
 	}
 	m := db.Metrics().Snapshot()
 	if m.Counters["opt.plans_costed"] == 0 {

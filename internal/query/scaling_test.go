@@ -34,7 +34,6 @@ func auctionPages(t *testing.T, n int) (pages uint64, answer string) {
 	}
 	defer rtx.Rollback()
 	ctx := NewExecCtx(rtx)
-	ctx.Workers = 1 // fan-out would spread the count over forked contexts
 	res, err := Execute(ctx, `count(doc("a")//item[quantity > 5])`)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package query
 
 // Node batches (DESIGN.md §5 has the whole picture). Stored nodes flow through
 // the executor as fixed-size entries (NodeItem) of slabs the statement's
-// ExecCtx owns, one slab set per worker fork. A producer — a cursor (store.go)
-// — fills a batch, the free tail of the slab's current chunk; the step's
-// collector runs the predicates over it and moves the survivors to the front;
+// ExecCtx owns. A producer — a cursor (store.go) — fills a batch, the free
+// tail of the slab's current chunk; the step's collector runs the predicates
+// over it and moves the survivors to the front;
 // the rest of the batch goes back to the slab before the next fill. Chunks
 // are never reallocated, so a *NodeItem stays a valid Item for as long as the
 // statement's result lives. Evaluations whose value holds no node (a
@@ -319,31 +319,25 @@ func drain(e *env, c cursor, k *collector) (err error) {
 }
 
 // nodeStream is one label-ordered input of a merge: a live cursor with a
-// small buffer of decoded entries, or the chunks a parallel worker drained
-// its cursor into.
+// small buffer of decoded entries.
 type nodeStream struct {
-	c      cursor
-	buf    []NodeItem
-	pos    int
-	chunks [][]NodeItem
+	c   cursor
+	buf []NodeItem
+	pos int
 }
 
 // head returns the stream's current entry, refilling the buffer when it is
 // used up; nil at the end.
 func (s *nodeStream) head(e *env) (*NodeItem, error) {
 	for s.pos == len(s.buf) {
-		switch {
-		case len(s.chunks) > 0:
-			s.buf, s.chunks, s.pos = s.chunks[0], s.chunks[1:], 0
-		case !s.c.done():
-			n, c, err := e.fill(s.c, s.buf[:cap(s.buf)])
-			if err != nil {
-				return nil, err
-			}
-			s.buf, s.c, s.pos = s.buf[:n], c, 0
-		default:
+		if s.c.done() {
 			return nil, nil
 		}
+		n, c, err := e.fill(s.c, s.buf[:cap(s.buf)])
+		if err != nil {
+			return nil, err
+		}
+		s.buf, s.c, s.pos = s.buf[:n], c, 0
 	}
 	return &s.buf[s.pos], nil
 }
@@ -355,16 +349,14 @@ func mergeStreams(e *env, streams []nodeStream, k *collector) error {
 	switch {
 	case len(streams) == 0:
 		return nil
-	case len(streams) == 1 && len(streams[0].chunks) == 0:
+	case len(streams) == 1:
 		return drain(e, streams[0].c, k)
 	}
 	s, scratch := &e.ctx.nodes, &e.ctx.scratch
 	sm := scratch.mark()
 	defer scratch.release(sm)
 	for i := range streams {
-		if len(streams[i].chunks) == 0 {
-			streams[i].buf = scratch.take(streamCap)[:0]
-		}
+		streams[i].buf = scratch.take(streamCap)[:0]
 	}
 	for {
 		if err := e.ctx.checkKilled(); err != nil {

@@ -6,8 +6,8 @@ package query
 // that lie on one page under a single page view (storage.ReadRun), straight
 // into slab entries.
 //
-// A statement worker reads through its ExecCtx's reader. Over a snapshot that
-// is heldViews: the last pages the worker viewed stay pinned (or, for a page
+// A statement reads through its ExecCtx's reader. Over a snapshot that is
+// heldViews: the last pages the statement viewed stay pinned (or, for a page
 // a writer has superseded, referenced on its version chain), and the next
 // read of one of them is served from the view it already has.
 
@@ -116,24 +116,23 @@ func (a storeAccess) Text(n Item) ([]byte, error) {
 	return b, err
 }
 
-// maxHeldViews is how many page views one statement worker keeps. A value
+// maxHeldViews is how many page views one statement keeps. A value
 // comparison two child steps below a context node reads five pages per node —
 // the context's own list, one page per step, the text node and the text
 // record — and those pages change slowly from node to node.
 const maxHeldViews = 8
 
-// heldViews is the storage.Reader of one statement worker over a snapshot
+// heldViews is the storage.Reader of one statement over a snapshot
 // transaction. It keeps the maxHeldViews pages it viewed most recently and
 // serves a read of one of them from the view it holds: no stripe lock, map
 // lookup or pin. What it holds cannot change under it — committed bytes are
 // immutable in the buffer pool, and a writer's first touch re-points the
 // frame instead of writing into them — and is the page as of the snapshot
-// for the whole statement. The views are let go when the worker hands its
-// results off or the statement ends (release). Update transactions read
-// through the transaction itself, one view per read: PinWrite re-points a
-// frame under its own writer.
+// for the whole statement. The views are let go when the statement ends
+// (release). Update transactions read through the transaction itself, one
+// view per read: PinWrite re-points a frame under its own writer.
 //
-// Not safe for concurrent use: every worker fork has its own.
+// Not safe for concurrent use.
 type heldViews struct {
 	tx    *txn.Tx
 	clock uint32

@@ -102,7 +102,5 @@ func evalStructural(s *Step, e *env, k *collector) error {
 		// order — no per-node work at all.
 		return drain(e, e.schemaScan(docNode.Doc, targets[0]), k)
 	}
-	// A costed plan that chose serial execution (fan-out startup would
-	// outweigh the scan) overrides the size heuristics of the fan-out.
-	return scanTargets(e, targets, docNode, docNode.Doc.Schema.Root, s.Plan == nil || s.Plan.Workers != 1, k)
+	return scanTargets(e, targets, docNode, docNode.Doc.Schema.Root, k)
 }

@@ -26,12 +26,10 @@ type TempNode struct {
 	ord uint64 // construction ordinal: document order among temp nodes
 }
 
-// newTempNode allocates a constructed node with the next ordinal. The
-// counter is atomic for safety, but parallel sections exclude constructors
-// (parallelSafeFLWOR) precisely because worker interleaving would make these
-// ordinals — the document order of constructed nodes — nondeterministic.
+// newTempNode allocates a constructed node with the next ordinal.
 func (c *ExecCtx) newTempNode(kind schema.NodeKind, name string) *TempNode {
-	return &TempNode{Kind: kind, Name: name, ord: c.shared().tempOrd.Add(1)}
+	c.tempOrd++
+	return &TempNode{Kind: kind, Name: name, ord: c.tempOrd}
 }
 
 // append links child under n.

@@ -22,7 +22,6 @@ const (
 	MsgQuit       = wire.MsgQuit
 	MsgMetrics    = wire.MsgMetrics
 	MsgSlowLog    = wire.MsgSlowLog
-	MsgWorkers    = wire.MsgWorkers
 	MsgReplicate  = wire.MsgReplicate
 	MsgReplStatus = wire.MsgReplStatus
 	MsgPromote    = wire.MsgPromote

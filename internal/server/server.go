@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,20 +345,6 @@ func (g *Governor) slowLog(req *Request) (*wire.Response, error) {
 	}, nil
 }
 
-// workers serves a MsgWorkers request: optionally retune the intra-query
-// parallelism cap (the runtime face of sednad -query-workers), then report
-// the effective worker budget.
-func (g *Governor) workers(req *Request) (*wire.Response, error) {
-	if req.SetWorkers {
-		g.db.SetQueryWorkers(req.Workers)
-	}
-	n := g.db.QueryWorkers()
-	return &wire.Response{
-		Data:    strconv.AppendInt(nil, int64(n), 10),
-		Message: fmt.Sprintf("query workers=%d", n),
-	}, nil
-}
-
 // replStatus serves a MsgReplStatus request: the node's role and lag-aware
 // replica topology as JSON.
 func (g *Governor) replStatus() (*wire.Response, error) {
@@ -511,8 +496,6 @@ func (s *Server) handle(rawConn net.Conn) {
 			resp = &wire.Response{Data: []byte(s.gov.Metrics().Text())}
 		case MsgSlowLog:
 			resp, rerr = s.gov.slowLog(&req)
-		case MsgWorkers:
-			resp, rerr = s.gov.workers(&req)
 		case MsgReplicate:
 			// The connection becomes a replication stream and never returns
 			// to the request-response loop.
@@ -540,7 +523,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		if rerr == nil {
 			out := byte(MsgOK)
 			switch typ {
-			case MsgExecute, MsgMetrics, MsgSlowLog, MsgWorkers, MsgReplStatus, MsgSessions, MsgCluster:
+			case MsgExecute, MsgMetrics, MsgSlowLog, MsgReplStatus, MsgSessions, MsgCluster:
 				out = MsgResult
 			}
 			// A response over the limit is refused before any byte of it is

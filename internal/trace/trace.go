@@ -38,13 +38,9 @@ type Attr struct {
 }
 
 // Span is one timed region of a trace. Spans nest. A span's mutators are
-// guarded by a small mutex: the parallel query executor lets several worker
-// goroutines attach children and accumulate event attributes on the same
-// span (e.g. buffer faults attributed through the transaction's event
-// span), so single-goroutine discipline no longer holds. The lock is
-// uncontended on serial statements. All methods are no-ops on a nil
-// receiver; reading a finished trace needs no locking (workers are joined
-// before the trace is rendered).
+// guarded by a small mutex, so any goroutine may annotate a span; the lock
+// is uncontended in practice. All methods are no-ops on a nil receiver;
+// reading a finished trace needs no locking.
 type Span struct {
 	Name     string  `json:"name"`
 	StartNs  int64   `json:"start_ns"` // offset from the trace start
@@ -139,7 +135,7 @@ func (s *Span) SetStr(key, v string) {
 }
 
 // SetInt sets an integer attribute, replacing an existing one of the same
-// key (a span re-annotated per parallel section keeps one value).
+// key (a span re-annotated keeps one value).
 func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
@@ -195,7 +191,7 @@ type Trace struct {
 }
 
 // SetOrigin attributes the trace to a session and client address. Must be
-// called by the statement's coordinating goroutine before Finish.
+// called by the goroutine running the statement, before Finish.
 func (tr *Trace) SetOrigin(sessionID uint64, client string) {
 	if tr == nil {
 		return

@@ -202,10 +202,7 @@ type Tx struct {
 
 	// span is the innermost open trace span of the statement currently
 	// executing on this transaction (nil when not tracing); buffer faults
-	// and commit-time fsyncs attach to it. The field itself is only
-	// re-pointed by the statement's coordinating goroutine (worker forks
-	// never call SetTraceSpan), and Span's methods are goroutine-safe, so
-	// workers may attribute events through it concurrently.
+	// and commit-time fsyncs attach to it.
 	span *trace.Span
 }
 

@@ -22,9 +22,9 @@ import (
 	"math"
 )
 
-// Message types (client → server). 10 and 17 are retired (they tuned the
-// readahead prefetcher and the resident mode); a server answers them as
-// unknown.
+// Message types (client → server). 9, 10 and 17 are retired (they set the
+// intra-query worker budget and tuned the readahead prefetcher and the
+// resident mode); a server answers them as unknown.
 const (
 	MsgHello      = 1
 	MsgBegin      = 2
@@ -34,7 +34,6 @@ const (
 	MsgQuit       = 6
 	MsgMetrics    = 7
 	MsgSlowLog    = 8
-	MsgWorkers    = 9
 	MsgReplicate  = 11 // switch the connection to a replication stream
 	MsgReplStatus = 12 // report replication topology and lag
 	MsgPromote    = 13 // promote a replica to a writable primary
@@ -93,12 +92,6 @@ type Request struct {
 	N            int   `json:"n,omitempty"`
 	ThresholdNs  int64 `json:"threshold_ns,omitempty"`
 	SetThreshold bool  `json:"set_threshold,omitempty"`
-
-	// MsgWorkers: when SetWorkers is set, the server updates the intra-query
-	// parallelism cap to Workers (≤ 0 restores the GOMAXPROCS default); the
-	// response always reports the effective worker budget.
-	Workers    int  `json:"workers,omitempty"`
-	SetWorkers bool `json:"set_workers,omitempty"`
 
 	// MsgReplicate: the joining replica asks for the stream to start at
 	// FromLSN; with NeedSeed it requests a hot-backup seed transfer first

@@ -93,8 +93,8 @@ func Auction(w io.Writer, people, items, bidsPerItem int, seed int64) error {
 // named section elements (<sec0>..<secN>), each with `perSection` <item>
 // children carrying a name, a value and a note. Because every section has
 // its own element name, each lands on its own descriptive-schema node, so
-// //item resolves to `sections` independent block-list range scans — the
-// shape the intra-query parallel executor fans out over.
+// //item resolves to `sections` independent block-list range scans that the
+// executor merges in document order.
 func Sections(w io.Writer, sections, perSection int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	bw := &errWriter{w: w}

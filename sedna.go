@@ -37,18 +37,6 @@ import (
 	"sedna/internal/query"
 )
 
-// BulkLoadMode selects the document-ingest path LoadXML uses.
-type BulkLoadMode int
-
-const (
-	// BulkLoadAuto (the default) streams freshly created documents through
-	// the direct block-construction bulk loader; fragment inserts into
-	// existing documents always use the node-at-a-time path.
-	BulkLoadAuto BulkLoadMode = iota
-	// BulkLoadOff forces the node-at-a-time insert path everywhere.
-	BulkLoadOff
-)
-
 // Options configures Open. The zero value (or nil) uses defaults.
 type Options struct {
 	// BufferPages is the buffer-pool capacity in 16 KiB pages
@@ -74,15 +62,6 @@ type Options struct {
 	// gives the database a fresh private registry. Pass a shared registry to
 	// accumulate counters across databases (as sedna-bench does).
 	Metrics *metrics.Registry
-	// QueryWorkers caps intra-query parallelism per statement: descendant
-	// range-scan fan-out and FLWOR for-clause fan-out use at most this many
-	// goroutines (0 = GOMAXPROCS, 1 = serial).
-	QueryWorkers int
-	// BulkLoad selects the LoadXML ingest path (default BulkLoadAuto: direct
-	// block construction for fresh documents). BulkLoadOff is the escape
-	// hatch back to node-at-a-time inserts; both paths produce byte-identical
-	// documents.
-	BulkLoad BulkLoadMode
 }
 
 // DB is an open database.
@@ -106,8 +85,6 @@ func Open(dir string, opts *Options) (*DB, error) {
 		SlowQueryThreshold: o.SlowQueryThreshold,
 		SlowLogPath:        o.SlowLogPath,
 		Metrics:            o.Metrics,
-		QueryWorkers:       o.QueryWorkers,
-		BulkLoad:           core.BulkLoadMode(o.BulkLoad),
 	})
 	if err != nil {
 		return nil, err
