@@ -15,17 +15,18 @@ import (
 
 func init() {
 	experiments = append(experiments,
-		experiment{"E25", "hot document under mixed read/write: update-target probes, block-skipping list inserts (§4.1, §5.2, §6.3)", runE25},
+		experiment{"E25", "hot document under mixed read/write: update-target probes, list-position search for inserts (§4.1, §5.2, §6.3)", runE25},
 	)
 }
 
 // e25Config switches the two mechanisms E25 measures. They have no user
 // option; "off" is forced: the optimizer off for update statements only
 // (target selection by a scan of the auction list), and findListPosition
-// walking every descriptor of the blocks it would skip.
+// walking the list descriptor by descriptor instead of searching it (through
+// the parent, then by skipping blocks).
 type e25Config struct {
-	name        string
-	probe, skip bool
+	name          string
+	probe, search bool
 }
 
 type e25Result struct {
@@ -48,14 +49,14 @@ func (r e25Result) pagesPerOther() float64 {
 // e25OtherPages bounds the page views of a replace or delete with both
 // mechanisms on: the index probe for the target, the removed subtree, and for
 // a replace the new <current> and the list position of its text node —
-// measured 221 at scale 1, plus a quarter.
-const e25OtherPages = 277
+// measured 147 at scale 1, plus a quarter.
+const e25OtherPages = 184
 
 // e25InsertPages bounds the page views of an insert with both mechanisms on:
 // the target as above plus the list positions of the new bidder's nodes,
-// found on block headers and one block's descriptors each — measured 962 at
+// each found through its parent in a few descriptor peeks — measured 198 at
 // scale 1, plus a quarter.
-const e25InsertPages = 1203
+const e25InsertPages = 247
 
 // runE25 runs one closed-loop writer (keyed auto-commit updates) and one
 // closed-loop reader (keyed lookups) against one indexed, ANALYZEd Auction
@@ -63,10 +64,11 @@ const e25InsertPages = 1203
 // one on alone, both on. The gates are on what the writer's statements count,
 // their page views: with both on, a replace or delete views at most
 // e25OtherPages pages and an insert at most e25InsertPages;
-// the probe alone must cut a replace or delete (measured 5281 → 880 pages),
-// and the skip alone an insert (31215 → 5382), to a fifth of the all-off row. Statements per second and the reader's
-// latency are printed, not gated. After every window the document is verified
-// and its bidder count checked against the writer's acknowledged inserts.
+// the probe alone must cut a replace or delete (measured 5264 → 847 pages),
+// and the search alone an insert (31041 → 4582), to a fifth of the all-off
+// row. Statements per second and the reader's latency are printed, not gated.
+// After every window the document is verified and its bidder count checked
+// against the writer's acknowledged inserts.
 func runE25(s *session) error {
 	dir, cleanup, err := bench.TempDir("sedna-e25-*")
 	if err != nil {
@@ -97,8 +99,8 @@ func runE25(s *session) error {
 	configs := []e25Config{
 		{name: "both off"},
 		{name: "probe only", probe: true},
-		{name: "skip only", skip: true},
-		{name: "both on", probe: true, skip: true},
+		{name: "search only", search: true},
+		{name: "both on", probe: true, search: true},
 	}
 	results := make([]e25Result, len(configs))
 	const window = 1500 * time.Millisecond
@@ -121,9 +123,9 @@ func runE25(s *session) error {
 		})
 	}
 	s.out.table([]string{"mechanisms", "pages / replace or delete", "pages / insert", "stmts/s", "reads/s", "writes/s", "reader p50", "reader p95"}, rows)
-	fmt.Println("expected shape: with both off every update finds its target by scanning the auction list and every insert walks the bidder list descriptor by descriptor; the probe cuts the target to a few pages, the skip the list position to block headers, and only together does a statement on the hot document stop costing O(document) (time columns printed, not gated)")
+	fmt.Println("expected shape: with both off every update finds its target by scanning the auction list and every insert walks the bidder list descriptor by descriptor; the probe cuts the target to a few pages, the search the list position to a few descriptor peeks, and only together does a statement on the hot document stop costing O(document) (time columns printed, not gated)")
 
-	off, probe, skip, on := results[0], results[1], results[2], results[3]
+	off, probe, search, on := results[0], results[1], results[2], results[3]
 	if p := on.pagesPerOther(); p > e25OtherPages {
 		return fmt.Errorf("E25: %.1f page views per replace or delete with both on, bound %d", p, e25OtherPages)
 	}
@@ -133,8 +135,8 @@ func runE25(s *session) error {
 	if probe.pagesPerOther()*5 > off.pagesPerOther() {
 		return fmt.Errorf("E25: the probe cut page views per replace or delete %.1f → %.1f, less than 5x", off.pagesPerOther(), probe.pagesPerOther())
 	}
-	if skip.pagesPerInsert()*5 > off.pagesPerInsert() {
-		return fmt.Errorf("E25: the skip cut page views per insert %.1f → %.1f, less than 5x", off.pagesPerInsert(), skip.pagesPerInsert())
+	if search.pagesPerInsert()*5 > off.pagesPerInsert() {
+		return fmt.Errorf("E25: the search cut page views per insert %.1f → %.1f, less than 5x", off.pagesPerInsert(), search.pagesPerInsert())
 	}
 	return nil
 }
@@ -173,7 +175,7 @@ func e25Window(s *session, dir string, cfg e25Config, auctions int, window time.
 	}
 	defer db.Close()
 	core := db.Internal()
-	storage.SetListBlockSkipForTesting(cfg.skip)
+	storage.SetListBlockSkipForTesting(cfg.search)
 	// The update clock behind staleness restarts with the process, so the
 	// statistics are taken anew in every window.
 	if _, err := db.Execute(`ANALYZE doc("auction")`); err != nil {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sedna/internal/opt"
 	"sedna/internal/sas"
@@ -32,6 +33,25 @@ type IndexMeta struct {
 	// transaction that holds the document's exclusive lock; snapshot readers
 	// take the root committed at their snapshot (Tx.IndexRoot).
 	Root sas.XPtr
+
+	// paths holds OnPath and ByPath parsed by the query layer, which core
+	// cannot import: set once per published index and read-only after.
+	paths atomic.Value
+}
+
+// Paths returns the index's parsed ON and BY paths, calling parse on the
+// first use after CREATE INDEX, a catalog load, recovery or a replica's
+// apply, and the cached result from then on.
+func (ix *IndexMeta) Paths(parse func(on, by string) (any, error)) (any, error) {
+	if p := ix.paths.Load(); p != nil {
+		return p, nil
+	}
+	p, err := parse(ix.OnPath, ix.ByPath)
+	if err != nil {
+		return nil, err
+	}
+	ix.paths.Store(p)
+	return p, nil
 }
 
 // Catalog tracks every document and index in the database, plus the
@@ -257,7 +277,12 @@ func saveMeta(dir string, gen uint64, c *Catalog, freeList []sas.PageID, backupL
 		})
 	}
 	for _, ix := range c.indexes {
-		mf.Indexes = append(mf.Indexes, *ix)
+		// The persisted fields only: the parsed paths are a cache, which a
+		// statement may be filling concurrently.
+		mf.Indexes = append(mf.Indexes, IndexMeta{
+			Name: ix.Name, DocName: ix.DocName, OnPath: ix.OnPath, ByPath: ix.ByPath,
+			KeyType: ix.KeyType, Root: ix.Root,
+		})
 	}
 	if len(c.stats) > 0 {
 		mf.Stats = make(map[string]*opt.DocStats, len(c.stats))
@@ -319,8 +344,8 @@ func loadMeta(dir string, gen uint64) (*Catalog, []sas.PageID, uint64, error) {
 		c.docsByID[doc.ID] = doc
 	}
 	for i := range mf.Indexes {
-		ix := mf.Indexes[i]
-		c.indexes[ix.Name] = &ix
+		ix := &mf.Indexes[i]
+		c.indexes[ix.Name] = ix
 	}
 	for n, s := range mf.Stats {
 		if _, ok := c.docs[n]; ok {

@@ -89,7 +89,7 @@ func createIndex(e *env, d *DDL) (string, error) {
 	}
 	meta.Root = tree.Root
 
-	onSet, bySteps, err := indexPaths(e, doc, meta)
+	onSet, bySteps, err := indexPaths(doc, meta)
 	if err != nil {
 		return "", err
 	}
@@ -305,42 +305,40 @@ func logIndexRoot(e *env, meta *core.IndexMeta) error {
 	})
 }
 
-// indexPaths resolves an index's ON path into the set of schema-node IDs it
-// denotes and parses its BY path into relative steps.
-func indexPaths(e *env, doc *storage.Doc, meta *core.IndexMeta) (map[uint32]bool, []*Step, error) {
-	onExpr, err := parseRelPath(meta.OnPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("query: index %q ON path: %w", meta.Name, err)
-	}
-	onSteps, err := pathSteps(onExpr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("query: index %q ON path: %w", meta.Name, err)
-	}
-	targets := resolveStructural(doc.Schema.Root, onSteps)
-	onSet := make(map[uint32]bool, len(targets))
-	for _, sn := range targets {
-		onSet[sn.ID] = true
-	}
+// indexSteps is an index's ON and BY paths parsed into steps that carry
+// only an axis and a node test. It is built once per published index
+// (core.IndexMeta.Paths) and never written after.
+type indexSteps struct{ on, by []*Step }
 
-	byExpr, err := parseRelPath(meta.ByPath)
+// parseIndexPaths parses an index's stored ON and BY path strings.
+func parseIndexPaths(on, by string) (any, error) {
+	onSteps, err := parseIndexPath(on)
 	if err != nil {
-		return nil, nil, fmt.Errorf("query: index %q BY path: %w", meta.Name, err)
+		return nil, fmt.Errorf("ON path: %w", err)
 	}
-	bySteps, err := pathSteps(byExpr)
+	bySteps, err := parseIndexPath(by)
 	if err != nil {
-		return nil, nil, fmt.Errorf("query: index %q BY path: %w", meta.Name, err)
+		return nil, fmt.Errorf("BY path: %w", err)
 	}
-	return onSet, bySteps, nil
+	return &indexSteps{on: onSteps, by: bySteps}, nil
 }
 
-// pathSteps decomposes a location-path expression into its steps, accepting
-// a doc(...) or root head.
-func pathSteps(x Expr) ([]*Step, error) {
+// parseIndexPath parses one stored path string — a location path under a
+// doc(...) or root head, or "" and "." for the node itself — into axis and
+// test steps.
+func parseIndexPath(s string) ([]*Step, error) {
+	if s == "" || s == "." {
+		return []*Step{{Axis: AxisSelf, Test: NodeTest{Kind: TestNode}}}, nil
+	}
+	x, err := ParseExpr(s)
+	if err != nil {
+		return nil, err
+	}
 	var steps []*Step
 	for cur := x; cur != nil; {
 		switch n := cur.(type) {
 		case *Step:
-			steps = append([]*Step{n}, steps...)
+			steps = append([]*Step{{Axis: n.Axis, Test: n.Test}}, steps...)
 			cur = n.Input
 		case *DocCall, *Root:
 			cur = nil
@@ -351,12 +349,30 @@ func pathSteps(x Expr) ([]*Step, error) {
 	return steps, nil
 }
 
-// parseRelPath parses a stored path string back into an expression.
-func parseRelPath(s string) (Expr, error) {
-	if s == "" || s == "." {
-		return &Step{Axis: AxisSelf, Test: NodeTest{Kind: TestNode}}, nil
+// indexStepsOf returns the index's parsed paths.
+func indexStepsOf(meta *core.IndexMeta) (*indexSteps, error) {
+	p, err := meta.Paths(parseIndexPaths)
+	if err != nil {
+		return nil, fmt.Errorf("query: index %q %w", meta.Name, err)
 	}
-	return ParseExpr(s)
+	return p.(*indexSteps), nil
+}
+
+// indexPaths resolves an index's ON path over the document's schema into
+// the set of schema-node IDs it denotes, and returns its parsed BY path. The
+// parse is the index's own; the resolution is redone per call, since the
+// schema grows.
+func indexPaths(doc *storage.Doc, meta *core.IndexMeta) (map[uint32]bool, []*Step, error) {
+	paths, err := indexStepsOf(meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	targets := resolveStructural(doc.Schema.Root, paths.on)
+	onSet := make(map[uint32]bool, len(targets))
+	for _, sn := range targets {
+		onSet[sn.ID] = true
+	}
+	return onSet, paths.by, nil
 }
 
 // indexKeysOf evaluates the BY path relative to the node and normalizes
@@ -409,7 +425,7 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: index %q does not exist", name)
 	}
-	_, bySteps, err := indexPaths(e, doc, meta)
+	paths, err := indexStepsOf(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +447,7 @@ func evalIndexScan(e *env, name string, value *Atomic) ([]Item, error) {
 		if err != nil {
 			return nil, err
 		}
-		match, err := byPathMatchesEq(e, node, bySteps, meta.KeyType, key, value)
+		match, err := byPathMatchesEq(e, node, paths.by, meta.KeyType, key, value)
 		if err != nil {
 			return nil, err
 		}

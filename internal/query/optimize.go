@@ -396,7 +396,7 @@ func findProbe(ctx *ExecCtx, s *Step, doc *storage.Doc, targets []*schema.Node, 
 	var best *IndexProbe
 	bestSel := 0.0
 	for _, meta := range cat.IndexesOf(doc.Name) {
-		onSet, bySteps, err := indexPaths(nil, doc, meta)
+		onSet, bySteps, err := indexPaths(doc, meta)
 		if err != nil {
 			continue
 		}

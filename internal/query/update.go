@@ -242,7 +242,7 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 		handleSet[h] = struct{}{}
 	}
 	for _, meta := range metas {
-		onSet, bySteps, err := indexPaths(e, doc, meta)
+		onSet, bySteps, err := indexPaths(doc, meta)
 		if err != nil {
 			return err
 		}

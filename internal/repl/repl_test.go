@@ -330,3 +330,56 @@ func TestReplicaAppliesBulkLoad(t *testing.T) {
 	}
 	rtx.Rollback()
 }
+
+// TestReplicaIndexes: an index seeded with the replica and one created while
+// it streams are kept up to date by the applied log, answer index-scan and
+// value lookups exactly like the primary's, and are maintained by the
+// replica's own writes once it is promoted.
+func TestReplicaIndexes(t *testing.T) {
+	srv, _ := startPrimary(t)
+	p := connect(t, srv.Addr())
+	mustExec(t, p, `CREATE DOCUMENT "d"`)
+	mustExec(t, p, `UPDATE insert <r><x k="k0" n="0"/></r> into doc("d")`)
+	mustExec(t, p, `CREATE INDEX "byk" ON doc("d")/r/x BY @k AS string`)
+
+	rep, rsrv := startReplica(t, t.TempDir(), srv.Addr())
+	r := connect(t, rsrv.Addr())
+	waitConverged(t, p, r, `index-scan("byk", "k0")`)
+
+	mustExec(t, p, `CREATE INDEX "byn" ON doc("d")//x BY @n AS number`)
+	for i := 1; i <= 40; i++ {
+		mustExec(t, p, fmt.Sprintf(`UPDATE insert <x k="k%d" n="%d"/> into doc("d")/r`, i, i))
+	}
+	mustExec(t, p, `UPDATE delete doc("d")/r/x[@k = "k7"]`)
+	for _, q := range []string{
+		`count(doc("d")/r/x)`,
+		`index-scan("byk", "k37")`,
+		`count(index-scan("byk", "k7"))`,
+		`data(index-scan("byn", 23)/@k)`,
+		`doc("d")/r/x[@k = "k12"]`,
+	} {
+		waitConverged(t, p, r, q)
+	}
+
+	if _, err := r.Promote(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	mustExec(t, r, `UPDATE insert <x k="new" n="999"/> into doc("d")/r`)
+	if got := mustExec(t, r, `data(index-scan("byk", "new")/@n)`).Data; got != "999" {
+		t.Fatalf("promoted replica's insert through byk: %q", got)
+	}
+	if got := mustExec(t, r, `data(index-scan("byn", 999)/@k)`).Data; got != "new" {
+		t.Fatalf("promoted replica's insert through byn: %q", got)
+	}
+	for _, name := range []string{"byk", "byn"} {
+		meta, ok := rep.DB().Catalog().Index(name)
+		if !ok {
+			t.Fatalf("index %q missing on the replica", name)
+		}
+		if _, err := meta.Paths(func(string, string) (any, error) {
+			return nil, fmt.Errorf("index %q parsed again", name)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -12,59 +12,70 @@ import (
 // every descriptor of block j in document order when i < j, while within a
 // block order is kept by the next/prev-in-block chain only (§4.1).
 
-// newNodeBlock allocates a node block for sn with the given descriptor
-// width and links it into sn's block list after prev (nil = at the front).
+// newNodeBlock allocates an empty node block for sn with the given
+// descriptor width and links it into sn's block list after prev (nil = at
+// the front).
 func newNodeBlock(w Writer, doc *Doc, sn *schema.Node, childSlots int, prev sas.XPtr) (sas.XPtr, error) {
 	id, err := w.AllocPage()
 	if err != nil {
 		return sas.NilPtr, err
 	}
 	base := id.Ptr()
-
-	var next sas.XPtr
-	if prev.IsNil() {
-		next = sn.FirstBlock
-	} else {
-		h, err := readNodeHeader(w, prev)
-		if err != nil {
-			return sas.NilPtr, err
-		}
-		next = h.Next
-	}
-
 	page := make([]byte, sas.PageSize)
 	encodeNodeHeader(page, nodeBlockHeader{
 		ChildSlots: childSlots,
 		SchemaID:   sn.ID,
 		DocID:      doc.ID,
 		DescSize:   descSizeFor(childSlots),
-		Next:       next,
-		Prev:       prev,
 		SlotTop:    nodeBlockHeaderSize,
 	})
-	if err := w.WriteAt(base, page); err != nil {
-		return sas.NilPtr, err
+	return base, linkNodeBlocks(w, doc, sn, prev, []sas.XPtr{base}, [][]byte{page})
+}
+
+// linkNodeBlocks writes the page images of freshly allocated blocks (at
+// bases) and chains them, in order, into sn's block list after prev (nil =
+// at the front). Each image is complete but for its list links, which are
+// set here, so each new block is written — and logged — once.
+func linkNodeBlocks(w Writer, doc *Doc, sn *schema.Node, prev sas.XPtr, bases []sas.XPtr, pages [][]byte) error {
+	next := sn.FirstBlock
+	if !prev.IsNil() {
+		h, err := readNodeHeader(w, prev)
+		if err != nil {
+			return err
+		}
+		next = h.Next
+	}
+	for i, page := range pages {
+		p, n := prev, next
+		if i > 0 {
+			p = bases[i-1]
+		}
+		if i+1 < len(bases) {
+			n = bases[i+1]
+		}
+		putPtr(page, nbPrev, p)
+		putPtr(page, nbNext, n)
+		if err := w.WriteAt(bases[i], page); err != nil {
+			return err
+		}
 	}
 
+	first, last := bases[0], bases[len(bases)-1]
 	oldFirst, oldLast, oldBlocks := sn.FirstBlock, sn.LastBlock, sn.BlockCount
 	if prev.IsNil() {
-		sn.FirstBlock = base
-	} else {
-		if err := writePtrAt(w, prev.Add(nbNext), base); err != nil {
-			return sas.NilPtr, err
-		}
+		sn.FirstBlock = first
+	} else if err := writePtrAt(w, prev.Add(nbNext), first); err != nil {
+		return err
 	}
 	if next.IsNil() {
-		sn.LastBlock = base
-	} else {
-		if err := writePtrAt(w, next.Add(nbPrev), base); err != nil {
-			return sas.NilPtr, err
-		}
+		sn.LastBlock = last
+	} else if err := writePtrAt(w, next.Add(nbPrev), last); err != nil {
+		return err
 	}
-	sn.BlockCount++
+	sn.BlockCount += uint32(len(bases))
 	w.Defer(func() { sn.FirstBlock, sn.LastBlock, sn.BlockCount = oldFirst, oldLast, oldBlocks })
 	w.NoteSchemaBlocks(doc, sn)
-	return base, nil
+	return nil
 }
 
 // freeNodeBlock unlinks an empty node block from sn's list and releases the
@@ -282,27 +293,29 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 	}
 	var chunks []chunkPlacement
 	trans := make(map[sas.XPtr]sas.XPtr, len(run))
-	prevBlock := block
 	for start := 0; start < len(run); start += capacity {
 		end := start + capacity
 		if end > len(run) {
 			end = len(run)
 		}
-		nb, err := newNodeBlock(w, doc, sn, newChildSlots, prevBlock)
+		id, err := w.AllocPage()
 		if err != nil {
 			return err
 		}
+		nb := id.Ptr()
 		pl := chunkPlacement{base: nb, offs: make([]uint16, end-start)}
 		for i := range pl.offs {
 			pl.offs[i] = uint16(nodeBlockHeaderSize + i*descSize)
 			trans[run[start+i].d.Ptr] = nb.Add(uint32(pl.offs[i]))
 		}
 		chunks = append(chunks, pl)
-		prevBlock = nb
 	}
 
+	// Each block's image is built whole and written once, by linkNodeBlocks.
+	bases := make([]sas.XPtr, len(chunks))
+	pages := make([][]byte, len(chunks))
 	idx := 0
-	for _, pl := range chunks {
+	for c, pl := range chunks {
 		n := len(pl.offs)
 		page := make([]byte, sas.PageSize)
 		encodeNodeHeader(page, nodeBlockHeader{
@@ -315,14 +328,6 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 			LastDesc:   pl.offs[n-1],
 			SlotTop:    uint16(nodeBlockHeaderSize + n*descSize),
 		})
-		// newNodeBlock linked the list on disk; read back the authoritative
-		// neighbours.
-		nh, err := readNodeHeader(w, pl.base)
-		if err != nil {
-			return err
-		}
-		putPtr(page, nbNext, nh.Next)
-		putPtr(page, nbPrev, nh.Prev)
 		for i := 0; i < n; i++ {
 			d := run[idx+i].d
 			if p, ok := trans[d.LeftSib]; ok {
@@ -342,10 +347,11 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 			}
 			encodeDesc(page[pl.offs[i]:int(pl.offs[i])+descSize], &d, run[idx+i].nidOv, run[idx+i].nidLen, next, prev)
 		}
-		if err := w.WriteAt(pl.base, page); err != nil {
-			return err
-		}
+		bases[c], pages[c] = pl.base, page
 		idx += n
+	}
+	if err := linkNodeBlocks(w, doc, sn, block, bases, pages); err != nil {
+		return err
 	}
 
 	// External fixups per moved descriptor.

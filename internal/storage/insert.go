@@ -135,7 +135,7 @@ func InsertNode(w Writer, doc *Doc, parentH, leftH, rightH sas.XPtr, kind schema
 	}
 
 	// Decide where the descriptor goes in sn's block list and ensure room.
-	predH, succH, err := findListPosition(w, sn, label, left, right)
+	predH, succH, err := findListPosition(w, sn, parentH, slotIdx, label, left, right, listWalk.Load())
 	if err != nil {
 		return sas.NilPtr, err
 	}
@@ -270,18 +270,28 @@ func widenDesc(w Writer, doc *Doc, sn *schema.Node, d Desc, width int) error {
 	return moveRun(w, doc, sn, block, uint16(d.Ptr.PageOffset()), width)
 }
 
-// noListBlockSkip makes findListPosition walk every descriptor of the blocks
-// it would skip — the pre-skip cost, which E25 measures against.
-var noListBlockSkip atomic.Bool
+// listWalk makes findListPosition walk the list descriptor by descriptor,
+// with neither the parent search nor the block skip — the cost E25 and the
+// property tests measure the search against.
+var listWalk atomic.Bool
 
-// SetListBlockSkipForTesting switches findListPosition's block skipping.
-func SetListBlockSkipForTesting(on bool) { noListBlockSkip.Store(!on) }
+// SetListBlockSkipForTesting switches findListPosition between its search
+// (on: the parent search, then the block skip) and the walk over every
+// descriptor (off). Both find the same position.
+func SetListBlockSkipForTesting(on bool) { listWalk.Store(!on) }
+
+// listSearchPeeks bounds each walk of the parent search. Past it the block
+// skip runs, so a sparse schema node never costs more than that search.
+const listSearchPeeks = 16
 
 // findListPosition locates the in-list neighbours (as handles) of a new
-// node of sn with the given label. left/right are its tree siblings when
-// they exist, enabling the constant-time fast paths that cover bulk loading
-// and ordinary sibling insertion.
-func findListPosition(r Reader, sn *schema.Node, label nid.Label, left, right *Desc) (predH, succH sas.XPtr, err error) {
+// node of sn with the given label under the parent parentH, whose child slot
+// for sn is slot. left/right are its tree siblings when they exist, enabling
+// the constant-time fast paths that cover bulk loading and ordinary sibling
+// insertion. Otherwise it returns the list predecessor when there is one,
+// else the successor — the pair the walk over every descriptor (walk set)
+// finds, so placement never depends on which search ran.
+func findListPosition(r Reader, sn *schema.Node, parentH sas.XPtr, slot int, label nid.Label, left, right *Desc, walk bool) (predH, succH sas.XPtr, err error) {
 	// Fast path: a tree sibling of the same schema node is the immediate
 	// list neighbour (everything between them in document order is a
 	// descendant of the left sibling, which has a different path).
@@ -293,6 +303,12 @@ func findListPosition(r Reader, sn *schema.Node, label nid.Label, left, right *D
 	}
 	if sn.FirstBlock.IsNil() {
 		return sas.NilPtr, sas.NilPtr, nil
+	}
+	if !walk {
+		predH, succH, ok, err := parentSearch(r, sn, parentH, slot, left)
+		if err != nil || ok {
+			return predH, succH, err
+		}
 	}
 	// Fast path: append at the end of the list.
 	last, ok, err := LastOfSchema(r, sn)
@@ -324,7 +340,7 @@ func findListPosition(r Reader, sn *schema.Node, label nid.Label, left, right *D
 		if err != nil {
 			return sas.NilPtr, sas.NilPtr, err
 		}
-		if nid.Compare(blockLast.Label, label) < 0 && !noListBlockSkip.Load() {
+		if nid.Compare(blockLast.Label, label) < 0 && !walk {
 			pred = blockLast
 			continue
 		}
@@ -343,6 +359,107 @@ func findListPosition(r Reader, sn *schema.Node, label nid.Label, left, right *D
 		}
 	}
 	return pred.Handle, sas.NilPtr, nil
+}
+
+// parentSearch finds the list neighbours of a new node of sn under the
+// parent P (handle parentH) through P's first-child slot for sn, without
+// reading a label. Nodes of sn are children of nodes of P's schema node,
+// which never nest, so sn's list runs in the order of P's list:
+//   - when P has children of sn, the nearest one left of the insertion point
+//     is the predecessor; with none there, P's first one is the successor;
+//   - otherwise the first child of sn of the first node after P in P's list
+//     that has one is the successor, and at the end of that list the new
+//     node is the last of sn.
+//
+// ok=false when a walk would take more than listSearchPeeks peeks.
+func parentSearch(r Reader, sn *schema.Node, parentH sas.XPtr, slot int, left *Desc) (predH, succH sas.XPtr, ok bool, err error) {
+	pPtr, err := DerefHandle(r, parentH)
+	if err != nil {
+		return sas.NilPtr, sas.NilPtr, false, err
+	}
+	p, _, err := peekDesc(r, pPtr, slot, nil)
+	if err != nil {
+		return sas.NilPtr, sas.NilPtr, false, err
+	}
+	if !p.child.IsNil() {
+		if left != nil {
+			for at, n := left.LeftSib, 0; !at.IsNil(); n++ {
+				if n == listSearchPeeks {
+					return sas.NilPtr, sas.NilPtr, false, nil
+				}
+				page, pin, err := r.ViewPage(at)
+				if err != nil {
+					return sas.NilPtr, sas.NilPtr, false, err
+				}
+				b := page[at.PageOffset():]
+				same, h := getU32(page, nbSchemaID) == sn.ID, getPtr(b, dHandle)
+				at = getPtr(b, dLeftSib)
+				r.ReleasePage(pin)
+				if same {
+					return h, sas.NilPtr, true, nil
+				}
+			}
+		}
+		return beforeDesc(r, p.child)
+	}
+	at := p.next
+	for n := 0; n < listSearchPeeks; n++ {
+		q, _, err := peekDesc(r, at, slot, nil)
+		if err != nil {
+			return sas.NilPtr, sas.NilPtr, false, err
+		}
+		if q.at.IsNil() {
+			// P's list ended: every node of sn precedes the new one.
+			last, found, err := LastOfSchema(r, sn)
+			if err != nil {
+				return sas.NilPtr, sas.NilPtr, false, err
+			}
+			if found {
+				predH = last.Handle
+			}
+			return predH, sas.NilPtr, true, nil
+		}
+		if !q.child.IsNil() {
+			return beforeDesc(r, q.child)
+		}
+		at = q.next
+	}
+	return sas.NilPtr, sas.NilPtr, false, nil
+}
+
+// beforeDesc returns the list neighbours of a new node whose successor is
+// the descriptor at succ: its predecessor when it has one, else succ.
+func beforeDesc(r Reader, succ sas.XPtr) (predH, succH sas.XPtr, ok bool, err error) {
+	page, pin, h, at, err := viewDesc(r, succ)
+	if err != nil {
+		return sas.NilPtr, sas.NilPtr, false, err
+	}
+	b := page[at.PageOffset():]
+	succH = getPtr(b, dHandle)
+	if prev := getU16(b, dPrevIn); prev != 0 {
+		predH = getPtr(page[prev:], dHandle)
+	}
+	r.ReleasePage(pin)
+	if !predH.IsNil() {
+		return predH, sas.NilPtr, true, nil
+	}
+	// succ heads its block: the predecessor is the last descriptor of the
+	// nearest earlier block that is not empty.
+	for block, n := h.Prev, 0; !block.IsNil(); n++ {
+		if n == listSearchPeeks {
+			return sas.NilPtr, sas.NilPtr, false, nil
+		}
+		bh, err := readNodeHeader(r, block)
+		if err != nil {
+			return sas.NilPtr, sas.NilPtr, false, err
+		}
+		if bh.LastDesc != 0 {
+			predH, err = readPtrAt(r, block.Add(uint32(bh.LastDesc)+dHandle))
+			return predH, sas.NilPtr, err == nil, err
+		}
+		block = bh.Prev
+	}
+	return sas.NilPtr, succH, true, nil
 }
 
 // makeRoom guarantees a free descriptor slot at the list position described

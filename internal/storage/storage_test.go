@@ -366,6 +366,64 @@ func TestBulkLoadSplitsBlocks(t *testing.T) {
 	}
 }
 
+// pageImageCounter counts the whole-page writes — the full-page WAL records
+// of the transaction layer — per page.
+type pageImageCounter struct {
+	*memWriter
+	images map[sas.PageID]int
+}
+
+func (c *pageImageCounter) WriteAt(p sas.XPtr, data []byte) error {
+	if len(data) == sas.PageSize {
+		c.images[sas.PageIDOf(p)]++
+	}
+	return c.memWriter.WriteAt(p, data)
+}
+
+// TestSplitLogsNewBlockOnce: an insert into the middle of a full block
+// moves the run after its predecessor into one fresh block, and that block's
+// image is written once, with its list links already set — not as a zeroed
+// page first and then again in full.
+func TestSplitLogsNewBlockOnce(t *testing.T) {
+	w := newMemWriter()
+	doc, err := CreateDoc(w, 1, "split")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootEl, err := InsertNode(w, doc, doc.RootHandle, sas.NilPtr, sas.NilPtr, schema.KindElement, "root", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []sas.XPtr
+	left := sas.NilPtr
+	for i := 0; i < nodeBlockCapacity(0); i++ {
+		if left, err = InsertNode(w, doc, rootEl, left, sas.NilPtr, schema.KindElement, "item", nil); err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, left)
+	}
+	itemSn := doc.Schema.Root.Child(schema.KindElement, "root").Child(schema.KindElement, "item")
+	if itemSn.BlockCount != 1 {
+		t.Fatalf("%d item blocks before the split, want 1", itemSn.BlockCount)
+	}
+
+	c := &pageImageCounter{memWriter: w, images: make(map[sas.PageID]int)}
+	firstNew := w.next
+	if _, err := InsertNode(c, doc, rootEl, items[10], sas.NilPtr, schema.KindElement, "item", nil); err != nil {
+		t.Fatal(err)
+	}
+	if itemSn.BlockCount != 2 || w.next != firstNew+1 {
+		t.Fatalf("the split left %d item blocks and allocated %d pages, want 2 and 1", itemSn.BlockCount, w.next-firstNew)
+	}
+	newBlock := sas.PageIDFromGlobal(firstNew)
+	if len(c.images) != 1 || c.images[newBlock] != 1 {
+		t.Fatalf("whole-page writes by page %v, want exactly one, of the new block %v", c.images, newBlock)
+	}
+	if err := VerifyDoc(w, doc); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRandomInsertDeleteInvariants(t *testing.T) {
 	w := newMemWriter()
 	doc, err := CreateDoc(w, 1, "rand")

@@ -43,11 +43,12 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
     ./internal/repl ./internal/opt
 
-echo "== fuzz (10 s each: the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path, opening a damaged segmented log) =="
+echo "== fuzz (10 s each: the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path, opening a damaged segmented log, the list-position search against the walk) =="
 go test -run '^$' -fuzz='^FuzzEscapeText$' -fuzztime=10s ./internal/core
 go test -run '^$' -fuzz='^FuzzReadResponse$' -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz='^FuzzValueCompare$' -fuzztime=10s ./internal/query
 go test -run '^$' -fuzz='^FuzzOpenLog$' -fuzztime=10s ./internal/wal
+go test -run '^$' -fuzz='^FuzzListPosition$' -fuzztime=10s ./internal/storage
 
 echo "== bench smoke (compile + one iteration of every benchmark) =="
 go test -bench=. -benchtime=1x -run '^$' .
@@ -74,7 +75,7 @@ go run ./cmd/sedna-bench -run E23
 echo "== bulk-load smoke (E24: streaming loader vs node-at-a-time, byte-identity, >=3x speedup, crash leg) =="
 go run ./cmd/sedna-bench -run E24
 
-echo "== hot-document smoke (E25: writer + reader, probe/skip on vs off; page views per replace/delete and per insert bounded, each mechanism cuts its own >=5x; stmts/s and reader latency printed, not gated) =="
+echo "== hot-document smoke (E25: writer + reader, probe/list search on vs off; page views per replace/delete <=184 and per insert <=247, each mechanism cuts its own >=5x; stmts/s and reader latency printed, not gated) =="
 go run ./cmd/sedna-bench -run E25
 
 echo "== paged-step smoke (E26: value predicates on 500/2000/8000-person documents; page views and allocations per context node grow <1.5x, <=0.9 views and <=2.8 allocations per node, answers equal encoding/xml's; time growth printed, not gated) =="
