@@ -150,20 +150,6 @@ func (c *Conn) KillStatement(sessionID, ordinal uint64) error {
 	return err
 }
 
-// Cluster fetches the merged topology/health snapshot of the server: its
-// replication role with per-replica lag plus every local session.
-func (c *Conn) Cluster() (*server.ClusterInfo, error) {
-	resp, err := c.roundTrip(server.MsgCluster, server.Request{})
-	if err != nil {
-		return nil, err
-	}
-	var ci server.ClusterInfo
-	if err := json.Unmarshal(resp.Data, &ci); err != nil {
-		return nil, fmt.Errorf("client: cluster: %w", err)
-	}
-	return &ci, nil
-}
-
 // Promote detaches a replica server from its primary and makes it writable.
 func (c *Conn) Promote() (string, error) {
 	resp, err := c.roundTrip(server.MsgPromote, server.Request{})

@@ -19,29 +19,12 @@ import (
 	"sedna/internal/xmlgen"
 )
 
-func init() {
-	experiments = []experiment{
-		{"E1", "schema-driven vs subtree-based clustering (§2, §4.1)", runE1},
-		{"E2", "relabel-free numbering vs XISS intervals (§4.1.1)", runE2},
-		{"E3", "layer-mapped dereference vs pointer swizzling (§4.2)", runE3},
-		{"E5", "DDO elimination (§5.1.1)", runE5},
-		{"E6", "descendant-or-self combining (§5.1.2)", runE6},
-		{"E7", "lazy invariant for-clauses (§5.1.3)", runE7},
-		{"E8", "structural-path extraction (§5.1.4)", runE8},
-		{"E9", "virtual vs deep-copy constructors (§5.2.1)", runE9},
-		{"E11", "snapshot creation cost (§6.1/§6.3)", runE11},
-		{"E13", "two-step recovery time vs redo-log length (§6.4)", runE13},
-		{"E14", "full vs incremental hot backup (§6.5)", runE14},
-		{"E15", "descriptive-schema conciseness (§4.1)", runE15},
-	}
-}
-
 func (s *session) openLoaded(entries int) (*sedna.DB, func(), error) {
 	dir, cleanup, err := bench.TempDir("sedna-bench-*")
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := bench.OpenDBMetrics(dir, s.reg)
+	db, err := bench.OpenDB(dir)
 	if err != nil {
 		cleanup()
 		return nil, nil, err
@@ -54,17 +37,28 @@ func (s *session) openLoaded(entries int) (*sedna.DB, func(), error) {
 	return db, func() { db.Close(); cleanup() }, nil
 }
 
-// compareQueries times a query with the rewriter (or constructor
-// optimisation) on and off and prints one row per query.
-func (s *session) compareQueries(title string, queries []string, reps int,
-	run func(db *sedna.DB, q string, optimized bool) error, db *sedna.DB) error {
+// noRewrite, noVirtualCtors and noOpt are the baselines of the experiments
+// that switch one mechanism of the executor off.
+var (
+	noRewrite      = func(c *query.ExecCtx) { c.NoRewrite = true }
+	noVirtualCtors = func(c *query.ExecCtx) { c.NoVirtualCtors = true }
+	noOpt          = func(c *query.ExecCtx) { c.NoOpt = true }
+)
+
+// compareQueries times each query with the rewriter on and off and prints
+// one row per query.
+func compareQueries(title string, queries []string, reps int, db *sedna.DB) error {
+	run := func(q string, baseline func(*query.ExecCtx)) error {
+		_, _, err := bench.Query(db.Internal(), q, baseline)
+		return err
+	}
 	var rows [][]string
 	for _, q := range queries {
-		opt, err := timeIt(reps, func() error { return run(db, q, true) })
+		opt, err := timeIt(reps, func() error { return run(q, nil) })
 		if err != nil {
 			return fmt.Errorf("%s: %w", q, err)
 		}
-		naive, err := timeIt(reps, func() error { return run(db, q, false) })
+		naive, err := timeIt(reps, func() error { return run(q, noRewrite) })
 		if err != nil {
 			return fmt.Errorf("%s: %w", q, err)
 		}
@@ -74,13 +68,8 @@ func (s *session) compareQueries(title string, queries []string, reps int,
 		}
 		rows = append(rows, []string{label, dur(opt), dur(naive), ratio(naive, opt)})
 	}
-	s.out.table([]string{title, "optimized", "baseline", "speedup"}, rows)
+	table([]string{title, "optimized", "baseline", "speedup"}, rows)
 	return nil
-}
-
-func queryWithRewrite(db *sedna.DB, q string, optimized bool) error {
-	_, _, err := bench.Query(db, q, optimized)
-	return err
 }
 
 func runE1(s *session) error {
@@ -98,7 +87,7 @@ func runE1(s *session) error {
 
 	// Selective retrieval: publishers only (~1/40 of the nodes).
 	schemaSel, err := timeIt(20, func() error {
-		_, _, err := bench.Query(db, `count(doc("lib")//publisher)`, true)
+		_, _, err := bench.Query(db.Internal(), `count(doc("lib")//publisher)`, nil)
 		return err
 	})
 	if err != nil {
@@ -125,7 +114,7 @@ func runE1(s *session) error {
 		return true, nil
 	})
 	schemaWhole, err := timeIt(50, func() error {
-		_, _, err := bench.Query(db, fmt.Sprintf(`doc("lib")/library/book[%d]`, entries/2), true)
+		_, _, err := bench.Query(db.Internal(), fmt.Sprintf(`doc("lib")/library/book[%d]`, entries/2), nil)
 		return err
 	})
 	if err != nil {
@@ -138,7 +127,7 @@ func runE1(s *session) error {
 	if err != nil {
 		return err
 	}
-	s.out.table(
+	table(
 		[]string{"workload", "schema-driven", "subtree-based", "winner"},
 		[][]string{
 			{"selective (//publisher)", dur(schemaSel), dur(subtreeSel),
@@ -195,7 +184,7 @@ func runE2(s *session) error {
 	}
 	xissTime := time.Since(start)
 
-	s.out.table(
+	table(
 		[]string{"scheme", fmt.Sprintf("time (%d inserts)", n), "document relabels", "max label bytes"},
 		[][]string{
 			{"Sedna (prefix,delim)", xissOrSedna(sednaTime), "0", fmt.Sprint(maxLen)},
@@ -213,20 +202,17 @@ func runE3(s *session) error {
 		return err
 	}
 	defer cleanup()
-	pf, err := pagefile.Open(dir+"/d.sdb", pagefile.Options{NoSync: true, Metrics: s.reg})
+	pf, err := pagefile.Open(dir+"/d.sdb", pagefile.Options{NoSync: true})
 	if err != nil {
 		return err
 	}
 	defer pf.Close()
-	snap, err := pagefile.OpenSnapArea(dir+"/d.snap", pagefile.Options{NoSync: true, Metrics: s.reg})
+	snap, err := pagefile.OpenSnapArea(dir+"/d.snap", pagefile.Options{NoSync: true})
 	if err != nil {
 		return err
 	}
 	defer snap.Close()
-	m := buffer.NewWithMetrics(pf, snap, 512, s.reg)
-	// The harness registry is shared across experiments, so fault counts
-	// must be read as deltas against this manager's starting point.
-	st0 := m.Stats()
+	m := buffer.New(pf, snap, 512)
 	ptrs := make([]sas.XPtr, 256)
 	for i := range ptrs {
 		ptrs[i] = pf.Alloc().Ptr().Add(uint32(i * 8))
@@ -265,10 +251,10 @@ func runE3(s *session) error {
 	}
 	swiz := time.Since(start)
 	st := m.Stats()
-	s.out.table(
+	table(
 		[]string{"dereference path", fmt.Sprintf("time (%dM derefs)", derefs/1_000_000), "ns/deref", "faults"},
 		[][]string{
-			{"layer-mapped (SAS=VAS)", dur(layer), fmt.Sprintf("%.1f", float64(layer.Nanoseconds())/derefs), fmt.Sprint(st.Faults - st0.Faults)},
+			{"layer-mapped (SAS=VAS)", dur(layer), fmt.Sprintf("%.1f", float64(layer.Nanoseconds())/derefs), fmt.Sprint(st.Faults)},
 			{"swizzling (hash translate)", dur(swiz), fmt.Sprintf("%.1f", float64(swiz.Nanoseconds())/derefs), "-"},
 		})
 	fmt.Println("expected shape: layer-mapped deref at or below the swizzling cost, with no translation structure")
@@ -281,11 +267,11 @@ func runE5(s *session) error {
 		return err
 	}
 	defer cleanup()
-	return s.compareQueries("query (DDO removal on/off)", []string{
+	return compareQueries("query (DDO removal on/off)", []string{
 		`count(doc("lib")/library/book/title)`,
 		`count(doc("lib")/library/book/author)`,
 		`count(doc("lib")/library/book/issue/year)`,
-	}, 15, queryWithRewrite, db)
+	}, 15, db)
 }
 
 func runE6(s *session) error {
@@ -294,11 +280,11 @@ func runE6(s *session) error {
 		return err
 	}
 	defer cleanup()
-	return s.compareQueries("query (//-combining on/off)", []string{
+	return compareQueries("query (//-combining on/off)", []string{
 		`count(doc("lib")//publisher)`,
 		`count(doc("lib")//author)`,
 		`count(doc("lib")//issue/year)`,
-	}, 15, queryWithRewrite, db)
+	}, 15, db)
 }
 
 func runE7(s *session) error {
@@ -307,11 +293,11 @@ func runE7(s *session) error {
 		return err
 	}
 	defer cleanup()
-	return s.compareQueries("nested FLWOR (lazy clause on/off)", []string{
+	return compareQueries("nested FLWOR (lazy clause on/off)", []string{
 		`count(for $b in doc("lib")/library/book
 		       for $p in doc("lib")//publisher
 		       where $b/year = 1995 return 1)`,
-	}, 5, queryWithRewrite, db)
+	}, 5, db)
 }
 
 func runE8(s *session) error {
@@ -320,10 +306,10 @@ func runE8(s *session) error {
 		return err
 	}
 	defer cleanup()
-	return s.compareQueries("structural path (schema-level on/off)", []string{
+	return compareQueries("structural path (schema-level on/off)", []string{
 		`count(doc("lib")/library/book/issue/publisher)`,
 		`count(doc("lib")/library/paper/title)`,
-	}, 15, queryWithRewrite, db)
+	}, 15, db)
 }
 
 func runE9(s *session) error {
@@ -350,25 +336,25 @@ func runE9(s *session) error {
 	}
 	q := `<result>{doc("big")/r/item}</result>`
 	virt, err := timeIt(10, func() error {
-		_, _, err := bench.QueryCtor(db, q, true)
+		_, _, err := bench.Query(db.Internal(), q, nil)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	outV, stV, _ := bench.QueryCtor(db, q, true)
+	outV, stV, _ := bench.Query(db.Internal(), q, nil)
 	deep, err := timeIt(10, func() error {
-		_, _, err := bench.QueryCtor(db, q, false)
+		_, _, err := bench.Query(db.Internal(), q, noVirtualCtors)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	outD, stD, _ := bench.QueryCtor(db, q, false)
+	outD, stD, _ := bench.Query(db.Internal(), q, noVirtualCtors)
 	if outV != outD {
 		return fmt.Errorf("virtual and deep-copy serializations differ")
 	}
-	s.out.table(
+	table(
 		[]string{"constructor mode", "time", "deep copies", "bytes copied"},
 		[][]string{
 			{"virtual (references)", dur(virt), fmt.Sprint(stV.DeepCopies), fmt.Sprint(stV.BytesCopied)},
@@ -403,7 +389,7 @@ func runE11(s *session) error {
 		}
 		rows = append(rows, []string{fmt.Sprint(docs), t.String()})
 	}
-	s.out.table([]string{"documents in DB", "snapshot begin+release"}, rows)
+	table([]string{"documents in DB", "snapshot begin+release"}, rows)
 	fmt.Println("expected shape: microseconds, independent of database size (a snapshot is just a timestamp)")
 	return nil
 }
@@ -446,7 +432,7 @@ func runE13(s *session) error {
 		cleanup()
 		rows = append(rows, []string{fmt.Sprint(txns), fmt.Sprintf("%d KiB", logSize/1024), dur(rec)})
 	}
-	s.out.table([]string{"committed txns since checkpoint", "log size", "recovery time"}, rows)
+	table([]string{"committed txns since checkpoint", "log size", "recovery time"}, rows)
 	fmt.Println("expected shape: recovery time grows with the redo log, not with database size")
 	return nil
 }
@@ -479,7 +465,7 @@ func runE14(s *session) error {
 	}
 	incr := time.Since(start)
 	incrBytes := dirBytes(dir+"/bak") - fullBytes
-	s.out.table(
+	table(
 		[]string{"backup kind", "time", "bytes"},
 		[][]string{
 			{"full (data+log)", dur(full), fmt.Sprintf("%d KiB", fullBytes/1024)},
@@ -506,7 +492,7 @@ func runE15(s *session) error {
 			fmt.Sprintf("%.3f%%", 100*float64(sn)/float64(dn)),
 		})
 	}
-	s.out.table([]string{"library entries", "document nodes", "schema nodes", "schema share"}, rows)
+	table([]string{"library entries", "document nodes", "schema nodes", "schema share"}, rows)
 	fmt.Println("expected shape: schema size constant while the document grows (a DataGuide over fixed structure)")
 	return nil
 }

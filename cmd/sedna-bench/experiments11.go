@@ -13,12 +13,6 @@ import (
 	"sedna/internal/storage"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"E25", "hot document under mixed read/write: update-target probes, list-position search for inserts (§4.1, §5.2, §6.3)", runE25},
-	)
-}
-
 // e25Config switches the two mechanisms E25 measures. They have no user
 // option; "off" is forced: the optimizer off for update statements only
 // (target selection by a scan of the auction list), and findListPosition
@@ -77,7 +71,7 @@ func runE25(s *session) error {
 	defer cleanup()
 	defer storage.SetListBlockSkipForTesting(true)
 	auctions := 2000 * s.scale
-	db, err := bench.OpenDBMetrics(dir, s.reg)
+	db, err := bench.OpenDB(dir)
 	if err != nil {
 		return err
 	}
@@ -105,7 +99,7 @@ func runE25(s *session) error {
 	results := make([]e25Result, len(configs))
 	const window = 1500 * time.Millisecond
 	for i, cfg := range configs {
-		res, err := e25Window(s, dir, cfg, auctions, window, int64(i), &bidders)
+		res, err := e25Window(dir, cfg, auctions, window, int64(i), &bidders)
 		if err != nil {
 			return fmt.Errorf("E25 %s: %w", cfg.name, err)
 		}
@@ -122,7 +116,7 @@ func runE25(s *session) error {
 			dur(r.readP50), dur(r.readP95),
 		})
 	}
-	s.out.table([]string{"mechanisms", "pages / replace or delete", "pages / insert", "stmts/s", "reads/s", "writes/s", "reader p50", "reader p95"}, rows)
+	table([]string{"mechanisms", "pages / replace or delete", "pages / insert", "stmts/s", "reads/s", "writes/s", "reader p50", "reader p95"}, rows)
 	fmt.Println("expected shape: with both off every update finds its target by scanning the auction list and every insert walks the bidder list descriptor by descriptor; the probe cuts the target to a few pages, the search the list position to a few descriptor peeks, and only together does a statement on the hot document stop costing O(document) (time columns printed, not gated)")
 
 	off, probe, search, on := results[0], results[1], results[2], results[3]
@@ -168,8 +162,8 @@ func e25Verify(db *sedna.DB) error {
 // then runs the writer and the reader for the window under cfg. Afterwards it verifies the document and checks the
 // bidder count against *bidders plus the writer's acknowledged net inserts,
 // which it adds to *bidders.
-func e25Window(s *session, dir string, cfg e25Config, auctions int, window time.Duration, seed int64, bidders *int) (e25Result, error) {
-	db, err := bench.OpenDBMetrics(dir, s.reg)
+func e25Window(dir string, cfg e25Config, auctions int, window time.Duration, seed int64, bidders *int) (e25Result, error) {
+	db, err := bench.OpenDB(dir)
 	if err != nil {
 		return e25Result{}, err
 	}

@@ -11,16 +11,8 @@ import (
 
 	"sedna"
 	"sedna/internal/bench"
-	"sedna/internal/core"
-	"sedna/internal/query"
 	"sedna/internal/xmlgen"
 )
-
-func init() {
-	experiments = append(experiments,
-		experiment{"E26", "paged value predicates: cost per context node as the document grows (§4.1)", runE26},
-	)
-}
 
 // e26Suite compares a stored element's value under every context node of a
 // step: each comparison atomizes the element, which opens a range scan for
@@ -87,7 +79,7 @@ func runE26(s *session) error {
 		}
 		defer cleanup()
 		doc := xmlgen.AuctionString(people, people, 2, 42)
-		if dbs[i], err = bench.OpenDBMetrics(dir, s.reg); err == nil {
+		if dbs[i], err = bench.OpenDB(dir); err == nil {
 			err = dbs[i].LoadXML("auction", strings.NewReader(doc))
 		}
 		if err == nil {
@@ -109,7 +101,7 @@ func runE26(s *session) error {
 					runtime.ReadMemStats(&before)
 				}
 				start := time.Now()
-				data, pages, err := querySnapshot(dbs[i].Internal(), src)
+				data, prof, err := bench.Query(dbs[i].Internal(), src, nil)
 				if err != nil {
 					closeAll()
 					return err
@@ -123,7 +115,7 @@ func runE26(s *session) error {
 						closeAll()
 						return fmt.Errorf("E26: %s at %d people answers %.80q, the XML says %.80q", src, rows[i].people, data, want[i][q])
 					}
-					rows[i].pages += pages
+					rows[i].pages += prof.PagesTouched
 				case 1:
 					runtime.ReadMemStats(&after)
 					rows[i].allocs += after.Mallocs - before.Mallocs
@@ -142,16 +134,16 @@ func runE26(s *session) error {
 		nodes := len(e26Suite) * r.people
 		return sum(r.times) / time.Duration(nodes), float64(r.pages) / float64(nodes), float64(r.allocs) / float64(nodes)
 	}
-	var table [][]string
+	var out [][]string
 	for _, r := range rows {
 		t, p, a := perNode(r)
 		cells := []string{fmt.Sprint(r.people)}
 		for _, d := range r.times {
 			cells = append(cells, dur(d))
 		}
-		table = append(table, append(cells, fmt.Sprintf("%.2fµs", float64(t.Nanoseconds())/1000), fmt.Sprintf("%.2f", p), fmt.Sprintf("%.2f", a)))
+		out = append(out, append(cells, fmt.Sprintf("%.2fµs", float64(t.Nanoseconds())/1000), fmt.Sprintf("%.2f", p), fmt.Sprintf("%.2f", a)))
 	}
-	s.out.table([]string{"people", "item[quantity > N]", "person[profile/age > N]", "where $a/current > N", "time / context node", "pages / context node", "allocations / context node"}, table)
+	table([]string{"people", "item[quantity > N]", "person[profile/age > N]", "where $a/current > N", "time / context node", "pages / context node", "allocations / context node"}, out)
 	t0, p0, a0 := perNode(rows[0])
 	t1, p1, a1 := perNode(rows[len(rows)-1])
 	fmt.Printf("time per context node grew %.2fx from %d to %d people (printed, not gated)\n", float64(t1)/float64(t0), sizes[0], sizes[len(sizes)-1])
@@ -173,26 +165,6 @@ func runE26(s *session) error {
 		return fmt.Errorf("E26: allocations per context node grew %.2fx from %d to %d people (%.2f → %.2f), bound 1.5x", g, sizes[0], sizes[len(sizes)-1], a0, a1)
 	}
 	return nil
-}
-
-// querySnapshot runs one statement over a snapshot and returns its serialized
-// answer and the page accesses it made.
-func querySnapshot(db *core.Database, src string) (string, uint64, error) {
-	tx, err := db.BeginReadOnly()
-	if err != nil {
-		return "", 0, err
-	}
-	defer tx.Rollback()
-	ctx := query.NewExecCtx(tx)
-	res, err := query.Execute(ctx, src)
-	if err != nil {
-		return "", 0, err
-	}
-	var sb strings.Builder
-	if err := res.Serialize(&sb); err != nil {
-		return "", 0, err
-	}
-	return sb.String(), ctx.Profile.PagesTouched, nil
 }
 
 // e26Elem is an element of the generated document as encoding/xml reads it.

@@ -12,15 +12,6 @@ import (
 	"sedna/internal/storage"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"E4", "indirect parent pointers: move cost vs fan-out (§4.1)", runE4},
-		experiment{"E10", "snapshot readers vs S2PL readers under an updater (§6.3)", runE10},
-		experiment{"E12", "version retention cost under active snapshots (§6.1)", runE12},
-		experiment{"E16", "delayed per-block descriptor widening (§4.1)", runE16},
-	)
-}
-
 func runE4(s *session) error {
 	var rows [][]string
 	for _, fanout := range []int{2, 8, 32} {
@@ -32,7 +23,7 @@ func runE4(s *session) error {
 			fmt.Sprint(fanout), dur(indirect), dur(direct), ratio(direct, indirect),
 		})
 	}
-	s.out.table([]string{"children per moved node", "indirect parent (Sedna)", "direct parent (baseline)", "overhead"}, rows)
+	table([]string{"children per moved node", "indirect parent (Sedna)", "direct parent (baseline)", "overhead"}, rows)
 	fmt.Println("expected shape: indirect cost flat in fan-out; direct-parent cost grows with it")
 	return nil
 }
@@ -111,6 +102,46 @@ func runE10(s *session) error {
 	}
 	defer cleanup()
 
+	// The claim without a clock: an updater that has written and not
+	// committed holds the exclusive document lock for as long as we like;
+	// every snapshot statement must complete meanwhile, see none of its
+	// writes and wait for nothing.
+	q := `count(doc("lib")/library/book)`
+	before, err := db.Query(q)
+	if err != nil {
+		return err
+	}
+	upd, err := db.Internal().Begin()
+	if err != nil {
+		return err
+	}
+	if _, err := query.Execute(query.NewExecCtx(upd), `UPDATE insert <book><title>uncommitted</title></book> into doc("lib")/library`); err != nil {
+		upd.Rollback()
+		return err
+	}
+	for i := 0; i < 100; i++ {
+		res, err := db.Query(q)
+		if err == nil && res.Data != before.Data {
+			err = fmt.Errorf("E10: snapshot reader counts %s books beside an uncommitted insert, %s before it", res.Data, before.Data)
+		}
+		if err != nil {
+			upd.Rollback()
+			return err
+		}
+	}
+	// Nothing ran on this database before the leg, so its lock.waits
+	// counts the leg's waits.
+	waits := db.Metrics().Counter("lock.waits").Value()
+	if err := upd.Commit(); err != nil {
+		return err
+	}
+	fmt.Printf("100 snapshot statements completed under a held exclusive lock, lock.waits=%d\n", waits)
+	if waits != 0 {
+		return fmt.Errorf("E10: snapshot readers waited for a lock %d times under a held exclusive lock", waits)
+	}
+
+	// The same claim timed: readers against an updater that commits
+	// batch after batch.
 	var frag strings.Builder
 	frag.WriteString("<batch>")
 	for j := 0; j < 200; j++ {
@@ -134,7 +165,6 @@ func runE10(s *session) error {
 		}
 	}()
 
-	q := `count(doc("lib")/library/book)`
 	snap, err := timeIt(300, func() error {
 		_, err := db.Query(q)
 		return err
@@ -157,50 +187,13 @@ func runE10(s *session) error {
 	if err != nil {
 		return err
 	}
-	s.out.table(
+	table(
 		[]string{"reader kind", "avg latency under concurrent updater"},
 		[][]string{
 			{"snapshot (non-blocking, §6.3)", dur(snap)},
 			{"S2PL shared-lock reader", dur(s2pl)},
 		})
 	fmt.Println("expected shape: snapshot readers unaffected by the updater; S2PL readers queue behind its lock")
-
-	// The same claim without a clock: an updater that has written and not
-	// committed holds the exclusive document lock for as long as we like;
-	// every snapshot statement must complete meanwhile, see none of its
-	// writes and wait for nothing.
-	before, err := db.Query(q)
-	if err != nil {
-		return err
-	}
-	upd, err := db.Internal().Begin()
-	if err != nil {
-		return err
-	}
-	if _, err := query.Execute(query.NewExecCtx(upd), `UPDATE insert <book><title>uncommitted</title></book> into doc("lib")/library`); err != nil {
-		upd.Rollback()
-		return err
-	}
-	lockWaits := s.reg.Counter("lock.waits")
-	waits0 := lockWaits.Value()
-	for i := 0; i < 100; i++ {
-		res, err := db.Query(q)
-		if err == nil && res.Data != before.Data {
-			err = fmt.Errorf("E10: snapshot reader counts %s books beside an uncommitted insert, %s before it", res.Data, before.Data)
-		}
-		if err != nil {
-			upd.Rollback()
-			return err
-		}
-	}
-	waits := lockWaits.Value() - waits0
-	if err := upd.Commit(); err != nil {
-		return err
-	}
-	fmt.Printf("100 snapshot statements completed under a held exclusive lock, lock.waits=%d\n", waits)
-	if waits != 0 {
-		return fmt.Errorf("E10: snapshot readers waited for a lock %d times under a held exclusive lock", waits)
-	}
 	return nil
 }
 
@@ -221,9 +214,6 @@ func runE12(s *session) error {
 			pins = append(pins, tx)
 		}
 		i := 0
-		// openLoaded shares the harness registry across databases, so
-		// version counts are deltas around the measured update loop.
-		st0 := db.BufferStats()
 		t, err := timeIt(300, func() error {
 			i++
 			_, err := db.Execute(fmt.Sprintf(`UPDATE insert <x n="%d"/> into doc("lib")/library`, i))
@@ -231,7 +221,7 @@ func runE12(s *session) error {
 		})
 		st := db.BufferStats()
 		buf := db.Internal().Buffer()
-		held, gauge := buf.VersionCount(), s.reg.Gauge("buffer.versions_live").Value()
+		held, gauge := buf.VersionCount(), db.Metrics().Gauge("buffer.versions_live").Value()
 		for _, p := range pins {
 			p.Rollback()
 		}
@@ -241,7 +231,7 @@ func runE12(s *session) error {
 			return err
 		}
 		rows = append(rows, []string{
-			fmt.Sprint(pinned), dur(t), fmt.Sprint(st.VersionsMade - st0.VersionsMade), fmt.Sprint(st.VersionsFreed - st0.VersionsFreed),
+			fmt.Sprint(pinned), dur(t), fmt.Sprint(st.VersionsMade), fmt.Sprint(st.VersionsFreed),
 			fmt.Sprint(held), fmt.Sprint(after),
 		})
 		// The gates are what the run counts, not what it times: a version
@@ -257,7 +247,7 @@ func runE12(s *session) error {
 			return fmt.Errorf("E12: %d versions alive after the last snapshot ended", after)
 		}
 	}
-	s.out.table([]string{"active snapshots", "update latency", "versions made", "versions purged", "alive after 300 commits", "alive after snapshots end"}, rows)
+	table([]string{"active snapshots", "update latency", "versions made", "versions purged", "alive after 300 commits", "alive after snapshots end"}, rows)
 	fmt.Println("expected shape: a commit frees the versions no snapshot can read, so none outlive it without readers; open snapshots add retention, not stalls, and their versions go when they do")
 	return nil
 }
@@ -297,7 +287,7 @@ func runE16(s *session) error {
 		cleanup()
 		rows = append(rows, []string{fmt.Sprint(population), dur(widen)})
 	}
-	s.out.table([]string{"nodes of the widened schema node", "first-child insert (widening)"}, rows)
+	table([]string{"nodes of the widened schema node", "first-child insert (widening)"}, rows)
 	fmt.Println("expected shape: cost bounded by one block's descriptors, not by the schema node's population")
 	return nil
 }

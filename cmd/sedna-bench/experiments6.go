@@ -2,50 +2,21 @@ package main
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sedna/internal/bench"
 	"sedna/internal/core"
-	"sedna/internal/query"
 	"sedna/internal/repl"
 	"sedna/internal/server"
 )
-
-func init() {
-	experiments = append(experiments,
-		experiment{"E20", "streaming replication: read scaling and lag (§6.4, §6.5)", runE20},
-	)
-}
-
-// queryCore runs a read-only query directly against a core database — the
-// replica nodes in E20 are served without a client round-trip so the
-// measurement isolates engine throughput, not TCP framing.
-func queryCore(db *core.Database, src string) (string, error) {
-	tx, err := db.BeginReadOnly()
-	if err != nil {
-		return "", err
-	}
-	defer tx.Rollback()
-	ctx := query.NewExecCtx(tx)
-	res, err := query.Execute(ctx, src)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	if err := res.Serialize(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
 
 // waitReplicaConverged polls until the replica answers q with want.
 func waitReplicaConverged(rep *repl.Replica, q, want string) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		got, err := queryCore(rep.DB(), q)
+		got, _, err := bench.Query(rep.DB(), q, nil)
 		if err == nil && got == want {
 			return nil
 		}
@@ -71,7 +42,7 @@ func runE20(s *session) error {
 	}
 	defer cleanup()
 
-	pdb, err := bench.OpenDBMetrics(dir, s.reg)
+	pdb, err := bench.OpenDB(dir)
 	if err != nil {
 		return err
 	}
@@ -86,7 +57,7 @@ func runE20(s *session) error {
 	defer srv.Close()
 
 	q := `count(doc("cat")//item)`
-	want, _, err := bench.Query(pdb, q, true)
+	want, _, err := bench.Query(pdb.Internal(), q, nil)
 	if err != nil {
 		return err
 	}
@@ -99,13 +70,7 @@ func runE20(s *session) error {
 		}
 	}()
 
-	readers := s.parallel
-	if readers > 8 {
-		readers = 8
-	}
-	if readers < 2 {
-		readers = 2
-	}
+	const readers = 8
 	window := 500 * time.Millisecond
 
 	var rows [][]string
@@ -140,7 +105,7 @@ func runE20(s *session) error {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; time.Now().Before(stop); i++ {
-					got, err := queryCore(nodes[i%len(nodes)], q)
+					got, _, err := bench.Query(nodes[i%len(nodes)], q, nil)
 					if err != nil || got != want {
 						firstErr.CompareAndSwap(nil, fmt.Errorf("reader on node %d: got %q err %v", i%len(nodes), got, err))
 						return
@@ -162,7 +127,7 @@ func runE20(s *session) error {
 			fmt.Sprintf("%.0f", qps), fmt.Sprintf("%.2fx", qps/baseQPS),
 		})
 	}
-	s.out.table(
+	table(
 		[]string{"replicas", "nodes", "readers", "reads/s", "scaling"},
 		rows,
 	)
@@ -210,7 +175,7 @@ func runE20(s *session) error {
 	samplerWG.Wait()
 
 	countQ := `count(doc("storm")/r/s)`
-	wantCount, _, err := bench.Query(pdb, countQ, true)
+	wantCount, _, err := bench.Query(pdb.Internal(), countQ, nil)
 	if err != nil {
 		return err
 	}
@@ -221,7 +186,7 @@ func runE20(s *session) error {
 		}
 	}
 	drain := time.Since(drainStart)
-	shipped := s.reg.Counter("repl.records_shipped").Value()
+	shipped := pdb.Metrics().Counter("repl.records_shipped").Value()
 	var applied uint64 // each replica counts applies in its own registry
 	for _, r := range replicas {
 		applied += r.DB().Metrics().Counter("repl.txns_applied").Value()

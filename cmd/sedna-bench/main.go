@@ -1,29 +1,24 @@
-// Command sedna-bench runs the experiment suite of DESIGN.md (E1–E16) and
-// prints one comparison table per experiment — the reproduction of every
-// performance claim the paper makes in prose, each against the baseline the
-// paper positions itself against. Absolute numbers depend on the host; the
-// shapes (who wins, by roughly what factor) are the reproduction target
-// recorded in EXPERIMENTS.md.
+// Command sedna-bench runs the E-series of EXPERIMENTS.md and prints one
+// comparison table per experiment: each prose performance claim of the
+// paper against the baseline the paper positions itself against, and the
+// counters the CI run guards. Absolute numbers depend on the host; the
+// shapes (who wins, by roughly what factor) are the reproduction target.
 //
-//	sedna-bench            # run everything
-//	sedna-bench -run E3    # one experiment
-//	sedna-bench -scale 2   # larger corpora
-//	sedna-bench -json out.json   # also write machine-readable results
+//	sedna-bench               # run every experiment
+//	sedna-bench -run E3,E12   # the experiments with these ids
+//	sedna-bench -scale 2      # larger corpora
 //
-// With -json, the result file carries one record per experiment plus a full
-// metrics-registry snapshot, so BENCH_*.json files record the internals
-// trajectory (buffer faults, WAL fsyncs, lock waits, ...) of the run.
+// Every database an experiment opens reports into a metrics registry of its
+// own, so a counter an experiment reads counts that experiment's work alone.
+// The run exits 1 if any experiment fails or breaks one of its gates.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
-
-	"sedna/internal/metrics"
 )
 
 type experiment struct {
@@ -34,86 +29,73 @@ type experiment struct {
 
 type session struct {
 	scale int
-	// parallel is the maximum reader fan-out used by the concurrency
-	// experiment (E17); levels run at 1, 2, 4, ... up to this value.
-	parallel int
-	out      *tableWriter
-	// reg accumulates internals metrics across every database the
-	// experiments open; it is embedded in the -json result.
-	reg *metrics.Registry
 }
 
-// expResult is one experiment's outcome in the -json report.
-type expResult struct {
-	ID      string  `json:"id"`
-	Name    string  `json:"name"`
-	OK      bool    `json:"ok"`
-	Seconds float64 `json:"seconds"`
-	Error   string  `json:"error,omitempty"`
+var experiments = []experiment{
+	{"E1", "schema-driven vs subtree-based clustering (§2, §4.1)", runE1},
+	{"E2", "relabel-free numbering vs XISS intervals (§4.1.1)", runE2},
+	{"E3", "layer-mapped dereference vs pointer swizzling (§4.2)", runE3},
+	{"E4", "indirect parent pointers: move cost vs fan-out (§4.1)", runE4},
+	{"E5", "DDO elimination (§5.1.1)", runE5},
+	{"E6", "descendant-or-self combining (§5.1.2)", runE6},
+	{"E7", "lazy invariant for-clauses (§5.1.3)", runE7},
+	{"E8", "structural-path extraction (§5.1.4)", runE8},
+	{"E9", "virtual vs deep-copy constructors (§5.2.1)", runE9},
+	{"E10", "snapshot readers vs S2PL readers under an updater (§6.3)", runE10},
+	{"E11", "snapshot creation cost (§6.1/§6.3)", runE11},
+	{"E12", "version retention cost under active snapshots (§6.1)", runE12},
+	{"E13", "two-step recovery time vs redo-log length (§6.4)", runE13},
+	{"E14", "full vs incremental hot backup (§6.5)", runE14},
+	{"E15", "descriptive-schema conciseness (§4.1)", runE15},
+	{"E16", "delayed per-block descriptor widening (§4.1)", runE16},
+	{"E17", "concurrent-read scaling + group commit (§4.2, §6.3, §6.4)", runE17},
+	{"E20", "streaming replication: read scaling and lag (§6.4, §6.5)", runE20},
+	{"E23", "cost-based optimizer: statistics-driven plans vs hand-forced execution (§5.1)", runE23},
+	{"E24", "bulk load: streaming direct block construction vs node-at-a-time ingest (§4.1)", runE24},
+	{"E25", "hot document under mixed read/write: update-target probes, list-position search for inserts (§4.1, §5.2, §6.3)", runE25},
+	{"E26", "paged value predicates: cost per context node as the document grows (§4.1)", runE26},
 }
-
-// benchReport is the -json file layout.
-type benchReport struct {
-	Scale       int              `json:"scale"`
-	Experiments []expResult      `json:"experiments"`
-	Metrics     metrics.Snapshot `json:"metrics"`
-}
-
-var experiments []experiment
 
 func main() {
-	runFilter := flag.String("run", "", "run only experiments whose id contains this string")
+	runList := flag.String("run", "", "comma-separated experiment ids to run (default: all)")
 	scale := flag.Int("scale", 1, "corpus scale factor")
-	parallel := flag.Int("parallel", 8, "maximum reader fan-out for the concurrency experiment (E17)")
-	jsonOut := flag.String("json", "", "write machine-readable results (experiments + metrics snapshot) to this file")
 	flag.Parse()
-	if *parallel < 1 {
-		*parallel = 1
+
+	selected := experiments
+	if *runList != "" {
+		selected = nil
+	next:
+		for _, id := range strings.Split(*runList, ",") {
+			for _, e := range experiments {
+				if e.id == strings.TrimSpace(id) {
+					selected = append(selected, e)
+					continue next
+				}
+			}
+			fmt.Fprintf(os.Stderr, "sedna-bench: no experiment %q\n", id)
+			os.Exit(2)
+		}
 	}
 
-	s := &session{scale: *scale, parallel: *parallel, out: &tableWriter{}, reg: metrics.NewRegistry()}
-	var results []expResult
+	s := &session{scale: *scale}
 	failed := 0
-	for _, e := range experiments {
-		if *runFilter != "" && !strings.Contains(e.id, *runFilter) {
-			continue
-		}
+	for _, e := range selected {
 		fmt.Printf("\n=== %s — %s ===\n", e.id, e.name)
 		start := time.Now()
-		err := e.run(s)
-		elapsed := time.Since(start)
-		r := expResult{ID: e.id, Name: e.name, OK: err == nil, Seconds: elapsed.Seconds()}
-		if err != nil {
+		if err := e.run(s); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-			r.Error = err.Error()
 			failed++
-		} else {
-			fmt.Printf("(%s)\n", elapsed.Round(time.Millisecond))
+			continue
 		}
-		results = append(results, r)
-	}
-	if *jsonOut != "" {
-		report := benchReport{Scale: *scale, Experiments: results, Metrics: s.reg.Snapshot()}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sedna-bench: encode json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sedna-bench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
+		fmt.Printf("(%s)\n", time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		os.Exit(1)
 	}
 }
 
-// tableWriter prints aligned rows.
-type tableWriter struct{}
-
-func (t *tableWriter) table(headers []string, rows [][]string) {
+// table prints aligned rows under headers.
+func table(headers []string, rows [][]string) {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
 		widths[i] = len(h)

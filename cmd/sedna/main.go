@@ -18,7 +18,6 @@
 //	\sessions     list live sessions with accounting and in-flight statements
 //	\kill SESSION [STMT]   cancel a session's running statement (optionally
 //	              fenced to per-session statement ordinal STMT)
-//	\cluster      merged view: replication topology + local sessions
 //	\q            quit
 //
 // EXPLAIN <stmt>, PROFILE <stmt> and ANALYZE doc("name") are regular
@@ -227,24 +226,6 @@ func command(c *client.Conn, cmd string) bool {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {
 			fmt.Printf("killed session %d\n", sess)
-		}
-	case `\cluster`:
-		ci, err := c.Cluster()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return true
-		}
-		fmt.Printf("role: %s\n", ci.Topology.Role)
-		if s := ci.Topology.Self; s != nil {
-			fmt.Printf("upstream %s  state=%s  lag=%d LSNs\n", s.Primary, s.State, s.LagLSNs)
-		}
-		for _, r := range ci.Topology.Replicas {
-			fmt.Printf("replica %s  state=%s  lag=%d LSNs  acked=%d\n",
-				r.Addr, r.State, r.LagLSNs, r.AckedLSN)
-		}
-		fmt.Printf("sessions: %d\n", len(ci.Sessions))
-		for _, in := range ci.Sessions {
-			printSession(in)
 		}
 	case `\load`:
 		if len(fields) != 3 {

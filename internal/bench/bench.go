@@ -1,10 +1,9 @@
-// Package bench provides the shared corpus builders and measurement helpers
-// behind the experiment suite (DESIGN.md E1–E16): the root bench_test.go
-// benchmarks and the cmd/sedna-bench harness both build on it.
+// Package bench holds the corpus builders and the statement runner the
+// cmd/sedna-bench experiments share (EXPERIMENTS.md). Each database it opens
+// reports into a metrics registry of its own.
 package bench
 
 import (
-	"fmt"
 	"os"
 	"strings"
 
@@ -13,7 +12,6 @@ import (
 	"sedna/internal/metrics"
 	"sedna/internal/query"
 	"sedna/internal/schema"
-	"sedna/internal/storage"
 	"sedna/internal/subtree"
 	"sedna/internal/xmlgen"
 )
@@ -21,13 +19,7 @@ import (
 // OpenDB creates a throwaway database under dir (NoSync: experiments
 // measure algorithmic behaviour, not fsync latency, unless stated).
 func OpenDB(dir string) (*sedna.DB, error) {
-	return OpenDBMetrics(dir, nil)
-}
-
-// OpenDBMetrics is OpenDB reporting into a shared metrics registry, so a
-// harness run can accumulate internals counters across its databases.
-func OpenDBMetrics(dir string, reg *metrics.Registry) (*sedna.DB, error) {
-	return sedna.Open(dir, &sedna.Options{NoSync: true, BufferPages: 8192, Metrics: reg})
+	return sedna.Open(dir, &sedna.Options{NoSync: true, BufferPages: 8192})
 }
 
 // LoadLibrary loads an n-entry library corpus as document "lib".
@@ -47,33 +39,11 @@ func LoadSections(db *sedna.DB, sections, perSection int) error {
 	return db.LoadXML("cat", strings.NewReader(xmlgen.SectionsString(sections, perSection, 42)))
 }
 
-// QueryOpt runs a query with the cost-based optimizer on or off, returning
-// the result data plus executor stats — the E23 measurement harness for
-// optimized vs hand-forced plans.
-func QueryOpt(db *sedna.DB, src string, optimize bool) (string, query.ExecStats, error) {
-	tx, err := db.Internal().BeginReadOnly()
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	defer tx.Rollback()
-	ctx := query.NewExecCtx(tx)
-	ctx.NoOpt = !optimize
-	res, err := query.Execute(ctx, src)
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	var sb strings.Builder
-	if err := res.Serialize(&sb); err != nil {
-		return "", query.ExecStats{}, err
-	}
-	return sb.String(), ctx.Profile.ExecStats, nil
-}
-
 // OpenDBBulk opens a database with an explicit LoadXML ingest path — the
 // E24 measurement setup comparing the streaming bulk loader against
 // node-at-a-time inserts.
-func OpenDBBulk(dir string, reg *metrics.Registry, mode core.BulkLoadMode) (*core.Database, error) {
-	return core.Open(dir, core.Options{NoSync: true, BufferPages: 8192, Metrics: reg, BulkLoad: mode})
+func OpenDBBulk(dir string, mode core.BulkLoadMode) (*core.Database, error) {
+	return core.Open(dir, core.Options{NoSync: true, BufferPages: 8192, BulkLoad: mode})
 }
 
 // SubtreeStore builds the subtree-clustered baseline store with the same
@@ -98,45 +68,28 @@ func SubtreeStore(db *sedna.DB, n int) (*subtree.Store, *core.Tx, error) {
 	return st, rtx, nil
 }
 
-// Query runs a query with the rewriter on or off and returns the result
-// data plus executor stats.
-func Query(db *sedna.DB, src string, rewrite bool) (string, query.ExecStats, error) {
-	tx, err := db.Internal().BeginReadOnly()
+// Query runs src over a snapshot of db and returns its serialized result
+// and profile. baseline, when not nil, switches off the mechanism an
+// experiment measures (the rewriter, virtual constructors, the optimizer).
+func Query(db *core.Database, src string, baseline func(*query.ExecCtx)) (string, metrics.QueryProfile, error) {
+	tx, err := db.BeginReadOnly()
 	if err != nil {
-		return "", query.ExecStats{}, err
+		return "", metrics.QueryProfile{}, err
 	}
 	defer tx.Rollback()
 	ctx := query.NewExecCtx(tx)
-	ctx.NoRewrite = !rewrite
+	if baseline != nil {
+		baseline(ctx)
+	}
 	res, err := query.Execute(ctx, src)
 	if err != nil {
-		return "", query.ExecStats{}, err
+		return "", metrics.QueryProfile{}, err
 	}
 	var sb strings.Builder
 	if err := res.Serialize(&sb); err != nil {
-		return "", query.ExecStats{}, err
+		return "", metrics.QueryProfile{}, err
 	}
-	return sb.String(), ctx.Profile.ExecStats, nil
-}
-
-// QueryCtor runs a query with virtual constructors on or off.
-func QueryCtor(db *sedna.DB, src string, virtual bool) (string, query.ExecStats, error) {
-	tx, err := db.Internal().BeginReadOnly()
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	defer tx.Rollback()
-	ctx := query.NewExecCtx(tx)
-	ctx.NoVirtualCtors = !virtual
-	res, err := query.Execute(ctx, src)
-	if err != nil {
-		return "", query.ExecStats{}, err
-	}
-	var sb strings.Builder
-	if err := res.Serialize(&sb); err != nil {
-		return "", query.ExecStats{}, err
-	}
-	return sb.String(), ctx.Profile.ExecStats, nil
+	return sb.String(), ctx.Profile, nil
 }
 
 // SchemaStats reports descriptive-schema conciseness for a document:
@@ -156,30 +109,6 @@ func SchemaStats(db *sedna.DB, docName string) (schemaNodes int, docNodes uint64
 		docNodes += sn.NodeCount
 	})
 	return schemaNodes, docNodes, nil
-}
-
-// FirstBookHandle returns the handle of the first book element (helper for
-// the pointer-chase and move experiments).
-func FirstBookHandle(tx *core.Tx, docName string) (storage.Desc, *storage.Doc, error) {
-	doc, err := tx.Document(docName)
-	if err != nil {
-		return storage.Desc{}, nil, err
-	}
-	lib := doc.Schema.Root.Children[0]
-	var bookSn *schema.Node
-	for _, c := range lib.Children {
-		if c.Name == "book" {
-			bookSn = c
-		}
-	}
-	if bookSn == nil {
-		return storage.Desc{}, nil, fmt.Errorf("bench: no book schema node")
-	}
-	d, ok, err := storage.FirstOfSchema(tx.Tx, bookSn)
-	if err != nil || !ok {
-		return storage.Desc{}, nil, fmt.Errorf("bench: no book node: %v", err)
-	}
-	return d, doc, nil
 }
 
 // TempDir creates a working directory for a harness run.

@@ -105,7 +105,7 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 }
 
 // TestUnknownVerbIsError covers a type no server ever knew and the retired
-// verbs 9, 10 and 17 alike.
+// verbs 9, 10, 16 and 17 alike.
 func TestUnknownVerbIsError(t *testing.T) {
 	srv := startServer(t)
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -113,7 +113,7 @@ func TestUnknownVerbIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, verb := range []byte{42, 9, 10, 17} {
+	for _, verb := range []byte{42, 9, 10, 16, 17} {
 		if err := wire.WriteRequest(conn, verb, &server.Request{}); err != nil {
 			t.Fatal(err)
 		}

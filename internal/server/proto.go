@@ -27,7 +27,6 @@ const (
 	MsgPromote    = wire.MsgPromote
 	MsgSessions   = wire.MsgSessions
 	MsgKill       = wire.MsgKill
-	MsgCluster    = wire.MsgCluster
 )
 
 // Message types (server → client).

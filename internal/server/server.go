@@ -512,8 +512,6 @@ func (s *Server) handle(rawConn net.Conn) {
 			resp, rerr = s.gov.sessionsResp()
 		case MsgKill:
 			resp, rerr = s.gov.killResp(&req)
-		case MsgCluster:
-			resp, rerr = s.gov.clusterResp()
 		case MsgQuit:
 			wire.WriteResponse(conn, MsgOK, &wire.Response{Message: "bye"})
 			return
@@ -523,7 +521,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		if rerr == nil {
 			out := byte(MsgOK)
 			switch typ {
-			case MsgExecute, MsgMetrics, MsgSlowLog, MsgReplStatus, MsgSessions, MsgCluster:
+			case MsgExecute, MsgMetrics, MsgSlowLog, MsgReplStatus, MsgSessions:
 				out = MsgResult
 			}
 			// A response over the limit is refused before any byte of it is

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"sedna/internal/query"
-	"sedna/internal/repl"
 	"sedna/internal/trace"
 	"sedna/internal/wire"
 )
@@ -66,13 +65,6 @@ type SessionInfo struct {
 	TxOpen          bool           `json:"tx_open,omitempty"`
 	Stats           SessionStats   `json:"stats"`
 	Statement       *StatementInfo `json:"statement,omitempty"`
-}
-
-// ClusterInfo is the primary's merged health snapshot: replication topology
-// plus every local session.
-type ClusterInfo struct {
-	Topology repl.Topology `json:"topology"`
-	Sessions []SessionInfo `json:"sessions"`
 }
 
 // stmtState registers one executing statement with its session: the text,
@@ -225,20 +217,6 @@ func (g *Governor) Kill(sessionID, stmtOrd uint64) error {
 	return target.kill(stmtOrd)
 }
 
-// Cluster returns the merged topology/health snapshot: the node's
-// replication role with per-replica lag, plus every local session.
-func (g *Governor) Cluster() ClusterInfo {
-	t := repl.Topology{Role: "primary", Replicas: g.primary.Status()}
-	if g.replica != nil {
-		self := g.replica.Status()
-		t.Self = &self
-		if self.State != "promoted" {
-			t.Role = "replica"
-		}
-	}
-	return ClusterInfo{Topology: t, Sessions: g.SessionInfos()}
-}
-
 // sessionsResp serves a MsgSessions request.
 func (g *Governor) sessionsResp() (*wire.Response, error) {
 	infos := g.SessionInfos()
@@ -267,18 +245,4 @@ func (g *Governor) killResp(req *Request) (*wire.Response, error) {
 		return nil, err
 	}
 	return &wire.Response{Message: fmt.Sprintf("killed: session %d", req.KillSession)}, nil
-}
-
-// clusterResp serves a MsgCluster request.
-func (g *Governor) clusterResp() (*wire.Response, error) {
-	c := g.Cluster()
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.Response{
-		Data: b,
-		Message: fmt.Sprintf("role=%s replicas=%d sessions=%d",
-			c.Topology.Role, len(c.Topology.Replicas), len(c.Sessions)),
-	}, nil
 }

@@ -22,9 +22,10 @@ import (
 	"math"
 )
 
-// Message types (client → server). 9, 10 and 17 are retired (they set the
-// intra-query worker budget and tuned the readahead prefetcher and the
-// resident mode); a server answers them as unknown.
+// Message types (client → server). 9, 10, 16 and 17 are retired (they set
+// the intra-query worker budget, tuned the readahead prefetcher, merged
+// REPLSTATUS with SESSIONS and tuned the resident mode); a server answers
+// them as unknown.
 const (
 	MsgHello      = 1
 	MsgBegin      = 2
@@ -39,7 +40,6 @@ const (
 	MsgPromote    = 13 // promote a replica to a writable primary
 	MsgSessions   = 14 // list live sessions with per-session accounting
 	MsgKill       = 15 // cancel another session's in-flight statement
-	MsgCluster    = 16 // merged topology: local sessions + per-replica lag
 )
 
 // Message types (server → client).

@@ -26,7 +26,7 @@ surface() {
 }
 surface "Options fields" "$(awk '/^type Options struct/ {s = 1; next} s && /^}/ {s = 0} s && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n + 0}' sedna.go)" 8
 surface "sednad flags" "$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/sednad/main.go)" 9
-surface "wire verbs" "$(awk '/^\tMsg[A-Za-z]+ *= *[0-9]+/ {split($0, a, "="); if (a[2] + 0 < 64) n++} END {print n + 0}' internal/wire/wire.go)" 14
+surface "wire verbs" "$(awk '/^\tMsg[A-Za-z]+ *= *[0-9]+/ {split($0, a, "="); if (a[2] + 0 < 64) n++} END {print n + 0}' internal/wire/wire.go)" 13
 surface "ForTesting functions" "$(grep -rhE '^func (\([^)]*\) )?[A-Za-z]+ForTesting\(' --include='*.go' --exclude='*_test.go' . | wc -l)" 3
 
 echo "== go vet =="
@@ -50,35 +50,14 @@ go test -run '^$' -fuzz='^FuzzValueCompare$' -fuzztime=10s ./internal/query
 go test -run '^$' -fuzz='^FuzzOpenLog$' -fuzztime=10s ./internal/wal
 go test -run '^$' -fuzz='^FuzzListPosition$' -fuzztime=10s ./internal/storage
 
-echo "== bench smoke (compile + one iteration of every benchmark) =="
-go test -bench=. -benchtime=1x -run '^$' .
-
 echo "== repository benchmark module (benchmark/: vet + smoke-scale tests) =="
 go -C benchmark vet ./...
 go -C benchmark test ./...
 
-echo "== replication smoke (E20: seed, stream, storm, converge) =="
-go run ./cmd/sedna-bench -run E20
-
-echo "== introspection smoke (E21: sessions, KILL of a long query, Prometheus round-trip) =="
-go run ./cmd/sedna-bench -run E21
-
-echo "== snapshot-reader smoke (E10: every snapshot statement completes under a held exclusive document lock, readers' lock.waits = 0) =="
-go run ./cmd/sedna-bench -run E10
-
-echo "== version-retention smoke (E12: versions_live 0 after 300 commits with no snapshot, > 0 under three pinned snapshots, 0 again when they end) =="
-go run ./cmd/sedna-bench -run E12
-
-echo "== optimizer smoke (E23: costed plans vs hand-forced, <=1.1x regression, >=2x selective speedup) =="
-go run ./cmd/sedna-bench -run E23
-
-echo "== bulk-load smoke (E24: streaming loader vs node-at-a-time, byte-identity, >=3x speedup, crash leg) =="
-go run ./cmd/sedna-bench -run E24
-
-echo "== hot-document smoke (E25: writer + reader, probe/list search on vs off; page views per replace/delete <=184 and per insert <=247, each mechanism cuts its own >=5x; stmts/s and reader latency printed, not gated) =="
-go run ./cmd/sedna-bench -run E25
-
-echo "== paged-step smoke (E26: value predicates on 500/2000/8000-person documents; page views and allocations per context node grow <1.5x, <=0.9 views and <=2.8 allocations per node, answers equal encoding/xml's; time growth printed, not gated) =="
-go run ./cmd/sedna-bench -run E26
+# The E-series of EXPERIMENTS.md, one run. The KILL, SESSIONS and Prometheus
+# checks that E21 made are go test's: TestSessionsVisibility and
+# TestSessionsHTTP in internal/server.
+echo "== E-series (every experiment of cmd/sedna-bench once; exits 1 on any failed gate. E9: virtual and deep-copy constructors serialize identically; E10: every snapshot statement completes under a held exclusive document lock, lock.waits = 0; E12: versions_live equals the chains' versions, 0 after 300 commits with no snapshot, > 0 under three pinned snapshots, 0 again when they end; E20: replicas seed, stream, survive a writer storm and converge, answers equal on every node; E23: optimized plans view <=1.9x the forced plans' pages over the corpus, forced scans >=8x the optimized pages on the selective suite with an index probe in every optimized statement, answers identical; E24: node-at-a-time >=8x the bulk loader's WAL bytes and >=1.6x its flushed pages, byte-identity, crash leg; E25: writer + reader, probe/list search on vs off, page views per replace/delete <=184 and per insert <=247, each mechanism cuts its own >=5x; E26: value predicates on 500/2000/8000-person documents, page views and allocations per context node grow <1.5x, <=0.9 views and <=2.8 allocations per node, answers equal encoding/xml's; times printed, not gated) =="
+go run ./cmd/sedna-bench
 
 echo "check.sh: all green"

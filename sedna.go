@@ -60,7 +60,7 @@ type Options struct {
 	SlowLogPath string
 	// Metrics is the observability registry every layer reports into; nil
 	// gives the database a fresh private registry. Pass a shared registry to
-	// accumulate counters across databases (as sedna-bench does).
+	// accumulate counters across databases.
 	Metrics *metrics.Registry
 }
 
