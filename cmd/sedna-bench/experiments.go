@@ -37,12 +37,11 @@ func (s *session) openLoaded(entries int) (*sedna.DB, func(), error) {
 	return db, func() { db.Close(); cleanup() }, nil
 }
 
-// noRewrite, noVirtualCtors and noOpt are the baselines of the experiments
-// that switch one mechanism of the executor off.
+// noRewrite and noVirtualCtors are the baselines of the experiments that
+// switch one mechanism of the executor off.
 var (
 	noRewrite      = func(c *query.ExecCtx) { c.NoRewrite = true }
 	noVirtualCtors = func(c *query.ExecCtx) { c.NoVirtualCtors = true }
-	noOpt          = func(c *query.ExecCtx) { c.NoOpt = true }
 )
 
 // compareQueries times each query with the rewriter on and off and prints

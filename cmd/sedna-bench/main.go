@@ -50,7 +50,6 @@ var experiments = []experiment{
 	{"E16", "delayed per-block descriptor widening (§4.1)", runE16},
 	{"E17", "concurrent-read scaling + group commit (§4.2, §6.3, §6.4)", runE17},
 	{"E20", "streaming replication: read scaling and lag (§6.4, §6.5)", runE20},
-	{"E23", "cost-based optimizer: statistics-driven plans vs hand-forced execution (§5.1)", runE23},
 	{"E24", "bulk load: streaming direct block construction vs node-at-a-time ingest (§4.1)", runE24},
 	{"E25", "hot document under mixed read/write: update-target probes, list-position search for inserts (§4.1, §5.2, §6.3)", runE25},
 	{"E26", "paged value predicates: cost per context node as the document grows (§4.1)", runE26},

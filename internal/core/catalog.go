@@ -214,8 +214,8 @@ func (c *Catalog) PutDocStats(docName string, s *opt.DocStats) {
 	c.stats[docName] = s
 }
 
-// Activity returns the document's live activity counters, creating them on
-// first use. The counters are advisory and reset on restart.
+// Activity returns the document's activity counters, creating them on
+// first use. The catalog meta file persists them.
 func (c *Catalog) Activity(docName string) *opt.Activity {
 	c.mu.RLock()
 	a := c.activity[docName]
@@ -255,6 +255,9 @@ type metaFile struct {
 	Docs      []metaDoc
 	Indexes   []IndexMeta
 	Stats     map[string]*opt.DocStats
+	// Updates holds each document's update counter (opt.Activity), so that
+	// statistics age across a restart as they do without one.
+	Updates map[string]uint64
 	// BackupLSN is the log position the last backup copied up to (0 = no
 	// backup): the log above it is kept for the next incremental backup.
 	BackupLSN uint64
@@ -290,6 +293,14 @@ func saveMeta(dir string, gen uint64, c *Catalog, freeList []sas.PageID, backupL
 			if _, ok := c.docs[n]; ok {
 				mf.Stats[n] = s
 			}
+		}
+	}
+	for n, a := range c.activity {
+		if _, ok := c.docs[n]; ok {
+			if mf.Updates == nil {
+				mf.Updates = make(map[string]uint64, len(c.activity))
+			}
+			mf.Updates[n] = a.Updates.Load()
 		}
 	}
 	c.mu.RUnlock()
@@ -350,6 +361,17 @@ func loadMeta(dir string, gen uint64) (*Catalog, []sas.PageID, uint64, error) {
 	for n, s := range mf.Stats {
 		if _, ok := c.docs[n]; ok {
 			c.stats[n] = s
+		}
+	}
+	for n := range c.docs {
+		// Never below the statistics' base: a meta file written before the
+		// counter was persisted reads as fresh statistics.
+		u := mf.Updates[n]
+		if s := c.stats[n]; s != nil && u < s.UpdateBase {
+			u = s.UpdateBase
+		}
+		if u > 0 {
+			c.Activity(n).Updates.Store(u)
 		}
 	}
 	return c, mf.FreeList, mf.BackupLSN, nil

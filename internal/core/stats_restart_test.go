@@ -9,39 +9,59 @@ import (
 	"sedna/internal/xmlgen"
 )
 
-// TestAnalyzeSurvivesRestartFresh: statistics taken after some updates carry
-// a non-zero UpdateBase, while the document's update counter restarts at zero
-// with the process. The restart must not make the snapshot read as stale
-// (regression: the unsigned subtraction wrapped, so every ANALYZEd document
-// lost its plans until re-ANALYZEd), and updates after it must still age it.
-func TestAnalyzeSurvivesRestartFresh(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *core.Database {
-		t.Helper()
-		db, err := core.Open(dir, core.Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	exec := func(db *core.Database, src string) {
-		t.Helper()
-		tx, err := db.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := query.Execute(query.NewExecCtx(tx), src); err != nil {
-			tx.Rollback()
-			t.Fatalf("%s: %v", src, err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const update = `UPDATE insert <note>n</note> into doc("lib")/library`
+// statsDB opens (or reopens) a database in dir and runs statements in
+// update transactions of their own.
+type statsDB struct {
+	t   *testing.T
+	dir string
+	db  *core.Database
+}
 
-	db := open()
-	tx, _ := db.Begin()
+func (s *statsDB) open() {
+	s.t.Helper()
+	db, err := core.Open(s.dir, core.Options{NoSync: true})
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	s.db = db
+}
+
+func (s *statsDB) restart() {
+	s.t.Helper()
+	if err := s.db.Close(); err != nil {
+		s.t.Fatal(err)
+	}
+	s.open()
+}
+
+func (s *statsDB) exec(src string) {
+	s.t.Helper()
+	tx, err := s.db.Begin()
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	if _, err := query.Execute(query.NewExecCtx(tx), src); err != nil {
+		tx.Rollback()
+		s.t.Fatalf("%s: %v", src, err)
+	}
+	if err := tx.Commit(); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// stale reports whether the document's statistics read as stale now.
+func (s *statsDB) stale(doc string) bool {
+	cat := s.db.Catalog()
+	return cat.DocStats(doc).Stale(cat.Activity(doc).Updates.Load())
+}
+
+// newStatsDB loads a 20-book library, applies three updates, and takes
+// statistics, whose update base is then non-zero.
+func newStatsDB(t *testing.T) *statsDB {
+	s := &statsDB{t: t, dir: t.TempDir()}
+	s.open()
+	t.Cleanup(func() { s.db.Close() })
+	tx, _ := s.db.Begin()
 	if _, err := tx.LoadXML("lib", strings.NewReader(xmlgen.LibraryString(20, 2))); err != nil {
 		t.Fatal(err)
 	}
@@ -49,36 +69,63 @@ func TestAnalyzeSurvivesRestartFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		exec(db, update)
+		s.exec(restartUpdate)
 	}
-	exec(db, `ANALYZE doc("lib")`)
-	stats := db.Catalog().DocStats("lib")
-	if stats == nil || stats.UpdateBase == 0 {
+	s.exec(`ANALYZE doc("lib")`)
+	if stats := s.db.Catalog().DocStats("lib"); stats == nil || stats.UpdateBase == 0 {
 		t.Fatalf("setup: want statistics with a non-zero update base, got %+v", stats)
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return s
+}
 
-	db = open()
-	defer db.Close()
-	stats = db.Catalog().DocStats("lib")
-	if stats == nil {
+const restartUpdate = `UPDATE insert <note>n</note> into doc("lib")/library`
+
+// agingUpdates is the number of updates after which the statistics of the
+// document read as stale: (AnalyzedNodes + 64) / 5, plus one.
+func (s *statsDB) agingUpdates(doc string) int {
+	return int((s.db.Catalog().DocStats(doc).AnalyzedNodes+64)/5) + 1
+}
+
+// TestAnalyzeSurvivesRestartFresh: statistics taken after some updates carry
+// a non-zero update base. A clean restart must not make them read as stale
+// (regression: the unsigned subtraction wrapped, so every ANALYZEd document
+// lost its plans until re-ANALYZEd), and updates after it must still age
+// them.
+func TestAnalyzeSurvivesRestartFresh(t *testing.T) {
+	s := newStatsDB(t)
+	s.restart()
+	if s.db.Catalog().DocStats("lib") == nil {
 		t.Fatal("statistics lost across a clean restart")
 	}
-	updates := func() uint64 { return db.Catalog().Activity("lib").Updates.Load() }
-	if updates() >= stats.UpdateBase {
-		t.Fatalf("setup: update counter %d did not restart below the base %d", updates(), stats.UpdateBase)
-	}
-	if stats.Stale(updates()) {
+	if s.stale("lib") {
 		t.Fatal("statistics read as stale right after a clean restart")
 	}
-	// (AnalyzedNodes + 64) / 5 updates age a snapshot; once the restarted
-	// counter has passed the old base it is measured against the base again.
-	for n := uint64(0); n <= stats.UpdateBase+(stats.AnalyzedNodes+64)/5; n++ {
-		exec(db, update)
+	for n := s.agingUpdates("lib"); n > 0; n-- {
+		s.exec(restartUpdate)
 	}
-	if !stats.Stale(updates()) {
-		t.Fatalf("%d updates after the restart left the statistics fresh", updates())
+	if !s.stale("lib") {
+		t.Fatalf("%d updates after the restart left the statistics fresh", s.agingUpdates("lib"))
+	}
+}
+
+// TestStaleStatisticsStayStaleAcrossRestart: statistics that updates made
+// stale stay stale after a clean restart, because the document's update
+// counter is persisted with them (before, it restarted at zero and the
+// snapshot read as fresh again).
+func TestStaleStatisticsStayStaleAcrossRestart(t *testing.T) {
+	s := newStatsDB(t)
+	for n := s.agingUpdates("lib"); n > 0; n-- {
+		s.exec(restartUpdate)
+	}
+	if !s.stale("lib") {
+		t.Fatal("setup: statistics still fresh after the aging updates")
+	}
+	before := s.db.Catalog().Activity("lib").Updates.Load()
+	s.restart()
+	if !s.stale("lib") {
+		t.Fatal("stale statistics read as fresh after a clean restart")
+	}
+	if got := s.db.Catalog().Activity("lib").Updates.Load(); got != before {
+		t.Fatalf("update counter %d after a clean restart, %d before it", got, before)
 	}
 }

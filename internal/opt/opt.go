@@ -3,11 +3,10 @@
 // adds what it lacks: per-schema-node statistics (node counts come free from
 // the block headers; ANALYZE collects equi-depth value histograms, distinct
 // counts and average lengths on top), selectivity estimation for comparison
-// predicates, and a cost model over the physical alternatives the executor
-// already implements — value-index probe, schema-level structural scan and
-// naive chain navigation. The package is pure (no
-// engine imports), so both core (catalog persistence) and query (planning)
-// can use it without cycles.
+// predicates, and a cost model for the one choice the executor makes — a
+// value-index probe or the schema-level structural scan. The package is pure
+// (no engine imports), so both core (catalog persistence) and query
+// (planning) can use it without cycles.
 package opt
 
 import (
@@ -64,9 +63,10 @@ type DocStats struct {
 	Cols          map[uint32]*ColStats
 }
 
-// Activity is a document's live update counter, maintained by the engine
-// outside any statistics snapshot: Updates counts committed update
-// transactions touching the document (the staleness input).
+// Activity is a document's update counter, maintained by the engine outside
+// any statistics snapshot: Updates counts committed update transactions
+// touching the document (the staleness input). The catalog meta file
+// persists it, so a restart neither resets it nor ages a snapshot.
 type Activity struct {
 	Updates atomic.Uint64
 }
@@ -77,14 +77,7 @@ func (s *DocStats) Stale(updates uint64) bool {
 	if s == nil {
 		return true
 	}
-	// Activity counters are not persisted: after a restart Updates counts
-	// from zero again, below the base of a snapshot taken before it, and
-	// then is itself the number of updates since.
-	d := updates
-	if updates >= s.UpdateBase {
-		d = updates - s.UpdateBase
-	}
-	return d*stalenessFactor > s.AnalyzedNodes+stalenessFloor
+	return (updates-s.UpdateBase)*stalenessFactor > s.AnalyzedNodes+stalenessFloor
 }
 
 // Col returns the column stats for a schema node (nil when not collected).

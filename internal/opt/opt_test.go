@@ -161,15 +161,6 @@ func TestStaleness(t *testing.T) {
 	if !st.Stale(10 + 1000) {
 		t.Fatal("1000 updates over 1000 nodes not stale")
 	}
-	// A counter below the base restarted with the process: it is the number
-	// of updates since, not a wrapped difference.
-	if st.Stale(3) {
-		t.Fatal("restarted update counter read stale")
-	}
-	restarted := &DocStats{AnalyzedNodes: 4, UpdateBase: 500}
-	if !restarted.Stale(100) {
-		t.Fatal("100 updates after a restart on a 4-node doc not stale")
-	}
 	// Tiny documents: the floor absorbs a handful of updates.
 	tiny := &DocStats{AnalyzedNodes: 4}
 	if tiny.Stale(10) {
@@ -188,9 +179,5 @@ func TestCostOrderings(t *testing.T) {
 	}
 	if ProbeCost(3000) <= scan {
 		t.Fatalf("unselective probe %v not over scan %v", ProbeCost(3000), scan)
-	}
-	// Chain navigation is the worst plan for bulk scans.
-	if ChainCost(50, 3200) <= scan {
-		t.Fatal("chain scan undercut the structural scan")
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"fmt"
 
 	"sedna/internal/opt"
+	"sedna/internal/schema"
+	"sedna/internal/storage"
 )
 
 // Expr is any expression of the operation tree.
@@ -135,12 +137,22 @@ type Step struct {
 	wholeContext bool
 }
 
-// StepPlan is one step's costed physical plan: the estimated output
-// cardinality, the alternatives considered (EXPLAIN renders them), and the
-// chosen access method.
+// StepPlan is one step's plan: the schema nodes it resolves to, its
+// estimated output cardinality and, when an index could answer one of its
+// predicates, the costs of the structural scan and of the index probe.
 type StepPlan struct {
 	EstRows float64
-	Alts    []opt.Alt
+
+	// Targets are the schema nodes the step denotes in doc, in ascending ID
+	// order, resolved once for the statement: the estimates, the scan and
+	// the probe all read them.
+	Targets []*schema.Node
+	doc     *storage.Doc
+
+	// ScanCost and ProbeCost are the two costed alternatives; both are 0
+	// when no index could answer a predicate, and there was nothing to
+	// choose.
+	ScanCost, ProbeCost float64
 
 	// Probe, when set, replaces the step's evaluation with a value-index
 	// probe plus a full predicate recheck.

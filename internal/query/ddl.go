@@ -89,20 +89,20 @@ func createIndex(e *env, d *DDL) (string, error) {
 	}
 	meta.Root = tree.Root
 
-	onSet, bySteps, err := indexPaths(doc, meta)
+	ix, err := e.ctx.indexPaths(doc, meta)
 	if err != nil {
 		return "", err
 	}
 	count := 0
 	var outerErr error
 	doc.Schema.Root.Walk(func(sn *schema.Node) {
-		if outerErr != nil || !onSet[sn.ID] {
+		if outerErr != nil || !hasSchemaID(ix.targets, sn.ID) {
 			return
 		}
 		outerErr = storage.ScanSchema(e.r, sn, func(desc storage.Desc) (bool, error) {
 			m := e.ctx.nodes.mark()
 			defer e.ctx.nodes.release(m)
-			keys, err := indexKeysOf(e, e.node(doc, desc), bySteps, meta.KeyType)
+			keys, err := indexKeysOf(e, e.node(doc, desc), ix.paths.by, meta.KeyType)
 			if err != nil {
 				return false, err
 			}
@@ -358,21 +358,65 @@ func indexStepsOf(meta *core.IndexMeta) (*indexSteps, error) {
 	return p.(*indexSteps), nil
 }
 
-// indexPaths resolves an index's ON path over the document's schema into
-// the set of schema-node IDs it denotes, and returns its parsed BY path. The
-// parse is the index's own; the resolution is redone per call, since the
-// schema grows.
-func indexPaths(doc *storage.Doc, meta *core.IndexMeta) (map[uint32]bool, []*Step, error) {
-	paths, err := indexStepsOf(meta)
-	if err != nil {
-		return nil, nil, err
+// indexOn is an index's ON path resolved over a document's schema, with
+// its parsed paths.
+type indexOn struct {
+	meta    *core.IndexMeta
+	doc     *storage.Doc
+	paths   *indexSteps
+	size    int            // the schema's node count at resolution
+	targets []*schema.Node // the ON path's schema nodes, ascending ID
+
+	// byTargets are the schema nodes the BY path reaches from the ON nodes,
+	// resolved on first use.
+	byTargets []*schema.Node
+}
+
+// indexPaths resolves an index's ON path over the document's schema. The
+// parse is the index's own; the resolution is the statement's, made once
+// and made again only when the schema grew under the statement (an insert
+// that added a path may add an ON node).
+func (ctx *ExecCtx) indexPaths(doc *storage.Doc, meta *core.IndexMeta) (*indexOn, error) {
+	var ix *indexOn
+	for _, o := range ctx.indexOns {
+		if o.meta == meta && o.doc == doc {
+			ix = o
+			break
+		}
 	}
-	targets := resolveStructural(doc.Schema.Root, paths.on)
-	onSet := make(map[uint32]bool, len(targets))
+	if ix == nil {
+		paths, err := indexStepsOf(meta)
+		if err != nil {
+			return nil, err
+		}
+		ix = &indexOn{meta: meta, doc: doc, paths: paths, size: -1}
+		ctx.indexOns = append(ctx.indexOns, ix)
+	}
+	if ix.size != doc.Schema.Len() {
+		ix.size = doc.Schema.Len()
+		ix.targets = resolveStructural(ix.paths.on, doc.Schema.Root)
+		ix.byTargets = nil
+	}
+	return ix, nil
+}
+
+// covers reports whether every one of the step targets is an ON node.
+func (ix *indexOn) covers(targets []*schema.Node) bool {
 	for _, sn := range targets {
-		onSet[sn.ID] = true
+		if !hasSchemaID(ix.targets, sn.ID) {
+			return false
+		}
 	}
-	return onSet, paths.by, nil
+	return true
+}
+
+// byNodes returns the schema nodes the BY path can land on under some ON
+// node: touching one of these changes the key set of its owning ON ancestor.
+func (ix *indexOn) byNodes() []*schema.Node {
+	if ix.byTargets == nil {
+		ix.byTargets = resolveStructural(ix.paths.by, ix.targets...)
+	}
+	return ix.byTargets
 }
 
 // indexKeysOf evaluates the BY path relative to the node and normalizes

@@ -28,7 +28,8 @@ type ExecCtx struct {
 	// NoRewrite disables the optimizing rewriter (baseline for E5–E8).
 	NoRewrite bool
 	// NoOpt disables the cost-based optimizer: no step plans and no
-	// automatic index probes (baseline for E23).
+	// automatic index probes (the forced baseline of
+	// TestOptimizerAgainstForcedPlans).
 	NoOpt bool
 	// NoVirtualCtors disables the virtual-constructor optimisation
 	// (baseline for E9).
@@ -65,6 +66,9 @@ type ExecCtx struct {
 	// paths holds the chains of in-place comparisons this context resolved
 	// in the statement (inplace.go).
 	paths []resolvedPath
+
+	// indexOns holds the index ON paths the statement resolved (ddl.go).
+	indexOns []*indexOn
 
 	// Tracing state: the database's tracer, the open trace (nil when not
 	// tracing — the disabled path's single check) and the innermost open
@@ -394,6 +398,8 @@ func prepare(ctx *ExecCtx, st *Statement) error {
 	}
 	markInPlace(st, !ctx.NoRewrite)
 	ctx.paths = ctx.paths[:0]
+	clear(ctx.indexOns)
+	ctx.indexOns = ctx.indexOns[:0]
 	if ctx.NoVirtualCtors {
 		clearVirtualFlags(st)
 	}

@@ -158,9 +158,10 @@ type planPrinter struct {
 	costed []*Step // steps with a cost-based plan, in render order
 }
 
-// writeCosts appends the optimizer's costed-alternatives table: one block per
-// planned step listing every alternative with its estimated rows and cost,
-// the chosen one marked ✓. Empty when no statistics informed the plan.
+// writeCosts appends the optimizer's costs table: one block per planned step
+// with its estimated rows and, where an index could answer a predicate, the
+// structural scan against the index probe with their costs, the chosen one
+// marked ✓. Empty when no step was planned.
 func (p *planPrinter) writeCosts(w io.Writer) {
 	if len(p.costed) == 0 {
 		return
@@ -171,16 +172,25 @@ func (p *planPrinter) writeCosts(w io.Writer) {
 		if s.Plan.Sampled {
 			note = " [sampled=true]"
 		}
-		fmt.Fprintf(w, "  step %s:%s\n", stepText(s), note)
-		for _, a := range s.Plan.Alts {
-			mark := " "
-			if a.Chosen {
-				mark = "✓"
-			}
-			fmt.Fprintf(w, "    %s %-22s est rows %10.0f  cost %12.1f\n", mark, a.Name, a.EstRows, a.Cost)
+		fmt.Fprintf(w, "  step %s: est rows %.0f%s\n", stepText(s), s.Plan.EstRows, note)
+		if s.Plan.ProbeCost == 0 {
+			continue
 		}
+		scan, probe := "✓", " "
+		if s.Plan.Probe != nil {
+			scan, probe = " ", "✓"
+		}
+		fmt.Fprintf(w, "    %s %-16s cost %12.1f\n", scan, planScan, s.Plan.ScanCost)
+		fmt.Fprintf(w, "    %s %-16s cost %12.1f\n", probe, planProbe, s.Plan.ProbeCost)
 	}
 }
+
+// The two access methods a plan chooses between (EXPLAIN's plan= flag and
+// costs table; tests key on these strings).
+const (
+	planScan  = "structural-scan"
+	planProbe = "index-probe"
+)
 
 // writePlan renders one expression subtree, children indented under their
 // parent, rewriter flags in brackets.
@@ -216,11 +226,10 @@ func (p *planPrinter) writePlan(w io.Writer, x Expr, depth int) {
 			flags = append(flags, fmt.Sprintf("preds=%d", len(n.Preds)))
 		}
 		if n.Plan != nil {
-			for _, a := range n.Plan.Alts {
-				if a.Chosen {
-					flags = append(flags, "plan="+a.Name)
-					break
-				}
+			if n.Plan.Probe != nil {
+				flags = append(flags, "plan="+planProbe)
+			} else {
+				flags = append(flags, "plan="+planScan)
 			}
 			p.costed = append(p.costed, n)
 		}

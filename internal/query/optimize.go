@@ -1,15 +1,16 @@
 package query
 
-// The cost-based structural optimizer (ROADMAP item 1). It runs between the
-// rule-based rewriter and the executor: for every location step whose chain
-// resolves over the descriptive schema it estimates cardinality (NodeCount
-// ratios for structural steps, histogram selectivity for comparison
-// predicates) and costs the physical alternatives the executor already
-// implements — value-index probe, schema-level structural scan, naive chain
-// navigation. The chosen plan is attached to the step (Step.Plan) and
-// surfaced through EXPLAIN (costed-alternatives table), PROFILE (estimated
-// vs actual rows) and the opt.* metrics. Plans never change results: the
-// index probe rechecks every predicate on its candidates.
+// The cost-based structural optimizer. It runs between the rule-based
+// rewriter and the executor. For every location step whose chain resolves
+// over the descriptive schema (§5.1.4) it resolves the step's schema nodes
+// once, in schema order, and keeps them on the step's plan (Step.Plan), which
+// the scan and the probe then read. It estimates the step's rows: NodeCount
+// sums for structural steps, histogram selectivity for comparison
+// predicates. When a value index can answer a predicate it costs the one
+// decision the executor acts on, index probe against structural scan. The
+// plan is surfaced through EXPLAIN (the costs table), PROFILE (estimated vs
+// actual rows) and the opt.* metrics. Plans never change results: the index
+// probe rechecks every predicate on its candidates.
 
 import (
 	"math"
@@ -25,84 +26,47 @@ import (
 
 // optimizeStatement plans every eligible step of a query statement and the
 // target selection of an update statement; it is a no-op for DDL. The only
-// error is a document lock an update could not get.
+// error is a document lock a plan could not get.
+//
+// An update's target selection (§5.2: select the targets, then modify them
+// by node handle) keeps only the plans that chose a value-index probe. The
+// probe is safe inside the writing transaction: it rechecks every
+// predicate, the targets are fully evaluated before the first modification,
+// and indexes are maintained synchronously in-transaction, so the statement
+// reads its transaction's own earlier writes.
 func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	clearPlans(st)
 	if ctx.Tx == nil || ctx.Tx.DB() == nil {
 		return nil
 	}
-	if st.Update != nil {
-		return planUpdateTarget(ctx, st.Update)
-	}
-	if st.Query == nil {
-		return nil
-	}
-	planned := 0
-	probes := 0
-	visit := func(x Expr) {
-		s, ok := x.(*Step)
-		if !ok {
-			return
-		}
-		if p := planStep(ctx, s); p != nil {
-			s.Plan = p
-			planned++
-			if p.Probe != nil {
-				probes++
-			}
-		}
-	}
-	for _, v := range st.Prolog.Vars {
-		walkExpr(v.Seq, visit)
-	}
-	walkExpr(st.Query, visit)
-	if planned == 0 {
-		return nil
-	}
-	if reg := ctx.registry(); reg != nil {
-		reg.Counter("opt.plans_costed").Add(uint64(planned))
-		if probes > 0 {
-			reg.Counter("opt.index_chosen").Add(uint64(probes))
-		}
-	}
-	return nil
-}
-
-// planUpdateTarget costs the steps of an update's target selection (§5.2:
-// select the targets, then modify them by node handle) and keeps the plans
-// that chose a value-index probe. Scan plans are dropped. The probe is safe
-// inside the
-// writing transaction: it rechecks every predicate, the targets are fully
-// evaluated before the first modification, and indexes are maintained
-// synchronously in-transaction, so the statement reads its transaction's
-// own earlier writes. An update transaction resolves the live document, so
-// the document is locked (as execution would lock it anyway) before its
-// schema and counters are read.
-func planUpdateTarget(ctx *ExecCtx, u *Update) error {
 	var planned, probes uint64
 	var lockErr error
-	walkExpr(u.Target, func(x Expr) {
+	plan := func(x Expr, probesOnly bool) {
 		s, ok := x.(*Step)
-		if !ok || len(s.Preds) == 0 || lockErr != nil {
+		if !ok || lockErr != nil || probesOnly && len(s.Preds) == 0 {
 			return
 		}
-		docCall, _ := strippedStructuralChain(s)
-		if docCall == nil {
+		p, err := planStep(ctx, s)
+		lockErr = err
+		if p == nil {
 			return
 		}
-		if lockErr = ctx.lockDocForRead(docCall.Name); lockErr != nil {
+		planned++
+		if p.Probe != nil {
+			probes++
+		} else if probesOnly {
 			return
 		}
-		if p := planStep(ctx, s); p != nil {
-			planned++
-			if p.Probe != nil {
-				s.Plan = p
-				probes++
-			}
+		s.Plan = p
+	}
+	switch {
+	case st.Update != nil:
+		walkExpr(st.Update.Target, func(x Expr) { plan(x, true) })
+	case st.Query != nil:
+		for _, v := range st.Prolog.Vars {
+			walkExpr(v.Seq, func(x Expr) { plan(x, false) })
 		}
-	})
-	if lockErr != nil {
-		return lockErr
+		walkExpr(st.Query, func(x Expr) { plan(x, false) })
 	}
 	if reg := ctx.registry(); reg != nil && planned > 0 {
 		reg.Counter("opt.plans_costed").Add(planned)
@@ -110,7 +74,7 @@ func planUpdateTarget(ctx *ExecCtx, u *Update) error {
 			reg.Counter("opt.index_chosen").Add(probes)
 		}
 	}
-	return nil
+	return lockErr
 }
 
 // clearPlans drops every step plan of the statement; ASTs are reused across
@@ -132,119 +96,91 @@ func clearPlans(st *Statement) {
 	}
 }
 
-// strippedStructuralChain is structuralChain with the step's own predicates
-// ignored: the shape `doc(...)/a/b[preds]` qualifies, predicates anywhere
-// earlier do not.
-func strippedStructuralChain(s *Step) (*DocCall, []*Step) {
-	if len(s.Preds) == 0 {
-		return structuralChain(s)
+// planStep plans one step whose chain resolves over the schema: it resolves
+// the step's targets once, estimates its rows and, when an index can answer
+// a predicate, costs the probe against the structural scan. nil: the step is
+// not schema-resolvable, or there is nothing to decide. The error is a
+// document lock the plan could not get: an update transaction reads the
+// live document, so it is locked (as execution would lock it anyway) before
+// its schema is resolved, and the resolution then holds for the statement.
+func planStep(ctx *ExecCtx, s *Step) (*StepPlan, error) {
+	if len(s.Preds) == 0 && !s.Structural {
+		return nil, nil
 	}
-	saved := s.Preds
-	s.Preds = nil
-	docCall, steps := structuralChain(s)
-	s.Preds = saved
-	return docCall, steps
-}
-
-// planStep costs one step's physical alternatives and returns the plan, or
-// nil when the step is not plannable (not schema-resolvable, or nothing to
-// decide).
-func planStep(ctx *ExecCtx, s *Step) *StepPlan {
-	docCall, steps := strippedStructuralChain(s)
+	docCall, steps := structuralChain(s, true)
 	if docCall == nil {
-		return nil
+		return nil, nil
 	}
 	doc, err := ctx.Tx.Document(docCall.Name)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	targets := resolveStructural(doc.Schema.Root, steps)
+	cat := ctx.Tx.DB().Catalog()
+	stats := cat.DocStats(doc.Name)
+	if stats.Stale(cat.Activity(doc.Name).Updates.Load()) {
+		stats = nil // stale histograms mislead; estimate from the defaults
+	}
+	if len(s.Preds) == 0 && stats == nil {
+		// Without fresh statistics the executor's own heuristics decide;
+		// planning here would change behavior on never-analyzed documents.
+		return nil, nil
+	}
+	if err := ctx.lockDocForRead(doc.Name); err != nil {
+		return nil, err
+	}
+	targets := resolveStructural(steps, doc.Schema.Root)
 	if len(targets) == 0 {
-		return nil
+		return nil, nil
 	}
 	var nodes, blocks float64
 	for _, sn := range targets {
 		nodes += float64(sn.NodeCount)
 		blocks += float64(sn.BlockCount)
 	}
-	cat := ctx.Tx.DB().Catalog()
-	stats := cat.DocStats(doc.Name)
-	fresh := stats != nil && !stats.Stale(cat.Activity(doc.Name).Updates.Load())
-
+	p := &StepPlan{EstRows: nodes, Targets: targets, doc: doc}
 	if len(s.Preds) == 0 {
-		if !s.Structural || !fresh {
-			// Without fresh statistics the executor's own heuristics decide;
-			// planning here would change behavior on never-analyzed
-			// documents.
-			return nil
-		}
-		return planScanStep(nodes, blocks)
+		return p, nil // the row count is exact, and there is nothing to choose
 	}
-	return planPredStep(ctx, s, doc, targets, nodes, blocks, stats, fresh)
-}
-
-// planScanStep costs a predicate-free structural scan: schema-level scan vs
-// chain navigation. Cardinality is exact (NodeCount).
-func planScanStep(nodes, blocks float64) *StepPlan {
-	alts := []opt.Alt{
-		{Name: opt.AltStructuralScan, EstRows: nodes, Cost: opt.ScanCost(blocks, nodes, 0)},
-		{Name: opt.AltChainScan, EstRows: nodes, Cost: opt.ChainCost(blocks, nodes)},
-	}
-	return &StepPlan{EstRows: nodes, Alts: markChosen(alts)}
-}
-
-// planPredStep costs a predicate-bearing step: structural scan + filter vs
-// chain navigation vs (when an index matches an eligible predicate) a
-// value-index probe.
-func planPredStep(ctx *ExecCtx, s *Step, doc *storage.Doc, targets []*schema.Node, nodes, blocks float64, stats *opt.DocStats, fresh bool) *StepPlan {
-	if !fresh {
-		stats = nil // stale histograms mislead; fall back to the defaults
-	}
+	p.Sampled = stats != nil && stats.Sampled
+	preds := make([]predEstimate, len(s.Preds))
 	sel := 1.0
-	for _, pred := range s.Preds {
-		sel *= predSelectivity(targets, stats, pred)
+	for i, pred := range s.Preds {
+		preds[i].cmp = decomposeCmp(pred)
+		preds[i].sel = predSelectivity(targets, stats, preds[i].cmp)
+		sel *= preds[i].sel
 	}
-	estRows := nodes * sel
-	p := &StepPlan{EstRows: estRows, Sampled: stats != nil && stats.Sampled}
-	alts := []opt.Alt{
-		{Name: opt.AltStructuralScan, EstRows: estRows, Cost: opt.ScanCost(blocks, nodes, len(s.Preds))},
-		{Name: opt.AltChainScan, EstRows: estRows, Cost: opt.ChainCost(blocks, nodes)},
+	p.EstRows = nodes * sel
+	probe, probeSel := findProbe(ctx, s, doc, targets, preds)
+	if probe == nil {
+		if stats == nil {
+			// No probe and no statistics: don't claim a plan (and an
+			// estimate) the executor will ignore.
+			return nil, nil
+		}
+		return p, nil
 	}
-	if probe, probeSel := findProbe(ctx, s, doc, targets, stats); probe != nil {
-		candidates := nodes * probeSel
-		alts = append(alts, opt.Alt{Name: opt.AltIndexProbe, EstRows: estRows, Cost: opt.ProbeCost(candidates)})
+	p.ScanCost = opt.ScanCost(blocks, nodes, len(s.Preds))
+	p.ProbeCost = opt.ProbeCost(nodes * probeSel)
+	if p.ProbeCost < p.ScanCost {
 		p.Probe = probe
 	}
-	p.Alts = markChosen(alts)
-	if p.Probe != nil && !chosen(p.Alts, opt.AltIndexProbe) {
-		p.Probe = nil
-	}
-	if p.Probe == nil && len(p.Alts) == 2 && !fresh {
-		// Nothing actionable: no probe and no statistics — don't claim a
-		// plan (and an estimate) the executor will ignore.
+	return p, nil
+}
+
+// targetsIn returns the plan's targets when it was made over doc, nil when
+// there is no plan or it was made over another document.
+func (p *StepPlan) targetsIn(doc *storage.Doc) []*schema.Node {
+	if p == nil || p.doc != doc {
 		return nil
 	}
-	return p
+	return p.Targets
 }
 
-func markChosen(alts []opt.Alt) []opt.Alt {
-	best := 0
-	for i := 1; i < len(alts); i++ {
-		if alts[i].Cost < alts[best].Cost {
-			best = i
-		}
-	}
-	alts[best].Chosen = true
-	return alts
-}
-
-func chosen(alts []opt.Alt, name string) bool {
-	for _, a := range alts {
-		if a.Chosen {
-			return a.Name == name
-		}
-	}
-	return false
+// predEstimate is one predicate of a planned step: its comparison, when it
+// is one, and the fraction of the step's nodes it keeps.
+type predEstimate struct {
+	cmp *cmpPred
+	sel float64
 }
 
 // cmpPred is a decomposed comparison predicate: a relative path compared to
@@ -340,39 +276,46 @@ func relPathSteps(x Expr) []*Step {
 	}
 }
 
-// predSelectivity estimates the fraction of context nodes a predicate keeps:
-// histogram selectivity for comparisons against a known column, 0.5 for
-// anything else (the System R "half stays" default for opaque predicates).
-func predSelectivity(targets []*schema.Node, stats *opt.DocStats, pred Expr) float64 {
-	cmp := decomposeCmp(pred)
-	if cmp == nil {
+// predSelectivity estimates the fraction of the step's nodes a predicate
+// keeps. A comparison reads, for each target, the column its path reaches,
+// and takes the mean of their selectivities weighted by each target's node
+// count; a target without statistics counts with the System R defaults.
+// Anything else keeps half (the System R default for opaque predicates).
+func predSelectivity(targets []*schema.Node, stats *opt.DocStats, c *cmpPred) float64 {
+	if c == nil {
 		return 0.5
 	}
-	col := colForPath(targets, stats, cmp.steps)
-	return col.Selectivity(cmp.op, cmp.isString, cmp.s, cmp.f)
+	sel := func(col *opt.ColStats) float64 { return col.Selectivity(c.op, c.isString, c.s, c.f) }
+	var sum, weight float64
+	if stats != nil {
+		for _, t := range targets {
+			w := float64(t.NodeCount)
+			sum += w * sel(colOf(t, stats, c.steps))
+			weight += w
+		}
+	}
+	if weight == 0 {
+		return sel(nil) // no statistics, or no nodes to weigh: the defaults
+	}
+	return sum / weight
 }
 
-// colForPath resolves a relative path from the step's target schema nodes to
-// the value-bearing schema node ANALYZE collected, returning its column
-// stats (nil → defaults). An element resolves through its text child, which
-// is where the comparable value lives.
-func colForPath(targets []*schema.Node, stats *opt.DocStats, steps []*Step) *opt.ColStats {
-	if stats == nil {
-		return nil
-	}
-	for _, target := range targets {
-		for _, sn := range resolveStructural(target, steps) {
-			switch sn.Kind {
-			case schema.KindAttribute, schema.KindText:
-				if c := stats.Col(sn.ID); c != nil {
-					return c
-				}
-			case schema.KindElement:
-				for _, ch := range sn.Children {
-					if ch.Kind == schema.KindText {
-						if c := stats.Col(ch.ID); c != nil {
-							return c
-						}
+// colOf resolves a relative path from one target schema node to the
+// value-bearing schema node ANALYZE collected, returning the first such
+// column in schema order (nil → defaults). An element resolves through its
+// text child, which is where the comparable value lives.
+func colOf(target *schema.Node, stats *opt.DocStats, steps []*Step) *opt.ColStats {
+	for _, sn := range resolveStructural(steps, target) {
+		switch sn.Kind {
+		case schema.KindAttribute, schema.KindText:
+			if c := stats.Col(sn.ID); c != nil {
+				return c
+			}
+		case schema.KindElement:
+			for _, ch := range sn.Children {
+				if ch.Kind == schema.KindText {
+					if c := stats.Col(ch.ID); c != nil {
+						return c
 					}
 				}
 			}
@@ -388,41 +331,28 @@ func colForPath(targets []*schema.Node, stats *opt.DocStats, steps []*Step) *opt
 // of the step's schema targets, and a predicate comparing the index's BY
 // path against a literal of the index's key type. Equality probes are
 // preferred over range probes.
-func findProbe(ctx *ExecCtx, s *Step, doc *storage.Doc, targets []*schema.Node, stats *opt.DocStats) (*IndexProbe, float64) {
+func findProbe(ctx *ExecCtx, s *Step, doc *storage.Doc, targets []*schema.Node, preds []predEstimate) (*IndexProbe, float64) {
 	if !predsPositionFree(s.Preds) {
 		return nil, 0
 	}
-	cat := ctx.Tx.DB().Catalog()
 	var best *IndexProbe
 	bestSel := 0.0
-	for _, meta := range cat.IndexesOf(doc.Name) {
-		onSet, bySteps, err := indexPaths(doc, meta)
-		if err != nil {
+	for _, meta := range ctx.Tx.DB().Catalog().IndexesOf(doc.Name) {
+		ix, err := ctx.indexPaths(doc, meta)
+		if err != nil || !ix.covers(targets) {
 			continue
 		}
-		covered := true
-		for _, sn := range targets {
-			if !onSet[sn.ID] {
-				covered = false
-				break
-			}
-		}
-		if !covered {
-			continue
-		}
-		for _, pred := range s.Preds {
-			cmp := decomposeCmp(pred)
-			if cmp == nil || !stepsMatch(cmp.steps, bySteps) {
+		for _, pe := range preds {
+			cmp := pe.cmp
+			if cmp == nil || !stepsMatch(cmp.steps, ix.paths.by) {
 				continue
 			}
 			if (meta.KeyType == "number") == cmp.isString {
 				continue // literal type must match the key encoding
 			}
 			probe := &IndexProbe{Index: meta.Name, Op: cmp.op, IsString: cmp.isString, S: cmp.s, F: cmp.f}
-			col := colForPath(targets, stats, cmp.steps)
-			sel := col.Selectivity(cmp.op, cmp.isString, cmp.s, cmp.f)
-			if best == nil || (probe.Op == opt.CmpEq && best.Op != opt.CmpEq) || sel < bestSel {
-				best, bestSel = probe, sel
+			if best == nil || (probe.Op == opt.CmpEq && best.Op != opt.CmpEq) || pe.sel < bestSel {
+				best, bestSel = probe, pe.sel
 			}
 		}
 	}
@@ -470,8 +400,8 @@ func keyRange(keyType string, p *IndexProbe) (lo, hi index.Key) {
 }
 
 // evalIndexProbe executes a planned index probe: probe the B+tree for
-// candidate handles, keep those whose schema node belongs to the step's
-// target set, sort into document order, then recheck every predicate.
+// candidate handles, keep those whose schema node is one of the plan's
+// targets, sort into document order, then recheck every predicate.
 // handled=false (index or document gone since planning, or index not there
 // at the snapshot) sends the caller to normal evaluation.
 func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
@@ -481,12 +411,8 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	docCall, steps := strippedStructuralChain(s)
-	if docCall == nil || meta.DocName != docCall.Name {
-		return nil, false, nil
-	}
-	doc, err := ctx.Tx.Document(docCall.Name)
-	if err != nil {
+	doc, err := ctx.Tx.Document(meta.DocName)
+	if err != nil || s.Plan.targetsIn(doc) == nil {
 		return nil, false, nil
 	}
 	if err := ctx.lockDocForRead(doc.Name); err != nil {
@@ -503,11 +429,6 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 		reg.Counter("opt.index_probes").Inc()
 	}
 
-	targets := resolveStructural(doc.Schema.Root, steps)
-	targetSet := make(map[uint32]bool, len(targets))
-	for _, sn := range targets {
-		targetSet[sn.ID] = true
-	}
 	lo, hi := keyRange(meta.KeyType, probe)
 	tree := &index.Tree{Root: root}
 	var handles []sas.XPtr
@@ -532,7 +453,7 @@ func evalIndexProbe(s *Step, e *env) ([]Item, bool, error) {
 		if err != nil {
 			return nil, true, err
 		}
-		if targetSet[n.D.SchemaID] {
+		if hasSchemaID(s.Plan.Targets, n.D.SchemaID) {
 			nodes = append(nodes, n)
 		}
 	}

@@ -130,7 +130,7 @@ func (rw *rewriter) rewriteExpr(x Expr) Expr {
 		}
 		// Pass 4: structural extraction (the last step of a structural
 		// chain evaluates over the schema).
-		if doc, _ := structuralChain(n); doc != nil {
+		if doc, _ := structuralChain(n, false); doc != nil {
 			n.Structural = true
 			n.NeedDDO = false
 			rw.note("structural-path: " + stepText(n) + " over doc(\"" + doc.Name + "\")")

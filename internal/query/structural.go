@@ -1,7 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sedna/internal/schema"
 )
@@ -13,12 +15,14 @@ import (
 // document order.
 
 // structuralChain decomposes a step chain down to its DocCall head. It
-// returns nil when the chain is not structural.
-func structuralChain(s *Step) (*DocCall, []*Step) {
+// returns nil when the chain is not structural. With ownPreds set, the
+// predicates of s itself do not count against the chain: the shape
+// `doc(...)/a/b[preds]` qualifies, predicates on any earlier step do not.
+func structuralChain(s *Step, ownPreds bool) (*DocCall, []*Step) {
 	var steps []*Step
 	cur := s
 	for {
-		if len(cur.Preds) > 0 {
+		if len(cur.Preds) > 0 && !(ownPreds && cur == s) {
 			return nil, nil
 		}
 		switch cur.Axis {
@@ -42,52 +46,66 @@ func structuralChain(s *Step) (*DocCall, []*Step) {
 	}
 }
 
-// resolveStructural maps the step chain onto the descriptive schema,
-// returning the set of schema nodes the path denotes.
-func resolveStructural(root *schema.Node, steps []*Step) []*schema.Node {
-	cur := map[*schema.Node]bool{root: true}
+// resolveStructural maps the step chain onto the descriptive schema from the
+// start nodes, returning the schema nodes the path denotes in ascending ID
+// order, each once. The order is fixed by the schema alone, so every reader
+// of a resolution (plans, their estimates, EXPLAIN) is the same from run to
+// run.
+func resolveStructural(steps []*Step, from ...*schema.Node) []*schema.Node {
+	cur := bySchemaID(append([]*schema.Node(nil), from...))
+	var next []*schema.Node
 	for _, st := range steps {
-		next := make(map[*schema.Node]bool)
-		for sn := range cur {
+		next = next[:0]
+		for _, sn := range cur {
 			switch st.Axis {
 			case AxisSelf:
 				if matchesSchema(sn, st.Test) {
-					next[sn] = true
+					next = append(next, sn)
 				}
 			case AxisChild:
 				for _, c := range sn.Children {
 					if c.Kind != schema.KindAttribute && matchesSchema(c, st.Test) {
-						next[c] = true
+						next = append(next, c)
 					}
 				}
 			case AxisAttribute:
 				for _, c := range sn.Children {
 					if c.Kind == schema.KindAttribute && matchesSchema(c, attributeTest(st.Test)) {
-						next[c] = true
+						next = append(next, c)
 					}
 				}
 			case AxisDescendant, AxisDescendantOrSelf:
 				if st.Axis == AxisDescendantOrSelf && matchesSchema(sn, st.Test) {
-					next[sn] = true
+					next = append(next, sn)
 				}
-				for _, d := range descendantTargets(sn, st.Test, nil) {
-					next[d] = true
-				}
+				next = descendantTargets(sn, st.Test, next)
 			}
 		}
-		cur = next
+		cur, next = bySchemaID(next), cur
 	}
-	out := make([]*schema.Node, 0, len(cur))
-	for sn := range cur {
-		out = append(out, sn)
-	}
-	return out
+	return cur
+}
+
+// bySchemaID sorts schema nodes by ID and drops the repeats a resolution
+// reaches twice (//a//b with nested a's): adjacent after the sort, they are
+// seen once.
+func bySchemaID(nodes []*schema.Node) []*schema.Node {
+	slices.SortFunc(nodes, func(a, b *schema.Node) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.Compact(nodes)
+}
+
+// hasSchemaID reports whether the resolution (ascending IDs) holds the
+// schema node with this ID.
+func hasSchemaID(nodes []*schema.Node, id uint32) bool {
+	_, ok := slices.BinarySearchFunc(nodes, id, func(n *schema.Node, id uint32) int { return cmp.Compare(n.ID, id) })
+	return ok
 }
 
 // evalStructural executes a structural step chain: schema resolution in
-// memory, then direct block-list scans merged by document order into k.
+// memory (the plan's, when the optimizer made one), then direct block-list
+// scans merged by document order into k.
 func evalStructural(s *Step, e *env, k *collector) error {
-	docCall, steps := structuralChain(s)
+	docCall, steps := structuralChain(s, false)
 	if docCall == nil {
 		return fmt.Errorf("query: step marked structural is not a structural path")
 	}
@@ -96,7 +114,10 @@ func evalStructural(s *Step, e *env, k *collector) error {
 		return err
 	}
 	docNode := docItems[0].(*NodeItem)
-	targets := resolveStructural(docNode.Doc.Schema.Root, steps)
+	targets := s.Plan.targetsIn(docNode.Doc)
+	if targets == nil {
+		targets = resolveStructural(steps, docNode.Doc.Schema.Root)
+	}
 	if len(targets) == 1 {
 		// Single schema node: its list already is the answer in document
 		// order — no per-node work at all.

@@ -242,19 +242,9 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 		handleSet[h] = struct{}{}
 	}
 	for _, meta := range metas {
-		onSet, bySteps, err := indexPaths(doc, meta)
+		ix, err := e.ctx.indexPaths(doc, meta)
 		if err != nil {
 			return err
-		}
-		// Schema nodes the BY path can land on under some ON node: touching
-		// one of these changes the key set of its owning ON ancestor.
-		byTargets := make(map[uint32]bool)
-		for id := range onSet {
-			if sn := doc.Schema.ByID(id); sn != nil {
-				for _, bn := range resolveStructural(sn, bySteps) {
-					byTargets[bn.ID] = true
-				}
-			}
 		}
 		tree := &index.Tree{Root: meta.Root}
 		changed := false
@@ -269,8 +259,8 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 				continue
 			}
 			switch {
-			case onSet[sn.ID]:
-				keys, err := indexKeysOf(e, node, bySteps, meta.KeyType)
+			case hasSchemaID(ix.targets, sn.ID):
+				keys, err := indexKeysOf(e, node, ix.paths.by, meta.KeyType)
 				if err != nil {
 					return err
 				}
@@ -285,12 +275,12 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 					}
 					changed = true
 				}
-			case byTargets[sn.ID]:
+			case hasSchemaID(ix.byNodes(), sn.ID):
 				// A BY-path value appeared or vanished under an existing ON
 				// node: (un)register this one value against the owner. When
 				// the owner itself is in the batch, its branch above already
 				// covers every value — doing both would double-count.
-				owner, err := onAncestor(e, doc, d, onSet)
+				owner, err := onAncestor(e, d, ix.targets)
 				if err != nil {
 					return err
 				}
@@ -332,15 +322,15 @@ func maintainIndexes(e *env, doc *storage.Doc, handles []sas.XPtr, insert bool) 
 }
 
 // onAncestor walks a node's parent chain up to the nearest ancestor whose
-// schema node belongs to the index's ON set; nil when there is none.
-func onAncestor(e *env, doc *storage.Doc, d storage.Desc, onSet map[uint32]bool) (sas.XPtr, error) {
+// schema node is one of the index's ON nodes; nil when there is none.
+func onAncestor(e *env, d storage.Desc, on []*schema.Node) (sas.XPtr, error) {
 	cur := d.Parent
 	for !cur.IsNil() {
 		pd, err := storage.DescOf(e.r, cur)
 		if err != nil {
 			return sas.NilPtr, err
 		}
-		if onSet[pd.SchemaID] {
+		if hasSchemaID(on, pd.SchemaID) {
 			return pd.Handle, nil
 		}
 		cur = pd.Parent

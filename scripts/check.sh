@@ -35,6 +35,10 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# go test ./internal/query carries the optimizer's gates that were E23's:
+# TestOptimizerAgainstForcedPlans (page views optimized against forced, an
+# index probe per selective statement, identical answers) and
+# TestPlansAreDeterministic (one EXPLAIN text per statement).
 echo "== go test =="
 go test ./...
 
@@ -57,7 +61,7 @@ go -C benchmark test ./...
 # The E-series of EXPERIMENTS.md, one run. The KILL, SESSIONS and Prometheus
 # checks that E21 made are go test's: TestSessionsVisibility and
 # TestSessionsHTTP in internal/server.
-echo "== E-series (every experiment of cmd/sedna-bench once; exits 1 on any failed gate. E9: virtual and deep-copy constructors serialize identically; E10: every snapshot statement completes under a held exclusive document lock, lock.waits = 0; E12: versions_live equals the chains' versions, 0 after 300 commits with no snapshot, > 0 under three pinned snapshots, 0 again when they end; E20: replicas seed, stream, survive a writer storm and converge, answers equal on every node; E23: optimized plans view <=1.9x the forced plans' pages over the corpus, forced scans >=8x the optimized pages on the selective suite with an index probe in every optimized statement, answers identical; E24: node-at-a-time >=8x the bulk loader's WAL bytes and >=1.6x its flushed pages, byte-identity, crash leg; E25: writer + reader, probe/list search on vs off, page views per replace/delete <=184 and per insert <=247, each mechanism cuts its own >=5x; E26: value predicates on 500/2000/8000-person documents, page views and allocations per context node grow <1.5x, <=0.9 views and <=2.8 allocations per node, answers equal encoding/xml's; times printed, not gated) =="
+echo "== E-series (every experiment of cmd/sedna-bench once; exits 1 on any failed gate. E9: virtual and deep-copy constructors serialize identically; E10: every snapshot statement completes under a held exclusive document lock, lock.waits = 0; E12: versions_live equals the chains' versions, 0 after 300 commits with no snapshot, > 0 under three pinned snapshots, 0 again when they end; E20: replicas seed, stream, survive a writer storm and converge, answers equal on every node; E24: node-at-a-time >=8x the bulk loader's WAL bytes and >=1.6x its flushed pages, byte-identity, crash leg; E25: writer + reader, probe/list search on vs off, page views per replace/delete <=184 and per insert <=247, each mechanism cuts its own >=5x; E26: value predicates on 500/2000/8000-person documents, page views and allocations per context node grow <1.5x, <=0.9 views and <=2.8 allocations per node, answers equal encoding/xml's; times printed, not gated) =="
 go run ./cmd/sedna-bench
 
 echo "check.sh: all green"
