@@ -111,8 +111,8 @@ func printMetricsSummary(db *core.Database) {
 	if s.Counters["opt.plans_costed"] > 0 {
 		row("opt", "opt.plans_costed", "opt.index_chosen", "opt.index_probes", "opt.est_error_pct")
 	}
-	if s.Counters["load.bulk_loads"] > 0 || s.Counters["load.incremental_loads"] > 0 {
-		row("load", "load.bulk_loads", "load.incremental_loads", "load.nodes", "load.blocks_built", "load.pages_flushed", "load.ns")
+	if s.Counters["load.bulk_loads"] > 0 {
+		row("load", "load.bulk_loads", "load.nodes", "load.blocks_built", "load.pages_flushed", "load.ns")
 	}
 	row("pagefile", "pagefile.reads", "pagefile.writes", "pagefile.extends")
 	row("wal", "wal.appends", "wal.fsyncs", "wal.fsync_ns")

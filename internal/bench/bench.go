@@ -27,25 +27,6 @@ func LoadLibrary(db *sedna.DB, n int) error {
 	return db.LoadXML("lib", strings.NewReader(xmlgen.LibraryString(n, 42)))
 }
 
-// LoadAuction loads an auction corpus as document "auction".
-func LoadAuction(db *sedna.DB, people, items, bids int) error {
-	return db.LoadXML("auction", strings.NewReader(xmlgen.AuctionString(people, items, bids, 42)))
-}
-
-// LoadSections loads a Sections corpus (sections distinctly named section
-// elements of perSection items each — a descendant step over it merges one
-// scan per schema node) as document "cat".
-func LoadSections(db *sedna.DB, sections, perSection int) error {
-	return db.LoadXML("cat", strings.NewReader(xmlgen.SectionsString(sections, perSection, 42)))
-}
-
-// OpenDBBulk opens a database with an explicit LoadXML ingest path — the
-// E24 measurement setup comparing the streaming bulk loader against
-// node-at-a-time inserts.
-func OpenDBBulk(dir string, mode core.BulkLoadMode) (*core.Database, error) {
-	return core.Open(dir, core.Options{NoSync: true, BufferPages: 8192, BulkLoad: mode})
-}
-
 // SubtreeStore builds the subtree-clustered baseline store with the same
 // library corpus inside the same database (separate pages).
 func SubtreeStore(db *sedna.DB, n int) (*subtree.Store, *core.Tx, error) {

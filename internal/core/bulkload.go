@@ -13,29 +13,10 @@ import (
 	"sedna/internal/wal"
 )
 
-// BulkLoadMode selects the document-ingest path for LoadXML.
-type BulkLoadMode int
-
-const (
-	// BulkLoadAuto (the default) streams the document through the direct
-	// block-construction bulk loader whenever the target document was
-	// freshly created in this transaction — which LoadXML's create-then-load
-	// always satisfies. Fragment inserts into existing documents (LoadInto
-	// from update statements) keep the node-at-a-time path.
-	BulkLoadAuto BulkLoadMode = iota
-	// BulkLoadOff forces the node-at-a-time insert path everywhere — the
-	// reference behavior the bulk path must match byte for byte.
-	BulkLoadOff
-)
-
 // bulkFlushHook, when set, is passed to every bulk loader as its flush
 // hook: it runs after each whole-page write, and an error aborts the load.
-// Crash-injection tests install it via SetBulkFlushHookForTesting.
+// Crash-injection tests install it (export_test.go).
 var bulkFlushHook func(pagesFlushed uint64) error
-
-// SetBulkFlushHookForTesting installs (or, with nil, removes) the global
-// bulk-load flush hook. Not safe against concurrent loads; tests only.
-func SetBulkFlushHookForTesting(fn func(pagesFlushed uint64) error) { bulkFlushHook = fn }
 
 // bulkLoadInto streams the XML token stream from r straight into block
 // construction for doc (freshly created in this transaction). Token

@@ -51,11 +51,6 @@ type Options struct {
 	// transactions (ErrReplicaReadOnly) and changes arrive only through
 	// ApplyReplicated until Promote lifts the gate.
 	Replica bool
-	// BulkLoad selects the document-ingest path for LoadXML: the default
-	// (BulkLoadAuto) streams freshly created documents through the direct
-	// block-construction bulk loader; BulkLoadOff forces the node-at-a-time
-	// insert path everywhere.
-	BulkLoad BulkLoadMode
 }
 
 // Database is an open Sedna database: one directory holding the data file,

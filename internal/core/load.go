@@ -16,20 +16,13 @@ import (
 // document name within the transaction. Whitespace-only text nodes are
 // skipped unless the database was opened with KeepWhitespace.
 //
-// Because the document is freshly created here, the default ingest path is
-// the streaming bulk loader (direct block construction); Options.BulkLoad =
-// BulkLoadOff falls back to node-at-a-time inserts.
+// The document is freshly created here, so it streams through the bulk
+// loader (direct block construction). CreateDocument followed by LoadInto
+// at the root builds the same document node at a time.
 func (t *Tx) LoadXML(name string, r io.Reader) (*storage.Doc, error) {
 	doc, err := t.CreateDocument(name)
 	if err != nil {
 		return nil, err
-	}
-	if t.db.opts.BulkLoad == BulkLoadOff {
-		t.db.met.Counter("load.incremental_loads").Inc()
-		if err := t.LoadInto(doc, doc.RootHandle, r); err != nil {
-			return nil, err
-		}
-		return doc, nil
 	}
 	if err := t.bulkLoadInto(doc, r); err != nil {
 		return nil, err

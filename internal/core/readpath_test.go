@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"sedna/internal/core"
+	"sedna/internal/lock"
 	"sedna/internal/query"
 	"sedna/internal/sas"
 	"sedna/internal/xmlgen"
@@ -82,17 +85,74 @@ func TestSnapshotScansUnderPoolPressure(t *testing.T) {
 	}
 }
 
+// TestSnapshotStatementsIgnoreHeldLock: an update transaction that has
+// inserted and not committed holds the exclusive document lock for as long
+// as it likes. Every snapshot statement completes meanwhile, sees none of
+// its writes and waits for no lock (§6.1, §6.3). A statement that did wait
+// fails at the lock timeout rather than hanging the test.
+func TestSnapshotStatementsIgnoreHeldLock(t *testing.T) {
+	db := openBulkDB(t, core.Options{LockTimeout: time.Second})
+	loadDoc(t, db, "lib", xmlgen.LibraryString(200, 42))
+	const q = `count(doc("lib")/library/book)`
+	before := runQuery(t, db, q)
+
+	upd, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upd.Rollback() // no-op after the commit; unblocks Close on a failure
+	queryIn(t, upd, `UPDATE insert <book><title>uncommitted</title></book> into doc("lib")/library`)
+	if err := upd.LockDocument("lib", lock.Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	waits := db.Metrics().Counter("lock.waits")
+	w0 := waits.Value()
+	for i := 0; i < 100; i++ {
+		if got := runQuery(t, db, q); got != before {
+			t.Fatalf("snapshot statement %d counts %s books beside an uncommitted insert, %s before it", i, got, before)
+		}
+	}
+	if n := waits.Value() - w0; n != 0 {
+		t.Fatalf("snapshot statements waited for a lock %d times under a held exclusive lock", n)
+	}
+	if err := upd.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runQuery(t, db, q); got == before {
+		t.Fatalf("a statement after the commit still counts %s books", got)
+	}
+}
+
+// liveVersions returns the page versions the buffer's chains hold, after
+// checking that the buffer.versions_live gauge says the same.
+func liveVersions(t *testing.T, db *core.Database) int {
+	t.Helper()
+	n := db.Buffer().VersionCount()
+	if g := db.Metrics().Gauge("buffer.versions_live").Value(); g != int64(n) {
+		t.Fatalf("buffer.versions_live = %d, the chains hold %d versions", g, n)
+	}
+	return n
+}
+
 // TestVersionsDieAtCommit: a page version lives while a snapshot can read it
 // and not a commit longer. A bulk load with no reader open keeps none — the
 // pre-images of the pages it filled used to stay, one per page of the
-// document, until some read-only transaction happened by. With a reader open
-// across the load and an update of the document it reads, the reader's
-// answers do not move, and its versions go when it does.
+// document, until some read-only transaction happened by — and neither do
+// 300 update commits. With a reader open across the load and an update of
+// the document it reads, the reader's answers do not move, and its versions
+// go when it does. At every check the buffer.versions_live gauge equals the
+// versions the chains hold.
 func TestVersionsDieAtCommit(t *testing.T) {
 	db := openBulkDB(t, core.Options{BufferPages: 1024})
 	loadDoc(t, db, "base", xmlgen.LibraryString(300, 5))
-	if n := db.Buffer().VersionCount(); n != 0 {
+	if n := liveVersions(t, db); n != 0 {
 		t.Fatalf("%d page versions kept after a load nobody was reading beside", n)
+	}
+	for i := 0; i < 300; i++ {
+		execUpdate(t, db, fmt.Sprintf(`UPDATE insert <x n="%d"/> into doc("base")/library`, i))
+	}
+	if n := liveVersions(t, db); n != 0 {
+		t.Fatalf("%d page versions kept after 300 commits with no snapshot open", n)
 	}
 
 	reader, err := db.BeginReadOnly()
@@ -106,7 +166,7 @@ func TestVersionsDieAtCommit(t *testing.T) {
 		t.Fatalf("reader counts %s books during the load, %s before", got, want)
 	}
 	execUpdate(t, db, `UPDATE insert <book><title>late</title></book> into doc("base")/library`)
-	if n := db.Buffer().VersionCount(); n == 0 {
+	if n := liveVersions(t, db); n == 0 {
 		t.Fatal("no version kept for an open snapshot behind two commits")
 	}
 	if got := queryIn(t, reader, q); got != want {
@@ -116,7 +176,7 @@ func TestVersionsDieAtCommit(t *testing.T) {
 		t.Fatalf("a new reader still counts %s books after the update", got)
 	}
 	reader.Rollback()
-	if n := db.Buffer().VersionCount(); n != 0 {
+	if n := liveVersions(t, db); n != 0 {
 		t.Fatalf("%d page versions kept after the last snapshot ended", n)
 	}
 }

@@ -160,7 +160,11 @@ func planStep(ctx *ExecCtx, s *Step) (*StepPlan, error) {
 		return p, nil
 	}
 	p.ScanCost = opt.ScanCost(blocks, nodes, len(s.Preds))
-	p.ProbeCost = opt.ProbeCost(nodes * probeSel)
+	if stats == nil && probe.Op == opt.CmpEq {
+		p.ProbeCost = opt.GuessedEqProbeCost(nodes)
+	} else {
+		p.ProbeCost = opt.ProbeCost(nodes * probeSel)
+	}
 	if p.ProbeCost < p.ScanCost {
 		p.Probe = probe
 	}

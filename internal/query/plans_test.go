@@ -25,12 +25,17 @@ var planSelective = []string{
 }
 
 // plansCorpusPages bounds the optimized plans' page views over planCorpus as
-// a multiple of the forced plans'. Measured 1.49 (1450 against 974) in every
-// run once plans no longer depended on map order, plus a quarter. Before,
-// the plan of doc("cat")//item[value > 9000] flipped between a range probe,
-// which views one page per candidate, and the scan, and the ratio read 1.00
-// or 1.50.
-const plansCorpusPages = 1.86
+// a multiple of the forced plans'. Measured 1.00 (974 against 974) once a
+// probe candidate was priced at the page view it costs, plus a quarter.
+// Before, the range probe of doc("cat")//item[value > 9000] was costed under
+// the scan and chosen, and viewed 575 pages against the scan's 99: the ratio
+// read 1.49.
+const plansCorpusPages = 1.25
+
+// plansRangeScan is a range predicate matching about a tenth of the items:
+// one page view per probe candidate costs more than the scan of the whole
+// list, so the optimizer must keep the scan.
+const plansRangeScan = `doc("cat")//item[value > 9000]`
 
 // plansSelectivePages bounds the forced scans' page views over planSelective
 // as a multiple of the optimized plans': measured 11.0 (341 against 31),
@@ -112,9 +117,13 @@ func runPlan(t *testing.T, db *core.Database, src string, noopt bool) (string, p
 //  2. selective predicates: over planSelective the forced scans view at
 //     least plansSelectivePages times the optimized plans' pages, and every
 //     optimized statement runs at least one index probe;
-//  3. identity: every statement serializes byte-identically in both modes.
+//  3. identity: every statement serializes byte-identically in both modes;
+//  4. EXPLAIN of plansRangeScan chooses the structural scan.
 func TestOptimizerAgainstForcedPlans(t *testing.T) {
 	db := plansDB(t)
+	if out := q(t, db, "EXPLAIN "+plansRangeScan); !strings.Contains(out, "plan="+planScan) || strings.Contains(out, "plan="+planProbe) {
+		t.Errorf("EXPLAIN %s does not choose the structural scan:\n%s", plansRangeScan, out)
+	}
 	measure := func(suite []string, selective bool) (opt, forced planCost) {
 		for _, src := range suite {
 			ro, o := runPlan(t, db, src, false)

@@ -21,6 +21,13 @@ const auctionIDIndex = `CREATE INDEX "auction_id" ON doc("auction")/site/open_au
 // (Without statistics the cost model keeps the scan on lists this short.)
 func auctionDB(t *testing.T, auctions int) *core.Database {
 	t.Helper()
+	return indexedAuction(t, xmlgen.AuctionString(50, auctions, 3, 1), true)
+}
+
+// indexedAuction loads content as document "auction", indexes it by
+// open_auction/@id and, when analyze is set, ANALYZEs it.
+func indexedAuction(t *testing.T, content string, analyze bool) *core.Database {
+	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 2048})
 	if err != nil {
 		t.Fatal(err)
@@ -30,14 +37,16 @@ func auctionDB(t *testing.T, auctions int) *core.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.LoadXML("auction", strings.NewReader(xmlgen.AuctionString(50, auctions, 3, 1))); err != nil {
+	if _, err := tx.LoadXML("auction", strings.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	upd(t, db, auctionIDIndex)
-	upd(t, db, `ANALYZE doc("auction")`)
+	if analyze {
+		upd(t, db, `ANALYZE doc("auction")`)
+	}
 	return db
 }
 
@@ -61,18 +70,25 @@ var targetStepPages = regexp.MustCompile(`step child::open_auction .*pages=(\d+)
 
 // TestUpdateTargetProbe: an update whose target is an indexed equality goes
 // through the value index — EXPLAIN says so with the costed alternatives,
+// also before ANALYZE and once the statistics are stale, where the
+// equality's row estimate is only the default tenth of the auctions;
 // PROFILE shows the probe span and a target selection that touches tens of
 // pages where the sibling scan touches thousands.
 func TestUpdateTargetProbe(t *testing.T) {
-	db := auctionDB(t, 1000)
 	stmt := `UPDATE replace $c in ` + auctionByID(700) + `/current with <current>42</current>`
-
-	out := q(t, db, `EXPLAIN `+stmt)
-	for _, want := range []string{"plan=index-probe", "costs:", "index-probe", "structural-scan", "✓"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("EXPLAIN of the update missing %q:\n%s", want, out)
+	explains := func(db *core.Database, state string) {
+		t.Helper()
+		out := q(t, db, `EXPLAIN `+stmt)
+		for _, want := range []string{"plan=index-probe", "costs:", "index-probe", "structural-scan", "✓"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s document: EXPLAIN of the update missing %q:\n%s", state, want, out)
+			}
 		}
 	}
+	content := xmlgen.AuctionString(50, 1000, 3, 1)
+	explains(indexedAuction(t, content, false), "never analyzed")
+	db := indexedAuction(t, content, true)
+	explains(db, "analyzed")
 
 	targetPages := func(noopt bool) (int, string) {
 		tx, err := db.Begin()
@@ -102,6 +118,15 @@ func TestUpdateTargetProbe(t *testing.T) {
 	if probed >= 100 || scanned < 1000 {
 		t.Fatalf("target selection touched %d pages probed, %d scanned; want tens vs thousands", probed, scanned)
 	}
+
+	// Count as many commits as the document had nodes at ANALYZE: five
+	// times that is past the staleness threshold.
+	cat := db.Catalog()
+	cat.Activity("auction").Updates.Add(cat.DocStats("auction").AnalyzedNodes)
+	if !cat.DocStats("auction").Stale(cat.Activity("auction").Updates.Load()) {
+		t.Fatal("statistics still fresh after the counted commits")
+	}
+	explains(db, "stale")
 }
 
 // TestUpdateProbeMatchesScan is the update-side byte-identity gate: one
@@ -149,6 +174,129 @@ func TestUpdateProbeMatchesScan(t *testing.T) {
 	}
 	if scanDoc != probeDoc {
 		t.Fatal("documents diverge between probed and scanned update targets")
+	}
+}
+
+// hotOtherPages bounds the page views of a keyed replace or delete on the
+// hot document: the index probe for the target, the removed subtree, and for
+// a replace the new <current> and the list position of its text node —
+// measured 147 when the bound was set, plus a quarter (146.8 here).
+const hotOtherPages = 184
+
+// hotInsertPages bounds the page views of a keyed insert on the hot
+// document: the target as above plus the list positions of the new bidder's
+// nodes, each found through its parent in a few descriptor peeks — measured
+// 198 when the bound was set, plus a quarter (181.1 here).
+const hotInsertPages = 247
+
+// hotColdInsertPages bounds the page views of a keyed insert while the
+// document is fresh from the bulk loader, which packs blocks full: the first
+// insert into such a block splits it through moveRun and views thousands of
+// pages (a known cost, see CHANGES.md's FOUND on the first insert into a
+// packed block). Measured 459.1 over the stream's first 1000 statements,
+// plus a quarter; it guards the split's cost until that is mended.
+const hotColdInsertPages = 574
+
+// hotStream is what a keyed update stream counted: the page views
+// (Profile.PagesTouched) of its inserts and of its replaces and deletes.
+type hotStream struct {
+	inserts, others         int
+	insertPages, otherPages uint64
+}
+
+func (h hotStream) perInsert() float64 { return float64(h.insertPages) / float64(max(h.inserts, 1)) }
+func (h hotStream) perOther() float64  { return float64(h.otherPages) / float64(max(h.others, 1)) }
+
+// TestUpdatePagesOnHotDocument runs seeded keyed streams over an indexed,
+// ANALYZEd 2000-auction document, one auto-commit statement at a time: half
+// insert a bidder into a random auction, three tenths replace an auction's
+// <current>, a fifth delete the bidder inserted last. The first 1000
+// statements, on the fresh document, split its packed blocks: an insert
+// there views at most hotColdInsertPages pages. Over the next 400 a replace
+// or delete views at most hotOtherPages pages and an insert at most
+// hotInsertPages: neither the target nor a list position costs
+// O(document). (That the probe, not a scan, finds the target is
+// TestUpdateTargetProbe's gate.) Every statement updates exactly one node,
+// and afterwards the document verifies and holds the bidders the stream
+// acknowledged.
+func TestUpdatePagesOnHotDocument(t *testing.T) {
+	const auctions = 2000
+	db := indexedAuction(t, xmlgen.AuctionString(auctions, auctions, 5, 42), true)
+	bidders := func() int {
+		n, err := strconv.Atoi(q(t, db, `count(doc("auction")//bidder)`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	want := bidders()
+	stream := func(statements int, seed int64) hotStream {
+		var h hotStream
+		rng := rand.New(rand.NewSource(seed))
+		lastKey, lastMarker := -1, 0
+		for i := 0; i < statements; i++ {
+			k := rng.Intn(auctions)
+			marker := 1_000_000*int(seed) + i // unique across streams
+			var src string
+			delta := 0 // bidders the statement adds
+			switch mix := rng.Intn(10); {
+			case mix < 5:
+				src = fmt.Sprintf(`UPDATE insert <bidder><personref person="p%d"/><increase>%d</increase></bidder> into %s`, rng.Intn(auctions), marker, auctionByID(k))
+				delta = 1
+			case mix < 8 || lastKey < 0:
+				src = fmt.Sprintf(`UPDATE replace $c in %s/current with <current>%d</current>`, auctionByID(k), marker)
+			default:
+				src = fmt.Sprintf(`UPDATE delete %s/bidder[increase = %d]`, auctionByID(lastKey), lastMarker)
+				delta = -1
+			}
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := NewExecCtx(tx)
+			res, err := Execute(ctx, src)
+			if err == nil && res.Updated != 1 {
+				err = fmt.Errorf("%d updated, want 1", res.Updated)
+			}
+			if err != nil {
+				tx.Rollback()
+				t.Fatalf("%s: %v", src, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			want += delta
+			switch delta {
+			case 1:
+				h.inserts++
+				h.insertPages += ctx.Profile.PagesTouched
+				lastKey, lastMarker = k, marker
+			case -1:
+				lastKey = -1
+				fallthrough
+			default:
+				h.others++
+				h.otherPages += ctx.Profile.PagesTouched
+			}
+		}
+		return h
+	}
+	cold := stream(1000, 3)
+	hot := stream(400, 1)
+	t.Logf("page views per insert: %.1f on the fresh document (%d statements), %.1f after; per replace or delete: %.1f, %.1f",
+		cold.perInsert(), cold.inserts+cold.others, hot.perInsert(), cold.perOther(), hot.perOther())
+	if p := cold.perInsert(); p > hotColdInsertPages {
+		t.Errorf("%.1f page views per insert on the fresh document, bound %d", p, hotColdInsertPages)
+	}
+	if p := hot.perOther(); p > hotOtherPages {
+		t.Errorf("%.1f page views per replace or delete, bound %d", p, hotOtherPages)
+	}
+	if p := hot.perInsert(); p > hotInsertPages {
+		t.Errorf("%.1f page views per insert, bound %d", p, hotInsertPages)
+	}
+	verifyAuction(t, db)
+	if got := bidders(); got != want {
+		t.Fatalf("%d bidders stored, %d acknowledged", got, want)
 	}
 }
 

@@ -93,6 +93,9 @@ func waitConverged(t *testing.T, primary, replica *client.Conn, q string) string
 	return ""
 }
 
+// TestReplicaSeedAndStreamConverges seeds two replicas from a primary that
+// already holds a document, streams a write burst to both, and requires all
+// three nodes to answer every convergence query identically.
 func TestReplicaSeedAndStreamConverges(t *testing.T) {
 	srv, _ := startPrimary(t)
 	p := connect(t, srv.Addr())
@@ -101,42 +104,47 @@ func TestReplicaSeedAndStreamConverges(t *testing.T) {
 	mustExec(t, p, `CREATE DOCUMENT "d"`)
 	mustExec(t, p, `UPDATE insert <r><seed>1</seed></r> into doc("d")`)
 
-	_, rsrv := startReplica(t, t.TempDir(), srv.Addr())
-	r := connect(t, rsrv.Addr())
+	var replicas []*client.Conn
+	for i := 0; i < 2; i++ {
+		_, rsrv := startReplica(t, t.TempDir(), srv.Addr())
+		replicas = append(replicas, connect(t, rsrv.Addr()))
+	}
 
-	// Write burst while the replica streams.
+	// Write burst while the replicas stream.
 	for i := 0; i < 1000; i++ {
 		mustExec(t, p, fmt.Sprintf(`UPDATE insert <x>%d</x> into doc("d")/r`, i))
 	}
 	mustExec(t, p, `CREATE DOCUMENT "late"`)
 	mustExec(t, p, `UPDATE insert <l><v>42</v></l> into doc("late")`)
 
-	waitConverged(t, p, r, `count(doc("d")/r/x)`)
-	data := waitConverged(t, p, r, `doc("d")/r`)
-	if data == "" {
-		t.Fatal("empty converged serialization")
-	}
-	waitConverged(t, p, r, `doc("late")/l`)
+	for _, r := range replicas {
+		waitConverged(t, p, r, `count(doc("d")/r/x)`)
+		data := waitConverged(t, p, r, `doc("d")/r`)
+		if data == "" {
+			t.Fatal("empty converged serialization")
+		}
+		waitConverged(t, p, r, `doc("late")/l`)
 
-	// The replica is read-only.
-	if _, err := r.Execute(`UPDATE insert <nope/> into doc("d")/r`); err == nil {
-		t.Fatal("replica accepted a write before promotion")
+		// The replica is read-only.
+		if _, err := r.Execute(`UPDATE insert <nope/> into doc("d")/r`); err == nil {
+			t.Fatal("replica accepted a write before promotion")
+		}
+		rt, err := r.ReplStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Role != "replica" || rt.Self == nil || rt.Self.State != "streaming" {
+			t.Fatalf("replica topology = %+v", rt)
+		}
 	}
 
-	// Topology is observable from both sides.
+	// Topology is observable from the primary too.
 	pt, err := p.ReplStatus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Role != "primary" || len(pt.Replicas) != 1 {
+	if pt.Role != "primary" || len(pt.Replicas) != 2 {
 		t.Fatalf("primary topology = %+v", pt)
-	}
-	rt, err := r.ReplStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Role != "replica" || rt.Self == nil || rt.Self.State != "streaming" {
-		t.Fatalf("replica topology = %+v", rt)
 	}
 }
 

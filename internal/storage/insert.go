@@ -271,14 +271,9 @@ func widenDesc(w Writer, doc *Doc, sn *schema.Node, d Desc, width int) error {
 }
 
 // listWalk makes findListPosition walk the list descriptor by descriptor,
-// with neither the parent search nor the block skip — the cost E25 and the
-// property tests measure the search against.
+// with neither the parent search nor the block skip — the cost the property
+// test measures the search against. Both find the same position.
 var listWalk atomic.Bool
-
-// SetListBlockSkipForTesting switches findListPosition between its search
-// (on: the parent search, then the block skip) and the walk over every
-// descriptor (off). Both find the same position.
-func SetListBlockSkipForTesting(on bool) { listWalk.Store(!on) }
 
 // listSearchPeeks bounds each walk of the parent search. Past it the block
 // skip runs, so a sparse schema node never costs more than that search.

@@ -16,6 +16,7 @@ type memWriter struct {
 	next  uint64
 	undo  []func()
 	freed []sas.PageID
+	views int // ViewPage calls
 }
 
 func newMemWriter() *memWriter {
@@ -42,6 +43,7 @@ func (m *memWriter) ViewPage(p sas.XPtr) ([]byte, any, error) {
 	if p.IsNil() {
 		return nil, nil, fmt.Errorf("memWriter: read of nil pointer")
 	}
+	m.views++
 	return m.page(sas.PageIDOf(p)), nil, nil
 }
 
