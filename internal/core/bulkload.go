@@ -1,11 +1,7 @@
 package core
 
 import (
-	"encoding/xml"
-	"errors"
-	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"sedna/internal/schema"
@@ -18,11 +14,9 @@ import (
 // Crash-injection tests install it (export_test.go).
 var bulkFlushHook func(pagesFlushed uint64) error
 
-// bulkLoadInto streams the XML token stream from r straight into block
-// construction for doc (freshly created in this transaction). Token
-// handling mirrors LoadInto exactly — same whitespace, namespace,
-// top-level and directive rules — so the two paths produce byte-identical
-// documents.
+// bulkLoadInto streams the XML from r straight into block construction
+// for doc (freshly created in this transaction), through the same token
+// loop as LoadInto.
 func (t *Tx) bulkLoadInto(doc *storage.Doc, r io.Reader) error {
 	start := time.Now()
 	bl, err := storage.NewBulkLoader(t.Tx, doc)
@@ -32,75 +26,15 @@ func (t *Tx) bulkLoadInto(doc *storage.Doc, r io.Reader) error {
 	if bulkFlushHook != nil {
 		bl.SetFlushHook(bulkFlushHook)
 	}
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
-	stack := []*storage.BulkNode{bl.Root()}
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return parseErr(dec, err)
-		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			n, err := bl.AppendElement(stack[len(stack)-1], xmlName(tk.Name))
-			if err != nil {
-				return err
-			}
-			stack = append(stack, n)
-			// Attributes become attribute children of the element.
-			for _, a := range tk.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue // namespace declarations are not stored as attributes
-				}
-				if err := bl.AppendLeaf(n, schema.KindAttribute, xmlName(a.Name), []byte(a.Value)); err != nil {
-					return err
-				}
-			}
-		case xml.EndElement:
-			if len(stack) == 1 {
-				return fmt.Errorf("core: unbalanced end element %s at byte %d", xmlName(tk.Name), dec.InputOffset())
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(tk)
-			if !t.db.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
-				continue
-			}
-			if len(stack) == 1 {
-				continue // ignore top-level whitespace/prolog text
-			}
-			if err := bl.AppendLeaf(stack[len(stack)-1], schema.KindText, "", []byte(s)); err != nil {
-				return err
-			}
-		case xml.Comment:
-			if len(stack) == 1 {
-				continue
-			}
-			if err := bl.AppendLeaf(stack[len(stack)-1], schema.KindComment, "", []byte(tk)); err != nil {
-				return err
-			}
-		case xml.ProcInst:
-			if len(stack) == 1 {
-				continue
-			}
-			if err := bl.AppendLeaf(stack[len(stack)-1], schema.KindPI, tk.Target, tk.Inst); err != nil {
-				return err
-			}
-		case xml.Directive:
-			// DOCTYPE etc. — not stored.
-		}
-	}
-	if len(stack) != 1 {
-		return fmt.Errorf("core: unbalanced XML: %d unclosed elements", len(stack)-1)
+	n, err := t.loadXML(r, &bulkSink{bl: bl, stack: []*storage.BulkNode{bl.Root()}})
+	if err != nil {
+		return err
 	}
 	stats, err := bl.Finish()
 	if err != nil {
 		return err
 	}
-	loadBytes := uint64(dec.InputOffset())
+	loadBytes := uint64(n)
 	if err := t.LogRecord(&wal.Record{
 		Type: wal.RecBulkLoad, DocID: doc.ID, Name: doc.Name,
 		Nodes: stats.Nodes, Blocks: stats.Blocks, Bytes: loadBytes,
@@ -121,12 +55,24 @@ func (t *Tx) bulkLoadInto(doc *storage.Doc, r io.Reader) error {
 	return nil
 }
 
-// parseErr wraps an XML decoder error with the byte offset (and, when the
-// decoder reports one, the line) of the failing token.
-func parseErr(dec *xml.Decoder, err error) error {
-	var syn *xml.SyntaxError
-	if errors.As(err, &syn) {
-		return fmt.Errorf("core: parse XML at byte %d (line %d): %w", dec.InputOffset(), syn.Line, err)
-	}
-	return fmt.Errorf("core: parse XML at byte %d: %w", dec.InputOffset(), err)
+// bulkSink is the bulk builder: each node is appended to its schema node's
+// open block.
+type bulkSink struct {
+	bl    *storage.BulkLoader
+	stack []*storage.BulkNode
 }
+
+func (s *bulkSink) element(name string) error {
+	n, err := s.bl.AppendElement(s.stack[len(s.stack)-1], name)
+	if err != nil {
+		return err
+	}
+	s.stack = append(s.stack, n)
+	return nil
+}
+
+func (s *bulkSink) leaf(kind schema.NodeKind, name string, text []byte) error {
+	return s.bl.AppendLeaf(s.stack[len(s.stack)-1], kind, name, text)
+}
+
+func (s *bulkSink) end() { s.stack = s.stack[:len(s.stack)-1] }

@@ -244,8 +244,8 @@ func TestBulkLoadThenUpdate(t *testing.T) {
 }
 
 // TestBulkLoadMalformedRollback feeds the loader XML that breaks mid-document
-// and checks (a) the parse error carries the byte offset of the failure and
-// (b) rolling back leaves no trace of the partial document while earlier
+// and checks (a) the parse error carries the byte offset (and, on multi-line
+// input, the line) of the failure and (b) rolling back leaves no trace of the partial document while earlier
 // documents stay intact.
 func TestBulkLoadMalformedRollback(t *testing.T) {
 	for mode, load := range []loader{bulkLoad, nodeLoad} {
@@ -267,6 +267,23 @@ func TestBulkLoadMalformedRollback(t *testing.T) {
 			t.Fatalf("mode %d: parse error lacks byte offset: %v", mode, err)
 		}
 		tx.Rollback()
+
+		// Multi-line inputs: the error names the byte offset just past the
+		// failing markup and its line, as encoding/xml reported them.
+		for _, c := range []struct{ in, want string }{
+			{"<r>\n  <item><k>v</k></item>\n  <item><k>v</wrong></item>\n</r>\n", "at byte 48 (line 3)"},
+			{"<r>\n  <item>a &bogus; b</item>\n</r>\n", "at byte 21 (line 2)"},
+		} {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = load(tx, "pos", strings.NewReader(c.in))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("mode %d: %q: error %v, want one %q", mode, c.in, err, c.want)
+			}
+			tx.Rollback()
+		}
 
 		rtx, _ := db.BeginReadOnly()
 		if _, err := rtx.Document("bad"); err == nil {

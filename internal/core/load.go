@@ -1,15 +1,16 @@
 package core
 
 import (
-	"encoding/xml"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"unicode/utf8"
 
 	"sedna/internal/sas"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
+	"sedna/internal/xmlscan"
 )
 
 // LoadXML parses the XML document from r and bulk-loads it under the given
@@ -30,101 +31,154 @@ func (t *Tx) LoadXML(name string, r io.Reader) (*storage.Doc, error) {
 	return doc, nil
 }
 
-// LoadInto streams XML content under an existing node (used both by LoadXML
-// and by update statements inserting parsed fragments).
+// LoadInto streams XML content under an existing node, appending each
+// top-level node after the node's last child: the node-at-a-time sibling
+// of the bulk path, building the same document.
 func (t *Tx) LoadInto(doc *storage.Doc, parent sas.XPtr, r io.Reader) error {
-	dec := xml.NewDecoder(r)
-	dec.Strict = true
+	_, err := t.loadXML(r, &insertSink{tx: t, doc: doc, stack: []insertFrame{{handle: parent}}})
+	return err
+}
 
-	type frame struct {
-		handle sas.XPtr
-		last   sas.XPtr // last child inserted under this frame
-	}
-	stack := []frame{{handle: parent}}
-	last := func() *frame { return &stack[len(stack)-1] }
+// nodeSink receives the nodes of one XML stream in document order: the bulk
+// builder of a fresh document (bulkSink) or the node inserter under an
+// existing node (insertSink).
+type nodeSink interface {
+	// element appends an element under the innermost open one and opens it.
+	element(name string) error
+	// leaf appends a childless node (attribute, text, comment or PI) under
+	// the innermost open element; text is only valid during the call.
+	leaf(kind schema.NodeKind, name string, text []byte) error
+	// end closes the innermost open element.
+	end()
+}
 
-	insert := func(kind schema.NodeKind, name string, text []byte) (sas.XPtr, error) {
-		f := last()
-		h, err := storage.InsertNode(t.Tx, doc, f.handle, f.last, sas.NilPtr, kind, name, text)
-		if err != nil {
-			return sas.NilPtr, err
-		}
-		f.last = h
-		return h, nil
-	}
-
+// loadXML is the one token loop of both loaders: it scans r and hands the
+// nodes to sink. Attributes follow their element, namespace declarations are
+// not stored, whitespace-only text is skipped unless the database keeps it,
+// and text, comments and PIs outside the outermost element are dropped. It
+// returns the number of input bytes consumed.
+func (t *Tx) loadXML(r io.Reader, sink nodeSink) (int64, error) {
+	sc := xmlscan.NewScanner(r)
+	names := nameTable{m: make(map[string]string)}
+	keepWS := t.db.opts.KeepWhitespace
 	for {
-		tok, err := dec.Token()
+		kind, err := sc.Next()
 		if err == io.EOF {
-			break
+			return sc.InputOffset(), nil
 		}
 		if err != nil {
-			return parseErr(dec, err)
+			return 0, parseErr(sc, err)
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			h, err := insert(schema.KindElement, xmlName(tk.Name), nil)
-			if err != nil {
-				return err
+		switch kind {
+		case xmlscan.StartElement:
+			if err := sink.element(names.get(sc.Name())); err != nil {
+				return 0, err
 			}
-			stack = append(stack, frame{handle: h})
-			// Attributes become attribute children of the element.
-			for _, a := range tk.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue // namespace declarations are not stored as attributes
+			for _, a := range sc.Attrs() {
+				if string(a.Name.Space) == "xmlns" || string(a.Name.Local) == "xmlns" {
+					continue
 				}
-				if _, err := insert(schema.KindAttribute, xmlName(a.Name), []byte(a.Value)); err != nil {
-					return err
+				if err := sink.leaf(schema.KindAttribute, names.get(a.Name), a.Value); err != nil {
+					return 0, err
 				}
 			}
-		case xml.EndElement:
-			if len(stack) == 1 {
-				return fmt.Errorf("core: unbalanced end element %s at byte %d", xmlName(tk.Name), dec.InputOffset())
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(tk)
-			if !t.db.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
+		case xmlscan.EndElement:
+			sink.end()
+		case xmlscan.CharData:
+			if sc.Depth() == 0 || !keepWS && len(bytes.TrimSpace(sc.Text())) == 0 {
 				continue
 			}
-			if len(stack) == 1 {
-				continue // ignore top-level whitespace/prolog text
+			if err := sink.leaf(schema.KindText, "", sc.Text()); err != nil {
+				return 0, err
 			}
-			if _, err := insert(schema.KindText, "", []byte(s)); err != nil {
-				return err
+		case xmlscan.Comment:
+			if sc.Depth() > 0 {
+				if err := sink.leaf(schema.KindComment, "", sc.Text()); err != nil {
+					return 0, err
+				}
 			}
-		case xml.Comment:
-			if len(stack) == 1 {
-				continue
+		case xmlscan.ProcInst:
+			if sc.Depth() > 0 {
+				if err := sink.leaf(schema.KindPI, names.get(xmlscan.Name{Local: sc.Target()}), sc.Text()); err != nil {
+					return 0, err
+				}
 			}
-			if _, err := insert(schema.KindComment, "", []byte(tk)); err != nil {
-				return err
-			}
-		case xml.ProcInst:
-			if len(stack) == 1 {
-				continue
-			}
-			if _, err := insert(schema.KindPI, tk.Target, tk.Inst); err != nil {
-				return err
-			}
-		case xml.Directive:
-			// DOCTYPE etc. — not stored.
 		}
 	}
-	if len(stack) != 1 {
-		return fmt.Errorf("core: unbalanced XML: %d unclosed elements", len(stack)-1)
+}
+
+// parseErr wraps a scanner error with the byte offset (and, for a syntax
+// error, the line) of the failure.
+func parseErr(sc *xmlscan.Scanner, err error) error {
+	var syn *xmlscan.SyntaxError
+	if errors.As(err, &syn) {
+		return fmt.Errorf("core: parse XML at byte %d (line %d): %w", syn.Offset, syn.Line, err)
 	}
+	return fmt.Errorf("core: parse XML at byte %d: %w", sc.InputOffset(), err)
+}
+
+// nameTable makes each distinct node name of one load a string once; it
+// grows no larger than the descriptive schema, which holds every distinct
+// name already. The schema clusters by qualified name: a name in a
+// namespace is kept in the expanded form "space:local".
+type nameTable struct {
+	m   map[string]string
+	buf []byte
+}
+
+func (nt *nameTable) get(n xmlscan.Name) string {
+	b := nt.buf[:0]
+	if len(n.Space) > 0 {
+		b = append(append(b, n.Space...), ':')
+	}
+	b = append(b, n.Local...)
+	nt.buf = b
+	if s, ok := nt.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	nt.m[s] = s
+	return s
+}
+
+// insertSink is the node-at-a-time loader: each node is a storage insert
+// after its parent's last child.
+type insertSink struct {
+	tx    *Tx
+	doc   *storage.Doc
+	stack []insertFrame
+}
+
+type insertFrame struct {
+	handle sas.XPtr
+	last   sas.XPtr // last child inserted under this frame
+}
+
+func (s *insertSink) insert(kind schema.NodeKind, name string, text []byte) (sas.XPtr, error) {
+	f := &s.stack[len(s.stack)-1]
+	h, err := storage.InsertNode(s.tx.Tx, s.doc, f.handle, f.last, sas.NilPtr, kind, name, text)
+	if err != nil {
+		return sas.NilPtr, err
+	}
+	f.last = h
+	return h, nil
+}
+
+func (s *insertSink) element(name string) error {
+	h, err := s.insert(schema.KindElement, name, nil)
+	if err != nil {
+		return err
+	}
+	s.stack = append(s.stack, insertFrame{handle: h})
 	return nil
 }
 
-func xmlName(n xml.Name) string {
-	// The descriptive schema clusters by qualified name; we keep the
-	// expanded form "space:local" when a namespace is present.
-	if n.Space != "" {
-		return n.Space + ":" + n.Local
-	}
-	return n.Local
+func (s *insertSink) leaf(kind schema.NodeKind, name string, text []byte) error {
+	_, err := s.insert(kind, name, text)
+	return err
 }
+
+func (s *insertSink) end() { s.stack = s.stack[:len(s.stack)-1] }
 
 // NodeAccess abstracts the node reads serialization needs over a node type N
 // — a descriptor here, a slab entry in the executor — so the one serializer

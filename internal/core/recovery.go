@@ -22,7 +22,9 @@ import (
 //     physical page writes, allocator movements, and the logical catalog
 //     records that rebuild in-memory schemas and document metadata.
 //
-// Afterwards per-schema node counters are recomputed and a fresh checkpoint
+// Each redone transaction is counted against the documents it wrote, as its
+// commit counted it for the optimizer's staleness clock. Afterwards
+// per-schema node counters are recomputed and a fresh checkpoint
 // is taken, so a crash during recovery restarts it idempotently; that
 // checkpoint retires the log segments recovery has just redone.
 func (db *Database) recover() error {
@@ -84,7 +86,7 @@ func (db *Database) recover() error {
 	// (Txn == 0) is always valid, one inside an apply transaction only if
 	// that transaction committed. Later records carry larger watermarks, so
 	// plain assignment keeps the maximum.
-	redo := &redoState{db: db, pages: make(map[sas.PageID][]byte)}
+	redo := &redoState{db: db, pages: make(map[sas.PageID][]byte), wrote: make(map[txnDoc]struct{})}
 	var replRestart, replCommit uint64
 	err = db.log.Scan(master.CheckpointLSN, func(_ uint64, r *wal.Record) error {
 		if r.Type == wal.RecCheckpoint {
@@ -110,6 +112,7 @@ func (db *Database) recover() error {
 	}
 	db.txm.SetCommitTS(maxCTS)
 	db.noteReplProgress(replRestart, replCommit)
+	redo.noteUpdates()
 
 	// Recompute schema counters from block headers and publish the initial
 	// committed metadata version of every document.
@@ -132,6 +135,23 @@ func (db *Database) recover() error {
 type redoState struct {
 	db    *Database
 	pages map[sas.PageID][]byte
+	wrote map[txnDoc]struct{} // the documents whose node blocks each redone transaction wrote
+}
+
+type txnDoc struct {
+	txn uint64
+	doc uint32
+}
+
+// noteUpdates counts each redone transaction once against every document it
+// wrote, as its commit did before the crash (Catalog.NoteUpdate), so that
+// statistics the lost commits made stale stay stale.
+func (rs *redoState) noteUpdates() {
+	for k := range rs.wrote {
+		if doc, ok := rs.db.catalog.DocByID(k.doc); ok {
+			rs.db.catalog.NoteUpdate(doc.Name)
+		}
+	}
 }
 
 func (rs *redoState) page(id sas.PageID) ([]byte, error) {
@@ -158,6 +178,9 @@ func (rs *redoState) apply(r *wal.Record) error {
 			return fmt.Errorf("core: redo write out of page bounds at %v+%d", r.Page, r.Off)
 		}
 		copy(p[r.Off:], r.Data)
+		if doc, ok := storage.NodeBlockDoc(p); ok {
+			rs.wrote[txnDoc{r.Txn, doc}] = struct{}{}
+		}
 	case wal.RecAllocPage:
 		db.pf.RedoAlloc(r.Page)
 	case wal.RecFreePage:

@@ -129,3 +129,35 @@ func TestStaleStatisticsStayStaleAcrossRestart(t *testing.T) {
 		t.Fatalf("update counter %d after a clean restart, %d before it", got, before)
 	}
 }
+
+// TestStaleStatisticsStayStaleAcrossCrash: the same after a crash. The
+// commits after the last checkpoint are redone by recovery, and recovery
+// counts each of them against the document it wrote, as the commit did; the
+// checkpoint's counter alone would read as fresh.
+func TestStaleStatisticsStayStaleAcrossCrash(t *testing.T) {
+	s := newStatsDB(t)
+	if err := s.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	atCheckpoint := s.db.Catalog().Activity("lib").Updates.Load()
+	n := s.agingUpdates("lib")
+	for i := 0; i < n; i++ {
+		s.exec(restartUpdate)
+	}
+	if !s.stale("lib") {
+		t.Fatal("setup: statistics still fresh after the aging updates")
+	}
+	before := s.db.Catalog().Activity("lib").Updates.Load()
+	if before != atCheckpoint+uint64(n) {
+		t.Fatalf("setup: counter %d after %d updates from %d", before, n, atCheckpoint)
+	}
+	s.db.CrashForTesting()
+	s.open()
+	if got := s.db.Catalog().Activity("lib").Updates.Load(); got != before {
+		t.Fatalf("update counter %d after a crash, %d before it (%d at the checkpoint)", got, before, atCheckpoint)
+	}
+	if !s.stale("lib") {
+		t.Fatal("stale statistics read as fresh after a crash")
+	}
+	t.Logf("%d updates after the checkpoint; counter %d at the checkpoint, %d before the crash and after recovery", n, atCheckpoint, before)
+}

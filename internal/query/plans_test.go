@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sedna/internal/core"
+	"sedna/internal/schema"
 	"sedna/internal/xmlgen"
 )
 
@@ -152,6 +153,30 @@ func TestOptimizerAgainstForcedPlans(t *testing.T) {
 	if selRatio < plansSelectivePages {
 		t.Errorf("forced scans view %.1fx the optimized plans' pages on the selective suite (%d vs %d), bound %.0fx",
 			selRatio, selForced.pages, selOpt.pages, plansSelectivePages)
+	}
+}
+
+// TestResolveStructuralAllocatesOnlyItsResult: resolving a three-step child
+// chain from one start node allocates once, for the slice plans keep; the
+// step buffers do not escape (before, the start nodes were copied to the
+// heap and the step buffer grew from empty: 2 allocations).
+func TestResolveStructuralAllocatesOnlyItsResult(t *testing.T) {
+	sc := schema.New()
+	lib, _ := sc.EnsureChild(sc.Root, schema.KindElement, "library")
+	book, _ := sc.EnsureChild(lib, schema.KindElement, "book")
+	sc.EnsureChild(book, schema.KindElement, "author")
+	title, _ := sc.EnsureChild(book, schema.KindElement, "title")
+	var steps []*Step
+	for _, name := range []string{"library", "book", "title"} {
+		steps = append(steps, &Step{Axis: AxisChild, Test: NodeTest{Kind: TestElement, Name: name}})
+	}
+	var got []*schema.Node
+	allocs := testing.AllocsPerRun(100, func() { got = resolveStructural(steps, sc.Root) })
+	if len(got) != 1 || got[0] != title {
+		t.Fatalf("resolved %v, want the title schema node", got)
+	}
+	if allocs != 1 {
+		t.Fatalf("%.1f allocations per resolution, want 1", allocs)
 	}
 }
 

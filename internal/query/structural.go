@@ -52,8 +52,12 @@ func structuralChain(s *Step, ownPreds bool) (*DocCall, []*Step) {
 // of a resolution (plans, their estimates, EXPLAIN) is the same from run to
 // run.
 func resolveStructural(steps []*Step, from ...*schema.Node) []*schema.Node {
-	cur := bySchemaID(append([]*schema.Node(nil), from...))
-	var next []*schema.Node
+	// The step buffers stay on the stack until a step reaches more schema
+	// nodes than they hold; the result, which plans keep, is the one
+	// allocation.
+	var curBuf, nextBuf [16]*schema.Node
+	cur := bySchemaID(append(curBuf[:0], from...))
+	next := nextBuf[:0]
 	for _, st := range steps {
 		next = next[:0]
 		for _, sn := range cur {
@@ -83,7 +87,9 @@ func resolveStructural(steps []*Step, from ...*schema.Node) []*schema.Node {
 		}
 		cur, next = bySchemaID(next), cur
 	}
-	return cur
+	out := make([]*schema.Node, len(cur))
+	copy(out, cur)
+	return out
 }
 
 // bySchemaID sorts schema nodes by ID and drops the repeats a resolution

@@ -575,6 +575,16 @@ func BlockCountNext(page []byte) (count int, next sas.XPtr) {
 	return int(getU16(page, nbCount)), getPtr(page, nbNext)
 }
 
+// NodeBlockDoc returns the owning document of a node-block page, and false
+// for a page of any other kind; recovery uses it to tell which documents a
+// redone transaction wrote.
+func NodeBlockDoc(page []byte) (docID uint32, ok bool) {
+	if page[0] != blockKindNode {
+		return 0, false
+	}
+	return getU32(page, nbDocID), true
+}
+
 // ChainNext returns the next-block pointer of any block kind (node, text or
 // indirection block); used when dropping a document frees whole chains.
 func ChainNext(r Reader, block sas.XPtr) (sas.XPtr, error) {

@@ -12,14 +12,14 @@
 package subtree
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 
 	"sedna/internal/sas"
 	"sedna/internal/storage"
+	"sedna/internal/xmlscan"
 )
 
 // Page layout: kind(1) pad(1) used(2) next(8) = 12-byte header, then data.
@@ -172,13 +172,14 @@ func (n *node) encode(w io.Writer) error {
 	return nil
 }
 
-// Load parses XML from r and stores it subtree-clustered.
+// Load parses XML from r and stores it subtree-clustered: elements and
+// attributes by local name, whitespace-only text dropped.
 func Load(w storage.Writer, r io.Reader) (*Store, error) {
-	dec := xml.NewDecoder(r)
+	sc := xmlscan.NewScanner(r)
 	root := &node{kind: KindElement, name: "#document"}
 	stack := []*node{root}
 	for {
-		tok, err := dec.Token()
+		kind, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
@@ -186,22 +187,21 @@ func Load(w storage.Writer, r io.Reader) (*Store, error) {
 			return nil, fmt.Errorf("subtree: parse: %w", err)
 		}
 		top := stack[len(stack)-1]
-		switch tk := tok.(type) {
-		case xml.StartElement:
-			n := &node{kind: KindElement, name: tk.Name.Local}
-			for _, a := range tk.Attr {
-				n.children = append(n.children, &node{kind: KindAttr, name: a.Name.Local, text: a.Value})
+		switch kind {
+		case xmlscan.StartElement:
+			n := &node{kind: KindElement, name: string(sc.Name().Local)}
+			for _, a := range sc.Attrs() {
+				n.children = append(n.children, &node{kind: KindAttr, name: string(a.Name.Local), text: string(a.Value)})
 			}
 			top.children = append(top.children, n)
 			stack = append(stack, n)
-		case xml.EndElement:
+		case xmlscan.EndElement:
 			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(tk)
-			if strings.TrimSpace(s) == "" {
+		case xmlscan.CharData:
+			if len(bytes.TrimSpace(sc.Text())) == 0 {
 				continue
 			}
-			top.children = append(top.children, &node{kind: KindText, text: s})
+			top.children = append(top.children, &node{kind: KindText, text: string(sc.Text())})
 		}
 	}
 	ws, err := newWriterStream(w)

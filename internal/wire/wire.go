@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Message types (client → server). 9, 10, 16 and 17 are retired (they set
@@ -235,19 +236,37 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame and returns its type and raw payload.
+// frameStep bounds what ReadFrame allocates ahead of the bytes that arrive:
+// a frame is read a step at a time, so a header that declares MaxMessage and
+// is followed by nothing costs one step, not MaxMessage.
+const frameStep = 256 << 10
+
+// ReadFrame reads one frame and returns its type and raw payload. A payload
+// of up to frameStep bytes takes one allocation of its exact size; a larger
+// one grows as it arrives. A stream that ends inside the frame returns
+// io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > MaxMessage {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	body := make([]byte, 0, min(n, frameStep))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), cap(body)))
+		}
+		m, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
 	return hdr[4], body, nil
 }

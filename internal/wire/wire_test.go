@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"testing"
 )
 
@@ -72,5 +74,54 @@ func TestWriteResponseRefusesOversize(t *testing.T) {
 	}
 	if w.Len() != 0 {
 		t.Fatalf("%d bytes written for a refused response", w.Len())
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a header that declares MaxMessage and
+// is followed by nothing allocates one read step, not 64 MiB, and reports
+// the truncation; a frame of one step is one allocation of its exact size,
+// and a larger one still arrives whole.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	header := func(n int) []byte {
+		h := make([]byte, 5)
+		binary.LittleEndian.PutUint32(h, uint32(n))
+		h[4] = MsgExecute
+		return h
+	}
+	lone := header(MaxMessage)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(lone))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header of %d bytes then EOF: %v, want io.ErrUnexpectedEOF", MaxMessage, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("header of %d bytes then EOF allocated %d bytes", MaxMessage, d)
+	}
+
+	// The header's own allocation is measured on an empty frame.
+	var body []byte
+	allocsOf := func(frame []byte) float64 {
+		r := bytes.NewReader(frame)
+		return testing.AllocsPerRun(10, func() {
+			r.Reset(frame)
+			if _, body, err = ReadFrame(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	empty := allocsOf(header(0))
+	payload := bytes.Repeat([]byte("x"), frameStep)
+	allocs := allocsOf(append(header(len(payload)), payload...))
+	if allocs != empty+1 || len(body) != frameStep || cap(body) != frameStep || !bytes.Equal(body, payload) {
+		t.Fatalf("a one-step frame: %.1f allocations (%.1f for an empty one), len %d cap %d, want one more allocation of %d bytes",
+			allocs, empty, len(body), cap(body), frameStep)
+	}
+
+	payload = bytes.Repeat([]byte("0123456789"), (3*frameStep+17)/10)
+	typ, body, err := ReadFrame(bytes.NewReader(append(header(len(payload)), payload...)))
+	if err != nil || typ != MsgExecute || !bytes.Equal(body, payload) {
+		t.Fatalf("a %d-byte frame: type %d, %d bytes, %v", len(payload), typ, len(body), err)
 	}
 }

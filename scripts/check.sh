@@ -61,7 +61,8 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
     ./internal/repl ./internal/opt
 
-echo "== fuzz (10 s each: the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path, opening a damaged segmented log, the list-position search against the walk) =="
+echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path, opening a damaged segmented log, the list-position search against the walk) =="
+go test -run '^$' -fuzz='^FuzzScanXML$' -fuzztime=10s ./internal/xmlscan
 go test -run '^$' -fuzz='^FuzzEscapeText$' -fuzztime=10s ./internal/core
 go test -run '^$' -fuzz='^FuzzReadResponse$' -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz='^FuzzValueCompare$' -fuzztime=10s ./internal/query
