@@ -214,7 +214,8 @@ func runE3(s *session) error {
 	m := buffer.New(pf, snap, 512)
 	ptrs := make([]sas.XPtr, 256)
 	for i := range ptrs {
-		ptrs[i] = pf.Alloc().Ptr().Add(uint32(i * 8))
+		id, _ := pf.Alloc()
+		ptrs[i] = id.Ptr().Add(uint32(i * 8))
 	}
 	const derefs = 2_000_000
 	// Warm both paths.

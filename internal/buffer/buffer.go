@@ -35,20 +35,21 @@
 // Committed bytes are immutable. A buffer that holds committed content — a
 // frame's data while no transaction owns the page, and every version-chain
 // entry — is never written again and never reused: PinWrite re-points the
-// frame at a fresh copy for the writer instead, so a snapshot reader that
-// took the slice a moment earlier keeps reading what it saw, and nobody
-// waits. Frame.data is therefore read and re-pointed only under the stripe
-// mutex; both view entry points return the slice they read there.
+// frame at a fresh copy for the writer instead, and InstallPage at the whole
+// page the writer hands over, so a snapshot reader that took the slice a
+// moment earlier keeps reading what it saw, and nobody waits. Frame.data is
+// therefore read and re-pointed only under the stripe mutex; both view entry
+// points return the slice they read there.
 //
 // Lock order: at most one stripe mutex is held at a time. While holding a
 // stripe mutex the manager may acquire, in this order only: the WAL mutex
 // (walFlush during eviction), the transaction-manager mutex (activeSnaps
-// during purge), and the pagefile/snap-area mutexes. The txn-pages mutex
-// (txnMu) is never held together with a stripe mutex. Per-frame pin counts
-// and ref bits are atomics; pins are only *taken* while holding the owning
-// stripe's mutex (read or write), and eviction inspects them under the
-// write lock, so a pinned frame can never be chosen as a victim. Unpin is
-// lock-free.
+// during purge and install), and the pagefile/snap-area mutexes. The
+// txn-pages mutex (txnMu) is never held together with a stripe mutex.
+// Per-frame pin counts and ref bits are atomics; pins are only *taken* while
+// holding the owning stripe's mutex (read or write), and eviction inspects
+// them under the write lock, so a pinned frame can never be chosen as a
+// victim. Unpin is lock-free.
 package buffer
 
 import (
@@ -110,13 +111,19 @@ type Frame struct {
 	// clockIdx is the frame's position in its stripe's clock ring,
 	// maintained under the stripe mutex for O(1) removal.
 	clockIdx int
+
+	// lsn is the log position of the last logged write to the page while
+	// this frame has held it, maintained under the stripe mutex: writing the
+	// frame back needs the log durable through lsn and no further (the WAL
+	// rule).
+	lsn uint64
 }
 
 // ID returns the identity of the page held by the frame.
 func (f *Frame) ID() sas.PageID { return f.id }
 
 // Data returns the page bytes of a pinned frame to the transaction that owns
-// the page (after PinWrite or PinNew) or to a caller no writer can run beside.
+// the page (after PinWrite) or to a caller no writer can run beside.
 // Everyone else takes the slice DerefTrack or ViewSnapshot returns: a first
 // touch re-points the frame at the writer's copy.
 func (f *Frame) Data() []byte { return f.data }
@@ -226,8 +233,8 @@ type Manager struct {
 	txnMu    sync.Mutex
 	txnPages map[uint64]map[sas.PageID]struct{}
 
-	walFlush    func() error    // flush the WAL; called before any page write (WAL rule)
-	activeSnaps func() []uint64 // timestamps of active snapshots, for purge
+	walFlush    func(lsn uint64) error // make the WAL durable through lsn; called before a page write (WAL rule)
+	activeSnaps func() []uint64        // timestamps of active snapshots, for purge
 
 	reg *metrics.Registry
 	met bufMetrics
@@ -311,9 +318,10 @@ func (s *stripe) rlock(m *Manager) {
 	m.met.stripeLockWait.Add(uint64(time.Since(start)))
 }
 
-// SetWALFlush installs the hook that flushes the write-ahead log; it is
-// invoked before any dirty page reaches the data file.
-func (m *Manager) SetWALFlush(fn func() error) { m.walFlush = fn }
+// SetWALFlush installs the hook that makes the write-ahead log durable
+// through the record at a given LSN; it is invoked with the LSN of a dirty
+// page's last logged write before the page reaches the data file.
+func (m *Manager) SetWALFlush(fn func(lsn uint64) error) { m.walFlush = fn }
 
 // SetActiveSnapshots installs the provider of active snapshot timestamps
 // used by version purging.
@@ -551,20 +559,20 @@ func (m *Manager) Pin(id sas.PageID) (*Frame, error) {
 	})
 }
 
-// Unpin releases a pin taken by Pin, Deref, PinWrite or PinNew. It is
-// lock-free.
+// Unpin releases a pin taken by Pin, Deref or PinWrite. It is lock-free.
 func (m *Manager) Unpin(f *Frame) {
 	if f.pin.Add(-1) < 0 {
 		panic("buffer: Unpin of unpinned frame")
 	}
 }
 
-// PinWrite prepares the page for modification by txn: on the first touch the
-// frame's committed bytes become the top of the version chain (the pre-image
-// for rollback and for snapshot readers, who may be reading them right now),
-// the frame gets a copy for the writer, and the page joins the transaction's
-// dirty set. The frame is returned pinned.
-func (m *Manager) PinWrite(id sas.PageID, txn uint64) (*Frame, error) {
+// PinWrite prepares the page for modification by txn, whose log record of
+// the change is at lsn: on the first touch the frame's committed bytes become
+// the top of the version chain (the pre-image for rollback and for snapshot
+// readers, who may be reading them right now), the frame gets a copy for the
+// writer, and the page joins the transaction's dirty set. The frame is
+// returned pinned.
+func (m *Manager) PinWrite(id sas.PageID, txn, lsn uint64) (*Frame, error) {
 	if txn == 0 {
 		panic("buffer: PinWrite with zero txn id")
 	}
@@ -572,8 +580,8 @@ func (m *Manager) PinWrite(id sas.PageID, txn uint64) (*Frame, error) {
 	f, err := m.withPinRetry(func() (*Frame, error) {
 		s.lock(m)
 		defer s.mu.Unlock()
-		if owner := s.dirtyBy[id]; owner != 0 && owner != txn {
-			return nil, fmt.Errorf("%w: page %v owned by txn %d", ErrWriteConflict, id, owner)
+		if err := s.checkOwner(id, txn); err != nil {
+			return nil, err
 		}
 		f, _, err := s.load(m, id)
 		if err != nil {
@@ -583,18 +591,100 @@ func (m *Manager) PinWrite(id sas.PageID, txn uint64) (*Frame, error) {
 			pre := f.data
 			f.data = make([]byte, sas.PageSize)
 			copy(f.data, pre)
-			s.chains[id] = append([]pageVersion{{ts: s.pageTS[id], data: pre}}, s.chains[id]...)
-			m.met.versionsMade.Inc()
-			m.met.versionsLive.Inc()
-			s.dirtyBy[id] = txn
+			s.pushVersion(m, id, pre)
 		}
-		s.dirty[id] = true
+		s.own(id, txn, f, lsn)
 		f.pin.Add(1)
 		return f, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	m.noteTxnPage(txn, id)
+	return f, nil
+}
+
+// InstallPage makes page, a whole page image that the caller hands over and
+// never touches again, the content of id for txn, whose log record of it is
+// at lsn. The slice becomes the frame's data; nothing is copied.
+//
+// A resident page's bytes become the pre-image on txn's first touch, as in
+// PinWrite. A page that is not resident is not read and gets no version:
+// fresh reports that the file was extended for it, so it never held content,
+// and a recycled page's freed content matters only to a snapshot that was
+// active when it was freed. So while any snapshot is active a recycled page
+// is read and keeps its pre-image, as PinWrite keeps it.
+func (m *Manager) InstallPage(id sas.PageID, txn uint64, page []byte, lsn uint64, fresh bool) error {
+	if txn == 0 {
+		panic("buffer: InstallPage with zero txn id")
+	}
+	if len(page) != sas.PageSize {
+		return fmt.Errorf("buffer: InstallPage of %d bytes", len(page))
+	}
+	s := m.stripeFor(id.Page)
+	_, err := m.withPinRetry(func() (*Frame, error) {
+		s.lock(m)
+		defer s.mu.Unlock()
+		if err := s.checkOwner(id, txn); err != nil {
+			return nil, err
+		}
+		f := s.frames[id]
+		if f == nil && !fresh && len(m.snapshots()) > 0 {
+			var err error
+			if f, _, err = s.load(m, id); err != nil {
+				return nil, err
+			}
+		}
+		if f == nil {
+			var err error
+			if f, err = s.insert(m, id, page); err != nil {
+				return nil, err
+			}
+		} else {
+			if s.dirtyBy[id] != txn {
+				s.pushVersion(m, id, f.data)
+			}
+			f.data = page
+			f.ref.Store(true)
+		}
+		s.own(id, txn, f, lsn)
+		return f, nil
+	})
+	if err != nil {
+		return err
+	}
+	m.noteTxnPage(txn, id)
+	return nil
+}
+
+// checkOwner refuses a write to a page another transaction holds
+// uncommitted changes of. The caller holds the stripe write lock.
+func (s *stripe) checkOwner(id sas.PageID, txn uint64) error {
+	if owner := s.dirtyBy[id]; owner != 0 && owner != txn {
+		return fmt.Errorf("%w: page %v owned by txn %d", ErrWriteConflict, id, owner)
+	}
+	return nil
+}
+
+// pushVersion puts a page's committed bytes on top of its version chain, as
+// the pre-image of the writer's first touch. The caller holds the stripe
+// write lock and re-points the frame next.
+func (s *stripe) pushVersion(m *Manager, id sas.PageID, pre []byte) {
+	s.chains[id] = append([]pageVersion{{ts: s.pageTS[id], data: pre}}, s.chains[id]...)
+	m.met.versionsMade.Inc()
+	m.met.versionsLive.Inc()
+}
+
+// own records that txn's write logged at lsn made f's page dirty. The caller
+// holds the stripe write lock.
+func (s *stripe) own(id sas.PageID, txn uint64, f *Frame, lsn uint64) {
+	s.dirtyBy[id] = txn
+	s.dirty[id] = true
+	f.lsn = max(f.lsn, lsn)
+}
+
+// noteTxnPage adds the page to txn's dirty set.
+func (m *Manager) noteTxnPage(txn uint64, id sas.PageID) {
 	m.txnMu.Lock()
 	tp := m.txnPages[txn]
 	if tp == nil {
@@ -603,22 +693,6 @@ func (m *Manager) PinWrite(id sas.PageID, txn uint64) (*Frame, error) {
 	}
 	tp[id] = struct{}{}
 	m.txnMu.Unlock()
-	return f, nil
-}
-
-// PinNew prepares a newly allocated page for txn: it behaves like PinWrite
-// (so that recycled pages keep a pre-image for snapshot readers and for
-// rollback) and zeroes the content. The frame is returned pinned.
-func (m *Manager) PinNew(id sas.PageID, txn uint64) (*Frame, error) {
-	f, err := m.PinWrite(id, txn)
-	if err != nil {
-		return nil, err
-	}
-	data := f.Data()
-	for i := range data {
-		data[i] = 0
-	}
-	return f, nil
 }
 
 // load returns the frame for id and whether it had to read the page from
@@ -628,22 +702,32 @@ func (s *stripe) load(m *Manager, id sas.PageID) (f *Frame, read bool, err error
 		f.ref.Store(true)
 		return f, false, nil
 	}
-	for len(s.frames) >= s.capacity {
-		if err := s.evictOne(m); err != nil {
-			return nil, false, err
-		}
+	f, err = s.insert(m, id, make([]byte, sas.PageSize))
+	if err != nil {
+		return nil, false, err
 	}
-	f = &Frame{id: id, data: make([]byte, sas.PageSize)}
-	f.clockIdx = len(s.clock)
-	s.clock = append(s.clock, f)
-	s.frames[id] = f
 	if err := m.pf.ReadPage(id, f.data); err != nil {
 		s.drop(m, f)
 		return nil, false, err
 	}
 	m.met.diskReads.Inc()
-	f.ref.Store(true)
 	return f, true, nil
+}
+
+// insert makes data the frame of id, evicting to make room. The caller
+// holds the stripe write lock.
+func (s *stripe) insert(m *Manager, id sas.PageID, data []byte) (*Frame, error) {
+	for len(s.frames) >= s.capacity {
+		if err := s.evictOne(m); err != nil {
+			return nil, err
+		}
+	}
+	f := &Frame{id: id, data: data}
+	f.clockIdx = len(s.clock)
+	s.clock = append(s.clock, f)
+	s.frames[id] = f
+	f.ref.Store(true)
+	return f, nil
 }
 
 // drop removes the frame from the stripe's clock ring, frame map and slot
@@ -693,13 +777,14 @@ func (s *stripe) evictOne(m *Manager) error {
 	return ErrBusy
 }
 
-// flushFrame writes the frame to the data file, observing the WAL rule and
+// flushFrame writes the frame to the data file, observing the WAL rule —
+// the log durable through the page's last logged write, not further — and
 // the persistent-snapshot save-before-overwrite rule. The caller holds the
 // stripe write lock; the WAL, snap-area and pagefile guard themselves, so
 // flushes from different stripes proceed concurrently.
 func (s *stripe) flushFrame(m *Manager, f *Frame) error {
 	if m.walFlush != nil {
-		if err := m.walFlush(); err != nil {
+		if err := m.walFlush(f.lsn); err != nil {
 			return err
 		}
 	}
@@ -797,9 +882,10 @@ func (s *stripe) rollbackPage(m *Manager, id sas.PageID) error {
 		m.met.versionsLive.Dec()
 		s.dirty[id] = true // disk may hold the discarded bytes
 	} else {
-		// No pre-image on the chain. Every first touch pushes one (PinNew
-		// included), so this is a transaction that outlived DropVersions;
-		// there is nothing to restore and no snapshot left to read the page.
+		// No pre-image on the chain: a page InstallPage gave the
+		// transaction unread, whose prior content no snapshot can read, or
+		// a transaction that outlived DropVersions. There is nothing to
+		// restore; the page reads as zeros, as a fresh page does.
 		if f := s.frames[id]; f != nil {
 			for i := range f.data {
 				f.data[i] = 0

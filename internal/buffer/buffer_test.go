@@ -23,6 +23,12 @@ func newTestManager(t *testing.T, capacity int) (*Manager, *pagefile.File, *page
 	return New(pf, snap, capacity), pf, snap
 }
 
+// alloc allocates a page from pf.
+func alloc(pf *pagefile.File) sas.PageID {
+	id, _ := pf.Alloc()
+	return id
+}
+
 // snapByte returns the first byte of the page as a snapshot at ts views it.
 func snapByte(t *testing.T, m *Manager, id sas.PageID, ts uint64) byte {
 	t.Helper()
@@ -39,7 +45,7 @@ func snapByte(t *testing.T, m *Manager, id sas.PageID, ts uint64) byte {
 
 func TestDerefFastPathAfterFault(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	id := pf.Alloc()
+	id := alloc(pf)
 	p := id.Ptr()
 
 	f, err := m.Deref(p)
@@ -107,9 +113,9 @@ func TestDerefNil(t *testing.T) {
 
 func TestEvictionWritesBack(t *testing.T) {
 	m, pf, _ := newTestManager(t, 2)
-	ids := []sas.PageID{pf.Alloc(), pf.Alloc(), pf.Alloc()}
+	ids := []sas.PageID{alloc(pf), alloc(pf), alloc(pf)}
 	for i, id := range ids {
-		f, err := m.PinWrite(id, 1)
+		f, err := m.PinWrite(id, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,15 +144,15 @@ func TestEvictionWritesBack(t *testing.T) {
 
 func TestAllPinnedErrBusy(t *testing.T) {
 	m, pf, _ := newTestManager(t, 2)
-	f1, err := m.Pin(pf.Alloc())
+	f1, err := m.Pin(alloc(pf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := m.Pin(pf.Alloc())
+	f2, err := m.Pin(alloc(pf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Pin(pf.Alloc()); err == nil {
+	if _, err := m.Pin(alloc(pf)); err == nil {
 		t.Fatal("want ErrBusy when all frames pinned")
 	}
 	m.Unpin(f1)
@@ -155,13 +161,13 @@ func TestAllPinnedErrBusy(t *testing.T) {
 
 func TestWriteConflictDetected(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	id := pf.Alloc()
-	f, err := m.PinWrite(id, 1)
+	id := alloc(pf)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Unpin(f)
-	if _, err := m.PinWrite(id, 2); err == nil {
+	if _, err := m.PinWrite(id, 2, 0); err == nil {
 		t.Fatal("second txn writing the same page must conflict")
 	}
 }
@@ -171,10 +177,10 @@ func TestSnapshotReadSeesOldVersion(t *testing.T) {
 	// The snapshot the test reads at is an active one: commit frees what no
 	// active snapshot can read.
 	m.SetActiveSnapshots(func() []uint64 { return []uint64{10} })
-	id := pf.Alloc()
+	id := alloc(pf)
 
 	// Txn 1 commits version A at ts 10.
-	f, err := m.PinWrite(id, 1)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestSnapshotReadSeesOldVersion(t *testing.T) {
 	m.CommitTxn(1, 10)
 
 	// Txn 2 starts modifying; snapshot at ts 10 must still see A.
-	f, err = m.PinWrite(id, 2)
+	f, err = m.PinWrite(id, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +215,8 @@ func TestSnapshotReadSeesOldVersion(t *testing.T) {
 
 func TestSnapshotReadOfNonexistentPageIsZero(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	id := pf.Alloc()
-	f, err := m.PinWrite(id, 1)
+	id := alloc(pf)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +234,9 @@ func TestSnapshotReadOfNonexistentPageIsZero(t *testing.T) {
 
 func TestRollbackRestoresPreImage(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	id := pf.Alloc()
+	id := alloc(pf)
 
-	f, err := m.PinWrite(id, 1)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestRollbackRestoresPreImage(t *testing.T) {
 	m.Unpin(f)
 	m.CommitTxn(1, 10)
 
-	f, err = m.PinWrite(id, 2)
+	f, err = m.PinWrite(id, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,15 +263,15 @@ func TestRollbackRestoresPreImage(t *testing.T) {
 		t.Fatalf("after rollback live = %q, want A", g.Data()[0])
 	}
 	// A new txn can now write the page.
-	if _, err := m.PinWrite(id, 3); err != nil {
+	if _, err := m.PinWrite(id, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRollbackSurvivesEviction(t *testing.T) {
 	m, pf, _ := newTestManager(t, 2)
-	id := pf.Alloc()
-	f, err := m.PinWrite(id, 1)
+	id := alloc(pf)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +279,7 @@ func TestRollbackSurvivesEviction(t *testing.T) {
 	m.Unpin(f)
 	m.CommitTxn(1, 5)
 
-	f, err = m.PinWrite(id, 2)
+	f, err = m.PinWrite(id, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +288,7 @@ func TestRollbackSurvivesEviction(t *testing.T) {
 
 	// Force the uncommitted page to be evicted (flushed to disk).
 	for i := 0; i < 4; i++ {
-		g, err := m.Pin(pf.Alloc())
+		g, err := m.Pin(alloc(pf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,10 +311,10 @@ func TestVersionPurge(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
 	var snaps []uint64
 	m.SetActiveSnapshots(func() []uint64 { return snaps })
-	id := pf.Alloc()
+	id := alloc(pf)
 
 	write := func(txn, ts uint64, b byte) {
-		f, err := m.PinWrite(id, txn)
+		f, err := m.PinWrite(id, txn, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,43 +345,190 @@ func TestVersionPurge(t *testing.T) {
 	}
 }
 
-func TestPinNewZeroesRecycledPage(t *testing.T) {
-	m, pf, _ := newTestManager(t, 8)
-	id := pf.Alloc()
-	f, err := m.PinWrite(id, 1)
+// pageOf returns a whole page image filled with b.
+func pageOf(b byte) []byte {
+	page := make([]byte, sas.PageSize)
+	for i := range page {
+		page[i] = b
+	}
+	return page
+}
+
+// evictAll pushes every unpinned frame out of a pool of the given capacity
+// by pinning that many other pages in turn.
+func evictAll(t *testing.T, m *Manager, pf *pagefile.File, capacity int) {
+	t.Helper()
+	for i := 0; i < 2*capacity; i++ {
+		g, err := m.Pin(alloc(pf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Unpin(g)
+	}
+}
+
+// TestInstallRecycledPageKeepsFreedContent: a page freed while an older
+// snapshot is active and then installed, not resident, by the transaction
+// that recycles it is read once more and keeps its freed content for that
+// snapshot, before and after the commit.
+func TestInstallRecycledPageKeepsFreedContent(t *testing.T) {
+	m, pf, _ := newTestManager(t, 2)
+	var snaps []uint64
+	m.SetActiveSnapshots(func() []uint64 { return snaps })
+	id := alloc(pf)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Data()[0] = 'Z'
 	m.Unpin(f)
 	m.CommitTxn(1, 10)
+	evictAll(t, m, pf, 2)
 	pf.Free(id)
 
-	id2 := pf.Alloc()
-	if id2 != id {
-		t.Fatalf("expected recycled page, got %v", id2)
+	snaps = []uint64{10}
+	id2, fresh := pf.Alloc()
+	if id2 != id || fresh {
+		t.Fatalf("expected the recycled page %v, got %v (fresh %v)", id, id2, fresh)
 	}
-	f, err = m.PinNew(id2, 2)
+	reads := m.Stats().DiskReads
+	if err := m.InstallPage(id, 2, pageOf('N'), 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().DiskReads - reads; got != 1 {
+		t.Fatalf("installing a recycled page under a snapshot read %d pages, want 1", got)
+	}
+	if b := snapByte(t, m, id, 10); b != 'Z' {
+		t.Fatalf("snapshot 10 sees %q before the commit, want Z", b)
+	}
+	m.CommitTxn(2, 20)
+	if b := snapByte(t, m, id, 10); b != 'Z' {
+		t.Fatalf("snapshot 10 sees %q after the commit, want Z", b)
+	}
+	if b := snapByte(t, m, id, 20); b != 'N' {
+		t.Fatalf("snapshot 20 sees %q, want N", b)
+	}
+}
+
+// TestInstallFreshPageReadsNothing: a page the file was extended for is
+// installed with no read and no version, even while a snapshot is active,
+// and that snapshot reads it as the zero page.
+func TestInstallFreshPageReadsNothing(t *testing.T) {
+	m, pf, _ := newTestManager(t, 8)
+	m.SetActiveSnapshots(func() []uint64 { return []uint64{10} })
+	id, fresh := pf.Alloc()
+	if !fresh {
+		t.Fatal("first allocation not fresh")
+	}
+	before := m.Stats()
+	if err := m.InstallPage(id, 2, pageOf('F'), 1, true); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Stats()
+	if after.DiskReads != before.DiskReads || after.VersionsMade != before.VersionsMade {
+		t.Fatalf("fresh install read %d pages and made %d versions, want 0 and 0",
+			after.DiskReads-before.DiskReads, after.VersionsMade-before.VersionsMade)
+	}
+	if b := snapByte(t, m, id, 10); b != 0 {
+		t.Fatalf("snapshot 10 sees %#x on a page created after it, want 0", b)
+	}
+	f, err := m.Pin(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Data()[0] != 0 {
-		t.Fatal("PinNew must zero the page")
+	defer m.Unpin(f)
+	if f.Data()[0] != 'F' || f.Data()[sas.PageSize-1] != 'F' {
+		t.Fatal("the installed page is not the frame's content")
 	}
-	m.Unpin(f)
+}
 
-	// An old snapshot must still see the pre-recycling content.
-	if b := snapByte(t, m, id, 10); b != 'Z' {
-		t.Fatalf("snapshot sees %q, want Z", b)
+// TestInstallPageRollback: rolling back an installed page leaves a fresh
+// page reading zeros and a resident committed page its committed bytes.
+func TestInstallPageRollback(t *testing.T) {
+	m, pf, _ := newTestManager(t, 8)
+	kept := alloc(pf)
+	f, err := m.PinWrite(kept, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data()[0] = 'A'
+	m.Unpin(f)
+	m.CommitTxn(1, 5)
+
+	fresh := alloc(pf)
+	if err := m.InstallPage(fresh, 2, pageOf('B'), 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.InstallPage(kept, 2, pageOf('B'), 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RollbackTxn(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id   sas.PageID
+		want byte
+	}{{fresh, 0}, {kept, 'A'}} {
+		g, err := m.Pin(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Data()[0]; got != c.want {
+			t.Fatalf("page %v after rollback = %#x, want %#x", c.id, got, c.want)
+		}
+		m.Unpin(g)
+	}
+	if n := m.VersionCount(); n != 0 {
+		t.Fatalf("versions after rollback = %d, want 0", n)
+	}
+	// The pages are free for the next writer.
+	if err := m.InstallPage(fresh, 3, pageOf('C'), 3, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInstalledPageStolenAndFaultedBack: an installed, uncommitted page
+// that is evicted is written back after its log record is made durable,
+// and faults back in with the installed bytes.
+func TestInstalledPageStolenAndFaultedBack(t *testing.T) {
+	m, pf, _ := newTestManager(t, 2)
+	var flushed []uint64
+	m.SetWALFlush(func(lsn uint64) error {
+		flushed = append(flushed, lsn)
+		return nil
+	})
+	id := alloc(pf)
+	if err := m.InstallPage(id, 1, pageOf('I'), 77, true); err != nil {
+		t.Fatal(err)
+	}
+	writes := m.Stats().DiskWrites
+	evictAll(t, m, pf, 2)
+	if got := m.Stats().DiskWrites - writes; got != 1 {
+		t.Fatalf("evicting the installed page wrote %d pages, want 1", got)
+	}
+	if len(flushed) != 1 || flushed[0] != 77 {
+		t.Fatalf("WAL flushes before the write-back = %v, want [77]", flushed)
+	}
+	reads := m.Stats().DiskReads
+	f, err := m.Pin(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Unpin(f)
+	if m.Stats().DiskReads != reads+1 {
+		t.Fatal("the stolen page did not fault back in from disk")
+	}
+	if f.Data()[0] != 'I' || f.Data()[sas.PageSize-1] != 'I' {
+		t.Fatalf("faulted-in page starts %q, want the installed bytes", f.Data()[0])
 	}
 }
 
 func TestFlushCommittedSkipsUncommitted(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	idC := pf.Alloc()
-	idU := pf.Alloc()
+	idC := alloc(pf)
+	idU := alloc(pf)
 
-	f, err := m.PinWrite(idC, 1)
+	f, err := m.PinWrite(idC, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +536,7 @@ func TestFlushCommittedSkipsUncommitted(t *testing.T) {
 	m.Unpin(f)
 	m.CommitTxn(1, 1)
 
-	f, err = m.PinWrite(idU, 2)
+	f, err = m.PinWrite(idU, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,10 +563,10 @@ func TestFlushCommittedSkipsUncommitted(t *testing.T) {
 
 func TestSnapSaveBeforeOverwrite(t *testing.T) {
 	m, pf, snap := newTestManager(t, 8)
-	id := pf.Alloc()
+	id := alloc(pf)
 
 	// Establish checkpoint content.
-	f, err := m.PinWrite(id, 1)
+	f, err := m.PinWrite(id, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +588,7 @@ func TestSnapSaveBeforeOverwrite(t *testing.T) {
 
 	// Overwrite after the checkpoint and flush: the snapshot area must have
 	// received the checkpoint-time content first.
-	f, err = m.PinWrite(id, 2)
+	f, err = m.PinWrite(id, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +622,7 @@ func TestSnapSaveBeforeOverwrite(t *testing.T) {
 func TestSwizzleDerefBaseline(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
 	s := NewSwizzleDeref(m)
-	id := pf.Alloc()
+	id := alloc(pf)
 	p := id.Ptr()
 
 	f, err := s.Deref(p)
@@ -490,7 +643,7 @@ func TestSwizzleDerefBaseline(t *testing.T) {
 
 func TestInvalidateAll(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	f, err := m.Pin(pf.Alloc())
+	f, err := m.Pin(alloc(pf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +670,7 @@ func writePages(t *testing.T, pf *pagefile.File, n int) []sas.PageID {
 	ids := make([]sas.PageID, n)
 	buf := make([]byte, sas.PageSize)
 	for i := range ids {
-		ids[i] = pf.Alloc()
+		ids[i] = alloc(pf)
 		for j := range buf {
 			buf[j] = byte(i + 1)
 		}
@@ -580,7 +733,7 @@ func TestViewSnapshotBesideUncommittedWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := m.PinWrite(ids[1], 7)
+	f, err := m.PinWrite(ids[1], 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

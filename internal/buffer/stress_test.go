@@ -12,9 +12,9 @@ import (
 	"sedna/internal/sas"
 )
 
-// hammerPool runs readers, snapshot readers, writers and a janitor over a
-// shared pool and verifies the last committed byte of every written page
-// afterwards. Run under -race it exercises the stripe read-lock deref fast
+// hammerPool runs readers, snapshot readers, writers (alternating PinWrite
+// and InstallPage) and a janitor over a shared pool and verifies the last
+// committed byte of every written page afterwards. Run under -race it exercises the stripe read-lock deref fast
 // path, clock-sweep eviction, pin/unpin atomics, version chains and commit
 // against each other.
 func hammerPool(t *testing.T, capacity, pages, readers, writers, iters int) {
@@ -22,7 +22,7 @@ func hammerPool(t *testing.T, capacity, pages, readers, writers, iters int) {
 	m, pf, _ := newTestManager(t, capacity)
 	ids := make([]sas.PageID, pages)
 	for i := range ids {
-		ids[i] = pf.Alloc()
+		ids[i] = alloc(pf)
 	}
 	// Live (non-snapshot) reads model a reader transaction holding its own
 	// document lock, so they target reader-owned pages: document-granularity
@@ -31,7 +31,7 @@ func hammerPool(t *testing.T, capacity, pages, readers, writers, iters int) {
 	// every page, including the writers'.
 	roIDs := make([]sas.PageID, 4)
 	for i := range roIDs {
-		roIDs[i] = pf.Alloc()
+		roIDs[i] = alloc(pf)
 	}
 	var cts atomic.Uint64
 	m.SetActiveSnapshots(func() []uint64 { return []uint64{cts.Load()} })
@@ -92,7 +92,22 @@ func hammerPool(t *testing.T, capacity, pages, readers, writers, iters int) {
 				txn := uint64(1 + w + writers*(i+1))
 				slot := rng.Intn(len(part))
 				id := part[slot]
-				f, err := m.PinWrite(id, txn)
+				v := byte(1 + (i % 250))
+				// Every other write hands a whole page over. The pages hold
+				// committed content and a snapshot is always active, so a
+				// page that is not resident is read and versioned.
+				var err error
+				if i%2 == 1 {
+					page := make([]byte, sas.PageSize)
+					page[0] = v
+					err = m.InstallPage(id, txn, page, 0, false)
+				} else {
+					var f *Frame
+					if f, err = m.PinWrite(id, txn, 0); err == nil {
+						f.Data()[0] = v
+						m.Unpin(f)
+					}
+				}
 				if err != nil {
 					if errors.Is(err, ErrBusy) {
 						busy.Add(1)
@@ -101,9 +116,6 @@ func hammerPool(t *testing.T, capacity, pages, readers, writers, iters int) {
 					errc <- err
 					return
 				}
-				v := byte(1 + (i % 250))
-				f.Data()[0] = v
-				m.Unpin(f)
 				if i%7 == 3 {
 					if err := m.RollbackTxn(txn); err != nil {
 						errc <- err
@@ -182,7 +194,7 @@ func TestStressStripedPool(t *testing.T) {
 
 func TestDoubleUnpinPanics(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
-	f, err := m.Pin(pf.Alloc())
+	f, err := m.Pin(alloc(pf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +212,7 @@ func TestDoubleUnpinPanics(t *testing.T) {
 // wait instead of surfacing ErrBusy.
 func TestPinWaitRecovers(t *testing.T) {
 	m, pf, _ := newTestManager(t, 2)
-	p1, p2, p3 := pf.Alloc(), pf.Alloc(), pf.Alloc()
+	p1, p2, p3 := alloc(pf), alloc(pf), alloc(pf)
 	f1, err := m.Pin(p1)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +250,7 @@ func TestHeldViewsNeverChange(t *testing.T) {
 	m, pf, _ := newTestManager(t, 8)
 	ids := make([]sas.PageID, pages)
 	for i := range ids {
-		ids[i] = pf.Alloc()
+		ids[i] = alloc(pf)
 	}
 
 	// pub and snapMu play the transaction manager: under pub a commit takes
@@ -302,7 +314,7 @@ func TestHeldViewsNeverChange(t *testing.T) {
 				// Two passes: the first touch re-points the frame, the second
 				// write finds the page already owned.
 				for pass := 0; pass < 2; pass++ {
-					f, err := m.PinWrite(ids[i], txn)
+					f, err := m.PinWrite(ids[i], txn, 0)
 					if err != nil {
 						t.Error(err)
 						return

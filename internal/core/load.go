@@ -7,7 +7,6 @@ import (
 	"io"
 	"unicode/utf8"
 
-	"sedna/internal/sas"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
 	"sedna/internal/xmlscan"
@@ -18,8 +17,7 @@ import (
 // skipped unless the database was opened with KeepWhitespace.
 //
 // The document is freshly created here, so it streams through the bulk
-// loader (direct block construction). CreateDocument followed by LoadInto
-// at the root builds the same document node at a time.
+// loader (direct block construction).
 func (t *Tx) LoadXML(name string, r io.Reader) (*storage.Doc, error) {
 	doc, err := t.CreateDocument(name)
 	if err != nil {
@@ -31,17 +29,9 @@ func (t *Tx) LoadXML(name string, r io.Reader) (*storage.Doc, error) {
 	return doc, nil
 }
 
-// LoadInto streams XML content under an existing node, appending each
-// top-level node after the node's last child: the node-at-a-time sibling
-// of the bulk path, building the same document.
-func (t *Tx) LoadInto(doc *storage.Doc, parent sas.XPtr, r io.Reader) error {
-	_, err := t.loadXML(r, &insertSink{tx: t, doc: doc, stack: []insertFrame{{handle: parent}}})
-	return err
-}
-
 // nodeSink receives the nodes of one XML stream in document order: the bulk
-// builder of a fresh document (bulkSink) or the node inserter under an
-// existing node (insertSink).
+// builder of a fresh document (bulkSink), or in tests the node inserter
+// under an existing node (insertSink, export_test.go).
 type nodeSink interface {
 	// element appends an element under the innermost open one and opens it.
 	element(name string) error
@@ -140,45 +130,6 @@ func (nt *nameTable) get(n xmlscan.Name) string {
 	nt.m[s] = s
 	return s
 }
-
-// insertSink is the node-at-a-time loader: each node is a storage insert
-// after its parent's last child.
-type insertSink struct {
-	tx    *Tx
-	doc   *storage.Doc
-	stack []insertFrame
-}
-
-type insertFrame struct {
-	handle sas.XPtr
-	last   sas.XPtr // last child inserted under this frame
-}
-
-func (s *insertSink) insert(kind schema.NodeKind, name string, text []byte) (sas.XPtr, error) {
-	f := &s.stack[len(s.stack)-1]
-	h, err := storage.InsertNode(s.tx.Tx, s.doc, f.handle, f.last, sas.NilPtr, kind, name, text)
-	if err != nil {
-		return sas.NilPtr, err
-	}
-	f.last = h
-	return h, nil
-}
-
-func (s *insertSink) element(name string) error {
-	h, err := s.insert(schema.KindElement, name, nil)
-	if err != nil {
-		return err
-	}
-	s.stack = append(s.stack, insertFrame{handle: h})
-	return nil
-}
-
-func (s *insertSink) leaf(kind schema.NodeKind, name string, text []byte) error {
-	_, err := s.insert(kind, name, text)
-	return err
-}
-
-func (s *insertSink) end() { s.stack = s.stack[:len(s.stack)-1] }
 
 // NodeAccess abstracts the node reads serialization needs over a node type N
 // — a descriptor here, a slab entry in the executor — so the one serializer

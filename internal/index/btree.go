@@ -105,7 +105,7 @@ func Create(w storage.Writer) (*Tree, error) {
 	}
 	page := make([]byte, sas.PageSize)
 	page[0] = kindLeaf
-	if err := w.WriteAt(id.Ptr(), page); err != nil {
+	if err := w.WritePage(id, page); err != nil {
 		return nil, err
 	}
 	return &Tree{Root: id.Ptr()}, nil
@@ -186,7 +186,7 @@ func (t *Tree) Insert(w storage.Writer, k Key, h sas.XPtr) error {
 	setCount(page, 1)
 	setLeftmost(page, t.Root)
 	setInnerEntry(page, 0, splitKey, splitHandle, newChild)
-	if err := w.WriteAt(id.Ptr(), page); err != nil {
+	if err := w.WritePage(id, page); err != nil {
 		return err
 	}
 	t.Root = id.Ptr()
@@ -246,10 +246,10 @@ func (t *Tree) insertRec(w storage.Writer, p sas.XPtr, k Key, h sas.XPtr) (sas.X
 		if err := w.WriteAt(p, page); err != nil {
 			return sas.NilPtr, Key{}, sas.NilPtr, err
 		}
-		if err := w.WriteAt(rid.Ptr(), right); err != nil {
+		sk, sh := leafKey(right, 0)
+		if err := w.WritePage(rid, right); err != nil {
 			return sas.NilPtr, Key{}, sas.NilPtr, err
 		}
-		sk, sh := leafKey(right, 0)
 		return rid.Ptr(), sk, sh, nil
 	}
 
@@ -308,7 +308,7 @@ func (t *Tree) insertRec(w storage.Writer, p sas.XPtr, k Key, h sas.XPtr) (sas.X
 	if err := w.WriteAt(p, page); err != nil {
 		return sas.NilPtr, Key{}, sas.NilPtr, err
 	}
-	if err := w.WriteAt(rid.Ptr(), right); err != nil {
+	if err := w.WritePage(rid, right); err != nil {
 		return sas.NilPtr, Key{}, sas.NilPtr, err
 	}
 	return rid.Ptr(), sep.k, sep.h, nil

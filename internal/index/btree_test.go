@@ -41,6 +41,18 @@ func (m *memWriter) WriteAt(p sas.XPtr, data []byte) error {
 	copy(m.page(sas.PageIDOf(p))[p.PageOffset():], data)
 	return nil
 }
+
+// WritePage stores a copy of the handed-over page and then poisons the
+// slice, so a caller that keeps using it after the handover fails.
+func (m *memWriter) WritePage(id sas.PageID, page []byte) error {
+	if err := m.WriteAt(id.Ptr(), page); err != nil {
+		return err
+	}
+	for i := range page {
+		page[i] = 0xA5
+	}
+	return nil
+}
 func (m *memWriter) AllocPage() (sas.PageID, error) {
 	id := sas.PageIDFromGlobal(m.next)
 	m.next++

@@ -227,19 +227,20 @@ func (pf *File) Sync() error {
 }
 
 // Alloc returns a page for use, recycling from the free list when possible.
-// The returned page's previous content is unspecified.
-func (pf *File) Alloc() sas.PageID {
+// fresh reports that the file was extended for it: the page never held
+// content. A recycled page's previous content is unspecified.
+func (pf *File) Alloc() (id sas.PageID, fresh bool) {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	if n := len(pf.freeList); n > 0 {
 		id := pf.freeList[n-1]
 		pf.freeList = pf.freeList[:n-1]
-		return id
+		return id, false
 	}
-	id := sas.PageIDFromGlobal(pf.nextAlloc)
+	id = sas.PageIDFromGlobal(pf.nextAlloc)
 	pf.nextAlloc++
 	pf.met.extends.Inc()
-	return id
+	return id, true
 }
 
 // Free returns a page to the allocator. The free list is persisted by the

@@ -55,7 +55,7 @@ func TestReopenKeepsMaster(t *testing.T) {
 
 func TestPageRoundTrip(t *testing.T) {
 	pf := openTemp(t)
-	id := pf.Alloc()
+	id, _ := pf.Alloc()
 	data := make([]byte, sas.PageSize)
 	for i := range data {
 		data[i] = byte(i * 7)
@@ -88,15 +88,21 @@ func TestReadBeyondEOFIsZero(t *testing.T) {
 
 func TestAllocSequentialAndRecycle(t *testing.T) {
 	pf := openTemp(t)
-	a := pf.Alloc()
-	b := pf.Alloc()
+	a, aFresh := pf.Alloc()
+	b, bFresh := pf.Alloc()
 	if a.GlobalIndex()+1 != b.GlobalIndex() {
 		t.Fatalf("allocations not dense: %v then %v", a, b)
 	}
+	if !aFresh || !bFresh {
+		t.Fatalf("pages past the end of the file reported recycled: %v %v", aFresh, bFresh)
+	}
 	pf.Free(a)
-	c := pf.Alloc()
+	c, cFresh := pf.Alloc()
 	if c != a {
 		t.Fatalf("free page not recycled: got %v want %v", c, a)
+	}
+	if cFresh {
+		t.Fatal("a page from the free list reported fresh")
 	}
 }
 
@@ -123,10 +129,10 @@ func TestResetAllocator(t *testing.T) {
 		t.Fatalf("free list = %v", got)
 	}
 	// Alloc consumes the free list first.
-	if id := pf.Alloc(); id != free[0] {
+	if id, _ := pf.Alloc(); id != free[0] {
 		t.Fatalf("Alloc = %v", id)
 	}
-	if id := pf.Alloc(); id.GlobalIndex() != 5 {
+	if id, _ := pf.Alloc(); id.GlobalIndex() != 5 {
 		t.Fatalf("Alloc = %v", id)
 	}
 }
@@ -319,7 +325,7 @@ func TestShortReadAtEOFZeroFills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := pf.Alloc()
+	id, _ := pf.Alloc()
 	data := make([]byte, sas.PageSize)
 	for i := range data {
 		data[i] = 0xAB

@@ -32,10 +32,11 @@ func newNodeBlock(w Writer, doc *Doc, sn *schema.Node, childSlots int, prev sas.
 	return base, linkNodeBlocks(w, doc, sn, prev, []sas.XPtr{base}, [][]byte{page})
 }
 
-// linkNodeBlocks writes the page images of freshly allocated blocks (at
-// bases) and chains them, in order, into sn's block list after prev (nil =
-// at the front). Each image is complete but for its list links, which are
-// set here, so each new block is written — and logged — once.
+// linkNodeBlocks hands the page images of freshly allocated blocks (at
+// bases) to w whole and chains them, in order, into sn's block list after
+// prev (nil = at the front). Each image is complete but for its list links,
+// which are set here, so each new block is written — and logged — once;
+// the images belong to w afterwards.
 func linkNodeBlocks(w Writer, doc *Doc, sn *schema.Node, prev sas.XPtr, bases []sas.XPtr, pages [][]byte) error {
 	next := sn.FirstBlock
 	if !prev.IsNil() {
@@ -55,7 +56,7 @@ func linkNodeBlocks(w Writer, doc *Doc, sn *schema.Node, prev sas.XPtr, bases []
 		}
 		putPtr(page, nbPrev, p)
 		putPtr(page, nbNext, n)
-		if err := w.WriteAt(bases[i], page); err != nil {
+		if err := w.WritePage(sas.PageIDOf(bases[i]), page); err != nil {
 			return err
 		}
 	}

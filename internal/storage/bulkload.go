@@ -25,9 +25,13 @@ import (
 //     existing labels.
 //   - Text goes straight into builder-owned text blocks; indirection
 //     entries are appended into builder-owned indirection blocks.
-//   - A completed block is written through the buffer pool as one
-//     whole-page write — which the transaction layer logs as a single
-//     whole-page WAL image, so recovery replays the load physically.
+//   - A completed block is handed to the transaction as a whole page
+//     (Writer.WritePage): the transaction layer logs it as one whole-page
+//     WAL image, so recovery replays the load physically, and the slice
+//     becomes the buffer pool's frame for the page with no copy, no read
+//     and, for a page nobody else can see, no pre-image. The builder never
+//     touches a flushed page's slice again; a later patch of a flushed
+//     block goes through WriteAt.
 //
 // Widening keeps the §4.1 delayed-widening economics: when an open element
 // gains a child of a previously unseen kind, only that element's descriptor
@@ -636,13 +640,13 @@ func (b *BulkLoader) flushNodeBlock(blk *bulkBlock, next sas.XPtr) error {
 	return b.flushPage(blk.base, blk.page)
 }
 
-// flushPage writes one completed builder page through the transaction (one
-// whole-page WAL image) and releases the private copy.
+// flushPage hands one completed builder page to the transaction (one
+// whole-page WAL image, and the pool's frame for the page) and forgets it.
 func (b *BulkLoader) flushPage(base sas.XPtr, page []byte) error {
-	if err := b.w.WriteAt(base, page); err != nil {
+	delete(b.mem, base)
+	if err := b.w.WritePage(sas.PageIDOf(base), page); err != nil {
 		return err
 	}
-	delete(b.mem, base)
 	b.stats.PagesFlushed++
 	if b.flushHook != nil {
 		if err := b.flushHook(b.stats.PagesFlushed); err != nil {

@@ -146,7 +146,7 @@ func newIndirBlock(w Writer, doc *Doc) (sas.XPtr, error) {
 	page[0] = blockKindIndir
 	putU16(page, ibSlotTop, indirBlockHeaderSize)
 	putPtr(page, ibPrev, doc.IndirLast)
-	if err := w.WriteAt(base, page); err != nil {
+	if err := w.WritePage(id, page); err != nil {
 		return sas.NilPtr, err
 	}
 	oldFirst, oldLast := doc.IndirFirst, doc.IndirLast

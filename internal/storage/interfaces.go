@@ -31,11 +31,11 @@ type Reader interface {
 	ReleasePage(pin any)
 }
 
-// Writer extends Reader with mutation. Every byte written through WriteAt is
-// captured in the write-ahead log by the transaction layer (physical redo
-// records), which is what makes recovery's second step possible; the
-// transaction layer also turns page writes into version-chain pre-images for
-// snapshot isolation.
+// Writer extends Reader with mutation. Every byte written through WriteAt or
+// WritePage is captured in the write-ahead log by the transaction layer
+// (physical redo records), which is what makes recovery's second step
+// possible; the transaction layer also turns page writes into version-chain
+// pre-images for snapshot isolation.
 type Writer interface {
 	Reader
 
@@ -44,6 +44,12 @@ type Writer interface {
 
 	// WriteAt replaces len(data) bytes at p with data, logging the change.
 	WriteAt(p sas.XPtr, data []byte) error
+
+	// WritePage replaces the whole page id with page, a PageSize image of a
+	// page this transaction allocated, logging it. The page is handed over:
+	// the caller never reads or writes the slice again, whether or not the
+	// call succeeds.
+	WritePage(id sas.PageID, page []byte) error
 
 	// AllocPage allocates a page (rolled back if the transaction aborts).
 	AllocPage() (sas.PageID, error)

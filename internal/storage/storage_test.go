@@ -380,6 +380,11 @@ func (c *pageImageCounter) WriteAt(p sas.XPtr, data []byte) error {
 	return c.memWriter.WriteAt(p, data)
 }
 
+func (c *pageImageCounter) WritePage(id sas.PageID, page []byte) error {
+	c.images[id]++
+	return c.memWriter.WritePage(id, page)
+}
+
 // TestSplitLogsNewBlockOnce: an insert into the middle of a full block
 // moves the run after its predecessor into one fresh block, and that block's
 // image is written once, with its list links already set — not as a zeroed

@@ -313,7 +313,7 @@ func newTextBlock(w Writer, doc *Doc) (sas.XPtr, error) {
 	page[0] = blockKindText
 	putU16(page, tbDataStart, sas.PageSize)
 	putPtr(page, tbPrev, doc.TextLast)
-	if err := w.WriteAt(base, page); err != nil {
+	if err := w.WritePage(id, page); err != nil {
 		return sas.NilPtr, err
 	}
 	oldFirst, oldLast := doc.TextFirst, doc.TextLast

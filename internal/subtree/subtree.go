@@ -76,7 +76,7 @@ func (ws *writerStream) newPage() error {
 	}
 	page := make([]byte, sas.PageSize)
 	page[0] = pageKind
-	if err := ws.w.WriteAt(id.Ptr(), page); err != nil {
+	if err := ws.w.WritePage(id, page); err != nil {
 		return err
 	}
 	if !ws.cur.IsNil() {

@@ -15,9 +15,10 @@ import (
 	"sedna/internal/wal"
 )
 
-// newDurableEnv builds a manager whose WAL really fsyncs, so concurrent
-// commits exercise the group-commit leader/follower protocol end to end.
-func newDurableEnv(t *testing.T) (*env, *metrics.Registry) {
+// newDurableEnv builds a manager whose WAL really fsyncs over a pool of the
+// given number of frames, so concurrent commits exercise the group-commit
+// leader/follower protocol end to end.
+func newDurableEnv(t *testing.T, frames int) (*env, *metrics.Registry) {
 	t.Helper()
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
@@ -33,7 +34,7 @@ func newDurableEnv(t *testing.T) (*env, *metrics.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := buffer.NewWithMetrics(pf, snap, 256, reg)
+	buf := buffer.NewWithMetrics(pf, snap, frames, reg)
 	m := NewManagerWithMetrics(buf, log, pf, lock.New(), reg)
 	t.Cleanup(func() { log.Close(); snap.Close(); pf.Close() })
 	return &env{m: m, pf: pf, snap: snap, log: log, buf: buf}, reg
@@ -45,7 +46,7 @@ func newDurableEnv(t *testing.T) (*env, *metrics.Registry) {
 // a read-only transaction sees one frozen, untorn state of a page no matter
 // how often it re-reads it.
 func TestConcurrentCommitsAndSnapshotReaders(t *testing.T) {
-	e, reg := newDurableEnv(t)
+	e, reg := newDurableEnv(t, 256)
 
 	const writers = 2
 	const readers = 2

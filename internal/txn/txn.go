@@ -5,9 +5,10 @@
 //
 // An update transaction satisfies storage.Writer: page writes flow through
 // the buffer manager's copy-on-write versioning and are appended to the WAL
-// as physical redo records; in-memory metadata changes are logged logically
-// and undone via the Defer stack on rollback. A read-only transaction
-// satisfies storage.Reader over its snapshot and never takes locks.
+// as physical redo records (a whole new page is handed to both as it is);
+// in-memory metadata changes are logged logically and undone via the Defer
+// stack on rollback. A read-only transaction satisfies storage.Reader over
+// its snapshot and never takes locks.
 package txn
 
 import (
@@ -112,7 +113,7 @@ func NewManagerWithMetrics(buf *buffer.Manager, log *wal.Log, pf *pagefile.File,
 		commitTS:  pf.Master().CommitTS,
 		met:       bindTxnMetrics(metrics.OrNew(reg)),
 	}
-	buf.SetWALFlush(log.Flush)
+	buf.SetWALFlush(log.FlushThrough)
 	buf.SetActiveSnapshots(m.activeSnapshots)
 	return m
 }
@@ -182,9 +183,11 @@ type Tx struct {
 	// snapTS is the snapshot a read-only transaction reads at.
 	snapTS uint64
 
-	// Updater state.
+	// Updater state. fresh maps each page AllocPage handed out to whether
+	// the file was extended for it.
 	undo   []func()
 	allocs []sas.PageID
+	fresh  map[sas.PageID]bool
 	frees  []sas.PageID
 
 	// touched records documents whose in-memory metadata (schema, block
@@ -359,12 +362,13 @@ func (tx *Tx) WriteAt(p sas.XPtr, data []byte) error {
 	if int(off)+len(data) > sas.PageSize {
 		return fmt.Errorf("txn: write of %d bytes at %v crosses page end", len(data), p)
 	}
-	if _, err := tx.m.log.Append(&wal.Record{
+	lsn, err := tx.m.log.Append(&wal.Record{
 		Type: wal.RecPageWrite, Txn: tx.id, Page: id, Off: off, Data: data,
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	f, err := tx.m.buf.PinWrite(id, tx.id)
+	f, err := tx.m.buf.PinWrite(id, tx.id, lsn)
 	if err != nil {
 		return err
 	}
@@ -374,16 +378,42 @@ func (tx *Tx) WriteAt(p sas.XPtr, data []byte) error {
 	return nil
 }
 
+// WritePage implements storage.Writer: page, a whole page image, is logged
+// as the RecPageWrite WriteAt would log and then becomes the pool's frame
+// for id as it is (buffer.InstallPage), with no copy, no read and, for a
+// page this transaction allocated, no version unless a snapshot may still
+// read what the page held. A page the transaction did not allocate takes
+// the WriteAt path.
+func (tx *Tx) WritePage(id sas.PageID, page []byte) error {
+	fresh, mine := tx.fresh[id]
+	if !mine || tx.done {
+		return tx.WriteAt(id.Ptr(), page)
+	}
+	lsn, err := tx.m.log.Append(&wal.Record{Type: wal.RecPageWrite, Txn: tx.id, Page: id, Data: page})
+	if err != nil {
+		return err
+	}
+	if err := tx.m.buf.InstallPage(id, tx.id, page, lsn, fresh); err != nil {
+		return err
+	}
+	tx.pagesTouched.Add(1)
+	return nil
+}
+
 // AllocPage implements storage.Writer.
 func (tx *Tx) AllocPage() (sas.PageID, error) {
 	if tx.readonly {
 		return sas.PageID{}, ErrReadOnly
 	}
-	id := tx.m.pf.Alloc()
+	id, fresh := tx.m.pf.Alloc()
 	if _, err := tx.m.log.Append(&wal.Record{Type: wal.RecAllocPage, Txn: tx.id, Page: id}); err != nil {
 		return sas.PageID{}, err
 	}
 	tx.allocs = append(tx.allocs, id)
+	if tx.fresh == nil {
+		tx.fresh = make(map[sas.PageID]bool)
+	}
+	tx.fresh[id] = fresh
 	return id, nil
 }
 

@@ -627,3 +627,137 @@ func TestViewPageAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictionFlushesOnlyThePagesRecords: the WAL rule is per page. Evicting
+// a committed dirty page costs no fsync while another transaction has
+// appends that are not durable; stealing that transaction's uncommitted
+// page first makes its record durable.
+func TestEvictionFlushesOnlyThePagesRecords(t *testing.T) {
+	e, reg := newDurableEnv(t, 2)
+	fsyncs := reg.Counter("wal.fsyncs")
+	write := func(tx *Tx, b byte) sas.PageID {
+		t.Helper()
+		id, err := tx.AllocPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.WriteAt(id.Ptr(), []byte{b}); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	// view pins a page through tx; the pin is released by the returned func.
+	view := func(tx *Tx, id sas.PageID) func() {
+		t.Helper()
+		_, pin, err := tx.ViewPage(id.Ptr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() { tx.ReleasePage(pin) }
+	}
+
+	committer := e.m.Begin()
+	committed := write(committer, 'C')
+	if err := committer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	loader := e.m.Begin()
+	defer loader.Rollback()
+	appended := e.log.NextLSN()
+	stolen := write(loader, 'U')
+	if e.log.DurableLSN() > appended {
+		t.Fatal("the uncommitted write is durable before any eviction")
+	}
+
+	// The pool holds the committed and the uncommitted page. Pin the
+	// uncommitted one and fault in a third page: the committed page goes.
+	release := view(loader, stolen)
+	before := fsyncs.Value()
+	third, _ := e.pf.Alloc()
+	release3 := view(loader, third)
+	if got := fsyncs.Value() - before; got != 0 {
+		t.Fatalf("evicting a committed page took %d fsyncs, want 0", got)
+	}
+	disk := make([]byte, sas.PageSize)
+	if err := e.pf.ReadPage(committed, disk); err != nil || disk[0] != 'C' {
+		t.Fatalf("the committed page was not written back: %q, %v", disk[0], err)
+	}
+
+	// Now keep the third page and fault in a fourth: the uncommitted page
+	// is stolen, after its record is made durable.
+	release()
+	fourth, _ := e.pf.Alloc()
+	release4 := view(loader, fourth)
+	if got := fsyncs.Value() - before; got != 1 {
+		t.Fatalf("stealing an uncommitted page took %d fsyncs, want 1", got)
+	}
+	if e.log.DurableLSN() <= appended {
+		t.Fatal("an uncommitted page reached the data file before its log record")
+	}
+	if err := e.pf.ReadPage(stolen, disk); err != nil || disk[0] != 'U' {
+		t.Fatalf("the uncommitted page was not written back: %q, %v", disk[0], err)
+	}
+	release3()
+	release4()
+}
+
+// TestWritePage: a whole page written to a page the transaction allocated
+// is installed with no read and no version; a page it did not allocate
+// takes the WriteAt path, so its rollback restores the committed bytes.
+func TestWritePage(t *testing.T) {
+	e := newEnv(t)
+	page := func(b byte) []byte {
+		p := make([]byte, sas.PageSize)
+		p[0], p[sas.PageSize-1] = b, b
+		return p
+	}
+	first := func(tx *Tx, id sas.PageID) byte {
+		t.Helper()
+		var b byte
+		if err := tx.ReadPage(id.Ptr(), func(p []byte) error { b = p[0]; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	w := e.m.Begin()
+	id, err := w.AllocPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.buf.Stats()
+	if err := w.WritePage(id, page('A')); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.buf.Stats(); st.DiskReads != before.DiskReads || st.VersionsMade != before.VersionsMade {
+		t.Fatalf("installing an allocated page read %d pages and made %d versions",
+			st.DiskReads-before.DiskReads, st.VersionsMade-before.VersionsMade)
+	}
+	if b := first(w, id); b != 'A' {
+		t.Fatalf("the writer reads %q, want A", b)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := e.m.Begin()
+	before = e.buf.Stats()
+	if err := w2.WritePage(id, page('B')); err != nil {
+		t.Fatal(err)
+	}
+	if e.buf.Stats().VersionsMade != before.VersionsMade+1 {
+		t.Fatal("rewriting a committed page the transaction did not allocate kept no pre-image")
+	}
+	if b := first(w2, id); b != 'B' {
+		t.Fatalf("the second writer reads %q, want B", b)
+	}
+	if err := w2.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	ro := e.m.BeginReadOnly()
+	defer ro.Rollback()
+	if b := first(ro, id); b != 'A' {
+		t.Fatalf("after the rollback the page reads %q, want A", b)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -120,7 +121,8 @@ type Options struct {
 // every record appended so far; the others wait on the round and return
 // when their records are durable. A flusher whose records are already
 // durable returns immediately without touching the disk, so the WAL-rule
-// hook on the page-eviction path costs nothing when the log is clean.
+// hook on the page-eviction path (FlushThrough) costs nothing when the
+// victim's last record is durable, whatever was appended since.
 type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled when a sync round completes
@@ -273,11 +275,21 @@ func grow(buf []byte, n int) []byte {
 
 // Append appends the record and returns its LSN. The record is durable only
 // after Flush. A checkpoint record starts a new segment (see roll).
+//
+// A page write's Data is not copied into a payload: the fixed fields are
+// encoded apart, the checksum runs over them and then Data, outside the
+// mutex, and Data goes to the buffered writer as it is. The caller may reuse
+// Data once Append returns.
 func (l *Log) Append(r *Record) (uint64, error) {
-	payload := encodeRecord(r)
+	fields := encodeFields(r)
+	var data []byte
+	if r.Type == RecPageWrite {
+		data = r.Data
+	}
+	n := uint64(len(fields) + len(data))
 	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.ChecksumIEEE(fields), crc32.IEEETable, data))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if r.Type == RecCheckpoint {
@@ -286,25 +298,34 @@ func (l *Log) Append(r *Record) (uint64, error) {
 		}
 	}
 	lsn := l.nextLSN
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+	for _, b := range [][]byte{hdr[:], fields, data} {
+		if _, err := l.w.Write(b); err != nil {
+			return 0, fmt.Errorf("wal: append: %w", err)
+		}
 	}
-	if _, err := l.w.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.nextLSN += 8 + uint64(len(payload))
+	l.nextLSN += 8 + n
 	l.met.appends.Inc()
-	l.met.appendBytes.Add(8 + uint64(len(payload)))
+	l.met.appendBytes.Add(8 + n)
 	return lsn, nil
 }
 
-// Flush makes all appended records durable (the WAL rule hook). Returns
-// immediately when everything appended so far is already durable.
-func (l *Log) Flush() error { return l.FlushSpan(nil) }
+// Flush makes all appended records durable. Returns immediately when
+// everything appended so far is already durable.
+func (l *Log) Flush() error { return l.flushTo(nil, math.MaxUint64) }
+
+// FlushThrough makes the record at lsn and every record before it durable:
+// the WAL rule for one page, whose last logged write is at lsn. It returns
+// at once when that record is durable already, however much was appended
+// after it.
+func (l *Log) FlushThrough(lsn uint64) error { return l.flushTo(nil, lsn+1) }
 
 // FlushSpan is Flush attributing the work to a trace span: the batched sync
 // runs inside a "wal.fsync" child span and time spent waiting on another
 // flusher's round inside "wal.group_wait".
+func (l *Log) FlushSpan(sp *trace.Span) error { return l.flushTo(sp, math.MaxUint64) }
+
+// flushTo makes every record below target durable (target is capped at the
+// end of the log).
 //
 // Group commit: the first flusher to find no round in flight becomes the
 // leader; it flushes the buffered records and runs one fsync of the live
@@ -312,11 +333,11 @@ func (l *Log) Flush() error { return l.FlushSpan(nil) }
 // and enqueueing behind it. Every flusher whose records the round covered is
 // satisfied by that single fsync. (A segment roll waits for the round, so
 // the live segment cannot change under it.)
-func (l *Log) FlushSpan(sp *trace.Span) error {
+func (l *Log) flushTo(sp *trace.Span, target uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.met.flushes.Inc()
-	target := l.nextLSN
+	target = min(target, l.nextLSN)
 	if l.flushed < target {
 		// Counted once per flush request regardless of how many rounds it
 		// waits through, so group_commit_txns / group_commits is the true
@@ -557,8 +578,10 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-func encodeRecord(r *Record) []byte {
-	b := make([]byte, 0, 64+len(r.Data)+len(r.Name)+len(r.Path))
+// encodeFields encodes the payload of r up to, not including, a page
+// write's Data, which is the payload's last field.
+func encodeFields(r *Record) []byte {
+	b := make([]byte, 0, 64+len(r.Name)+len(r.Path))
 	b = append(b, byte(r.Type))
 	b = binary.LittleEndian.AppendUint64(b, r.Txn)
 	switch r.Type {
@@ -569,7 +592,6 @@ func encodeRecord(r *Record) []byte {
 		b = binary.LittleEndian.AppendUint32(b, r.Page.Page)
 		b = binary.LittleEndian.AppendUint32(b, r.Off)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.Data)))
-		b = append(b, r.Data...)
 	case RecAllocPage, RecFreePage:
 		b = binary.LittleEndian.AppendUint32(b, r.Page.Layer)
 		b = binary.LittleEndian.AppendUint32(b, r.Page.Page)

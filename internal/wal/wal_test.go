@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,6 +44,15 @@ func allRecordTypes() []*Record {
 func TestRoundTripAllTypes(t *testing.T) {
 	l := openTemp(t)
 	recs := allRecordTypes()
+	// A whole-page write, appended before the checkpoint that closes the
+	// first segment, is checked byte for byte below.
+	page := make([]byte, sas.PageSize)
+	for i := range page {
+		page[i] = byte(i*31 + 7)
+	}
+	pageRec := &Record{Type: RecPageWrite, Txn: 3, Page: sas.PageID{Layer: 1, Page: 12}, Data: page}
+	last := len(recs) - 1
+	recs = append(recs[:last:last], pageRec, recs[last])
 	var lsns []uint64
 	for _, r := range recs {
 		lsn, err := l.Append(r)
@@ -72,6 +84,27 @@ func TestRoundTripAllTypes(t *testing.T) {
 		if gotLSNs[i] != lsns[i] {
 			t.Fatalf("record %d LSN %d, want %d", i, gotLSNs[i], lsns[i])
 		}
+	}
+
+	// The page write's frame as the format defines it: length and CRC of a
+	// payload of type, txn, page, offset, data length and data.
+	payload := []byte{byte(RecPageWrite)}
+	payload = binary.LittleEndian.AppendUint64(payload, pageRec.Txn)
+	payload = binary.LittleEndian.AppendUint32(payload, pageRec.Page.Layer)
+	payload = binary.LittleEndian.AppendUint32(payload, pageRec.Page.Page)
+	payload = binary.LittleEndian.AppendUint32(payload, 0)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(page)))
+	payload = append(payload, page...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	seg, err := os.ReadFile(segmentPath(l.path, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := lsns[last]
+	if uint64(len(seg)) < at+uint64(len(frame)) || !bytes.Equal(seg[at:at+uint64(len(frame))], frame) {
+		t.Fatal("the 16 KiB page write on disk differs from the frame built by hand")
 	}
 }
 

@@ -18,7 +18,7 @@ echo "== surface (each count may only go down) =="
 # Options fields, sednad flags, wire verbs (client to server) and ...ForTesting
 # functions in program code. Lower a maximum when a change removes one.
 surface() {
-    printf '%-24s %3d (max %d)\n' "$1" "$2" "$3"
+    printf '%-36s %3d (max %d)\n' "$1" "$2" "$3"
     if [ "$2" -gt "$3" ]; then
         echo "$1: $2, above the recorded $3" >&2
         exit 1
@@ -28,6 +28,9 @@ surface "Options fields" "$(awk '/^type Options struct/ {s = 1; next} s && /^}/ 
 surface "sednad flags" "$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/sednad/main.go)" 9
 surface "wire verbs" "$(awk '/^\tMsg[A-Za-z]+ *= *[0-9]+/ {split($0, a, "="); if (a[2] + 0 < 64) n++} END {print n + 0}' internal/wire/wire.go)" 13
 surface "ForTesting functions" "$(grep -rhE '^func (\([^)]*\) )?[A-Za-z]+ForTesting\(' --include='*.go' --exclude='*_test.go' . | wc -l)" 1
+# Page-sized allocations in the buffer pool's program code: the zero page, a
+# fault's frame, a writer's copy and the snapshot-area save.
+surface "page allocations in internal/buffer" "$(grep -hF 'make([]byte, sas.PageSize)' --exclude='*_test.go' internal/buffer/*.go | wc -l)" 4
 
 echo "== go vet =="
 go vet ./...
@@ -47,9 +50,12 @@ go build ./...
 #     TestValuePredicateScalesLinearly (page views and allocations per context
 #     node, answers equal encoding/xml's);
 #   internal/core: TestSnapshotStatementsIgnoreHeldLock (lock.waits = 0 under
-#     a held exclusive lock), TestVersionsDieAtCommit (buffer.versions_live)
-#     and TestBulkLoadWritesLess (WAL bytes and pages against node-at-a-time
-#     loading);
+#     a held exclusive lock), TestVersionsDieAtCommit (buffer.versions_live),
+#     TestBulkLoadWritesLess (WAL bytes and pages against node-at-a-time
+#     loading) and TestBulkLoadAllocations (bytes allocated per flushed page
+#     and pagefile.reads of one bulk load);
+#   internal/txn: TestEvictionFlushesOnlyThePagesRecords (wal.fsyncs of an
+#     eviction: none for a committed page, one for a stolen one);
 #   internal/storage: TestListPositionProperty (the search's cut of page
 #     views per insert);
 #   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge).
