@@ -4,15 +4,11 @@
 package client
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
-	"sedna/internal/repl"
 	"sedna/internal/server"
-	"sedna/internal/trace"
 	"sedna/internal/wire"
 )
 
@@ -70,70 +66,6 @@ func (c *Conn) Execute(q string) (*Result, error) {
 	return &Result{Data: string(resp.Data), Updated: resp.Updated, Message: resp.Message}, nil
 }
 
-// Metrics fetches the server's metrics registry as a plain-text snapshot.
-func (c *Conn) Metrics() (string, error) {
-	resp, err := c.roundTrip(server.MsgMetrics, server.Request{})
-	if err != nil {
-		return "", err
-	}
-	return string(resp.Data), nil
-}
-
-// SlowLog fetches the server's retained slow-query traces, newest first
-// (n > 0 bounds the count, 0 = all).
-func (c *Conn) SlowLog(n int) ([]*trace.Trace, error) {
-	resp, err := c.roundTrip(server.MsgSlowLog, server.Request{N: n})
-	if err != nil {
-		return nil, err
-	}
-	var traces []*trace.Trace
-	if err := json.Unmarshal(resp.Data, &traces); err != nil {
-		return nil, fmt.Errorf("client: slowlog: %w", err)
-	}
-	return traces, nil
-}
-
-// SetSlowThreshold retunes the server's slow-query threshold at runtime
-// (0 disables the slow log).
-func (c *Conn) SetSlowThreshold(d time.Duration) error {
-	_, err := c.roundTrip(server.MsgSlowLog, server.Request{
-		SetThreshold: true,
-		ThresholdNs:  d.Nanoseconds(),
-	})
-	return err
-}
-
-// ReplStatus fetches the server's replication topology: its role, every
-// connected downstream replica with its lag in log bytes, and — on a
-// replica — the state of its own stream from the primary.
-func (c *Conn) ReplStatus() (*repl.Topology, error) {
-	resp, err := c.roundTrip(server.MsgReplStatus, server.Request{})
-	if err != nil {
-		return nil, err
-	}
-	var t repl.Topology
-	if err := json.Unmarshal(resp.Data, &t); err != nil {
-		return nil, fmt.Errorf("client: replstatus: %w", err)
-	}
-	return &t, nil
-}
-
-// Sessions fetches the server's live session registry: every connected
-// session with its cumulative resource accounting and, when one is
-// executing, its in-flight statement (query text, elapsed time, live span
-// tree).
-func (c *Conn) Sessions() ([]server.SessionInfo, error) {
-	resp, err := c.roundTrip(server.MsgSessions, server.Request{})
-	if err != nil {
-		return nil, err
-	}
-	var infos []server.SessionInfo
-	if err := json.Unmarshal(resp.Data, &infos); err != nil {
-		return nil, fmt.Errorf("client: sessions: %w", err)
-	}
-	return infos, nil
-}
-
 // Kill cancels whatever statement the target session is executing right
 // now. The statement fails over there with a "killed" error and its
 // transaction is cleanly aborted; the target session stays connected.
@@ -143,8 +75,8 @@ func (c *Conn) Kill(sessionID uint64) error {
 }
 
 // KillStatement cancels one specific statement (by the per-session ordinal
-// SESSIONS reports); if that statement already finished, the kill fails
-// instead of hitting its successor.
+// doc("$sessions") reports); if that statement already finished, the kill
+// fails instead of hitting its successor.
 func (c *Conn) KillStatement(sessionID, ordinal uint64) error {
 	_, err := c.roundTrip(server.MsgKill, server.Request{KillSession: sessionID, KillStatement: ordinal})
 	return err

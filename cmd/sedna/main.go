@@ -10,15 +10,19 @@
 //	\commit       commit it
 //	\rollback     abort it
 //	\load FILE NAME   bulk-load an XML file as document NAME
-//	\metrics      print the server's metrics snapshot
-//	\slowlog [N]  print the last N retained slow-query traces (default all)
-//	\slowthreshold DUR   set the slow-query threshold (e.g. 50ms; 0 = off)
-//	\replicas     show the replication topology (role, replicas, lag)
+//	\metrics      print doc("$metrics"): every metric and the recent queries
+//	\slowlog      print doc("$slowlog"): the retained slow-query traces
+//	\sessions     print doc("$sessions"): live sessions with accounting and
+//	              in-flight statements
+//	\replicas     print doc("$replication"): role, replicas and their lag
 //	\promote      promote a replica server to a writable primary
-//	\sessions     list live sessions with accounting and in-flight statements
 //	\kill SESSION [STMT]   cancel a session's running statement (optionally
 //	              fenced to per-session statement ordinal STMT)
 //	\q            quit
+//
+// The four printing commands are shorthands for queries: a statement can
+// filter the same system documents, e.g.
+// doc("$sessions")//session[statement]/@id;
 //
 // EXPLAIN <stmt>, PROFILE <stmt> and ANALYZE doc("name") are regular
 // statements — end them with ';' like any query. ANALYZE collects the value
@@ -33,10 +37,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"sedna/client"
-	"sedna/internal/server"
 )
 
 func main() {
@@ -100,8 +102,20 @@ func run(c *client.Conn, src string) {
 	}
 }
 
+// aliases are the shell commands that print a system document.
+var aliases = map[string]string{
+	`\metrics`:  `doc("$metrics")`,
+	`\slowlog`:  `doc("$slowlog")`,
+	`\sessions`: `doc("$sessions")`,
+	`\replicas`: `doc("$replication")`,
+}
+
 func command(c *client.Conn, cmd string) bool {
 	fields := strings.Fields(cmd)
+	if q, ok := aliases[fields[0]]; ok {
+		run(c, q)
+		return true
+	}
 	switch fields[0] {
 	case `\q`, `\quit`:
 		return false
@@ -124,86 +138,12 @@ func command(c *client.Conn, cmd string) bool {
 		} else {
 			fmt.Println("rolled back")
 		}
-	case `\metrics`:
-		text, err := c.Metrics()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		} else {
-			fmt.Print(text)
-		}
-	case `\slowlog`:
-		n := 0
-		if len(fields) > 1 {
-			v, err := strconv.Atoi(fields[1])
-			if err != nil || v < 0 {
-				fmt.Fprintln(os.Stderr, `usage: \slowlog [N]`)
-				return true
-			}
-			n = v
-		}
-		traces, err := c.SlowLog(n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return true
-		}
-		if len(traces) == 0 {
-			fmt.Println("slow-query log is empty")
-			return true
-		}
-		for _, tr := range traces {
-			fmt.Print(tr.Text())
-		}
-	case `\slowthreshold`:
-		if len(fields) != 2 {
-			fmt.Fprintln(os.Stderr, `usage: \slowthreshold DUR (e.g. 50ms; 0 = off)`)
-			return true
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return true
-		}
-		if err := c.SetSlowThreshold(d); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		} else {
-			fmt.Printf("slow-query threshold set to %s\n", d)
-		}
-	case `\replicas`:
-		t, err := c.ReplStatus()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return true
-		}
-		fmt.Printf("role: %s\n", t.Role)
-		if t.Self != nil {
-			fmt.Printf("upstream %s  state=%s  lag=%d LSNs  applied=%d\n",
-				t.Self.Primary, t.Self.State, t.Self.LagLSNs, t.Self.CommitLSN)
-			if t.Self.LastError != "" {
-				fmt.Printf("last error: %s\n", t.Self.LastError)
-			}
-		}
-		if len(t.Replicas) == 0 {
-			fmt.Println("no replicas connected")
-		}
-		for _, r := range t.Replicas {
-			fmt.Printf("replica %s  state=%s  lag=%d LSNs  acked=%d  connected=%ds\n",
-				r.Addr, r.State, r.LagLSNs, r.AckedLSN, r.Seconds)
-		}
 	case `\promote`:
 		msg, err := c.Promote()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		} else {
 			fmt.Println(msg)
-		}
-	case `\sessions`:
-		infos, err := c.Sessions()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			return true
-		}
-		for _, in := range infos {
-			printSession(in)
 		}
 	case `\kill`:
 		if len(fields) < 2 || len(fields) > 3 {
@@ -237,31 +177,6 @@ func command(c *client.Conn, cmd string) bool {
 		fmt.Fprintf(os.Stderr, "unknown command %s\n", fields[0])
 	}
 	return true
-}
-
-// printSession renders one session's introspection view: a summary line, a
-// stats line, and — when a statement is executing — what it is and for how
-// long.
-func printSession(in server.SessionInfo) {
-	state := "idle"
-	if in.Statement != nil {
-		state = "running"
-	}
-	fmt.Printf("session %d  client=%s  connected=%s  tx_open=%v  %s\n",
-		in.ID, in.Client,
-		time.Since(time.Unix(0, in.ConnectedUnixNs)).Round(time.Second), in.TxOpen, state)
-	st := in.Stats
-	fmt.Printf("  stmts=%d errors=%d nodes=%d faults=%d reads=%d writes=%d wal_bytes=%d lock_wait=%s exec=%s\n",
-		st.Statements, st.Errors, st.Nodes, st.BufferFaults, st.PagesRead, st.PagesWritten,
-		st.WALBytes, time.Duration(st.LockWaitNs), time.Duration(st.ExecNs))
-	if in.Statement != nil {
-		q := in.Statement.Query
-		if len(q) > 120 {
-			q = q[:117] + "..."
-		}
-		fmt.Printf("  statement %d  elapsed=%s  %s\n",
-			in.Statement.Ordinal, time.Duration(in.Statement.ElapsedNs).Round(time.Millisecond), q)
-	}
 }
 
 // loadFile bulk-loads by creating the document and streaming its content as

@@ -26,7 +26,7 @@ func main() {
 	bufPages := flag.Int("buffer-pages", 2048, "buffer pool size in 16KiB pages")
 	noSync := flag.Bool("nosync", false, "disable fsync (unsafe; benchmarks only)")
 	traceOn := flag.Bool("trace", false, "record a span trace for every statement")
-	slowThreshold := flag.Duration("slow-query-threshold", 0, "log statements at or above this duration to the slow-query log (0 = off; runtime-settable via SLOWLOG)")
+	slowThreshold := flag.Duration("slow-query-threshold", 0, "log statements at or above this duration to the slow-query log (0 = off)")
 	slowLog := flag.String("slow-log", "", "slow-query log path (default <dir>/slowlog.jsonl)")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of the primary sednad at this host:port (an empty directory seeds itself over the wire; PROMOTE makes the node writable)")
 	flag.Parse()

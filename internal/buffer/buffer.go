@@ -882,16 +882,15 @@ func (s *stripe) rollbackPage(m *Manager, id sas.PageID) error {
 		m.met.versionsLive.Dec()
 		s.dirty[id] = true // disk may hold the discarded bytes
 	} else {
-		// No pre-image on the chain: a page InstallPage gave the
-		// transaction unread, whose prior content no snapshot can read, or
-		// a transaction that outlived DropVersions. There is nothing to
-		// restore; the page reads as zeros, as a fresh page does.
+		// No pre-image on the chain: a page the transaction allocated and
+		// InstallPage gave it unread (DropVersions runs only while no
+		// transaction is open). The rolled-back allocation frees the page,
+		// so its content matters to no one: the frame and its dirty mark
+		// go, and nothing is written back.
 		if f := s.frames[id]; f != nil {
-			for i := range f.data {
-				f.data[i] = 0
-			}
+			s.drop(m, f)
 		}
-		s.dirty[id] = true
+		delete(s.dirty, id)
 	}
 	delete(s.dirtyBy, id)
 	return nil

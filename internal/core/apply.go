@@ -3,11 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
-	"sedna/internal/schema"
-	"sedna/internal/storage"
 	"sedna/internal/wal"
 )
 
@@ -122,7 +119,7 @@ func (db *Database) ApplyReplicated(recs []*wal.Record, restart, commit uint64) 
 
 // applyRecord re-executes one primary log record under the apply
 // transaction. The physical cases write through the transaction (re-logged,
-// versioned); the logical cases mirror recovery's redo against the live
+// versioned); the metadata cases are recovery's redo against the live
 // catalog, additionally re-logging the record so the replica's own recovery
 // rebuilds the same metadata.
 func applyRecord(t *Tx, r *wal.Record) error {
@@ -134,98 +131,6 @@ func applyRecord(t *Tx, r *wal.Record) error {
 		return t.AllocPageAt(r.Page)
 	case wal.RecFreePage:
 		return t.FreePage(r.Page)
-	case wal.RecCreateDoc:
-		if _, exists := db.catalog.Doc(r.Name); exists {
-			return fmt.Errorf("document %q already exists", r.Name)
-		}
-		if err := t.LogRecord(&wal.Record{Type: wal.RecCreateDoc, DocID: r.DocID, Name: r.Name}); err != nil {
-			return err
-		}
-		doc := &storage.Doc{ID: r.DocID, Name: r.Name, Schema: schema.New()}
-		db.catalog.Put(doc)
-		t.TouchDoc(doc)
-	case wal.RecDropDoc:
-		if err := t.LogRecord(&wal.Record{Type: wal.RecDropDoc, DocID: r.DocID, Name: r.Name}); err != nil {
-			return err
-		}
-		db.catalog.Delete(r.Name)
-		t.pendingDrops = append(t.pendingDrops, r.Name)
-	case wal.RecAddSchemaNode:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("schema node for unknown doc %d", r.DocID)
-		}
-		parent := doc.Schema.ByID(r.ParentID)
-		if parent == nil {
-			return fmt.Errorf("schema node %d: unknown parent %d", r.NodeID, r.ParentID)
-		}
-		if _, err := doc.Schema.AddWithID(parent, r.NodeID, schema.NodeKind(r.Kind), r.Name); err != nil {
-			return err
-		}
-		if err := t.LogRecord(&wal.Record{
-			Type: wal.RecAddSchemaNode, DocID: r.DocID,
-			ParentID: r.ParentID, NodeID: r.NodeID, Kind: r.Kind, Name: r.Name,
-		}); err != nil {
-			return err
-		}
-		t.TouchDoc(doc)
-	case wal.RecSchemaBlocks:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("schema blocks for unknown doc %d", r.DocID)
-		}
-		sn := doc.Schema.ByID(r.NodeID)
-		if sn == nil {
-			return fmt.Errorf("schema blocks: unknown node %d", r.NodeID)
-		}
-		sn.FirstBlock, sn.LastBlock = r.Ptrs[0], r.Ptrs[1]
-		if err := t.LogRecord(&wal.Record{Type: wal.RecSchemaBlocks, DocID: r.DocID, NodeID: r.NodeID, Ptrs: r.Ptrs}); err != nil {
-			return err
-		}
-		t.TouchDoc(doc)
-	case wal.RecDocMeta:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("doc meta for unknown doc %d", r.DocID)
-		}
-		doc.RootHandle = r.Ptrs[0]
-		doc.IndirFirst, doc.IndirLast = r.Ptrs[1], r.Ptrs[2]
-		doc.TextFirst, doc.TextLast = r.Ptrs[3], r.Ptrs[4]
-		if err := t.LogRecord(&wal.Record{Type: wal.RecDocMeta, DocID: r.DocID, Ptrs: r.Ptrs}); err != nil {
-			return err
-		}
-		t.TouchDoc(doc)
-	case wal.RecCreateIndex:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("index for unknown doc %d", r.DocID)
-		}
-		if err := t.LogRecord(&wal.Record{Type: wal.RecCreateIndex, DocID: r.DocID, Name: r.Name, Path: r.Path}); err != nil {
-			return err
-		}
-		parts := strings.SplitN(r.Path, "\x1f", 3)
-		ix := &IndexMeta{Name: r.Name, DocName: doc.Name}
-		if len(parts) == 3 {
-			ix.OnPath, ix.ByPath, ix.KeyType = parts[0], parts[1], parts[2]
-		}
-		db.catalog.PutIndex(ix)
-		t.TouchDoc(doc)
-	case wal.RecDropIndex:
-		if err := t.LogRecord(&wal.Record{Type: wal.RecDropIndex, Name: r.Name}); err != nil {
-			return err
-		}
-		if ix, ok := db.catalog.Index(r.Name); ok {
-			db.catalog.DeleteIndex(r.Name)
-			t.touchIndexDoc(ix)
-		}
-	case wal.RecIndexMeta:
-		if err := t.LogRecord(&wal.Record{Type: wal.RecIndexMeta, Name: r.Name, Ptrs: r.Ptrs}); err != nil {
-			return err
-		}
-		if ix, ok := db.catalog.Index(r.Name); ok {
-			ix.Root = r.Ptrs[0]
-			t.touchIndexDoc(ix)
-		}
 	case wal.RecBulkLoad:
 		// The load's data arrived as whole-page images (re-applied above as
 		// ordinary page writes); re-log the marker so cascaded consumers of
@@ -240,17 +145,34 @@ func applyRecord(t *Tx, r *wal.Record) error {
 		// Transaction framing is handled by the caller; checkpoints and
 		// progress records are node-local and never applied across nodes.
 	default:
-		return fmt.Errorf("unknown record type %d", r.Type)
+		// A metadata record changes the catalog as recovery's redo does and
+		// is logged again under this transaction, so the replica's own
+		// recovery rebuilds the same metadata; the commit publishes the
+		// document it touched to snapshot readers.
+		if r.Type == wal.RecCreateDoc {
+			if _, exists := db.catalog.Doc(r.Name); exists {
+				return fmt.Errorf("document %q already exists", r.Name)
+			}
+		}
+		doc, ok, err := db.catalog.redo(r)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("unknown record type %d", r.Type)
+		}
+		relog := *r
+		if err := t.LogRecord(&relog); err != nil {
+			return err
+		}
+		if r.Type == wal.RecDropDoc {
+			t.pendingDrops = append(t.pendingDrops, r.Name)
+		}
+		if doc != nil {
+			t.TouchDoc(doc)
+		}
 	}
 	return nil
-}
-
-// touchIndexDoc marks the document an index belongs to as changed, so the
-// commit publishes the index's new root (or its absence) to snapshot readers.
-func (t *Tx) touchIndexDoc(ix *IndexMeta) {
-	if doc, ok := t.db.catalog.Doc(ix.DocName); ok {
-		t.TouchDoc(doc)
-	}
 }
 
 // Promote flips a replica into a writable primary: per-schema-node counters

@@ -261,6 +261,43 @@ func TestBulkLoadAllocations(t *testing.T) {
 	}
 }
 
+// rollbackCheckpointWrites bounds the pages the checkpoint after a
+// rolled-back load writes: the load's pages go back to the free list and
+// are not written. Writing them back as zeros measures 328.
+const rollbackCheckpointWrites = 8
+
+// TestRolledBackLoadIsNotWrittenBack loads a 1000-person auction, rolls it
+// back and bounds the page writes of the next checkpoint; the freed pages
+// then take a fresh load.
+func TestRolledBackLoadIsNotWrittenBack(t *testing.T) {
+	content := xmlgen.AuctionString(1000, 1000, 5, 3)
+	db := openBulkDB(t, core.Options{BufferPages: 2048})
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.LoadXML("auction", strings.NewReader(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	met := db.Metrics()
+	writes := met.Counter("pagefile.writes")
+	writes0 := writes.Value()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	wrote := writes.Value() - writes0
+	t.Logf("load flushed %d pages; the checkpoint after its rollback wrote %d (bound %d)",
+		met.Counter("load.pages_flushed").Value(), wrote, rollbackCheckpointWrites)
+	if wrote > rollbackCheckpointWrites {
+		t.Errorf("the checkpoint wrote %d pages, bound %d", wrote, rollbackCheckpointWrites)
+	}
+	loadDoc(t, db, "auction", content)
+	verifyDocT(t, db, "auction")
+}
+
 // TestBulkLoadThenUpdate checks that the pre-spaced bulk NIDs leave room for
 // ordinary node-at-a-time insertions afterwards, and that document order
 // stays strict across the mix.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -390,8 +391,27 @@ func (t *Tx) LockDocument(name string, mode lock.Mode) error {
 	return t.Lock("doc:"+name, mode)
 }
 
+// IsSystemName reports whether name is reserved for a read-only system
+// document, such as "$metrics": a name that begins with '$'. A server builds
+// such a document from engine state when a statement names it; it is never
+// stored, so it cannot be created, loaded into, updated or indexed.
+func IsSystemName(name string) bool { return strings.HasPrefix(name, "$") }
+
+// refuseSystemName is the one check behind that rule: every path that
+// creates or resolves a stored document comes through CreateDocument or
+// Document.
+func refuseSystemName(name string) error {
+	if IsSystemName(name) {
+		return fmt.Errorf("core: %q is a read-only system document", name)
+	}
+	return nil
+}
+
 // CreateDocument creates an empty document under the transaction.
 func (t *Tx) CreateDocument(name string) (*storage.Doc, error) {
+	if err := refuseSystemName(name); err != nil {
+		return nil, err
+	}
 	if t.ReadOnly() {
 		return nil, txn.ErrReadOnly
 	}
@@ -467,6 +487,9 @@ const scanRingPages = 256
 // committed metadata version matching their snapshot, so concurrent
 // uncommitted schema changes stay invisible (§6.1, §6.3).
 func (t *Tx) Document(name string) (*storage.Doc, error) {
+	if err := refuseSystemName(name); err != nil {
+		return nil, err
+	}
 	if t.ReadOnly() {
 		v, ok := t.db.docVers.at(name, t.SnapshotTS())
 		if !ok {

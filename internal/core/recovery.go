@@ -185,64 +185,88 @@ func (rs *redoState) apply(r *wal.Record) error {
 		db.pf.RedoAlloc(r.Page)
 	case wal.RecFreePage:
 		db.pf.Free(r.Page)
+	default:
+		// Metadata records rebuild the catalog. A bulk-load marker's pages
+		// were replayed as page writes above, and per-document counters are
+		// recomputed from block headers afterwards; begin, commit and abort
+		// carry nothing to redo.
+		if _, _, err := db.catalog.redo(r); err != nil {
+			return fmt.Errorf("core: redo: %w", err)
+		}
+	}
+	return nil
+}
+
+// redo applies one metadata record — RecCreateDoc through RecIndexMeta — to
+// the catalog, as recovery's redo and a replica's apply both do, and returns
+// the document whose metadata it changed (nil for a drop, or for an index
+// record whose index is gone). ok=false: r is not a metadata record.
+func (c *Catalog) redo(r *wal.Record) (doc *storage.Doc, ok bool, err error) {
+	byID := func(what string) (*storage.Doc, error) {
+		doc, found := c.DocByID(r.DocID)
+		if !found {
+			return nil, fmt.Errorf("%s for unknown doc %d", what, r.DocID)
+		}
+		return doc, nil
+	}
+	switch r.Type {
 	case wal.RecCreateDoc:
-		doc := &storage.Doc{ID: r.DocID, Name: r.Name, Schema: schema.New()}
-		db.catalog.Put(doc)
+		doc = &storage.Doc{ID: r.DocID, Name: r.Name, Schema: schema.New()}
+		c.Put(doc)
 	case wal.RecDropDoc:
-		db.catalog.Delete(r.Name)
+		c.Delete(r.Name)
 	case wal.RecAddSchemaNode:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("core: redo schema node for unknown doc %d", r.DocID)
+		if doc, err = byID("schema node"); err != nil {
+			return nil, true, err
 		}
 		parent := doc.Schema.ByID(r.ParentID)
 		if parent == nil {
-			return fmt.Errorf("core: redo schema node %d: unknown parent %d", r.NodeID, r.ParentID)
+			return nil, true, fmt.Errorf("schema node %d: unknown parent %d", r.NodeID, r.ParentID)
 		}
 		if _, err := doc.Schema.AddWithID(parent, r.NodeID, schema.NodeKind(r.Kind), r.Name); err != nil {
-			return err
+			return nil, true, err
 		}
 	case wal.RecSchemaBlocks:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("core: redo schema blocks for unknown doc %d", r.DocID)
+		if doc, err = byID("schema blocks"); err != nil {
+			return nil, true, err
 		}
 		sn := doc.Schema.ByID(r.NodeID)
 		if sn == nil {
-			return fmt.Errorf("core: redo schema blocks: unknown node %d", r.NodeID)
+			return nil, true, fmt.Errorf("schema blocks: unknown node %d", r.NodeID)
 		}
 		sn.FirstBlock, sn.LastBlock = r.Ptrs[0], r.Ptrs[1]
 	case wal.RecDocMeta:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("core: redo doc meta for unknown doc %d", r.DocID)
+		if doc, err = byID("doc meta"); err != nil {
+			return nil, true, err
 		}
 		doc.RootHandle = r.Ptrs[0]
 		doc.IndirFirst, doc.IndirLast = r.Ptrs[1], r.Ptrs[2]
 		doc.TextFirst, doc.TextLast = r.Ptrs[3], r.Ptrs[4]
 	case wal.RecCreateIndex:
-		doc, ok := db.catalog.DocByID(r.DocID)
-		if !ok {
-			return fmt.Errorf("core: redo index for unknown doc %d", r.DocID)
+		if doc, err = byID("index"); err != nil {
+			return nil, true, err
 		}
 		parts := strings.SplitN(r.Path, "\x1f", 3)
 		ix := &IndexMeta{Name: r.Name, DocName: doc.Name}
 		if len(parts) == 3 {
 			ix.OnPath, ix.ByPath, ix.KeyType = parts[0], parts[1], parts[2]
 		}
-		db.catalog.PutIndex(ix)
-	case wal.RecDropIndex:
-		db.catalog.DeleteIndex(r.Name)
-	case wal.RecIndexMeta:
-		if ix, ok := db.catalog.Index(r.Name); ok {
+		c.PutIndex(ix)
+	case wal.RecDropIndex, wal.RecIndexMeta:
+		ix, found := c.Index(r.Name)
+		if !found {
+			return nil, true, nil
+		}
+		if r.Type == wal.RecDropIndex {
+			c.DeleteIndex(r.Name)
+		} else {
 			ix.Root = r.Ptrs[0]
 		}
-	case wal.RecBulkLoad:
-		// The load's whole-page images were already replayed physically;
-		// per-document counters are recomputed from block headers afterwards.
-	case wal.RecBegin, wal.RecCommit, wal.RecAbort:
+		doc, _ = c.Doc(ix.DocName)
+	default:
+		return nil, false, nil
 	}
-	return nil
+	return doc, true, nil
 }
 
 func (rs *redoState) flush() error {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -461,7 +460,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		lines = append(lines, fmt.Sprintf("%s%s 1", name, formatLabels(labels)))
 	}
 	// The derived ratio, computed at render time so every consumer of the text
-	// form (METRICS verb, /metrics endpoint) sees them without bookkeeping.
+	// form (the /metrics endpoint, sedna-check) sees them without bookkeeping.
 	if hits, ok := s.Counters["buffer.hits"]; ok {
 		if total := hits + s.Counters["buffer.faults"]; total > 0 {
 			lines = append(lines, fmt.Sprintf("buffer.hit_ratio %.4f", float64(hits)/float64(total)))
@@ -485,13 +484,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Text renders the registry's current snapshot as plain text.
-func (r *Registry) Text() string {
-	var sb strings.Builder
-	_ = r.Snapshot().WriteText(&sb)
-	return sb.String()
 }
 
 // OrNew returns reg, or a fresh private registry when reg is nil — the

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -172,284 +171,4 @@ func RegisterUptime(r *Registry, start time.Time) {
 	r.GaugeFunc("server.uptime_seconds", func() int64 {
 		return int64(time.Since(start).Seconds())
 	})
-}
-
-// ---- minimal exposition-format parser ----
-
-// PromFamily is one metric family as read back by ParsePrometheusText.
-type PromFamily struct {
-	Name    string
-	Help    string
-	Type    string
-	Samples []PromSample
-}
-
-// PromSample is one sample line.
-type PromSample struct {
-	Name   string // full sample name (family name plus _bucket/_sum/_count)
-	Labels map[string]string
-	Value  float64
-}
-
-// ParsePrometheusText reads a Prometheus text-format exposition and
-// validates its structure: HELP/TYPE lines are well-formed and precede their
-// family's samples, every sample line parses (name, optional label set,
-// float value), every sample belongs to an announced family, histogram
-// families carry a complete cumulative bucket series ending in le="+Inf"
-// whose count matches _count. Returns the families keyed by name.
-func ParsePrometheusText(r io.Reader) (map[string]*PromFamily, error) {
-	fams := make(map[string]*PromFamily)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				return nil, fmt.Errorf("prom: line %d: malformed comment %q", lineNo, line)
-			}
-			name := fields[2]
-			if !validPromName(name) {
-				return nil, fmt.Errorf("prom: line %d: invalid metric name %q", lineNo, name)
-			}
-			f := fams[name]
-			if f == nil {
-				f = &PromFamily{Name: name}
-				fams[name] = f
-			}
-			if fields[1] == "HELP" {
-				if len(fields) < 4 || fields[3] == "" {
-					return nil, fmt.Errorf("prom: line %d: HELP without text", lineNo)
-				}
-				if f.Help != "" {
-					return nil, fmt.Errorf("prom: line %d: duplicate HELP for %s", lineNo, name)
-				}
-				f.Help = fields[3]
-			} else {
-				if len(fields) != 4 {
-					return nil, fmt.Errorf("prom: line %d: malformed TYPE line %q", lineNo, line)
-				}
-				switch fields[3] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					return nil, fmt.Errorf("prom: line %d: unknown type %q", lineNo, fields[3])
-				}
-				if f.Type != "" {
-					return nil, fmt.Errorf("prom: line %d: duplicate TYPE for %s", lineNo, name)
-				}
-				if len(f.Samples) > 0 {
-					return nil, fmt.Errorf("prom: line %d: TYPE for %s after its samples", lineNo, name)
-				}
-				f.Type = fields[3]
-			}
-			continue
-		}
-		sample, err := parsePromSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("prom: line %d: %w", lineNo, err)
-		}
-		fam := familyOf(fams, sample.Name)
-		if fam == nil {
-			return nil, fmt.Errorf("prom: line %d: sample %q has no TYPE line", lineNo, sample.Name)
-		}
-		fam.Samples = append(fam.Samples, *sample)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for name, f := range fams {
-		if f.Type == "" {
-			return nil, fmt.Errorf("prom: family %s has HELP but no TYPE", name)
-		}
-		if len(f.Samples) == 0 {
-			return nil, fmt.Errorf("prom: family %s announced but has no samples", name)
-		}
-		if f.Type == "histogram" {
-			if err := checkHistogram(f); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return fams, nil
-}
-
-// familyOf resolves the family a sample belongs to, stripping histogram
-// sample suffixes.
-func familyOf(fams map[string]*PromFamily, sample string) *PromFamily {
-	if f, ok := fams[sample]; ok {
-		return f
-	}
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		base := strings.TrimSuffix(sample, suffix)
-		if base != sample {
-			if f, ok := fams[base]; ok && f.Type == "histogram" {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
-func checkHistogram(f *PromFamily) error {
-	var inf, count float64
-	var haveInf, haveCount, haveSum bool
-	prev := -1.0
-	prevCum := 0.0
-	for _, s := range f.Samples {
-		switch s.Name {
-		case f.Name + "_bucket":
-			le, ok := s.Labels["le"]
-			if !ok {
-				return fmt.Errorf("prom: %s bucket without le label", f.Name)
-			}
-			if le == "+Inf" {
-				inf, haveInf = s.Value, true
-				continue
-			}
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return fmt.Errorf("prom: %s bucket bound %q: %w", f.Name, le, err)
-			}
-			if bound <= prev {
-				return fmt.Errorf("prom: %s bucket bounds not increasing at le=%q", f.Name, le)
-			}
-			if s.Value < prevCum {
-				return fmt.Errorf("prom: %s bucket counts not cumulative at le=%q", f.Name, le)
-			}
-			prev, prevCum = bound, s.Value
-		case f.Name + "_sum":
-			haveSum = true
-		case f.Name + "_count":
-			count, haveCount = s.Value, true
-		}
-	}
-	if !haveInf || !haveCount || !haveSum {
-		return fmt.Errorf("prom: histogram %s missing +Inf bucket, _sum or _count", f.Name)
-	}
-	if inf != count {
-		return fmt.Errorf("prom: histogram %s +Inf bucket %v != count %v", f.Name, inf, count)
-	}
-	if count < prevCum {
-		return fmt.Errorf("prom: histogram %s count %v below last bucket %v", f.Name, count, prevCum)
-	}
-	return nil
-}
-
-func validPromName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// parsePromSample parses `name{label="v",...} value`.
-func parsePromSample(line string) (*PromSample, error) {
-	rest := line
-	end := strings.IndexAny(rest, "{ ")
-	if end < 0 {
-		return nil, fmt.Errorf("malformed sample %q", line)
-	}
-	s := &PromSample{Name: rest[:end]}
-	if !validPromName(s.Name) {
-		return nil, fmt.Errorf("invalid sample name %q", s.Name)
-	}
-	rest = rest[end:]
-	if rest[0] == '{' {
-		labels, tail, err := parsePromLabels(rest)
-		if err != nil {
-			return nil, err
-		}
-		s.Labels = labels
-		rest = tail
-	}
-	rest = strings.TrimSpace(rest)
-	// The value may be followed by an optional timestamp.
-	if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-		ts := strings.TrimSpace(rest[sp+1:])
-		if _, err := strconv.ParseInt(ts, 10, 64); err != nil {
-			return nil, fmt.Errorf("malformed timestamp %q", ts)
-		}
-		rest = rest[:sp]
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		return nil, fmt.Errorf("malformed value %q", rest)
-	}
-	s.Value = v
-	return s, nil
-}
-
-// parsePromLabels parses a `{k="v",...}` label block, returning the labels
-// and the remainder of the line.
-func parsePromLabels(s string) (map[string]string, string, error) {
-	labels := make(map[string]string)
-	i := 1 // past '{'
-	for {
-		for i < len(s) && (s[i] == ' ' || s[i] == ',') {
-			i++
-		}
-		if i < len(s) && s[i] == '}' {
-			return labels, s[i+1:], nil
-		}
-		start := i
-		for i < len(s) && s[i] != '=' {
-			i++
-		}
-		if i >= len(s) {
-			return nil, "", fmt.Errorf("unterminated label name in %q", s)
-		}
-		name := s[start:i]
-		if !validPromName(name) {
-			return nil, "", fmt.Errorf("invalid label name %q", name)
-		}
-		i++ // past '='
-		if i >= len(s) || s[i] != '"' {
-			return nil, "", fmt.Errorf("label %s: value not quoted", name)
-		}
-		i++
-		var val strings.Builder
-		for {
-			if i >= len(s) {
-				return nil, "", fmt.Errorf("label %s: unterminated value", name)
-			}
-			c := s[i]
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return nil, "", fmt.Errorf("label %s: dangling escape", name)
-				}
-				switch s[i+1] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					return nil, "", fmt.Errorf("label %s: bad escape \\%c", name, s[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				i++
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		labels[name] = val.String()
-	}
 }

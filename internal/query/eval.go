@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"sedna/internal/core"
 	"sedna/internal/lock"
 	"sedna/internal/metrics"
 	"sedna/internal/schema"
@@ -223,8 +224,11 @@ func (ctx *ExecCtx) lockDocForRead(name string) error {
 }
 
 // evalDoc resolves doc("name"): it locks the document (lockDocForRead) and
-// returns the document node.
+// returns the document node. A system document is built instead, unlocked.
 func evalDoc(e *env, name string) ([]Item, error) {
+	if core.IsSystemName(name) {
+		return e.ctx.systemDoc(name)
+	}
 	doc, err := e.ctx.Tx.Document(name)
 	if err != nil {
 		return nil, err

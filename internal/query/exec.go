@@ -35,6 +35,10 @@ type ExecCtx struct {
 	// (baseline for E9).
 	NoVirtualCtors bool
 
+	// SystemDocs builds the read-only system documents doc() names with a
+	// '$' (sysdoc.go); nil in a context no server session built.
+	SystemDocs SystemDocs
+
 	// updateStmt is set while executing an update statement so that
 	// document resolution takes exclusive locks up front, avoiding the
 	// classic shared→exclusive upgrade deadlock between two updaters.

@@ -22,6 +22,13 @@ func serializeTemp(e *env, n *TempNode, w io.Writer) error {
 		return serializeStored(e, n.Ref, w)
 	}
 	switch n.Kind {
+	case schema.KindDocument:
+		for _, c := range n.Children {
+			if err := serializeTemp(e, c, w); err != nil {
+				return err
+			}
+		}
+		return nil
 	case schema.KindElement:
 		if _, err := io.WriteString(w, "<"+n.Name); err != nil {
 			return err

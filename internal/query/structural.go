@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sedna/internal/core"
 	"sedna/internal/schema"
 )
 
@@ -15,7 +16,8 @@ import (
 // document order.
 
 // structuralChain decomposes a step chain down to its DocCall head. It
-// returns nil when the chain is not structural. With ownPreds set, the
+// returns nil when the chain is not structural, as it never is over a system
+// document, which has no descriptive schema. With ownPreds set, the
 // predicates of s itself do not count against the chain: the shape
 // `doc(...)/a/b[preds]` qualifies, predicates on any earlier step do not.
 func structuralChain(s *Step, ownPreds bool) (*DocCall, []*Step) {
@@ -33,6 +35,9 @@ func structuralChain(s *Step, ownPreds bool) (*DocCall, []*Step) {
 		steps = append(steps, cur)
 		switch in := cur.Input.(type) {
 		case *DocCall:
+			if core.IsSystemName(in.Name) {
+				return nil, nil
+			}
 			// Reverse into evaluation order.
 			for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
 				steps[i], steps[j] = steps[j], steps[i]

@@ -78,7 +78,8 @@ func NewPrimary(db *core.Database) *Primary {
 	}
 }
 
-// ReplicaStatus describes one connected replica as reported by REPLSTATUS.
+// ReplicaStatus describes one connected replica, a <replica> element of
+// doc("$replication").
 type ReplicaStatus struct {
 	Addr     string `json:"addr"`
 	State    string `json:"state"` // "seeding" or "streaming"

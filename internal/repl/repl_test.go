@@ -129,22 +129,16 @@ func TestReplicaSeedAndStreamConverges(t *testing.T) {
 		if _, err := r.Execute(`UPDATE insert <nope/> into doc("d")/r`); err == nil {
 			t.Fatal("replica accepted a write before promotion")
 		}
-		rt, err := r.ReplStatus()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.Role != "replica" || rt.Self == nil || rt.Self.State != "streaming" {
-			t.Fatalf("replica topology = %+v", rt)
+		q := `let $r := doc("$replication")/replication return concat($r/@role, " ", $r/self/@state)`
+		if rt := mustExec(t, r, q).Data; rt != "replica streaming" {
+			t.Fatalf("replica topology = %q", rt)
 		}
 	}
 
 	// Topology is observable from the primary too.
-	pt, err := p.ReplStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Role != "primary" || len(pt.Replicas) != 2 {
-		t.Fatalf("primary topology = %+v", pt)
+	q := `let $r := doc("$replication")/replication return concat($r/@role, " ", count($r/replica))`
+	if pt := mustExec(t, p, q).Data; pt != "primary 2" {
+		t.Fatalf("primary topology = %q", pt)
 	}
 }
 
@@ -242,12 +236,8 @@ func TestPromoteMakesReplicaWritableAndDurable(t *testing.T) {
 	if got := mustExec(t, r, `count(doc("d")/r/w)`).Data; got != "1" {
 		t.Fatalf("post-promote write invisible: count=%q", got)
 	}
-	rt, err := r.ReplStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Role != "primary" {
-		t.Fatalf("promoted node still reports role %q", rt.Role)
+	if role := mustExec(t, r, `string(doc("$replication")/replication/@role)`).Data; role != "primary" {
+		t.Fatalf("promoted node still reports role %q", role)
 	}
 
 	// Promoted writes survive a clean restart as a normal database.

@@ -133,16 +133,8 @@ func Start(dir, addr string, opts core.Options) (*Replica, error) {
 // DB returns the underlying database (read-only until promoted).
 func (r *Replica) DB() *core.Database { return r.db }
 
-// Topology is the REPLSTATUS report: the node's role, its connected
-// downstream replicas (when it serves any) and, on a replica, its own
-// stream state.
-type Topology struct {
-	Role     string          `json:"role"` // "primary" or "replica"
-	Replicas []ReplicaStatus `json:"replicas,omitempty"`
-	Self     *SelfStatus     `json:"self,omitempty"`
-}
-
-// SelfStatus is a replica's own view of replication, served by REPLSTATUS.
+// SelfStatus is a replica's own view of replication, served as the <self>
+// element of doc("$replication").
 type SelfStatus struct {
 	Primary    string `json:"primary"`
 	State      string `json:"state"`

@@ -30,6 +30,16 @@ func execSome(t *testing.T, c *client.Conn) {
 	}
 }
 
+// result runs one statement and returns its serialized result.
+func result(t *testing.T, c *client.Conn, q string) string {
+	t.Helper()
+	res, err := c.Execute(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res.Data
+}
+
 func TestMetricsCommand(t *testing.T) {
 	srv := startServer(t)
 	c, err := client.Connect(srv.Addr())
@@ -39,26 +49,24 @@ func TestMetricsCommand(t *testing.T) {
 	defer c.Close()
 	execSome(t, c)
 
-	text, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	// The statement that reads doc("$metrics") is counted once it finishes.
+	q := `let $m := doc("$metrics")/metrics
+	      return concat($m/gauge[@name = "server.sessions_active"]/@value, " ",
+	                    $m/counter[@name = "query.statements"]/@value)`
+	if got := result(t, c, q); got != "1 3" {
+		t.Errorf("sessions_active and statements = %q, want \"1 3\"", got)
 	}
-	if text == "" {
-		t.Fatal("METRICS returned an empty snapshot")
+	if text := result(t, c, `doc("$metrics")`); !strings.HasPrefix(text, "<metrics><counter ") {
+		t.Fatalf("doc(\"$metrics\") = %.200q", text)
 	}
 	for _, fam := range metricFamilies {
-		if !strings.Contains(text, fam) {
-			t.Errorf("snapshot missing %q family:\n%s", fam, text)
+		q := fmt.Sprintf(`count(doc("$metrics")/metrics/*[starts-with(@name, "%s")])`, fam)
+		if got := result(t, c, q); got == "0" {
+			t.Errorf("doc(\"$metrics\") has no %q family", fam)
 		}
 	}
-	for _, want := range []string{
-		"server.sessions_active 1",
-		"query.statements 3",
-		"# recent queries",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("snapshot missing %q:\n%s", want, text)
-		}
+	if got := result(t, c, `count(doc("$metrics")/metrics/query[@kind = "query"])`); got == "0" {
+		t.Error("doc(\"$metrics\") has no recent query")
 	}
 }
 
@@ -94,18 +102,15 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 			t.Errorf("HTTP snapshot missing %q family", fam)
 		}
 	}
-	// The wire snapshot and the HTTP snapshot come from the same registry.
-	snap, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(snap, "buffer.hits") || !strings.Contains(text, "buffer.hits") {
-		t.Error("wire and HTTP snapshots disagree on buffer.hits presence")
+	// doc("$metrics") and the HTTP snapshot come from the same registry.
+	snap := result(t, c, `count(doc("$metrics")/metrics/counter[@name = "buffer.hits"])`)
+	if snap != "1" || !strings.Contains(text, "buffer.hits") {
+		t.Error("doc(\"$metrics\") and the HTTP snapshot disagree on buffer.hits presence")
 	}
 }
 
 // TestUnknownVerbIsError covers a type no server ever knew and the retired
-// verbs 9, 10, 16 and 17 alike.
+// verbs 7, 8, 9, 10, 12, 14, 16 and 17 alike.
 func TestUnknownVerbIsError(t *testing.T) {
 	srv := startServer(t)
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -113,7 +118,7 @@ func TestUnknownVerbIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, verb := range []byte{42, 9, 10, 16, 17} {
+	for _, verb := range []byte{42, 7, 8, 9, 10, 12, 14, 16, 17} {
 		if err := wire.WriteRequest(conn, verb, &server.Request{}); err != nil {
 			t.Fatal(err)
 		}

@@ -14,19 +14,15 @@ import "sedna/internal/wire"
 
 // Message types (client → server).
 const (
-	MsgHello      = wire.MsgHello
-	MsgBegin      = wire.MsgBegin
-	MsgExecute    = wire.MsgExecute
-	MsgCommit     = wire.MsgCommit
-	MsgRollback   = wire.MsgRollback
-	MsgQuit       = wire.MsgQuit
-	MsgMetrics    = wire.MsgMetrics
-	MsgSlowLog    = wire.MsgSlowLog
-	MsgReplicate  = wire.MsgReplicate
-	MsgReplStatus = wire.MsgReplStatus
-	MsgPromote    = wire.MsgPromote
-	MsgSessions   = wire.MsgSessions
-	MsgKill       = wire.MsgKill
+	MsgHello     = wire.MsgHello
+	MsgBegin     = wire.MsgBegin
+	MsgExecute   = wire.MsgExecute
+	MsgCommit    = wire.MsgCommit
+	MsgRollback  = wire.MsgRollback
+	MsgQuit      = wire.MsgQuit
+	MsgReplicate = wire.MsgReplicate
+	MsgPromote   = wire.MsgPromote
+	MsgKill      = wire.MsgKill
 )
 
 // Message types (server → client).

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -33,6 +32,10 @@ type Governor struct {
 	mu       sync.Mutex
 	sessions map[uint64]*Session
 	nextSess uint64
+
+	// systemDocs is systemDoc bound once, handed to every statement's
+	// execution context (sysdocs.go).
+	systemDocs query.SystemDocs
 
 	met govMetrics
 }
@@ -71,20 +74,23 @@ func NewGovernor(db *core.Database) *Governor {
 	reg := db.Metrics()
 	metrics.RegisterBuildInfo(reg)
 	metrics.RegisterUptime(reg, time.Now())
-	return &Governor{
+	g := &Governor{
 		db:       db,
 		primary:  repl.NewPrimary(db),
 		sessions: make(map[uint64]*Session),
 		met:      bindGovMetrics(reg),
 	}
+	g.systemDocs = g.systemDoc
+	return g
 }
 
 // Primary returns the replication manager serving downstream replicas.
 func (g *Governor) Primary() *repl.Primary { return g.primary }
 
 // SetReplica attaches the replication client when this server fronts a
-// replica database: REPLSTATUS then reports its stream state and PROMOTE
-// detaches it, making the node writable. Must be called before serving.
+// replica database: doc("$replication") then reports its stream state and
+// PROMOTE detaches it, making the node writable. Must be called before
+// serving.
 func (g *Governor) SetReplica(r *repl.Replica) { g.replica = r }
 
 // Metrics returns the registry shared by the governor and its database.
@@ -288,6 +294,7 @@ func (s *Session) execute(src string) (*wire.Response, error) {
 	// fsync) is captured inside it; FinishTrace is idempotent and runs after
 	// the commit on the happy path.
 	ctx := query.NewExecCtx(tx)
+	ctx.SystemDocs = s.gov.systemDocs
 	ctx.StartTrace(st.Source)
 	ctx.RecordParse(parseNs)
 	defer ctx.FinishTrace()
@@ -322,48 +329,6 @@ func (s *Session) execute(src string) (*wire.Response, error) {
 		s.Rollback()
 	}
 	return nil, err
-}
-
-// slowLog serves a MsgSlowLog request: optionally retune the slow-query
-// threshold, then return retained slow traces (newest first) as JSON.
-func (g *Governor) slowLog(req *Request) (*wire.Response, error) {
-	tr := g.db.Tracer()
-	if req.SetThreshold {
-		tr.SetSlowThreshold(time.Duration(req.ThresholdNs))
-	}
-	traces := tr.Slow()
-	if req.N > 0 && len(traces) > req.N {
-		traces = traces[:req.N]
-	}
-	b, err := json.Marshal(traces)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.Response{
-		Data:    b,
-		Message: fmt.Sprintf("threshold=%s entries=%d", time.Duration(tr.SlowThresholdNs()), len(traces)),
-	}, nil
-}
-
-// replStatus serves a MsgReplStatus request: the node's role and lag-aware
-// replica topology as JSON.
-func (g *Governor) replStatus() (*wire.Response, error) {
-	t := repl.Topology{Role: "primary", Replicas: g.primary.Status()}
-	if g.replica != nil {
-		self := g.replica.Status()
-		t.Self = &self
-		if self.State != "promoted" {
-			t.Role = "replica"
-		}
-	}
-	b, err := json.Marshal(&t)
-	if err != nil {
-		return nil, err
-	}
-	return &wire.Response{
-		Data:    b,
-		Message: fmt.Sprintf("role=%s replicas=%d", t.Role, len(t.Replicas)),
-	}, nil
 }
 
 // promote serves a MsgPromote request: the replica detaches from its primary
@@ -492,10 +457,6 @@ func (s *Server) handle(rawConn net.Conn) {
 		case MsgRollback:
 			rerr = sess.Rollback()
 			resp = &wire.Response{Message: "rolled back"}
-		case MsgMetrics:
-			resp = &wire.Response{Data: []byte(s.gov.Metrics().Text())}
-		case MsgSlowLog:
-			resp, rerr = s.gov.slowLog(&req)
 		case MsgReplicate:
 			// The connection becomes a replication stream and never returns
 			// to the request-response loop.
@@ -504,12 +465,8 @@ func (s *Server) handle(rawConn net.Conn) {
 				log.Printf("sednad: replication stream: %v", err)
 			}
 			return
-		case MsgReplStatus:
-			resp, rerr = s.gov.replStatus()
 		case MsgPromote:
 			resp, rerr = s.gov.promote()
-		case MsgSessions:
-			resp, rerr = s.gov.sessionsResp()
 		case MsgKill:
 			resp, rerr = s.gov.killResp(&req)
 		case MsgQuit:
@@ -520,8 +477,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		}
 		if rerr == nil {
 			out := byte(MsgOK)
-			switch typ {
-			case MsgExecute, MsgMetrics, MsgSlowLog, MsgReplStatus, MsgSessions:
+			if typ == MsgExecute {
 				out = MsgResult
 			}
 			// A response over the limit is refused before any byte of it is

@@ -13,7 +13,12 @@ import (
 
 func startServer(t *testing.T) *server.Server {
 	t.Helper()
-	db, err := core.Open(t.TempDir(), core.Options{NoSync: true})
+	return startServerWith(t, core.Options{NoSync: true})
+}
+
+func startServerWith(t *testing.T, opts core.Options) *server.Server {
+	t.Helper()
+	db, err := core.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

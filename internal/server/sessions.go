@@ -11,7 +11,6 @@ package server
 // telemetry, not billing.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -215,25 +214,6 @@ func (g *Governor) Kill(sessionID, stmtOrd uint64) error {
 		return fmt.Errorf("server: no session %d", sessionID)
 	}
 	return target.kill(stmtOrd)
-}
-
-// sessionsResp serves a MsgSessions request.
-func (g *Governor) sessionsResp() (*wire.Response, error) {
-	infos := g.SessionInfos()
-	b, err := json.Marshal(infos)
-	if err != nil {
-		return nil, err
-	}
-	running := 0
-	for _, in := range infos {
-		if in.Statement != nil {
-			running++
-		}
-	}
-	return &wire.Response{
-		Data:    b,
-		Message: fmt.Sprintf("sessions=%d running=%d", len(infos), running),
-	}, nil
 }
 
 // killResp serves a MsgKill request.

@@ -12,25 +12,23 @@ import (
 	"time"
 
 	"sedna/client"
+	"sedna/internal/core"
 	"sedna/internal/server"
 	"sedna/internal/trace"
 )
 
-// TestSlowLogEndToEnd drives a slow query through the wire protocol and
-// checks it appears in the SLOWLOG response, the /slowlog HTTP endpoint and
-// the JSONL file, with its full trace.
+// TestSlowLogEndToEnd drives slow statements through the wire protocol and
+// checks they appear in the /slowlog HTTP endpoint, the JSONL file and
+// doc("$slowlog"), with their full traces.
 func TestSlowLogEndToEnd(t *testing.T) {
-	srv := startServer(t)
+	// 1ns threshold: every statement qualifies as slow.
+	srv := startServerWith(t, core.Options{NoSync: true, SlowQueryThreshold: time.Nanosecond})
 	c, err := client.Connect(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// 1ns threshold: every statement qualifies as slow.
-	if err := c.SetSlowThreshold(time.Nanosecond); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.Execute(`CREATE DOCUMENT "s"`); err != nil {
 		t.Fatal(err)
 	}
@@ -41,48 +39,7 @@ func TestSlowLogEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	traces, err := c.SlowLog(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 3 {
-		t.Fatalf("slow log has %d traces, want 3", len(traces))
-	}
-	// Newest first: the count query leads.
-	tr := traces[0]
-	if tr.Query != `count(doc("s")//x)` || !tr.Slow {
-		t.Fatalf("newest slow trace = %+v", tr)
-	}
-	if tr.Root == nil || tr.DurNs <= 0 {
-		t.Fatalf("trace has no span tree: %+v", tr)
-	}
-	var spanNames []string
-	var walk func(s *trace.Span)
-	walk = func(s *trace.Span) {
-		spanNames = append(spanNames, s.Name)
-		for _, ch := range s.Children {
-			walk(ch)
-		}
-	}
-	walk(tr.Root)
-	joined := strings.Join(spanNames, " ")
-	for _, want := range []string{"statement", "parse", "analyze", "rewrite", "execute"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("slow trace missing %q span: %v", want, spanNames)
-		}
-	}
-	// The update's trace captured the auto-commit WAL activity.
-	upd := traces[1]
-	if upd.Counters["wal.appends"] == 0 {
-		t.Errorf("update trace has no wal.appends delta: %v", upd.Counters)
-	}
-
-	// N bounds the response.
-	if traces, err = c.SlowLog(1); err != nil || len(traces) != 1 {
-		t.Fatalf("SlowLog(1) = %d traces, err %v", len(traces), err)
-	}
-
-	// Same traces over HTTP.
+	// The traces over HTTP, newest first.
 	ms, err := server.ListenMetrics(srv.Governor().Metrics(), srv.Governor().Tracer(), srv.Governor(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +57,7 @@ func TestSlowLogEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&httpTraces); err != nil {
 		t.Fatal(err)
 	}
-	if len(httpTraces) != 3 || httpTraces[0].Query != `count(doc("s")//x)` {
+	if len(httpTraces) != 3 || httpTraces[0].Query != `count(doc("s")//x)` || !httpTraces[0].Slow {
 		t.Fatalf("/slowlog returned %d traces, first %+v", len(httpTraces), httpTraces[0])
 	}
 
@@ -121,15 +78,44 @@ func TestSlowLogEndToEnd(t *testing.T) {
 		t.Fatalf("logged trace = %+v", logged)
 	}
 
-	// Threshold back to 0 disables collection.
-	if err := c.SetSlowThreshold(0); err != nil {
-		t.Fatal(err)
+	// The same traces in doc("$slowlog"): the statement reading it is logged
+	// only once it finishes.
+	traces := slowTraces(t, c, `doc("$slowlog")/slowlog/trace`)
+	if len(traces) != 3 {
+		t.Fatalf("slow log has %d traces, want 3", len(traces))
 	}
-	if _, err := c.Execute(`count(doc("s")//x)`); err != nil {
-		t.Fatal(err)
+	tr := traces[0]
+	if tr.Query != `count(doc("s")//x)` {
+		t.Fatalf("newest slow trace = %+v", tr)
 	}
-	if traces, err = c.SlowLog(0); err != nil || len(traces) != 3 {
-		t.Fatalf("slow log grew after disabling: %d traces, err %v", len(traces), err)
+	if tr.Root == nil || tr.DurNs <= 0 {
+		t.Fatalf("trace has no span tree: %+v", tr)
+	}
+	var spanNames []string
+	var walk func(s *spanView)
+	walk = func(s *spanView) {
+		spanNames = append(spanNames, s.Name)
+		for _, ch := range s.Children {
+			walk(ch)
+		}
+	}
+	walk(tr.Root)
+	joined := strings.Join(spanNames, " ")
+	for _, want := range []string{"statement", "parse", "analyze", "rewrite", "execute"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("slow trace missing %q span: %v", want, spanNames)
+		}
+	}
+	// The update's trace captured the auto-commit WAL activity.
+	appends := result(t, c, `string(doc("$slowlog")/slowlog/trace[@query = 'UPDATE insert <r><x>1</x><x>2</x></r> into doc("s")']/counter[@name = "wal.appends"]/@value)`)
+	if appends == "" || appends == "0" {
+		t.Errorf("update trace has no wal.appends delta: %q", appends)
+	}
+
+	// A positional predicate bounds the answer: the newest trace now is the
+	// statement before this one.
+	if traces = slowTraces(t, c, `doc("$slowlog")/slowlog/trace[1]`); len(traces) != 1 || !strings.Contains(traces[0].Query, "wal.appends") {
+		t.Fatalf("trace[1] = %+v", traces)
 	}
 }
 

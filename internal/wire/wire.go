@@ -23,24 +23,22 @@ import (
 	"slices"
 )
 
-// Message types (client → server). 9, 10, 16 and 17 are retired (they set
-// the intra-query worker budget, tuned the readahead prefetcher, merged
-// REPLSTATUS with SESSIONS and tuned the resident mode); a server answers
-// them as unknown.
+// Message types (client → server). 7, 8, 9, 10, 12, 14, 16 and 17 are
+// retired (METRICS, SLOWLOG, REPLSTATUS and SESSIONS became the system
+// documents doc("$metrics"), doc("$slowlog"), doc("$replication") and
+// doc("$sessions"); the others set the intra-query worker budget, tuned the
+// readahead prefetcher, merged REPLSTATUS with SESSIONS and tuned the
+// resident mode); a server answers them as unknown.
 const (
-	MsgHello      = 1
-	MsgBegin      = 2
-	MsgExecute    = 3
-	MsgCommit     = 4
-	MsgRollback   = 5
-	MsgQuit       = 6
-	MsgMetrics    = 7
-	MsgSlowLog    = 8
-	MsgReplicate  = 11 // switch the connection to a replication stream
-	MsgReplStatus = 12 // report replication topology and lag
-	MsgPromote    = 13 // promote a replica to a writable primary
-	MsgSessions   = 14 // list live sessions with per-session accounting
-	MsgKill       = 15 // cancel another session's in-flight statement
+	MsgHello     = 1
+	MsgBegin     = 2
+	MsgExecute   = 3
+	MsgCommit    = 4
+	MsgRollback  = 5
+	MsgQuit      = 6
+	MsgReplicate = 11 // switch the connection to a replication stream
+	MsgPromote   = 13 // promote a replica to a writable primary
+	MsgKill      = 15 // cancel another session's in-flight statement
 )
 
 // Message types (server → client).
@@ -87,13 +85,6 @@ type Request struct {
 	ReadOnly bool   `json:"readonly,omitempty"` // MsgBegin
 	Query    string `json:"query,omitempty"`    // MsgExecute
 
-	// MsgSlowLog: N bounds how many retained slow traces to return (0 =
-	// all); when SetThreshold is set, the server first updates the
-	// slow-query threshold to ThresholdNs (0 disables the slow log).
-	N            int   `json:"n,omitempty"`
-	ThresholdNs  int64 `json:"threshold_ns,omitempty"`
-	SetThreshold bool  `json:"set_threshold,omitempty"`
-
 	// MsgReplicate: the joining replica asks for the stream to start at
 	// FromLSN; with NeedSeed it requests a hot-backup seed transfer first
 	// (FromLSN is then ignored — the stream starts at the backup's durable
@@ -103,16 +94,15 @@ type Request struct {
 
 	// MsgKill: cancel the target session's in-flight statement. When
 	// KillStatement is non-zero the kill only lands if that statement (by
-	// per-session ordinal, as reported by SESSIONS) is still the one
+	// per-session ordinal, as doc("$sessions") reports it) is still the one
 	// running — a fence against killing an innocent successor.
 	KillSession   uint64 `json:"kill_session,omitempty"`
 	KillStatement uint64 `json:"kill_statement,omitempty"`
 }
 
 // Response is a server message payload. Its one encoding is binary (see
-// WriteResponse); Data is whatever bytes the verb produced: a serialized
-// result sequence, a metrics snapshot, or a JSON document for the
-// introspection verbs.
+// WriteResponse); Data is the serialized result sequence of an executed
+// statement, or the JSON Handshake that answers MsgReplicate.
 type Response struct {
 	Updated int
 	Message string

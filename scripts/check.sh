@@ -26,7 +26,7 @@ surface() {
 }
 surface "Options fields" "$(awk '/^type Options struct/ {s = 1; next} s && /^}/ {s = 0} s && /^\t[A-Z][A-Za-z0-9]* / {n++} END {print n + 0}' sedna.go)" 8
 surface "sednad flags" "$(grep -cE 'flag\.[A-Z][A-Za-z0-9]*\("' cmd/sednad/main.go)" 9
-surface "wire verbs" "$(awk '/^\tMsg[A-Za-z]+ *= *[0-9]+/ {split($0, a, "="); if (a[2] + 0 < 64) n++} END {print n + 0}' internal/wire/wire.go)" 13
+surface "wire verbs" "$(awk '/^\tMsg[A-Za-z]+ *= *[0-9]+/ {split($0, a, "="); if (a[2] + 0 < 64) n++} END {print n + 0}' internal/wire/wire.go)" 9
 surface "ForTesting functions" "$(grep -rhE '^func (\([^)]*\) )?[A-Za-z]+ForTesting\(' --include='*.go' --exclude='*_test.go' . | wc -l)" 1
 # Page-sized allocations in the buffer pool's program code: the zero page, a
 # fault's frame, a writer's copy and the snapshot-area save.
@@ -80,7 +80,7 @@ go -C benchmark vet ./...
 go -C benchmark test ./...
 
 # The E-series of EXPERIMENTS.md, one run: the paper-claim tables. The KILL,
-# SESSIONS and Prometheus checks that E21 made are go test's:
+# doc("$sessions") and Prometheus checks that E21 made are go test's:
 # TestSessionsVisibility and TestSessionsHTTP in internal/server.
 echo "== E-series (every experiment of cmd/sedna-bench once; times printed, not gated; exits 1 if an experiment fails, or if E9's virtual and deep-copy constructors serialize differently) =="
 go run ./cmd/sedna-bench
