@@ -3,12 +3,15 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"sedna/internal/core"
 	"sedna/internal/query"
+	"sedna/internal/schema"
 	"sedna/internal/storage"
+	"sedna/internal/xmlgen"
 )
 
 // TestRandomizedCrashRecovery runs randomized committed/aborted update
@@ -172,5 +175,123 @@ func TestRecoveryWithIndexes(t *testing.T) {
 		if got, _ := res.String(); got != "1" {
 			t.Fatalf("index-scan(%q) after recovery = %s", k, got)
 		}
+	}
+}
+
+// TestCrashAfterTailSplits loads a 1000-auction document (the bulk loader
+// packs its blocks full) and checkpoints, commits 50 random bidder inserts,
+// which split packed blocks and so add blocks to the bidder list, leaves one
+// more insert that adds a block uncommitted and crashes. After recovery the
+// document verifies, holds every acknowledged bidder, and not the
+// uncommitted one: the splits' moves are redone for the committed inserts
+// and undone for the lost one.
+func TestCrashAfterTailSplits(t *testing.T) {
+	const auctions, inserts, marker = 1000, 50, 999999
+	dir := t.TempDir()
+	opts := core.Options{NoSync: true, BufferPages: 1024}
+	db, err := core.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadDoc(t, db, "auction", xmlgen.AuctionString(auctions, auctions, 5, 3))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	bidderBlocks := func(doc *storage.Doc) uint32 {
+		return doc.Schema.Root.Child(schema.KindElement, "site").Child(schema.KindElement, "open_auctions").
+			Child(schema.KindElement, "open_auction").Child(schema.KindElement, "bidder").BlockCount
+	}
+	count := func(db *core.Database, src string) int {
+		t.Helper()
+		tx, err := db.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Rollback()
+		res, err := query.Execute(query.NewExecCtx(tx), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := res.String()
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			t.Fatalf("%s: %q", src, s)
+		}
+		return n
+	}
+	const all = `count(doc("auction")//bidder)`
+	want := count(db, all)
+	insert := func(tx *core.Tx, k, mark int) {
+		t.Helper()
+		src := fmt.Sprintf(`UPDATE insert <bidder><increase>%d</increase></bidder> into doc("auction")/site/open_auctions/open_auction[@id = "a%d"]`, mark, k)
+		res, err := query.Execute(query.NewExecCtx(tx), src)
+		if err != nil || res.Updated != 1 {
+			t.Fatalf("%s: %v", src, err)
+		}
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := tx.Document("auction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := bidderBlocks(doc)
+	tx.Rollback()
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < inserts; i++ {
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		insert(tx, rng.Intn(auctions), i)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want++
+	}
+	split := bidderBlocks(doc)
+	if split == loaded {
+		t.Fatalf("%d inserts left the bidder list at %d blocks: nothing split", inserts, loaded)
+	}
+	// The lost insert: the first key whose insert adds a block.
+	lost, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; bidderBlocks(doc) == split; k++ {
+		if k == auctions {
+			t.Fatal("no insert adds a block to the bidder list")
+		}
+		insert(lost, k, marker)
+	}
+	db.CrashForTesting()
+
+	db2, err := core.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer db2.Close()
+	rtx, err := db2.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc2, err := rtx.Document("auction")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.VerifyDoc(rtx.Tx, doc2); err != nil {
+		t.Fatalf("integrity after recovery: %v", err)
+	}
+	if got := bidderBlocks(doc2); got != split {
+		t.Errorf("bidder list recovered with %d blocks, %d committed", got, split)
+	}
+	rtx.Rollback()
+	if got := count(db2, all); got != want {
+		t.Errorf("recovered %d bidders, %d acknowledged", got, want)
+	}
+	if got := count(db2, fmt.Sprintf(`count(doc("auction")//bidder[increase = %d])`, marker)); got != 0 {
+		t.Errorf("the uncommitted bidder survived the crash %d times", got)
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"sedna/internal/sas"
 	"sedna/internal/schema"
@@ -234,53 +235,120 @@ func unlinkInBlock(w Writer, block sas.XPtr, off uint16) (empty bool, err error)
 	return h.Count-1 == 0, nil
 }
 
+// splitTailLen is how many descriptors a split of a full block moves at
+// most: the last ones of its in-block chain (splitTail). Chosen by a sweep of
+// the first inserts into freshly loaded documents against the steady state
+// of a hot one (CHANGES.md).
+const splitTailLen = 16
+
+// splitTail frees room in the full block (header h) for a descriptor linked
+// after the one at offset after, which must not be the last of the in-block
+// chain. It moves the last splitTailLen descriptors of the chain, or all
+// those after after when fewer: nothing at or before the new descriptor's
+// place moves, so it goes into the block next to its neighbour. The partial
+// order of §4.1 holds because the moved descriptors stay the block's last
+// and end up the first of the next block — at the front of the one already
+// there when it has room for them and is at least as wide, else in a fresh
+// block linked in between.
+func splitTail(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, h nodeBlockHeader, after uint16) error {
+	page, pin, err := w.ViewPage(block)
+	if err != nil {
+		return err
+	}
+	from, n := h.LastDesc, 1
+	for ; n < splitTailLen; n++ {
+		prev := getU16(page[from:], dPrevIn)
+		if prev == after {
+			break
+		}
+		from = prev
+	}
+	w.ReleasePage(pin)
+	if !h.Next.IsNil() {
+		nh, err := readNodeHeader(w, h.Next)
+		if err != nil {
+			return err
+		}
+		if nh.ChildSlots >= h.ChildSlots && nodeBlockCapacity(nh.ChildSlots)-nh.Count >= n {
+			return prependRun(w, doc, sn, block, from, h.Next)
+		}
+	}
+	return moveRun(w, doc, sn, block, from, len(sn.Children))
+}
+
+// movedDesc is a descriptor on its way to another block.
+type movedDesc struct {
+	d      Desc
+	nidOv  sas.XPtr
+	nidLen int
+	oldOff uint16
+	// predParent is the parent of the descriptor before it in the list, nil
+	// when there is none in the same block (predKnown false).
+	predParent sas.XPtr
+	predKnown  bool
+}
+
+// readRun decodes the descriptors from fromOff to the end of the in-block
+// chain of block, in document order, together with the block's header.
+func readRun(r Reader, block sas.XPtr, fromOff uint16) ([]movedDesc, nodeBlockHeader, error) {
+	h, err := readNodeHeader(r, block)
+	if err != nil {
+		return nil, h, err
+	}
+	var run []movedDesc
+	err = r.ReadPage(block, func(page []byte) error {
+		var predParent sas.XPtr
+		prev := getU16(page[fromOff:], dPrevIn)
+		if prev != 0 {
+			predParent = getPtr(page[prev:], dParent)
+		}
+		predKnown := prev != 0
+		for off := fromOff; off != 0; {
+			var d Desc
+			decodeDescAt(&d, page, block, off, &h, make([]byte, descVarLen(page[off:], &h)))
+			ov, nl := overflowOf(page[off:])
+			run = append(run, movedDesc{d: d, nidOv: ov, nidLen: int(nl), oldOff: off, predParent: predParent, predKnown: predKnown})
+			predParent, predKnown = d.Parent, true
+			off = getU16(page[off:], dNextIn)
+		}
+		return nil
+	})
+	if err == nil && len(run) == 0 {
+		err = fmt.Errorf("storage: moving an empty run at %v+%d", block, fromOff)
+	}
+	return run, h, err
+}
+
+// encodeMoved encodes the moved descriptor m into buf at its new place, with
+// its sibling pointers into the run translated by trans.
+func encodeMoved(buf []byte, m *movedDesc, trans map[sas.XPtr]sas.XPtr, next, prev uint16) {
+	d := m.d
+	if p, ok := trans[d.LeftSib]; ok {
+		d.LeftSib = p
+	}
+	if p, ok := trans[d.RightSib]; ok {
+		d.RightSib = p
+	}
+	// encodeDesc zero-fills a wider descriptor, so the slots beyond the old
+	// width start out nil.
+	encodeDesc(buf, &d, m.nidOv, m.nidLen, next, prev)
+}
+
 // moveRun moves the descriptors from fromOff to the end of the in-block
-// chain of block into a fresh block (with newChildSlots descriptor width)
+// chain of block into fresh blocks (with newChildSlots descriptor width)
 // inserted immediately after it, preserving document order. This implements
-// both block splitting on overflow and the delayed per-block descriptor
-// widening of §4.1. Each moved node costs a constant number of external
-// updates: its indirection entry, its two sibling backlinks, and possibly
-// its parent's child-slot pointer — the design the paper adopts to keep
-// update cost bounded.
+// the delayed per-block descriptor widening of §4.1, and the split of a full
+// block whose next block has no room for its tail (splitTail). Each moved
+// node costs a constant number of external updates: its indirection entry,
+// its two sibling backlinks, and possibly its parent's child-slot pointer —
+// the design the paper adopts to keep update cost bounded.
 func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16, newChildSlots int) error {
-	oldH, err := readNodeHeader(w, block)
+	run, oldH, err := readRun(w, block, fromOff)
 	if err != nil {
 		return err
 	}
 	if newChildSlots < oldH.ChildSlots {
 		newChildSlots = oldH.ChildSlots
-	}
-	// Collect the run in document order.
-	type moved struct {
-		d      Desc
-		nidOv  sas.XPtr
-		nidLen int
-		oldOff uint16
-	}
-	var run []moved
-	err = w.ReadPage(block, func(page []byte) error {
-		for off := fromOff; off != 0; {
-			var d Desc
-			decodeDescAt(&d, page, block, off, &oldH, make([]byte, descVarLen(page[off:], &oldH)))
-			ov, nl := overflowOf(page[off:])
-			run = append(run, moved{d: d, nidOv: ov, nidLen: int(nl), oldOff: off})
-			off = getU16(page[off:], dNextIn)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(run) == 0 {
-		return fmt.Errorf("storage: moveRun with empty run at %v+%d", block, fromOff)
-	}
-	prevOff := uint16(0)
-	err = w.ReadPage(block, func(page []byte) error {
-		prevOff = getU16(page[fromOff:], dPrevIn)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	descSize := descSizeFor(newChildSlots)
 	capacity := nodeBlockCapacity(newChildSlots)
@@ -288,36 +356,25 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 	// The run may exceed one wide block's capacity (narrow descriptors are
 	// smaller): distribute it across as many fresh blocks as needed,
 	// chained in order after the source block.
-	type chunkPlacement struct {
-		base sas.XPtr
-		offs []uint16
-	}
-	var chunks []chunkPlacement
 	trans := make(map[sas.XPtr]sas.XPtr, len(run))
+	var bases []sas.XPtr
 	for start := 0; start < len(run); start += capacity {
-		end := start + capacity
-		if end > len(run) {
-			end = len(run)
-		}
 		id, err := w.AllocPage()
 		if err != nil {
 			return err
 		}
 		nb := id.Ptr()
-		pl := chunkPlacement{base: nb, offs: make([]uint16, end-start)}
-		for i := range pl.offs {
-			pl.offs[i] = uint16(nodeBlockHeaderSize + i*descSize)
-			trans[run[start+i].d.Ptr] = nb.Add(uint32(pl.offs[i]))
+		for i := start; i < min(start+capacity, len(run)); i++ {
+			trans[run[i].d.Ptr] = nb.Add(uint32(nodeBlockHeaderSize + (i-start)*descSize))
 		}
-		chunks = append(chunks, pl)
+		bases = append(bases, nb)
 	}
 
 	// Each block's image is built whole and written once, by linkNodeBlocks.
-	bases := make([]sas.XPtr, len(chunks))
-	pages := make([][]byte, len(chunks))
-	idx := 0
-	for c, pl := range chunks {
-		n := len(pl.offs)
+	pages := make([][]byte, len(bases))
+	for c := range bases {
+		chunk := run[c*capacity : min((c+1)*capacity, len(run))]
+		n := len(chunk)
 		page := make([]byte, sas.PageSize)
 		encodeNodeHeader(page, nodeBlockHeader{
 			ChildSlots: newChildSlots,
@@ -325,37 +382,117 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 			DocID:      doc.ID,
 			Count:      n,
 			DescSize:   descSize,
-			FirstDesc:  pl.offs[0],
-			LastDesc:   pl.offs[n-1],
+			FirstDesc:  nodeBlockHeaderSize,
+			LastDesc:   uint16(nodeBlockHeaderSize + (n-1)*descSize),
 			SlotTop:    uint16(nodeBlockHeaderSize + n*descSize),
 		})
-		for i := 0; i < n; i++ {
-			d := run[idx+i].d
-			if p, ok := trans[d.LeftSib]; ok {
-				d.LeftSib = p
-			}
-			if p, ok := trans[d.RightSib]; ok {
-				d.RightSib = p
-			}
-			// encodeDesc zero-fills the wider descriptor, so the slots
-			// beyond the old width start out nil.
+		for i := range chunk {
+			off := nodeBlockHeaderSize + i*descSize
 			var next, prev uint16
 			if i+1 < n {
-				next = pl.offs[i+1]
+				next = uint16(off + descSize)
 			}
 			if i > 0 {
-				prev = pl.offs[i-1]
+				prev = uint16(off - descSize)
 			}
-			encodeDesc(page[pl.offs[i]:int(pl.offs[i])+descSize], &d, run[idx+i].nidOv, run[idx+i].nidLen, next, prev)
+			encodeMoved(page[off:off+descSize], &chunk[i], trans, next, prev)
 		}
-		bases[c], pages[c] = pl.base, page
-		idx += n
+		pages[c] = page
 	}
 	if err := linkNodeBlocks(w, doc, sn, block, bases, pages); err != nil {
 		return err
 	}
+	return detachRun(w, doc, sn, block, oldH, run, trans)
+}
 
-	// External fixups per moved descriptor.
+// prependRun moves the descriptors from fromOff to the end of the in-block
+// chain of block to the front of the chain of next, the block after it,
+// which has free slots for them all and is at least as wide. The moved
+// descriptors are written in runs of adjacent slots, and next's header in
+// two writes, so the move logs no whole page.
+func prependRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16, next sas.XPtr) error {
+	run, oldH, err := readRun(w, block, fromOff)
+	if err != nil {
+		return err
+	}
+	nh, err := readNodeHeader(w, next)
+	if err != nil {
+		return err
+	}
+	// Take freed slots first, then never-used space.
+	offs := make([]uint16, len(run))
+	freeHead, slotTop := nh.FreeHead, nh.SlotTop
+	page, pin, err := w.ViewPage(next)
+	if err != nil {
+		return err
+	}
+	for i := range offs {
+		if freeHead != 0 {
+			offs[i], freeHead = freeHead, getU16(page[freeHead:], 0)
+		} else {
+			offs[i], slotTop = slotTop, slotTop+uint16(nh.DescSize)
+		}
+	}
+	w.ReleasePage(pin)
+	trans := make(map[sas.XPtr]sas.XPtr, len(run))
+	for i := range run {
+		trans[run[i].d.Ptr] = next.Add(uint32(offs[i]))
+	}
+
+	last := len(run) - 1
+	buf := make([]byte, len(run)*nh.DescSize)
+	start := 0 // first descriptor of the pending write
+	for i := range run {
+		var nextIn, prevIn uint16
+		if i < last {
+			nextIn = offs[i+1]
+		} else {
+			nextIn = nh.FirstDesc
+		}
+		if i > 0 {
+			prevIn = offs[i-1]
+		}
+		encodeMoved(buf[i*nh.DescSize:(i+1)*nh.DescSize], &run[i], trans, nextIn, prevIn)
+		if i == last || offs[i+1] != offs[i]+uint16(nh.DescSize) {
+			if err := w.WriteAt(next.Add(uint32(offs[start])), buf[start*nh.DescSize:(i+1)*nh.DescSize]); err != nil {
+				return err
+			}
+			start = i + 1
+		}
+	}
+	lastDesc := nh.LastDesc
+	if nh.FirstDesc != 0 {
+		if err := writeU16At(w, next.Add(uint32(nh.FirstDesc)+dPrevIn), offs[last]); err != nil {
+			return err
+		}
+	} else {
+		lastDesc = offs[last]
+	}
+	var hdr [nbSlotTop + 2 - nbFirstDesc]byte
+	putU16(hdr[:], nbFirstDesc-nbFirstDesc, offs[0])
+	putU16(hdr[:], nbLastDesc-nbFirstDesc, lastDesc)
+	putU16(hdr[:], nbFreeHead-nbFirstDesc, freeHead)
+	putU16(hdr[:], nbSlotTop-nbFirstDesc, slotTop)
+	if err := w.WriteAt(next.Add(nbFirstDesc), hdr[:]); err != nil {
+		return err
+	}
+	if err := writeU16At(w, next.Add(nbCount), uint16(nh.Count+len(run))); err != nil {
+		return err
+	}
+	return detachRun(w, doc, sn, block, oldH, run, trans)
+}
+
+// detachRun finishes a move of run, which ended the in-block chain of block
+// (header oldH), to the addresses trans gives: it repoints each moved node's
+// handle, sibling backlinks and parent child slot, then cuts the run from
+// block's chain and frees its slots, and the block itself if it emptied.
+//
+// The children of sn under one parent are adjacent in sn's list (nodes of
+// one schema node never nest), so a moved node whose list predecessor has
+// the same parent holds no child slot, and one whose predecessor has
+// another parent holds its parent's: only a run's first node, when it heads
+// its block, has its parent's slot read.
+func detachRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, oldH nodeBlockHeader, run []movedDesc, trans map[sas.XPtr]sas.XPtr) error {
 	slotIdx := -1
 	if sn.Parent != nil {
 		slotIdx = sn.Parent.ChildIndex(sn)
@@ -379,55 +516,67 @@ func moveRun(w Writer, doc *Doc, sn *schema.Node, block sas.XPtr, fromOff uint16
 				}
 			}
 		}
-		if slotIdx >= 0 && !m.d.Parent.IsNil() {
-			pPtr, err := DerefHandle(w, m.d.Parent)
-			if err != nil {
-				return err
-			}
-			slotAddr := pPtr.Add(uint32(dChildren + 8*slotIdx))
+		if slotIdx < 0 || m.d.Parent.IsNil() || (m.predKnown && m.predParent == m.d.Parent) {
+			continue
+		}
+		pPtr, err := DerefHandle(w, m.d.Parent)
+		if err != nil {
+			return err
+		}
+		slotAddr := pPtr.Add(uint32(dChildren + 8*slotIdx))
+		if !m.predKnown {
 			cur, err := readPtrAt(w, slotAddr)
 			if err != nil {
 				return err
 			}
-			if cur == m.d.Ptr {
-				if err := writePtrAt(w, slotAddr, newPtr); err != nil {
-					return err
-				}
+			if cur != m.d.Ptr {
+				continue
 			}
+		}
+		if err := writePtrAt(w, slotAddr, newPtr); err != nil {
+			return err
 		}
 	}
 
-	// Shrink the old block: detach the run and free its slots.
-	if prevOff != 0 {
-		if err := writeU16At(w, block.Add(uint32(prevOff)+dNextIn), 0); err != nil {
-			return err
-		}
-	} else {
-		if err := writeU16At(w, block.Add(nbFirstDesc), 0); err != nil {
-			return err
-		}
-	}
-	if err := writeU16At(w, block.Add(nbLastDesc), prevOff); err != nil {
-		return err
-	}
-	freeHead := oldH.FreeHead
-	for _, m := range run {
-		if err := writeU16At(w, block.Add(uint32(m.oldOff)), freeHead); err != nil {
-			return err
-		}
-		freeHead = m.oldOff
-	}
-	if err := writeU16At(w, block.Add(nbFreeHead), freeHead); err != nil {
-		return err
-	}
 	remaining := oldH.Count - len(run)
-	if err := writeU16At(w, block.Add(nbCount), uint16(remaining)); err != nil {
-		return err
-	}
 	if remaining == 0 {
+		if err := writeU16At(w, block.Add(nbCount), 0); err != nil {
+			return err
+		}
 		return freeNodeBlock(w, doc, sn, block)
 	}
-	return nil
+	// Shrink the old block: cut the run from the chain, lower the slot top
+	// over freed slots that end the slot area (all of them when the block
+	// was filled in document order, as the bulk loader fills it), and chain
+	// the others as free.
+	prevOff := uint16(run[0].d.PrevInBlock.PageOffset())
+	if err := writeU16At(w, block.Add(uint32(prevOff)+dNextIn), 0); err != nil {
+		return err
+	}
+	offs := make([]uint16, len(run))
+	for i, m := range run {
+		offs[i] = m.oldOff
+	}
+	slices.Sort(offs)
+	slotTop := oldH.SlotTop
+	for len(offs) > 0 && offs[len(offs)-1]+uint16(oldH.DescSize) == slotTop {
+		slotTop, offs = offs[len(offs)-1], offs[:len(offs)-1]
+	}
+	freeHead := oldH.FreeHead
+	for _, off := range offs {
+		if err := writeU16At(w, block.Add(uint32(off)), freeHead); err != nil {
+			return err
+		}
+		freeHead = off
+	}
+	var hdr [nbSlotTop + 2 - nbLastDesc]byte
+	putU16(hdr[:], nbLastDesc-nbLastDesc, prevOff)
+	putU16(hdr[:], nbFreeHead-nbLastDesc, freeHead)
+	putU16(hdr[:], nbSlotTop-nbLastDesc, slotTop)
+	if err := w.WriteAt(block.Add(nbLastDesc), hdr[:]); err != nil {
+		return err
+	}
+	return writeU16At(w, block.Add(nbCount), uint16(remaining))
 }
 
 // MoveFirstRun splits the first block of sn's list at its midpoint, forcing

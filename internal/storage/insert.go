@@ -461,7 +461,12 @@ func beforeDesc(r Reader, succ sas.XPtr) (predH, succH sas.XPtr, ok bool, err er
 // by predH/succH (insert after pred, or before succ, or into an empty
 // list), splitting blocks or creating new ones while preserving the partial
 // order of descriptors across blocks. It returns the target block and the
-// in-block offset to link after (0 = front).
+// in-block offset to link after (0 = front). A new descriptor whose place is
+// inside a full block goes into that block: splitTail moves at most
+// splitTailLen descriptors from its end, none at or before the new one's
+// place. One that would be last in a full block goes to the front of the
+// next block when that has room, else into a fresh block; one before the
+// first descriptor of a full block gets a fresh block of its own.
 func makeRoom(w Writer, doc *Doc, sn *schema.Node, predH, succH sas.XPtr) (sas.XPtr, uint16, error) {
 	width := len(sn.Children)
 	switch {
@@ -496,16 +501,13 @@ func makeRoom(w Writer, doc *Doc, sn *schema.Node, predH, succH sas.XPtr) (sas.X
 			}
 			return nb, 0, nil
 		}
-		// Split: move everything after pred to a fresh block; pred's block
-		// then has room.
-		if err := moveRun(w, doc, sn, block, uint16(pd.NextInBlock.PageOffset()), width); err != nil {
+		// Split: move the block's tail, never pred, so the new descriptor
+		// goes in right after pred.
+		after := uint16(pd.Ptr.PageOffset())
+		if err := splitTail(w, doc, sn, block, h, after); err != nil {
 			return sas.NilPtr, 0, err
 		}
-		pd, err = DescOf(w, predH) // unchanged address, re-read defensively
-		if err != nil {
-			return sas.NilPtr, 0, err
-		}
-		return pd.Ptr.PageBase(), uint16(pd.Ptr.PageOffset()), nil
+		return block, after, nil
 
 	case !succH.IsNil():
 		sd, err := DescOf(w, succH)
@@ -532,21 +534,13 @@ func makeRoom(w Writer, doc *Doc, sn *schema.Node, predH, succH sas.XPtr) (sas.X
 			}
 			return nb, 0, nil
 		}
-		// Split at succ, then insert at the front of the new block.
-		if err := moveRun(w, doc, sn, block, uint16(sd.Ptr.PageOffset()), width); err != nil {
+		// Split: move the block's tail, never succ's in-block predecessor,
+		// so the new descriptor goes in right after it — before succ, or
+		// last in the block when succ moved on.
+		if err := splitTail(w, doc, sn, block, h, after); err != nil {
 			return sas.NilPtr, 0, err
 		}
-		sd, err = DescOf(w, succH)
-		if err != nil {
-			return sas.NilPtr, 0, err
-		}
-		// The new descriptor precedes succ, so it goes right before succ in
-		// succ's (new) block.
-		after = 0
-		if !sd.PrevInBlock.IsNil() {
-			after = uint16(sd.PrevInBlock.PageOffset())
-		}
-		return sd.Ptr.PageBase(), after, nil
+		return block, after, nil
 
 	default:
 		if !sn.FirstBlock.IsNil() {

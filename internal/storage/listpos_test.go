@@ -248,6 +248,17 @@ const fuzzNodeCap = 3000
 //	7    append x, y or z (by sel) to group arg
 func FuzzListPosition(f *testing.F) {
 	f.Add([]byte{40, 6, 0, 0, 1, 0, 39})
+	// One group: fill its first x block by appends, then insert at child 1
+	// of the full group again and again — the split's worst case, where
+	// every descriptor but the first follows the new one.
+	full := []byte{0}
+	for i := 0; i < 250; i++ {
+		full = append(full, 7, 0)
+	}
+	for i := 0; i < 300; i++ {
+		full = append(full, 8, 0)
+	}
+	f.Add(full)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return

@@ -22,6 +22,8 @@ import (
 //   - block lists are doubly linked, counts match chain lengths, labels are
 //     partly ordered (every descriptor of block i precedes every descriptor
 //     of block j for i < j) and increase along in-block chains;
+//   - every descriptor slot below a block's slot top is either live or on
+//     its free chain, never both nor twice;
 //   - the set of nodes reachable from the tree equals the set stored in the
 //     block lists, and schema NodeCounts agree.
 //
@@ -179,6 +181,8 @@ func verifySchemaList(r Reader, doc *Doc, sn *schema.Node, seen map[sas.XPtr]boo
 			return fmt.Errorf("schema %s: block %v descSize %d for %d slots", sn.Path(), block, h.DescSize, h.ChildSlots)
 		}
 		// In-block chain.
+		slots := int(h.SlotTop-nodeBlockHeaderSize) / h.DescSize
+		used := make([]bool, slots)
 		n := 0
 		var lastOff uint16
 		for off := h.FirstDesc; off != 0; {
@@ -190,6 +194,9 @@ func verifySchemaList(r Reader, doc *Doc, sn *schema.Node, seen map[sas.XPtr]boo
 				return fmt.Errorf("descriptor %v in two chains", d.Ptr)
 			}
 			seen[d.Ptr] = true
+			if err := takeSlot(used, h, off); err != nil {
+				return fmt.Errorf("schema %s: block %v descriptor: %w", sn.Path(), block, err)
+			}
 			if prevLabel != nil && nid.Compare(*prevLabel, d.Label) >= 0 {
 				return fmt.Errorf("schema %s: partial order violated at %v", sn.Path(), d.Ptr)
 			}
@@ -213,6 +220,25 @@ func verifySchemaList(r Reader, doc *Doc, sn *schema.Node, seen map[sas.XPtr]boo
 		if h.LastDesc != lastOff {
 			return fmt.Errorf("schema %s: block %v lastDesc %d, chain ends at %d", sn.Path(), block, h.LastDesc, lastOff)
 		}
+		// Free chain: every slot below the slot top is live or free, once.
+		page, pin, err := r.ViewPage(block)
+		if err != nil {
+			return err
+		}
+		free := 0
+		for off := h.FreeHead; off != 0; off = getU16(page[off:], 0) {
+			if err = takeSlot(used, h, off); err != nil {
+				break
+			}
+			free++
+		}
+		r.ReleasePage(pin)
+		if err != nil {
+			return fmt.Errorf("schema %s: block %v free chain: %w", sn.Path(), block, err)
+		}
+		if n+free != slots {
+			return fmt.Errorf("schema %s: block %v has %d live and %d free of %d slots", sn.Path(), block, n, free, slots)
+		}
 		if h.Next.IsNil() && sn.LastBlock != block {
 			return fmt.Errorf("schema %s: LastBlock %v, chain ends at %v", sn.Path(), sn.LastBlock, block)
 		}
@@ -225,5 +251,19 @@ func verifySchemaList(r Reader, doc *Doc, sn *schema.Node, seen map[sas.XPtr]boo
 	if count != sn.NodeCount {
 		return fmt.Errorf("schema %s: NodeCount %d, found %d", sn.Path(), sn.NodeCount, count)
 	}
+	return nil
+}
+
+// takeSlot marks the descriptor slot at offset off of a block with header h
+// used, failing unless it is a slot below the slot top not yet used.
+func takeSlot(used []bool, h nodeBlockHeader, off uint16) error {
+	i := (int(off) - nodeBlockHeaderSize) / h.DescSize
+	if int(off) < nodeBlockHeaderSize || (int(off)-nodeBlockHeaderSize)%h.DescSize != 0 || i >= len(used) {
+		return fmt.Errorf("offset %d is not a slot below the slot top %d", off, h.SlotTop)
+	}
+	if used[i] {
+		return fmt.Errorf("slot at offset %d taken twice", off)
+	}
+	used[i] = true
 	return nil
 }

@@ -45,6 +45,8 @@ go build ./...
 #     predicate keeps the scan, identical answers), TestPlansAreDeterministic
 #     (one EXPLAIN text per statement), TestUpdatePagesOnHotDocument (page
 #     views per keyed update, on the fresh document and after its splits),
+#     TestFirstInsertsIntoPackedBlocks (page views of the worst of the first
+#     keyed inserts into a fresh document, and log records per insert),
 #     TestUpdateTargetProbe (the probe's cut of a keyed target's page views,
 #     and the probe chosen with and without fresh statistics) and
 #     TestValuePredicateScalesLinearly (page views and allocations per context
@@ -57,7 +59,8 @@ go build ./...
 #   internal/txn: TestEvictionFlushesOnlyThePagesRecords (wal.fsyncs of an
 #     eviction: none for a committed page, one for a stolen one);
 #   internal/storage: TestListPositionProperty (the search's cut of page
-#     views per insert);
+#     views per insert) and TestSplitMovesBoundedTail (descriptors a split
+#     moves, blocks 500 inserts at one position allocate);
 #   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge).
 echo "== go test =="
 go test ./...
