@@ -9,7 +9,8 @@
 //	\begin [ro]   start an explicit (read-only) transaction
 //	\commit       commit it
 //	\rollback     abort it
-//	\load FILE NAME   bulk-load an XML file as document NAME
+//	\load FILE NAME   load an XML file as document NAME, in a transaction
+//	              of its own: the file is spliced into an insert statement
 //	\metrics      print doc("$metrics"): every metric and the recent queries
 //	\slowlog      print doc("$slowlog"): the retained slow-query traces
 //	\sessions     print doc("$sessions"): live sessions with accounting and
@@ -32,13 +33,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"sedna/client"
+	"sedna/internal/xmlscan"
 )
 
 func main() {
@@ -172,30 +177,57 @@ func command(c *client.Conn, cmd string) bool {
 			fmt.Fprintln(os.Stderr, `usage: \load FILE NAME`)
 			return true
 		}
-		loadFile(c, fields[1], fields[2])
+		if err := loadFile(c, fields[1], fields[2]); err != nil {
+			fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		} else {
+			fmt.Printf("loaded %s as %q\n", fields[1], fields[2])
+		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown command %s\n", fields[0])
 	}
 	return true
 }
 
-// loadFile bulk-loads by creating the document and streaming its content as
-// one insert statement. Large documents should be loaded server-side; this
-// keeps the shell dependency-free.
-func loadFile(c *client.Conn, path, name string) {
+// loadFile loads an XML file as document name: CREATE DOCUMENT, then an
+// insert of the file's content spliced into the statement text (the wire
+// protocol has no load verb, and the shell adds none), both in one explicit
+// transaction, so a file the insert refuses leaves no document behind. A
+// file with no element is refused before anything is created.
+func loadFile(c *client.Conn, path, name string) error {
 	content, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
+		return err
 	}
-	if _, err := c.Execute(fmt.Sprintf("CREATE DOCUMENT %q", name)); err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
+	if err := hasElement(content); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	stmt := fmt.Sprintf("UPDATE insert %s into doc(%q)", string(content), name)
-	if _, err := c.Execute(stmt); err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
+	if err := c.Begin(false); err != nil {
+		return err
 	}
-	fmt.Printf("loaded %s as %q\n", path, name)
+	for _, stmt := range []string{
+		fmt.Sprintf("CREATE DOCUMENT %q", name),
+		fmt.Sprintf("UPDATE insert %s into doc(%q)", content, name),
+	} {
+		if _, err := c.Execute(stmt); err != nil {
+			return errors.Join(err, c.Rollback())
+		}
+	}
+	return c.Commit()
+}
+
+// hasElement returns nil when content holds an element before any syntax
+// error.
+func hasElement(content []byte) error {
+	s := xmlscan.NewScanner(bytes.NewReader(content))
+	for {
+		k, err := s.Next()
+		switch {
+		case err == io.EOF:
+			return errors.New("no element")
+		case err != nil:
+			return err
+		case k == xmlscan.StartElement:
+			return nil
+		}
+	}
 }

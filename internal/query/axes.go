@@ -69,7 +69,7 @@ func axisStored(env *env, n *NodeItem, axis Axis, test NodeTest, k *collector) e
 		return childAxis(env, n, sn, attributeTest(test), 1, k)
 	case AxisSelf, AxisDescendantOrSelf, AxisDescendant:
 		if axis != AxisDescendant && matchesSchema(sn, test) {
-			if _, err := k.item(n); err != nil {
+			if _, err := k.item(n, 0); err != nil {
 				return err
 			}
 		}
@@ -97,7 +97,7 @@ func axisStored(env *env, n *NodeItem, axis Axis, test NodeTest, k *collector) e
 		// Ancestors accumulate bottom-up; document order is top-down.
 		for i := len(chain) - 1; i >= 0; i-- {
 			if matchesStoredNode(chain[i], test) {
-				if _, err := k.item(chain[i]); err != nil {
+				if _, err := k.item(chain[i], 0); err != nil {
 					return err
 				}
 			}

@@ -19,7 +19,8 @@ func forceBatchCap(t *testing.T, n int) {
 }
 
 // TestBatchCapacityIdentity re-runs the shared corpus tests — the optimizer
-// on and off, the rewriter on and off — with every batch cut to one node and
+// on and off, the rewriter on and off, and the where-clause shapes with the
+// rewriter on against off — with every batch cut to one node and
 // to three (so runs, merges and predicates cross a batch boundary at every
 // node) and at the default capacity: the corpus must serialize to its
 // recorded answers at each.
@@ -30,6 +31,7 @@ func TestBatchCapacityIdentity(t *testing.T) {
 			t.Run("optimized", TestOptimizedCorpusIdentity)
 			t.Run("in-place off", TestInPlaceOffCorpusIdentity)
 			t.Run("strings", TestStringValueInterleaved)
+			t.Run("rewriter on and off", TestRewrittenAndNaiveAgree)
 		})
 	}
 }
@@ -74,6 +76,7 @@ func TestOperatorAllocations(t *testing.T) {
 		{"count", `count(doc("%s")//person)`, 0.1},
 		{"value predicate", `count(doc("%s")//person[profile/age > 40])`, 0.1},
 		{"leaf atomization", `count(doc("%s")/site/people/person[name = "nobody"])`, 0.1},
+		{"where clause", `count(for $p in doc("%s")/site/people/person where $p/profile/age > 40 return $p)`, 0.1},
 	}
 	db := allocDB(t)
 	for _, op := range operators {

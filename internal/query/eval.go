@@ -33,10 +33,26 @@ type binding struct {
 	next *binding
 }
 
+// scope is a nested env with its one binding and, for a single item, the
+// binding's value: one allocation per scope.
+type scope struct {
+	env env
+	b   binding
+	one [1]Item
+}
+
 func (e *env) bind(name string, val []Item) *env {
-	ne := *e
-	ne.vars = &binding{name: name, val: val, next: e.vars}
-	return &ne
+	s := &scope{env: *e, b: binding{name: name, val: val, next: e.vars}}
+	s.env.vars = &s.b
+	return &s.env
+}
+
+// bindItem binds name to the single item it.
+func (e *env) bindItem(name string, it Item) *env {
+	s := &scope{env: *e, one: [1]Item{it}}
+	s.b = binding{name: name, val: s.one[:], next: e.vars}
+	s.env.vars = &s.b
+	return &s.env
 }
 
 func (e *env) lookup(name string) ([]Item, bool) {
@@ -154,7 +170,7 @@ func eval(x Expr, e *env, f *focus) ([]Item, error) {
 			return nil, err
 		}
 		for _, it := range seq {
-			v, err := eval(n.Pred, e.bind(n.Var, []Item{it}), f)
+			v, err := eval(n.Pred, e.bindItem(n.Var, it), f)
 			if err != nil {
 				return nil, err
 			}
@@ -539,9 +555,9 @@ func flworLoop(fl *FLWOR, i int, e *env, f *focus, sink *[]flworTuple) error {
 		if err := e.ctx.checkKilled(); err != nil {
 			return err
 		}
-		ne := e.bind(cl.Var, []Item{it})
+		ne := e.bindItem(cl.Var, it)
 		if cl.PosVar != "" {
-			ne = ne.bind(cl.PosVar, []Item{num(float64(pos + 1))})
+			ne = ne.bindItem(cl.PosVar, num(float64(pos+1)))
 		}
 		if err := flworLoop(fl, i+1, ne, f, sink); err != nil {
 			return err

@@ -68,8 +68,9 @@ type ExecCtx struct {
 	views heldViews
 
 	// paths holds the chains of in-place comparisons this context resolved
-	// in the statement (inplace.go).
+	// in the statement, and walk reads their values (inplace.go).
 	paths []resolvedPath
+	walk  *storage.ValueWalk
 
 	// indexOns holds the index ON paths the statement resolved (ddl.go).
 	indexOns []*indexOn
@@ -343,7 +344,7 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 		ctx.popSpan(esp)
 	}()
 	ctx.funcs = st.Prolog.Funcs
-	defer ctx.views.release()
+	defer ctx.release()
 	e := &env{ctx: ctx, r: ctx.reader()}
 	// Prolog variables bind in order.
 	for _, v := range st.Prolog.Vars {
@@ -459,7 +460,7 @@ func execProfile(ctx *ExecCtx, inner *Statement) (*Result, error) {
 // their lexical forms, items separated by single spaces (adjacent atomics)
 // or nothing (nodes).
 func (r *Result) Serialize(w io.Writer) error {
-	defer r.ctx.views.release()
+	defer r.ctx.release()
 	e := &env{ctx: r.ctx, r: r.ctx.reader()}
 	prevAtomic := false
 	for _, it := range r.Items {

@@ -3,11 +3,14 @@ package query
 // In-place value comparisons: a general comparison of a literal with a chain
 // of named child steps (or child steps and a last attribute step), starting at
 // the context item or at a variable, reads the values where they lie
-// (storage.ChildValues) and compares each as bytes with the literal, converted
-// once. Any other start or leaf takes evalBinary's general path.
+// (storage.ValueWalk) and compares each as bytes with the literal, converted
+// once. A step's collector evaluates a leading one at the context item for
+// a whole batch of candidates in one walk. Any other start or leaf takes
+// evalBinary's general path.
 
 import (
 	"bytes"
+	"sync"
 
 	"sedna/internal/opt"
 	"sedna/internal/schema"
@@ -133,8 +136,32 @@ func (ctx *ExecCtx) inPlaceSlots(c *inPlaceCmp, sn *schema.Node) ([]int, bool) {
 	return p.slots, p.ok
 }
 
-// evalInPlace evaluates a marked comparison; handled=false sends it down the
-// general path.
+// walks keeps value walks, with the frontiers they grew, from one statement
+// to the next: a statement's ExecCtx is new, and most read a few values.
+var walks = sync.Pool{New: func() any { return new(storage.ValueWalk) }}
+
+// valueWalk returns the statement's value walk, taken from walks at its first
+// use in an execution or serialization phase.
+func (ctx *ExecCtx) valueWalk() *storage.ValueWalk {
+	if ctx.walk == nil {
+		ctx.walk = walks.Get().(*storage.ValueWalk)
+	}
+	return ctx.walk
+}
+
+// release ends an execution or serialization phase: the held page views go,
+// and the value walk goes back to walks.
+func (ctx *ExecCtx) release() {
+	ctx.views.release()
+	if ctx.walk != nil {
+		walks.Put(ctx.walk)
+		ctx.walk = nil
+	}
+}
+
+// evalInPlace evaluates a marked comparison for one start; handled=false
+// sends it down the general path. A step's collector evaluates a leading one
+// for a whole batch instead (collector.holding).
 func evalInPlace(c *inPlaceCmp, e *env, f *focus) (holds, handled bool, err error) {
 	var start Item
 	if c.start == "" && f != nil {
@@ -150,8 +177,71 @@ func evalInPlace(c *inPlaceCmp, e *env, f *focus) (holds, handled bool, err erro
 	if !ok || slots == nil {
 		return false, ok, nil
 	}
-	e.ctx.textBuf, holds, err = storage.ChildValues(e.r, &n.D, slots, !c.attr, e.ctx.textBuf[:0], c.holds)
+	e.ctx.textBuf, holds, err = e.values(n, slots, !c.attr, e.ctx.textBuf[:0], c.holds)
 	return holds, true, err
+}
+
+// values walks a chain of slots from one node (storage.ValueWalk with one
+// start) and reports whether a value held.
+func (e *env) values(n *NodeItem, slots []int, text bool, dst []byte, visit func([]byte) bool) ([]byte, bool, error) {
+	w := e.ctx.valueWalk()
+	w.Reset()
+	w.Add(&n.D, slots[0])
+	dst, err := w.Run(e.r, slots, text, dst, visit)
+	return dst, err == nil && w.Held(0), err
+}
+
+// holding evaluates c, the collector's first predicate, for every node of b
+// and moves the nodes it holds for to the front of b, in order; it returns
+// how many. Each maximal run of one document and schema node resolves the
+// chain once and reads it in one walk; a run whose leaf is not simple content
+// takes the general path node by node. Nothing of the walk outlives the run,
+// so a later predicate may run a batch of its own.
+func (k *collector) holding(b []NodeItem, c *inPlaceCmp) (int, error) {
+	e, w := k.e, k.e.ctx.valueWalk()
+	n := 0
+	for i := 0; i < len(b); {
+		doc, id := b[i].Doc, b[i].D.SchemaID
+		j := i + 1
+		for j < len(b) && b[j].Doc == doc && b[j].D.SchemaID == id {
+			j++
+		}
+		run := b[i:j]
+		i = j
+		slots, ok := e.ctx.inPlaceSlots(c, doc.Schema.ByID(id))
+		switch {
+		case !ok:
+			for r := range run {
+				k.pos[0]++
+				holds, err := predHolds(k.preds[0], e, &run[r], k.pos[0], 0)
+				if err != nil {
+					return n, err
+				}
+				if holds {
+					b[n] = run[r]
+					n++
+				}
+			}
+			continue
+		case slots != nil:
+			w.Reset()
+			for r := range run {
+				w.Add(&run[r].D, slots[0])
+			}
+			var err error
+			if e.ctx.textBuf, err = w.Run(e.r, slots, !c.attr, e.ctx.textBuf[:0], c.holds); err != nil {
+				return n, err
+			}
+			for r := range run {
+				if w.Held(r) {
+					b[n] = run[r]
+					n++
+				}
+			}
+		}
+		k.pos[0] += len(run)
+	}
+	return n, nil
 }
 
 // holds compares a value with the literal as compareAtomic compares an

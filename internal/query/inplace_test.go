@@ -99,7 +99,8 @@ func TestInPlaceReadsOwnWrites(t *testing.T) {
 // FuzzValueCompare holds the in-place comparison to the general one: a
 // predicate comparing a child path, or an attribute, with a literal selects
 // what the same comparison under a quantifier selects, and that never takes
-// the in-place path. The leaf values are fuzzed, XML-escaped, as element text
+// the in-place path; so does a FLWOR's where clause of that shape, which the
+// rewriter turns into a predicate. The leaf values are fuzzed, XML-escaped, as element text
 // and as attribute values; the literal is a string or a number.
 func FuzzValueCompare(f *testing.F) {
 	db, err := core.Open(f.TempDir(), core.Options{NoSync: true, BufferPages: 256})
@@ -139,14 +140,17 @@ func FuzzValueCompare(f *testing.F) {
 		}
 		defer upd(t, db, `DROP DOCUMENT "f"`)
 		o := ops[int(op)%len(ops)]
+		pred := func(p string) string { return `count(doc("f")//e[` + p + `])` }
+		where := func(w string) string { return `count(for $e in doc("f")//e where ` + w + ` return $e)` }
 		for _, c := range [][2]string{
-			{"p/v " + o + " " + lit, "some $x in p/v satisfies $x " + o + " " + lit},
-			{lit + " " + o + " p/v", "some $x in p/v satisfies " + lit + " " + o + " $x"},
-			{"p/@a " + o + " " + lit, "some $x in p/@a satisfies $x " + o + " " + lit},
+			{pred("p/v " + o + " " + lit), pred("some $x in p/v satisfies $x " + o + " " + lit)},
+			{pred(lit + " " + o + " p/v"), pred("some $x in p/v satisfies " + lit + " " + o + " $x")},
+			{pred("p/@a " + o + " " + lit), pred("some $x in p/@a satisfies $x " + o + " " + lit)},
+			{where("$e/p/v " + o + " " + lit), where("some $x in $e/p/v satisfies $x " + o + " " + lit)},
 		} {
-			got := q(t, db, `count(doc("f")//e[`+c[0]+`])`)
-			if want := q(t, db, `count(doc("f")//e[`+c[1]+`])`); got != want {
-				t.Fatalf("[%s] selects %s elements, [%s] %s\n%s", c[0], got, c[1], want, doc)
+			got := q(t, db, c[0])
+			if want := q(t, db, c[1]); got != want {
+				t.Fatalf("%s = %s, but %s = %s\n%s", c[0], got, c[1], want, doc)
 			}
 		}
 	})

@@ -173,6 +173,7 @@ func (rw *rewriter) rewriteExpr(x Expr) Expr {
 		return n
 
 	case *FLWOR:
+		rw.whereToPredicate(n)
 		for _, cl := range n.Clauses {
 			cl.Seq = rw.rewriteExpr(cl.Seq)
 			// Pass 3: a for-clause binding sequence nested under an outer
@@ -209,7 +210,7 @@ func (rw *rewriter) rewriteExpr(x Expr) Expr {
 				}
 			}
 		}
-		return n
+		return rw.forIdentity(n)
 
 	case *FuncCall:
 		for i := range n.Args {
@@ -241,6 +242,57 @@ func (rw *rewriter) rewriteExpr(x Expr) Expr {
 	}
 }
 
+// whereToPredicate turns `for $v in P where $v/a/b op L return R`, P a step,
+// into `for $v in P[a/b op L] return R` when the where clause alone has the
+// in-place shape and starts at the clause's variable: the comparison then
+// runs over P's candidates a batch at a time, as the collector's first
+// in-place predicate (collector.holding), instead of after each binding. It
+// runs first, so that the passes see the predicate: a step with a predicate
+// is not structural. Analyze ran before it, and what it records of a step
+// (wholeContext) stays true: the comparison calls no last(), and the rule
+// leaves the step within streamPreds predicates.
+func (rw *rewriter) whereToPredicate(fl *FLWOR) {
+	cmp, ok := fl.Where.(*Binary)
+	if !ok || len(fl.Clauses) != 1 || len(fl.OrderBy) > 0 {
+		return
+	}
+	cl := fl.Clauses[0]
+	step, ok := cl.Seq.(*Step)
+	if !ok || cl.Let || cl.PosVar != "" || len(step.Preds) >= streamPreds {
+		return
+	}
+	if c := inPlaceShape(cmp); c == nil || c.start != cl.Var {
+		return
+	}
+	chain, _ := cmp.Left.(*Step)
+	if chain == nil {
+		chain = cmp.Right.(*Step)
+	}
+	for in, ok := chain.Input.(*Step); ok; in, ok = chain.Input.(*Step) {
+		chain = in
+	}
+	chain.Input = nil // $v is now the candidate, the predicate's context item
+	step.Preds = append(step.Preds, cmp)
+	fl.Where = nil
+	rw.note("where-to-predicate: $" + cl.Var)
+}
+
+// forIdentity returns the step P for `for $v in P return $v`, the shape a
+// where clause moved into P's predicates leaves behind, and fl itself for any
+// other FLWOR. A lazy P keeps its loop, which replays the cached sequence.
+func (rw *rewriter) forIdentity(fl *FLWOR) Expr {
+	if len(fl.Clauses) != 1 || fl.Where != nil || len(fl.OrderBy) > 0 {
+		return fl
+	}
+	cl := fl.Clauses[0]
+	step, ok := cl.Seq.(*Step)
+	if v, isVar := fl.Return.(*VarRef); !ok || !isVar || v.Name != cl.Var || cl.Let || cl.PosVar != "" || cl.Lazy {
+		return fl
+	}
+	rw.note("for-identity: $" + cl.Var)
+	return step
+}
+
 // exprIsInvariant reports whether an expression references no variables and
 // no context item, so its value cannot change across iterations.
 func exprIsInvariant(x Expr) bool {
@@ -254,27 +306,30 @@ func exprIsInvariant(x Expr) bool {
 
 func usesContext(x Expr) bool {
 	found := false
-	walkExpr(x, func(e Expr) {
-		switch e.(type) {
+	inspect(x, func(e Expr) bool {
+		switch n := e.(type) {
 		case *ContextItem, *Root:
 			found = true
 		case *Step:
-			if e.(*Step).Input == nil {
-				found = true
-			}
+			// A predicate's context item is the step's candidate.
+			found = found || n.Input == nil || usesContext(n.Input)
+			return false
+		case *Filter:
+			found = found || usesContext(n.Input)
+			return false
 		case *FuncCall:
-			n := e.(*FuncCall).Name
-			if n == "position" || n == "last" {
+			if n.Name == "position" || n.Name == "last" {
 				found = true
 			}
-			if fc := e.(*FuncCall); len(fc.Args) == 0 {
-				switch n {
+			if len(n.Args) == 0 {
+				switch n.Name {
 				case "string", "number", "name", "local-name", "string-length",
 					"normalize-space", "root", "text", "node-kind":
 					found = true // defaults to the context item
 				}
 			}
 		}
+		return !found
 	})
 	return found
 }
@@ -344,63 +399,68 @@ func mayBeNumeric(x Expr) bool {
 
 // walkExpr visits every node of an expression tree.
 func walkExpr(x Expr, visit func(Expr)) {
-	if x == nil {
+	inspect(x, func(e Expr) bool { visit(e); return true })
+}
+
+// inspect visits the nodes of an expression tree in preorder, the children
+// of a node only when visit returns true for it.
+func inspect(x Expr, visit func(Expr) bool) {
+	if x == nil || !visit(x) {
 		return
 	}
-	visit(x)
 	switch n := x.(type) {
 	case *Step:
-		walkExpr(n.Input, visit)
+		inspect(n.Input, visit)
 		for _, p := range n.Preds {
-			walkExpr(p, visit)
+			inspect(p, visit)
 		}
 	case *Filter:
-		walkExpr(n.Input, visit)
+		inspect(n.Input, visit)
 		for _, p := range n.Preds {
-			walkExpr(p, visit)
+			inspect(p, visit)
 		}
 	case *Sequence:
 		for _, it := range n.Items {
-			walkExpr(it, visit)
+			inspect(it, visit)
 		}
 	case *Binary:
-		walkExpr(n.Left, visit)
-		walkExpr(n.Right, visit)
+		inspect(n.Left, visit)
+		inspect(n.Right, visit)
 	case *Unary:
-		walkExpr(n.X, visit)
+		inspect(n.X, visit)
 	case *IfExpr:
-		walkExpr(n.Cond, visit)
-		walkExpr(n.Then, visit)
-		walkExpr(n.Else, visit)
+		inspect(n.Cond, visit)
+		inspect(n.Then, visit)
+		inspect(n.Else, visit)
 	case *Quantified:
-		walkExpr(n.Seq, visit)
-		walkExpr(n.Pred, visit)
+		inspect(n.Seq, visit)
+		inspect(n.Pred, visit)
 	case *FLWOR:
 		for _, cl := range n.Clauses {
-			walkExpr(cl.Seq, visit)
+			inspect(cl.Seq, visit)
 		}
-		walkExpr(n.Where, visit)
+		inspect(n.Where, visit)
 		for _, o := range n.OrderBy {
-			walkExpr(o.Key, visit)
+			inspect(o.Key, visit)
 		}
-		walkExpr(n.Return, visit)
+		inspect(n.Return, visit)
 	case *FuncCall:
 		for _, a := range n.Args {
-			walkExpr(a, visit)
+			inspect(a, visit)
 		}
 	case *ElementCtor:
 		for _, a := range n.Attrs {
 			for _, v := range a.Value {
-				walkExpr(v, visit)
+				inspect(v, visit)
 			}
 		}
 		for _, c := range n.Content {
-			walkExpr(c, visit)
+			inspect(c, visit)
 		}
 	case *TextCtor:
-		walkExpr(n.Content, visit)
+		inspect(n.Content, visit)
 	case *CommentCtor:
-		walkExpr(n.Content, visit)
+		inspect(n.Content, visit)
 	}
 }
 

@@ -234,16 +234,101 @@ func TestRewriteOffSwitch(t *testing.T) {
 	}
 }
 
+// whereShapes are FLWORs around the where-to-predicate rule: the first four
+// take it, the rest must not.
+var whereShapes = []string{
+	`for $b in doc("lib")/library/book where $b/issue/year > 2000 return string($b/title)`,
+	`for $b in doc("lib")//book where "Date" = $b/author return string($b/title)`,
+	`for $b in doc("lib")/library/book[year > 1990] where $b/author != "Date" return string($b/title)`,
+	`for $w in (1991, 1995) return for $b in doc("lib")//book where $b/year > 1990 return string($b/title)`,
+	`for $b at $i in doc("lib")/library/book where $b/year > 1990 return $i`,
+	`for $b in doc("lib")/library/book where $b/year > 1990 order by $b/title return string($b/title)`,
+	`for $b in doc("lib")/library/book, $a in $b/author where $b/year > 1990 return string($a)`,
+	`let $b := doc("lib")/library/book where $b/year > 1990 return count($b)`,
+	`for $x in doc("lib")//book return for $b in $x where $b/year > 1990 return string($b/title)`,
+	`for $b in index-scan("byyear", 1995) where $b/year > 1990 return string($b/title)`,
+	`for $w in (1991, 1995) return for $b in doc("lib")//book where $b/year = $w return string($b/title)`,
+	`for $b in doc("lib")//book where $b/year > 1990 and $b/author = "Date" return string($b/title)`,
+	`for $a in doc("lib")//book return for $b in $a/author where $a/year > 1990 return string($b)`,
+}
+
+// whereFires is how many of whereShapes take the rule.
+const whereFires = 4
+
+// TestRewriteWhereToPredicate: a single-for FLWOR over a step whose where
+// clause alone is an in-place comparison starting at the for variable — both
+// of scan_analytic's FLWORs among them — has the comparison appended to the
+// step as a predicate, starting at the context item, and the where clause
+// cleared; EXPLAIN notes the rule and shows the comparison in place under the
+// step. With an at variable, an order by, a second clause, a let, a sequence
+// that is not a step (a variable, an index scan), a comparison with a
+// variable, a conjunction, or a chain from another variable, the FLWOR is
+// left as it is.
+func TestRewriteWhereToPredicate(t *testing.T) {
+	db := testDB(t)
+	auction := `for $a in doc("site")/site/open_auctions/open_auction where $a/current > 4800 return <hot id="{$a/@id}">{count($a/bidder)}</hot>`
+	for i, src := range append(whereShapes, auction) {
+		st := rewritten(t, src)
+		fired, want := false, i < whereFires || src == auction
+		for _, n := range st.Rewrites {
+			fired = fired || strings.HasPrefix(n, "where-to-predicate: ")
+		}
+		if fired != want {
+			t.Errorf("%s: rule fired %v, want %v (rewrites %q)", src, fired, want, st.Rewrites)
+			continue
+		}
+		if !fired {
+			continue
+		}
+		var fl *FLWOR
+		walkExpr(st.Query, func(x Expr) {
+			if f, ok := x.(*FLWOR); ok && f.Clauses[0].Var != "w" {
+				fl = f
+			}
+		})
+		step := fl.Clauses[0].Seq.(*Step)
+		cmp, ok := step.Preds[len(step.Preds)-1].(*Binary)
+		if fl.Where != nil || !ok {
+			t.Errorf("%s: where clause %v, last predicate %T", src, fl.Where, step.Preds[len(step.Preds)-1])
+			continue
+		}
+		if c := inPlaceShape(cmp); c == nil || c.start != "" {
+			t.Errorf("%s: the moved comparison does not start at the context item", src)
+		}
+		out := q(t, db, "EXPLAIN "+src)
+		at := strings.Index(out, " [preds=")
+		in := strings.Index(out, " [in-place]")
+		if ret := strings.LastIndex(out, "return:"); !strings.Contains(out, "where-to-predicate: $") || at < 0 || in < at || ret < in {
+			t.Errorf("EXPLAIN %s: no note, or no in-place comparison under the step\n%s", src, out)
+		}
+	}
+}
+
+// TestRewriteForIdentity: the FLWOR a moved where clause leaves behind,
+// `for $v in P return $v`, is the step P; a lazy P keeps its loop.
+func TestRewriteForIdentity(t *testing.T) {
+	st := rewritten(t, `for $b in doc("lib")//book where $b/year > 1990 return $b`)
+	if s, ok := st.Query.(*Step); !ok || len(s.Preds) != 1 || !strings.Contains(strings.Join(st.Rewrites, ";"), "for-identity: $b") {
+		t.Fatalf("rewritten to %T, rewrites %q", st.Query, st.Rewrites)
+	}
+	st = rewritten(t, `for $x in doc("lib")//a return for $y in doc("lib")//b return $y`)
+	if inner, ok := st.Query.(*FLWOR).Return.(*FLWOR); !ok || !inner.Clauses[0].Lazy {
+		t.Fatalf("the lazy inner FLWOR was rewritten: %q", st.Rewrites)
+	}
+}
+
 func TestRewrittenAndNaiveAgree(t *testing.T) {
 	db := testDB(t)
-	queries := []string{
+	upd(t, db, `CREATE INDEX "byyear" ON doc("lib")/library/book BY year AS number`)
+	queries := append([]string{
 		`count(doc("lib")//author)`,
 		`data(doc("lib")//year)`,
 		`doc("lib")//book/title/text()`,
 		`count(doc("lib")/library/book/author/..)`,
 		`for $b in doc("lib")/library/book for $a in doc("lib")//author return 1`,
 		`string-join(for $t in doc("lib")//title return string($t), ";")`,
-	}
+		`for $b in doc("lib")//book where $b/year > 1990 return $b`,
+	}, whereShapes...)
 	for _, src := range queries {
 		tx, _ := db.BeginReadOnly()
 		opt := NewExecCtx(tx)

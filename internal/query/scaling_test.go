@@ -36,12 +36,13 @@ const predicateDescent = `count(doc("auction")//person[.//age > 40])`
 // smallest document when the bound was set, plus a quarter (0.41 now).
 const predicatePagesPerNode = 0.9
 
-// predicateAllocsPerNode bounds the heap allocations per context node: the
-// compared string (not every node has one), a FLWOR's variable binding, and
-// for the nodes that pass their share of the result — measured 2.21 on the
-// smallest document when the bound was set, plus a quarter (1.60 now). The
-// nodes themselves are slab entries and allocate nothing.
-const predicateAllocsPerNode = 2.8
+// predicateAllocsPerNode bounds the heap allocations per context node: for
+// the nodes that pass, their share of the result — a FLWOR's where clause is
+// a predicate of its step, so only the bindings that pass allocate, one
+// scope each. Measured 0.59 on the smallest document when the bound was set,
+// plus a quarter. The nodes themselves are slab entries and allocate
+// nothing, and the comparisons read their values in place.
+const predicateAllocsPerNode = 0.74
 
 // predicateGrowth bounds how much the page views and the allocations per
 // context node may grow from the smallest document to the largest, 16 times

@@ -224,9 +224,31 @@ func (k *collector) positionSkip() int {
 	return int(lit.Number) - 1 - k.pos[0]
 }
 
+// batched returns the in-place comparison take evaluates for a whole batch
+// at once: the first predicate, when it is marked and starts at the context
+// item, and the collector neither filters, stops at a node nor stops after a
+// count (nil otherwise).
+func (k *collector) batched() *inPlaceCmp {
+	if len(k.preds) == 0 || k.filter || !k.until.IsNil() || k.limit > 0 {
+		return nil
+	}
+	if b, ok := k.preds[0].(*Binary); ok && b.inPlace != nil && b.inPlace.start == "" {
+		return b.inPlace
+	}
+	return nil
+}
+
 // take consumes one batch and returns how many of its entries, moved to its
 // front, must stay allocated.
 func (k *collector) take(b []NodeItem) (keep int, err error) {
+	from := 0
+	if c := k.batched(); c != nil {
+		n, err := k.holding(b, c)
+		if err != nil {
+			return 0, err
+		}
+		b, from = b[:n], 1
+	}
 	for i := range b {
 		it := &b[i]
 		if it.D.Handle == k.until && !k.until.IsNil() {
@@ -242,7 +264,7 @@ func (k *collector) take(b []NodeItem) (keep int, err error) {
 			b[keep] = *it
 			it = &b[keep]
 		}
-		kept, err := k.item(it)
+		kept, err := k.item(it, from)
 		if kept {
 			keep++
 		}
@@ -253,11 +275,13 @@ func (k *collector) take(b []NodeItem) (keep int, err error) {
 	return keep, nil
 }
 
-// item offers one node; kept reports that it is now referenced (it was
-// collected, so its slot must stay). errStop means the producer can stop.
-func (k *collector) item(it *NodeItem) (kept bool, err error) {
+// item offers one node that passed the predicates before from; kept reports
+// that it is now referenced (it was collected, so its slot must stay).
+// errStop means the producer can stop.
+func (k *collector) item(it *NodeItem, from int) (kept bool, err error) {
 	last := false
-	for j, p := range k.preds {
+	for j := from; j < len(k.preds); j++ {
+		p := k.preds[j]
 		k.pos[j]++
 		ok, err := predHolds(p, k.e, it, k.pos[j], 0)
 		if err != nil || !ok {

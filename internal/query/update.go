@@ -67,7 +67,7 @@ func execUpdate(u *Update, e *env) (int, error) {
 			}
 			if u.Kind == UpdReplace {
 				var src []Item
-				if src, err = eval(u.Source, e.bind(u.Var, []Item{cur}), nil); err == nil {
+				if src, err = eval(u.Source, e.bindItem(u.Var, cur), nil); err == nil {
 					err = insertItems(e, cur, UpdInsertFollowing, src)
 				}
 			} else {

@@ -113,7 +113,7 @@ func (a *Atomic) NumberValue() float64 {
 // for text-carrying kinds, else the concatenation of its descendant text
 // nodes in document order, streamed without the text nodes becoming items.
 // When the descriptive schema says the node holds nothing but text, those
-// are its children in its text slot, read in place (storage.ChildValues);
+// are its children in its text slot, read in place (storage.ValueWalk);
 // otherwise they come from the schema-driven descendant scan.
 func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 	sn := n.Doc.Schema.ByID(n.D.SchemaID)
@@ -128,7 +128,7 @@ func nodeText(env *env, n *NodeItem, dst []byte) ([]byte, error) {
 	if text, ok := simpleContent(sn); !ok {
 		err = descendantAxis(env, n, sn, NodeTest{Kind: TestText}, &k)
 	} else if text != nil {
-		k.buf, _, err = storage.ChildValues(env.r, &n.D, []int{sn.ChildIndex(text)}, true, dst, oneValue)
+		k.buf, _, err = env.values(n, []int{sn.ChildIndex(text)}, true, dst, oneValue)
 	}
 	return k.buf, err
 }

@@ -418,31 +418,27 @@ func ScanSchema(r Reader, sn *schema.Node, visit func(Desc) (bool, error)) error
 
 // links is what peekDesc reads of a descriptor.
 type links struct {
-	at, handle, parent, child, next, text sas.XPtr
-	nextParent                            sas.XPtr // next's parent when on the page, else nil
-	textLen                               uint32
+	at, child, next sas.XPtr
 }
 
 // peekDesc reads, under one page view and without decoding the descriptor,
-// what a structural descent or a value walk needs of the descriptor at p (or,
-// when p is a block's base pointer, of the first descriptor from that block
-// on): its address (nil: the list ended), handle, parent, text, first child in
-// the slot (slot < 0, or beyond a narrow block's width: none), the next
-// descriptor of its list and, when under is not nil, whether it lies under
-// that label.
+// what a structural descent or a parent search needs of the descriptor at p
+// (or, when p is a block's base pointer, of the first descriptor from that
+// block on): its address (nil: the list ended), first child in the slot
+// (slot < 0, or beyond a narrow block's width: none), the next descriptor of
+// its list and, when under is not nil, whether it lies under that label.
 func peekDesc(r Reader, p sas.XPtr, slot int, under *nid.Label) (l links, inRange bool, err error) {
 	page, pin, h, at, err := viewDesc(r, p)
 	if err != nil || at.IsNil() {
 		return links{}, false, err
 	}
 	b := page[at.PageOffset():]
-	l = links{at: at, handle: getPtr(b, dHandle), parent: getPtr(b, dParent),
-		text: getPtr(b, dText), textLen: getU32(b, dTextLen), next: h.Next}
+	l = links{at: at, next: h.Next}
 	if slot >= 0 && slot < h.ChildSlots {
 		l.child = getPtr(b, dChildren+8*slot)
 	}
 	if n := getU16(b, dNextIn); n != 0 {
-		l.next, l.nextParent = at.PageBase().Add(uint32(n)), getPtr(page[n:], dParent)
+		l.next = at.PageBase().Add(uint32(n))
 	}
 	lab := nid.Label{Delim: b[dNidDelim]}
 	ov, ovLen := overflowOf(b)
@@ -518,55 +514,168 @@ func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error)
 	return p, nil
 }
 
-// ChildValues reads the values of the nodes a chain of schema-child slots
-// leads to from start, where they lie: slots[i] is the slot followed from the
-// nodes of level i (start is level 0), then the child's list while the parent
-// stays the same (§4.1). With text, the last slot is the leaf elements' text
-// child (-1: none) and a leaf's value is its text children concatenated;
-// otherwise a leaf is an attribute and its value its own text. No descriptor
-// is decoded. Each value is appended to buf at its length on entry and handed
-// to visit, which returns true to stop the walk; ChildValues returns buf with
-// the last value visited and whether visit stopped the walk.
-func ChildValues(r Reader, start *Desc, slots []int, text bool, buf []byte, visit func(v []byte) bool) ([]byte, bool, error) {
-	return childValues(r, start.ChildAtSlot(slots[0]), start.Handle, slots, text, buf, len(buf), visit)
+// ValueWalk reads the values that a chain of schema-child slots leads to from
+// a batch of start nodes of one schema node, where they lie, and reports for
+// each start whether one of its values held. slots[i] is the slot followed
+// from the nodes of level i (the starts are level 0). With text, the last
+// slot is the leaf elements' text child (-1: none) and a leaf's value is its
+// text children concatenated ("" with none); otherwise a leaf is an attribute
+// and its value its own text.
+//
+// Each level is read once for the whole batch. A node's children in a slot
+// are its first child there, then the child's list while the parent stays
+// the same (§4.1): the children of consecutive starts lie one after another
+// in one list, so one page view serves every node of a level on that page.
+// Only the parent, handle, child-slot, in-block link and text fields of a
+// descriptor are read; no descriptor is decoded. The text records are read
+// after the last level's view is released, one view per text page, so no
+// page stays viewed across another read.
+//
+// The zero value is ready for use, and a walk reuses the frontiers of the
+// one before it.
+type ValueWalk struct {
+	cur, next []walkNode // the level read last and the one being built
+	held      []bool     // per start: a value held
 }
 
-// childValues walks the children of parent from first, its child in slots[0].
-// No struct carries the arguments: slots and visit stay on the caller's stack.
-func childValues(r Reader, first, parent sas.XPtr, slots []int, text bool, buf []byte, base int, visit func([]byte) bool) ([]byte, bool, error) {
-	leaf := len(slots) == 1
-	buf = buf[:base]
-	for p := first; !p.IsNil(); {
-		slot := -1
-		if !leaf {
-			slot = slots[1]
+// walkNode is one node of a walk's frontier.
+type walkNode struct {
+	owner, parent int32    // the start it descends from; its parent's index in the level above
+	handle, first sas.XPtr // its handle; its first child in the next level's slot
+	text          sas.XPtr
+	textLen       uint32
+}
+
+// Reset empties the batch.
+func (w *ValueWalk) Reset() { w.cur, w.held = w.cur[:0], w.held[:0] }
+
+// Add appends a start node, whose first children are read in slot (the
+// chain's first). Starts need not be adjacent in their list.
+func (w *ValueWalk) Add(d *Desc, slot int) {
+	w.cur = append(w.cur, walkNode{owner: int32(len(w.held)), parent: -1, handle: d.Handle, first: d.ChildAtSlot(slot)})
+	w.held = append(w.held, false)
+}
+
+// Held reports whether a value of the i-th start held in the last Run.
+func (w *ValueWalk) Held(i int) bool { return w.held[i] }
+
+// Run walks the chain from the starts added since Reset, with slots[0] the
+// slot they were added with. Each value is appended to buf at its length on
+// entry and handed to visit; visit returning true marks the value's start as
+// held, and that start's remaining values are skipped. Run returns buf with
+// the last value visited.
+func (w *ValueWalk) Run(r Reader, slots []int, text bool, buf []byte, visit func(v []byte) bool) ([]byte, error) {
+	for i := range slots {
+		next := -1
+		if i+1 < len(slots) {
+			next = slots[i+1]
 		}
-		l, _, err := peekDesc(r, p, slot, nil)
-		if err != nil {
-			return buf, false, err
+		if err := w.level(r, next); err != nil {
+			return buf, err
 		}
-		if l.at.IsNil() || l.parent != parent {
-			break
-		}
-		stop := false
-		switch {
-		case text && leaf:
-			buf, err = AppendText(r, l.text, l.textLen, buf)
-		case leaf:
-			if buf, err = AppendText(r, l.text, l.textLen, buf[:base]); err == nil {
-				stop = visit(buf[base:])
-			}
-		default:
-			buf, stop, err = childValues(r, l.child, l.handle, slots[1:], text, buf, base, visit)
-		}
-		if stop || err != nil {
-			return buf, stop, err
-		}
-		if p = l.next; !l.nextParent.IsNil() && l.nextParent != parent {
-			break // the list goes on with another parent's children: no view for it
+		if i+1 < len(slots) {
+			w.cur, w.next = w.next, w.cur
 		}
 	}
-	return buf, text && leaf && visit(buf[base:]), nil
+	var tv textView
+	buf, err := w.values(r, &tv, text, buf, visit)
+	tv.release(r)
+	return buf, err
+}
+
+// values reads the values of the last level through tv and hands them to
+// visit.
+func (w *ValueWalk) values(r Reader, tv *textView, text bool, buf []byte, visit func([]byte) bool) ([]byte, error) {
+	base := len(buf)
+	if !text {
+		for i := range w.next {
+			a := &w.next[i]
+			if w.held[a.owner] {
+				continue
+			}
+			var err error
+			if buf, err = tv.append(r, a.text, a.textLen, buf[:base]); err != nil {
+				return buf, err
+			}
+			w.held[a.owner] = visit(buf[base:])
+		}
+		return buf, nil
+	}
+	// w.cur holds the leaf elements, w.next their text children in order.
+	j := 0
+	for i := range w.cur {
+		k := j
+		for k < len(w.next) && w.next[k].parent == int32(i) {
+			k++
+		}
+		if owner := w.cur[i].owner; !w.held[owner] {
+			buf = buf[:base]
+			for _, t := range w.next[j:k] {
+				var err error
+				if buf, err = tv.append(r, t.text, t.textLen, buf); err != nil {
+					return buf, err
+				}
+			}
+			w.held[owner] = visit(buf[base:])
+		}
+		j = k
+	}
+	return buf, nil
+}
+
+// level reads the children of the nodes of w.cur into w.next, taking each
+// child's first child in slot (-1: none). It holds one page view at a time
+// and keeps it while the next descriptor lies on the same page, reading the
+// block header's child-slot count and next pointer once per view.
+func (w *ValueWalk) level(r Reader, slot int) error {
+	w.next = w.next[:0]
+	var page []byte
+	var pin any
+	var base, nextBlock sas.XPtr
+	var childSlots int
+	for i := range w.cur {
+		parent := w.cur[i].handle
+		for p := w.cur[i].first; !p.IsNil(); {
+			if page == nil || p.PageBase() != base {
+				if page != nil {
+					r.ReleasePage(pin)
+				}
+				var err error
+				if page, pin, err = r.ViewPage(p); err != nil {
+					return err
+				}
+				if page[nbKind] != blockKindNode {
+					r.ReleasePage(pin)
+					return fmt.Errorf("storage: value walk at %v: not a node block (kind %d)", p, page[nbKind])
+				}
+				base, nextBlock, childSlots = p.PageBase(), getPtr(page, nbNext), int(getU16(page, nbChildSlots))
+			}
+			off := uint16(p.PageOffset())
+			if off == 0 { // a block's base pointer: its first descriptor, if any
+				if off = getU16(page, nbFirstDesc); off == 0 {
+					p = nextBlock
+					continue
+				}
+			}
+			b := page[off:]
+			if getPtr(b, dParent) != parent {
+				break
+			}
+			n := walkNode{owner: w.cur[i].owner, parent: int32(i), handle: getPtr(b, dHandle),
+				text: getPtr(b, dText), textLen: getU32(b, dTextLen)}
+			if slot >= 0 && slot < childSlots {
+				n.first = getPtr(b, dChildren+8*slot)
+			}
+			w.next = append(w.next, n)
+			if p = nextBlock; getU16(b, dNextIn) != 0 {
+				p = base.Add(uint32(getU16(b, dNextIn)))
+			}
+		}
+	}
+	if page != nil {
+		r.ReleasePage(pin)
+	}
+	return nil
 }
 
 // BlockCountNext decodes the live-descriptor count and next pointer from a

@@ -60,25 +60,52 @@ func ReadText(r Reader, ptr sas.XPtr, totalLen uint32) ([]byte, error) {
 // AppendText appends the value of the record chain starting at ptr (nil: no
 // value) to dst, so a caller that only looks at values can reuse one buffer.
 func AppendText(r Reader, ptr sas.XPtr, totalLen uint32, dst []byte) ([]byte, error) {
+	var t textView
+	dst, err := t.append(r, ptr, totalLen, dst)
+	t.release(r)
+	return dst, err
+}
+
+// textView reads record chains under one page view at a time, kept from one
+// chunk to the next while they lie on the same page: a batch of values
+// stored together is read with a view per text page.
+type textView struct {
+	page []byte // nil: none held
+	pin  any
+	base sas.XPtr
+}
+
+// append appends the value of the record chain at ptr to dst, as AppendText.
+func (t *textView) append(r Reader, ptr sas.XPtr, totalLen uint32, dst []byte) ([]byte, error) {
 	start := len(dst)
 	for !ptr.IsNil() {
-		page, pin, err := r.ViewPage(ptr)
+		if t.page == nil || ptr.PageBase() != t.base {
+			t.release(r)
+			page, pin, err := r.ViewPage(ptr)
+			if err != nil {
+				return nil, err
+			}
+			t.page, t.pin, t.base = page, pin, ptr.PageBase()
+		}
+		off, length, err := slotAt(t.page, ptr.PageOffset())
 		if err != nil {
 			return nil, err
 		}
-		off, length, err := slotAt(page, ptr.PageOffset())
-		if err != nil {
-			r.ReleasePage(pin)
-			return nil, err
-		}
-		ptr = sas.XPtr(binary.LittleEndian.Uint64(page[off:]))
-		dst = append(dst, page[off+textChunkHeader:off+length]...)
-		r.ReleasePage(pin)
+		ptr = sas.XPtr(binary.LittleEndian.Uint64(t.page[off:]))
+		dst = append(dst, t.page[off+textChunkHeader:off+length]...)
 	}
 	if uint32(len(dst)-start) != totalLen {
 		return nil, fmt.Errorf("storage: text length mismatch: chain has %d bytes, descriptor says %d", len(dst)-start, totalLen)
 	}
 	return dst, nil
+}
+
+// release lets the held view go.
+func (t *textView) release(r Reader) {
+	if t.page != nil {
+		r.ReleasePage(t.pin)
+		t.page = nil
+	}
 }
 
 // slotAt validates and decodes the slot entry at in-page offset slotOff.

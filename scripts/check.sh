@@ -48,9 +48,11 @@ go build ./...
 #     TestFirstInsertsIntoPackedBlocks (page views of the worst of the first
 #     keyed inserts into a fresh document, and log records per insert),
 #     TestUpdateTargetProbe (the probe's cut of a keyed target's page views,
-#     and the probe chosen with and without fresh statistics) and
+#     and the probe chosen with and without fresh statistics),
 #     TestValuePredicateScalesLinearly (page views and allocations per context
-#     node, answers equal encoding/xml's);
+#     node, predicateAllocsPerNode 0.74, answers equal encoding/xml's) and
+#     TestOperatorAllocations (allocations per node of each batch operator,
+#     a value predicate and a where clause among them);
 #   internal/core: TestSnapshotStatementsIgnoreHeldLock (lock.waits = 0 under
 #     a held exclusive lock), TestVersionsDieAtCommit (buffer.versions_live),
 #     TestBulkLoadWritesLess (WAL bytes and pages against node-at-a-time
@@ -59,8 +61,9 @@ go build ./...
 #   internal/txn: TestEvictionFlushesOnlyThePagesRecords (wal.fsyncs of an
 #     eviction: none for a committed page, one for a stolen one);
 #   internal/storage: TestListPositionProperty (the search's cut of page
-#     views per insert) and TestSplitMovesBoundedTail (descriptors a split
-#     moves, blocks 500 inserts at one position allocate);
+#     views per insert), TestSplitMovesBoundedTail (descriptors a split
+#     moves, blocks 500 inserts at one position allocate) and
+#     TestValueWalkViews (page views of a 256-start value walk);
 #   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge).
 echo "== go test =="
 go test ./...
@@ -70,7 +73,7 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
     ./internal/repl ./internal/opt
 
-echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path, opening a damaged segmented log, the list-position search against the walk) =="
+echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons in predicates and where clauses against the general path, opening a damaged segmented log, the list-position search against the walk) =="
 go test -run '^$' -fuzz='^FuzzScanXML$' -fuzztime=10s ./internal/xmlscan
 go test -run '^$' -fuzz='^FuzzEscapeText$' -fuzztime=10s ./internal/core
 go test -run '^$' -fuzz='^FuzzReadResponse$' -fuzztime=10s ./internal/wire
