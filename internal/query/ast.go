@@ -86,6 +86,16 @@ type NodeTest struct {
 
 // Literal is a string or numeric literal. val is its (shared, immutable)
 // value as a sequence, so evaluating it allocates nothing.
+//
+// A session's template (template.go) rebinds the literals of the statement it
+// keeps to the values in the next text that matches it. So the phases a
+// template caches — the parser, Analyze and Rewrite — read nothing of a
+// literal but IsString, which is part of the template. What reads the value,
+// the optimizer (decomposeCmp), markInPlace (inPlaceShape) and the
+// evaluator, runs on every execution. A literal the parser folds away, such
+// as doc()'s name, is not rebound: its text stays in the template. Rebinding
+// replaces val and never writes into it, since a result may still hold the
+// old item.
 type Literal struct {
 	String   string
 	Number   float64
@@ -342,6 +352,11 @@ type Statement struct {
 	// Rewrites records which optimizing-rewriter rules fired on this
 	// statement, in application order; EXPLAIN renders them.
 	Rewrites []string
+
+	// analyzed and rewritten record that prepare ran Analyze and Rewrite on
+	// the tree, which neither depends on the database: a statement executed
+	// again (a session's template) skips them.
+	analyzed, rewritten bool
 }
 
 // ExplainStmt wraps the statement under an EXPLAIN or PROFILE keyword.

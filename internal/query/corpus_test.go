@@ -66,7 +66,7 @@ func checkCorpus(t *testing.T, db *core.Database, set func(*ExecCtx)) {
 // a deep narrow tree, a mixed-content document, a small document of
 // text-only, empty and mixed elements that updates reshape after load, and
 // one of values in and out of xs:double's lexical space.
-func corpusDB(t *testing.T) *core.Database {
+func corpusDB(t testing.TB) *core.Database {
 	t.Helper()
 	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 1024})
 	if err != nil {

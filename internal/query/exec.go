@@ -15,14 +15,16 @@ import (
 
 // ExecCtx carries everything one statement execution needs: the engine
 // transaction, the function table, rewriter switches (used by the ablation
-// experiments) and runtime statistics.
+// experiments) and runtime statistics. A server session keeps one for all its
+// statements and readies it for each with Reset, so the node slabs grown by
+// one statement serve the next.
 type ExecCtx struct {
 	Tx *core.Tx
 
 	// Profile records how the last statement executed through this context
 	// spent its time and what it touched (the embedded ExecStats counters
-	// accumulate over the context's lifetime); it is also pushed into the
-	// database's metrics registry.
+	// accumulate until Reset); it is also pushed into the database's metrics
+	// registry.
 	Profile metrics.QueryProfile
 
 	// NoRewrite disables the optimizing rewriter (baseline for E5–E8).
@@ -89,8 +91,8 @@ var ErrKilled = fmt.Errorf("query: statement killed")
 
 // Kill requests cancellation of the statement executing through this
 // context. Safe to call from any goroutine, at any time, including after the
-// statement finished (then a no-op for that statement — contexts are not
-// reused across statements by the server).
+// statement finished: Reset clears it before the context's next statement,
+// and the server fences a late KILL by the statement ordinal besides.
 func (ctx *ExecCtx) Kill() { ctx.killed.Store(true) }
 
 // Killed reports whether Kill has been called.
@@ -109,11 +111,35 @@ func (ctx *ExecCtx) checkKilled() error {
 
 // NewExecCtx creates an execution context over an engine transaction.
 func NewExecCtx(tx *core.Tx) *ExecCtx {
-	ctx := &ExecCtx{Tx: tx}
+	ctx := &ExecCtx{}
+	ctx.Reset(tx)
+	return ctx
+}
+
+// Reset readies a context for its next statement, over tx: it forgets the
+// last statement's state (prepare starts the resolved paths afresh) and keeps
+// the slabs' memory up to maxKeptSlab. The last statement's result must be
+// serialized and its trace finished; release has already let its page views
+// go. A server session calls it before it registers the statement, so a KILL
+// of the last one cannot land on it.
+func (ctx *ExecCtx) Reset(tx *core.Tx) {
+	ctx.Tx = tx
+	ctx.tracer = nil
 	if tx != nil && tx.DB() != nil {
 		ctx.tracer = tx.DB().Tracer()
 	}
-	return ctx
+	ctx.killed.Store(false)
+	ctx.Profile = metrics.QueryProfile{}
+	ctx.updateStmt = false
+	ctx.funcs, ctx.globalEnv = nil, nil
+	clear(ctx.lazy)
+	ctx.tempOrd = 0
+	ctx.nodes.reset()
+	ctx.scratch.reset()
+	if cap(ctx.textBuf) > maxKeptSlab {
+		ctx.textBuf = nil
+	}
+	ctx.trace, ctx.span = nil, nil
 }
 
 // stats returns the ExecStats block executor events accumulate into.
@@ -174,11 +200,21 @@ func (ctx *ExecCtx) Trace() *trace.Trace { return ctx.trace }
 
 // RecordParse attributes an already-measured parse time to the profile and,
 // when tracing, to a finished "parse" child span.
-func (ctx *ExecCtx) RecordParse(ns int64) {
+func (ctx *ExecCtx) RecordParse(ns int64) { ctx.recordParse(ns) }
+
+// RecordTemplateHit is RecordParse for a statement a template lookup stood in
+// for parsing (TemplateCache): the lookup's time, and a "parse" span marked
+// template=hit.
+func (ctx *ExecCtx) RecordTemplateHit(ns int64) {
+	ctx.recordParse(ns).SetStr("template", "hit")
+}
+
+func (ctx *ExecCtx) recordParse(ns int64) *trace.Span {
 	ctx.Profile.ParseNs = ns
-	if ctx.trace != nil {
-		ctx.trace.Root.ChildDone("parse", ns)
+	if ctx.trace == nil {
+		return nil
 	}
+	return ctx.trace.Root.ChildDone("parse", ns)
 }
 
 // pushSpan opens a child of the current span and makes it current; returns
@@ -251,19 +287,19 @@ func (ctx *ExecCtx) registry() *metrics.Registry {
 	return ctx.Tx.DB().Metrics()
 }
 
-// statementKind labels a statement for the per-kind latency histograms.
-func statementKind(st *Statement) string {
+// statementKind labels a statement and names its latency histogram.
+func statementKind(st *Statement) (kind, histogram string) {
 	switch {
 	case st.Explain != nil && st.Explain.Profile:
-		return "profile"
+		return "profile", "query.profile_ns"
 	case st.Explain != nil:
-		return "explain"
+		return "explain", "query.explain_ns"
 	case st.Update != nil:
-		return "update"
+		return "update", "query.update_ns"
 	case st.DDL != nil:
-		return "ddl"
+		return "ddl", "query.ddl_ns"
 	default:
-		return "query"
+		return "query", "query.query_ns"
 	}
 }
 
@@ -275,7 +311,7 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 	if owned {
 		ctx.StartTrace(st.Source)
 	}
-	kind := statementKind(st)
+	kind, histogram := statementKind(st)
 	ctx.Profile.Kind = kind
 	ctx.Profile.OptimizeNs = 0
 	ctx.Profile.ExecNs = 0
@@ -297,7 +333,7 @@ func ExecuteStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 			reg.Counter("query.errors").Inc()
 		} else {
 			reg.Counter("query.statements").Inc()
-			reg.Histogram("query." + kind + "_ns").Observe(time.Since(start))
+			reg.Histogram(histogram).Observe(time.Since(start))
 			reg.RecordProfile(ctx.Profile)
 		}
 	}
@@ -382,18 +418,25 @@ func executeStatement(ctx *ExecCtx, st *Statement) (*Result, error) {
 
 // prepare runs the phases before execution: static analysis, the optimizing
 // rewriter and the cost-based optimizer, minus what the context switches off.
+// Analysis and rewriting run once per tree; the optimizer and the in-place
+// marks depend on the database and run on every execution.
 func prepare(ctx *ExecCtx, st *Statement) error {
-	asp := ctx.pushSpan("analyze")
-	err := Analyze(st)
-	ctx.popSpan(asp)
-	if err != nil {
-		return err
+	if !st.analyzed {
+		asp := ctx.pushSpan("analyze")
+		err := Analyze(st)
+		ctx.popSpan(asp)
+		if err != nil {
+			return err
+		}
+		st.analyzed = true
 	}
-	if !ctx.NoRewrite {
+	if !ctx.NoRewrite && !st.rewritten {
 		rsp := ctx.pushSpan("rewrite")
 		Rewrite(st)
 		ctx.popSpan(rsp)
+		st.rewritten = true
 	}
+	var err error
 	if ctx.NoOpt || ctx.NoRewrite {
 		clearPlans(st)
 	} else {

@@ -73,7 +73,7 @@ func q(t *testing.T, db *core.Database, src string) string {
 }
 
 // upd executes an update/DDL statement in a fresh update transaction.
-func upd(t *testing.T, db *core.Database, src string) *Result {
+func upd(t testing.TB, db *core.Database, src string) *Result {
 	t.Helper()
 	tx, err := db.Begin()
 	if err != nil {

@@ -104,7 +104,7 @@ func binOpText(op BinOp) string {
 func ExplainText(st *Statement) string {
 	var p planPrinter
 	var sb strings.Builder
-	kind := statementKind(st)
+	kind, _ := statementKind(st)
 	access := "update"
 	if st.ReadOnly() {
 		access = "read-only"

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -19,18 +20,23 @@ const (
 )
 
 type token struct {
-	kind tokKind
-	text string
-	num  float64
-	pos  int
+	kind     tokKind
+	text     string
+	num      float64
+	pos, end int // source bytes [pos, end)
 }
 
+// lookahead is how many tokens the parser looks ahead at most (peekN(1)).
+const lookahead = 2
+
 // lexer tokenizes the query language. XML constructor content is lexed by
-// the parser switching the lexer into raw mode via nextRawUntil.
+// the parser switching the lexer into raw mode via rawByte.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token // lookahead buffer
+	src string
+	pos int
+	// ahead is the lookahead ring: its n tokens start at ahead[head].
+	ahead   [lookahead]token
+	head, n int
 }
 
 func newLexer(src string) *lexer { return &lexer{src: src} }
@@ -51,14 +57,18 @@ func min(a, b int) int {
 func (l *lexer) peek() (token, error) { return l.peekN(0) }
 
 func (l *lexer) peekN(n int) (token, error) {
-	for len(l.toks) <= n {
+	if n >= lookahead {
+		panic("query: lookahead beyond the ring")
+	}
+	for l.n <= n {
 		t, err := l.scan()
 		if err != nil {
 			return token{}, err
 		}
-		l.toks = append(l.toks, t)
+		l.ahead[(l.head+l.n)%lookahead] = t
+		l.n++
 	}
-	return l.toks[n], nil
+	return l.ahead[(l.head+n)%lookahead], nil
 }
 
 // next consumes and returns the next token.
@@ -67,14 +77,15 @@ func (l *lexer) next() (token, error) {
 	if err != nil {
 		return token{}, err
 	}
-	l.toks = l.toks[1:]
+	l.head = (l.head + 1) % lookahead
+	l.n--
 	return t, nil
 }
 
 // rawByte returns the next raw source byte (constructor content mode); the
 // lookahead buffer must be empty.
 func (l *lexer) rawByte() (byte, bool) {
-	if len(l.toks) != 0 {
+	if l.n != 0 {
 		panic("query: rawByte with buffered tokens")
 	}
 	if l.pos >= len(l.src) {
@@ -136,31 +147,35 @@ func (l *lexer) scan() (token, error) {
 		return token{}, err
 	}
 	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
+		return token{kind: tokEOF, pos: l.pos, end: l.pos}, nil
 	}
 	start := l.pos
 	c := l.src[l.pos]
 
-	// String literal.
+	// String literal: a substring of the source unless it doubles its quote.
 	if c == '"' || c == '\'' {
-		quote := c
-		l.pos++
-		var b strings.Builder
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == quote {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == quote {
-					b.WriteByte(quote) // doubled quote escape
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return token{kind: tokString, text: b.String(), pos: start}, nil
+		i := l.pos + 1
+		from := i
+		var doubled []byte
+		for {
+			j := strings.IndexByte(l.src[i:], c)
+			if j < 0 {
+				return token{}, l.errf(start, "unterminated string literal")
 			}
-			b.WriteByte(ch)
-			l.pos++
+			i += j
+			if i+1 < len(l.src) && l.src[i+1] == c {
+				doubled = append(doubled, l.src[from:i+1]...) // doubled quote escape
+				i += 2
+				from = i
+				continue
+			}
+			text := l.src[from:i]
+			if doubled != nil {
+				text = string(append(doubled, text...))
+			}
+			l.pos = i + 1
+			return token{kind: tokString, text: text, pos: start, end: l.pos}, nil
 		}
-		return token{}, l.errf(start, "unterminated string literal")
 	}
 
 	// Number.
@@ -196,11 +211,11 @@ func (l *lexer) scan() (token, error) {
 		}
 		text := l.src[l.pos:i]
 		l.pos = i
-		var f float64
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return token{}, l.errf(start, "bad number %q", text)
 		}
-		return token{kind: tokNumber, text: text, num: f, pos: start}, nil
+		return token{kind: tokNumber, text: text, num: f, pos: start, end: i}, nil
 	}
 
 	// Variable.
@@ -210,20 +225,20 @@ func (l *lexer) scan() (token, error) {
 		if name == "" {
 			return token{}, l.errf(start, "expected variable name after $")
 		}
-		return token{kind: tokVar, text: name, pos: start}, nil
+		return token{kind: tokVar, text: name, pos: start, end: l.pos}, nil
 	}
 
 	// Name / QName.
 	if isNameStart(rune(c)) {
 		name := l.scanQName()
-		return token{kind: tokName, text: name, pos: start}, nil
+		return token{kind: tokName, text: name, pos: start, end: l.pos}, nil
 	}
 
 	// Symbols.
 	for _, s := range symbols {
 		if strings.HasPrefix(l.src[l.pos:], s) {
 			l.pos += len(s)
-			return token{kind: tokSymbol, text: s, pos: start}, nil
+			return token{kind: tokSymbol, text: s, pos: start, end: l.pos}, nil
 		}
 	}
 	return token{}, l.errf(start, "unexpected character %q", c)

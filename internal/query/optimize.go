@@ -77,9 +77,10 @@ func optimizeStatement(ctx *ExecCtx, st *Statement) error {
 	return lockErr
 }
 
-// clearPlans drops every step plan of the statement; ASTs are reused across
-// executions (benchmarks, sessions), so a run without the optimizer must not
-// inherit plans from an earlier optimized run.
+// clearPlans drops every step plan of the statement. A tree is executed
+// again — a session's template (template.go), a benchmark's parsed
+// statement — so each execution plans afresh against its own snapshot, and a
+// run without the optimizer must not inherit plans from an earlier one.
 func clearPlans(st *Statement) {
 	visit := func(x Expr) {
 		if s, ok := x.(*Step); ok {

@@ -10,23 +10,42 @@ import (
 // uniform representation §3 describes.
 type parser struct {
 	l *lexer
+
+	// record keeps the source span of every literal parsePrimary makes in
+	// spans, in source order (template.go). Only a statement's own parser
+	// records: a sub-parser's offsets are into another string.
+	record bool
+	spans  []litSpan
+}
+
+// litSpan is the source span of a literal the statement's parser made.
+type litSpan struct {
+	lit        *Literal
+	start, end int
 }
 
 // Parse parses a complete statement.
 func Parse(src string) (*Statement, error) {
-	p := &parser{l: newLexer(src)}
+	st, _, err := parse(src, false)
+	return st, err
+}
+
+// parse parses a complete statement and, with record, the spans of its
+// literals.
+func parse(src string, record bool) (*Statement, []litSpan, error) {
+	p := &parser{l: newLexer(src), record: record}
 	st, err := p.parseStatement(src, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t, err := p.l.peek()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if t.kind != tokEOF {
-		return nil, p.l.errf(t.pos, "unexpected %q after statement", t.text)
+		return nil, nil, p.l.errf(t.pos, "unexpected %q after statement", t.text)
 	}
-	return st, nil
+	return st, p.spans, nil
 }
 
 // parseStatement parses one statement body. allowExplain admits the
@@ -112,6 +131,14 @@ func ParseExpr(src string) (Expr, error) {
 }
 
 // ---- token helpers ----
+
+// literal records the span of a literal made from token t.
+func (p *parser) literal(lit *Literal, t token) *Literal {
+	if p.record {
+		p.spans = append(p.spans, litSpan{lit: lit, start: t.pos, end: t.end})
+	}
+	return lit
+}
 
 func (p *parser) expectSymbol(s string) error {
 	t, err := p.l.next()
@@ -998,10 +1025,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.kind == tokString:
 		p.l.next()
-		return strLit(t.text), nil
+		return p.literal(strLit(t.text), t), nil
 	case t.kind == tokNumber:
 		p.l.next()
-		return numLit(t.num), nil
+		return p.literal(numLit(t.num), t), nil
 	case t.kind == tokVar:
 		p.l.next()
 		return &VarRef{Name: t.text}, nil

@@ -12,9 +12,9 @@ import (
 // resetRaw rewinds the lexer to the position of the first buffered token and
 // clears the lookahead buffer so raw scanning can proceed.
 func (p *parser) resetRaw() {
-	if len(p.l.toks) > 0 {
-		p.l.pos = p.l.toks[0].pos
-		p.l.toks = p.l.toks[:0]
+	if p.l.n > 0 {
+		p.l.pos = p.l.ahead[p.l.head].pos
+		p.l.n = 0
 	}
 }
 

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -298,5 +300,28 @@ func TestParseEmptySequence(t *testing.T) {
 func TestDDLIndexRequiresDoc(t *testing.T) {
 	if _, err := Parse(`CREATE INDEX "i" ON /library/book BY title`); err == nil {
 		t.Fatal("index on non-doc path must fail")
+	}
+}
+
+// TestNumberLiteralsParseAsBefore: strconv.ParseFloat gives every number the
+// scanner admits the value fmt's %g verb gave it.
+func TestNumberLiteralsParseAsBefore(t *testing.T) {
+	for _, src := range []string{
+		"0", "007", ".5", "5.", "1e3", "1E+3", "1e-3", "1e", "1..2",
+		"123456789012345678901234567890123456789", "1" + strings.Repeat("0", 400),
+	} {
+		l := newLexer(src)
+		tok, err := l.scan()
+		var want float64
+		_, wantErr := fmt.Sscanf(tok.text, "%g", &want)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%q: scan error %v, %%g error %v", src, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if tok.kind != tokNumber || tok.num != want || tok.end != len(tok.text) {
+			t.Errorf("%q: %v %q = %v up to %d, %%g gives %v", src, tok.kind, tok.text, tok.num, tok.end, want)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package query
 import (
 	"errors"
 	"math"
+	"unsafe"
 
 	"sedna/internal/nid"
 	"sedna/internal/sas"
@@ -62,6 +63,33 @@ func (m slabMark) before(o slabMark) bool {
 
 func (s *slab) mark() slabMark {
 	return slabMark{s.cur, s.top, s.gen, len(s.bytes), s.sgen, len(s.seqs)}
+}
+
+// maxKeptSlab bounds the bytes of node entries (and of the text buffer) a
+// context keeps for its next statement (ExecCtx.Reset): one big scan does not
+// pin its slabs in an idle session.
+const maxKeptSlab = 256 << 10
+
+// reset empties the slab for the next statement, keeping its first chunks up
+// to maxKeptSlab bytes and its current label and sequence chunks. Kept
+// entries still hold the last statement's descriptors until they are
+// overwritten.
+func (s *slab) reset() {
+	keep, size := 0, 0
+	for keep < len(s.chunks) {
+		size += len(s.chunks[keep]) * int(unsafe.Sizeof(NodeItem{}))
+		if size > maxKeptSlab {
+			break
+		}
+		keep++
+	}
+	clear(s.chunks[keep:])
+	s.chunks = s.chunks[:keep]
+	s.cur, s.top = 0, 0
+	clear(s.seqs[:cap(s.seqs)])
+	s.bytes, s.seqs = s.bytes[:0], s.seqs[:0]
+	s.floor = s.mark()
+	s.dst, s.n, s.doc = nil, 0, nil
 }
 
 // pin keeps everything allocated so far for the rest of the statement.

@@ -32,6 +32,9 @@ func structuralChain(s *Step, ownPreds bool) (*DocCall, []*Step) {
 		default:
 			return nil, nil
 		}
+		if steps == nil {
+			steps = make([]*Step, 0, 8) // one allocation for up to 8 steps
+		}
 		steps = append(steps, cur)
 		switch in := cur.Input.(type) {
 		case *DocCall:

@@ -51,6 +51,16 @@ type govMetrics struct {
 	kills       *metrics.Counter
 	bytesIn     *metrics.Counter
 	bytesOut    *metrics.Counter
+
+	// The engine counters a statement's accounting window reads
+	// (sessions.go).
+	faults, diskReads, diskWrites, walBytes *metrics.Counter
+	lockWait                                *metrics.Histogram
+
+	// Statements a session's template cache answered, and those it parsed;
+	// statements that failed to parse, which count with the engine's
+	// execution failures.
+	templateHits, templateMisses, queryErrors *metrics.Counter
 }
 
 func bindGovMetrics(reg *metrics.Registry) govMetrics {
@@ -64,6 +74,16 @@ func bindGovMetrics(reg *metrics.Registry) govMetrics {
 		kills:       reg.Counter("server.kills"),
 		bytesIn:     reg.Counter("server.bytes_in"),
 		bytesOut:    reg.Counter("server.bytes_out"),
+
+		faults:     reg.Counter("buffer.faults"),
+		diskReads:  reg.Counter("buffer.disk_reads"),
+		diskWrites: reg.Counter("buffer.disk_writes"),
+		walBytes:   reg.Counter("wal.append_bytes"),
+		lockWait:   reg.Histogram("lock.wait_ns"),
+
+		templateHits:   reg.Counter("query.template_hits"),
+		templateMisses: reg.Counter("query.template_misses"),
+		queryErrors:    reg.Counter("query.errors"),
 	}
 }
 
@@ -153,6 +173,11 @@ type Session struct {
 	cur     *stmtState // in-flight statement, nil when idle
 
 	out []byte // serialization buffer, reused across statements
+
+	// templates are the statements the session prepared, and ctx the
+	// execution context its statements run in, one at a time.
+	templates query.TemplateCache
+	ctx       *query.ExecCtx
 }
 
 // NewSession registers a fresh session with the governor.
@@ -277,8 +302,14 @@ func (b *resultBuf) check(n int) error {
 // the response's Data is valid until the session's next statement.
 func (s *Session) execute(src string) (*wire.Response, error) {
 	parseStart := time.Now()
-	st, err := query.Parse(src)
+	st, hit, err := s.templates.Parse(src)
+	if hit {
+		s.gov.met.templateHits.Inc()
+	} else {
+		s.gov.met.templateMisses.Inc()
+	}
 	if err != nil {
+		s.gov.met.queryErrors.Inc()
 		return nil, err
 	}
 	parseNs := time.Since(parseStart).Nanoseconds()
@@ -290,13 +321,22 @@ func (s *Session) execute(src string) (*wire.Response, error) {
 			return nil, err
 		}
 	}
+	// The session's context is readied before the statement is registered,
+	// so a late KILL of the last statement cannot land on this one.
+	if s.ctx == nil {
+		s.ctx = &query.ExecCtx{SystemDocs: s.gov.systemDocs}
+	}
+	ctx := s.ctx
+	ctx.Reset(tx)
 	// The session owns the statement's trace so an auto-commit (and its WAL
 	// fsync) is captured inside it; FinishTrace is idempotent and runs after
 	// the commit on the happy path.
-	ctx := query.NewExecCtx(tx)
-	ctx.SystemDocs = s.gov.systemDocs
 	ctx.StartTrace(st.Source)
-	ctx.RecordParse(parseNs)
+	if hit {
+		ctx.RecordTemplateHit(parseNs)
+	} else {
+		ctx.RecordParse(parseNs)
+	}
 	defer ctx.FinishTrace()
 	// Register the statement for introspection and KILL; every exit path
 	// below unregisters it and settles the accounting window.
@@ -304,6 +344,9 @@ func (s *Session) execute(src string) (*wire.Response, error) {
 	nodes := 0
 	defer func() { s.endStatement(base, nodes, err) }()
 	res, err := query.ExecuteStatement(ctx, st)
+	if !hit {
+		s.templates.Keep(st)
+	}
 	if err == nil {
 		out := s.out[:0]
 		err = res.Serialize((*resultBuf)(&out))

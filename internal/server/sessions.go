@@ -85,13 +85,13 @@ type statsBase struct {
 }
 
 func (s *Session) statsBaseline() statsBase {
-	reg := s.gov.Metrics()
+	m := &s.gov.met
 	return statsBase{
-		faults:     reg.Counter("buffer.faults").Value(),
-		reads:      reg.Counter("buffer.disk_reads").Value(),
-		writes:     reg.Counter("buffer.disk_writes").Value(),
-		walBytes:   reg.Counter("wal.append_bytes").Value(),
-		lockWaitNs: reg.Histogram("lock.wait_ns").SumNs(),
+		faults:     m.faults.Value(),
+		reads:      m.diskReads.Value(),
+		writes:     m.diskWrites.Value(),
+		walBytes:   m.walBytes.Value(),
+		lockWaitNs: m.lockWait.SumNs(),
 	}
 }
 
@@ -123,15 +123,15 @@ func (s *Session) endStatement(base statsBase, nodes int, execErr error) {
 	start := s.cur.start
 	s.cur = nil
 	s.curMu.Unlock()
-	reg := s.gov.Metrics()
+	now := s.statsBaseline()
 	d := SessionStats{
 		Statements:   1,
 		Nodes:        uint64(nodes),
-		BufferFaults: reg.Counter("buffer.faults").Value() - base.faults,
-		PagesRead:    reg.Counter("buffer.disk_reads").Value() - base.reads,
-		PagesWritten: reg.Counter("buffer.disk_writes").Value() - base.writes,
-		WALBytes:     reg.Counter("wal.append_bytes").Value() - base.walBytes,
-		LockWaitNs:   reg.Histogram("lock.wait_ns").SumNs() - base.lockWaitNs,
+		BufferFaults: now.faults - base.faults,
+		PagesRead:    now.reads - base.reads,
+		PagesWritten: now.writes - base.writes,
+		WALBytes:     now.walBytes - base.walBytes,
+		LockWaitNs:   now.lockWaitNs - base.lockWaitNs,
 		ExecNs:       time.Since(start).Nanoseconds(),
 	}
 	if execErr != nil {

@@ -64,7 +64,12 @@ go build ./...
 #     views per insert), TestSplitMovesBoundedTail (descriptors a split
 #     moves, blocks 500 inserts at one position allocate) and
 #     TestValueWalkViews (page views of a 256-start value walk);
-#   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge).
+#   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge);
+#   internal/server: TestPointReadTemplates (query.template_misses: 8 for
+#     1000 statements of the 8 point_read shapes on one session) and
+#     TestSessionStatementAllocations (allocations per statement of a keyed
+#     lookup, a positional navigation and a FLWOR with a constructor on a
+#     session that holds their templates).
 echo "== go test =="
 go test ./...
 
@@ -73,13 +78,14 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
     ./internal/repl ./internal/opt
 
-echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons in predicates and where clauses against the general path, opening a damaged segmented log, the list-position search against the walk) =="
+echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons in predicates and where clauses against the general path, opening a damaged segmented log, the list-position search against the walk, statements rebound from a session's templates against the same texts parsed) =="
 go test -run '^$' -fuzz='^FuzzScanXML$' -fuzztime=10s ./internal/xmlscan
 go test -run '^$' -fuzz='^FuzzEscapeText$' -fuzztime=10s ./internal/core
 go test -run '^$' -fuzz='^FuzzReadResponse$' -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz='^FuzzValueCompare$' -fuzztime=10s ./internal/query
 go test -run '^$' -fuzz='^FuzzOpenLog$' -fuzztime=10s ./internal/wal
 go test -run '^$' -fuzz='^FuzzListPosition$' -fuzztime=10s ./internal/storage
+go test -run '^$' -fuzz='^FuzzTemplateRebind$' -fuzztime=10s ./internal/query
 
 echo "== repository benchmark module (benchmark/: vet + smoke-scale tests) =="
 go -C benchmark vet ./...

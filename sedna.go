@@ -189,8 +189,33 @@ type Result struct {
 // Execute runs one statement (XQuery query, XUpdate statement or DDL) in
 // the transaction.
 func (tx *Tx) Execute(src string) (*Result, error) {
+	st, parseNs, err := parse(tx.inner.DB(), src)
+	if err != nil {
+		return nil, err
+	}
+	return tx.execute(st, parseNs)
+}
+
+// parse parses src, counting a failure in query.errors as execution failures
+// are counted.
+func parse(db *core.Database, src string) (*query.Statement, int64, error) {
+	start := time.Now()
+	st, err := query.Parse(src)
+	if err != nil {
+		db.Metrics().Counter("query.errors").Inc()
+		return nil, 0, err
+	}
+	return st, time.Since(start).Nanoseconds(), nil
+}
+
+// execute runs a statement parsed in parseNs under its own trace and
+// serializes its result.
+func (tx *Tx) execute(st *query.Statement, parseNs int64) (*Result, error) {
 	ctx := query.NewExecCtx(tx.inner)
-	res, err := query.Execute(ctx, src)
+	ctx.StartTrace(st.Source)
+	ctx.RecordParse(parseNs)
+	res, err := query.ExecuteStatement(ctx, st)
+	ctx.FinishTrace()
 	if err != nil {
 		return nil, err
 	}
@@ -227,13 +252,12 @@ func (tx *Tx) Document(name string) (*Node, error) {
 // Execute runs one statement in its own transaction: a snapshot transaction
 // for queries, an update transaction (committed on success) otherwise.
 func (db *DB) Execute(src string) (*Result, error) {
-	st, err := query.Parse(src)
+	st, parseNs, err := parse(db.inner, src)
 	if err != nil {
 		return nil, err
 	}
-	readonly := st.ReadOnly()
 	var tx *Tx
-	if readonly {
+	if st.ReadOnly() {
 		tx, err = db.BeginReadOnly()
 	} else {
 		tx, err = db.Begin()
@@ -241,7 +265,7 @@ func (db *DB) Execute(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := tx.Execute(src)
+	res, err := tx.execute(st, parseNs)
 	if err != nil {
 		tx.Rollback()
 		return nil, err
@@ -254,7 +278,7 @@ func (db *DB) Execute(src string) (*Result, error) {
 
 // Query runs a read-only query (an error if src is an update or DDL).
 func (db *DB) Query(src string) (*Result, error) {
-	st, err := query.Parse(src)
+	st, parseNs, err := parse(db.inner, src)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +290,7 @@ func (db *DB) Query(src string) (*Result, error) {
 		return nil, err
 	}
 	defer tx.Rollback()
-	return tx.Execute(src)
+	return tx.execute(st, parseNs)
 }
 
 // LoadXML bulk-loads a document in its own transaction.

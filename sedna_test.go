@@ -251,3 +251,28 @@ func TestBackupPublicAPI(t *testing.T) {
 		t.Fatalf("restored count = %s", res.Data)
 	}
 }
+
+// TestExecuteParsesOnce: DB.Execute and DB.Query parse a statement once. A
+// parse error is reported as the parser gave it and counted once in
+// query.errors; a statement that runs counts once in query.statements.
+func TestExecuteParsesOnce(t *testing.T) {
+	db := openLib(t)
+	reg := db.Metrics()
+	stmts, errs := reg.Counter("query.statements"), reg.Counter("query.errors")
+	for _, run := range []func(string) (*Result, error){db.Execute, db.Query} {
+		s0, e0 := stmts.Value(), errs.Value()
+		_, err := run(`count(doc("library")//author`)
+		if err == nil {
+			t.Fatal("a statement that does not parse ran")
+		}
+		if n := strings.Count(err.Error(), "query:"); n != 1 {
+			t.Errorf("parse error reported %d times: %v", n, err)
+		}
+		if _, err := run(`count(doc("library")//author)`); err != nil {
+			t.Fatal(err)
+		}
+		if s, e := stmts.Value()-s0, errs.Value()-e0; s != 1 || e != 1 {
+			t.Errorf("query.statements +%d, query.errors +%d; want +1 each", s, e)
+		}
+	}
+}
