@@ -190,7 +190,7 @@ func (db *Database) Promote() error {
 		if !ok {
 			continue
 		}
-		if err := db.recountDoc(doc); err != nil {
+		if err := db.recountDoc(doc, nil); err != nil {
 			return fmt.Errorf("core: promote recount %q: %w", name, err)
 		}
 		// Republish so new snapshot readers see the corrected counters.

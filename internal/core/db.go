@@ -475,11 +475,12 @@ func (t *Tx) DropDocument(name string) error {
 }
 
 // scanRingPages is how many of the pages it loads a whole-document pass (the
-// open-time recount) keeps in the buffer pool at a time (4 MiB); it leaves
-// none behind. The pass walks every schema node's block list forwards, so it
-// revisits about one block per schema node under its hand; the ring covers
-// documents with a couple of hundred schema nodes, and beyond it a page is
-// simply read again.
+// recount of a document open's redo wrote, or of every document on a replica
+// at open and at Promote) keeps in the buffer pool at a time (4 MiB); it
+// leaves none behind. The pass walks every schema node's block list
+// forwards, so it revisits about one block per schema node under its hand;
+// the ring covers documents with a couple of hundred schema nodes, and
+// beyond it a page is simply read again.
 const scanRingPages = 256
 
 // Document resolves a document by name. Update transactions use the live

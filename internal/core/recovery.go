@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sedna/internal/sas"
@@ -23,10 +25,15 @@ import (
 //     records that rebuild in-memory schemas and document metadata.
 //
 // Each redone transaction is counted against the documents it wrote, as its
-// commit counted it for the optimizer's staleness clock. Afterwards
-// per-schema node counters are recomputed and a fresh checkpoint
-// is taken, so a crash during recovery restarts it idempotently; that
-// checkpoint retires the log segments recovery has just redone.
+// commit counted it for the optimizer's staleness clock. Only those
+// documents have their per-schema-node counters recomputed from block
+// headers; every other document keeps the counters the checkpoint saved,
+// which its commits kept exact, so open costs what the log redoes and not
+// what the database holds. Replicated apply does not keep counters (Promote
+// recounts), so a database that has applied replicated transactions
+// recounts every document. A fresh checkpoint follows, so a crash during
+// recovery restarts it idempotently; that checkpoint retires the log
+// segments recovery has just redone.
 func (db *Database) recover() error {
 	master := db.pf.Master()
 
@@ -114,12 +121,18 @@ func (db *Database) recover() error {
 	db.noteReplProgress(replRestart, replCommit)
 	redo.noteUpdates()
 
-	// Recompute schema counters from block headers and publish the initial
-	// committed metadata version of every document.
+	// Recount the documents redo wrote (all of them once replicated
+	// transactions were applied) and publish the initial committed metadata
+	// version of every document.
+	restart, commit := db.ReplProgress()
+	all := restart > 0 || commit > 0
+	wrote := redo.wroteDocs()
 	for _, name := range db.catalog.DocNames() {
 		doc, _ := db.catalog.Doc(name)
-		if err := db.recountDoc(doc); err != nil {
-			return err
+		if all || wrote[doc.ID] {
+			if err := db.recountDoc(doc, redo.pages); err != nil {
+				return err
+			}
 		}
 		v := db.committedVersion(doc)
 		v.ts = maxCTS
@@ -135,7 +148,9 @@ func (db *Database) recover() error {
 type redoState struct {
 	db    *Database
 	pages map[sas.PageID][]byte
-	wrote map[txnDoc]struct{} // the documents whose node blocks each redone transaction wrote
+	// wrote holds the documents each redone transaction wrote a node block
+	// of, freed one of, or changed a schema block list of.
+	wrote map[txnDoc]struct{}
 }
 
 type txnDoc struct {
@@ -154,13 +169,27 @@ func (rs *redoState) noteUpdates() {
 	}
 }
 
-func (rs *redoState) page(id sas.PageID) ([]byte, error) {
+// wroteDocs returns the documents some redone transaction wrote.
+func (rs *redoState) wroteDocs() map[uint32]bool {
+	docs := make(map[uint32]bool)
+	for k := range rs.wrote {
+		docs[k.doc] = true
+	}
+	return docs
+}
+
+// page returns the redo copy of page id, read from the data file on first
+// use unless whole: a write that covers the whole page (a bulk-loaded page,
+// a new block) reads nothing it would not overwrite.
+func (rs *redoState) page(id sas.PageID, whole bool) ([]byte, error) {
 	if p, ok := rs.pages[id]; ok {
 		return p, nil
 	}
 	p := make([]byte, sas.PageSize)
-	if err := rs.db.pf.ReadPage(id, p); err != nil {
-		return nil, err
+	if !whole {
+		if err := rs.db.pf.ReadPage(id, p); err != nil {
+			return nil, err
+		}
 	}
 	rs.pages[id] = p
 	return p, nil
@@ -170,7 +199,7 @@ func (rs *redoState) apply(r *wal.Record) error {
 	db := rs.db
 	switch r.Type {
 	case wal.RecPageWrite:
-		p, err := rs.page(r.Page)
+		p, err := rs.page(r.Page, r.Off == 0 && len(r.Data) == sas.PageSize)
 		if err != nil {
 			return err
 		}
@@ -178,23 +207,38 @@ func (rs *redoState) apply(r *wal.Record) error {
 			return fmt.Errorf("core: redo write out of page bounds at %v+%d", r.Page, r.Off)
 		}
 		copy(p[r.Off:], r.Data)
-		if doc, ok := storage.NodeBlockDoc(p); ok {
-			rs.wrote[txnDoc{r.Txn, doc}] = struct{}{}
-		}
+		rs.noteNodeBlock(r.Txn, p)
 	case wal.RecAllocPage:
 		db.pf.RedoAlloc(r.Page)
 	case wal.RecFreePage:
+		// A freed node block the cache does not hold is named anyway: the
+		// unlinking that precedes a free logs the schema block list.
+		if p, ok := rs.pages[r.Page]; ok {
+			rs.noteNodeBlock(r.Txn, p)
+		}
 		db.pf.Free(r.Page)
 	default:
 		// Metadata records rebuild the catalog. A bulk-load marker's pages
-		// were replayed as page writes above, and per-document counters are
-		// recomputed from block headers afterwards; begin, commit and abort
-		// carry nothing to redo.
-		if _, _, err := db.catalog.redo(r); err != nil {
+		// were replayed as page writes above, and the counters of the
+		// documents redo wrote are recomputed from block headers afterwards;
+		// begin, commit and abort carry nothing to redo.
+		doc, _, err := db.catalog.redo(r)
+		if err != nil {
 			return fmt.Errorf("core: redo: %w", err)
+		}
+		if r.Type == wal.RecSchemaBlocks {
+			rs.wrote[txnDoc{r.Txn, doc.ID}] = struct{}{}
 		}
 	}
 	return nil
+}
+
+// noteNodeBlock records that transaction txn wrote page p's document, if p
+// is a node block.
+func (rs *redoState) noteNodeBlock(txn uint64, p []byte) {
+	if doc, ok := storage.NodeBlockDoc(p); ok {
+		rs.wrote[txnDoc{txn, doc}] = struct{}{}
+	}
 }
 
 // redo applies one metadata record — RecCreateDoc through RecIndexMeta — to
@@ -269,9 +313,15 @@ func (c *Catalog) redo(r *wal.Record) (doc *storage.Doc, ok bool, err error) {
 	return doc, true, nil
 }
 
+// flush writes the redone pages to the data file in ascending file order.
 func (rs *redoState) flush() error {
-	for id, p := range rs.pages {
-		if err := rs.db.pf.WritePage(id, p); err != nil {
+	ids := make([]sas.PageID, 0, len(rs.pages))
+	for id := range rs.pages {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b sas.PageID) int { return cmp.Compare(a.GlobalIndex(), b.GlobalIndex()) })
+	for _, id := range ids {
+		if err := rs.db.pf.WritePage(id, rs.pages[id]); err != nil {
 			return err
 		}
 	}
@@ -282,8 +332,10 @@ func (rs *redoState) flush() error {
 }
 
 // recountDoc recomputes NodeCount and BlockCount for every schema node of a
-// document by scanning block headers.
-func (db *Database) recountDoc(doc *storage.Doc) error {
+// document by scanning block headers. A block whose page is in cached
+// (recovery's redo pages; nil elsewhere) is read from there, any other from
+// the database.
+func (db *Database) recountDoc(doc *storage.Doc, cached map[sas.PageID][]byte) error {
 	tx := db.txm.BeginReadOnly()
 	defer tx.Rollback()
 	r := tx.ScanReader(scanRingPages)
@@ -298,11 +350,12 @@ func (db *Database) recountDoc(doc *storage.Doc) error {
 		for b := sn.FirstBlock; !b.IsNil(); {
 			var count int
 			var next sas.XPtr
-			err := r.ReadPage(b, func(page []byte) error {
+			if p, ok := cached[sas.PageIDOf(b)]; ok {
+				count, next = storage.BlockCountNext(p)
+			} else if err := r.ReadPage(b, func(page []byte) error {
 				count, next = storage.BlockCountNext(page)
 				return nil
-			})
-			if err != nil {
+			}); err != nil {
 				outer = err
 				return
 			}

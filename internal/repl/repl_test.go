@@ -8,6 +8,7 @@ import (
 
 	"sedna/client"
 	"sedna/internal/core"
+	"sedna/internal/query"
 	"sedna/internal/repl"
 	"sedna/internal/server"
 	"sedna/internal/storage"
@@ -380,4 +381,106 @@ func TestReplicaIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// verifyDocs runs storage.VerifyDoc, which checks the per-schema-node
+// counters among the rest, on every document of db.
+func verifyDocs(t *testing.T, db *core.Database, when string) {
+	t.Helper()
+	tx, err := db.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	for _, name := range db.Catalog().DocNames() {
+		doc, err := tx.Document(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := storage.VerifyDoc(tx.Tx, doc); err != nil {
+			t.Errorf("%s: document %s: %v", when, name, err)
+		}
+	}
+}
+
+// TestReplicaCountersAfterRestart pins what a replica's counters are worth.
+// Apply does not keep them (a live replica plans with the counts of its
+// seed), so every open of a database that has applied replicated
+// transactions recounts all of its documents, and Promote recounts them too:
+// after a clean stop, the replica reopened as a replica, through a plain
+// core.Open and once promoted must pass VerifyDoc on every document.
+func TestReplicaCountersAfterRestart(t *testing.T) {
+	srv, _ := startPrimary(t)
+	p := connect(t, srv.Addr())
+	mustExec(t, p, `CREATE DOCUMENT "d"`)
+	mustExec(t, p, `UPDATE insert <r><a>1</a></r> into doc("d")`)
+
+	dir := t.TempDir()
+	rep, err := repl.Start(dir, srv.Addr(), core.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		mustExec(t, p, fmt.Sprintf(`UPDATE insert <b>%d</b> into doc("d")/r`, i))
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for count(t, rep.DB(), `count(doc("d")/r/b)`) != "50" {
+		if time.Now().After(deadline) {
+			t.Fatal("the replica did not apply the 50 inserts")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err = repl.Start(dir, srv.Addr(), core.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyDocs(t, rep.DB(), "reopened as a replica")
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := core.Open(dir, core.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyDocs(t, db, "reopened through core.Open")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err = repl.Start(dir, srv.Addr(), core.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.DB().Close()
+	if err := rep.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	verifyDocs(t, rep.DB(), "promoted")
+	if got := count(t, rep.DB(), `count(doc("d")/r/b)`); got != "50" {
+		t.Fatalf("the promoted replica holds %s inserts, want 50", got)
+	}
+}
+
+// count evaluates a query on db in a read-only transaction.
+func count(t *testing.T, db *core.Database, q string) string {
+	t.Helper()
+	tx, err := db.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	res, err := query.Execute(query.NewExecCtx(tx), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := res.String()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

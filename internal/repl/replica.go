@@ -376,6 +376,12 @@ func (r *Replica) run(conn net.Conn) {
 			backoff = backoffMin
 			r.reconnects.Inc()
 			r.setConn(conn)
+			if r.stopped() {
+				// Stop ran while this dial was out and found no connection
+				// to break.
+				conn.Close()
+				return
+			}
 			// Reconnected streams restart at the watermark: drop partially
 			// buffered transactions, they will be re-shipped in full.
 			r.pending = map[uint64]*pendingTxn{}
@@ -497,7 +503,9 @@ func (r *Replica) applyChunk(base uint64, chunk []byte) error {
 			// Node-local records; never replicated across nodes.
 		default:
 			if pt, ok := r.pending[rec.Txn]; ok {
-				pt.recs = append(pt.recs, rec)
+				// The record's Data aliases the chunk; the transaction may
+				// commit in a later one.
+				pt.recs = append(pt.recs, rec.Clone())
 			}
 			// Records of transactions begun before the stream start belong
 			// to already-applied transactions; their commit is dropped by

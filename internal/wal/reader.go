@@ -139,7 +139,8 @@ func recordAlignedEnd(buf []byte) (int, int) {
 // record's checksum and calling fn with the record's LSN (base + offset) and
 // decoded form. Torn or corrupt content returns ErrCorrupt: shipped chunks
 // are record-aligned by construction, so unlike a log-tail scan nothing here
-// is silently tolerated.
+// is silently tolerated. A record's Data aliases buf and is valid only
+// until fn returns; a record fn keeps must be Cloned.
 func ScanBytes(base uint64, buf []byte, fn func(lsn uint64, r *Record, recLen int) error) error {
 	pos := 0
 	for pos < len(buf) {

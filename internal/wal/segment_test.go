@@ -60,7 +60,7 @@ func scanAll(t testing.TB, l *Log, from uint64) ([]*Record, []uint64, error) {
 	var recs []*Record
 	var lsns []uint64
 	err := l.Scan(from, func(lsn uint64, r *Record) error {
-		recs = append(recs, r)
+		recs = append(recs, r.Clone())
 		lsns = append(lsns, lsn)
 		return nil
 	})

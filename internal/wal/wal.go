@@ -10,6 +10,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,7 +71,9 @@ type Record struct {
 
 	Page sas.PageID // RecPageWrite, RecAllocPage, RecFreePage
 	Off  uint32     // RecPageWrite
-	Data []byte     // RecPageWrite
+	// Data is a page write's bytes; in a scanned record it is valid only
+	// during the callback (see Scan).
+	Data []byte // RecPageWrite
 
 	DocID    uint32 // document-scoped records
 	Name     string // RecCreateDoc, RecCreateIndex, RecDropIndex, RecAddSchemaNode
@@ -93,6 +96,14 @@ type Record struct {
 	Nodes  uint64
 	Blocks uint64
 	Bytes  uint64
+}
+
+// Clone returns a copy of r that owns its Data, for a caller that keeps a
+// scanned record past the callback that delivered it.
+func (r *Record) Clone() *Record {
+	c := *r
+	c.Data = bytes.Clone(r.Data)
+	return &c
 }
 
 // ErrCorrupt reports a malformed record in the middle of the log (not a
@@ -461,13 +472,15 @@ func (l *Log) Size() uint64 {
 // torn tail of the live segment terminates the scan without error; a
 // malformed record anywhere else returns ErrCorrupt, and a start below the
 // oldest retained LSN returns ErrRetired. Appends are blocked during the
-// scan.
+// scan. A record's Data aliases the scan's read buffer: it is valid only
+// until fn returns, and a record fn keeps must be Cloned.
 func (l *Log) Scan(from uint64, fn func(lsn uint64, r *Record) error) error {
 	return l.scan(from, 0, fn)
 }
 
 // ScanType is Scan restricted to records of one type: the others are read
-// and checksummed but not decoded, so a page image is never copied.
+// and checksummed but not decoded. Data is valid only until fn returns, as
+// in Scan.
 func (l *Log) ScanType(from uint64, typ RecType, fn func(lsn uint64, r *Record) error) error {
 	return l.scan(from, typ, fn)
 }
@@ -679,12 +692,13 @@ func (d *decoder) byte1() byte {
 	return v
 }
 
+// bytes returns the next n bytes of the payload itself, not a copy.
 func (d *decoder) bytes(n int) []byte {
 	if d.err != nil || d.pos+n > len(d.b) {
 		d.err = ErrCorrupt
 		return nil
 	}
-	v := append([]byte(nil), d.b[d.pos:d.pos+n]...)
+	v := d.b[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return v
 }
@@ -694,6 +708,8 @@ func (d *decoder) str() string {
 	return string(d.bytes(int(n)))
 }
 
+// decodeRecord decodes one payload. A page write's Data aliases payload;
+// strings are copied out of it.
 func decodeRecord(payload []byte) (*Record, error) {
 	if len(payload) < 9 {
 		return nil, ErrCorrupt

@@ -67,7 +67,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 	var got []*Record
 	var gotLSNs []uint64
 	err := l.Scan(0, func(lsn uint64, r *Record) error {
-		got = append(got, r)
+		got = append(got, r.Clone())
 		gotLSNs = append(gotLSNs, lsn)
 		return nil
 	})

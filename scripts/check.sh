@@ -56,15 +56,20 @@ go build ./...
 #   internal/core: TestSnapshotStatementsIgnoreHeldLock (lock.waits = 0 under
 #     a held exclusive lock), TestVersionsDieAtCommit (buffer.versions_live),
 #     TestBulkLoadWritesLess (WAL bytes and pages against node-at-a-time
-#     loading) and TestBulkLoadAllocations (bytes allocated per flushed page
-#     and pagefile.reads of one bulk load);
+#     loading), TestBulkLoadAllocations (bytes allocated per flushed page
+#     and pagefile.reads of one bulk load) and
+#     TestOpenRecountsOnlyWhatRedoWrote (pagefile.reads of a reopen after a
+#     crash, the same beside 1 and 8 untouched documents and at most
+#     recoverReads; none on a clean reopen);
 #   internal/txn: TestEvictionFlushesOnlyThePagesRecords (wal.fsyncs of an
 #     eviction: none for a committed page, one for a stolen one);
 #   internal/storage: TestListPositionProperty (the search's cut of page
 #     views per insert), TestSplitMovesBoundedTail (descriptors a split
 #     moves, blocks 500 inserts at one position allocate) and
 #     TestValueWalkViews (page views of a 256-start value walk);
-#   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge);
+#   internal/repl: TestReplicaSeedAndStreamConverges (two replicas converge)
+#     and TestReplicaCountersAfterRestart (a replica's counters verify
+#     after a restart as a replica, a plain open and a promotion);
 #   internal/server: TestPointReadTemplates (query.template_misses: 8 for
 #     1000 statements of the 8 point_read shapes on one session) and
 #     TestSessionStatementAllocations (allocations per statement of a keyed
