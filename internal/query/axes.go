@@ -5,7 +5,6 @@ import (
 
 	"sedna/internal/sas"
 	"sedna/internal/schema"
-	"sedna/internal/storage"
 )
 
 // Axis evaluation over stored nodes. The implementations exploit the
@@ -155,15 +154,15 @@ func childAxis(env *env, n *NodeItem, sn *schema.Node, test NodeTest, attrs int8
 		return nil
 	case 1:
 		c := childrenOfSchema(n, sn, only)
-		if skip := k.positionSkip(); skip > 0 {
-			// person[k]: the first k-1 children are stepped over on their
-			// list links, not decoded.
+		// person[k]: the first k-1 children are stepped over by the
+		// candidate read, following no slot, not decoded.
+		for skip := k.positionSkip(); skip > 0 && !c.done(); {
 			var skipped int
 			var err error
-			if c.at, skipped, err = storage.SkipRun(env.r, c.at, c.link, c.parent, skip); err != nil {
+			if c.at, skipped, err = env.ctx.valueWalk().Scan(env.r, c.at, c.parent, nil, min(skip, batchCap), -1); err != nil {
 				return err
 			}
-			k.pos[0] += skipped
+			skip, k.pos[0] = skip-skipped, k.pos[0]+skipped
 		}
 		return drain(env, c, k)
 	}

@@ -4,15 +4,16 @@ package query
 // of named child steps (or child steps and a last attribute step), starting at
 // the context item or at a variable, reads the values where they lie
 // (storage.ValueWalk) and compares each as bytes with the literal, converted
-// once. A step's collector evaluates a leading one at the context item for
-// a whole batch of candidates in one walk. Any other start or leaf takes
-// evalBinary's general path.
+// once. A step's producer evaluates a leading one at the context item for a
+// whole batch of candidates in one walk, before it decodes any (pass). Any
+// other start or leaf takes evalBinary's general path.
 
 import (
 	"bytes"
 	"sync"
 
 	"sedna/internal/opt"
+	"sedna/internal/sas"
 	"sedna/internal/schema"
 	"sedna/internal/storage"
 )
@@ -160,8 +161,8 @@ func (ctx *ExecCtx) release() {
 }
 
 // evalInPlace evaluates a marked comparison for one start; handled=false
-// sends it down the general path. A step's collector evaluates a leading one
-// for a whole batch instead (collector.holding).
+// sends it down the general path. A step's producer evaluates a leading one
+// for a whole batch of candidates instead (collector.pass).
 func evalInPlace(c *inPlaceCmp, e *env, f *focus) (holds, handled bool, err error) {
 	var start Item
 	if c.start == "" && f != nil {
@@ -191,57 +192,58 @@ func (e *env) values(n *NodeItem, slots []int, text bool, dst []byte, visit func
 	return dst, err == nil && w.Held(0), err
 }
 
-// holding evaluates c, the collector's first predicate, for every node of b
-// and moves the nodes it holds for to the front of b, in order; it returns
-// how many. Each maximal run of one document and schema node resolves the
-// chain once and reads it in one walk; a run whose leaf is not simple content
-// takes the general path node by node. Nothing of the walk outlives the run,
-// so a later predicate may run a batch of its own.
-func (k *collector) holding(b []NodeItem, c *inPlaceCmp) (int, error) {
-	e, w := k.e, k.e.ctx.valueWalk()
-	n := 0
-	for i := 0; i < len(b); {
-		doc, id := b[i].Doc, b[i].D.SchemaID
-		j := i + 1
-		for j < len(b) && b[j].Doc == doc && b[j].D.SchemaID == id {
-			j++
+// inPlace returns k's batched comparison and its chain's slots from c's
+// schema node when the producer evaluates it on c's candidates (nil: the
+// collector does, node by node).
+func (k *collector) inPlace(c cursor) (*inPlaceCmp, []int) {
+	if cmp := k.batched(); cmp != nil && c.sn != nil {
+		if slots, ok := k.e.ctx.inPlaceSlots(cmp, c.sn); ok {
+			return cmp, slots
 		}
-		run := b[i:j]
-		i = j
-		slots, ok := e.ctx.inPlaceSlots(c, doc.Schema.ByID(id))
-		switch {
-		case !ok:
-			for r := range run {
-				k.pos[0]++
-				holds, err := predHolds(k.preds[0], e, &run[r], k.pos[0], 0)
-				if err != nil {
-					return n, err
-				}
-				if holds {
-					b[n] = run[r]
-					n++
-				}
-			}
-			continue
-		case slots != nil:
-			w.Reset()
-			for r := range run {
-				w.Add(&run[r].D, slots[0])
-			}
-			var err error
-			if e.ctx.textBuf, err = w.Run(e.r, slots, !c.attr, e.ctx.textBuf[:0], c.holds); err != nil {
-				return n, err
-			}
-			for r := range run {
-				if w.Held(r) {
-					b[n] = run[r]
-					n++
-				}
-			}
-		}
-		k.pos[0] += len(run)
 	}
-	return n, nil
+	return nil, nil
+}
+
+// pass reads c's next candidates, up to max, straight from their list as the
+// starts of the statement's value walk (storage.ValueWalk.Scan), evaluates
+// k's batched comparison over them in one walk and appends the addresses of
+// those it holds for to dst, in order. It returns the cursor advanced past
+// them. k.pos[0] counts the candidates.
+func (k *collector) pass(c cursor, max int, dst []sas.XPtr) ([]sas.XPtr, cursor, error) {
+	e, w := k.e, k.e.ctx.valueWalk()
+	cmp, slots := k.inPlace(c)
+	slot := -1
+	if slots != nil {
+		slot = slots[0]
+	}
+	next, n, err := w.Scan(e.r, c.at, c.parent, c.under, max, slot)
+	if n == 0 && !next.IsNil() && err == nil {
+		// An overflowed label: ReadRun reads it for the range check, and a
+		// walk of its own compares the one node. Its entry is scratch: a
+		// merge calls pass while it fills a batch of the node slab.
+		s := &e.ctx.scratch
+		defer s.release(s.mark())
+		one := s.take(1)
+		c.at = next
+		if n, c, err = e.fill(c, one); err != nil || n == 0 {
+			return dst, c, err
+		}
+		k.pos[0]++
+		var holds bool
+		if slots != nil {
+			e.ctx.textBuf, holds, err = e.values(&one[0], slots, !cmp.attr, e.ctx.textBuf[:0], cmp.holds)
+		}
+		if holds {
+			dst = append(dst, one[0].D.Ptr)
+		}
+		return dst, c, err
+	}
+	c.at, k.pos[0] = next, k.pos[0]+n
+	if err != nil || slots == nil { // no slots: the chain leads nowhere
+		return dst, c, err
+	}
+	e.ctx.textBuf, err = w.Run(e.r, slots, !cmp.attr, e.ctx.textBuf[:0], cmp.holds)
+	return w.AppendHeld(dst), c, err
 }
 
 // holds compares a value with the literal as compareAtomic compares an

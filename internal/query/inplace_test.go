@@ -10,6 +10,9 @@ import (
 	"unicode/utf8"
 
 	"sedna/internal/core"
+	"sedna/internal/schema"
+	"sedna/internal/storage"
+	"sedna/internal/xmlgen"
 )
 
 // TestInPlaceOffCorpusIdentity runs the identity corpus with the rewriter
@@ -101,7 +104,11 @@ func TestInPlaceReadsOwnWrites(t *testing.T) {
 // what the same comparison under a quantifier selects, and that never takes
 // the in-place path; so does a FLWOR's where clause of that shape, which the
 // rewriter turns into a predicate. The leaf values are fuzzed, XML-escaped, as element text
-// and as attribute values; the literal is a string or a number.
+// and as attribute values; the literal is a string or a number. The e
+// elements lie under two parents, so //e merges two lists: counted, the
+// producer drains them one after the other; kept (their @k serialized, also
+// behind a positional second predicate), it merges the nodes that pass. A
+// child step under one parent (/r/e) ends at the parent's last child.
 func FuzzValueCompare(f *testing.F) {
 	db, err := core.Open(f.TempDir(), core.Options{NoSync: true, BufferPages: 256})
 	if err != nil {
@@ -125,8 +132,10 @@ func FuzzValueCompare(f *testing.F) {
 			}
 			lit = strconv.FormatFloat(math.Abs(n), 'g', -1, 64)
 		}
-		doc := fmt.Sprintf(`<r><e><p a="%s"><v>%s</v><v>%s</v></p></e><e><p a="%s"><v>%s</v></p><p/></e><e/></r>`,
-			esc(a), esc(a), esc(b), esc(b), esc(b))
+		a, b = esc(a), esc(b)
+		doc := fmt.Sprintf(`<r><e k="1"><p a="%s"><v>%s</v><v>%s</v></p></e><e k="2"><p a="%s"><v>%s</v></p><p/></e><e k="3"/>`+
+			`<s><e k="4"><p a="%s"><v>%s</v></p></e><e k="5"><p><v>%s</v><v>%s</v></p></e></s><e k="6"><p><v>%s</v></p></e></r>`,
+			a, a, b, b, b, a, a, b, a, b)
 		tx, err := db.Begin()
 		if err != nil {
 			t.Fatal(err)
@@ -142,11 +151,16 @@ func FuzzValueCompare(f *testing.F) {
 		o := ops[int(op)%len(ops)]
 		pred := func(p string) string { return `count(doc("f")//e[` + p + `])` }
 		where := func(w string) string { return `count(for $e in doc("f")//e where ` + w + ` return $e)` }
+		vs := "p/v " + o + " " + lit
+		some := "some $x in p/v satisfies $x " + o + " " + lit
 		for _, c := range [][2]string{
-			{pred("p/v " + o + " " + lit), pred("some $x in p/v satisfies $x " + o + " " + lit)},
+			{pred(vs), pred(some)},
 			{pred(lit + " " + o + " p/v"), pred("some $x in p/v satisfies " + lit + " " + o + " $x")},
 			{pred("p/@a " + o + " " + lit), pred("some $x in p/@a satisfies $x " + o + " " + lit)},
 			{where("$e/p/v " + o + " " + lit), where("some $x in $e/p/v satisfies $x " + o + " " + lit)},
+			{`doc("f")//e[` + vs + `]/@k`, `doc("f")//e[` + some + `]/@k`},
+			{`doc("f")//e[` + vs + `][2]/@k`, `doc("f")//e[` + some + `][2]/@k`},
+			{`doc("f")/r/e[` + vs + `]/@k`, `doc("f")/r/e[` + some + `]/@k`},
 		} {
 			got := q(t, db, c[0])
 			if want := q(t, db, c[1]); got != want {
@@ -154,4 +168,64 @@ func FuzzValueCompare(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestInPlaceOverflowedLabels runs value predicates whose candidates have
+// labels that overflowed the descriptor's inline area (a tree 24 levels
+// deep): counted, kept through a merge, behind a positional predicate, under
+// a descendant step's ancestor bound and as a where clause. At batch
+// capacities 1, 3 and the default, every answer equals the one with the
+// rewriter off, where no comparison is made in place.
+func TestInPlaceOverflowedLabels(t *testing.T) {
+	db, err := core.Open(t.TempDir(), core.Options{NoSync: true, BufferPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.LoadXML("deep", strings.NewReader(xmlgen.DeepString(24, 3))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rtx, err := db.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := rtx.Document("deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := doc.Schema.Root
+	for c := deepest.Child(schema.KindElement, "root"); c != nil; c = c.Child(schema.KindElement, "n0") {
+		deepest = c
+	}
+	d, ok, err := storage.FirstOfSchema(rtx.Tx, deepest)
+	rtx.Rollback()
+	if err != nil || !ok || len(d.Label.Prefix) <= 16 {
+		t.Fatalf("the deepest n0's label is %d bytes (%v), want one that overflowed 16", len(d.Label.Prefix), err)
+	}
+	queries := []string{
+		`count(doc("deep")//n0[n1 >= "leaf-12"])`,
+		`doc("deep")//n0[n1 < "leaf-2"]/n2`,
+		`doc("deep")/descendant::n0[n2 != "leaf-7-2"][3]/n1`,
+		`count(doc("deep")//n0[n0/n1 > "leaf-20"]//n0[n2 = "leaf-4-2"])`,
+		`doc("deep")/root/n0//n0[n1 <= "leaf-15"]/n2`,
+		`for $n in doc("deep")//n0 where $n/n1 > "leaf-3" return string($n/n2)`,
+	}
+	for _, capacity := range []int{1, 3, batchCap} {
+		t.Run(fmt.Sprint("capacity=", capacity), func(t *testing.T) {
+			forceBatchCap(t, capacity)
+			for _, src := range queries {
+				got := q(t, db, src)
+				if want := qset(t, db, src, func(ctx *ExecCtx) { ctx.NoRewrite = true }); got != want {
+					t.Errorf("%s\n in place: %.200s\nrewriter off: %.200s", src, got, want)
+				}
+			}
+		})
+	}
 }

@@ -245,8 +245,8 @@ func (rw *rewriter) rewriteExpr(x Expr) Expr {
 // whereToPredicate turns `for $v in P where $v/a/b op L return R`, P a step,
 // into `for $v in P[a/b op L] return R` when the where clause alone has the
 // in-place shape and starts at the clause's variable: the comparison then
-// runs over P's candidates a batch at a time, as the collector's first
-// in-place predicate (collector.holding), instead of after each binding. It
+// runs over P's candidates a batch at a time, in the producer, as the step's
+// first in-place predicate (collector.pass), instead of after each binding. It
 // runs first, so that the passes see the predicate: a step with a predicate
 // is not structural. Analyze ran before it, and what it records of a step
 // (wholeContext) stays true: the comparison calls no last(), and the rule

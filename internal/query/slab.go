@@ -202,13 +202,15 @@ func (e *env) node(doc *storage.Doc, d storage.Desc) *NodeItem {
 
 // cursor is an open producer of one document's nodes in document order: a
 // position in a block list or sibling chain. The producers in store.go open
-// it; fill advances it.
+// it; fill advances it, and so does collector.pass for a cursor over one
+// schema node's list.
 type cursor struct {
 	doc    *storage.Doc
 	at     sas.XPtr // where the next run starts (nil: done)
 	link   storage.Link
-	parent sas.XPtr   // run ends at another parent's child
-	under  *nid.Label // run ends outside this label's subtree
+	parent sas.XPtr     // run ends at another parent's child
+	under  *nid.Label   // run ends outside this label's subtree
+	sn     *schema.Node // with ListLink: the schema node whose list it follows
 }
 
 func (c *cursor) done() bool { return c.at.IsNil() }
@@ -252,10 +254,10 @@ func (k *collector) positionSkip() int {
 	return int(lit.Number) - 1 - k.pos[0]
 }
 
-// batched returns the in-place comparison take evaluates for a whole batch
-// at once: the first predicate, when it is marked and starts at the context
-// item, and the collector neither filters, stops at a node nor stops after a
-// count (nil otherwise).
+// batched returns the in-place comparison the producer evaluates for a whole
+// batch of candidates at once (pass): the first predicate, when it is marked
+// and starts at the context item, and the collector neither filters, stops at
+// a node nor stops after a count (nil otherwise).
 func (k *collector) batched() *inPlaceCmp {
 	if len(k.preds) == 0 || k.filter || !k.until.IsNil() || k.limit > 0 {
 		return nil
@@ -266,17 +268,17 @@ func (k *collector) batched() *inPlaceCmp {
 	return nil
 }
 
-// take consumes one batch and returns how many of its entries, moved to its
-// front, must stay allocated.
-func (k *collector) take(b []NodeItem) (keep int, err error) {
-	from := 0
-	if c := k.batched(); c != nil {
-		n, err := k.holding(b, c)
-		if err != nil {
-			return 0, err
-		}
-		b, from = b[:n], 1
-	}
+// counts reports that k only counts the nodes its one predicate, the batched
+// comparison, holds for: the producer decodes none of them, and their order
+// does not matter.
+func (k *collector) counts() bool {
+	return k.discard && len(k.preds) == 1 && k.batched() != nil
+}
+
+// take consumes one batch of nodes that passed the predicates before from,
+// and returns how many of its entries, moved to its front, must stay
+// allocated.
+func (k *collector) take(b []NodeItem, from int) (keep int, err error) {
 	for i := range b {
 		it := &b[i]
 		if it.D.Handle == k.until && !k.until.IsNil() {
@@ -349,6 +351,9 @@ func (k *collector) items(items []Item) {
 // drain runs a cursor to its end through k, a batch at a time. One killed
 // check per batch keeps cancellation prompt.
 func drain(e *env, c cursor, k *collector) (err error) {
+	if cmp, _ := k.inPlace(c); cmp != nil {
+		return drainPassing(e, c, k)
+	}
 	s := &e.ctx.nodes
 	for !c.done() {
 		if err := e.ctx.checkKilled(); err != nil {
@@ -360,10 +365,61 @@ func drain(e *env, c cursor, k *collector) (err error) {
 		if n, c, err = e.fill(c, b); err != nil {
 			return err
 		}
-		s.top += n
-		keep, err := k.take(b[:n])
-		s.truncate(m, keep)
-		if err != nil {
+		if err := k.takeBatch(b[:n], m, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drainPassing drains c with k's first predicate evaluated by the producer
+// (pass), batchCap candidates at a time: only the nodes that pass are
+// decoded, for the later predicates, and none when k only counts.
+func drainPassing(e *env, c cursor, k *collector) (err error) {
+	s := &e.ctx.nodes
+	var buf [256]sas.XPtr // batchCap's default; a later predicate may run a walk of its own
+	for !c.done() {
+		if err := e.ctx.checkKilled(); err != nil {
+			return err
+		}
+		var at []sas.XPtr
+		if at, c, err = k.pass(c, batchCap, buf[:0]); err != nil {
+			return err
+		}
+		if k.counts() {
+			k.n += len(at)
+			continue
+		}
+		for len(at) > 0 {
+			b := s.batch()
+			m := s.mark()
+			n := min(len(b), len(at))
+			if err := e.decode(c.doc, at[:n], b); err != nil {
+				return err
+			}
+			if err := k.takeBatch(b[:n], m, 1); err != nil {
+				return err
+			}
+			at = at[n:]
+		}
+	}
+	return nil
+}
+
+// takeBatch hands k a batch of the slab that starts at m, and gives the
+// entries k does not keep back to the slab.
+func (k *collector) takeBatch(b []NodeItem, m slabMark, from int) error {
+	s := &k.e.ctx.nodes
+	s.top += len(b)
+	keep, err := k.take(b, from)
+	s.truncate(m, keep)
+	return err
+}
+
+// decode decodes the descriptors of doc at the addresses into dst.
+func (e *env) decode(doc *storage.Doc, at []sas.XPtr, dst []NodeItem) error {
+	for i, p := range at {
+		if _, _, err := e.fill(cursor{doc: doc, at: p}, dst[i:i+1]); err != nil {
 			return err
 		}
 	}
@@ -379,13 +435,20 @@ type nodeStream struct {
 }
 
 // head returns the stream's current entry, refilling the buffer when it is
-// used up; nil at the end.
-func (s *nodeStream) head(e *env) (*NodeItem, error) {
+// used up — with passing, with the nodes k's batched comparison holds for;
+// nil at the end.
+func (s *nodeStream) head(k *collector, passing bool) (*NodeItem, error) {
 	for s.pos == len(s.buf) {
 		if s.c.done() {
 			return nil, nil
 		}
-		n, c, err := e.fill(s.c, s.buf[:cap(s.buf)])
+		var at [streamCap]sas.XPtr
+		held, n, c, err := at[:0], 0, s.c, error(nil)
+		if !passing {
+			n, c, err = k.e.fill(c, s.buf[:cap(s.buf)])
+		} else if held, c, err = k.pass(c, cap(s.buf), held); err == nil {
+			n, err = len(held), k.e.decode(c.doc, held, s.buf[:cap(s.buf)])
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -396,19 +459,28 @@ func (s *nodeStream) head(e *env) (*NodeItem, error) {
 
 // mergeStreams merges label-ordered streams into document order and hands
 // the result to k in batches. It is the executor's main cancellation point
-// for long storage scans: one killed check per batch.
+// for long storage scans: one killed check per batch. A count takes the
+// streams one after another, unmerged. When the producer evaluates k's
+// batched comparison on every stream, the merge compares the nodes that pass
+// only.
 func mergeStreams(e *env, streams []nodeStream, k *collector) error {
-	switch {
-	case len(streams) == 0:
+	if len(streams) <= 1 || k.counts() {
+		for i := range streams {
+			if err := drain(e, streams[i].c, k); err != nil {
+				return err
+			}
+		}
 		return nil
-	case len(streams) == 1:
-		return drain(e, streams[0].c, k)
 	}
 	s, scratch := &e.ctx.nodes, &e.ctx.scratch
 	sm := scratch.mark()
 	defer scratch.release(sm)
+	from := 1 // the predicates the streams evaluate
 	for i := range streams {
 		streams[i].buf = scratch.take(streamCap)[:0]
+		if cmp, _ := k.inPlace(streams[i].c); cmp == nil {
+			from = 0
+		}
 	}
 	for {
 		if err := e.ctx.checkKilled(); err != nil {
@@ -419,7 +491,7 @@ func mergeStreams(e *env, streams []nodeStream, k *collector) error {
 			var best *nodeStream
 			var bestIt *NodeItem
 			for i := range streams {
-				it, err := streams[i].head(e)
+				it, err := streams[i].head(k, from == 1)
 				if err != nil {
 					return err
 				}
@@ -438,11 +510,7 @@ func mergeStreams(e *env, streams []nodeStream, k *collector) error {
 		}
 		// Marked after the fills: the label bytes of entries the streams
 		// still buffer stay.
-		m := s.mark()
-		s.top += n
-		keep, err := k.take(b[:n])
-		s.truncate(m, keep)
-		if err != nil {
+		if err := k.takeBatch(b[:n], s.mark(), from); err != nil {
 			return err
 		}
 	}

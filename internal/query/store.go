@@ -58,26 +58,31 @@ func following(n *NodeItem) cursor {
 // in-list chain while the parent stays the same (children of one parent are
 // contiguous in the schema node's list).
 func childrenOfSchema(n *NodeItem, parent, child *schema.Node) cursor {
-	return cursor{doc: n.Doc, at: n.D.ChildAtSlot(parent.ChildIndex(child)), link: storage.ListLink, parent: n.D.Handle}
+	return cursor{doc: n.Doc, at: n.D.ChildAtSlot(parent.ChildIndex(child)), link: storage.ListLink, parent: n.D.Handle, sn: child}
 }
 
 // descendantScan opens sn's instances inside the subtree of anc, an instance
 // of ancSN. It starts at anc's first instance of sn, found through anc's own
 // child pointers (storage.FirstInRange), so opening a scan costs the same for
 // the first context node of a document as for the last; the runs end where
-// anc's numbering-scheme label stops being an ancestor. Counts one schema
+// anc's numbering-scheme label stops being an ancestor — never under the
+// document node, which every node of a list lies under. Counts one schema
 // scan.
 func (e *env) descendantScan(sn *schema.Node, anc *NodeItem, ancSN *schema.Node) (cursor, error) {
 	e.ctx.stats().AddSchemaScans(1)
 	first, err := storage.FirstInRange(e.r, &anc.D, ancSN, sn)
-	return cursor{doc: anc.Doc, at: first, link: storage.ListLink, under: &anc.D.Label}, err
+	c := cursor{doc: anc.Doc, at: first, link: storage.ListLink, sn: sn}
+	if !anc.D.Parent.IsNil() {
+		c.under = &anc.D.Label
+	}
+	return c, err
 }
 
 // schemaScan opens every instance of sn (the whole-document structural-path
 // fast path). Counts one schema scan.
 func (e *env) schemaScan(doc *storage.Doc, sn *schema.Node) cursor {
 	e.ctx.stats().AddSchemaScans(1)
-	return cursor{doc: doc, at: sn.FirstBlock, link: storage.ListLink}
+	return cursor{doc: doc, at: sn.FirstBlock, link: storage.ListLink, sn: sn}
 }
 
 // fill decodes the cursor's next nodes into dst — at least one unless the

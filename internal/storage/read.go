@@ -111,51 +111,6 @@ func ReadRun(r Reader, at sas.XPtr, link Link, parent sas.XPtr, under *nid.Label
 	}
 }
 
-// SkipRun steps over up to n descriptors of the chain ReadRun would decode
-// from at (ListLink or SiblingLink, ending at another parent's child when
-// parent is non-nil), reading only their parent and link fields — one page
-// view per page, no label or child pointer decoded: a literal position skips
-// the nodes before it this way. It returns where the chain continues (nil:
-// it ended) and how many descriptors it stepped over.
-func SkipRun(r Reader, at sas.XPtr, link Link, parent sas.XPtr, n int) (sas.XPtr, int, error) {
-	skipped := 0
-	for skipped < n {
-		page, pin, h, p, err := viewDesc(r, at)
-		if err != nil || p.IsNil() {
-			return sas.NilPtr, skipped, err
-		}
-		base, off := p.PageBase(), uint16(p.PageOffset())
-		for {
-			b := page[off:]
-			if !parent.IsNil() && getPtr(b, dParent) != parent {
-				r.ReleasePage(pin)
-				return sas.NilPtr, skipped, nil
-			}
-			if skipped == n {
-				r.ReleasePage(pin)
-				return base.Add(uint32(off)), skipped, nil
-			}
-			skipped++
-			next := getPtr(b, dRightSib)
-			if link == ListLink {
-				if next = h.Next; getU16(b, dNextIn) != 0 {
-					next = base.Add(uint32(getU16(b, dNextIn)))
-				}
-			}
-			if !next.IsNil() && next.PageBase() == base {
-				off = uint16(next.PageOffset())
-				continue
-			}
-			r.ReleasePage(pin)
-			if at = next; at.IsNil() {
-				return sas.NilPtr, skipped, nil
-			}
-			break
-		}
-	}
-	return at, skipped, nil
-}
-
 // viewDesc views the page of the descriptor at p — or, when p is a block's
 // base pointer, of the first descriptor from that block on, skipping blocks a
 // run of deletes left empty — and returns the view, the block's header and
@@ -527,15 +482,17 @@ func FirstInRange(r Reader, ctx *Desc, ctxSN, sn *schema.Node) (sas.XPtr, error)
 // the same (§4.1): the children of consecutive starts lie one after another
 // in one list, so one page view serves every node of a level on that page.
 // Only the parent, handle, child-slot, in-block link and text fields of a
-// descriptor are read; no descriptor is decoded. The text records are read
-// after the last level's view is released, one view per text page, so no
-// page stays viewed across another read.
+// descriptor are read; no descriptor is decoded. The starts are added as
+// decoded descriptors (Add) or read the same way straight from their list
+// (Scan). The text records are read after the last level's view is released,
+// one view per text page, so no page stays viewed across another read.
 //
 // The zero value is ready for use, and a walk reuses the frontiers of the
 // one before it.
 type ValueWalk struct {
 	cur, next []walkNode // the level read last and the one being built
 	held      []bool     // per start: a value held
+	starts    []sas.XPtr // per start: its descriptor's address
 }
 
 // walkNode is one node of a walk's frontier.
@@ -547,17 +504,45 @@ type walkNode struct {
 }
 
 // Reset empties the batch.
-func (w *ValueWalk) Reset() { w.cur, w.held = w.cur[:0], w.held[:0] }
+func (w *ValueWalk) Reset() { w.cur, w.held, w.starts = w.cur[:0], w.held[:0], w.starts[:0] }
 
 // Add appends a start node, whose first children are read in slot (the
 // chain's first). Starts need not be adjacent in their list.
 func (w *ValueWalk) Add(d *Desc, slot int) {
 	w.cur = append(w.cur, walkNode{owner: int32(len(w.held)), parent: -1, handle: d.Handle, first: d.ChildAtSlot(slot)})
 	w.held = append(w.held, false)
+	w.starts = append(w.starts, d.Ptr)
+}
+
+// Scan resets the batch and adds as its starts up to max descriptors of a
+// list from at, ending where ReadRun with ListLink, parent and under ends;
+// their first children are read in slot (-1: none, and the starts are only
+// counted). It returns where the list continues (nil: it ended) and how many
+// starts it read: none, with a continuation, before a label that overflowed
+// (read only for under).
+func (w *ValueWalk) Scan(r Reader, at, parent sas.XPtr, under *nid.Label, max, slot int) (sas.XPtr, int, error) {
+	w.Reset()
+	w.next = w.next[:0]
+	var v walkView
+	next, n, err := w.list(r, &v, at, parent, under, max, slot, -1)
+	v.release(r)
+	w.cur, w.next = w.next, w.cur
+	return next, n, err
 }
 
 // Held reports whether a value of the i-th start held in the last Run.
 func (w *ValueWalk) Held(i int) bool { return w.held[i] }
+
+// AppendHeld appends to dst the addresses of the starts a value held for in
+// the last Run, in order.
+func (w *ValueWalk) AppendHeld(dst []sas.XPtr) []sas.XPtr {
+	for i, h := range w.held {
+		if h {
+			dst = append(dst, w.starts[i])
+		}
+	}
+	return dst
+}
 
 // Run walks the chain from the starts added since Reset, with slots[0] the
 // slot they were added with. Each value is appended to buf at its length on
@@ -624,58 +609,90 @@ func (w *ValueWalk) values(r Reader, tv *textView, text bool, buf []byte, visit 
 }
 
 // level reads the children of the nodes of w.cur into w.next, taking each
-// child's first child in slot (-1: none). It holds one page view at a time
-// and keeps it while the next descriptor lies on the same page, reading the
-// block header's child-slot count and next pointer once per view.
+// child's first child in slot (-1: none).
 func (w *ValueWalk) level(r Reader, slot int) error {
 	w.next = w.next[:0]
-	var page []byte
-	var pin any
-	var base, nextBlock sas.XPtr
-	var childSlots int
+	var v walkView
 	for i := range w.cur {
-		parent := w.cur[i].handle
-		for p := w.cur[i].first; !p.IsNil(); {
-			if page == nil || p.PageBase() != base {
-				if page != nil {
-					r.ReleasePage(pin)
-				}
-				var err error
-				if page, pin, err = r.ViewPage(p); err != nil {
-					return err
-				}
-				if page[nbKind] != blockKindNode {
-					r.ReleasePage(pin)
-					return fmt.Errorf("storage: value walk at %v: not a node block (kind %d)", p, page[nbKind])
-				}
-				base, nextBlock, childSlots = p.PageBase(), getPtr(page, nbNext), int(getU16(page, nbChildSlots))
-			}
-			off := uint16(p.PageOffset())
-			if off == 0 { // a block's base pointer: its first descriptor, if any
-				if off = getU16(page, nbFirstDesc); off == 0 {
-					p = nextBlock
-					continue
-				}
-			}
-			b := page[off:]
-			if getPtr(b, dParent) != parent {
-				break
-			}
-			n := walkNode{owner: w.cur[i].owner, parent: int32(i), handle: getPtr(b, dHandle),
-				text: getPtr(b, dText), textLen: getU32(b, dTextLen)}
-			if slot >= 0 && slot < childSlots {
-				n.first = getPtr(b, dChildren+8*slot)
-			}
-			w.next = append(w.next, n)
-			if p = nextBlock; getU16(b, dNextIn) != 0 {
-				p = base.Add(uint32(getU16(b, dNextIn)))
-			}
+		if _, _, err := w.list(r, &v, w.cur[i].first, w.cur[i].handle, nil, 0, slot, int32(i)); err != nil {
+			return err
 		}
 	}
-	if page != nil {
-		r.ReleasePage(pin)
-	}
+	v.release(r)
 	return nil
+}
+
+// walkView is the page view a walk holds, with its block's next block.
+type walkView struct {
+	textView
+	next       sas.XPtr
+	childSlots int
+}
+
+// list appends to w.next a list's descriptors from p, each with its first
+// child in slot and up, its parent's index in w.cur (-1: a start of Scan; with
+// slot -1 too, it only counts them). It returns how many it read, and nil
+// where ReadRun's parent and under bounds end the list, or the next
+// descriptor's address once it read max (max > 0) or before a label that
+// overflowed (under not nil). v holds one page view at a time.
+func (w *ValueWalk) list(r Reader, v *walkView, p, parent sas.XPtr, under *nid.Label, max, slot int, up int32) (sas.XPtr, int, error) {
+	read := 0
+	for !p.IsNil() {
+		if v.page == nil || p.PageBase() != v.base {
+			v.release(r)
+			page, pin, err := r.ViewPage(p)
+			if err != nil {
+				return sas.NilPtr, read, err
+			}
+			if page[nbKind] != blockKindNode {
+				r.ReleasePage(pin)
+				return sas.NilPtr, read, fmt.Errorf("storage: value walk at %v: not a node block (kind %d)", p, page[nbKind])
+			}
+			*v = walkView{textView{page, pin, p.PageBase()}, getPtr(page, nbNext), int(getU16(page, nbChildSlots))}
+		}
+		off := uint16(p.PageOffset())
+		if off == 0 { // a block's base pointer: its first descriptor, if any
+			if off = getU16(v.page, nbFirstDesc); off == 0 {
+				p = v.next
+				continue
+			}
+		}
+		b := v.page[off:]
+		if !parent.IsNil() && getPtr(b, dParent) != parent {
+			break
+		}
+		if under != nil {
+			if ov, _ := overflowOf(b); !ov.IsNil() {
+				return v.base.Add(uint32(off)), read, nil
+			}
+			if !nid.IsAncestor(*under, nid.Label{Prefix: b[dNid : dNid+int(getU16(b, dNidLen))], Delim: b[dNidDelim]}) {
+				break
+			}
+		}
+		if max > 0 && read == max {
+			return v.base.Add(uint32(off)), read, nil
+		}
+		read++
+		if p = v.next; getU16(b, dNextIn) != 0 {
+			p = v.base.Add(uint32(getU16(b, dNextIn)))
+		}
+		if up < 0 && slot < 0 {
+			continue
+		}
+		n := walkNode{parent: up, handle: getPtr(b, dHandle)}
+		if up >= 0 { // only a level's nodes can be leaves: a start's text is not read
+			n.owner, n.text, n.textLen = w.cur[up].owner, getPtr(b, dText), getU32(b, dTextLen)
+		} else {
+			n.owner = int32(len(w.held))
+			w.held = append(w.held, false)
+			w.starts = append(w.starts, v.base.Add(uint32(off)))
+		}
+		if slot >= 0 && slot < v.childSlots {
+			n.first = getPtr(b, dChildren+8*slot)
+		}
+		w.next = append(w.next, n)
+	}
+	return sas.NilPtr, read, nil
 }
 
 // BlockCountNext decodes the live-descriptor count and next pointer from a

@@ -212,28 +212,29 @@ func TestReadRunMatchesReadDescLoop(t *testing.T) {
 		t.Fatalf("sibling runs decoded %d children, the list holds %d", len(got), len(want))
 	}
 
-	// SkipRun lands where a decoder that dropped the first n descriptors of
-	// each of these chains would resume — across blocks, past the empty one,
-	// and at a parent stop.
-	skipTo := func(what string, at sas.XPtr, link Link, parent sas.XPtr, want []Desc) {
+	// The candidate read (ValueWalk.Scan, no slot followed) lands where a
+	// decoder that dropped the first n descriptors of each of these lists
+	// would resume — across blocks, past the empty one, and at a parent
+	// stop.
+	var vw ValueWalk
+	scanTo := func(what string, at sas.XPtr, parent sas.XPtr, want []Desc) {
 		t.Helper()
-		for _, n := range []int{0, 1, 2, 239, 240, 241, len(want) - 1, len(want), len(want) + 5} {
-			if n < 0 {
+		for _, n := range []int{1, 2, 239, 240, 241, len(want) - 1, len(want), len(want) + 5} {
+			if n < 1 {
 				continue
 			}
-			next, skipped, err := SkipRun(w, at, link, parent, n)
+			next, scanned, err := vw.Scan(w, at, parent, nil, n, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tail := want[min(n, len(want)):]
-			rest := viaRuns(t, w, next, link, parent, nil, 64)
-			if skipped != min(n, len(want)) || len(rest) != len(tail) || len(tail) > 0 && !reflect.DeepEqual(rest, tail) {
-				t.Fatalf("%s: skipping %d stepped over %d, then decoded %d; want %d", what, n, skipped, len(rest), len(tail))
+			rest := viaRuns(t, w, next, ListLink, parent, nil, 64)
+			if scanned != min(n, len(want)) || len(rest) != len(tail) || len(tail) > 0 && !reflect.DeepEqual(rest, tail) {
+				t.Fatalf("%s: scanning %d read %d, then decoded %d; want %d", what, n, scanned, len(rest), len(tail))
 			}
 		}
 	}
-	skipTo("e list", eSN.FirstBlock, ListLink, sas.NilPtr, viaReadDesc(t, w, eSN))
-	skipTo("r's children", firstChild, SiblingLink, sas.NilPtr, viaReadDesc(t, w, eSN))
+	scanTo("e list", eSN.FirstBlock, sas.NilPtr, viaReadDesc(t, w, eSN))
 	e300, err := DescOf(w, es[300])
 	if err != nil {
 		t.Fatal(err)
@@ -244,5 +245,14 @@ func TestReadRunMatchesReadDescLoop(t *testing.T) {
 			subs = append(subs, s)
 		}
 	}
-	skipTo("sub children of e[300]", e300.ChildAtSlot(eSN.ChildIndex(subSN)), ListLink, es[300], subs)
+	subsAt := e300.ChildAtSlot(eSN.ChildIndex(subSN))
+	scanTo("sub children of e[300]", subsAt, es[300], subs)
+	// Under an ancestor bound it ends where the bound does, and stops before
+	// a label that overflowed, which it leaves to ReadRun.
+	if next, n, err := vw.Scan(w, subsAt, sas.NilPtr, &e300.Label, 8, -1); err != nil || n != len(subs) || !next.IsNil() {
+		t.Fatalf("sub list under e[300]: read %d then %v (%v); want %d, then the end", n, next, err, len(subs))
+	}
+	if next, n, err := vw.Scan(w, first, sas.NilPtr, &dd.Label, 8, -1); err != nil || n != 0 || next != leaves[0].Ptr {
+		t.Fatalf("leaves under the deep node: read %d then %v (%v); want none, then the first leaf at %v", n, next, err, leaves[0].Ptr)
+	}
 }

@@ -47,10 +47,13 @@ go build ./...
 #     views per keyed update, on the fresh document and after its splits),
 #     TestFirstInsertsIntoPackedBlocks (page views of the worst of the first
 #     keyed inserts into a fresh document, and log records per insert),
-#     TestUpdateTargetProbe (the probe's cut of a keyed target's page views,
-#     and the probe chosen with and without fresh statistics),
+#     TestUpdateTargetProbe (a keyed target's page views probed: tens, at
+#     most a quarter of the scan's, which compares its candidates where they
+#     lie and decodes only the one that passes; and the probe chosen with and
+#     without fresh statistics),
 #     TestValuePredicateScalesLinearly (page views and allocations per context
-#     node, predicateAllocsPerNode 0.74, answers equal encoding/xml's) and
+#     node, predicatePagesPerNode 0.1 and predicateAllocsPerNode 0.74,
+#     answers equal encoding/xml's) and
 #     TestOperatorAllocations (allocations per node of each batch operator,
 #     a value predicate and a where clause among them);
 #   internal/core: TestSnapshotStatementsIgnoreHeldLock (lock.waits = 0 under
@@ -83,7 +86,7 @@ go test -race ./internal/metrics ./internal/trace ./internal/buffer ./internal/w
     ./internal/txn ./internal/core ./internal/lock ./internal/server ./internal/query \
     ./internal/repl ./internal/opt
 
-echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons in predicates and where clauses against the general path, opening a damaged segmented log, the list-position search against the walk, statements rebound from a session's templates against the same texts parsed) =="
+echo "== fuzz (10 s each: the XML scanner against encoding/xml, the text escaper against encoding/xml, the response decoder, in-place comparisons against the general path in predicates and where clauses, counted and kept (@k serialized) over the lists of two parents, behind a positional predicate and on a child step, opening a damaged segmented log, the list-position search against the walk, statements rebound from a session's templates against the same texts parsed) =="
 go test -run '^$' -fuzz='^FuzzScanXML$' -fuzztime=10s ./internal/xmlscan
 go test -run '^$' -fuzz='^FuzzEscapeText$' -fuzztime=10s ./internal/core
 go test -run '^$' -fuzz='^FuzzReadResponse$' -fuzztime=10s ./internal/wire
